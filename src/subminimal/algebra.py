@@ -21,11 +21,15 @@ from subminimal.frames import (
     NFrame,
     NModel,
     Poset,
+    _locality_witness,
+    _subfamilies,
+    _table_array,
+    _trace_tables,
+    _transports,
     enumerate_ntables,
     enumerate_posets,
     ntable_from_upset_map,
     poset_from_dict,
-    poset_isomorphisms,
     poset_to_dict,
 )
 from subminimal.syntax import (
@@ -119,32 +123,39 @@ def _imp_mask(p: Poset, u: int, v: int) -> int:
     return out
 
 
+def _set_algebra(p: Poset, elements: Sequence[int], ntable: Sequence[int]) -> NAlgebra:
+    """The algebra of the given upsets, negation read off the table.
+
+    Element i is elements[i]; meet and join are intersection and union,
+    and the arrow is the largest upset whose meet with the antecedent
+    stays inside the consequent. The elements must be closed under all
+    three and hold the full set and every table value.
+    """
+    index = {u: i for i, u in enumerate(elements)}
+    for u in elements:
+        if ntable[u] not in index:
+            raise ValueError(f"negation value at {u} is not an element")
+    k = len(elements)
+    meet = tuple(
+        tuple(index[elements[i] & elements[j]] for j in range(k)) for i in range(k)
+    )
+    join = tuple(
+        tuple(index[elements[i] | elements[j]] for j in range(k)) for i in range(k)
+    )
+    imp = tuple(
+        tuple(index[_imp_mask(p, elements[i], elements[j])] for j in range(k))
+        for i in range(k)
+    )
+    neg = tuple(index[ntable[u]] for u in elements)
+    return NAlgebra(k, meet, join, imp, neg, index[(1 << p.n) - 1])
+
+
 def upset_algebra(fr: NFrame) -> NAlgebra:
     """The algebra of all upsets of a frame, negation read off N.
 
-    Element i is the i-th upset in ascending mask order; the arrow is
-    the largest upset whose meet with the antecedent stays inside the
-    consequent.
+    Element i is the i-th upset in ascending mask order.
     """
-    p = fr.poset
-    upsets = p.upsets()
-    index = {u: i for i, u in enumerate(upsets)}
-    for u in upsets:
-        if fr.ntable[u] not in index:
-            raise ValueError(f"negation value at {u} is not an upset")
-    k = len(upsets)
-    meet = tuple(
-        tuple(index[upsets[i] & upsets[j]] for j in range(k)) for i in range(k)
-    )
-    join = tuple(
-        tuple(index[upsets[i] | upsets[j]] for j in range(k)) for i in range(k)
-    )
-    imp = tuple(
-        tuple(index[_imp_mask(p, upsets[i], upsets[j])] for j in range(k))
-        for i in range(k)
-    )
-    neg = tuple(index[fr.ntable[u]] for u in upsets)
-    return NAlgebra(k, meet, join, imp, neg, index[(1 << p.n) - 1])
+    return _set_algebra(fr.poset, fr.poset.upsets(), fr.ntable)
 
 
 # --------------------------------------------------------------------------
@@ -211,83 +222,25 @@ def check_topframe(tf: TopFrame) -> tuple[int, int] | None:
     for u in admissible:
         if tf.ntable[u] not in adm:
             raise ValueError(f"negation value at {u} is not admissible")
-    for x in admissible:
-        nx = tf.ntable[x]
-        for y in admissible:
-            if nx & y != tf.ntable[x & y] & y:
-                return (x, y)
-    return None
+    return _locality_witness(tf.n, admissible, tf.ntable)
 
 
 def enumerate_topframes(p: Poset) -> list[TopFrame]:
-    """All lawful top frames on a topped poset, canonical order."""
-    if p.top() is None:
-        raise ValueError("poset has no greatest world")
-    admissible = [u for u in p.upsets() if u]
+    """All lawful top frames on a topped poset, canonical order.
+
+    These are the trace tables over the nonempty upsets whose values
+    all hold the top world t, that is, with t in N({t}).
+    """
     t = p.top()
-    order = sorted(range(p.n), key=lambda w: p.up[w].bit_count())
-    traces: dict[int, frozenset[int]] = {}
-    results: list[tuple[int, ...]] = []
-
-    def rec(k: int) -> None:
-        if k == len(order):
-            flat = [-1] * (1 << p.n)
-            for u in admissible:
-                flat[u] = sum(
-                    1 << w for w in range(p.n) if (u & p.up[w]) in traces[w]
-                )
-            results.append(tuple(flat))
-            return
-        w = order[k]
-        if w == t:
-            traces[w] = frozenset({1 << t})
-            rec(k + 1)
-            del traces[w]
-            return
-        allowed = []
-        for z in admissible:
-            if z & ~p.up[w]:
-                continue
-            m = p.up[w] & ~(1 << w)
-            good = True
-            while m:
-                v = (m & -m).bit_length() - 1
-                m &= m - 1
-                if (z & p.up[v]) not in traces[v]:
-                    good = False
-                    break
-            if good:
-                allowed.append(z)
-        for pick in range(1 << len(allowed)):
-            traces[w] = frozenset(
-                allowed[i] for i in range(len(allowed)) if (pick >> i) & 1
-            )
-            rec(k + 1)
-        del traces[w]
-
-    rec(0)
-    results.sort()
-    return [TopFrame(p, table) for table in results]
+    if t is None:
+        raise ValueError("poset has no greatest world")
+    tables = _trace_tables(p, [u for u in p.upsets() if u], _subfamilies)
+    return [TopFrame(p, table) for table in sorted(tables) if (table[1 << t] >> t) & 1]
 
 
 def admissible_algebra(tf: TopFrame) -> NAlgebra:
     """The algebra of nonempty upsets of a top frame."""
-    p = tf.poset
-    elements = tf.admissible()
-    index = {u: i for i, u in enumerate(elements)}
-    k = len(elements)
-    meet = tuple(
-        tuple(index[elements[i] & elements[j]] for j in range(k)) for i in range(k)
-    )
-    join = tuple(
-        tuple(index[elements[i] | elements[j]] for j in range(k)) for i in range(k)
-    )
-    imp = tuple(
-        tuple(index[_imp_mask(p, elements[i], elements[j])] for j in range(k))
-        for i in range(k)
-    )
-    neg = tuple(index[tf.ntable[u]] for u in elements)
-    return NAlgebra(k, meet, join, imp, neg, index[(1 << p.n) - 1])
+    return _set_algebra(tf.poset, tf.admissible(), tf.ntable)
 
 
 # --------------------------------------------------------------------------
@@ -444,27 +397,7 @@ def nalgebra_isomorphic(a: NAlgebra, b: NAlgebra) -> bool:
 
 def topframe_isomorphic(s: TopFrame, t: TopFrame) -> bool:
     """Poset isomorphism transporting the admissible negation table."""
-    for f in poset_isomorphisms(s.poset, t.poset):
-        ok = True
-        for u in s.admissible():
-            image = 0
-            m = u
-            while m:
-                w = (m & -m).bit_length() - 1
-                m &= m - 1
-                image |= 1 << f[w]
-            value = 0
-            m = s.ntable[u]
-            while m:
-                w = (m & -m).bit_length() - 1
-                m &= m - 1
-                value |= 1 << f[w]
-            if t.ntable[image] != value:
-                ok = False
-                break
-        if ok:
-            return True
-    return False
+    return _transports(s.poset, t.poset, s.admissible(), s.ntable, t.ntable)
 
 
 def duality_check(x: TopFrame | NAlgebra) -> bool:
@@ -711,6 +644,8 @@ def algebra_to_dict(a: NAlgebra) -> dict:
 
 
 def algebra_from_dict(d: Mapping) -> NAlgebra:
+    if not isinstance(d, Mapping):
+        raise ValueError("algebra JSON must be an object")
     return NAlgebra(
         int(d["size"]),
         tuple(tuple(int(v) for v in row) for row in d["meet"]),
@@ -729,11 +664,10 @@ def topframe_to_dict(tf: TopFrame) -> dict:
 
 
 def topframe_from_dict(d: Mapping) -> TopFrame:
+    """Read a top frame; an entry "0": 0 at the empty set, as a plain
+    frame's JSON carries it, is ignored."""
     p = poset_from_dict(d)
-    raw = d.get("N")
-    if not isinstance(raw, Mapping):
-        raise ValueError("top frame JSON needs an N table")
-    flat = [-1] * (1 << p.n)
-    for k, v in raw.items():
-        flat[int(k)] = int(v)
+    flat = _table_array(d, p.n)
+    if flat[0] == 0:
+        flat[0] = -1
     return TopFrame(p, tuple(flat))

@@ -17,6 +17,7 @@ import time
 from typing import Any, Mapping, Sequence
 
 from subminimal.algebra import (
+    NAlgebra,
     TopFrame,
     admissible_algebra,
     algebra_from_dict,
@@ -26,6 +27,7 @@ from subminimal.algebra import (
     dual_frame,
     subdirectly_irreducible,
     sublattice_filtration,
+    topframe_from_dict,
     topframe_to_dict,
 )
 from subminimal.antichain import comparison_matrix
@@ -47,7 +49,6 @@ from subminimal.frames import (
     frame_from_dict,
     model_from_dict,
     model_to_dict,
-    poset_from_dict,
 )
 from subminimal.modal import (
     COS4_AXIOMS,
@@ -182,51 +183,41 @@ def _cmd_filtrate(args: argparse.Namespace) -> tuple[dict, int]:
     return payload, 0
 
 
-def _load_topframe(d: Mapping) -> TopFrame:
-    raw = d.get("N")
-    if not isinstance(raw, Mapping):
-        raise ValueError("top frame JSON needs an N table")
-    table = {int(k): int(v) for k, v in raw.items()}
-    if table.get(0) == 0:
-        del table[0]
-    p = poset_from_dict(d)
-    flat = [-1] * (1 << p.n)
-    for k, v in table.items():
-        flat[k] = v
-    return TopFrame(p, tuple(flat))
+def _load_algebra_or_topframe(path: str) -> NAlgebra | TopFrame:
+    d = _load_json(path)
+    if isinstance(d, Mapping) and "meet" in d:
+        return algebra_from_dict(d)
+    return topframe_from_dict(d)
 
 
 def _cmd_algebra_dual(args: argparse.Namespace) -> tuple[dict, int]:
-    d = _load_json(args.source)
-    if "meet" in d:
-        tf = dual_frame(algebra_from_dict(d))
-        payload = topframe_to_dict(tf)
+    source = _load_algebra_or_topframe(args.source)
+    if isinstance(source, NAlgebra):
+        payload = topframe_to_dict(dual_frame(source))
     else:
-        payload = algebra_to_dict(admissible_algebra(_load_topframe(d)))
+        payload = algebra_to_dict(admissible_algebra(source))
     payload["status"] = "ok"
     return payload, 0
 
 
 def _cmd_algebra_check(args: argparse.Namespace) -> tuple[dict, int]:
-    d = _load_json(args.source)
-    if "meet" in d:
-        a = algebra_from_dict(d)
-        hit = check_nalgebra(a)
+    source = _load_algebra_or_topframe(args.source)
+    if isinstance(source, NAlgebra):
+        hit = check_nalgebra(source)
         if hit is not None:
             law, witness = hit
             return {"status": "violation", "law": law, "witness": list(witness)}, 1
         payload = {
             "status": "ok",
-            "size": a.size,
-            "subdirectly_irreducible": subdirectly_irreducible(a),
+            "size": source.size,
+            "subdirectly_irreducible": subdirectly_irreducible(source),
         }
         return payload, 0
-    tf = _load_topframe(d)
-    pair = check_topframe(tf)
+    pair = check_topframe(source)
     if pair is not None:
         x, y = pair
         return {"status": "violation", "witness": {"x": x, "y": y}}, 1
-    return {"status": "ok", "worlds": tf.n, "top": tf.top}, 0
+    return {"status": "ok", "worlds": source.n, "top": source.top}, 0
 
 
 def _cmd_algebra_filtrate(args: argparse.Namespace) -> tuple[dict, int]:

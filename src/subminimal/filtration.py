@@ -24,6 +24,8 @@ from subminimal.frames import (
     NModel,
     Poset,
     SearchTimeout,
+    _push_mask,
+    _transitive,
     countermodel_search,
     eval_formula,
     frame_class,
@@ -101,16 +103,6 @@ def _partition(m: NModel, sigma: frozenset[Formula]) -> tuple[tuple[int, ...], l
     return tuple(pi), members, truth
 
 
-def _project(mask: int, pi: tuple[int, ...]) -> int:
-    out = 0
-    m = mask
-    while m:
-        w = (m & -m).bit_length() - 1
-        m &= m - 1
-        out |= 1 << pi[w]
-    return out
-
-
 def _preimage(mask: int, members: list[int]) -> int:
     out = 0
     for c, cm in enumerate(members):
@@ -144,10 +136,10 @@ def greatest_filtration(m: NModel, sigma: Iterable[Formula]) -> FiltrationResult
     table: dict[int, int] = {}
     for x in qposet.upsets():
         pre = _preimage(x, members)
-        table[x] = _project(m.frame.neg(pre), pi)
+        table[x] = _push_mask(m.frame.neg(pre), pi)
     qframe = NFrame(qposet, ntable_from_upset_map(qposet, table))
     names = {v for f in sigma for v in variables(f)}
-    qval = {name: _project(m.valuation[name], pi) for name in sorted(names)}
+    qval = {name: _push_mask(m.valuation[name], pi) for name in sorted(names)}
     return FiltrationResult(NModel(qframe, qval), pi, sigma)
 
 
@@ -183,7 +175,7 @@ def check_conditions(m: NModel, r: FiltrationResult) -> tuple[str, tuple] | None
                 if (truth[f] >> w) & 1 and not (truth[f] >> v) & 1:
                     return ("b", (w, v, f))
     for x in qposet.upsets():
-        bound = _project(m.frame.neg(_preimage(x, members)), pi)
+        bound = _push_mask(m.frame.neg(_preimage(x, members)), pi)
         extra = r.quotient.frame.ntable[x] & ~bound
         if extra:
             return ("c", (x, (extra & -extra).bit_length() - 1))
@@ -191,7 +183,7 @@ def check_conditions(m: NModel, r: FiltrationResult) -> tuple[str, tuple] | None
         if not isinstance(f, Neg):
             continue
         value = truth[f.sub]
-        target = r.quotient.frame.ntable[_project(value, pi)]
+        target = r.quotient.frame.ntable[_push_mask(value, pi)]
         source = m.frame.neg(value)
         rest = source
         while rest:
@@ -261,15 +253,11 @@ def enumerate_filtrations(m: NModel, sigma: Iterable[Formula]) -> list[Filtratio
         members[pi[w]] |= 1 << w
     floor = [1 << c for c in range(k)]
     for w in range(m.frame.n):
-        rest = m.frame.poset.up[w]
-        while rest:
-            v = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            floor[pi[w]] |= 1 << pi[v]
+        floor[pi[w]] |= _push_mask(m.frame.poset.up[w], pi)
     ceil = g.quotient.frame.poset.up
     gap = [(c, d) for c in range(k) for d in range(k) if not (floor[c] >> d) & 1 and (ceil[c] >> d) & 1]
     forced = {
-        _project(eval_formula(m, f.sub), pi) for f in sigma if isinstance(f, Neg)
+        _push_mask(eval_formula(m, f.sub), pi) for f in sigma if isinstance(f, Neg)
     }
     out: list[FiltrationResult] = []
     for pick in range(1 << len(gap)):
@@ -277,21 +265,11 @@ def enumerate_filtrations(m: NModel, sigma: Iterable[Formula]) -> list[Filtratio
         for i, (c, d) in enumerate(gap):
             if (pick >> i) & 1:
                 up[c] |= 1 << d
-        ok = True
-        for c in range(k):
-            rest = up[c]
-            while rest and ok:
-                d = (rest & -rest).bit_length() - 1
-                rest &= rest - 1
-                if up[d] & ~up[c]:
-                    ok = False
-            if not ok:
-                break
-        if not ok:
+        if not _transitive(up):
             continue
         qposet = Poset(k, up)
         upsets = qposet.upsets()
-        bounds = {x: _project(m.frame.neg(_preimage(x, members)), pi) for x in upsets}
+        bounds = {x: _push_mask(m.frame.neg(_preimage(x, members)), pi) for x in upsets}
         # at the projection of a negated Sigma formula's argument the
         # value is pinned from both sides; everywhere else any subset
         # of the class-wise bound is admissible

@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from subminimal import kernels
 from subminimal.syntax import (
@@ -38,6 +38,37 @@ class SearchTimeout(RuntimeError):
 def _pair_bit(i: int, j: int, n: int) -> int:
     """Bit position of the strict pair (i, j) in a poset's pair mask."""
     return i * (n - 1) + (j if j < i else j - 1)
+
+
+def _close(up: Sequence[int]) -> list[int]:
+    """Transitive closure of cone masks: each cone absorbs the cones of
+    its members until nothing changes."""
+    up = list(up)
+    changed = True
+    while changed:
+        changed = False
+        for w in range(len(up)):
+            m = acc = up[w]
+            while m:
+                v = (m & -m).bit_length() - 1
+                m &= m - 1
+                acc |= up[v]
+            if acc != up[w]:
+                up[w] = acc
+                changed = True
+    return up
+
+
+def _transitive(up: Sequence[int]) -> bool:
+    """Whether every cone holds the cones of its members."""
+    for cone in up:
+        m = cone
+        while m:
+            v = (m & -m).bit_length() - 1
+            m &= m - 1
+            if up[v] & ~cone:
+                return False
+    return True
 
 
 class Poset:
@@ -71,14 +102,14 @@ class Poset:
         self._validate()
 
     def _validate(self) -> None:
+        if not _transitive(self.up):
+            raise ValueError("transitivity fails")
         for w in range(self.n):
-            m = self.up[w]
+            m = self.up[w] & ~(1 << w)
             while m:
                 v = (m & -m).bit_length() - 1
                 m &= m - 1
-                if self.up[v] & ~self.up[w]:
-                    raise ValueError("transitivity fails")
-                if v != w and (self.up[v] >> w) & 1:
+                if (self.up[v] >> w) & 1:
                     raise ValueError("antisymmetry fails")
 
     @classmethod
@@ -93,20 +124,7 @@ class Poset:
             if not (0 <= i < n and 0 <= j < n):
                 raise ValueError(f"pair ({i}, {j}) out of range")
             up[i] |= 1 << j
-        changed = True
-        while changed:
-            changed = False
-            for w in range(n):
-                m = up[w]
-                acc = m
-                while m:
-                    v = (m & -m).bit_length() - 1
-                    m &= m - 1
-                    acc |= up[v]
-                if acc != up[w]:
-                    up[w] = acc
-                    changed = True
-        return cls(n, up)
+        return cls(n, _close(up))
 
     def le(self, i: int, j: int) -> bool:
         return bool((self.up[i] >> j) & 1)
@@ -233,6 +251,17 @@ def ntable_from_upset_map(p: Poset, mapping: Mapping[int, int]) -> tuple[int, ..
     return tuple(table)
 
 
+def _locality_witness(
+    n: int, domain: Sequence[int], ntable: Sequence[int]
+) -> tuple[int, int] | None:
+    """First pair (X, Y) of domain sets, in domain order, with
+    N(X) & Y != N(X & Y) & Y; the domain must be closed under meets."""
+    packed = kernels.locality_violation(n, list(domain), list(ntable))
+    if packed < 0:
+        return None
+    return domain[packed // len(domain)], domain[packed % len(domain)]
+
+
 def check_nframe(p: Poset, ntable: Sequence[int]) -> tuple[int, int] | None:
     """Validate the locality law over all upset pairs.
 
@@ -249,10 +278,7 @@ def check_nframe(p: Poset, ntable: Sequence[int]) -> tuple[int, int] | None:
             raise ValueError(f"negation table misses upset {u}")
         if value not in upset_set:
             raise ValueError(f"negation value at {u} is not an upset")
-    packed = kernels.locality_violation(p.n, list(upsets), list(ntable))
-    if packed < 0:
-        return None
-    return upsets[packed // len(upsets)], upsets[packed % len(upsets)]
+    return _locality_witness(p.n, upsets, ntable)
 
 
 @dataclass(frozen=True, eq=False)
@@ -437,43 +463,33 @@ def enumerate_posets(n: int) -> Iterator[Poset]:
                     up[i] |= 1 << j
             if not ok:
                 break
-        if not ok:
-            continue
-        for w in range(n):
-            m = up[w]
-            while m and ok:
-                v = (m & -m).bit_length() - 1
-                m &= m - 1
-                if up[v] & ~up[w]:
-                    ok = False
-            if not ok:
-                break
-        if ok:
+        if ok and _transitive(up):
             yield Poset(n, up)
 
 
-def _trace_order(p: Poset) -> list[int]:
-    # maximal worlds first, so that each world's constraints are known
-    # when its trace family is chosen
-    return sorted(range(p.n), key=lambda w: p.up[w].bit_count())
+def _trace_tables(
+    p: Poset,
+    domain: Sequence[int],
+    choose: Callable[[list[int]], Iterable[frozenset[int]]],
+) -> list[tuple[int, ...]]:
+    """Negation tables on the domain sets, built from per-world trace
+    families.
 
-
-def enumerate_ntables(p: Poset) -> list[tuple[int, ...]]:
-    """All lawful negation tables on the poset, ascending by value tuple.
-
-    Tables are generated through per-world trace families: world w may
-    hold any family of upsets inside its cone that projects, along the
-    order, into the families already fixed above it.
+    World w holds a family of domain sets inside its cone whose cuts to
+    each strictly higher cone lie in that world's family; ``choose``
+    maps the sets allowed at w to the families to try. Worlds go
+    maximal first, so each world's constraints are known when its family
+    is chosen. N(X) is the set of worlds whose family holds X's cut to
+    their cone, so every value is an upset and locality holds.
     """
-    upsets = p.upsets()
-    order = _trace_order(p)
+    order = sorted(range(p.n), key=lambda w: p.up[w].bit_count())
     traces: dict[int, frozenset[int]] = {}
     results: list[tuple[int, ...]] = []
 
     def rec(k: int) -> None:
         if k == len(order):
             flat = [-1] * (1 << p.n)
-            for u in upsets:
+            for u in domain:
                 flat[u] = sum(
                     1 << w for w in range(p.n) if (u & p.up[w]) in traces[w]
                 )
@@ -481,7 +497,7 @@ def enumerate_ntables(p: Poset) -> list[tuple[int, ...]]:
             return
         w = order[k]
         allowed = []
-        for z in upsets:
+        for z in domain:
             if z & ~p.up[w]:
                 continue
             m = p.up[w] & ~(1 << w)
@@ -494,16 +510,28 @@ def enumerate_ntables(p: Poset) -> list[tuple[int, ...]]:
                     break
             if good:
                 allowed.append(z)
-        for pick in range(1 << len(allowed)):
-            traces[w] = frozenset(
-                allowed[i] for i in range(len(allowed)) if (pick >> i) & 1
-            )
+        for family in choose(allowed):
+            traces[w] = family
             rec(k + 1)
         del traces[w]
 
     rec(0)
-    results.sort()
     return results
+
+
+def _subfamilies(allowed: list[int]) -> Iterator[frozenset[int]]:
+    for pick in range(1 << len(allowed)):
+        yield frozenset(allowed[i] for i in range(len(allowed)) if (pick >> i) & 1)
+
+
+def enumerate_ntables(p: Poset) -> list[tuple[int, ...]]:
+    """All lawful negation tables on the poset, ascending by value tuple.
+
+    Tables are generated through per-world trace families: world w may
+    hold any family of upsets inside its cone that projects, along the
+    order, into the families already fixed above it.
+    """
+    return sorted(_trace_tables(p, p.upsets(), _subfamilies))
 
 
 def enumerate_nframes(p: Poset) -> list[NFrame]:
@@ -525,28 +553,11 @@ def random_poset(rng, n: int) -> Poset:
 
 def random_ntable(rng, p: Poset) -> tuple[int, ...]:
     """A lawful negation table drawn uniformly over trace families."""
-    upsets = p.upsets()
-    traces: dict[int, set[int]] = {}
-    for w in _trace_order(p):
-        family = set()
-        for z in upsets:
-            if z & ~p.up[w]:
-                continue
-            m = p.up[w] & ~(1 << w)
-            good = True
-            while m:
-                v = (m & -m).bit_length() - 1
-                m &= m - 1
-                if (z & p.up[v]) not in traces[v]:
-                    good = False
-                    break
-            if good and rng.random() < 0.5:
-                family.add(z)
-        traces[w] = family
-    flat = [-1] * (1 << p.n)
-    for u in upsets:
-        flat[u] = sum(1 << w for w in range(p.n) if (u & p.up[w]) in traces[w])
-    return tuple(flat)
+
+    def coin_flips(allowed: list[int]) -> list[frozenset[int]]:
+        return [frozenset(z for z in allowed if rng.random() < 0.5)]
+
+    return _trace_tables(p, p.upsets(), coin_flips)[0]
 
 
 def random_nframe(rng, n: int) -> NFrame:
@@ -596,6 +607,7 @@ def poset_isomorphic(p: Poset, q: Poset) -> bool:
 
 
 def _push_mask(mask: int, f: Sequence[int]) -> int:
+    """Image of a world set under the world map f."""
     out = 0
     m = mask
     while m:
@@ -605,15 +617,20 @@ def _push_mask(mask: int, f: Sequence[int]) -> int:
     return out
 
 
-def nframe_isomorphic(a: NFrame, b: NFrame) -> bool:
-    """Poset isomorphism that also transports the negation table."""
-    for f in poset_isomorphisms(a.poset, b.poset):
-        if all(
-            b.ntable[_push_mask(u, f)] == _push_mask(a.ntable[u], f)
-            for u in a.poset.upsets()
-        ):
+def _transports(
+    p: Poset, q: Poset, domain: Sequence[int], a: Sequence[int], b: Sequence[int]
+) -> bool:
+    """Whether some order isomorphism p -> q carries table a on the
+    domain sets of p onto table b."""
+    for f in poset_isomorphisms(p, q):
+        if all(b[_push_mask(u, f)] == _push_mask(a[u], f) for u in domain):
             return True
     return False
+
+
+def nframe_isomorphic(a: NFrame, b: NFrame) -> bool:
+    """Poset isomorphism that also transports the negation table."""
+    return _transports(a.poset, b.poset, a.poset.upsets(), a.ntable, b.ntable)
 
 
 def canonical_poset_key(p: Poset) -> int:
@@ -728,20 +745,42 @@ def model_to_dict(m: NModel) -> dict:
     return d
 
 
-def poset_from_dict(d: Mapping) -> Poset:
+def _worlds(d: Mapping) -> int:
+    """World count of a frame JSON document, which must be an object."""
+    if not isinstance(d, Mapping):
+        raise ValueError("frame JSON must be an object")
     n = d["worlds"]
     if not isinstance(n, int) or n < 0:
         raise ValueError("worlds must be a nonnegative integer")
+    return n
+
+
+def _table_map(d: Mapping) -> dict[int, int]:
+    """The "N" object of a frame JSON document as integer masks."""
+    raw = d.get("N")
+    if not isinstance(raw, Mapping):
+        raise ValueError("frame JSON needs an N table")
+    return {int(k): int(v) for k, v in raw.items()}
+
+
+def _table_array(d: Mapping, n: int) -> list[int]:
+    """The "N" object spread over all 2**n subsets, -1 at absent keys."""
+    table = [-1] * (1 << n)
+    for x, value in _table_map(d).items():
+        if not 0 <= x < 1 << n:
+            raise ValueError(f"table key {x} out of range")
+        table[x] = value
+    return table
+
+
+def poset_from_dict(d: Mapping) -> Poset:
+    n = _worlds(d)
     return Poset.from_pairs(n, [(int(i), int(j)) for i, j in d.get("leq", [])])
 
 
 def frame_from_dict(d: Mapping) -> NFrame:
     p = poset_from_dict(d)
-    raw = d.get("N")
-    if not isinstance(raw, Mapping):
-        raise ValueError("frame JSON needs an N table")
-    mapping = {int(k): int(v) for k, v in raw.items()}
-    return NFrame(p, ntable_from_upset_map(p, mapping))
+    return NFrame(p, ntable_from_upset_map(p, _table_map(d)))
 
 
 def model_from_dict(d: Mapping) -> NModel:

@@ -22,7 +22,11 @@ from subminimal import kernels
 from subminimal.frames import (
     NFrame,
     NModel,
+    _close,
+    _table_array,
+    _transitive,
     _valuation_from_index,
+    _worlds,
     eval_formula,
 )
 from subminimal.syntax import (
@@ -51,12 +55,8 @@ def _closed_rel(n: int, rel: Sequence[int]) -> None:
         cone = rel[w]
         if cone & ~full or not (cone >> w) & 1:
             raise ValueError(f"cone of {w} must be a reflexive subset of the worlds")
-        m = cone
-        while m:
-            v = (m & -m).bit_length() - 1
-            m &= m - 1
-            if rel[v] & ~cone:
-                raise ValueError(f"relation not transitive at {w} -> {v}")
+    if not _transitive(rel):
+        raise ValueError("relation not transitive")
 
 
 @dataclass(frozen=True)
@@ -170,18 +170,7 @@ def enumerate_preorders(n: int) -> list[tuple[int, ...]]:
         for k, (w, v) in enumerate(offdiag):
             if (bits >> k) & 1:
                 rel[w] |= 1 << v
-        ok = True
-        for w in range(n):
-            m = rel[w]
-            while m:
-                v = (m & -m).bit_length() - 1
-                m &= m - 1
-                if rel[v] & ~rel[w]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        if _transitive(rel):
             out.append(tuple(rel))
     return out
 
@@ -205,20 +194,7 @@ def random_preorder(rng, n: int) -> tuple[int, ...]:
         for v in range(n):
             if v != w and rng.random() < 0.35:
                 rel[w] |= 1 << v
-    changed = True
-    while changed:
-        changed = False
-        for w in range(n):
-            acc = rel[w]
-            m = rel[w]
-            while m:
-                v = (m & -m).bit_length() - 1
-                m &= m - 1
-                acc |= rel[v]
-            if acc != rel[w]:
-                rel[w] = acc
-                changed = True
-    return tuple(rel)
+    return tuple(_close(rel))
 
 
 def random_ns4_frame(rng, n: int) -> NS4Frame:
@@ -534,35 +510,23 @@ def ns4_to_dict(fr: NS4Frame) -> dict:
     }
 
 
+def _total_table(d: Mapping, n: int) -> tuple[int, ...]:
+    """The "N" object of a frame JSON document, which must cover all
+    2**n subsets."""
+    table = _table_array(d, n)
+    if any(v < 0 for v in table):
+        raise ValueError("table must cover every subset")
+    return tuple(table)
+
+
 def ns4_from_dict(d: Mapping) -> NS4Frame:
-    n = int(d["worlds"])
+    n = _worlds(d)
     rel = [1 << w for w in range(n)]
     for i, j in d["rel"]:
         if not (0 <= i < n and 0 <= j < n):
             raise ValueError(f"relation pair ({i}, {j}) out of range")
         rel[i] |= 1 << j
-    changed = True
-    while changed:
-        changed = False
-        for w in range(n):
-            acc = rel[w]
-            m = rel[w]
-            while m:
-                v = (m & -m).bit_length() - 1
-                m &= m - 1
-                acc |= rel[v]
-            if acc != rel[w]:
-                rel[w] = acc
-                changed = True
-    table = [-1] * (1 << n)
-    for key, value in d["N"].items():
-        x = int(key)
-        if not 0 <= x < 1 << n:
-            raise ValueError(f"table key {key} out of range")
-        table[x] = int(value)
-    if any(v < 0 for v in table):
-        raise ValueError("table must cover every subset")
-    return NS4Frame(n, tuple(rel), tuple(table))
+    return NS4Frame(n, tuple(_close(rel)), _total_table(d, n))
 
 
 def modal_nframe_to_dict(fr: ModalNFrame) -> dict:
@@ -570,16 +534,8 @@ def modal_nframe_to_dict(fr: ModalNFrame) -> dict:
 
 
 def modal_nframe_from_dict(d: Mapping) -> ModalNFrame:
-    n = int(d["worlds"])
-    table = [-1] * (1 << n)
-    for key, value in d["N"].items():
-        x = int(key)
-        if not 0 <= x < 1 << n:
-            raise ValueError(f"table key {key} out of range")
-        table[x] = int(value)
-    if any(v < 0 for v in table):
-        raise ValueError("table must cover every subset")
-    return ModalNFrame(n, tuple(table))
+    n = _worlds(d)
+    return ModalNFrame(n, _total_table(d, n))
 
 
 def proof_lines_to_list(proof: HilbertProof) -> list[dict]:
@@ -591,7 +547,9 @@ def proof_lines_to_list(proof: HilbertProof) -> list[dict]:
 
 def proof_from_list(items: Sequence[Mapping], system: str) -> HilbertProof:
     lines = []
-    for item in items:
+    for i, item in enumerate(items):
+        if not isinstance(item, Mapping):
+            raise ValueError(f"proof line {i} must be an object")
         lines.append(
             ProofLine(
                 parse(item["formula"], "modal"),

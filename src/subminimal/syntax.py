@@ -109,18 +109,6 @@ def _children(formula: Formula) -> tuple[Formula, ...]:
     return ()
 
 
-def is_prop(formula: Formula) -> bool:
-    """True when the formula stays inside the propositional language."""
-    return all(
-        not isinstance(f, (Bot, Box, BBox)) for f in _walk(formula)
-    )
-
-
-def is_modal(formula: Formula) -> bool:
-    """True when the formula stays inside the modal language (no Neg)."""
-    return all(not isinstance(f, Neg) for f in _walk(formula))
-
-
 def _walk(formula: Formula) -> Iterator[Formula]:
     stack = [formula]
     while stack:

@@ -201,12 +201,37 @@ def test_topframe_json_round_trip():
         if p.top() is None:
             continue
         for tf in enumerate_topframes(p):
-            back = topframe_from_dict(topframe_to_dict(tf))
-            assert back == tf
+            d = topframe_to_dict(tf)
+            assert topframe_from_dict(d) == tf
+            # a plain frame's entry at the empty set is ignored
+            d["N"]["0"] = 0
+            assert topframe_from_dict(d) == tf
             seen += 1
     assert seen > 0
     with pytest.raises(ValueError, match="needs an N table"):
         topframe_from_dict({"worlds": 1, "leq": []})
+
+
+def test_topframes_are_the_lawful_admissible_tables():
+    # brute force: every table from nonempty upsets to nonempty upsets,
+    # kept when locality holds
+    seen = 0
+    for n in (1, 2, 3):
+        for p in enumerate_posets(n):
+            if p.top() is None:
+                continue
+            admissible = [u for u in p.upsets() if u]
+            lawful = []
+            for values in itertools.product(admissible, repeat=len(admissible)):
+                flat = [-1] * (1 << n)
+                for u, v in zip(admissible, values):
+                    flat[u] = v
+                tf = TopFrame(p, tuple(flat))
+                if check_topframe(tf) is None:
+                    lawful.append(tf)
+            assert enumerate_topframes(p) == lawful
+            seen += len(lawful)
+    assert seen == 147
 
 
 def test_topframe_requires_a_top():

@@ -404,6 +404,24 @@ def test_ns4_en_and_rn(capsys, tmp_path):
         assert out == {"status": "violation", "k": 1, "holds": False}
 
 
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["check-frame", "-"], "[]"),
+        (["algebra", "check", "-"], "[]"),
+        (["algebra", "dual", "-"], "[]"),
+        (["ns4", "en", "--frame", "-", "-k", "1"], '{"worlds": 1, "N": [0, 0]}'),
+        (["ns4", "check-proof", "-", "--system", "ns4"], "[1, 2]"),
+    ],
+    ids=["check-frame", "algebra-check", "algebra-dual", "ns4-en", "ns4-check-proof"],
+)
+def test_malformed_json_shape_exits_2(capsys, monkeypatch, argv, text):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    code, out = run(capsys, argv)
+    assert code == 2
+    assert out["status"] == "error"
+
+
 def test_pretty_prints_indented(capsys):
     code = main(["translate", "~p", "--pretty"])
     out = capsys.readouterr().out

@@ -1,5 +1,6 @@
 """Posets, N-frames, validity, enumeration, and the frame classes."""
 
+import itertools
 import random
 
 import pytest
@@ -75,6 +76,24 @@ def test_labeled_enumeration_counts():
         sum(len(enumerate_ntables(p)) for p in enumerate_posets(n))
         for n in (1, 2, 3)
     ] == [4, 46, 1282]
+
+
+def test_ntables_are_the_lawful_upset_tables():
+    # brute force: every upset-valued table, kept when locality holds
+    seen = 0
+    for n in (1, 2, 3):
+        for p in enumerate_posets(n):
+            upsets = p.upsets()
+            if len(upsets) > 5:
+                continue
+            lawful = []
+            for values in itertools.product(upsets, repeat=len(upsets)):
+                table = ntable_from_upset_map(p, dict(zip(upsets, values)))
+                if check_nframe(p, table) is None:
+                    lawful.append(table)
+            assert enumerate_ntables(p) == lawful
+            seen += 1
+    assert seen > 10
 
 
 def test_unlabeled_enumeration_counts():

@@ -9,7 +9,10 @@ is packed first.
 
 import itertools
 import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -309,3 +312,14 @@ def test_positive_morphism_wrapper_round_trip():
         m = positive_morphism(t, s)
         if m is not None:
             assert verify_positive_morphism(t, s, m)
+
+
+def test_kernel_micro_cases_keep_their_frozen_results():
+    root = pathlib.Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "kernel_cases.py")],
+        capture_output=True,
+        text=True,
+        cwd=root,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
