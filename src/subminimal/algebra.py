@@ -643,15 +643,29 @@ def algebra_to_dict(a: NAlgebra) -> dict:
     }
 
 
+def _ints(raw: object, what: str) -> tuple[int, ...]:
+    """A JSON list of numbers as integers."""
+    if not isinstance(raw, (list, tuple)):
+        raise ValueError(f"{what} must be a list")
+    return tuple(int(v) for v in raw)
+
+
+def _rows(raw: object, what: str) -> tuple[tuple[int, ...], ...]:
+    """A JSON list of rows of numbers as integer rows."""
+    if not isinstance(raw, (list, tuple)):
+        raise ValueError(f"{what} must be a list of rows")
+    return tuple(_ints(row, what + " row") for row in raw)
+
+
 def algebra_from_dict(d: Mapping) -> NAlgebra:
     if not isinstance(d, Mapping):
         raise ValueError("algebra JSON must be an object")
     return NAlgebra(
         int(d["size"]),
-        tuple(tuple(int(v) for v in row) for row in d["meet"]),
-        tuple(tuple(int(v) for v in row) for row in d["join"]),
-        tuple(tuple(int(v) for v in row) for row in d["imp"]),
-        tuple(int(v) for v in d["neg"]),
+        _rows(d["meet"], "meet"),
+        _rows(d["join"], "join"),
+        _rows(d["imp"], "imp"),
+        _ints(d["neg"], "neg"),
         int(d["one"]),
     )
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from subminimal.frames import (
     NFrame,
@@ -103,6 +103,14 @@ def _partition(m: NModel, sigma: frozenset[Formula]) -> tuple[tuple[int, ...], l
     return tuple(pi), members, truth
 
 
+def _members(pi: Sequence[int], k: int) -> list[int]:
+    """World masks of the k classes of the projection pi."""
+    out = [0] * k
+    for w, c in enumerate(pi):
+        out[c] |= 1 << w
+    return out
+
+
 def _preimage(mask: int, members: list[int]) -> int:
     out = 0
     for c, cm in enumerate(members):
@@ -155,9 +163,7 @@ def check_conditions(m: NModel, r: FiltrationResult) -> tuple[str, tuple] | None
     sigma = r.sigma
     pi = r.pi
     n = m.frame.n
-    members = [0] * r.classes()
-    for w in range(n):
-        members[pi[w]] |= 1 << w
+    members = _members(pi, r.classes())
     truth = {f: eval_formula(m, f) for f in sigma}
     qposet = r.quotient.frame.poset
     for w in range(n):
@@ -248,9 +254,7 @@ def enumerate_filtrations(m: NModel, sigma: Iterable[Formula]) -> list[Filtratio
     g = greatest_filtration(m, sigma)
     pi = g.pi
     k = g.classes()
-    members = [0] * k
-    for w in range(m.frame.n):
-        members[pi[w]] |= 1 << w
+    members = _members(pi, k)
     floor = [1 << c for c in range(k)]
     for w in range(m.frame.n):
         floor[pi[w]] |= _push_mask(m.frame.poset.up[w], pi)

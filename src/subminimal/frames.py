@@ -9,7 +9,10 @@ Enumeration orders are fixed once and for all so that search results
 are reproducible: posets by world count then by the bitmask of their
 strict pairs, N-tables by their value tuple over ascending upsets,
 valuations lexicographically with the alphabetically first variable
-most significant.
+most significant. The countermodel search walks one frame per
+isomorphism class in that order: the least-mask labeling of each
+poset, and on it the least table of each orbit under the poset's
+automorphisms.
 """
 
 from __future__ import annotations
@@ -688,10 +691,37 @@ def enumerate_posets_unlabeled(n: int) -> list[Poset]:
 # search
 
 
+def _least_in_orbit(
+    upsets: Sequence[int], ntable: Sequence[int], images: Sequence[dict[int, int]]
+) -> bool:
+    """Whether no automorphism carries the lawful table to a smaller
+    value tuple over the ascending upsets; ``images`` maps each upset
+    to its image, one dict per automorphism."""
+    values = [ntable[u] for u in upsets]
+    for image in images:
+        moved = {image[u]: image[ntable[u]] for u in upsets}
+        if [moved[u] for u in upsets] < values:
+            return False
+    return True
+
+
 def _frame_stream(n: int) -> Iterator[NFrame]:
+    """One N-frame per isomorphism class up to n worlds, each the first
+    of its class in the labeled order: the least-mask labeling of its
+    poset, carrying the least table of its automorphism orbit."""
     for size in range(1, n + 1):
         for p in enumerate_posets(size):
-            yield from enumerate_nframes(p)
+            if p.pair_mask() != canonical_poset_key(p):
+                continue
+            upsets = p.upsets()
+            images = [
+                {u: _push_mask(u, g) for u in upsets}
+                for g in poset_isomorphisms(p, p)
+                if g != tuple(range(size))
+            ]
+            for t in enumerate_ntables(p):
+                if _least_in_orbit(upsets, t, images):
+                    yield NFrame(p, t)
 
 
 def countermodel_search(
@@ -704,9 +734,24 @@ def countermodel_search(
     within the world bound.
 
     Frames stream in canonical order, so the witness is deterministic:
-    the first frame of the class refuting f, with the least refuting
-    valuation and world. ``deadline`` is an absolute time.time() value;
-    passing it raises SearchTimeout.
+    the first frame of the class refuting f among all labeled frames,
+    with the least refuting valuation and world. ``deadline`` is an
+    absolute time.time() value; passing it raises SearchTimeout.
+
+    The stream skips every frame but the first of its isomorphism
+    class, and the witness is still the first of the labeled order.
+    Let (P, N) be the first labeled frame that is in the class and
+    refutes f. A relabeling P' of P with a smaller pair mask has the
+    same size, so it comes earlier; the frame carried over to P' is in
+    the class and refutes f, against the choice of (P, N). So P is the
+    least labeling of its poset. For an automorphism g of P, the table
+    N^g is lawful, lies on P, and is in the class and refutes f as N
+    does; were it smaller it would come earlier. So N is the least
+    table of its orbit. Both filters keep (P, N) and drop only frames
+    after it, and refuting_valuation runs on the same frame, so the
+    valuation and world are the same too. Every class keeps a frame,
+    so exhaustion, and with it every verdict that rests on it, is
+    unchanged.
     """
     if max_worlds < 1:
         raise ValueError("need at least one world")
@@ -773,9 +818,18 @@ def _table_array(d: Mapping, n: int) -> list[int]:
     return table
 
 
+def _pairs(raw: object, what: str) -> list[tuple[int, int]]:
+    """A JSON list of [i, j] pairs as integer pairs."""
+    if not isinstance(raw, (list, tuple)) or not all(
+        isinstance(pair, (list, tuple)) and len(pair) == 2 for pair in raw
+    ):
+        raise ValueError(f"{what} must be a list of [i, j] pairs")
+    return [(int(i), int(j)) for i, j in raw]
+
+
 def poset_from_dict(d: Mapping) -> Poset:
     n = _worlds(d)
-    return Poset.from_pairs(n, [(int(i), int(j)) for i, j in d.get("leq", [])])
+    return Poset.from_pairs(n, _pairs(d.get("leq", []), "leq"))
 
 
 def frame_from_dict(d: Mapping) -> NFrame:
@@ -786,4 +840,6 @@ def frame_from_dict(d: Mapping) -> NFrame:
 def model_from_dict(d: Mapping) -> NModel:
     fr = frame_from_dict(d)
     raw = d.get("valuation", {})
+    if not isinstance(raw, Mapping):
+        raise ValueError("valuation must be an object")
     return NModel(fr, {str(k): int(v) for k, v in raw.items()})

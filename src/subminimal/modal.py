@@ -23,6 +23,7 @@ from subminimal.frames import (
     NFrame,
     NModel,
     _close,
+    _pairs,
     _table_array,
     _transitive,
     _valuation_from_index,
@@ -522,7 +523,7 @@ def _total_table(d: Mapping, n: int) -> tuple[int, ...]:
 def ns4_from_dict(d: Mapping) -> NS4Frame:
     n = _worlds(d)
     rel = [1 << w for w in range(n)]
-    for i, j in d["rel"]:
+    for i, j in _pairs(d["rel"], "rel"):
         if not (0 <= i < n and 0 <= j < n):
             raise ValueError(f"relation pair ({i}, {j}) out of range")
         rel[i] |= 1 << j

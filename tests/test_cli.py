@@ -412,8 +412,29 @@ def test_ns4_en_and_rn(capsys, tmp_path):
         (["algebra", "dual", "-"], "[]"),
         (["ns4", "en", "--frame", "-", "-k", "1"], '{"worlds": 1, "N": [0, 0]}'),
         (["ns4", "check-proof", "-", "--system", "ns4"], "[1, 2]"),
+        (["check-frame", "-"], '{"worlds": 1, "leq": 5, "N": {"0": 0, "1": 0}}'),
+        (["ns4", "valid", "--frame", "-", "p"], '{"worlds": 1, "rel": 5, "N": {"0": 0, "1": 1}}'),
+        (
+            ["filtrate", "--model", "-", "--sigma", "p"],
+            '{"worlds": 1, "leq": [], "N": {"0": 0, "1": 0}, "valuation": []}',
+        ),
+        (
+            ["algebra", "check", "-"],
+            '{"size": 2, "meet": 5, "join": [[0, 1], [1, 1]], "imp": [[1, 1], [0, 1]],'
+            ' "neg": [1, 0], "one": 1}',
+        ),
     ],
-    ids=["check-frame", "algebra-check", "algebra-dual", "ns4-en", "ns4-check-proof"],
+    ids=[
+        "check-frame",
+        "algebra-check",
+        "algebra-dual",
+        "ns4-en",
+        "ns4-check-proof",
+        "check-frame-leq",
+        "ns4-valid-rel",
+        "filtrate-valuation",
+        "algebra-check-meet",
+    ],
 )
 def test_malformed_json_shape_exits_2(capsys, monkeypatch, argv, text):
     monkeypatch.setattr(sys, "stdin", io.StringIO(text))

@@ -11,6 +11,7 @@ from subminimal.frames import (
     NModel,
     Poset,
     SearchTimeout,
+    _frame_stream,
     canonical_poset_key,
     check_nframe,
     countermodel_search,
@@ -202,6 +203,64 @@ def test_countermodel_search_timeout():
 
     with pytest.raises(SearchTimeout, match="no verdict within the budget"):
         countermodel_search(LOGICS["n"], AXIOM_NEF, 4, deadline=time.time() - 1)
+
+
+def _labeled_frames(max_worlds):
+    for size in range(1, max_worlds + 1):
+        for p in enumerate_posets(size):
+            yield from enumerate_nframes(p)
+
+
+def _labeled_search(frames, logic, f):
+    """The countermodel search over the given labeled frames in order:
+    the reference the isomorph-free stream must agree with."""
+    for fr in frames:
+        if frame_class(fr, logic):
+            hit = refuting_valuation(fr, f)
+            if hit is not None:
+                return model_to_dict(NModel(fr, hit[0])), hit[1]
+    return None
+
+
+def test_isomorph_free_search_keeps_the_labeled_witness():
+    rng = random.Random(36)
+    upto3 = list(_labeled_frames(3))
+    formulas = [random_formula(rng, ["p", "q"], 3) for _ in range(100)]
+    # random formulas are nearly always refuted first on a frame with no
+    # nontrivial automorphism; these two are refuted first at the root of
+    # a V-shaped poset under a table its mirror image moves, so a wrong
+    # choice of labeling or of table in the orbit changes their witness
+    formulas += [parse("~p -> (p -> q) | (q -> p)"), parse("~p -> ~q | (p -> q) | (q -> p)")]
+    cases = [
+        (upto3, 3, LOGICS[name], f) for f in formulas for name in ("n", "nef", "copc", "mpc")
+    ]
+    cases += [
+        (_labeled_frames(4), 4, LOGICS["n"], AXIOM_NEF),
+        (_labeled_frames(4), 4, LOGICS["nef"], AXIOM_COPC),
+        (_labeled_frames(4), 4, LOGICS["copc"], AXIOM_MPC),
+    ]
+    found = 0
+    for frames, bound, logic, f in cases:
+        want = _labeled_search(frames, logic, f)
+        hit = countermodel_search(logic, f, bound)
+        assert (None if hit is None else (model_to_dict(hit[0]), hit[1])) == want, (logic.name, f)
+        found += want is not None
+    assert 0 < found < len(cases)
+
+
+def test_frame_stream_holds_one_frame_per_isomorphism_class():
+    stream = list(_frame_stream(3))
+    assert [sum(fr.n == k for fr in stream) for k in (1, 2, 3)] == [4, 25, 242]
+    groups = {}
+    for fr in stream:
+        groups.setdefault((fr.n, canonical_poset_key(fr.poset)), []).append(fr)
+    # each streamed frame is a labeled frame too, so matching exactly one
+    # also shows that no two streamed frames are isomorphic
+    for size in (1, 2, 3):
+        for p in enumerate_posets(size):
+            group = groups[(size, canonical_poset_key(p))]
+            for fr in enumerate_nframes(p):
+                assert sum(nframe_isomorphic(fr, rep) for rep in group) == 1
 
 
 def test_neighbourhood_round_trip():
