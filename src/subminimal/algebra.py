@@ -21,13 +21,14 @@ from subminimal.frames import (
     NFrame,
     NModel,
     Poset,
+    _frame_stream,
+    _int,
+    _ints,
     _locality_witness,
     _subfamilies,
     _table_array,
     _trace_tables,
     _transports,
-    enumerate_ntables,
-    enumerate_posets,
     ntable_from_upset_map,
     poset_from_dict,
     poset_to_dict,
@@ -610,26 +611,17 @@ def least_filtration_correspondence(
 
 def algebra_corpus(max_worlds: int = 3) -> list[NAlgebra]:
     """Upset algebras of every frame on up to max_worlds worlds, one
-    representative per isomorphism class."""
-    buckets: dict[tuple, list[NAlgebra]] = {}
-    out: list[NAlgebra] = []
-    for n in range(1, max_worlds + 1):
-        for p in enumerate_posets(n):
-            for table in enumerate_ntables(p):
-                alg = upset_algebra(NFrame(p, table))
-                below = [
-                    sum(1 for y in range(alg.size) if alg.le(y, x))
-                    for x in range(alg.size)
-                ]
-                key = (
-                    alg.size,
-                    tuple(sorted((below[x], below[alg.neg[x]]) for x in range(alg.size))),
-                )
-                group = buckets.setdefault(key, [])
-                if not any(nalgebra_isomorphic(alg, seen) for seen in group):
-                    group.append(alg)
-                    out.append(alg)
-    return out
+    representative per isomorphism class: the algebras of the frame
+    stream, 271 up to 3 worlds.
+
+    Two frames have isomorphic upset algebras exactly when the frames
+    are isomorphic. The join-irreducibles of an upset lattice are the
+    principal upsets (Birkhoff), so an algebra isomorphism restricts to
+    an order isomorphism of the worlds, and commuting with negation
+    makes it carry one table onto the other. Each algebra is therefore
+    that of the first labeled frame of its class.
+    """
+    return [upset_algebra(fr) for fr in _frame_stream(max_worlds)]
 
 
 def algebra_to_dict(a: NAlgebra) -> dict:
@@ -643,13 +635,6 @@ def algebra_to_dict(a: NAlgebra) -> dict:
     }
 
 
-def _ints(raw: object, what: str) -> tuple[int, ...]:
-    """A JSON list of numbers as integers."""
-    if not isinstance(raw, (list, tuple)):
-        raise ValueError(f"{what} must be a list")
-    return tuple(int(v) for v in raw)
-
-
 def _rows(raw: object, what: str) -> tuple[tuple[int, ...], ...]:
     """A JSON list of rows of numbers as integer rows."""
     if not isinstance(raw, (list, tuple)):
@@ -661,12 +646,12 @@ def algebra_from_dict(d: Mapping) -> NAlgebra:
     if not isinstance(d, Mapping):
         raise ValueError("algebra JSON must be an object")
     return NAlgebra(
-        int(d["size"]),
+        _int(d["size"], "size"),
         _rows(d["meet"], "meet"),
         _rows(d["join"], "join"),
         _rows(d["imp"], "imp"),
         _ints(d["neg"], "neg"),
-        int(d["one"]),
+        _int(d["one"], "one"),
     )
 
 

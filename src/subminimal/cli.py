@@ -42,6 +42,7 @@ from subminimal.filtration import (
 from subminimal.frames import (
     NModel,
     SearchTimeout,
+    _int,
     check_nframe,
     countermodel_search,
     eval_formula,
@@ -193,6 +194,9 @@ def _load_algebra_or_topframe(path: str) -> NAlgebra | TopFrame:
 def _cmd_algebra_dual(args: argparse.Namespace) -> tuple[dict, int]:
     source = _load_algebra_or_topframe(args.source)
     if isinstance(source, NAlgebra):
+        hit = check_nalgebra(source)
+        if hit is not None:
+            raise ValueError(f"not an N-algebra: {hit[0]} fails at {list(hit[1])}")
         payload = topframe_to_dict(dual_frame(source))
     else:
         payload = algebra_to_dict(admissible_algebra(source))
@@ -225,7 +229,7 @@ def _cmd_algebra_filtrate(args: argparse.Namespace) -> tuple[dict, int]:
     mu_raw = json.loads(args.assign)
     if not isinstance(mu_raw, dict):
         raise ValueError("--assign must be a JSON object")
-    mu = {str(k): int(v) for k, v in mu_raw.items()}
+    mu = {str(k): _int(v, "--assign value") for k, v in mu_raw.items()}
     sigma = _parse_sigma(args.sigma)
     filt = sublattice_filtration(a, mu, sigma)
     payload = {

@@ -23,6 +23,7 @@ from subminimal.frames import (
     NFrame,
     NModel,
     _close,
+    _ints,
     _pairs,
     _table_array,
     _transitive,
@@ -551,11 +552,13 @@ def proof_from_list(items: Sequence[Mapping], system: str) -> HilbertProof:
     for i, item in enumerate(items):
         if not isinstance(item, Mapping):
             raise ValueError(f"proof line {i} must be an object")
+        if not isinstance(item["formula"], str):
+            raise ValueError(f"formula of proof line {i} must be a string")
         lines.append(
             ProofLine(
                 parse(item["formula"], "modal"),
                 str(item["rule"]),
-                tuple(int(r) for r in item.get("refs", ())),
+                _ints(item.get("refs", []), "refs"),
             )
         )
     return HilbertProof(system, tuple(lines))

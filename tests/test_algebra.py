@@ -35,6 +35,7 @@ from subminimal.frames import (
     NFrame,
     Poset,
     check_nframe,
+    enumerate_ntables,
     enumerate_posets,
     ntable_from_upset_map,
 )
@@ -121,6 +122,19 @@ def test_duality_on_small_structures():
                 assert duality_check(tf)
     for a in algebra_corpus(2):
         assert duality_check(a)
+
+
+def test_corpus_keeps_the_first_frame_of_each_new_algebra():
+    # the reference: every labeled frame in order, kept when its algebra
+    # is new up to isomorphism
+    want = []
+    for n in (1, 2, 3):
+        for p in enumerate_posets(n):
+            for table in enumerate_ntables(p):
+                alg = upset_algebra(NFrame(p, table))
+                if not any(nalgebra_isomorphic(alg, seen) for seen in want):
+                    want.append(alg)
+    assert algebra_corpus(3) == want
 
 
 def test_subdirectly_irreducible_iff_rooted_dual():

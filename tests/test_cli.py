@@ -4,12 +4,17 @@ Every case calls main() in process and checks the JSON payload and the
 exit code; one subprocess smoke test proves the module entry point.
 """
 
+import copy
 import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stdout
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subminimal.algebra import (
     algebra_from_dict,
@@ -423,6 +428,19 @@ def test_ns4_en_and_rn(capsys, tmp_path):
             '{"size": 2, "meet": 5, "join": [[0, 1], [1, 1]], "imp": [[1, 1], [0, 1]],'
             ' "neg": [1, 0], "one": 1}',
         ),
+        (["check-frame", "-"], '{"worlds": 2, "leq": [[null, 0]], "N": {}}'),
+        (["check-frame", "-"], '{"worlds": 2, "leq": [[[1], 0]], "N": {}}'),
+        (["check-frame", "-"], '{"worlds": 1, "leq": [], "N": {"0": null, "1": 0}}'),
+        (
+            ["filtrate", "--model", "-", "--sigma", "p"],
+            '{"worlds": 1, "leq": [], "N": {"0": 0, "1": 0}, "valuation": {"p": null}}',
+        ),
+        (
+            ["algebra", "check", "-"],
+            '{"size": null, "meet": [[0]], "join": [[0]], "imp": [[0]], "neg": [0], "one": 0}',
+        ),
+        (["check-frame", "-"], '{"worlds": 21, "leq": [], "N": {}}'),
+        (["check-frame", "-"], '{"worlds": 40, "leq": [], "N": {}}'),
     ],
     ids=[
         "check-frame",
@@ -434,6 +452,13 @@ def test_ns4_en_and_rn(capsys, tmp_path):
         "ns4-valid-rel",
         "filtrate-valuation",
         "algebra-check-meet",
+        "check-frame-leq-null",
+        "check-frame-leq-list",
+        "check-frame-N-null",
+        "filtrate-valuation-null",
+        "algebra-check-size-null",
+        "check-frame-21-worlds",
+        "check-frame-40-worlds",
     ],
 )
 def test_malformed_json_shape_exits_2(capsys, monkeypatch, argv, text):
@@ -441,6 +466,65 @@ def test_malformed_json_shape_exits_2(capsys, monkeypatch, argv, text):
     code, out = run(capsys, argv)
     assert code == 2
     assert out["status"] == "error"
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+FUZZ_CASES = {
+    "check-frame": (["check-frame", "-"], SEPARATING_JSON),
+    "filtrate": (["filtrate", "--model", "-", "--sigma", "~p"], FORK_MODEL_JSON),
+    "algebra-check": (["algebra", "check", "-"], algebra_to_dict(upset_algebra(SEPARATING))),
+    "algebra-dual": (["algebra", "dual", "-"], algebra_to_dict(upset_algebra(SEPARATING))),
+    "ns4-valid": (["ns4", "valid", "--frame", "-"], HAND_NS4_JSON),
+    "ns4-check-proof": (
+        ["ns4", "check-proof", "-", "--system", "ns4"],
+        [
+            {"formula": "p -> p", "rule": "taut", "refs": []},
+            {"formula": "[](p -> p)", "rule": "Nec", "refs": [0]},
+        ],
+    ),
+}
+
+
+def _members(doc, path=()):
+    """Paths to every member of a JSON document, nested ones included."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        yield path + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _members(value, path + (key,))
+
+
+def _replaced(doc, path, value):
+    out = copy.deepcopy(doc)
+    inner = out
+    for key in path[:-1]:
+        inner = inner[key]
+    inner[path[-1]] = value
+    return out
+
+
+@pytest.mark.parametrize("case", sorted(FUZZ_CASES))
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_json_readers_keep_the_exit_code_contract(case, data):
+    """One member of a valid document replaced by any JSON value: the
+    exit code is 0, 1 or 2, 1 only with a refutation or violation, and
+    stdout is exactly one JSON document."""
+    argv, doc = FUZZ_CASES[case]
+    path = data.draw(st.sampled_from(list(_members(doc))), label="member")
+    text = json.dumps(_replaced(doc, path, data.draw(JSON_VALUES, label="value")))
+    out = io.StringIO()
+    with mock.patch.object(sys, "stdin", io.StringIO(text)), redirect_stdout(out):
+        code = main(argv)
+    payload = json.loads(out.getvalue())
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert payload["status"] in ("refuted", "violation")
 
 
 def test_pretty_prints_indented(capsys):

@@ -12,6 +12,7 @@ from subminimal.frames import (
     Poset,
     SearchTimeout,
     _frame_stream,
+    _pair_bit,
     canonical_poset_key,
     check_nframe,
     countermodel_search,
@@ -71,8 +72,28 @@ def test_upsets_of_chain_and_antichain():
     assert len(enumerate_upsets(Poset.from_pairs(4, [(0, 1), (0, 2), (1, 3), (2, 3)]))) == 6
 
 
+def _mask_walk_posets(n):
+    """Every antisymmetric, transitive pair mask in ascending order: the
+    reference the relabeled classes must reproduce."""
+    pairs = list(itertools.permutations(range(n), 2))
+    for mask in range(1 << n * (n - 1)):
+        up = [1 << w for w in range(n)]
+        for i, j in pairs:
+            if (mask >> _pair_bit(i, j, n)) & 1:
+                up[i] |= 1 << j
+        antisymmetric = not any((up[i] >> j) & (up[j] >> i) & 1 for i, j in pairs)
+        transitive = all(up[j] & ~up[i] == 0 for i, j in pairs if (up[i] >> j) & 1)
+        if antisymmetric and transitive:
+            yield Poset(n, up)
+
+
+def test_posets_are_the_relabeled_classes():
+    for n in range(5):
+        assert list(enumerate_posets(n)) == list(_mask_walk_posets(n))
+
+
 def test_labeled_enumeration_counts():
-    assert [len(list(enumerate_posets(n))) for n in (1, 2, 3)] == [1, 3, 19]
+    assert [len(list(enumerate_posets(n))) for n in (1, 2, 3, 4, 5)] == [1, 3, 19, 219, 4231]
     assert [
         sum(len(enumerate_ntables(p)) for p in enumerate_posets(n))
         for n in (1, 2, 3)
@@ -105,6 +126,14 @@ def test_unlabeled_enumeration_counts():
         16,
         63,
         318,
+    ]
+    # the first grown representative of each class, in key order: the
+    # antichain search indexes these posets, so they pin its witnesses
+    assert [p.up for p in enumerate_posets_unlabeled(4)] == [
+        (1, 2, 4, 8), (9, 2, 4, 8), (13, 2, 4, 8), (15, 2, 4, 8),
+        (9, 10, 4, 8), (13, 2, 12, 8), (5, 10, 4, 8), (13, 10, 4, 8),
+        (15, 10, 4, 8), (13, 14, 4, 8), (15, 14, 4, 8), (9, 10, 12, 8),
+        (13, 10, 12, 8), (15, 10, 12, 8), (13, 14, 12, 8), (15, 14, 12, 8),
     ]
 
 
@@ -251,6 +280,8 @@ def test_isomorph_free_search_keeps_the_labeled_witness():
 def test_frame_stream_holds_one_frame_per_isomorphism_class():
     stream = list(_frame_stream(3))
     assert [sum(fr.n == k for fr in stream) for k in (1, 2, 3)] == [4, 25, 242]
+    assert sum(fr.n == 4 for fr in _frame_stream(4)) == 4230
+    assert all(fr.poset.pair_mask() == canonical_poset_key(fr.poset) for fr in stream)
     groups = {}
     for fr in stream:
         groups.setdefault((fr.n, canonical_poset_key(fr.poset)), []).append(fr)
