@@ -8,8 +8,11 @@ prime filters, where properness is not required: the whole carrier is
 a prime filter here and becomes the top world of the dual frame.
 
 Elements are integers 0..size-1 and all operation tables are dense
-tuples; nothing in this module is meant to scale past a dozen or so
-elements.
+tuples of size^2 entries. Checking the laws and finding the prime
+filters take O(size^3) steps, so algebras of a few dozen elements are
+cheap. The dual frame has one world per prime filter and, like every
+frame here, a negation table over all subsets of its worlds, so that
+part doubles with each prime filter; a chain of s elements has s.
 """
 
 from __future__ import annotations
@@ -83,35 +86,45 @@ def check_nalgebra(a: NAlgebra) -> tuple[str, tuple] | None:
     then the top, then residuation of imp, then compatibility of neg.
     """
     rng = range(a.size)
+    meet, join, imp, neg, one = a.meet, a.join, a.imp, a.neg, a.one
     for x in rng:
-        if a.meet[x][x] != x:
+        mx, jx = meet[x], join[x]
+        if mx[x] != x:
             return ("meet-idempotent", (x,))
-        if a.join[x][x] != x:
+        if jx[x] != x:
             return ("join-idempotent", (x,))
-        if a.meet[x][a.one] != x:
+        if mx[one] != x:
             return ("top", (x,))
         for y in rng:
-            if a.meet[x][y] != a.meet[y][x]:
+            mxy, jxy = mx[y], jx[y]
+            if mxy != meet[y][x]:
                 return ("meet-commutative", (x, y))
-            if a.join[x][y] != a.join[y][x]:
+            if jxy != join[y][x]:
                 return ("join-commutative", (x, y))
-            if a.meet[x][a.join[x][y]] != x:
+            if mx[jxy] != x:
                 return ("absorption", (x, y))
-            if a.join[x][a.meet[x][y]] != x:
+            if jx[mxy] != x:
                 return ("absorption", (x, y))
+            m_xy, m_y, j_xy, j_y = meet[mxy], meet[y], join[jxy], join[y]
             for z in rng:
-                if a.meet[a.meet[x][y]][z] != a.meet[x][a.meet[y][z]]:
+                if m_xy[z] != mx[m_y[z]]:
                     return ("meet-associative", (x, y, z))
-                if a.join[a.join[x][y]][z] != a.join[x][a.join[y][z]]:
+                if j_xy[z] != jx[j_y[z]]:
                     return ("join-associative", (x, y, z))
+    # residuation: meet[x][y] <= z iff x <= imp[y][z], with u <= v read
+    # as meet[u][v] == u
     for x in rng:
+        mx = meet[x]
         for y in rng:
+            mxy, iy = mx[y], imp[y]
+            m_xy = meet[mxy]
             for z in rng:
-                if a.le(a.meet[x][y], z) != a.le(x, a.imp[y][z]):
+                if (m_xy[z] == mxy) != (mx[iy[z]] == x):
                     return ("residuation", (x, y, z))
     for x in rng:
+        mx = meet[x]
         for y in rng:
-            if a.meet[x][a.neg[y]] != a.meet[x][a.neg[a.meet[x][y]]]:
+            if mx[neg[y]] != mx[neg[mx[y]]]:
                 return ("compatibility", (x, y))
     return None
 
@@ -254,37 +267,25 @@ def prime_filters(a: NAlgebra) -> list[int]:
     A filter here contains the top, is closed upward and under meet,
     and can only contain a join by containing a joinand. The improper
     filter (everything) always qualifies.
+
+    The tables must form a lattice, as check_nalgebra verifies. In a
+    finite lattice every filter is the up-set of the meet of its
+    members, so the candidates are the up-sets of the elements, one
+    each, and an up-set is kept when no join inside it has both
+    joinands outside (Birkhoff: in a distributive lattice these are the
+    up-sets of the join-irreducibles, plus the up-set of the bottom).
+    That takes O(size^3) steps and never enumerates subsets.
     """
+    rng = range(a.size)
+    join = a.join
     out = []
-    for mask in range(1 << a.size):
-        if not (mask >> a.one) & 1:
-            continue
-        ok = True
-        for x in range(a.size):
-            if not (mask >> x) & 1:
-                continue
-            for y in range(a.size):
-                if (mask >> y) & 1 and not (mask >> a.meet[x][y]) & 1:
-                    ok = False
-                    break
-                if a.le(x, y) and not (mask >> y) & 1:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            for x in range(a.size):
-                for y in range(a.size):
-                    if (mask >> a.join[x][y]) & 1 and not (
-                        (mask >> x) & 1 or (mask >> y) & 1
-                    ):
-                        ok = False
-                        break
-                if not ok:
-                    break
-        if ok:
+    for x in rng:
+        row = a.meet[x]
+        mask = sum(1 << y for y in rng if row[y] == x)
+        outside = [y for y in rng if row[y] != x]
+        if not any((mask >> join[y][z]) & 1 for y in outside for z in outside):
             out.append(mask)
-    return out
+    return sorted(out)
 
 
 def element_hat(a: NAlgebra, filters: Sequence[int], x: int) -> int:
@@ -304,7 +305,11 @@ def dual_frame(a: NAlgebra) -> TopFrame:
     cone. The hat of a negation is recomputed and compared against the
     table as a construction-time sanity check.
     """
-    filters = prime_filters(a)
+    return _dual(a, prime_filters(a))
+
+
+def _dual(a: NAlgebra, filters: Sequence[int]) -> TopFrame:
+    """The dual frame of an algebra on its given prime filters."""
     k = len(filters)
     up = []
     for i in range(k):
@@ -315,7 +320,6 @@ def dual_frame(a: NAlgebra) -> TopFrame:
         up.append(mask)
     p = Poset(k, up)
     hats = {x: element_hat(a, filters, x) for x in range(a.size)}
-    negs = sorted({a.neg[x] for x in range(a.size)})
     flat = [-1] * (1 << k)
     for u in p.upsets():
         if not u:
@@ -411,8 +415,8 @@ def duality_check(x: TopFrame | NAlgebra) -> bool:
     """
     if isinstance(x, TopFrame):
         return topframe_isomorphic(x, dual_frame(admissible_algebra(x)))
-    tf = dual_frame(x)
     filters = prime_filters(x)
+    tf = _dual(x, filters)
     b = admissible_algebra(tf)
     elements = tf.admissible()
     index = {u: i for i, u in enumerate(elements)}
@@ -588,8 +592,8 @@ def least_filtration_correspondence(
 
     sigma = frozenset(sigma)
     filt = sublattice_filtration(a, mu, sigma)
-    tf = dual_frame(a)
     filters = prime_filters(a)
+    tf = _dual(a, filters)
     names = sorted({v for f in sigma for v in variables(f)})
     valuation = {name: element_hat(a, filters, mu[name]) for name in names}
     model = NModel(tf.to_nframe(), valuation)

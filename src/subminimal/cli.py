@@ -191,12 +191,16 @@ def _load_algebra_or_topframe(path: str) -> NAlgebra | TopFrame:
     return topframe_from_dict(d)
 
 
+def _require_nalgebra(a: NAlgebra) -> None:
+    hit = check_nalgebra(a)
+    if hit is not None:
+        raise ValueError(f"not an N-algebra: {hit[0]} fails at {list(hit[1])}")
+
+
 def _cmd_algebra_dual(args: argparse.Namespace) -> tuple[dict, int]:
     source = _load_algebra_or_topframe(args.source)
     if isinstance(source, NAlgebra):
-        hit = check_nalgebra(source)
-        if hit is not None:
-            raise ValueError(f"not an N-algebra: {hit[0]} fails at {list(hit[1])}")
+        _require_nalgebra(source)
         payload = topframe_to_dict(dual_frame(source))
     else:
         payload = algebra_to_dict(admissible_algebra(source))
@@ -226,10 +230,14 @@ def _cmd_algebra_check(args: argparse.Namespace) -> tuple[dict, int]:
 
 def _cmd_algebra_filtrate(args: argparse.Namespace) -> tuple[dict, int]:
     a = algebra_from_dict(_load_json(args.algebra))
+    _require_nalgebra(a)
     mu_raw = json.loads(args.assign)
     if not isinstance(mu_raw, dict):
         raise ValueError("--assign must be a JSON object")
     mu = {str(k): _int(v, "--assign value") for k, v in mu_raw.items()}
+    for name, v in mu.items():
+        if not 0 <= v < a.size:
+            raise ValueError(f"--assign value of {name} is not an element: {v}")
     sigma = _parse_sigma(args.sigma)
     filt = sublattice_filtration(a, mu, sigma)
     payload = {

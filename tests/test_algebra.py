@@ -38,6 +38,8 @@ from subminimal.frames import (
     enumerate_ntables,
     enumerate_posets,
     ntable_from_upset_map,
+    random_nframe,
+    random_ntable,
 )
 from subminimal.syntax import parse
 
@@ -92,6 +94,98 @@ def test_compatibility_matches_locality_on_two_worlds():
 def test_prime_filters_of_the_chain_algebra():
     pf = prime_filters(ALG)
     assert pf == [0b100, 0b110, 0b111]
+
+
+def _scanned_prime_filters(a):
+    # the reference: every subset of the carrier, kept when it holds the
+    # top and is an upward and meet-closed set that is prime
+    out = []
+    for mask in range(1 << a.size):
+        if not (mask >> a.one) & 1:
+            continue
+        ok = True
+        for x in range(a.size):
+            if not (mask >> x) & 1:
+                continue
+            for y in range(a.size):
+                if (mask >> y) & 1 and not (mask >> a.meet[x][y]) & 1:
+                    ok = False
+                    break
+                if a.le(x, y) and not (mask >> y) & 1:
+                    ok = False
+                    break
+            if not ok:
+                break
+        if ok:
+            for x in range(a.size):
+                for y in range(a.size):
+                    if (mask >> a.join[x][y]) & 1 and not (
+                        (mask >> x) & 1 or (mask >> y) & 1
+                    ):
+                        ok = False
+                        break
+                if not ok:
+                    break
+        if ok:
+            out.append(mask)
+    return out
+
+
+def _lattice(size, below):
+    """An algebra on the lattice of the given strict order pairs, with
+    arbitrary in-range arrow and negation tables."""
+    le = {(x, x) for x in range(size)} | set(below)
+    rng = range(size)
+
+    def meet(x, y):
+        lower = [z for z in rng if (z, x) in le and (z, y) in le]
+        return next(z for z in lower if all((w, z) in le for w in lower))
+
+    def join(x, y):
+        upper = [z for z in rng if (x, z) in le and (y, z) in le]
+        return next(z for z in upper if all((z, w) in le for w in upper))
+
+    return NAlgebra(
+        size,
+        tuple(tuple(meet(x, y) for y in rng) for x in rng),
+        tuple(tuple(join(x, y) for y in rng) for x in rng),
+        tuple(tuple((x + y) % size for y in rng) for x in rng),
+        tuple(rng),
+        size - 1,
+    )
+
+
+# M3: bottom 0, atoms 1, 2, 3, top 4; N5: 0 < 1 < 2 < 4 and 0 < 3 < 4
+M3 = _lattice(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 4), (2, 4), (3, 4)])
+N5 = _lattice(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 4), (2, 4), (3, 4)])
+
+
+def test_prime_filters_match_the_subset_scan():
+    algebras = list(algebra_corpus(3))
+    assert len(algebras) == 271
+    tops = [
+        admissible_algebra(tf)
+        for n in (1, 2, 3)
+        for p in enumerate_posets(n)
+        if p.top() is not None
+        for tf in enumerate_topframes(p)
+    ]
+    assert len(tops) == 147
+    algebras += tops
+    rng = random.Random(5)
+    frames = [random_nframe(rng, 4) for _ in range(12)]
+    antichain = Poset(4, (1, 2, 4, 8))
+    frames.append(NFrame(antichain, random_ntable(rng, antichain)))
+    algebras += [upset_algebra(fr) for fr in frames]
+    assert algebras[-1].size == 16
+    # lattices that are not distributive: only the arrow breaks a law
+    assert check_nalgebra(M3)[0] == check_nalgebra(N5)[0] == "residuation"
+    algebras += [M3, N5]
+    for a in algebras:
+        assert prime_filters(a) == _scanned_prime_filters(a)
+    # M3 has only the improper prime filter; N5 has the up-sets of 1 and 3 too
+    assert prime_filters(M3) == [0b11111]
+    assert prime_filters(N5) == [0b10110, 0b11000, 0b11111]
 
 
 def test_dual_frame_of_the_chain_algebra():

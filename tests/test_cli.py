@@ -37,6 +37,8 @@ HAND_NS4_JSON = {
     "rel": [[0, 0], [1, 1]],
     "N": {str(x): 2 for x in range(4)},
 }
+CHAIN_ALGEBRA = algebra_to_dict(upset_algebra(SEPARATING))
+SWAP_JSON = {"worlds": 2, "N": {"0": 3, "1": 2, "2": 1, "3": 0}}
 FORK_MODEL_JSON = {
     "worlds": 3,
     "leq": [[0, 1], [0, 2]],
@@ -259,6 +261,21 @@ def test_algebra_dual_inverts(capsys, tmp_path):
     assert nalgebra_isomorphic(algebra_from_dict(out), alg)
 
 
+def test_algebra_dual_of_32_elements(capsys, tmp_path):
+    # the upset algebra of the 5-world antichain with empty negation
+    antichain = Poset(5, tuple(1 << w for w in range(5)))
+    empty = ntable_from_upset_map(antichain, dict.fromkeys(antichain.upsets(), 0))
+    alg = upset_algebra(NFrame(antichain, empty))
+    assert alg.size == 32
+    path = write(tmp_path, "alg.json", algebra_to_dict(alg))
+    code, out = run(capsys, ["algebra", "check", path])
+    assert code == 0
+    assert out["size"] == 32
+    code, out = run(capsys, ["algebra", "dual", path])
+    assert code == 0
+    assert out["worlds"] == 6
+
+
 def test_algebra_check_topframe(capsys, tmp_path):
     _, dual = run(
         capsys,
@@ -389,11 +406,7 @@ def test_ns4_check_proof_wrong_system(capsys):
 
 
 def test_ns4_en_and_rn(capsys, tmp_path):
-    swap = write(
-        tmp_path,
-        "swap.json",
-        {"worlds": 2, "N": {"0": 3, "1": 2, "2": 1, "3": 0}},
-    )
+    swap = write(tmp_path, "swap.json", SWAP_JSON)
     for sub in ("en", "rn"):
         code, out = run(capsys, ["ns4", sub, "--frame", swap, "-k", "1"])
         assert code == 0
@@ -407,6 +420,11 @@ def test_ns4_en_and_rn(capsys, tmp_path):
         code, out = run(capsys, ["ns4", sub, "--frame", broken, "-k", "1"])
         assert code == 1
         assert out == {"status": "violation", "k": 1, "holds": False}
+
+
+ALGEBRA_FILTRATE = ["algebra", "filtrate", "--algebra", "-", "--sigma", "p", "--assign"]
+LAWLESS_CHAIN_ALGEBRA = copy.deepcopy(CHAIN_ALGEBRA)
+LAWLESS_CHAIN_ALGEBRA["meet"][1][2] = 0  # algebra check: top fails at [1]
 
 
 @pytest.mark.parametrize(
@@ -441,6 +459,9 @@ def test_ns4_en_and_rn(capsys, tmp_path):
         ),
         (["check-frame", "-"], '{"worlds": 21, "leq": [], "N": {}}'),
         (["check-frame", "-"], '{"worlds": 40, "leq": [], "N": {}}'),
+        (ALGEBRA_FILTRATE + ['{"p": 7}'], json.dumps(CHAIN_ALGEBRA)),
+        (ALGEBRA_FILTRATE + ['{"p": -1}'], json.dumps(CHAIN_ALGEBRA)),
+        (ALGEBRA_FILTRATE + ['{"p": 1}'], json.dumps(LAWLESS_CHAIN_ALGEBRA)),
     ],
     ids=[
         "check-frame",
@@ -459,6 +480,9 @@ def test_ns4_en_and_rn(capsys, tmp_path):
         "algebra-check-size-null",
         "check-frame-21-worlds",
         "check-frame-40-worlds",
+        "algebra-filtrate-assign-too-large",
+        "algebra-filtrate-assign-negative",
+        "algebra-filtrate-lawless-meet",
     ],
 )
 def test_malformed_json_shape_exits_2(capsys, monkeypatch, argv, text):
@@ -477,9 +501,12 @@ JSON_VALUES = st.recursive(
 FUZZ_CASES = {
     "check-frame": (["check-frame", "-"], SEPARATING_JSON),
     "filtrate": (["filtrate", "--model", "-", "--sigma", "~p"], FORK_MODEL_JSON),
-    "algebra-check": (["algebra", "check", "-"], algebra_to_dict(upset_algebra(SEPARATING))),
-    "algebra-dual": (["algebra", "dual", "-"], algebra_to_dict(upset_algebra(SEPARATING))),
+    "algebra-check": (["algebra", "check", "-"], CHAIN_ALGEBRA),
+    "algebra-dual": (["algebra", "dual", "-"], CHAIN_ALGEBRA),
+    "algebra-filtrate": (ALGEBRA_FILTRATE + ['{"p": 1}'], CHAIN_ALGEBRA),
     "ns4-valid": (["ns4", "valid", "--frame", "-"], HAND_NS4_JSON),
+    "ns4-en": (["ns4", "en", "--frame", "-", "-k", "2"], SWAP_JSON),
+    "ns4-rn": (["ns4", "rn", "--frame", "-", "-k", "2"], SWAP_JSON),
     "ns4-check-proof": (
         ["ns4", "check-proof", "-", "--system", "ns4"],
         [
