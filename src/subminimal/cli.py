@@ -11,6 +11,7 @@ fixed inputs is deterministic.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -321,7 +322,10 @@ def _cmd_ns4_rn(args: argparse.Namespace) -> tuple[dict, int]:
     return {"status": status, "k": args.k, "holds": holds}, 0 if holds else 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: building it costs far more
+    than one parse."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--pretty", action="store_true", help="indent the JSON output"

@@ -1,11 +1,12 @@
-"""Kernel dispatch: compiled extension when available, pure Python otherwise.
+"""The kernels: hot evaluation and search loops over bitmask encodings.
 
-Set SUBMINIMAL_PURE=1 to force the fallback even when the extension is
-built; BACKEND records which implementation won.
+They live in ``kernels.pure`` and are re-exported here; callers reach
+them as ``kernels.<name>`` at call time, so a wrapper bound over one of
+these names (a tracer, say) sees every call. BACKEND names the one
+implementation.
 """
 
-import os
-
+from subminimal.kernels import pure as _impl
 from subminimal.kernels.ops import (
     OP_AND,
     OP_BBOX,
@@ -18,19 +19,7 @@ from subminimal.kernels.ops import (
     OP_VAR,
 )
 
-if os.environ.get("SUBMINIMAL_PURE") == "1":
-    from subminimal.kernels import pure as _impl
-
-    BACKEND = "pure"
-else:
-    try:
-        from subminimal.kernels import _core as _impl  # type: ignore[attr-defined]
-
-        BACKEND = "compiled"
-    except ImportError:
-        from subminimal.kernels import pure as _impl
-
-        BACKEND = "pure"
+BACKEND = "pure"
 
 eval_prop = _impl.eval_prop
 eval_modal = _impl.eval_modal

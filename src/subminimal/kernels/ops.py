@@ -2,9 +2,8 @@
 
 A formula is flattened to postfix as a sequence of (opcode, argument)
 pairs; the argument is a variable index for OP_VAR and 0 otherwise.
-Both kernel backends interpret this encoding with a small stack
-machine, so the numbering here is load-bearing and must match the
-constants in _core.pyx.
+The kernels in kernels.pure interpret this encoding with small stack
+machines; syntax.compile_prop and compile_modal emit it.
 """
 
 OP_VAR = 0

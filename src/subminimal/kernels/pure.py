@@ -1,11 +1,10 @@
-"""Reference implementations of the hot evaluation and search loops.
+"""The hot evaluation and search loops, in plain Python.
 
-The compiled extension in _core.pyx mirrors every function here with
-an identical signature and, except where a docstring says otherwise,
-identical results. The package falls back to this module when the
-extension is missing or when SUBMINIMAL_PURE=1 is set.
+Every ``subminimal.kernels.<name>`` is the function of the same name
+here. Worlds, sets and tables are passed as plain ints and lists so
+that the callers stay free of frame objects.
 
-Conventions shared by both backends:
+Conventions:
 
 * worlds are 0..n-1 and sets of worlds are bitmasks (bit w = world w);
 * ``up[w]`` is the mask of worlds v with w <= v, including w itself;
@@ -108,45 +107,189 @@ def eval_modal(code, n, up, ntable, val):
     return stack[-1]
 
 
+# widest block of valuations the refutation search evaluates at once
+_BLOCK = 1 << 12
+
+
+def _block_box(a, cones, ones):
+    """Box of a block truth set: w keeps the valuations that put all
+    of R(w) in the set."""
+    out = []
+    for cone in cones:
+        m = ones
+        for v in cone:
+            m &= a[v]
+        out.append(m)
+    return out
+
+
+def _block_lookup(a, n, ntable, ones):
+    """Table lookup of a block truth set: the per-world ints of the
+    values, and the bitset of the valuations whose entry is negative.
+
+    The valuations are grouped by the world set they give, world by
+    world, so each distinct set is looked up once."""
+    groups = {0: ones}
+    for w in range(n):
+        bit = 1 << w
+        nxt = {}
+        for x, g in groups.items():
+            h = g & a[w]
+            if h:
+                nxt[x | bit] = h
+                if h != g:
+                    nxt[x] = g ^ h
+            else:
+                nxt[x] = g
+        groups = nxt
+    out = [0] * n
+    holes = 0
+    for x, g in groups.items():
+        v = ntable[x]
+        if v < 0:
+            holes |= g
+            continue
+        for w in range(n):
+            if (v >> w) & 1:
+                out[w] |= g
+    return out, holes
+
+
+def _first_refutation(code, nvars, n, up, ntable, values, modal, error):
+    """Bit-sliced search behind both find_refuting_valuation_* kernels.
+
+    Valuation index idx gives variable k the value values[digit k of
+    idx in base len(values)], variable 0 most significant. A block is
+    width = len(values)**j consecutive indices: the last j variables
+    run through every digit pattern inside it, the others are fixed by
+    the block number. A truth set over a block is one int per world,
+    bit i set when the world is in the set under the block's i-th
+    valuation; the Heyting arrow is box(~a | b), and the N and [n]
+    lookups group the valuations by truth set. Blocks run in ascending
+    order and the search stops in the first block that holds a
+    refutation or an error, at its lowest valuation, so the result is
+    that of evaluating one valuation at a time. The code must be
+    well-formed postfix over the variables below max(nvars, 1); with no
+    variables, variable 0 is the empty set.
+
+    Prop code (modal False): a valuation that reaches a negative table
+    entry is an error, and so is any opcode other than Var, Top, And,
+    Or, Imp and Neg. Modal code: any Neg opcode is an error, and a
+    lookup of a -1 entry gives the value -1, an error once it reaches
+    the result. It is carried as the full set plus a sign slot after
+    the worlds, so that And, Or and [n] act on it as they act on the
+    Python int -1 (tables hold 2**n entries, world masks or -1).
+    """
+    nu = len(values)
+    total = nu**nvars
+    if total == 0:
+        return -1
+    width = 1
+    low = 0
+    while low < nvars and width * nu <= _BLOCK:
+        width *= nu
+        low += 1
+    high = nvars - low
+    ones = (1 << width) - 1
+    sign = [0] if modal else []
+    cones = [[v for v in range(n) if (up[w] >> v) & 1] for w in range(n)]
+    top = [ones] * n + sign
+    bot = [0] * n + sign
+    slots = [bot] * max(nvars, 1)
+    for k in range(high, nvars):
+        # digit d of variable k holds on runs of `run` consecutive
+        # indices, one run in every run * nu, starting at d * run
+        run = nu ** (nvars - 1 - k)
+        base = ((1 << run) - 1) * (ones // ((1 << (run * nu)) - 1))
+        vec = [0] * n
+        for d, x in enumerate(values):
+            for w in range(n):
+                if (x >> w) & 1:
+                    vec[w] |= base << (d * run)
+        slots[k] = vec + sign
+    for block in range(total // width):
+        t = block
+        for k in range(high - 1, -1, -1):
+            x = values[t % nu]
+            t //= nu
+            slots[k] = [ones if (x >> w) & 1 else 0 for w in range(n)] + sign
+        err = 0
+        stack = []
+        i = 0
+        while i < len(code):
+            op = code[i]
+            arg = code[i + 1]
+            i += 2
+            if op == OP_VAR:
+                stack.append(slots[arg])
+            elif op == OP_TOP:
+                stack.append(top)
+            elif op == OP_AND:
+                b = stack.pop()
+                stack[-1] = [x & y for x, y in zip(stack[-1], b)]
+            elif op == OP_OR:
+                b = stack.pop()
+                stack[-1] = [x | y for x, y in zip(stack[-1], b)]
+            elif op == OP_IMP:
+                b = stack.pop()
+                c = [(ones & ~x) | y for x, y in zip(stack[-1], b)]
+                if modal:
+                    c[n] = 0
+                    stack[-1] = c
+                else:
+                    stack[-1] = _block_box(c, cones, ones)
+            elif op == OP_NEG and not modal:
+                out, holes = _block_lookup(stack[-1], n, ntable, ones)
+                err |= holes
+                stack[-1] = out
+            elif op == OP_BOT and modal:
+                stack.append(bot)
+            elif op == OP_BOX and modal:
+                stack[-1] = _block_box(stack[-1], cones, ones) + sign
+            elif op == OP_BBOX and modal:
+                out, holes = _block_lookup(stack[-1], n, ntable, ones)
+                stack[-1] = [x | holes for x in out] + [holes]
+            else:
+                raise ValueError(error)
+        r = stack[-1]
+        if modal:
+            err = r[n]
+        bad = err
+        for w in range(n):
+            bad |= ones & ~r[w]
+        if bad:
+            first = bad & -bad
+            if err & first:
+                raise ValueError(error)
+            return block * width + first.bit_length() - 1
+    return -1
+
+
 def find_refuting_valuation_prop(code, nvars, n, up, ntable, upsets):
     """Index of the first refuting valuation, or -1 if the formula is valid.
 
     Valuations assign upsets to variables; index digits run over the
     ascending upset list with variable 0 most significant, so ascending
-    indices are lexicographic valuations.
+    indices are lexicographic valuations. Raises ValueError when the
+    first valuation that refutes the formula or reaches a -1 table
+    entry reaches one, or when the code holds a modal opcode.
     """
-    full = (1 << n) - 1
-    nu = len(upsets)
-    val = [0] * max(nvars, 1)
-    for idx in range(nu**nvars):
-        t = idx
-        for k in range(nvars - 1, -1, -1):
-            val[k] = upsets[t % nu]
-            t //= nu
-        r = eval_prop(code, n, up, ntable, val)
-        if r < 0:
-            raise ValueError("evaluation left the negation table domain")
-        if r != full:
-            return idx
-    return -1
+    return _first_refutation(
+        code, nvars, n, up, ntable, upsets, False,
+        "evaluation left the negation table domain",
+    )
 
 
 def find_refuting_valuation_modal(code, nvars, n, up, ntable):
-    """Like find_refuting_valuation_prop, with arbitrary subsets as values."""
-    full = (1 << n) - 1
-    space = 1 << n
-    val = [0] * max(nvars, 1)
-    for idx in range(space**nvars):
-        t = idx
-        for k in range(nvars - 1, -1, -1):
-            val[k] = t % space
-            t //= space
-        r = eval_modal(code, n, up, ntable, val)
-        if r < 0:
-            raise ValueError("modal opcode mismatch")
-        if r != full:
-            return idx
-    return -1
+    """Like find_refuting_valuation_prop, with arbitrary subsets as values.
+
+    Raises ValueError when the code holds a Neg opcode, or when the
+    first valuation that refutes the formula has the value -1 (a -1
+    table entry that reached the result).
+    """
+    return _first_refutation(
+        code, nvars, n, up, ntable, range(1 << n), True, "modal opcode mismatch"
+    )
 
 
 def locality_violation(n, upsets, ntable):
@@ -189,18 +332,20 @@ def lift_table(n, up, upsets, ntable):
 
     w lands in the lifted value at X iff some upset Y agrees with X on
     R(w) and w is in N(Y). The result is total, and on upsets it
-    coincides with the input table.
+    coincides with the input table. The cuts Y & R(w) of the upsets Y
+    with w in N(Y) are collected once per world, so each X costs one
+    set lookup per world.
     """
-    size = 1 << n
+    cuts = [
+        (up[w], 1 << w, {y & up[w] for y in upsets if (ntable[y] >> w) & 1})
+        for w in range(n)
+    ]
     out = []
-    for x in range(size):
+    for x in range(1 << n):
         m = 0
-        for w in range(n):
-            xr = x & up[w]
-            for y in upsets:
-                if y & up[w] == xr and (ntable[y] >> w) & 1:
-                    m |= 1 << w
-                    break
+        for cone, bit, cut in cuts:
+            if x & cone in cut:
+                m |= bit
         out.append(m)
     return out
 
@@ -213,24 +358,20 @@ def translation_gap(n, up, ntable, nstar, upsets, depth):
     ``depth`` rounds; the prop side uses the Heyting arrow and the
     negation table, the modal side uses the boxed pointwise arrow and
     the lifted table. Returns a packed non-diagonal pair
-    (left << n) | right as soon as one appears, else -1. The two
-    backends may report different witnesses; -1 agreement is exact.
+    (left << n) | right as soon as one appears, else -1.
+
+    Box is tabulated once over all 2**n sets, and the Heyting arrow is
+    read from it: w is in himp(a, b) iff R(w) & a & ~b is empty iff
+    R(w) lies in ~a | b iff w is in box(~a | b), for any masks a, b.
     """
     full = (1 << n) - 1
-
-    def himp(a, b):
-        m = 0
-        for w in range(n):
-            if up[w] & a & ~b == 0:
-                m |= 1 << w
-        return m
-
-    def box(a):
-        m = 0
-        for w in range(n):
-            if up[w] & ~a == 0:
-                m |= 1 << w
-        return m
+    box = [0] * (full + 1)
+    for w in range(n):
+        bit = 1 << w
+        cone = up[w]
+        for x in range(full + 1):
+            if cone & ~x == 0:
+                box[x] |= bit
 
     pairs = set()
     for u in upsets:
@@ -252,13 +393,15 @@ def translation_gap(n, up, ntable, nstar, upsets, depth):
         for p in cur:
             la = p >> n
             ra = p & full
+            nla = full & ~la
+            nra = full & ~ra
             for q in cur:
                 lb = q >> n
                 rb = q & full
                 for cand in (
                     ((la & lb) << n) | (ra & rb),
                     ((la | lb) << n) | (ra | rb),
-                    (himp(la, lb) << n) | box((~ra | rb) & full),
+                    (box[nla | lb] << n) | box[nra | rb],
                 ):
                     if cand not in pairs:
                         if (cand >> n) != (cand & full):
@@ -292,23 +435,27 @@ def rn_holds(n, ntable, k):
 
     For every valuation of the k guard variables and of q, r: when the
     guarded equivalence of q and r holds at every world, the guarded
-    equivalence of their negations must too.
+    equivalence of their negations must too. With I the guard set, the
+    rule holds iff N(q) & I depends only on q & I; each distinct I is
+    checked once, with one dict from q & I to N(q) & I.
     """
     size = 1 << n
     full = size - 1
+    seen = set()
     for pi in range(size**k):
         t = pi
         inter = full
         for _ in range(k):
             inter &= ntable[t % size]
             t //= size
+        if inter in seen:
+            continue
+        seen.add(inter)
+        image = {}
         for q in range(size):
-            nq = ntable[q]
-            for r in range(size):
-                if inter & (q ^ r):
-                    continue
-                if inter & (nq ^ ntable[r]):
-                    return 0
+            v = ntable[q] & inter
+            if image.setdefault(q & inter, v) != v:
+                return 0
     return 1
 
 
@@ -353,25 +500,48 @@ def search_order_onto(nt, t_up, t_down, ns, s_up, s_down):
 def search_positive_morphism(nt, t_up, t_down, ns, s_up, s_down):
     """First positive morphism source -> target, else None.
 
-    Domains run over downward-closed source sets in ascending mask
-    order; within a domain the assignment search mirrors
+    Domains run over downward-closed source sets of at least nt worlds
+    (smaller ones cannot map onto the target) in ascending mask order;
+    within a domain the assignment search mirrors
     search_order_onto, with the back condition verified on completion.
-    Returns (domain mask, map list with -1 outside the domain).
+    Returns (domain mask, map list with -1 outside the domain). The up
+    and down masks of each side describe one order.
+
+    A domain of exactly nt worlds is searched only when its sorted
+    (up-size, down-size) signature, sizes taken inside the domain,
+    equals the target's. A positive morphism f on such a domain D is
+    onto, so it is a bijection; and it reflects the order: if
+    f(w) <= f(u), the back condition gives some u' >= w in D with
+    f(u') = f(u), so u' = u and w <= u. A monotone bijection that
+    reflects the order is an order isomorphism, so it carries the up-
+    and down-sets of each w in D (the down-sets lie in D, which is
+    downward closed) onto those of f(w) and the signatures agree.
+    Hence the skipped domains hold no morphism, and the first witness
+    is the one found without the check.
     """
     full_t = (1 << nt) - 1
     upsize = [t_up[c].bit_count() for c in range(nt)]
-    for dom in range(1 << ns):
-        m = dom
-        closed = True
-        while m:
-            w = (m & -m).bit_length() - 1
-            if s_down[w] & ~dom:
-                closed = False
-                break
-            m &= m - 1
-        if not closed or dom.bit_count() < nt:
-            continue
+    t_sig = sorted((t_up[c].bit_count(), t_down[c].bit_count()) for c in range(nt))
+    # the domains of at least nt worlds are the complements of the
+    # source upsets of at most ns - nt worlds, grown a world at a time
+    above = [s_up[w] & ~(1 << w) for w in range(ns)]
+    cut = {0} if ns >= nt else set()
+    grown = list(cut)
+    for u in grown:
+        if u.bit_count() < ns - nt:
+            for w in range(ns):
+                v = u | (1 << w)
+                if v != u and above[w] & ~u == 0 and v not in cut:
+                    cut.add(v)
+                    grown.append(v)
+    full_s = (1 << ns) - 1
+    for dom in sorted(full_s ^ u for u in cut):
         worlds = [w for w in range(ns) if (dom >> w) & 1]
+        if len(worlds) == nt and t_sig != sorted(
+            ((s_up[w] & dom).bit_count(), (s_down[w] & dom).bit_count())
+            for w in worlds
+        ):
+            continue
         f = [-1] * ns
 
         def assign(i, covered):
@@ -396,14 +566,16 @@ def search_positive_morphism(nt, t_up, t_down, ns, s_up, s_down):
                     cand &= t_up[f[u]]
                 if (s_up[v] >> u) & 1:
                     cand &= t_down[f[u]]
+            room = (dom & s_up[v]).bit_count()
+            spare = len(worlds) - i - 1
             m = cand
             while m:
                 c = (m & -m).bit_length() - 1
                 m &= m - 1
-                if upsize[c] > (dom & s_up[v]).bit_count():
+                if upsize[c] > room:
                     continue
                 newcov = covered | (1 << c)
-                if (full_t & ~newcov).bit_count() <= len(worlds) - i - 1:
+                if (full_t & ~newcov).bit_count() <= spare:
                     f[v] = c
                     if assign(i + 1, newcov):
                         return True

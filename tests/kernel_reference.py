@@ -1,0 +1,225 @@
+"""The kernels the package replaced with faster algorithms, as they were.
+
+The differential fuzz in test_kernels.py runs each rewritten kernel in
+``subminimal.kernels.pure`` against its counterpart here and demands
+the same value, the same exception and the same first witness. These
+are the plain loops: one valuation, one pair, one domain at a time.
+"""
+
+from subminimal.kernels.pure import eval_modal, eval_prop
+
+
+def find_refuting_valuation_prop(code, nvars, n, up, ntable, upsets):
+    """Index of the first refuting valuation, or -1 if the formula is valid.
+
+    Valuations assign upsets to variables; index digits run over the
+    ascending upset list with variable 0 most significant, so ascending
+    indices are lexicographic valuations.
+    """
+    full = (1 << n) - 1
+    nu = len(upsets)
+    val = [0] * max(nvars, 1)
+    for idx in range(nu**nvars):
+        t = idx
+        for k in range(nvars - 1, -1, -1):
+            val[k] = upsets[t % nu]
+            t //= nu
+        r = eval_prop(code, n, up, ntable, val)
+        if r < 0:
+            raise ValueError("evaluation left the negation table domain")
+        if r != full:
+            return idx
+    return -1
+
+
+def find_refuting_valuation_modal(code, nvars, n, up, ntable):
+    """Like find_refuting_valuation_prop, with arbitrary subsets as values."""
+    full = (1 << n) - 1
+    space = 1 << n
+    val = [0] * max(nvars, 1)
+    for idx in range(space**nvars):
+        t = idx
+        for k in range(nvars - 1, -1, -1):
+            val[k] = t % space
+            t //= space
+        r = eval_modal(code, n, up, ntable, val)
+        if r < 0:
+            raise ValueError("modal opcode mismatch")
+        if r != full:
+            return idx
+    return -1
+
+
+def lift_table(n, up, upsets, ntable):
+    """Extend an upset-indexed table to all subsets.
+
+    w lands in the lifted value at X iff some upset Y agrees with X on
+    R(w) and w is in N(Y). The result is total, and on upsets it
+    coincides with the input table.
+    """
+    size = 1 << n
+    out = []
+    for x in range(size):
+        m = 0
+        for w in range(n):
+            xr = x & up[w]
+            for y in upsets:
+                if y & up[w] == xr and (ntable[y] >> w) & 1:
+                    m |= 1 << w
+                    break
+        out.append(m)
+    return out
+
+
+def translation_gap(n, up, ntable, nstar, upsets, depth):
+    """Search for a truth-set divergence between the two semantics.
+
+    Pairs (prop truth set, modal truth set) start diagonal at every
+    upset valuation and are closed under the connective actions for
+    ``depth`` rounds; the prop side uses the Heyting arrow and the
+    negation table, the modal side uses the boxed pointwise arrow and
+    the lifted table. Returns a packed non-diagonal pair
+    (left << n) | right as soon as one appears, else -1.
+    """
+    full = (1 << n) - 1
+
+    def himp(a, b):
+        m = 0
+        for w in range(n):
+            if up[w] & a & ~b == 0:
+                m |= 1 << w
+        return m
+
+    def box(a):
+        m = 0
+        for w in range(n):
+            if up[w] & ~a == 0:
+                m |= 1 << w
+        return m
+
+    pairs = set()
+    for u in upsets:
+        pairs.add((u << n) | u)
+    for _ in range(depth):
+        cur = sorted(pairs)
+        added = False
+        for p in cur:
+            la = p >> n
+            nl = ntable[la]
+            if nl < 0:
+                raise ValueError("negation escaped the upset domain")
+            cand = (nl << n) | nstar[p & full]
+            if cand not in pairs:
+                if (cand >> n) != (cand & full):
+                    return cand
+                pairs.add(cand)
+                added = True
+        for p in cur:
+            la = p >> n
+            ra = p & full
+            for q in cur:
+                lb = q >> n
+                rb = q & full
+                for cand in (
+                    ((la & lb) << n) | (ra & rb),
+                    ((la | lb) << n) | (ra | rb),
+                    (himp(la, lb) << n) | box((~ra | rb) & full),
+                ):
+                    if cand not in pairs:
+                        if (cand >> n) != (cand & full):
+                            return cand
+                        pairs.add(cand)
+                        added = True
+        if not added:
+            break
+    return -1
+
+
+def rn_holds(n, ntable, k):
+    """1 iff the k-premise replacement rule is frame-valid.
+
+    For every valuation of the k guard variables and of q, r: when the
+    guarded equivalence of q and r holds at every world, the guarded
+    equivalence of their negations must too.
+    """
+    size = 1 << n
+    full = size - 1
+    for pi in range(size**k):
+        t = pi
+        inter = full
+        for _ in range(k):
+            inter &= ntable[t % size]
+            t //= size
+        for q in range(size):
+            nq = ntable[q]
+            for r in range(size):
+                if inter & (q ^ r):
+                    continue
+                if inter & (nq ^ ntable[r]):
+                    return 0
+    return 1
+
+
+def search_positive_morphism(nt, t_up, t_down, ns, s_up, s_down):
+    """First positive morphism source -> target, else None.
+
+    Domains run over downward-closed source sets in ascending mask
+    order; within a domain the assignment search mirrors
+    search_order_onto, with the back condition verified on completion.
+    Returns (domain mask, map list with -1 outside the domain).
+    """
+    full_t = (1 << nt) - 1
+    upsize = [t_up[c].bit_count() for c in range(nt)]
+    for dom in range(1 << ns):
+        m = dom
+        closed = True
+        while m:
+            w = (m & -m).bit_length() - 1
+            if s_down[w] & ~dom:
+                closed = False
+                break
+            m &= m - 1
+        if not closed or dom.bit_count() < nt:
+            continue
+        worlds = [w for w in range(ns) if (dom >> w) & 1]
+        f = [-1] * ns
+
+        def assign(i, covered):
+            if i == len(worlds):
+                if covered != full_t:
+                    return False
+                for w in worlds:
+                    have = 0
+                    mm = dom & s_up[w]
+                    while mm:
+                        u = (mm & -mm).bit_length() - 1
+                        have |= 1 << f[u]
+                        mm &= mm - 1
+                    if t_up[f[w]] & ~have:
+                        return False
+                return True
+            v = worlds[i]
+            cand = full_t
+            for j in range(i):
+                u = worlds[j]
+                if (s_up[u] >> v) & 1:
+                    cand &= t_up[f[u]]
+                if (s_up[v] >> u) & 1:
+                    cand &= t_down[f[u]]
+            m = cand
+            while m:
+                c = (m & -m).bit_length() - 1
+                m &= m - 1
+                if upsize[c] > (dom & s_up[v]).bit_count():
+                    continue
+                newcov = covered | (1 << c)
+                if (full_t & ~newcov).bit_count() <= len(worlds) - i - 1:
+                    f[v] = c
+                    if assign(i + 1, newcov):
+                        return True
+            f[v] = -1
+            return False
+
+        if assign(0, 0):
+            return dom, list(f)
+    return None

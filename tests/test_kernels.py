@@ -1,21 +1,22 @@
-"""Kernel semantics plus pure/compiled backend parity.
+"""Kernel semantics, and the rewritten kernels against their plain loops.
 
-The parity fuzz calls every kernel on both backends with identical
-random structures and demands identical results, including raised
-exceptions. translation_gap is the one sanctioned exception: the
-backends must agree on whether a gap exists, not on which witness
-is packed first.
+The differential fuzz calls each kernel that replaced a plain loop with
+a faster algorithm on random structures, next to that loop as kept in
+kernel_reference.py, and demands the same value, the same exception
+and the same first witness.
 """
 
 import itertools
-import os
 import pathlib
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
+import kernel_reference as ref
+import subminimal
 from subminimal import kernels
 from subminimal.antichain import (
     positive_morphism,
@@ -23,7 +24,6 @@ from subminimal.antichain import (
     verify_positive_morphism,
 )
 from subminimal.frames import (
-    NFrame,
     NModel,
     Poset,
     enumerate_upsets,
@@ -34,35 +34,24 @@ from subminimal.frames import (
     refuting_valuation,
 )
 from subminimal.kernels import pure
-from subminimal.modal import NS4Model, lift_nstar, ns4_eval, random_ns4_frame
+from subminimal.kernels.ops import OP_AND, OP_OR
+from subminimal.modal import NS4Model, ns4_eval, random_ns4_frame
 from subminimal.syntax import compile_modal, compile_prop, parse, random_formula
 
-try:
-    from subminimal.kernels import _core
-except ImportError:
-    _core = None
-
-BACKENDS = [pure] if _core is None else [pure, _core]
+# one implementation; the ids keep the [pure] suffix the kernel tests
+# have always carried, so their history stays comparable
+PURE = pytest.mark.parametrize("impl", [pure], ids=["pure"])
 CHAIN2 = Poset(2, (3, 2))
 CHAIN2_UPSETS = (0, 2, 3)
 LAWFUL2 = (2, -1, 3, 2)
 
 
-def backend_params():
-    return pytest.mark.parametrize(
-        "impl", BACKENDS, ids=[m.__name__.rsplit(".", 1)[-1] for m in BACKENDS]
-    )
+def test_backend_constant_is_pure():
+    assert subminimal.BACKEND == kernels.BACKEND == "pure"
+    assert kernels.find_refuting_valuation_prop is pure.find_refuting_valuation_prop
 
 
-def test_dispatch_names_a_backend():
-    assert kernels.BACKEND in ("pure", "compiled")
-    if os.environ.get("SUBMINIMAL_PURE") == "1":
-        assert kernels.BACKEND == "pure"
-    elif _core is not None:
-        assert kernels.BACKEND == "compiled"
-
-
-@backend_params()
+@PURE
 def test_eval_prop_matches_ast_eval(impl):
     rng = random.Random(20)
     names = ("p", "q")
@@ -77,7 +66,7 @@ def test_eval_prop_matches_ast_eval(impl):
         assert got == eval_formula(NModel(fr, val), f)
 
 
-@backend_params()
+@PURE
 def test_eval_prop_sentinels(impl):
     neg_code = compile_prop(parse("~p"), ["p"])
     # the hole at the non-upset index {0} is reachable only by feeding
@@ -87,7 +76,7 @@ def test_eval_prop_sentinels(impl):
     assert impl.eval_prop(modal_code, 2, CHAIN2.up, LAWFUL2, [2]) == -2
 
 
-@backend_params()
+@PURE
 def test_eval_modal_matches_ns4_eval(impl):
     rng = random.Random(21)
     names = ("p", "q")
@@ -101,13 +90,13 @@ def test_eval_modal_matches_ns4_eval(impl):
         assert got == ns4_eval(NS4Model(fr, val), f)
 
 
-@backend_params()
+@PURE
 def test_eval_modal_rejects_prop_negation(impl):
     code = compile_prop(parse("~p"), ["p"])
     assert impl.eval_modal(code, 2, CHAIN2.up, LAWFUL2, [2]) == -2
 
 
-@backend_params()
+@PURE
 def test_refuting_valuation_prop_agrees_with_search(impl):
     rng = random.Random(22)
     names = ("p", "q")
@@ -127,7 +116,7 @@ def test_refuting_valuation_prop_agrees_with_search(impl):
             assert eval_formula(NModel(fr, val), f) != full
 
 
-@backend_params()
+@PURE
 def test_refuting_valuation_prop_domain_error(impl):
     code = compile_prop(parse("~p"), ["p"])
     with pytest.raises(ValueError, match="evaluation left the negation table domain"):
@@ -136,14 +125,45 @@ def test_refuting_valuation_prop_domain_error(impl):
         )
 
 
-@backend_params()
+def test_refuting_valuation_prop_stops_at_once_on_a_huge_space():
+    # 2**70 valuations: only a search that walks bounded blocks in
+    # index order can return the refutation at index 0
+    code = compile_prop(parse("p"), ["p"])
+    t0 = time.perf_counter()
+    assert pure.find_refuting_valuation_prop(code, 70, 1, (1,), (1, 1), (0, 1)) == 0
+    assert pure.find_refuting_valuation_modal(code, 70, 1, (1,), (1, 1)) == 0
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_refuting_valuation_prop_raises_only_at_a_hole_before_the_refutation():
+    # one world, upsets (0, 1); ~p at p = 0 is index 0, at p = 1 index 1
+    code = compile_prop(parse("~p"), ["p"])
+    ups = (0, 1)
+    # index 0 refutes (N(0) = 0), index 1 reaches the hole: no error
+    assert pure.find_refuting_valuation_prop(code, 1, 1, (1,), (0, -1), ups) == 0
+    # index 0 reaches the hole before index 1 refutes
+    with pytest.raises(ValueError, match="evaluation left the negation table domain"):
+        pure.find_refuting_valuation_prop(code, 1, 1, (1,), (-1, 0), ups)
+    # every one-world table over "~p" and "q | ~p" (index 2q + p): a hole
+    # after the refutation in the same block must not raise
+    code2 = compile_prop(parse("q | ~p"), ["q", "p"])
+    assert pure.find_refuting_valuation_prop(code2, 2, 1, (1,), (0, -1), ups) == 0
+    assert pure.find_refuting_valuation_prop(code2, 2, 1, (1,), (1, 0), ups) == 1
+    for ntable in itertools.product((-1, 0, 1), repeat=2):
+        for c, nvars in ((code, 1), (code2, 2)):
+            args = (c, nvars, 1, (1,), ntable, ups)
+            want = _capture(ref.find_refuting_valuation_prop, *args)
+            assert _capture(pure.find_refuting_valuation_prop, *args) == want
+
+
+@PURE
 def test_refuting_valuation_modal_opcode_error(impl):
     code = compile_prop(parse("~p"), ["p"])
     with pytest.raises(ValueError, match="modal opcode mismatch"):
         impl.find_refuting_valuation_modal(code, 1, 2, CHAIN2.up, (0, 0, 0, 0))
 
 
-@backend_params()
+@PURE
 def test_locality_violation_packed_witness(impl):
     # lawful table on the 2-chain
     assert impl.locality_violation(2, CHAIN2_UPSETS, LAWFUL2) == -1
@@ -153,7 +173,7 @@ def test_locality_violation_packed_witness(impl):
     assert impl.locality_violation(2, CHAIN2_UPSETS, bad) == 2 * 3 + 1
 
 
-@backend_params()
+@PURE
 def test_ns4_table_violation_codes(impl):
     # value {0} is not an upset of the 2-chain: code 2*X at X=0
     assert impl.ns4_table_violation(2, CHAIN2.up, (1, 0, 0, 0)) == 0
@@ -163,7 +183,7 @@ def test_ns4_table_violation_codes(impl):
     assert impl.ns4_table_violation(2, (1, 2), (0, 0, 0, 0)) == -1
 
 
-@backend_params()
+@PURE
 def test_lift_table_extends_and_stays_lawful(impl):
     rng = random.Random(23)
     for _ in range(100):
@@ -177,7 +197,7 @@ def test_lift_table_extends_and_stays_lawful(impl):
         assert impl.ns4_table_violation(p.n, p.up, flat) == -1
 
 
-@backend_params()
+@PURE
 def test_en_rn_hand_values(impl):
     swap = (3, 2, 1, 0)
     for k in (0, 1, 2):
@@ -190,7 +210,7 @@ def test_en_rn_hand_values(impl):
     assert impl.rn_holds(2, broken, 1) == 0
 
 
-@backend_params()
+@PURE
 def test_search_order_onto_is_least_witness(impl):
     rng = random.Random(24)
     for _ in range(80):
@@ -205,7 +225,7 @@ def test_search_order_onto_is_least_witness(impl):
         assert got == first
 
 
-@backend_params()
+@PURE
 def test_search_positive_morphism_existence(impl):
     rng = random.Random(25)
     for _ in range(80):
@@ -230,88 +250,124 @@ def test_search_positive_morphism_existence(impl):
 def _capture(fn, *args):
     try:
         return ("ok", fn(*args))
-    except Exception as exc:  # noqa: BLE001 - parity wants the exact failure
+    except Exception as exc:  # noqa: BLE001 - the fuzz wants the exact failure
         return ("err", type(exc).__name__, str(exc))
 
 
-@pytest.mark.skipif(_core is None, reason="compiled backend not built")
-def test_backend_parity_fuzz():
-    rng = random.Random(4242)
+def _tables(rng, p, ups):
+    """A lawful table, one with -1 holes at upsets, one with non-upset values."""
+    lawful = random_ntable(rng, p)
+    holed = list(lawful)
+    for u in rng.sample(ups, rng.randint(1, len(ups))):
+        holed[u] = -1
+    odd = list(lawful)
+    for u in ups:
+        if rng.random() < 0.5:
+            odd[u] = rng.randrange(1 << p.n)
+    return [lawful, tuple(holed), tuple(odd)]
+
+
+def _nvars_within(rng, nu, cap):
+    nvars = rng.randint(0, 3)
+    while nvars and nu**nvars > cap:
+        nvars -= 1
+    return nvars
+
+
+@pytest.mark.parametrize("block", [pure._BLOCK, 4], ids=["wide", "narrow"])
+def test_refuting_valuation_search_matches_the_plain_loop(monkeypatch, block):
+    # narrow blocks make the spaces below span many blocks, so the fuzz
+    # also crosses block boundaries and fixed high variables
+    monkeypatch.setattr(pure, "_BLOCK", block)
+    rng = random.Random(4242 + block)
     names = ("p", "q", "r")
-    for round_ in range(150):
-        n = rng.randint(1, 4)
+    checked = 0
+    for _ in range(600):
+        n = rng.randint(0, 6)
         p = random_poset(rng, n)
         ups = enumerate_upsets(p)
-        lawful = random_ntable(rng, p)
-        broken = list(lawful)
-        broken[rng.choice(ups)] = rng.choice(ups)
-        total = tuple(rng.randrange(1 << n) for _ in range(1 << n))
-        f = random_formula(rng, names, 3)
-        g = random_formula(rng, names, 3, "modal")
-        code = compile_prop(f, names)
-        mcode = compile_modal(g, names)
-        val = [rng.choice(ups) for _ in names]
-        mval = [rng.randrange(1 << n) for _ in names]
-        q = random_poset(rng, rng.randint(1, 3))
-        nstar = pure.lift_table(n, p.up, ups, lawful)
-        jobs = [
-            (pure.eval_prop, (code, n, p.up, lawful, val)),
-            (pure.eval_modal, (mcode, n, p.up, total, mval)),
-            (
-                pure.find_refuting_valuation_prop,
-                (code, len(names), n, p.up, lawful, ups),
-            ),
-            (
-                pure.find_refuting_valuation_modal,
-                (mcode, len(names), n, p.up, total),
-            ),
-            (pure.locality_violation, (n, ups, tuple(broken))),
-            (pure.locality_violation, (n, ups, lawful)),
-            (pure.ns4_table_violation, (n, p.up, total)),
-            (pure.lift_table, (n, p.up, ups, lawful)),
-            (pure.search_order_onto, (p.n, p.up, p.down, q.n, q.up, q.down)),
-            (
-                pure.search_positive_morphism,
-                (p.n, p.up, p.down, q.n, q.up, q.down),
-            ),
-        ]
-        if n <= 3:
-            k = rng.randint(0, 2)
-            jobs.append((pure.en_holds, (n, total, k)))
-            jobs.append((pure.rn_holds, (n, total, k)))
-        for ref_fn, args in jobs:
-            fast_fn = getattr(_core, ref_fn.__name__)
-            a = _capture(ref_fn, *args)
-            b = _capture(fast_fn, *args)
-            assert a == b, (round_, ref_fn.__name__, a, b)
-        gap_a = _capture(pure.translation_gap, n, p.up, lawful, nstar, ups, 2)
-        gap_b = _capture(_core.translation_gap, n, p.up, lawful, nstar, ups, 2)
-        if gap_a[0] == "ok":
-            assert gap_b[0] == "ok"
-            assert (gap_a[1] == -1) == (gap_b[1] == -1), (round_, gap_a, gap_b)
+        # the kernels read variables below max(nvars, 1), as the callers
+        # compile them; with no variables the one slot holds the empty set
+        nvars = _nvars_within(rng, len(ups), 1500)
+        mvars = _nvars_within(rng, 1 << n, 1500)
+        vs, mvs = names[: max(nvars, 1)], names[: max(mvars, 1)]
+        code = compile_prop(random_formula(rng, vs, rng.randint(0, 4)), vs)
+        mcode = compile_modal(random_formula(rng, mvs, rng.randint(0, 4), "modal"), mvs)
+        if rng.random() < 0.15:
+            # prop code holding modal opcodes, modal code holding ~
+            ws = names[: max(min(nvars, mvars), 1)]
+            prop_part = compile_prop(random_formula(rng, ws, 3), ws)
+            modal_part = compile_modal(random_formula(rng, ws, 3, "modal"), ws)
+            code = code + modal_part + (OP_AND, 0)
+            mcode = mcode + prop_part + (OP_OR, 0)
+        for table in _tables(rng, p, ups):
+            args = (code, nvars, n, p.up, table, ups)
+            a = _capture(ref.find_refuting_valuation_prop, *args)
+            b = _capture(pure.find_refuting_valuation_prop, *args)
+            assert a == b, (n, args, a, b)
+            checked += 1
+        total = [rng.randrange(1 << n) for _ in range(1 << n)]
+        holed = [-1 if rng.random() < 0.2 else v for v in total]
+        lifted = pure.lift_table(n, p.up, ups, random_ntable(rng, p))
+        for table in (total, holed, lifted):
+            args = (mcode, mvars, n, p.up, table)
+            a = _capture(ref.find_refuting_valuation_modal, *args)
+            b = _capture(pure.find_refuting_valuation_modal, *args)
+            assert a == b, (n, args, a, b)
+            checked += 1
+    assert checked >= 1000
+
+
+def test_companion_kernels_match_the_plain_loops():
+    rng = random.Random(4243)
+    checked = {"lift": 0, "gap": 0, "rn": 0, "morphism": 0}
+    for _ in range(1000):
+        n = rng.randint(0, 6)
+        p = random_poset(rng, n)
+        ups = enumerate_upsets(p)
+        for table in _tables(rng, p, ups):
+            args = (n, p.up, ups, table)
+            a = _capture(ref.lift_table, *args)
+            assert a == _capture(pure.lift_table, *args), (args, a)
+            checked["lift"] += 1
+        lawful, holed, odd = _tables(rng, p, ups)
+        table = rng.choice((lawful, lawful, holed, odd))
+        nstar = ref.lift_table(n, p.up, ups, rng.choice((lawful, table)))
+        depth = rng.randint(1, 3 if n <= 4 else 2)
+        args = (n, p.up, table, nstar, ups, depth)
+        # the exact first gap witness, not only whether one exists
+        a = _capture(ref.translation_gap, *args)
+        assert a == _capture(pure.translation_gap, *args), (args, a)
+        checked["gap"] += 1
+
+        m = rng.randint(0, 3)
+        size = 1 << m
+        k = rng.randint(0, 2)
+        total = [rng.randrange(size) for _ in range(size)]
+        if rng.random() < 0.2:
+            total[rng.randrange(size)] = -1
+        if rng.random() < 0.4:
+            q = random_poset(rng, m)
+            total = pure.lift_table(m, q.up, enumerate_upsets(q), random_ntable(rng, q))
+        a = _capture(ref.rn_holds, m, total, k)
+        assert a == _capture(pure.rn_holds, m, total, k), (m, total, k, a)
+        checked["rn"] += 1
+
+        t = random_poset(rng, rng.randint(0, 4))
+        if rng.random() < 0.4:
+            # same size as the target: the domains the signature check prunes
+            perm = list(range(t.n))
+            rng.shuffle(perm)
+            pairs = [(perm[u], perm[v]) for u in range(t.n) for v in range(t.n)
+                     if u != v and (t.up[u] >> v) & 1 and rng.random() < 0.9]
+            s = Poset.from_pairs(t.n + rng.randint(0, 2), pairs)
         else:
-            assert gap_a == gap_b
-
-
-@pytest.mark.skipif(_core is None, reason="compiled backend not built")
-def test_compiled_guard_on_oversized_spaces():
-    # 63 variables over 2 upsets stays within the pure semantics but
-    # overflows a signed 64-bit counter; the extension refuses it
-    code = compile_prop(parse("p"), ["p"])
-    with pytest.raises(ValueError, match="valuation space exceeds the compiled range"):
-        _core.find_refuting_valuation_prop(code, 70, 1, (1,), (1, 1), (0, 1))
-    with pytest.raises(ValueError, match="guard space exceeds the compiled range"):
-        _core.en_holds(2, (0, 0, 0, 0), 40)
-
-
-def test_positive_morphism_wrapper_round_trip():
-    rng = random.Random(26)
-    for _ in range(40):
-        t = random_poset(rng, rng.randint(1, 3))
-        s = random_poset(rng, rng.randint(1, 3))
-        m = positive_morphism(t, s)
-        if m is not None:
-            assert verify_positive_morphism(t, s, m)
+            s = random_poset(rng, rng.randint(0, 6))
+        args = (t.n, t.up, t.down, s.n, s.up, s.down)
+        a = _capture(ref.search_positive_morphism, *args)
+        assert a == _capture(pure.search_positive_morphism, *args), (args, a)
+        checked["morphism"] += 1
+    assert min(checked.values()) >= 1000, checked
 
 
 def test_kernel_micro_cases_keep_their_frozen_results():
@@ -323,3 +379,13 @@ def test_kernel_micro_cases_keep_their_frozen_results():
         cwd=root,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_positive_morphism_wrapper_round_trip():
+    rng = random.Random(26)
+    for _ in range(40):
+        t = random_poset(rng, rng.randint(1, 3))
+        s = random_poset(rng, rng.randint(1, 3))
+        m = positive_morphism(t, s)
+        if m is not None:
+            assert verify_positive_morphism(t, s, m)
