@@ -6,7 +6,6 @@ these names (a tracer, say) sees every call. BACKEND names the one
 implementation.
 """
 
-from subminimal.kernels import pure as _impl
 from subminimal.kernels.ops import (
     OP_AND,
     OP_BBOX,
@@ -18,21 +17,22 @@ from subminimal.kernels.ops import (
     OP_TOP,
     OP_VAR,
 )
+from subminimal.kernels.pure import (
+    en_holds,
+    eval_modal,
+    eval_prop,
+    find_refuting_valuation_modal,
+    find_refuting_valuation_prop,
+    lift_table,
+    locality_violation,
+    ns4_table_violation,
+    rn_holds,
+    search_order_onto,
+    search_positive_morphism,
+    translation_gap,
+)
 
 BACKEND = "pure"
-
-eval_prop = _impl.eval_prop
-eval_modal = _impl.eval_modal
-find_refuting_valuation_prop = _impl.find_refuting_valuation_prop
-find_refuting_valuation_modal = _impl.find_refuting_valuation_modal
-locality_violation = _impl.locality_violation
-ns4_table_violation = _impl.ns4_table_violation
-lift_table = _impl.lift_table
-translation_gap = _impl.translation_gap
-en_holds = _impl.en_holds
-rn_holds = _impl.rn_holds
-search_order_onto = _impl.search_order_onto
-search_positive_morphism = _impl.search_positive_morphism
 
 __all__ = [
     "BACKEND",

@@ -270,9 +270,10 @@ def find_refuting_valuation_prop(code, nvars, n, up, ntable, upsets):
 
     Valuations assign upsets to variables; index digits run over the
     ascending upset list with variable 0 most significant, so ascending
-    indices are lexicographic valuations. Raises ValueError when the
-    first valuation that refutes the formula or reaches a -1 table
-    entry reaches one, or when the code holds a modal opcode.
+    indices are lexicographic valuations. Raises ValueError when, in
+    index order, a valuation reaches a negative table entry before any
+    valuation refutes the formula, or when the code holds a modal
+    opcode.
     """
     return _first_refutation(
         code, nvars, n, up, ntable, upsets, False,
@@ -284,8 +285,8 @@ def find_refuting_valuation_modal(code, nvars, n, up, ntable):
     """Like find_refuting_valuation_prop, with arbitrary subsets as values.
 
     Raises ValueError when the code holds a Neg opcode, or when the
-    first valuation that refutes the formula has the value -1 (a -1
-    table entry that reached the result).
+    first valuation whose value is not the full set has the value -1
+    (a -1 table entry that reached the result).
     """
     return _first_refutation(
         code, nvars, n, up, ntable, range(1 << n), True, "modal opcode mismatch"
