@@ -12,7 +12,9 @@ tuples of size^2 entries. Checking the laws and finding the prime
 filters take O(size^3) steps, so algebras of a few dozen elements are
 cheap. The dual frame has one world per prime filter and, like every
 frame here, a negation table over all subsets of its worlds, so that
-part doubles with each prime filter; a chain of s elements has s.
+part doubles with each prime filter; a chain of s elements has s. A
+dual of more than 20 worlds, the world cap of the frame readers, raises
+ValueError.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from subminimal.frames import (
     NFrame,
     NModel,
     Poset,
+    _JSON_MAX_WORLDS,
     _frame_stream,
     _int,
     _ints,
@@ -248,7 +251,7 @@ def enumerate_topframes(p: Poset) -> list[TopFrame]:
     t = p.top()
     if t is None:
         raise ValueError("poset has no greatest world")
-    tables = _trace_tables(p, [u for u in p.upsets() if u], _subfamilies)
+    tables = _trace_tables(p.up, [u for u in p.upsets() if u], _subfamilies)
     return [TopFrame(p, table) for table in sorted(tables) if (table[1 << t] >> t) & 1]
 
 
@@ -309,8 +312,17 @@ def dual_frame(a: NAlgebra) -> TopFrame:
 
 
 def _dual(a: NAlgebra, filters: Sequence[int]) -> TopFrame:
-    """The dual frame of an algebra on its given prime filters."""
+    """The dual frame of an algebra on its given prime filters.
+
+    The dual's table covers all 2**k subsets of its k worlds, so k is
+    capped like every frame reader's world count, and a dual past the
+    cap raises ValueError: no reader could take it back.
+    """
     k = len(filters)
+    if k > _JSON_MAX_WORLDS:
+        raise ValueError(
+            f"the dual would have {k} worlds, more than the cap of {_JSON_MAX_WORLDS}"
+        )
     up = []
     for i in range(k):
         mask = 0

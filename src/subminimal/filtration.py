@@ -15,6 +15,7 @@ formulas never leaves those.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -240,6 +241,16 @@ def greatest_among(m: NModel, sigma: Iterable[Formula], other: FiltrationResult)
     return True
 
 
+def _submasks(mask: int) -> list[int]:
+    """Every submask of the mask, descending from the mask to 0."""
+    out = [mask]
+    sub = mask
+    while sub:
+        sub = (sub - 1) & mask
+        out.append(sub)
+    return out
+
+
 def enumerate_filtrations(m: NModel, sigma: Iterable[Formula]) -> list[FiltrationResult]:
     """Every filtration of the model through Sigma, small scale.
 
@@ -273,30 +284,15 @@ def enumerate_filtrations(m: NModel, sigma: Iterable[Formula]) -> list[Filtratio
             continue
         qposet = Poset(k, up)
         upsets = qposet.upsets()
-        bounds = {x: _push_mask(m.frame.neg(_preimage(x, members)), pi) for x in upsets}
         # at the projection of a negated Sigma formula's argument the
         # value is pinned from both sides; everywhere else any subset
         # of the class-wise bound is admissible
-        free = [x for x in upsets if x not in forced]
-        tables: list[dict[int, int]] = [{x: bounds[x] for x in upsets if x in forced}]
-        for x in free:
-            bound = bounds[x]
-            subs = []
-            sub = bound
-            while True:
-                subs.append(sub)
-                if sub == 0:
-                    break
-                sub = (sub - 1) & bound
-            grown = []
-            for t in tables:
-                for s in subs:
-                    t2 = dict(t)
-                    t2[x] = s
-                    grown.append(t2)
-            tables = grown
-        for table in tables:
-            qframe = NFrame(qposet, ntable_from_upset_map(qposet, table))
+        choices = []
+        for x in upsets:
+            bound = _push_mask(m.frame.neg(_preimage(x, members)), pi)
+            choices.append((bound,) if x in forced else _submasks(bound))
+        for values in itertools.product(*choices):
+            qframe = NFrame(qposet, ntable_from_upset_map(qposet, dict(zip(upsets, values))))
             quotient = NModel(qframe, g.quotient.valuation)
             out.append(FiltrationResult(quotient, pi, sigma))
     return out

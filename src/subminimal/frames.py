@@ -81,6 +81,25 @@ def _transitive(up: Sequence[int]) -> bool:
     return True
 
 
+def _check_preorder(n: int, up: Sequence[int]) -> None:
+    """Raise ValueError unless ``up`` is the cone list of a preorder on
+    worlds 0..n-1: one cone per world, reflexive, in range, transitive."""
+    if len(up) != n:
+        raise ValueError("one cone per world required")
+    full = (1 << n) - 1
+    for w, cone in enumerate(up):
+        if cone & ~full or not (cone >> w) & 1:
+            raise ValueError(f"cone of world {w} is not reflexive in range")
+    if not _transitive(up):
+        raise ValueError("transitivity fails")
+
+
+def _antisymmetric(up: Sequence[int]) -> bool:
+    """Whether a preorder's cones are a partial order's: two worlds of a
+    preorder see each other exactly when their cones are equal."""
+    return len(set(up)) == len(up)
+
+
 class Poset:
     """A finite partial order on worlds 0..n-1.
 
@@ -94,33 +113,20 @@ class Poset:
     def __init__(self, n: int, up: Sequence[int]):
         if n < 0:
             raise ValueError("world count must be nonnegative")
-        if len(up) != n:
-            raise ValueError("one up-mask per world required")
-        full = (1 << n) - 1
+        _check_preorder(n, up)
+        if not _antisymmetric(up):
+            raise ValueError("antisymmetry fails")
         down = [0] * n
-        for w in range(n):
-            mask = up[w]
-            if mask & ~full or not (mask >> w) & 1:
-                raise ValueError(f"up-mask of world {w} is not reflexive in range")
-            for v in range(n):
-                if (mask >> v) & 1:
-                    down[v] |= 1 << w
+        for w, cone in enumerate(up):
+            bit = 1 << w
+            while cone:
+                v = (cone & -cone).bit_length() - 1
+                cone &= cone - 1
+                down[v] |= bit
         self.n = n
         self.up = tuple(up)
         self.down = tuple(down)
         self._upsets: tuple[int, ...] | None = None
-        self._validate()
-
-    def _validate(self) -> None:
-        if not _transitive(self.up):
-            raise ValueError("transitivity fails")
-        for w in range(self.n):
-            m = self.up[w] & ~(1 << w)
-            while m:
-                v = (m & -m).bit_length() - 1
-                m &= m - 1
-                if (self.up[v] >> w) & 1:
-                    raise ValueError("antisymmetry fails")
 
     @classmethod
     def from_pairs(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "Poset":
@@ -348,50 +354,33 @@ def frame_validates(fr: NFrame, f: Formula) -> bool:
     return refuting_valuation(fr, f) is None
 
 
-def frame_class(fr: NFrame, logic: Logic, cross_check: bool = False) -> bool:
+def frame_class(fr: NFrame, logic: Logic) -> bool:
     """Membership of the frame in a logic's frame class.
 
     The base class is everything, NeF and CoPC are decided by their
     order-theoretic conditions, MPC is decided by validity of its
-    scheme (no condition on N is available for it). With cross_check
-    the first-order answer for NeF/CoPC is compared against scheme
-    validity and a disagreement raises RuntimeError.
+    scheme (no condition on N is available for it).
     """
     upsets = fr.poset.upsets()
     if logic.name == "n":
         return True
     if logic.name == "nef":
-        ok = True
         for x in upsets:
             core = x & fr.ntable[x]
-            if core == 0:
-                continue
-            for y in upsets:
-                if core & ~fr.ntable[y]:
-                    ok = False
-                    break
-            if not ok:
-                break
-    elif logic.name == "copc":
-        ok = True
+            if core:
+                for y in upsets:
+                    if core & ~fr.ntable[y]:
+                        return False
+        return True
+    if logic.name == "copc":
         for x in upsets:
             for y in upsets:
                 if x & ~y == 0 and fr.ntable[y] & ~fr.ntable[x]:
-                    ok = False
-                    break
-            if not ok:
-                break
-    elif logic.name == "mpc":
+                    return False
+        return True
+    if logic.name == "mpc":
         return frame_validates(fr, AXIOM_MPC)
-    else:
-        raise ValueError(f"unknown logic: {logic.name}")
-    if cross_check:
-        scheme = frame_validates(fr, logic.axiom)
-        if scheme != ok:
-            raise RuntimeError(
-                f"condition and scheme disagree for {logic.name} on {fr!r}"
-            )
-    return ok
+    raise ValueError(f"unknown logic: {logic.name}")
 
 
 def to_neighbourhood(fr: NFrame) -> tuple[frozenset[int], ...]:
@@ -450,52 +439,85 @@ def enumerate_posets(n: int) -> Iterator[Poset]:
 
 
 def _trace_tables(
-    p: Poset,
+    up: Sequence[int],
     domain: Sequence[int],
     choose: Callable[[list[int]], Iterable[frozenset[int]]],
 ) -> list[tuple[int, ...]]:
-    """Negation tables on the domain sets, built from per-world trace
-    families.
+    """Negation tables on the domain sets of a preorder, given by its
+    cones, built from per-world trace families.
 
-    World w holds a family of domain sets inside its cone whose cuts to
-    each strictly higher cone lie in that world's family; ``choose``
-    maps the sets allowed at w to the families to try. Worlds go
-    maximal first, so each world's constraints are known when its family
-    is chosen. N(X) is the set of worlds whose family holds X's cut to
-    their cone, so every value is an upset and locality holds.
+    Worlds with equal cones see each other and form a cluster; on a
+    poset every cluster is one world. Each world holds a family of
+    domain sets inside its cone, and the sets allowed at w are those
+    whose cut to the cone of every world strictly above w (in w's cone,
+    outside its cluster) lies in that world's family. Worlds go in
+    cone-size order, so the worlds strictly above have their families
+    when w comes; the first world of a cluster passes its allowed sets
+    to ``choose``, which yields the families to try, and the rest of
+    the cluster takes the same family. N(X) is the set of worlds whose
+    family holds X's cut to their cone.
+
+    With every subset as the domain, the tables are exactly the lawful
+    NS4 tables of the preorder: every N(X) is cone-closed, and w is in
+    N(X) iff w is in N(X & R(w)).
+
+    - Trace tables are local, because X and X & R(w) have the same cut
+      to R(w). They are cone-closed: let w be in N(X) and v in R(w). If
+      v is in w's cluster, it has w's cone and family. Otherwise
+      Z = X & R(w) was allowed at w, so Z & R(v) is in v's family; and
+      Z & R(v) = X & R(v) since R(v) is inside R(w) by transitivity.
+    - A lawful table N is a trace table. Let T(w) be the sets Z inside
+      R(w) with w in N(Z); by locality these are the cone cuts of the
+      inputs whose value holds w. Worlds of a cluster see each other,
+      so cone-closure puts one of them in N(Z) iff it puts all of them:
+      the cluster's families are equal. Each Z in T(w) is allowed at w:
+      for v strictly above w, v is in N(Z) by cone-closure, so
+      Z & R(v) is in T(v) by locality. Choosing T(w) at each world
+      gives back N, since w is in N(X) iff X & R(w) is in T(w).
+
+    T(w) is read back off the table, so distinct choices give distinct
+    tables, and a ``choose`` that yields every subfamily once yields
+    each lawful table once.
     """
-    order = sorted(range(p.n), key=lambda w: p.up[w].bit_count())
-    traces: dict[int, frozenset[int]] = {}
+    n = len(up)
+    by_cone: dict[int, list[int]] = {}
+    for w in sorted(range(n), key=lambda w: up[w].bit_count()):
+        by_cone.setdefault(up[w], []).append(w)
+    clusters = [(cone, cone & ~sum(1 << w for w in ws), ws) for cone, ws in by_cone.items()]
+    traces: list[frozenset[int]] = [frozenset()] * n
     results: list[tuple[int, ...]] = []
 
     def rec(k: int) -> None:
-        if k == len(order):
-            flat = [-1] * (1 << p.n)
+        if k == len(clusters):
+            worlds = [(1 << w, up[w], traces[w]) for w in range(n)]
+            flat = [-1] * (1 << n)
             for u in domain:
-                flat[u] = sum(
-                    1 << w for w in range(p.n) if (u & p.up[w]) in traces[w]
-                )
+                value = 0
+                for bit, cone, family in worlds:
+                    if u & cone in family:
+                        value |= bit
+                flat[u] = value
             results.append(tuple(flat))
             return
-        w = order[k]
+        cone, above, cluster = clusters[k]
         allowed = []
         for z in domain:
-            if z & ~p.up[w]:
+            if z & ~cone:
                 continue
-            m = p.up[w] & ~(1 << w)
+            m = above
             good = True
             while m:
                 v = (m & -m).bit_length() - 1
                 m &= m - 1
-                if (z & p.up[v]) not in traces[v]:
+                if (z & up[v]) not in traces[v]:
                     good = False
                     break
             if good:
                 allowed.append(z)
         for family in choose(allowed):
-            traces[w] = family
+            for w in cluster:
+                traces[w] = family
             rec(k + 1)
-        del traces[w]
 
     rec(0)
     return results
@@ -513,7 +535,7 @@ def enumerate_ntables(p: Poset) -> list[tuple[int, ...]]:
     hold any family of upsets inside its cone that projects, along the
     order, into the families already fixed above it.
     """
-    return sorted(_trace_tables(p, p.upsets(), _subfamilies))
+    return sorted(_trace_tables(p.up, p.upsets(), _subfamilies))
 
 
 def enumerate_nframes(p: Poset) -> list[NFrame]:
@@ -533,13 +555,19 @@ def random_poset(rng, n: int) -> Poset:
     return Poset.from_pairs(n, pairs)
 
 
-def random_ntable(rng, p: Poset) -> tuple[int, ...]:
-    """A lawful negation table drawn uniformly over trace families."""
+def _coin_flips(rng) -> Callable[[list[int]], list[frozenset[int]]]:
+    """A family chooser for _trace_tables that keeps each allowed set on
+    a fair coin, flipped in the order the sets are allowed."""
 
-    def coin_flips(allowed: list[int]) -> list[frozenset[int]]:
+    def choose(allowed: list[int]) -> list[frozenset[int]]:
         return [frozenset(z for z in allowed if rng.random() < 0.5)]
 
-    return _trace_tables(p, p.upsets(), coin_flips)[0]
+    return choose
+
+
+def random_ntable(rng, p: Poset) -> tuple[int, ...]:
+    """A lawful negation table drawn uniformly over trace families."""
+    return _trace_tables(p.up, p.upsets(), _coin_flips(rng))[0]
 
 
 def random_nframe(rng, n: int) -> NFrame:

@@ -276,6 +276,35 @@ def test_algebra_dual_of_32_elements(capsys, tmp_path):
     assert out["worlds"] == 6
 
 
+def chain_algebra(size):
+    """The chain 0 < 1 < ... < size - 1 with the constant-bottom
+    negation: the upset algebra of a chain of size - 1 worlds whose
+    negation is empty. Its size prime filters are the dual's worlds."""
+    els = range(size)
+    return {
+        "size": size,
+        "meet": [[min(x, y) for y in els] for x in els],
+        "join": [[max(x, y) for y in els] for x in els],
+        "imp": [[size - 1 if x <= y else y for y in els] for x in els],
+        "neg": [0] * size,
+        "one": size - 1,
+    }
+
+
+def test_algebra_dual_stops_at_the_world_cap(capsys, tmp_path):
+    code, out = run(capsys, ["algebra", "dual", write(tmp_path, "21.json", chain_algebra(21))])
+    assert code == 2
+    assert out["status"] == "error"
+    assert "21 worlds" in out["error"]
+    alg = chain_algebra(20)
+    code, dual = run(capsys, ["algebra", "dual", write(tmp_path, "20.json", alg)])
+    assert code == 0
+    assert dual["worlds"] == 20
+    code, out = run(capsys, ["algebra", "dual", write(tmp_path, "dual.json", dual)])
+    assert code == 0
+    assert nalgebra_isomorphic(algebra_from_dict(out), algebra_from_dict(alg))
+
+
 def test_algebra_check_topframe(capsys, tmp_path):
     _, dual = run(
         capsys,

@@ -172,13 +172,13 @@ def test_separating_frame_classes():
 
 
 def test_frame_class_cross_check_on_all_two_world_frames():
+    # NeF and CoPC are decided by order conditions; their schemes must agree
     for n in (1, 2):
         for p in enumerate_posets(n):
             for fr in enumerate_nframes(p):
-                for logic in LOGICS.values():
-                    assert frame_class(fr, logic) == frame_class(
-                        fr, logic, cross_check=True
-                    )
+                for name in ("nef", "copc"):
+                    logic = LOGICS[name]
+                    assert frame_class(fr, logic) == frame_validates(fr, logic.axiom)
 
 
 def test_lawful_frames_validate_the_base_axiom():

@@ -5,10 +5,14 @@ import random
 
 import pytest
 
+import ns4_reference
+from subminimal import kernels
 from subminimal.frames import (
     NFrame,
     NModel,
     Poset,
+    _subfamilies,
+    _trace_tables,
     enumerate_ntables,
     enumerate_posets,
     ntable_from_upset_map,
@@ -93,6 +97,34 @@ def test_all_two_world_frames_validate_the_axioms():
 def test_exhaustive_enumeration_is_guarded():
     with pytest.raises(ValueError, match="infeasible past 2 worlds"):
         enumerate_ns4_frames(3)
+
+
+def test_ns4_enumeration_matches_the_table_filter():
+    for n in (0, 1, 2):
+        assert enumerate_ns4_frames(n) == ns4_reference.enumerate_ns4_frames(n)
+
+
+def test_random_ns4_frame_matches_the_cluster_loop():
+    for seed in (50, 54, 21, 20267, 7):
+        new, old = random.Random(seed), random.Random(seed)
+        for n in range(6):
+            for _ in range(60):
+                assert random_ns4_frame(new, n) == ns4_reference.random_ns4_frame(old, n)
+        assert new.getstate() == old.getstate()
+
+
+def test_three_world_trace_tables_are_lawful_and_hold_every_lift():
+    subsets = range(8)
+    tables = {rel: set(_trace_tables(rel, subsets, _subfamilies)) for rel in enumerate_preorders(3)}
+    assert len(tables) == 29
+    assert sum(map(len, tables.values())) == 9806
+    for rel, found in tables.items():
+        for table in found:
+            assert kernels.ns4_table_violation(3, rel, table) == -1
+    lifts = [lift_nstar(NFrame(p, t)) for p in enumerate_posets(3) for t in enumerate_ntables(p)]
+    assert len(lifts) == 1282
+    for fr in lifts:
+        assert fr.ntable in tables[fr.rel]
 
 
 def test_preorder_count_on_two_worlds():
