@@ -137,29 +137,15 @@ def _cmd_decide(args: argparse.Namespace) -> tuple[dict, int]:
 
 def _cmd_countermodel(args: argparse.Namespace) -> tuple[dict, int]:
     f = parse(args.formula)
-    deadline = None
-    if args.timeout_ms is not None:
-        deadline = time.time() + args.timeout_ms / 1000
+    deadline = time.time() + args.timeout_ms / 1000 if args.timeout_ms is not None else None
     hit = countermodel_search(LOGICS[args.logic], f, args.max_worlds, deadline)
+    bound = args.max_worlds
     if hit is None:
-        payload = {
-            "status": "no-countermodel-up-to-bound",
-            "logic": args.logic,
-            "formula": show(f),
-            "bound": args.max_worlds,
-        }
-        return payload, 0
-    model, world = hit
-    _assert_refutes(model, f, world)
-    payload = {
-        "status": "refuted",
-        "logic": args.logic,
-        "formula": show(f),
-        "bound": args.max_worlds,
-        "model": model_to_dict(model),
-        "world": world,
-    }
-    return payload, 1
+        v = Verdict("no-countermodel-up-to-bound", args.logic, f, bound=bound)
+    else:
+        model, world = hit
+        v = Verdict("refuted", args.logic, f, bound=bound, model=model, world=world)
+    return _verdict_payload(v), 1 if v.status == "refuted" else 0
 
 
 def _cmd_check_frame(args: argparse.Namespace) -> tuple[dict, int]:
@@ -308,16 +294,11 @@ def _cmd_ns4_check_proof(args: argparse.Namespace) -> tuple[dict, int]:
     return {"status": "ok", "system": args.system, "lines": len(proof.lines)}, 0
 
 
-def _cmd_ns4_en(args: argparse.Namespace) -> tuple[dict, int]:
+def _cmd_ns4_law(args: argparse.Namespace) -> tuple[dict, int]:
+    """``ns4 en`` and ``ns4 rn``: the named law at arity k on a table."""
     fr = modal_nframe_from_dict(_load_json(args.frame))
-    holds = en_check(fr, args.k)
-    status = "ok" if holds else "violation"
-    return {"status": status, "k": args.k, "holds": holds}, 0 if holds else 1
-
-
-def _cmd_ns4_rn(args: argparse.Namespace) -> tuple[dict, int]:
-    fr = modal_nframe_from_dict(_load_json(args.frame))
-    holds = rn_validity(fr, args.k)
+    law = en_check if args.ns4_command == "en" else rn_validity
+    holds = law(fr, args.k)
     status = "ok" if holds else "violation"
     return {"status": status, "k": args.k, "holds": holds}, 0 if holds else 1
 
@@ -441,19 +422,14 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--system", choices=("ns4", "cos4"), required=True)
     q.set_defaults(handler=_cmd_ns4_check_proof)
 
-    q = nsub.add_parser(
-        "en", parents=[common], help="k-ary locality identity on a total table"
-    )
-    q.add_argument("--frame", required=True, help="frame JSON path, - for stdin")
-    q.add_argument("-k", type=int, required=True)
-    q.set_defaults(handler=_cmd_ns4_en)
-
-    q = nsub.add_parser(
-        "rn", parents=[common], help="k-premise replacement rule on a total table"
-    )
-    q.add_argument("--frame", required=True, help="frame JSON path, - for stdin")
-    q.add_argument("-k", type=int, required=True)
-    q.set_defaults(handler=_cmd_ns4_rn)
+    for name, text in (
+        ("en", "k-ary locality identity on a total table"),
+        ("rn", "k-premise replacement rule on a total table"),
+    ):
+        q = nsub.add_parser(name, parents=[common], help=text)
+        q.add_argument("--frame", required=True, help="frame JSON path, - for stdin")
+        q.add_argument("-k", type=int, required=True)
+        q.set_defaults(handler=_cmd_ns4_law)
 
     return parser
 
@@ -468,6 +444,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         payload, code = {"status": "error", "error": str(exc)}, 2
     except (ResourceLimitError, SearchTimeout) as exc:
         payload, code = {"status": "error", "error": str(exc)}, 2
+    except RecursionError:
+        payload, code = {"status": "error", "error": "input nested too deeply"}, 2
     print(json.dumps(payload, sort_keys=True, indent=2 if args.pretty else None))
     return code
 

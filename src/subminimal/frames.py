@@ -244,12 +244,13 @@ def ntable_from_upset_map(p: Poset, mapping: Mapping[int, int]) -> tuple[int, ..
     """Spread an upset-keyed dict into the flat table layout."""
     table = [-1] * (1 << p.n)
     upsets = p.upsets()
-    missing = [u for u in upsets if u not in mapping]
-    if missing:
-        raise ValueError(f"negation table misses upset {missing[0]}")
-    extra = [k for k in mapping if k not in set(upsets)]
-    if extra:
-        raise ValueError(f"negation table keyed at non-upset {extra[0]}")
+    for u in upsets:
+        if u not in mapping:
+            raise ValueError(f"negation table misses upset {u}")
+    known = set(upsets)
+    for k in mapping:
+        if k not in known:
+            raise ValueError(f"negation table keyed at non-upset {k}")
     for u in upsets:
         table[u] = mapping[u]
     return tuple(table)
@@ -329,20 +330,31 @@ def _valuation_from_index(idx: int, names: Sequence[str], upsets: Sequence[int])
     return out
 
 
-def refuting_valuation(fr: NFrame, f: Formula) -> tuple[dict[str, int], int] | None:
-    """Least valuation refuting f on the frame, with the least failing
-    world, or None when the frame validates f."""
+def _compiled_prop(f: Formula) -> tuple[tuple[str, ...], tuple[int, ...]]:
+    """The sorted variable names of f and its kernel code over them."""
     names = variables(f)
+    return names, compile_prop(f, names)
+
+
+def refuting_valuation(
+    fr: NFrame,
+    f: Formula,
+    compiled: tuple[tuple[str, ...], tuple[int, ...]] | None = None,
+) -> tuple[dict[str, int], int] | None:
+    """Least valuation refuting f on the frame, with the least failing
+    world, or None when the frame validates f. A search over many
+    frames passes ``_compiled_prop(f)`` once as ``compiled``."""
+    names, code = compiled if compiled is not None else _compiled_prop(f)
     upsets = fr.poset.upsets()
-    code = compile_prop(f, names)
+    up, ntable = list(fr.poset.up), list(fr.ntable)
     idx = kernels.find_refuting_valuation_prop(
-        code, len(names), fr.n, list(fr.poset.up), list(fr.ntable), list(upsets)
+        code, len(names), fr.n, up, ntable, list(upsets)
     )
     if idx < 0:
         return None
     valuation = _valuation_from_index(idx, names, upsets)
-    model = NModel(fr, valuation)
-    truth = eval_formula(model, f)
+    # the search met no undefined entry up to idx, so neither does this
+    truth = kernels.eval_prop(code, fr.n, up, ntable, [valuation[x] for x in names])
     full = (1 << fr.n) - 1
     fail = full & ~truth
     world = (fail & -fail).bit_length() - 1
@@ -352,6 +364,9 @@ def refuting_valuation(fr: NFrame, f: Formula) -> tuple[dict[str, int], int] | N
 def frame_validates(fr: NFrame, f: Formula) -> bool:
     """Whether every upset valuation makes f true at every world."""
     return refuting_valuation(fr, f) is None
+
+
+_MPC_COMPILED = _compiled_prop(AXIOM_MPC)
 
 
 def frame_class(fr: NFrame, logic: Logic) -> bool:
@@ -379,7 +394,7 @@ def frame_class(fr: NFrame, logic: Logic) -> bool:
                     return False
         return True
     if logic.name == "mpc":
-        return frame_validates(fr, AXIOM_MPC)
+        return refuting_valuation(fr, AXIOM_MPC, _MPC_COMPILED) is None
     raise ValueError(f"unknown logic: {logic.name}")
 
 
@@ -761,12 +776,13 @@ def countermodel_search(
     """
     if max_worlds < 1:
         raise ValueError("need at least one world")
+    compiled = _compiled_prop(f)
     for fr in _frame_stream(max_worlds):
         if deadline is not None and time.time() > deadline:
             raise SearchTimeout(f"no verdict within the budget at {fr.n} worlds")
         if not frame_class(fr, logic):
             continue
-        hit = refuting_valuation(fr, f)
+        hit = refuting_valuation(fr, f, compiled)
         if hit is not None:
             valuation, world = hit
             return NModel(fr, valuation), world

@@ -414,17 +414,34 @@ def translation_gap(n, up, ntable, nstar, upsets, depth):
     return -1
 
 
+def _guard_sets(size, ntable, k):
+    """Yield once each intersection of k table values, repeats allowed
+    (the full set at k = 0; a -1 entry acts as the full set, as
+    i & -1 == i), the values first and in table order, so that the
+    kernels stop at the first failing set.
+
+    Round 1 gives the values, and each later round intersects the sets
+    of the round before with every value. An intersection of r >= 1
+    values is also one of r + 1, so a round keeps every earlier set and
+    only a round's new sets can give new ones in the next. Once a round
+    adds nothing no later round does, so at most size + 1 rounds run.
+    """
+    values = fresh = dict.fromkeys(ntable) if k else (size - 1,)
+    seen = set(fresh)
+    yield from fresh
+    for _ in range(k - 1):
+        fresh = {i & v for i in fresh for v in values} - seen
+        if not fresh:
+            return
+        seen |= fresh
+        yield from fresh
+
+
 def en_holds(n, ntable, k):
     """1 iff the k-ary locality-style identity holds for every choice
     of the k framing sets and the argument set."""
     size = 1 << n
-    full = size - 1
-    for zi in range(size**k):
-        t = zi
-        inter = full
-        for _ in range(k):
-            inter &= ntable[t % size]
-            t //= size
+    for inter in _guard_sets(size, ntable, k):
         for x in range(size):
             if ntable[x] & inter != ntable[x & inter] & inter:
                 return 0
@@ -437,21 +454,11 @@ def rn_holds(n, ntable, k):
     For every valuation of the k guard variables and of q, r: when the
     guarded equivalence of q and r holds at every world, the guarded
     equivalence of their negations must too. With I the guard set, the
-    rule holds iff N(q) & I depends only on q & I; each distinct I is
-    checked once, with one dict from q & I to N(q) & I.
+    rule holds iff N(q) & I depends only on q & I: one dict from q & I
+    to N(q) & I per guard set.
     """
     size = 1 << n
-    full = size - 1
-    seen = set()
-    for pi in range(size**k):
-        t = pi
-        inter = full
-        for _ in range(k):
-            inter &= ntable[t % size]
-            t //= size
-        if inter in seen:
-            continue
-        seen.add(inter)
+    for inter in _guard_sets(size, ntable, k):
         image = {}
         for q in range(size):
             v = ntable[q] & inter
@@ -501,33 +508,39 @@ def search_order_onto(nt, t_up, t_down, ns, s_up, s_down):
 def search_positive_morphism(nt, t_up, t_down, ns, s_up, s_down):
     """First positive morphism source -> target, else None.
 
-    Domains run over downward-closed source sets of at least nt worlds
-    (smaller ones cannot map onto the target) in ascending mask order;
-    within a domain the assignment search mirrors
-    search_order_onto, with the back condition verified on completion.
-    Returns (domain mask, map list with -1 outside the domain). The up
-    and down masks of each side describe one order.
+    Returns (domain mask, map list with -1 outside the domain) for the
+    first downward-closed domain D of at least nt worlds, in ascending
+    mask order, that carries one, with its least morphism in world
+    index order. The up masks give partial orders.
 
-    A domain of exactly nt worlds is searched only when its sorted
-    (up-size, down-size) signature, sizes taken inside the domain,
-    equals the target's. A positive morphism f on such a domain D is
-    onto, so it is a bijection; and it reflects the order: if
-    f(w) <= f(u), the back condition gives some u' >= w in D with
-    f(u') = f(u), so u' = u and w <= u. A monotone bijection that
-    reflects the order is an order isomorphism, so it carries the up-
-    and down-sets of each w in D (the down-sets lie in D, which is
-    downward closed) onto those of f(w) and the signatures agree.
-    Hence the skipped domains hold no morphism, and the first witness
-    is the one found without the check.
+    f on D is a positive morphism iff it is onto and f(up(w) & D) =
+    up(f(w)) for every w in D: forth (w <= u gives f(w) <= f(u)) is the
+    inclusion, back (f(w) <= c gives a u >= w in D with f(u) = c) the
+    converse. Worlds are visited in ascending |up(w)|, so those strictly
+    above w, whose cones are smaller, are mapped already; with A their
+    image, f(up(w) & D) is A plus f(w), so the values allowed at w are
+    the c with t_up[c] == A | 1 << c, kept in one dict keyed by t_up[c]
+    and by t_up[c] minus c. With the onto prune, the search finds a
+    morphism iff one exists, also with some worlds pinned to values.
+
+    The least one: from the first morphism g found, fix the worlds in
+    index order, each to the least c for which a morphism with the
+    earlier worlds fixed and this one pinned to c exists; only c below
+    g(w) needs a search. Each step keeps a morphism with the fixed
+    prefix and rules out every smaller value at its world.
     """
+    if ns < nt:
+        return None
     full_t = (1 << nt) - 1
-    upsize = [t_up[c].bit_count() for c in range(nt)]
-    t_sig = sorted((t_up[c].bit_count(), t_down[c].bit_count()) for c in range(nt))
+    allowed = {}
+    for c in range(nt):
+        for key in (t_up[c], t_up[c] & ~(1 << c)):
+            allowed[key] = allowed.get(key, 0) | 1 << c
     # the domains of at least nt worlds are the complements of the
     # source upsets of at most ns - nt worlds, grown a world at a time
     above = [s_up[w] & ~(1 << w) for w in range(ns)]
-    cut = {0} if ns >= nt else set()
-    grown = list(cut)
+    cut = {0}
+    grown = [0]
     for u in grown:
         if u.bit_count() < ns - nt:
             for w in range(ns):
@@ -535,54 +548,40 @@ def search_positive_morphism(nt, t_up, t_down, ns, s_up, s_down):
                 if v != u and above[w] & ~u == 0 and v not in cut:
                     cut.add(v)
                     grown.append(v)
-    full_s = (1 << ns) - 1
-    for dom in sorted(full_s ^ u for u in cut):
-        worlds = [w for w in range(ns) if (dom >> w) & 1]
-        if len(worlds) == nt and t_sig != sorted(
-            ((s_up[w] & dom).bit_count(), (s_down[w] & dom).bit_count())
-            for w in worlds
-        ):
-            continue
+    by_cone = sorted(range(ns), key=lambda w: s_up[w].bit_count())
+    for dom in sorted(((1 << ns) - 1) ^ u for u in cut):
+        order = [w for w in by_cone if (dom >> w) & 1]
+        pins = [full_t] * ns
         f = [-1] * ns
 
-        def assign(i, covered):
-            if i == len(worlds):
-                if covered != full_t:
-                    return False
-                for w in worlds:
-                    have = 0
-                    mm = dom & s_up[w]
-                    while mm:
-                        u = (mm & -mm).bit_length() - 1
-                        have |= 1 << f[u]
-                        mm &= mm - 1
-                    if t_up[f[w]] & ~have:
-                        return False
-                return True
-            v = worlds[i]
-            cand = full_t
-            for j in range(i):
-                u = worlds[j]
-                if (s_up[u] >> v) & 1:
-                    cand &= t_up[f[u]]
-                if (s_up[v] >> u) & 1:
-                    cand &= t_down[f[u]]
-            room = (dom & s_up[v]).bit_count()
-            spare = len(worlds) - i - 1
-            m = cand
+        def extend(i, covered):
+            if i == len(order):
+                return covered == full_t
+            w = order[i]
+            image = 0
+            m = above[w] & dom
+            while m:
+                image |= 1 << f[(m & -m).bit_length() - 1]
+                m &= m - 1
+            m = allowed.get(image, 0) & pins[w]
             while m:
                 c = (m & -m).bit_length() - 1
                 m &= m - 1
-                if upsize[c] > room:
-                    continue
                 newcov = covered | (1 << c)
-                if (full_t & ~newcov).bit_count() <= spare:
-                    f[v] = c
-                    if assign(i + 1, newcov):
+                if (full_t & ~newcov).bit_count() < len(order) - i:
+                    f[w] = c
+                    if extend(i + 1, newcov):
                         return True
-            f[v] = -1
             return False
 
-        if assign(0, 0):
-            return dom, list(f)
+        if extend(0, 0):
+            best = list(f)
+            for w in sorted(order):
+                for c in range(best[w]):
+                    pins[w] = 1 << c
+                    if extend(0, 0):
+                        best = list(f)
+                        break
+                pins[w] = 1 << best[w]
+            return dom, best
     return None

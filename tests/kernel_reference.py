@@ -135,6 +135,23 @@ def translation_gap(n, up, ntable, nstar, upsets, depth):
     return -1
 
 
+def en_holds(n, ntable, k):
+    """1 iff the k-ary locality-style identity holds for every choice
+    of the k framing sets and the argument set."""
+    size = 1 << n
+    full = size - 1
+    for zi in range(size**k):
+        t = zi
+        inter = full
+        for _ in range(k):
+            inter &= ntable[t % size]
+            t //= size
+        for x in range(size):
+            if ntable[x] & inter != ntable[x & inter] & inter:
+                return 0
+    return 1
+
+
 def rn_holds(n, ntable, k):
     """1 iff the k-premise replacement rule is frame-valid.
 

@@ -583,6 +583,69 @@ def test_json_readers_keep_the_exit_code_contract(case, data):
         assert payload["status"] in ("refuted", "violation")
 
 
+SEARCH_FORMULAS = (
+    "p",
+    "p -> p",
+    "(p & ~p) -> ~q",
+    "(p -> q) -> (~q -> ~p)",
+    "~(p & q) -> ~p",
+    "p -> (",
+)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    command=st.sampled_from(("decide", "countermodel")),
+    formula=st.sampled_from(SEARCH_FORMULAS),
+    logic=st.sampled_from(("n", "nef", "copc", "mpc")),
+    max_worlds=st.integers(-2, 3),
+    timeout_ms=st.none() | st.integers(-5, 5) | st.just(60_000),
+)
+def test_search_arguments_keep_the_exit_code_contract(
+    command, formula, logic, max_worlds, timeout_ms
+):
+    """Any world bound up to 3, zero and negative ones too, and any
+    timeout, expired ones too: the exit code is 0, 1 or 2, 1 only with
+    a refutation, and stdout is exactly one JSON document."""
+    argv = [command, formula, "--logic", logic, "--max-worlds", str(max_worlds)]
+    if timeout_ms is not None:
+        argv += ["--timeout-ms", str(timeout_ms)]
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(argv)
+    payload = json.loads(out.getvalue())
+    assert code in (0, 1, 2)
+    assert (code == 1) == (payload["status"] == "refuted")
+    assert (code == 2) == (payload["status"] == "error")
+
+
+DEEP_NEG = "~" * 3000 + "p"
+DEEP_PARENS = "(" * 600 + "p" + ")" * 600
+
+
+@pytest.mark.parametrize(
+    "argv, stdin",
+    [
+        (["parse", DEEP_NEG], None),
+        (["decide", DEEP_PARENS, "--logic", "n"], None),
+        (["countermodel", DEEP_NEG, "--logic", "n"], None),
+        (["translate", DEEP_NEG], None),
+        (["ns4", "valid", "--frame", "-", "[n]" * 3000 + "p"], json.dumps(HAND_NS4_JSON)),
+        (
+            ["ns4", "check-proof", "-", "--system", "ns4"],
+            json.dumps([{"formula": DEEP_PARENS, "rule": "taut", "refs": []}]),
+        ),
+    ],
+    ids=["parse", "decide", "countermodel", "translate", "ns4-valid", "ns4-check-proof"],
+)
+def test_deep_nesting_exits_2(capsys, monkeypatch, argv, stdin):
+    if stdin is not None:
+        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    code, out = run(capsys, argv)
+    assert code == 2
+    assert out == {"status": "error", "error": "input nested too deeply"}
+
+
 def test_pretty_prints_indented(capsys):
     code = main(["translate", "~p", "--pretty"])
     out = capsys.readouterr().out

@@ -152,8 +152,10 @@ def test_check_nframe_rejects_non_upset_values():
 
 
 def test_ntable_from_upset_map_requires_full_domain():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="misses upset 3"):
         ntable_from_upset_map(CHAIN2, {0: 2, 2: 3})
+    with pytest.raises(ValueError, match="non-upset 1"):
+        ntable_from_upset_map(CHAIN2, {0: 2, 1: 0, 2: 3, 3: 2})
 
 
 def test_eval_formula_hand_values():

@@ -191,6 +191,15 @@ def test_en_matches_rn_on_all_two_world_tables():
             assert en_check(fr, k) == rn_validity(fr, k)
 
 
+def test_en_rn_at_a_huge_arity_equal_arity_two_to_the_n():
+    # an intersection of k >= 4 of the four table values repeats some,
+    # so it is also one of exactly 4, and the other way round
+    for values in itertools.product(range(4), repeat=4):
+        fr = ModalNFrame(2, values)
+        assert en_check(fr, 1000) == en_check(fr, 4)
+        assert rn_validity(fr, 1000) == rn_validity(fr, 4)
+
+
 def test_en_rn_reject_negative_arity():
     fr = ModalNFrame(1, (0, 0))
     with pytest.raises(ValueError):
