@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from subminimal.frames import (
+    DEFAULT_MAX_WORLDS,
     NFrame,
     NModel,
     Poset,
@@ -312,9 +313,6 @@ class Verdict:
     bound: int | None = None
     model: NModel | None = None
     world: int | None = None
-
-
-DEFAULT_MAX_WORLDS = 4
 
 
 def decide(

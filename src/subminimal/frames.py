@@ -19,6 +19,13 @@ world count by attaching a maximal world to each class below and kept
 by canonical key, the least pair mask over all relabelings. The
 labeled posets are the relabelings of the classes, and the search
 decodes each key into the least labeling of its class.
+
+One builder, ``_orbit_least_frames``, gives the frames of one poset
+class. For the classes of at most DEFAULT_MAX_WORLDS worlds its output,
+and each logic's class members among it, is built once per process and
+kept (4,501 frames in about 1.4 MiB); the stream and every countermodel
+search read it from there. Larger classes are built again on every
+call, because the 5-world ones alone would take about 120 MiB.
 """
 
 from __future__ import annotations
@@ -345,11 +352,8 @@ def refuting_valuation(
     world, or None when the frame validates f. A search over many
     frames passes ``_compiled_prop(f)`` once as ``compiled``."""
     names, code = compiled if compiled is not None else _compiled_prop(f)
-    upsets = fr.poset.upsets()
-    up, ntable = list(fr.poset.up), list(fr.ntable)
-    idx = kernels.find_refuting_valuation_prop(
-        code, len(names), fr.n, up, ntable, list(upsets)
-    )
+    up, ntable, upsets = fr.poset.up, fr.ntable, fr.poset.upsets()
+    idx = kernels.find_refuting_valuation_prop(code, len(names), fr.n, up, ntable, upsets)
     if idx < 0:
         return None
     valuation = _valuation_from_index(idx, names, upsets)
@@ -726,6 +730,55 @@ def _least_in_orbit(
     return True
 
 
+# Poset classes of at most this many worlds keep their frames for the
+# life of the process; it is also the default bound of ``decide``.
+DEFAULT_MAX_WORLDS = 4
+
+
+def _orbit_least_frames(size: int, key: int) -> Iterator[NFrame]:
+    """The frames of one poset class, built afresh: its least labeling
+    (the canonical key, decoded) under every lawful table that is least
+    in its automorphism orbit, in table order."""
+    p = _poset_from_mask(size, key)
+    upsets = p.upsets()
+    images = [
+        {u: _push_mask(u, g) for u in upsets}
+        for g in poset_isomorphisms(p, p)
+        if g != tuple(range(size))
+    ]
+    for t in enumerate_ntables(p):
+        if _least_in_orbit(upsets, t, images):
+            yield NFrame(p, t)
+
+
+# filled on first use, for classes of at most DEFAULT_MAX_WORLDS worlds
+_CLASS_FRAMES: dict[tuple[int, int], tuple[NFrame, ...]] = {}
+_CLASS_MEMBERS: dict[tuple[int, int, str], tuple[NFrame, ...]] = {}
+
+
+def _class_frames(size: int, key: int) -> Iterable[NFrame]:
+    """``_orbit_least_frames(size, key)``, memoized up to
+    DEFAULT_MAX_WORLDS worlds."""
+    if size > DEFAULT_MAX_WORLDS:
+        return _orbit_least_frames(size, key)
+    frames = _CLASS_FRAMES.get((size, key))
+    if frames is None:
+        frames = _CLASS_FRAMES[size, key] = tuple(_orbit_least_frames(size, key))
+    return frames
+
+
+def _class_members(size: int, key: int, logic: Logic) -> Iterable[NFrame]:
+    """The frames of one poset class in the logic's frame class, in
+    stream order, memoized as ``_class_frames`` is."""
+    members = (fr for fr in _class_frames(size, key) if frame_class(fr, logic))
+    if size > DEFAULT_MAX_WORLDS:
+        return members
+    memo = (size, key, logic.name)
+    if memo not in _CLASS_MEMBERS:
+        _CLASS_MEMBERS[memo] = tuple(members)
+    return _CLASS_MEMBERS[memo]
+
+
 def _frame_stream(n: int) -> Iterator[NFrame]:
     """One N-frame per isomorphism class up to n worlds, each the first
     of its class in the labeled order: the least-mask labeling of its
@@ -733,16 +786,7 @@ def _frame_stream(n: int) -> Iterator[NFrame]:
     automorphism orbit."""
     for size in range(1, n + 1):
         for key, _ in _poset_classes(size):
-            p = _poset_from_mask(size, key)
-            upsets = p.upsets()
-            images = [
-                {u: _push_mask(u, g) for u in upsets}
-                for g in poset_isomorphisms(p, p)
-                if g != tuple(range(size))
-            ]
-            for t in enumerate_ntables(p):
-                if _least_in_orbit(upsets, t, images):
-                    yield NFrame(p, t)
+            yield from _class_frames(size, key)
 
 
 def countermodel_search(
@@ -757,7 +801,17 @@ def countermodel_search(
     Frames stream in canonical order, so the witness is deterministic:
     the first frame of the class refuting f among all labeled frames,
     with the least refuting valuation and world. ``deadline`` is an
-    absolute time.time() value; passing it raises SearchTimeout.
+    absolute time.time() value, checked before each frame of the
+    logic's class; passing it raises SearchTimeout, which says how many
+    worlds the search had reached and how many class frames it had
+    tried.
+
+    The frames of the poset classes of at most DEFAULT_MAX_WORLDS
+    worlds, and each logic's members among them, are built once per
+    process and shared by every later search, so a search goes straight
+    to the frames in the logic's class. Larger classes are built again
+    on every call, frame by frame, because keeping the 5-world ones
+    would take about 120 MiB.
 
     The stream skips every frame but the first of its isomorphism
     class, and the witness is still the first of the labeled order.
@@ -777,15 +831,20 @@ def countermodel_search(
     if max_worlds < 1:
         raise ValueError("need at least one world")
     compiled = _compiled_prop(f)
-    for fr in _frame_stream(max_worlds):
-        if deadline is not None and time.time() > deadline:
-            raise SearchTimeout(f"no verdict within the budget at {fr.n} worlds")
-        if not frame_class(fr, logic):
-            continue
-        hit = refuting_valuation(fr, f, compiled)
-        if hit is not None:
-            valuation, world = hit
-            return NModel(fr, valuation), world
+    tried = 0
+    for size in range(1, max_worlds + 1):
+        for key, _ in _poset_classes(size):
+            for fr in _class_members(size, key, logic):
+                if deadline is not None and time.time() > deadline:
+                    raise SearchTimeout(
+                        f"no verdict within the budget: reached {size} worlds "
+                        f"after trying {tried} class frames"
+                    )
+                tried += 1
+                hit = refuting_valuation(fr, f, compiled)
+                if hit is not None:
+                    valuation, world = hit
+                    return NModel(fr, valuation), world
     return None
 
 

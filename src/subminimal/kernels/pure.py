@@ -1,8 +1,8 @@
 """The hot evaluation and search loops, in plain Python.
 
 Every ``subminimal.kernels.<name>`` is the function of the same name
-here. Worlds, sets and tables are passed as plain ints and lists so
-that the callers stay free of frame objects.
+here. Worlds, sets and tables are passed as plain ints and lists or tuples
+so that the callers stay free of frame objects.
 
 Conventions:
 
@@ -415,31 +415,31 @@ def translation_gap(n, up, ntable, nstar, upsets, depth):
 
 
 def _guard_sets(size, ntable, k):
-    """Yield once each intersection of k table values, repeats allowed
-    (the full set at k = 0; a -1 entry acts as the full set, as
-    i & -1 == i), the values first and in table order, so that the
-    kernels stop at the first failing set.
+    """The guard sets the k-ary laws are checked at: the full set at
+    k = 0, and for k >= 1 the distinct table values in table order (a
+    -1 entry acts as the full set, as i & -1 == i), so that the kernels
+    stop at the first failing set.
 
-    Round 1 gives the values, and each later round intersects the sets
-    of the round before with every value. An intersection of r >= 1
-    values is also one of r + 1, so a round keeps every earlier set and
-    only a round's new sets can give new ones in the next. Once a round
-    adds nothing no later round does, so at most size + 1 rounds run.
+    The laws range over every intersection of k table values, repeats
+    allowed, but for k >= 1 the values alone decide them. Write E(I)
+    for the identity N(x) & I == N(x & I) & I at every x. E(I) and E(J)
+    give E(I & J): by E(I), N(x) & I & J == N(x & I) & I & J, and by
+    E(J) at x & I, N(x & I) & J == N(x & I & J) & J, so
+    N(x) & I & J == N(x & I & J) & I & J. By induction E holds at every
+    intersection of values once it holds at each value, and each value
+    is such an intersection (repeat it k times), so the law at any
+    k >= 1 is the law at k = 1. The replacement rule at I, that
+    N(q) & I depends only on q & I, is E(I): E(I) makes it
+    N(q & I) & I, and conversely q and q & I have the same cut q & I,
+    so N(q) & I == N(q & I) & I. So rn_holds collapses the same way.
     """
-    values = fresh = dict.fromkeys(ntable) if k else (size - 1,)
-    seen = set(fresh)
-    yield from fresh
-    for _ in range(k - 1):
-        fresh = {i & v for i in fresh for v in values} - seen
-        if not fresh:
-            return
-        seen |= fresh
-        yield from fresh
+    return dict.fromkeys(ntable) if k else (size - 1,)
 
 
 def en_holds(n, ntable, k):
     """1 iff the k-ary locality-style identity holds for every choice
-    of the k framing sets and the argument set."""
+    of the k framing sets and the argument set; every k >= 1 gives the
+    answer of k = 1 (see _guard_sets)."""
     size = 1 << n
     for inter in _guard_sets(size, ntable, k):
         for x in range(size):

@@ -2,17 +2,25 @@
 
 import itertools
 import random
+import time
+import types
 
 import pytest
 
+from subminimal import frames
 from subminimal.frames import (
+    DEFAULT_MAX_WORLDS,
     LOGICS,
     NFrame,
     NModel,
     Poset,
     SearchTimeout,
+    _class_frames,
+    _class_members,
     _frame_stream,
+    _orbit_least_frames,
     _pair_bit,
+    _poset_classes,
     canonical_poset_key,
     check_nframe,
     countermodel_search,
@@ -230,10 +238,61 @@ def test_countermodel_search_none_for_valid_formula():
 
 
 def test_countermodel_search_timeout():
-    import time
-
     with pytest.raises(SearchTimeout, match="no verdict within the budget"):
         countermodel_search(LOGICS["n"], AXIOM_NEF, 4, deadline=time.time() - 1)
+
+
+def test_search_timeout_says_how_far_it_got(monkeypatch):
+    # a clock that ticks once per deadline check: checks 0..30 pass, so
+    # 31 frames are tried, the 4 one-world and 25 two-world ones first
+    ticks = itertools.count()
+    monkeypatch.setattr(frames, "time", types.SimpleNamespace(time=lambda: next(ticks)))
+    with pytest.raises(
+        SearchTimeout,
+        match=r"^no verdict within the budget: reached 3 worlds after trying 31 class frames$",
+    ):
+        countermodel_search(LOGICS["n"], AXIOM_N, 3, deadline=30)
+
+
+def _uncached_stream(n):
+    for size in range(1, n + 1):
+        for key, _ in _poset_classes(size):
+            yield from _orbit_least_frames(size, key)
+
+
+def test_memoized_class_members_equal_the_uncached_build():
+    uncached = list(_uncached_stream(DEFAULT_MAX_WORLDS))
+    assert list(_frame_stream(DEFAULT_MAX_WORLDS)) == uncached
+    classes = [
+        (size, key) for size in range(1, DEFAULT_MAX_WORLDS + 1) for key, _ in _poset_classes(size)
+    ]
+    for size, key in classes:
+        assert _class_frames(size, key) is _class_frames(size, key)
+    for logic in LOGICS.values():
+        members = [fr for size, key in classes for fr in _class_members(size, key, logic)]
+        assert members == [fr for fr in uncached if frame_class(fr, logic)], logic.name
+
+
+def test_search_on_a_warm_memo_repeats_its_witness():
+    first = countermodel_search(LOGICS["copc"], AXIOM_MPC, 4)
+    again = countermodel_search(LOGICS["copc"], AXIOM_MPC, 4)
+    assert first is not None and again is not None
+    assert (model_to_dict(again[0]), again[1]) == (model_to_dict(first[0]), first[1])
+    with pytest.raises(SearchTimeout, match="no verdict within the budget"):
+        countermodel_search(LOGICS["copc"], AXIOM_MPC, 4, deadline=time.time() - 1)
+
+
+def test_five_world_classes_are_not_memoized(monkeypatch):
+    # a stand-in refutation that hits the first 5-world frame, so the
+    # search reaches 5 worlds without walking all of them
+    def refute_at_five(fr, f, compiled=None):
+        return ({}, 0) if fr.n == 5 else None
+
+    monkeypatch.setattr(frames, "refuting_valuation", refute_at_five)
+    model, _ = countermodel_search(LOGICS["n"], AXIOM_N, 5)
+    assert model.frame.n == 5
+    kept = [*frames._CLASS_FRAMES, *frames._CLASS_MEMBERS]
+    assert kept and all(memo[0] <= DEFAULT_MAX_WORLDS for memo in kept)
 
 
 def _labeled_frames(max_worlds):
@@ -242,10 +301,10 @@ def _labeled_frames(max_worlds):
             yield from enumerate_nframes(p)
 
 
-def _labeled_search(frames, logic, f):
+def _labeled_search(labeled, logic, f):
     """The countermodel search over the given labeled frames in order:
     the reference the isomorph-free stream must agree with."""
-    for fr in frames:
+    for fr in labeled:
         if frame_class(fr, logic):
             hit = refuting_valuation(fr, f)
             if hit is not None:
@@ -271,8 +330,8 @@ def test_isomorph_free_search_keeps_the_labeled_witness():
         (_labeled_frames(4), 4, LOGICS["copc"], AXIOM_MPC),
     ]
     found = 0
-    for frames, bound, logic, f in cases:
-        want = _labeled_search(frames, logic, f)
+    for labeled, bound, logic, f in cases:
+        want = _labeled_search(labeled, logic, f)
         hit = countermodel_search(logic, f, bound)
         assert (None if hit is None else (model_to_dict(hit[0]), hit[1])) == want, (logic.name, f)
         found += want is not None
