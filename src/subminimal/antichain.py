@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from subminimal import kernels
-from subminimal.frames import NFrame, NModel, Poset, eval_formula, ntable_from_upset_map
+from subminimal.frames import NFrame, NModel, Poset, ntable_from_upset_map, truth_sets
 from subminimal.syntax import Imp, Neg, Var
 
 
@@ -201,20 +201,23 @@ def theta_refutation_check(d: DeltaPoset, v: str) -> bool:
     p, q = Var("p"), Var("q")
     if v == "base":
         m = NModel(n_variant(d, "base"), {"p": 1 << d.top})
-        premise_global = eval_formula(m, Imp(p, Neg(p))) == full
-        np_at_root = (eval_formula(m, Neg(p)) >> root) & 1
-        axiom_at_root = (eval_formula(m, Imp(Imp(p, Neg(p)), Neg(p))) >> root) & 1
+        axiom = Imp(Imp(p, Neg(p)), Neg(p))
+        truth = truth_sets(m, (axiom,))
+        premise_global = truth[Imp(p, Neg(p))] == full
+        np_at_root = (truth[Neg(p)] >> root) & 1
+        axiom_at_root = (truth[axiom] >> root) & 1
         return premise_global and not np_at_root and not axiom_at_root
     if v == "nef":
         m = NModel(
             n_variant(d, "nef"),
             {"p": 1 << d.top, "q": full & ~(1 << root)},
         )
-        premise_global = eval_formula(m, Imp(p, q)) == full
-        nq_at_root = (eval_formula(m, Neg(q)) >> root) & 1
-        np_at_root = (eval_formula(m, Neg(p)) >> root) & 1
         axiom = Imp(Imp(p, q), Imp(Neg(q), Neg(p)))
-        axiom_at_root = (eval_formula(m, axiom) >> root) & 1
+        truth = truth_sets(m, (axiom,))
+        premise_global = truth[Imp(p, q)] == full
+        nq_at_root = (truth[Neg(q)] >> root) & 1
+        np_at_root = (truth[Neg(p)] >> root) & 1
+        axiom_at_root = (truth[axiom] >> root) & 1
         return premise_global and bool(nq_at_root) and not np_at_root and not axiom_at_root
     raise ValueError("the refutation pattern is defined for base and nef")
 

@@ -7,6 +7,13 @@ Sigma-truth (b), its negation never exceeds the projected negation (c),
 and reaches every projected negation of a Sigma-set (d). The greatest
 filtration always exists and is computed directly, not searched.
 
+Each construction and check evaluates Sigma once per model, through
+frames.truth_sets. A world's signature is an int whose bit i says
+whether the i-th member of Sigma holds there: worlds agree on Sigma
+exactly when their signatures are equal, and in the greatest order
+class c lies below class d exactly when the signature of c is a subset
+of that of d.
+
 Quotient tables can carry values that are not upsets of the quotient
 order; this happens in small corners and is harmless because every
 Sigma-definable set is a quotient upset and evaluation of Sigma
@@ -32,17 +39,19 @@ from subminimal.frames import (
     eval_formula,
     frame_class,
     ntable_from_upset_map,
+    truth_sets,
 )
 from subminimal.syntax import (
     Formula,
     Logic,
     Neg,
     Top,
+    Var,
+    _children,
     chain_axioms,
     is_instance_of,
     show,
     subformula_closure,
-    variables,
 )
 
 
@@ -59,8 +68,9 @@ def close_sigma(formulas: Iterable[Formula]) -> frozenset[Formula]:
 
 
 def _require_closed(sigma: frozenset[Formula]) -> None:
+    # a set holding the direct subformulas of each member holds all
     for f in sigma:
-        for sub in subformula_closure(f):
+        for sub in _children(f):
             if sub not in sigma:
                 raise ValueError(
                     f"sigma is not subformula-closed: {show(f)} needs {show(sub)}"
@@ -79,30 +89,35 @@ class FiltrationResult:
         return self.quotient.frame.n
 
 
-def _partition(m: NModel, sigma: frozenset[Formula]) -> tuple[tuple[int, ...], list[int], dict[Formula, int]]:
+def _signatures(truth: Mapping[Formula, int], order: Sequence[Formula], n: int) -> list[int]:
+    """Per world, the int whose bit i is set when order[i] holds there."""
+    sig = [0] * n
+    for i, f in enumerate(order):
+        t = truth[f]
+        while t:
+            w = (t & -t).bit_length() - 1
+            t &= t - 1
+            sig[w] |= 1 << i
+    return sig
+
+
+def _partition(
+    m: NModel, sigma: frozenset[Formula]
+) -> tuple[tuple[int, ...], list[int], list[int], dict[Formula, int]]:
     """Project worlds to class indices by Sigma-agreement.
 
-    Returns (pi, class masks, source truth sets). Classes are numbered
-    by their least member so the construction is reproducible.
+    Returns (pi, class masks, class signatures, source truth sets).
+    Classes are numbered by their least member so the construction is
+    reproducible.
     """
-    truth = {f: eval_formula(m, f) for f in sigma}
-    n = m.frame.n
-    sigs: dict[tuple[int, ...], int] = {}
-    order = sorted(sigma, key=show)
-    members: list[int] = []
-    pi = [0] * n
-    for w in range(n):
-        sig = tuple((truth[f] >> w) & 1 for f in order)
-        if sig not in sigs:
-            sigs[sig] = len(members)
-            members.append(0)
-        pi[w] = sigs[sig]
-        members[pi[w]] |= 1 << w
-    ranked = sorted(range(len(members)), key=lambda c: members[c] & -members[c])
-    rank = {c: i for i, c in enumerate(ranked)}
-    pi = [rank[c] for c in pi]
-    members = [members[c] for c in ranked]
-    return tuple(pi), members, truth
+    truth = truth_sets(m, sigma)
+    sig = _signatures(truth, tuple(sigma), m.frame.n)
+    # worlds run upwards, so classes enter in the order of their least member
+    classes: dict[int, int] = {}
+    for w, s in enumerate(sig):
+        classes[s] = classes.get(s, 0) | 1 << w
+    index = {s: c for c, s in enumerate(classes)}
+    return tuple(index[s] for s in sig), list(classes.values()), list(classes), truth
 
 
 def _members(pi: Sequence[int], k: int) -> list[int]:
@@ -129,28 +144,21 @@ def greatest_filtration(m: NModel, sigma: Iterable[Formula]) -> FiltrationResult
     negation of its preimage. The valuation keeps exactly the
     variables occurring in Sigma.
     """
-    sigma = frozenset(sigma)
+    return _greatest(m, frozenset(sigma))[0]
+
+
+def _greatest(m: NModel, sigma: frozenset[Formula]) -> tuple[FiltrationResult, dict[Formula, int]]:
+    """The greatest filtration and the source truth sets of Sigma."""
     _require_closed(sigma)
-    pi, members, truth = _partition(m, sigma)
+    pi, members, sigs, truth = _partition(m, sigma)
     k = len(members)
-    reps = [(cm & -cm).bit_length() - 1 for cm in members]
-    up = [1 << c for c in range(k)]
-    for c in range(k):
-        for d in range(k):
-            if c == d:
-                continue
-            w, v = reps[c], reps[d]
-            if all((truth[f] >> w) & 1 <= (truth[f] >> v) & 1 for f in sigma):
-                up[c] |= 1 << d
+    up = [sum(1 << d for d in range(k) if sigs[c] & ~sigs[d] == 0) for c in range(k)]
     qposet = Poset(k, up)
-    table: dict[int, int] = {}
-    for x in qposet.upsets():
-        pre = _preimage(x, members)
-        table[x] = _push_mask(m.frame.neg(pre), pi)
+    table = {x: _push_mask(m.frame.neg(_preimage(x, members)), pi) for x in qposet.upsets()}
     qframe = NFrame(qposet, ntable_from_upset_map(qposet, table))
-    names = {v for f in sigma for v in variables(f)}
-    qval = {name: _push_mask(m.valuation[name], pi) for name in sorted(names)}
-    return FiltrationResult(NModel(qframe, qval), pi, sigma)
+    names = sorted(f.name for f in sigma if isinstance(f, Var))
+    qval = {name: _push_mask(m.valuation[name], pi) for name in names}
+    return FiltrationResult(NModel(qframe, qval), pi, sigma), truth
 
 
 def check_conditions(m: NModel, r: FiltrationResult) -> tuple[str, tuple] | None:
@@ -166,7 +174,10 @@ def check_conditions(m: NModel, r: FiltrationResult) -> tuple[str, tuple] | None
     pi = r.pi
     n = m.frame.n
     members = _members(pi, r.classes())
-    truth = {f: eval_formula(m, f) for f in sigma}
+    truth = truth_sets(m, sigma)
+    # the (b) witness is the first formula in Sigma's iteration order
+    order = tuple(sigma)
+    sig = _signatures(truth, order, n)
     qposet = r.quotient.frame.poset
     for w in range(n):
         rest = m.frame.poset.up[w]
@@ -179,17 +190,15 @@ def check_conditions(m: NModel, r: FiltrationResult) -> tuple[str, tuple] | None
         for v in range(n):
             if not qposet.le(pi[w], pi[v]):
                 continue
-            for f in sigma:
-                if (truth[f] >> w) & 1 and not (truth[f] >> v) & 1:
-                    return ("b", (w, v, f))
+            lost = sig[w] & ~sig[v]
+            if lost:
+                return ("b", (w, v, order[(lost & -lost).bit_length() - 1]))
     for x in qposet.upsets():
         bound = _push_mask(m.frame.neg(_preimage(x, members)), pi)
         extra = r.quotient.frame.ntable[x] & ~bound
         if extra:
             return ("c", (x, (extra & -extra).bit_length() - 1))
-    for f in sorted(sigma, key=show):
-        if not isinstance(f, Neg):
-            continue
+    for f in sorted((f for f in sigma if isinstance(f, Neg)), key=show):
         value = truth[f.sub]
         target = r.quotient.frame.ntable[_push_mask(value, pi)]
         source = m.frame.neg(value)
@@ -206,14 +215,29 @@ def filtration_theorem_check(m: NModel, r: FiltrationResult) -> tuple[Formula, i
     """Pointwise truth agreement between model and quotient over Sigma.
 
     Expects r to satisfy check_conditions; returns None on agreement,
-    else the first (formula, world) where membership differs.
+    else the first (formula, world) where membership differs, formulas
+    in show order.
     """
-    for f in sorted(r.sigma, key=show):
-        source = eval_formula(m, f)
-        target = eval_formula(r.quotient, f)
-        for w in range(m.frame.n):
-            if (source >> w) & 1 != (target >> r.pi[w]) & 1:
-                return (f, w)
+    members = _members(r.pi, r.classes())
+    try:
+        source = truth_sets(m, r.sigma)
+        target = truth_sets(r.quotient, r.sigma)
+    except ValueError:
+        # some formula cannot be evaluated, which check_conditions rules
+        # out; whether its error or an earlier disagreement comes first
+        # depends on the show order, so go one formula at a time
+        source = target = None
+    if target is None:
+        suspects = r.sigma
+    else:
+        suspects = [f for f in r.sigma if source[f] != _preimage(target[f], members)]
+    for f in sorted(suspects, key=show):
+        if target is None:
+            diff = eval_formula(m, f) ^ _preimage(eval_formula(r.quotient, f), members)
+        else:
+            diff = source[f] ^ _preimage(target[f], members)
+        if diff:
+            return (f, (diff & -diff).bit_length() - 1)
     return None
 
 
@@ -262,8 +286,7 @@ def enumerate_filtrations(m: NModel, sigma: Iterable[Formula]) -> list[Filtratio
     handful of worlds.
     """
     sigma = frozenset(sigma)
-    _require_closed(sigma)
-    g = greatest_filtration(m, sigma)
+    g, truth = _greatest(m, sigma)
     pi = g.pi
     k = g.classes()
     members = _members(pi, k)
@@ -272,9 +295,7 @@ def enumerate_filtrations(m: NModel, sigma: Iterable[Formula]) -> list[Filtratio
         floor[pi[w]] |= _push_mask(m.frame.poset.up[w], pi)
     ceil = g.quotient.frame.poset.up
     gap = [(c, d) for c in range(k) for d in range(k) if not (floor[c] >> d) & 1 and (ceil[c] >> d) & 1]
-    forced = {
-        _push_mask(eval_formula(m, f.sub), pi) for f in sigma if isinstance(f, Neg)
-    }
+    forced = {_push_mask(truth[f.sub], pi) for f in sigma if isinstance(f, Neg)}
     out: list[FiltrationResult] = []
     for pick in range(1 << len(gap)):
         up = list(floor)

@@ -34,16 +34,21 @@ import functools
 import itertools
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 from subminimal import kernels
 from subminimal.syntax import (
     AXIOM_MPC,
+    And,
     Formula,
+    Imp,
     Logic,
     LOGICS,
+    Neg,
+    Or,
+    Top,
+    Var,
     compile_prop,
-    show,
     variables,
 )
 
@@ -310,20 +315,100 @@ class NModel:
         return self.valuation[name]
 
 
+class _Unevaluable(Exception):
+    """A node the truth walk cannot evaluate; _truth_error names why."""
+
+
+def truth_sets(m: NModel, formulas: Collection[Formula]) -> dict[Formula, int]:
+    """Truth sets, as masks, of the formulas and of all their
+    subformulas, keyed by formula.
+
+    One bottom-up walk evaluates each subformula once, with the frame's
+    tables read directly. When some formula cannot be evaluated, the
+    error is decided over all the formulas, in this order: the least
+    variable the model does not value; else the compile_prop error of
+    the first formula holding a modal node; else an undefined negation
+    entry. For one formula these are the errors of compiling it and
+    running the kernel.
+    """
+    values, nodes = _truth_walk(m, formulas)
+    return {f: values[id(f)] for f in nodes}
+
+
 def eval_formula(m: NModel, f: Formula) -> int:
-    """Truth set of a propositional formula in the model, as a mask."""
-    names = variables(f)
-    missing = [x for x in names if x not in m.valuation]
+    """Truth set of a propositional formula in the model, as a mask.
+
+    The truth_sets walk read at the root, with its errors; it keys
+    nodes by identity, so a formula evaluated once is never hashed.
+    """
+    return _truth_walk(m, (f,))[0][id(f)]
+
+
+def _truth_walk(m: NModel, formulas: Collection[Formula]) -> tuple[dict[int, int], list[Formula]]:
+    """The truth set of every node under the formulas, keyed by id, and
+    the nodes in the order they were evaluated. A shared node object is
+    evaluated once; equal nodes that are distinct objects are evaluated
+    apart, which costs less than hashing every node of a fresh tree."""
+    n = m.frame.n
+    full = (1 << n) - 1
+    up = m.frame.poset.up
+    ntable = m.frame.ntable
+    valuation = m.valuation
+    values: dict[int, int] = {}
+    nodes: list[Formula] = []
+
+    def value(f: Formula) -> int:
+        v = values.get(id(f))
+        if v is not None:
+            return v
+        kind = f.__class__
+        if kind is Var:
+            v = valuation.get(f.name)
+            if v is None:
+                raise _Unevaluable
+        elif kind is Imp:
+            gap = value(f.left) & ~value(f.right)
+            v = full
+            if gap:
+                for w in range(n):
+                    if up[w] & gap:
+                        v ^= 1 << w
+        elif kind is Neg:
+            v = ntable[value(f.sub)]
+            if v < 0:
+                raise _Unevaluable
+        elif kind is And:
+            v = value(f.left) & value(f.right)
+        elif kind is Or:
+            v = value(f.left) | value(f.right)
+        elif kind is Top:
+            v = full
+        else:
+            raise _Unevaluable
+        values[id(f)] = v
+        nodes.append(f)
+        return v
+
+    try:
+        for f in formulas:
+            value(f)
+    except _Unevaluable:
+        raise _truth_error(m, formulas) from None
+    return values, nodes
+
+
+def _truth_error(m: NModel, formulas: Collection[Formula]) -> Exception:
+    """The error of a truth walk that met an unevaluable node."""
+    names = {x for f in formulas for x in variables(f)}
+    missing = sorted(names - m.valuation.keys())
     if missing:
-        raise ValueError(f"model does not value variable {missing[0]}")
-    code = compile_prop(f, names)
-    val = [m.valuation[x] for x in names]
-    out = kernels.eval_prop(code, m.frame.n, list(m.frame.poset.up), list(m.frame.ntable), val)
-    if out == -1:
-        raise ValueError("evaluation hit an undefined negation entry")
-    if out == -2:
-        raise ValueError(f"not a propositional formula: {show(f)}")
-    return out
+        return ValueError(f"model does not value variable {missing[0]}")
+    for f in formulas:
+        try:
+            compile_prop(f, sorted(names))
+        except (TypeError, ValueError) as exc:
+            return exc
+    return ValueError("evaluation hit an undefined negation entry")
 
 
 def _valuation_from_index(idx: int, names: Sequence[str], upsets: Sequence[int]) -> dict[str, int]:

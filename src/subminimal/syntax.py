@@ -10,6 +10,15 @@ Operator precedence, loosest first: <-> (desugared while parsing),
 emits the minimal parenthesisation, so parse(show(f)) == f for every
 formula, while show(parse(s)) == s only for inputs that already use
 minimal parentheses and no <->.
+
+Nodes are frozen dataclasses that hash once: the first hash of a node
+computes the dataclass value, the hash of the tuple of its fields, and
+keeps it in a slot, so sets and dicts of formulas iterate in the same
+order as with the plain dataclass hash. The slot is filled lazily, so
+building a node costs what it did before and a node never hashed
+never pays. The slot is not a field: it
+stays out of ==, repr, copies and pickles, and a node loaded under
+another hash seed hashes afresh.
 """
 
 from __future__ import annotations
@@ -40,59 +49,79 @@ class ParseError(ValueError):
         self.position = position
 
 
-class Formula:
-    """Base class for all formula nodes."""
+# bypasses the frozen dataclass __setattr__ to fill the hash slot
+_setattr = object.__setattr__
 
-    __slots__ = ()
+
+class Formula:
+    """Base class for all formula nodes; holds the hash slot."""
+
+    __slots__ = ("_hash",)
+
+    def __hash__(self) -> int:
+        h = getattr(self, "_hash", None)
+        if h is None:
+            h = self._field_hash()
+            _setattr(self, "_hash", h)
+        return h
 
     def __str__(self) -> str:
         return show(self)
 
 
-@dataclass(frozen=True, slots=True)
+def _node(cls):
+    """A frozen slotted dataclass whose generated hash runs once per
+    node, behind Formula's cache."""
+    cls = dataclass(frozen=True, slots=True)(cls)
+    cls._field_hash = cls.__hash__
+    cls.__hash__ = Formula.__hash__
+    return cls
+
+
+@_node
 class Var(Formula):
     name: str
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Top(Formula):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Bot(Formula):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Imp(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Neg(Formula):
     sub: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Box(Formula):
     sub: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class BBox(Formula):
     sub: Formula
 

@@ -1,4 +1,5 @@
-"""Shared helpers: fixture loading and the proof-mutation generator."""
+"""Shared helpers: fixture loading, outcomes for differential tests and
+the proof-mutation generator."""
 
 import copy
 import json
@@ -9,6 +10,14 @@ DATA = pathlib.Path(__file__).parent / "data"
 
 def load_fixture(name: str):
     return json.loads((DATA / name).read_text())
+
+
+def outcome(fn, *args):
+    """The value of fn(*args), or the type and text of the error it raises."""
+    try:
+        return ("ok", fn(*args))
+    except (TypeError, ValueError) as exc:
+        return (type(exc).__name__, str(exc))
 
 
 def _mutate(items, i, **fields):

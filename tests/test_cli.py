@@ -7,6 +7,8 @@ exit code; one subprocess smoke test proves the module entry point.
 import copy
 import io
 import json
+import os
+import pathlib
 import subprocess
 import sys
 from contextlib import redirect_stdout
@@ -16,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import subminimal
 from subminimal.algebra import (
     algebra_from_dict,
     algebra_to_dict,
@@ -25,6 +28,7 @@ from subminimal.algebra import (
 from subminimal.cli import main
 from subminimal.frames import NFrame, Poset, ntable_from_upset_map
 
+SRC = str(pathlib.Path(subminimal.__file__).resolve().parents[1])
 CHAIN = Poset.from_pairs(2, [(0, 1)])
 SEPARATING = NFrame(CHAIN, ntable_from_upset_map(CHAIN, {0: 2, 2: 3, 3: 2}))
 SEPARATING_JSON = {
@@ -662,3 +666,17 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["translation"] == "[n][]p"
+
+
+def test_filtrate_missing_variable_error_is_the_same_under_every_hash_seed(tmp_path):
+    model = write(tmp_path, "m.json", {"worlds": 1, "N": {"0": 0, "1": 1}, "valuation": {"p": 1}})
+    argv = [sys.executable, "-m", "subminimal.cli", "filtrate", "--model", model, "--sigma", "q & r"]
+    results = set()
+    for seed in range(8):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=SRC)
+        proc = subprocess.run(argv, capture_output=True, text=True, env=env)
+        results.add((proc.returncode, proc.stdout))
+    assert len(results) == 1
+    code, out = results.pop()
+    assert code == 2
+    assert json.loads(out) == {"status": "error", "error": "model does not value variable q"}

@@ -4,6 +4,8 @@ import random
 
 import pytest
 
+import filtration_reference as ref
+from conftest import outcome
 from subminimal.filtration import (
     FiltrationResult,
     ResourceLimitError,
@@ -22,10 +24,13 @@ from subminimal.frames import (
     NFrame,
     NModel,
     Poset,
+    enumerate_ntables,
+    enumerate_posets,
     model_from_dict,
     nframe_isomorphic,
     ntable_from_upset_map,
     random_nframe,
+    truth_sets,
 )
 from subminimal.syntax import (
     AXIOM_COPC,
@@ -146,8 +151,6 @@ def test_enumerate_filtrations_matches_brute_force():
         k = g.quotient.frame.poset.n
         # brute force over every order on the classes and every upset
         # table: a pair is a filtration exactly when the checker says so
-        from subminimal.frames import enumerate_ntables, enumerate_posets
-
         for qposet in enumerate_posets(k):
             for table in enumerate_ntables(qposet):
                 try:
@@ -234,3 +237,102 @@ def test_decide_timeout():
     flipped = substitute(AXIOM_COPC, {"p": parse("q"), "q": parse("p")})
     with pytest.raises(SearchTimeout):
         decide(LOGICS["nef"], And(AXIOM_COPC, flipped), timeout_ms=0)
+
+
+# ---------------------------------------------------------------------------
+# differential against the formula-by-formula layer in filtration_reference
+
+
+def _key(r):
+    q = r.quotient
+    return (r.pi, q.frame.poset.up, q.frame.ntable, tuple(q.valuation.items()), r.sigma)
+
+
+def _same_checks(m, r):
+    """Both checks agree with the reference; returns the theorem check."""
+    assert outcome(check_conditions, m, r) == outcome(ref.check_conditions, m, r)
+    theorem = outcome(filtration_theorem_check, m, r)
+    assert theorem == outcome(ref.filtration_theorem_check, m, r)
+    return theorem
+
+
+def test_differential_on_random_models():
+    rng = random.Random(43)
+    enumerated = 0
+    for _ in range(600):
+        m = random_model(rng)
+        sigma = close_sigma([random_formula(rng, ("p", "q"), 3)])
+        g = greatest_filtration(m, sigma)
+        assert _key(g) == _key(ref.greatest_filtration(m, sigma))
+        assert _same_checks(m, g) == ("ok", None)
+        if g.classes() <= 2:
+            enumerated += 1
+            every = [_key(r) for r in enumerate_filtrations(m, sigma)]
+            assert every == [_key(r) for r in ref.enumerate_filtrations(m, sigma)]
+    assert enumerated >= 200
+
+
+BRUTE_SIGMAS = ["~p", "~~p & ~p", "~(p -> ~p) | ~~p", "~T & ~p"]
+
+
+@pytest.mark.parametrize("text", BRUTE_SIGMAS)
+def test_differential_witnesses_on_brute_force_candidates(text):
+    rng = random.Random(44)
+    sigma = close_sigma([parse(text)])
+    kinds = set()
+    for _ in range(12):
+        m = random_model(rng, max_worlds=3, names=("p",))
+        g = greatest_filtration(m, sigma)
+        for qposet in enumerate_posets(g.classes()):
+            for table in enumerate_ntables(qposet):
+                try:
+                    cand = FiltrationResult(
+                        NModel(NFrame(qposet, table), g.quotient.valuation), g.pi, sigma
+                    )
+                except ValueError:
+                    continue
+                hit = check_conditions(m, cand)
+                kinds.add(None if hit is None else hit[0])
+                _same_checks(m, cand)
+    assert {None, "b", "d"} <= kinds
+
+
+def _corrupted(rng, g):
+    """g with one negation entry or one valuation entry changed."""
+    q = g.quotient
+    qposet = q.frame.poset
+    upsets = qposet.upsets()
+    if q.valuation and rng.random() < 0.3:
+        name = rng.choice(sorted(q.valuation))
+        valuation = dict(q.valuation)
+        valuation[name] = rng.choice([u for u in upsets if u != valuation[name]] or upsets)
+        return FiltrationResult(NModel(q.frame, valuation), g.pi, g.sigma)
+    x = rng.choice(upsets)
+    table = list(q.frame.ntable)
+    table[x] = rng.choice([v for v in range(1 << qposet.n) if v != table[x]] or [table[x]])
+    return FiltrationResult(NModel(NFrame(qposet, tuple(table)), q.valuation), g.pi, g.sigma)
+
+
+def test_differential_witnesses_on_corrupted_quotients():
+    rng = random.Random(45)
+    errors = fails = 0
+    # quotients where some formula meets an undefined entry, yet the check
+    # returns an earlier disagreement in show order
+    fails_before_error = 0
+    for _ in range(1500):
+        m = random_model(rng, max_worlds=4)
+        sigma = close_sigma([random_formula(rng, ("p", "q"), 3)])
+        g = greatest_filtration(m, sigma)
+        if g.classes() < 2:
+            continue
+        bad = _corrupted(rng, g)
+        kind, value = _same_checks(m, bad)
+        if kind != "ok":
+            errors += 1
+        elif value is not None:
+            fails += 1
+            if outcome(truth_sets, bad.quotient, sigma)[0] != "ok":
+                fails_before_error += 1
+    assert fails >= 200
+    assert errors >= 1
+    assert fails_before_error >= 3

@@ -7,6 +7,8 @@ import types
 
 import pytest
 
+from conftest import outcome
+from filtration_reference import eval_formula as reference_eval
 from subminimal import frames
 from subminimal.frames import (
     DEFAULT_MAX_WORLDS,
@@ -47,14 +49,17 @@ from subminimal.frames import (
     random_poset,
     refuting_valuation,
     to_neighbourhood,
+    truth_sets,
 )
 from subminimal.syntax import (
     AXIOM_COPC,
     AXIOM_MPC,
     AXIOM_N,
     AXIOM_NEF,
+    Neg,
     parse,
     random_formula,
+    subformula_closure,
 )
 
 CHAIN2 = Poset(2, (3, 2))
@@ -173,6 +178,59 @@ def test_eval_formula_hand_values():
     assert eval_formula(m, parse("~q")) == 2
     assert eval_formula(m, parse("p -> q")) == 0
     assert eval_formula(m, parse("T")) == 3
+
+
+def _holey_model(rng):
+    # table values at upsets are redrawn as any subset now and then, so
+    # a negation of a negation can meet a -1 hole; some variables go unvalued
+    fr = random_nframe(rng, rng.randint(1, 4))
+    p = fr.poset
+    if rng.random() < 0.5:
+        table = list(fr.ntable)
+        for u in p.upsets():
+            if rng.random() < 0.6:
+                table[u] = rng.randrange(1 << p.n)
+        fr = NFrame(p, tuple(table))
+    ups = p.upsets()
+    return NModel(fr, {x: rng.choice(ups) for x in ("p", "q", "r") if rng.random() < 0.85})
+
+
+def test_truth_sets_match_the_compiled_kernel():
+    rng = random.Random(31)
+    seen = {"ok": 0, "hole": 0, "missing": 0, "modal": 0}
+    for _ in range(3000):
+        m = _holey_model(rng)
+        language = "modal" if rng.random() < 0.1 else "prop"
+        f = random_formula(rng, ("p", "q", "r"), rng.randint(0, 4), language)
+        if language == "prop" and rng.random() < 0.5:
+            # a negation of a redrawn value meets a hole when that value is no upset
+            f = Neg(Neg(f))
+        want = outcome(reference_eval, m, f)
+        assert outcome(eval_formula, m, f) == want
+        if want[0] == "ok":
+            seen["ok"] += 1
+            truth = truth_sets(m, (f,))
+            assert truth.keys() == subformula_closure(f)
+            for g, value in truth.items():
+                assert value == reference_eval(m, g)
+        elif "undefined negation" in want[1]:
+            seen["hole"] += 1
+        elif "does not value" in want[1]:
+            seen["missing"] += 1
+        else:
+            seen["modal"] += 1
+    assert min(seen.values()) >= 50, seen
+
+
+def test_truth_sets_error_is_the_least_over_all_formulas():
+    m = NModel(SEPARATING, {"p": 2})
+    with pytest.raises(ValueError, match="does not value variable q$"):
+        truth_sets(m, [parse("r & ~s"), parse("p -> q")])
+    # an unvalued variable comes before a modal node anywhere
+    with pytest.raises(ValueError, match="does not value variable q$"):
+        truth_sets(m, [parse("[]p", "modal"), parse("q")])
+    with pytest.raises(ValueError, match="^box in a propositional compilation$"):
+        truth_sets(m, [parse("p"), parse("[]p", "modal"), parse("[n]p", "modal")])
 
 
 def test_separating_frame_classes():

@@ -1,9 +1,15 @@
 """Parser, printer, and formula utilities."""
 
+import copy
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
+import subminimal
 from subminimal.syntax import (
     AXIOM_COPC,
     AXIOM_MPC,
@@ -176,3 +182,62 @@ def test_random_formula_modal_round_trip():
 def test_round_trip_is_identity_on_hand_formulas():
     for axiom in (AXIOM_N, AXIOM_NEF, AXIOM_COPC, AXIOM_MPC):
         assert parse(show(axiom)) == axiom
+
+
+# ---------------------------------------------------------------------------
+# the cached hash
+
+
+def test_hash_is_the_dataclass_value_on_every_node():
+    rng = random.Random(2)
+    for i in range(2000):
+        f = random_formula(rng, ("p", "q", "r"), 4, "modal" if i % 2 else "prop")
+        for g in subformula_closure(f):
+            assert hash(g) == hash(tuple(getattr(g, a) for a in g.__match_args__))
+
+
+def test_hash_cache_stays_out_of_eq_repr_and_copies():
+    text = "~(p & q) -> T | r"
+    hashed, fresh = parse(text), parse(text)
+    hash(hashed)
+    assert hashed == fresh and fresh == hashed
+    assert repr(hashed) == repr(fresh)
+    assert repr(hashed) == (
+        "Imp(left=Neg(sub=And(left=Var(name='p'), right=Var(name='q'))), "
+        "right=Or(left=Top(), right=Var(name='r')))"
+    )
+    for clone in (copy.copy(hashed), copy.deepcopy(hashed), copy.deepcopy(fresh)):
+        assert clone == hashed
+        assert clone in {fresh}
+        assert hash(clone) == hash(hashed)
+
+
+def _python(code: str, seed: int, stdin: bytes = b"") -> bytes:
+    src = str(pathlib.Path(subminimal.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], input=stdin, capture_output=True, env=env, check=True
+    )
+    return proc.stdout
+
+
+def test_pickled_formula_hashes_afresh_under_another_seed():
+    text = "~(p & q) -> ~r | p"
+    dumped = _python(
+        "import pickle, sys\n"
+        "from subminimal.syntax import parse, subformula_closure\n"
+        f"f = parse({text!r})\n"
+        "subformula_closure(f)\n"
+        "sys.stdout.buffer.write(pickle.dumps(f))\n",
+        seed=1,
+    )
+    found = _python(
+        "import pickle, sys\n"
+        "from subminimal.syntax import parse, subformula_closure\n"
+        "g = pickle.loads(sys.stdin.buffer.read())\n"
+        f"f = parse({text!r})\n"
+        "print(g == f, g in {f}, subformula_closure(g) == subformula_closure(f))\n",
+        seed=2,
+        stdin=dumped,
+    )
+    assert found.split() == [b"True"] * 3
