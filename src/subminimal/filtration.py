@@ -7,12 +7,14 @@ Sigma-truth (b), its negation never exceeds the projected negation (c),
 and reaches every projected negation of a Sigma-set (d). The greatest
 filtration always exists and is computed directly, not searched.
 
-Each construction and check evaluates Sigma once per model, through
-frames.truth_sets. A world's signature is an int whose bit i says
-whether the i-th member of Sigma holds there: worlds agree on Sigma
-exactly when their signatures are equal, and in the greatest order
-class c lies below class d exactly when the signature of c is a subset
-of that of d.
+Each construction and check evaluates Sigma once per model, each
+shared subformula once: through frames.truth_sets, or, in the theorem
+check, which goes formula by formula, through one
+frames.formula_evaluator per model. A world's signature is an int
+whose bit i says whether the i-th member of Sigma holds there: worlds
+agree on Sigma exactly when their signatures are equal, and in the
+greatest order class c lies below class d exactly when the signature
+of c is a subset of that of d.
 
 Quotient tables can carry values that are not upsets of the quotient
 order; this happens in small corners and is harmless because every
@@ -36,7 +38,7 @@ from subminimal.frames import (
     _push_mask,
     _transitive,
     countermodel_search,
-    eval_formula,
+    formula_evaluator,
     frame_class,
     ntable_from_upset_map,
     truth_sets,
@@ -216,29 +218,27 @@ def filtration_theorem_check(m: NModel, r: FiltrationResult) -> tuple[Formula, i
 
     Expects r to satisfy check_conditions; returns None on agreement,
     else the first (formula, world) where membership differs, formulas
-    in show order.
+    in show order. A formula the model or the quotient cannot evaluate
+    raises eval_formula's error when its turn comes in that order.
     """
     members = _members(r.pi, r.classes())
-    try:
-        source = truth_sets(m, r.sigma)
-        target = truth_sets(r.quotient, r.sigma)
-    except ValueError:
-        # some formula cannot be evaluated, which check_conditions rules
-        # out; whether its error or an earlier disagreement comes first
-        # depends on the show order, so go one formula at a time
-        source = target = None
-    if target is None:
-        suspects = r.sigma
-    else:
-        suspects = [f for f in r.sigma if source[f] != _preimage(target[f], members)]
-    for f in sorted(suspects, key=show):
-        if target is None:
-            diff = eval_formula(m, f) ^ _preimage(eval_formula(r.quotient, f), members)
-        else:
-            diff = source[f] ^ _preimage(target[f], members)
+    source, target = formula_evaluator(m), formula_evaluator(r.quotient)
+    # collecting every failure first spares the show order when none occurs
+    failures: dict[Formula, tuple[Formula, int] | ValueError] = {}
+    for f in r.sigma:
+        try:
+            diff = source(f) ^ _preimage(target(f), members)
+        except ValueError as exc:
+            failures[f] = exc
+            continue
         if diff:
-            return (f, (diff & -diff).bit_length() - 1)
-    return None
+            failures[f] = (f, (diff & -diff).bit_length() - 1)
+    if not failures:
+        return None
+    first = failures[min(failures, key=show)]
+    if isinstance(first, ValueError):
+        raise first
+    return first
 
 
 def greatest_among(m: NModel, sigma: Iterable[Formula], other: FiltrationResult) -> bool:

@@ -331,8 +331,28 @@ def truth_sets(m: NModel, formulas: Collection[Formula]) -> dict[Formula, int]:
     entry. For one formula these are the errors of compiling it and
     running the kernel.
     """
-    values, nodes = _truth_walk(m, formulas)
-    return {f: values[id(f)] for f in nodes}
+    value, memo = _truth_walker(m)
+    try:
+        for f in formulas:
+            value(f)
+    except _Unevaluable:
+        raise _truth_error(m, formulas) from None
+    return {f: v for f, v in memo.values()}
+
+
+def formula_evaluator(m: NModel) -> Callable[[Formula], int]:
+    """eval_formula on one model, with a memory: every subformula it
+    evaluates is kept, so a node shared by several formulas is
+    evaluated once over all the calls."""
+    value, _ = _truth_walker(m)
+
+    def evaluate(f: Formula) -> int:
+        try:
+            return value(f)
+        except _Unevaluable:
+            raise _truth_error(m, (f,)) from None
+
+    return evaluate
 
 
 def eval_formula(m: NModel, f: Formula) -> int:
@@ -341,26 +361,28 @@ def eval_formula(m: NModel, f: Formula) -> int:
     The truth_sets walk read at the root, with its errors; it keys
     nodes by identity, so a formula evaluated once is never hashed.
     """
-    return _truth_walk(m, (f,))[0][id(f)]
+    return formula_evaluator(m)(f)
 
 
-def _truth_walk(m: NModel, formulas: Collection[Formula]) -> tuple[dict[int, int], list[Formula]]:
-    """The truth set of every node under the formulas, keyed by id, and
-    the nodes in the order they were evaluated. A shared node object is
-    evaluated once; equal nodes that are distinct objects are evaluated
-    apart, which costs less than hashing every node of a fresh tree."""
+def _truth_walker(m: NModel) -> tuple[Callable[[Formula], int], dict[int, tuple[Formula, int]]]:
+    """A function giving the truth set of a node, raising _Unevaluable
+    where the model cannot evaluate it, and its memory: each node it
+    evaluated with its value, keyed by id, in evaluation order. The
+    memory holds the nodes, so their ids stay theirs while it lives. A
+    shared node object is evaluated once; equal nodes that are distinct
+    objects are evaluated apart, which costs less than hashing every
+    node of a fresh tree."""
     n = m.frame.n
     full = (1 << n) - 1
     up = m.frame.poset.up
     ntable = m.frame.ntable
     valuation = m.valuation
-    values: dict[int, int] = {}
-    nodes: list[Formula] = []
+    memo: dict[int, tuple[Formula, int]] = {}
 
     def value(f: Formula) -> int:
-        v = values.get(id(f))
-        if v is not None:
-            return v
+        hit = memo.get(id(f))
+        if hit is not None:
+            return hit[1]
         kind = f.__class__
         if kind is Var:
             v = valuation.get(f.name)
@@ -385,16 +407,10 @@ def _truth_walk(m: NModel, formulas: Collection[Formula]) -> tuple[dict[int, int
             v = full
         else:
             raise _Unevaluable
-        values[id(f)] = v
-        nodes.append(f)
+        memo[id(f)] = (f, v)
         return v
 
-    try:
-        for f in formulas:
-            value(f)
-    except _Unevaluable:
-        raise _truth_error(m, formulas) from None
-    return values, nodes
+    return value, memo
 
 
 def _truth_error(m: NModel, formulas: Collection[Formula]) -> Exception:

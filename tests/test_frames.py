@@ -32,6 +32,7 @@ from subminimal.frames import (
     enumerate_posets_unlabeled,
     enumerate_upsets,
     eval_formula,
+    formula_evaluator,
     frame_class,
     frame_from_dict,
     frame_to_dict,
@@ -59,6 +60,7 @@ from subminimal.syntax import (
     Neg,
     parse,
     random_formula,
+    show,
     subformula_closure,
 )
 
@@ -231,6 +233,18 @@ def test_truth_sets_error_is_the_least_over_all_formulas():
         truth_sets(m, [parse("[]p", "modal"), parse("q")])
     with pytest.raises(ValueError, match="^box in a propositional compilation$"):
         truth_sets(m, [parse("p"), parse("[]p", "modal"), parse("[n]p", "modal")])
+
+
+def test_formula_evaluator_matches_eval_formula_over_many_calls():
+    # each formula is a temporary: were the memory to drop it, a later
+    # formula could take its id and read its value
+    rng = random.Random(37)
+    for _ in range(100):
+        m = _holey_model(rng)
+        evaluate = formula_evaluator(m)
+        for _ in range(30):
+            text = show(random_formula(rng, ("p", "q", "r"), rng.randint(0, 3)))
+            assert outcome(evaluate, parse(text)) == outcome(eval_formula, m, parse(text))
 
 
 def test_separating_frame_classes():
