@@ -65,7 +65,7 @@ def _workloads():
     yield ("order onto, delta2 <- delta3", lambda k: k.search_order_onto(*args), 3)
 
     d1 = build_delta(1).poset
-    pargs = (d1.n, list(d1.up), list(d1.down), d1.n, list(d1.up), list(d1.down))
+    pargs = (d1.n, list(d1.up), d1.n, list(d1.up))
     yield (
         "positive morphism, delta1 <- delta1",
         lambda k: k.search_positive_morphism(*pargs),

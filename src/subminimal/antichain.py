@@ -98,9 +98,7 @@ def positive_morphism(target: Poset, source: Poset) -> dict[int, int] | None:
     sits above an image, a preimage above the mapped world exists
     inside the domain. Returns the witness found first in domain-mask
     then assignment order, or None."""
-    found = kernels.search_positive_morphism(
-        target.n, target.up, target.down, source.n, source.up, source.down
-    )
+    found = kernels.search_positive_morphism(target.n, target.up, source.n, source.up)
     if found is None:
         return None
     dom, flat = found

@@ -505,7 +505,7 @@ def search_order_onto(nt, t_up, t_down, ns, s_up, s_down):
     return None
 
 
-def search_positive_morphism(nt, t_up, t_down, ns, s_up, s_down):
+def search_positive_morphism(nt, t_up, ns, s_up):
     """First positive morphism source -> target, else None.
 
     Returns (domain mask, map list with -1 outside the domain) for the

@@ -1,5 +1,6 @@
 """Posets, N-frames, validity, enumeration, and the frame classes."""
 
+import hashlib
 import itertools
 import random
 import time
@@ -23,6 +24,7 @@ from subminimal.frames import (
     _orbit_least_frames,
     _pair_bit,
     _poset_classes,
+    _relabeled_masks,
     canonical_poset_key,
     check_nframe,
     countermodel_search,
@@ -150,6 +152,14 @@ def test_unlabeled_enumeration_counts():
         (15, 10, 4, 8), (13, 14, 4, 8), (15, 14, 4, 8), (9, 10, 12, 8),
         (13, 10, 12, 8), (15, 10, 12, 8), (13, 14, 12, 8), (15, 14, 12, 8),
     ]
+    # the same list for 5 and 6 worlds, as a SHA-256 digest of its repr
+    digests = {
+        5: "947eb443fe67ee694094193ebc273e2c322d2ba918a3f54bacc05a4abe52e003",
+        6: "bd40db4d01f4f9baba5fb3d4fa56155b3302d509ec1e68f042e7a55bfbaac3cc",
+    }
+    for n, digest in digests.items():
+        ups = [p.up for p in enumerate_posets_unlabeled(n)]
+        assert hashlib.sha256(repr(ups).encode()).hexdigest() == digest, n
 
 
 def test_check_nframe_accepts_lawful_table():
@@ -449,24 +459,46 @@ def test_nframe_isomorphism_respects_tables():
     assert not nframe_isomorphic(SEPARATING, other)
 
 
+def _shuffled(rng, p):
+    """p relabeled by a random permutation of its worlds."""
+    order = list(range(p.n))
+    rng.shuffle(order)
+    up = [0] * p.n
+    for w in range(p.n):
+        m = p.up[w]
+        acc = 0
+        while m:
+            v = (m & -m).bit_length() - 1
+            m &= m - 1
+            acc |= 1 << order[v]
+        up[order[w]] = acc
+    return Poset(p.n, up)
+
+
 def test_canonical_key_constant_on_relabelings():
     rng = random.Random(32)
     for _ in range(40):
         p = random_poset(rng, rng.randint(1, 5))
-        order = list(range(p.n))
-        rng.shuffle(order)
-        up = [0] * p.n
-        for w in range(p.n):
-            m = p.up[w]
-            acc = 0
-            while m:
-                v = (m & -m).bit_length() - 1
-                m &= m - 1
-                acc |= 1 << order[v]
-            up[order[w]] = acc
-        q = Poset(p.n, up)
+        q = _shuffled(rng, p)
         assert canonical_poset_key(p) == canonical_poset_key(q)
         assert poset_isomorphic(p, q)
+
+
+def test_canonical_key_is_the_least_relabeled_mask():
+    # the pruned search against the min over all n! relabelings: on
+    # every class up to 6 worlds, on relabelings of each, and on random
+    # 7-world posets
+    rng = random.Random(34)
+    for n in range(7):
+        for _, rep in _poset_classes(n):
+            least = min(_relabeled_masks(rep))
+            assert canonical_poset_key(rep) == least, rep
+            for _ in range(2):
+                q = _shuffled(rng, rep)
+                assert canonical_poset_key(q) == least, q
+    for _ in range(40):
+        p = random_poset(rng, 7)
+        assert canonical_poset_key(p) == min(_relabeled_masks(p)), p
 
 
 def test_random_generators_are_lawful():
