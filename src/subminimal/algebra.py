@@ -27,6 +27,7 @@ from subminimal.frames import (
     NModel,
     Poset,
     _JSON_MAX_WORLDS,
+    _check_table,
     _frame_stream,
     _int,
     _ints,
@@ -35,7 +36,6 @@ from subminimal.frames import (
     _table_array,
     _trace_tables,
     _transports,
-    ntable_from_upset_map,
     poset_from_dict,
     poset_to_dict,
 )
@@ -190,15 +190,7 @@ class TopFrame:
     def __post_init__(self) -> None:
         if self.poset.top() is None:
             raise ValueError("a top frame needs a greatest world")
-        if len(self.ntable) != 1 << self.poset.n:
-            raise ValueError("negation table must have one entry per subset")
-        admissible = set(self.admissible())
-        for mask, value in enumerate(self.ntable):
-            if mask in admissible:
-                if value < 0:
-                    raise ValueError(f"table misses admissible upset {mask}")
-            elif value != -1:
-                raise ValueError(f"table entry at non-admissible {mask}")
+        _check_table(self.n, self.admissible(), self.ntable, "admissible set")
 
     @property
     def n(self) -> int:
@@ -214,14 +206,10 @@ class TopFrame:
         return [u for u in self.poset.upsets() if u]
 
     def to_nframe(self) -> NFrame:
-        """Forget the admissibility restriction.
-
-        The empty set gets negation value empty, the only extension
-        that keeps the locality law intact on all upset pairs.
-        """
-        table = {u: self.ntable[u] for u in self.admissible()}
-        table[0] = 0
-        return NFrame(self.poset, ntable_from_upset_map(self.poset, table))
+        """Forget the admissibility restriction: the same table, with
+        negation value empty at the empty set, the only extension that
+        keeps the locality law intact on all upset pairs."""
+        return NFrame(self.poset, (0, *self.ntable[1:]))
 
     def value_tuple(self) -> tuple[int, ...]:
         return tuple(self.ntable[u] for u in self.admissible())
@@ -598,12 +586,13 @@ def least_filtration_correspondence(
     The algebra's dual frame carries the model valuing each variable by
     the hat of its assigned element; the greatest filtration of that
     model through Sigma must order classes exactly as inclusion of
-    filter traces on the generated sublattice universe.
+    filter traces on the sublattice the Sigma values generate, the
+    universe of sublattice_filtration.
     """
     from subminimal.filtration import greatest_filtration
 
     sigma = frozenset(sigma)
-    filt = sublattice_filtration(a, mu, sigma)
+    carrier = sum(1 << x for x in _lattice_closure(a, {algebra_eval(a, mu, f) for f in sigma}))
     filters = prime_filters(a)
     tf = _dual(a, filters)
     names = sorted({v for f in sigma for v in variables(f)})
@@ -611,11 +600,9 @@ def least_filtration_correspondence(
     model = NModel(tf.to_nframe(), valuation)
     g = greatest_filtration(model, sigma)
     qposet = g.quotient.frame.poset
-    k = len(filters)
-    for i in range(k):
-        trace_i = filters[i] & sum(1 << x for x in filt.carrier)
-        for j in range(k):
-            trace_j = filters[j] & sum(1 << x for x in filt.carrier)
+    traces = [f & carrier for f in filters]
+    for i, trace_i in enumerate(traces):
+        for j, trace_j in enumerate(traces):
             if qposet.le(g.pi[i], g.pi[j]) != (trace_i & ~trace_j == 0):
                 return False
     return True
@@ -683,6 +670,4 @@ def topframe_from_dict(d: Mapping) -> TopFrame:
     frame's JSON carries it, is ignored."""
     p = poset_from_dict(d)
     flat = _table_array(d, p.n)
-    if flat[0] == 0:
-        flat[0] = -1
-    return TopFrame(p, tuple(flat))
+    return TopFrame(p, (-1, *flat[1:]) if flat[0] == 0 else flat)

@@ -213,31 +213,47 @@ def enumerate_upsets(p: Poset) -> list[int]:
     return out
 
 
+def _check_table(n: int, domain: Collection[int], ntable: Sequence[int], kind: str) -> None:
+    """Raise ValueError unless ``ntable`` is a negation table on n
+    worlds over the domain: one entry per subset, a subset of the worlds
+    at each domain set and -1 everywhere else. Every frame kind keeps
+    its table this way; ``kind`` names the domain sets in the message,
+    which names the offending set."""
+    size = 1 << n
+    if len(ntable) != size:
+        raise ValueError(
+            f"negation table must have one entry per subset, {size}, not {len(ntable)}"
+        )
+    for x in domain:
+        value = ntable[x]
+        if value == -1:
+            raise ValueError(f"negation table misses {kind} {x}; it must cover every {kind}")
+        if not 0 <= value < size:
+            raise ValueError(f"negation value {value} at {kind} {x} out of range")
+    # the domain entries are subsets now, so the rest are all -1 exactly
+    # when -1 fills as many entries as there are sets off the domain
+    if ntable.count(-1) != size - len(domain):
+        inside = set(domain)
+        x = next(x for x, v in enumerate(ntable) if v != -1 and x not in inside)
+        raise ValueError(f"table entry at non-{kind} {x}")
+
+
 @dataclass(frozen=True)
 class NFrame:
     """A poset with a negation table over its upsets.
 
     ``ntable`` is a flat tuple of length 2**n holding -1 at non-upset
-    indices. Values are usually upsets, but construction does not force
-    that: quotients of filtrations may carry non-upset values, and
-    check_nframe is the validator that rejects them.
+    indices (see _check_table). Values are usually upsets, but
+    construction does not force that: quotients of filtrations may carry
+    non-upset values, and check_nframe is the validator that rejects
+    them.
     """
 
     poset: Poset
     ntable: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        n = self.poset.n
-        if len(self.ntable) != 1 << n:
-            raise ValueError("negation table must have one entry per subset")
-        full = (1 << n) - 1
-        upsets = set(self.poset.upsets())
-        for mask, value in enumerate(self.ntable):
-            if mask in upsets:
-                if value < 0 or value & ~full:
-                    raise ValueError(f"table at upset {mask} must hold a subset")
-            elif value != -1:
-                raise ValueError(f"table entry at non-upset {mask}")
+        _check_table(self.poset.n, self.poset.upsets(), self.ntable, "upset")
 
     @property
     def n(self) -> int:
@@ -252,24 +268,26 @@ class NFrame:
     def value_tuple(self) -> tuple[int, ...]:
         return tuple(self.ntable[u] for u in self.poset.upsets())
 
-    def sort_key(self) -> tuple[int, int, tuple[int, ...]]:
-        return (self.poset.n, self.poset.pair_mask(), self.value_tuple())
+
+def _spread(n: int, mapping: Mapping[int, int]) -> tuple[int, ...]:
+    """A set-keyed dict of table values over all 2**n subsets, -1 at
+    absent keys."""
+    table = [-1] * (1 << n)
+    for x, value in mapping.items():
+        if not 0 <= x < len(table):
+            raise ValueError(f"table key {x} out of range")
+        if value < 0:
+            raise ValueError(f"negation value {value} at {x} out of range")
+        table[x] = value
+    return tuple(table)
 
 
 def ntable_from_upset_map(p: Poset, mapping: Mapping[int, int]) -> tuple[int, ...]:
-    """Spread an upset-keyed dict into the flat table layout."""
-    table = [-1] * (1 << p.n)
-    upsets = p.upsets()
-    for u in upsets:
-        if u not in mapping:
-            raise ValueError(f"negation table misses upset {u}")
-    known = set(upsets)
-    for k in mapping:
-        if k not in known:
-            raise ValueError(f"negation table keyed at non-upset {k}")
-    for u in upsets:
-        table[u] = mapping[u]
-    return tuple(table)
+    """Spread an upset-keyed dict into the flat table layout; its keys
+    must be exactly the upsets."""
+    table = _spread(p.n, mapping)
+    _check_table(p.n, p.upsets(), table, "upset")
+    return table
 
 
 def _locality_witness(
@@ -478,6 +496,17 @@ def frame_validates(fr: NFrame, f: Formula) -> bool:
 _MPC_COMPILED = _compiled_prop(AXIOM_MPC)
 
 
+def _antitone(domain: Sequence[int], ntable: Sequence[int]) -> bool:
+    """Whether the table reverses inclusion on the domain sets: N(y) is
+    inside N(x) whenever x is inside y."""
+    for y in domain:
+        ny = ntable[y]
+        for x in domain:
+            if x & ~y == 0 and ny & ~ntable[x]:
+                return False
+    return True
+
+
 def frame_class(fr: NFrame, logic: Logic) -> bool:
     """Membership of the frame in a logic's frame class.
 
@@ -497,11 +526,7 @@ def frame_class(fr: NFrame, logic: Logic) -> bool:
                         return False
         return True
     if logic.name == "copc":
-        for x in upsets:
-            for y in upsets:
-                if x & ~y == 0 and fr.ntable[y] & ~fr.ntable[x]:
-                    return False
-        return True
+        return _antitone(upsets, fr.ntable)
     if logic.name == "mpc":
         return refuting_valuation(fr, AXIOM_MPC, _MPC_COMPILED) is None
     raise ValueError(f"unknown logic: {logic.name}")
@@ -540,10 +565,10 @@ def from_neighbourhood(p: Poset, nbhd: Sequence[frozenset[int]]) -> NFrame:
         for x in upset_set:
             if ((x & p.up[w]) in nbhd[w]) != (x in nbhd[w]):
                 raise ValueError(f"neighbourhood of world {w} ignores its cone unevenly")
-    table = {}
+    table = [-1] * (1 << p.n)
     for u in p.upsets():
         table[u] = sum(1 << w for w in range(p.n) if u in nbhd[w])
-    return NFrame(p, ntable_from_upset_map(p, table))
+    return NFrame(p, tuple(table))
 
 
 # --------------------------------------------------------------------------
@@ -1067,22 +1092,14 @@ def _ints(raw: object, what: str) -> tuple[int, ...]:
     return tuple(_int(v, what) for v in raw)
 
 
-def _table_map(d: Mapping) -> dict[int, int]:
-    """The "N" object of a frame JSON document as integer masks."""
+def _table_array(d: Mapping, n: int) -> tuple[int, ...]:
+    """The "N" object of a frame JSON document spread over all 2**n
+    subsets, -1 at absent keys; the frame's constructor checks that the
+    keys are its domain."""
     raw = d.get("N")
     if not isinstance(raw, Mapping):
         raise ValueError("frame JSON needs an N table")
-    return {_int(k, "N key"): _int(v, "N value") for k, v in raw.items()}
-
-
-def _table_array(d: Mapping, n: int) -> list[int]:
-    """The "N" object spread over all 2**n subsets, -1 at absent keys."""
-    table = [-1] * (1 << n)
-    for x, value in _table_map(d).items():
-        if not 0 <= x < 1 << n:
-            raise ValueError(f"table key {x} out of range")
-        table[x] = value
-    return table
+    return _spread(n, {_int(k, "N key"): _int(v, "N value") for k, v in raw.items()})
 
 
 def _pairs(raw: object, what: str) -> list[tuple[int, int]]:
@@ -1101,7 +1118,7 @@ def poset_from_dict(d: Mapping) -> Poset:
 
 def frame_from_dict(d: Mapping) -> NFrame:
     p = poset_from_dict(d)
-    return NFrame(p, ntable_from_upset_map(p, _table_map(d)))
+    return NFrame(p, _table_array(d, p.n))
 
 
 def model_from_dict(d: Mapping) -> NModel:

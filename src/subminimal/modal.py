@@ -9,7 +9,10 @@ axiom systems that differ in one scheme: congruence distribution for
 the plain system, contraposition for the antitone one.
 
 Tables are dense tuples of length 2^n, so everything here is for
-desk-scale frames.
+desk-scale frames. The k-premise replacement rule and the k-ary
+intersection law are one condition on a table (the proof is in
+``kernels.pure._guard_sets``), so ``rn_validity`` runs the check of
+``en_check``.
 """
 
 from __future__ import annotations
@@ -22,7 +25,9 @@ from subminimal.frames import (
     NFrame,
     NModel,
     _antisymmetric,
+    _antitone,
     _check_preorder,
+    _check_table,
     _close,
     _coin_flips,
     _ints,
@@ -53,16 +58,6 @@ from subminimal.syntax import (
 )
 
 
-def _check_total_table(n: int, ntable: Sequence[int]) -> None:
-    """Raise ValueError unless the table holds a subset of the n worlds
-    at every one of the 2**n subsets."""
-    full = (1 << n) - 1
-    if len(ntable) != 1 << n:
-        raise ValueError("negation table must have one entry per subset")
-    if any(v < 0 or v & ~full for v in ntable):
-        raise ValueError("negation table value out of range")
-
-
 @dataclass(frozen=True)
 class NS4Frame:
     """Preorder plus a total negation table with cone-closed values."""
@@ -73,7 +68,7 @@ class NS4Frame:
 
     def __post_init__(self) -> None:
         _check_preorder(self.n, self.rel)
-        _check_total_table(self.n, self.ntable)
+        _check_table(self.n, range(1 << self.n), self.ntable, "subset")
 
 
 def ns4_check_frame(fr: NS4Frame) -> tuple[str, int] | None:
@@ -273,7 +268,7 @@ class ModalNFrame:
     ntable: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        _check_total_table(self.n, self.ntable)
+        _check_table(self.n, range(1 << self.n), self.ntable, "subset")
 
 
 def en_check(fr: ModalNFrame, k: int) -> bool:
@@ -288,7 +283,9 @@ def en_check(fr: ModalNFrame, k: int) -> bool:
 def rn_validity(fr: ModalNFrame, k: int) -> bool:
     """Frame-level validity of the k-premise replacement rule: under
     any valuation, if q and r agree wherever all k guard values hold,
-    the table must send them to outputs agreeing there too."""
+    the table must send them to outputs agreeing there too. That is
+    the intersection law at the same guard sets, so the answer is
+    en_check's."""
     if k < 0:
         raise ValueError("arity must be nonnegative")
     return bool(kernels.rn_holds(fr.n, fr.ntable, k))
@@ -305,16 +302,7 @@ def cos4_check_frame(fr: NS4Frame) -> bool:
     all subsets."""
     if ns4_check_frame(fr) is not None or not _antisymmetric(fr.rel):
         return False
-    for y in range(1 << fr.n):
-        ny = fr.ntable[y]
-        x = y
-        while True:
-            if ny & ~fr.ntable[x]:
-                return False
-            if x == 0:
-                break
-            x = (x - 1) & y
-    return True
+    return _antitone(range(1 << fr.n), fr.ntable)
 
 
 # --------------------------------------------------------------------------
@@ -462,15 +450,6 @@ def ns4_to_dict(fr: NS4Frame) -> dict:
     }
 
 
-def _total_table(d: Mapping, n: int) -> tuple[int, ...]:
-    """The "N" object of a frame JSON document, which must cover all
-    2**n subsets."""
-    table = _table_array(d, n)
-    if any(v < 0 for v in table):
-        raise ValueError("table must cover every subset")
-    return tuple(table)
-
-
 def ns4_from_dict(d: Mapping) -> NS4Frame:
     n = _worlds(d)
     rel = [1 << w for w in range(n)]
@@ -478,7 +457,7 @@ def ns4_from_dict(d: Mapping) -> NS4Frame:
         if not (0 <= i < n and 0 <= j < n):
             raise ValueError(f"relation pair ({i}, {j}) out of range")
         rel[i] |= 1 << j
-    return NS4Frame(n, tuple(_close(rel)), _total_table(d, n))
+    return NS4Frame(n, tuple(_close(rel)), _table_array(d, n))
 
 
 def modal_nframe_to_dict(fr: ModalNFrame) -> dict:
@@ -487,7 +466,7 @@ def modal_nframe_to_dict(fr: ModalNFrame) -> dict:
 
 def modal_nframe_from_dict(d: Mapping) -> ModalNFrame:
     n = _worlds(d)
-    return ModalNFrame(n, _total_table(d, n))
+    return ModalNFrame(n, _table_array(d, n))
 
 
 def proof_lines_to_list(proof: HilbertProof) -> list[dict]:

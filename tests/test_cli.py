@@ -495,6 +495,19 @@ LAWLESS_CHAIN_ALGEBRA["meet"][1][2] = 0  # algebra check: top fails at [1]
         (ALGEBRA_FILTRATE + ['{"p": 7}'], json.dumps(CHAIN_ALGEBRA)),
         (ALGEBRA_FILTRATE + ['{"p": -1}'], json.dumps(CHAIN_ALGEBRA)),
         (ALGEBRA_FILTRATE + ['{"p": 1}'], json.dumps(LAWLESS_CHAIN_ALGEBRA)),
+        # negation tables off their frame kind's domain
+        (["check-frame", "-"], '{"worlds": 2, "leq": [[0, 1]], "N": {"0": 2, "2": 3}}'),
+        (
+            ["filtrate", "--model", "-", "--sigma", "p"],
+            '{"worlds": 2, "leq": [[0, 1]], "N": {"0": 2, "1": 0, "2": 3, "3": 2},'
+            ' "valuation": {"p": 2}}',
+        ),
+        (["algebra", "dual", "-"], '{"worlds": 2, "leq": [[0, 1]], "N": {"2": 2, "3": 6}}'),
+        (
+            ["ns4", "valid", "--frame", "-", "p"],
+            '{"worlds": 2, "rel": [], "N": {"0": 0, "1": 0, "2": 0, "3": 0, "4": 0}}',
+        ),
+        (["ns4", "rn", "--frame", "-", "-k", "1"], '{"worlds": 2, "N": {"0": 3, "1": 2, "2": 1}}'),
     ],
     ids=[
         "check-frame",
@@ -516,6 +529,11 @@ LAWLESS_CHAIN_ALGEBRA["meet"][1][2] = 0  # algebra check: top fails at [1]
         "algebra-filtrate-assign-too-large",
         "algebra-filtrate-assign-negative",
         "algebra-filtrate-lawless-meet",
+        "check-frame-N-misses-upset",
+        "filtrate-N-at-non-upset",
+        "algebra-dual-N-value-out-of-range",
+        "ns4-valid-N-key-out-of-range",
+        "ns4-rn-N-misses-subset",
     ],
 )
 def test_malformed_json_shape_exits_2(capsys, monkeypatch, argv, text):

@@ -11,6 +11,7 @@ import pytest
 from conftest import outcome
 from filtration_reference import eval_formula as reference_eval
 from subminimal import frames
+from subminimal.algebra import TopFrame, topframe_from_dict
 from subminimal.frames import (
     DEFAULT_MAX_WORLDS,
     LOGICS,
@@ -54,6 +55,7 @@ from subminimal.frames import (
     to_neighbourhood,
     truth_sets,
 )
+from subminimal.modal import ModalNFrame, NS4Frame, modal_nframe_from_dict, ns4_from_dict
 from subminimal.syntax import (
     AXIOM_COPC,
     AXIOM_MPC,
@@ -181,6 +183,83 @@ def test_ntable_from_upset_map_requires_full_domain():
         ntable_from_upset_map(CHAIN2, {0: 2, 2: 3})
     with pytest.raises(ValueError, match="non-upset 1"):
         ntable_from_upset_map(CHAIN2, {0: 2, 1: 0, 2: 3, 3: 2})
+
+
+def _entries(table):
+    return {x: v for x, v in enumerate(table) if v != -1}
+
+
+def _json_table(table):
+    return {str(x): v for x, v in _entries(table).items()}
+
+
+# Every table taker on the 2-chain 0 <= 1 (2 worlds, upsets 0, 2, 3):
+# its domain's name, a table it accepts, and a call on a flat table.
+# The readers of mappings get the table's entries other than -1.
+TABLE_TAKERS = {
+    "NFrame": ("upset", (2, -1, 3, 2), lambda t: NFrame(CHAIN2, t)),
+    "ntable_from_upset_map": (
+        "upset",
+        (2, -1, 3, 2),
+        lambda t: ntable_from_upset_map(CHAIN2, _entries(t)),
+    ),
+    "frame_from_dict": (
+        "upset",
+        (2, -1, 3, 2),
+        lambda t: frame_from_dict({"worlds": 2, "leq": [[0, 1]], "N": _json_table(t)}),
+    ),
+    "TopFrame": ("admissible set", (-1, -1, 2, 2), lambda t: TopFrame(CHAIN2, t)),
+    "topframe_from_dict": (
+        "admissible set",
+        (-1, -1, 2, 2),
+        lambda t: topframe_from_dict({"worlds": 2, "leq": [[0, 1]], "N": _json_table(t)}),
+    ),
+    "NS4Frame": ("subset", (2, 2, 2, 2), lambda t: NS4Frame(2, (1, 2), t)),
+    "ns4_from_dict": (
+        "subset",
+        (2, 2, 2, 2),
+        lambda t: ns4_from_dict({"worlds": 2, "rel": [], "N": _json_table(t)}),
+    ),
+    "ModalNFrame": ("subset", (2, 2, 2, 2), lambda t: ModalNFrame(2, t)),
+    "modal_nframe_from_dict": (
+        "subset",
+        (2, 2, 2, 2),
+        lambda t: modal_nframe_from_dict({"worlds": 2, "N": _json_table(t)}),
+    ),
+}
+
+
+def _malformed(kind, table):
+    """(case, table, message) for the ways a table breaks the contract.
+    A table one entry too long is, to a mapping reader, a key past the
+    last subset. Every subset is in the domain of a total table, so
+    there the entry off the domain is that same key and is not repeated."""
+    out = [
+        ("length", table + (0,), r"one entry per subset, 4, not 5|table key 4 out of range"),
+        ("missing", table[:3] + (-1,), rf"misses {kind} 3"),
+        ("range", table[:2] + (4,) + table[3:], rf"negation value 4 at {kind} 2 out of range"),
+    ]
+    if kind != "subset":
+        out.append(("off-domain", (table[0], 0) + table[2:], rf"entry at non-{kind} 1$"))
+    return out
+
+
+@pytest.mark.parametrize(
+    "taker, table, message",
+    [
+        pytest.param(name, bad, message, id=f"{name}-{case}")
+        for name, (kind, good, _) in TABLE_TAKERS.items()
+        for case, bad, message in _malformed(kind, good)
+    ],
+)
+def test_every_table_taker_keeps_one_table_contract(taker, table, message):
+    """NFrame, TopFrame, NS4Frame, ModalNFrame, ntable_from_upset_map
+    and the four JSON readers accept their lawful table and reject each
+    malformed one, naming the offending set."""
+    _, good, call = TABLE_TAKERS[taker]
+    call(good)
+    with pytest.raises(ValueError, match=message):
+        call(table)
 
 
 def test_eval_formula_hand_values():
