@@ -29,6 +29,7 @@ from subminimal.frames import (
     _JSON_MAX_WORLDS,
     _check_table,
     _frame_stream,
+    _imp_mask,
     _int,
     _ints,
     _locality_witness,
@@ -130,14 +131,6 @@ def check_nalgebra(a: NAlgebra) -> tuple[str, tuple] | None:
             if mx[neg[y]] != mx[neg[mx[y]]]:
                 return ("compatibility", (x, y))
     return None
-
-
-def _imp_mask(p: Poset, u: int, v: int) -> int:
-    out = 0
-    for w in range(p.n):
-        if p.up[w] & u & ~v == 0:
-            out |= 1 << w
-    return out
 
 
 def _set_algebra(p: Poset, elements: Sequence[int], ntable: Sequence[int]) -> NAlgebra:

@@ -174,11 +174,8 @@ def _first_refutation(code, nvars, n, up, ntable, values, modal, error):
 
     Prop code (modal False): a valuation that reaches a negative table
     entry is an error, and so is any opcode other than Var, Top, And,
-    Or, Imp and Neg. Modal code: any Neg opcode is an error, and a
-    lookup of a -1 entry gives the value -1, an error once it reaches
-    the result. It is carried as the full set plus a sign slot after
-    the worlds, so that And, Or and [n] act on it as they act on the
-    Python int -1 (tables hold 2**n entries, world masks or -1).
+    Or, Imp and Neg. Modal code: any Neg opcode is an error, and the
+    table must hold a world mask at every subset.
     """
     nu = len(values)
     total = nu**nvars
@@ -191,10 +188,9 @@ def _first_refutation(code, nvars, n, up, ntable, values, modal, error):
         low += 1
     high = nvars - low
     ones = (1 << width) - 1
-    sign = [0] if modal else []
     cones = [[v for v in range(n) if (up[w] >> v) & 1] for w in range(n)]
-    top = [ones] * n + sign
-    bot = [0] * n + sign
+    top = [ones] * n
+    bot = [0] * n
     slots = [bot] * max(nvars, 1)
     for k in range(high, nvars):
         # digit d of variable k holds on runs of `run` consecutive
@@ -206,13 +202,13 @@ def _first_refutation(code, nvars, n, up, ntable, values, modal, error):
             for w in range(n):
                 if (x >> w) & 1:
                     vec[w] |= base << (d * run)
-        slots[k] = vec + sign
+        slots[k] = vec
     for block in range(total // width):
         t = block
         for k in range(high - 1, -1, -1):
             x = values[t % nu]
             t //= nu
-            slots[k] = [ones if (x >> w) & 1 else 0 for w in range(n)] + sign
+            slots[k] = [ones if (x >> w) & 1 else 0 for w in range(n)]
         err = 0
         stack = []
         i = 0
@@ -233,11 +229,7 @@ def _first_refutation(code, nvars, n, up, ntable, values, modal, error):
             elif op == OP_IMP:
                 b = stack.pop()
                 c = [(ones & ~x) | y for x, y in zip(stack[-1], b)]
-                if modal:
-                    c[n] = 0
-                    stack[-1] = c
-                else:
-                    stack[-1] = _block_box(c, cones, ones)
+                stack[-1] = c if modal else _block_box(c, cones, ones)
             elif op == OP_NEG and not modal:
                 out, holes = _block_lookup(stack[-1], n, ntable, ones)
                 err |= holes
@@ -245,15 +237,12 @@ def _first_refutation(code, nvars, n, up, ntable, values, modal, error):
             elif op == OP_BOT and modal:
                 stack.append(bot)
             elif op == OP_BOX and modal:
-                stack[-1] = _block_box(stack[-1], cones, ones) + sign
+                stack[-1] = _block_box(stack[-1], cones, ones)
             elif op == OP_BBOX and modal:
-                out, holes = _block_lookup(stack[-1], n, ntable, ones)
-                stack[-1] = [x | holes for x in out] + [holes]
+                stack[-1] = _block_lookup(stack[-1], n, ntable, ones)[0]
             else:
                 raise ValueError(error)
         r = stack[-1]
-        if modal:
-            err = r[n]
         bad = err
         for w in range(n):
             bad |= ones & ~r[w]
@@ -284,10 +273,13 @@ def find_refuting_valuation_prop(code, nvars, n, up, ntable, upsets):
 def find_refuting_valuation_modal(code, nvars, n, up, ntable):
     """Like find_refuting_valuation_prop, with arbitrary subsets as values.
 
-    Raises ValueError when the code holds a Neg opcode, or when the
-    first valuation whose value is not the full set has the value -1
-    (a -1 table entry that reached the result).
+    The table must be total, a world mask at every subset, as the NS4
+    frames and lift_table give it: a negative entry raises ValueError
+    before any valuation is tried. Raises ValueError too when the code
+    holds a Neg opcode.
     """
+    if min(ntable) < 0:
+        raise ValueError("modal table has a negative entry; it must cover every subset")
     return _first_refutation(
         code, nvars, n, up, ntable, range(1 << n), True, "modal opcode mismatch"
     )

@@ -28,8 +28,8 @@ from subminimal.frames import (
     _antitone,
     _check_preorder,
     _check_table,
-    _close,
     _coin_flips,
+    _cones_from_pairs,
     _ints,
     _pairs,
     _subfamilies,
@@ -190,12 +190,8 @@ def enumerate_ns4_frames(n: int) -> list[NS4Frame]:
 
 
 def random_preorder(rng, n: int) -> tuple[int, ...]:
-    rel = [1 << w for w in range(n)]
-    for w in range(n):
-        for v in range(n):
-            if v != w and rng.random() < 0.35:
-                rel[w] |= 1 << v
-    return tuple(_close(rel))
+    pairs = [(w, v) for w in range(n) for v in range(n) if v != w and rng.random() < 0.35]
+    return tuple(_cones_from_pairs(n, pairs))
 
 
 def random_ns4_frame(rng, n: int) -> NS4Frame:
@@ -452,12 +448,8 @@ def ns4_to_dict(fr: NS4Frame) -> dict:
 
 def ns4_from_dict(d: Mapping) -> NS4Frame:
     n = _worlds(d)
-    rel = [1 << w for w in range(n)]
-    for i, j in _pairs(d["rel"], "rel"):
-        if not (0 <= i < n and 0 <= j < n):
-            raise ValueError(f"relation pair ({i}, {j}) out of range")
-        rel[i] |= 1 << j
-    return NS4Frame(n, tuple(_close(rel)), _table_array(d, n))
+    rel = _cones_from_pairs(n, _pairs(d["rel"], "rel"))
+    return NS4Frame(n, tuple(rel), _table_array(d, n))
 
 
 def modal_nframe_to_dict(fr: ModalNFrame) -> dict:

@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import subminimal
+from subminimal import frames
 from subminimal.algebra import (
     algebra_from_dict,
     algebra_to_dict,
@@ -639,6 +640,20 @@ def test_search_arguments_keep_the_exit_code_contract(
     assert code in (0, 1, 2)
     assert (code == 1) == (payload["status"] == "refuted")
     assert (code == 2) == (payload["status"] == "error")
+
+
+@pytest.mark.parametrize("command", ["decide", "countermodel"])
+def test_search_stops_at_the_world_cap(capsys, monkeypatch, command):
+    # with the cap at 2 worlds a bound of 9 would otherwise build the
+    # classes of 3 to 9 worlds; a refutation found below the cap keeps
+    # its answer, and a search that would pass the cap exits 2
+    monkeypatch.setattr(frames, "SEARCH_MAX_WORLDS", 2)
+    code, out = run(capsys, [command, "p", "--logic", "nef", "--max-worlds", "9"])
+    assert code == 1 and out["model"]["worlds"] == 1
+    code, out = run(capsys, [command, "p -> p", "--logic", "nef", "--max-worlds", "2"])
+    assert code == 0 and out["status"] == "no-countermodel-up-to-bound"
+    code, out = run(capsys, [command, "p -> p", "--logic", "nef", "--max-worlds", "9"])
+    assert code == 2 and "no countermodel up to 2 worlds" in out["error"]
 
 
 DEEP_NEG = "~" * 3000 + "p"

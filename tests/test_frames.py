@@ -342,14 +342,21 @@ def test_separating_frame_classes():
     assert got == want
 
 
-def test_frame_class_cross_check_on_all_two_world_frames():
-    # NeF and CoPC are decided by order conditions; their schemes must agree
-    for n in (1, 2):
-        for p in enumerate_posets(n):
-            for fr in enumerate_nframes(p):
-                for name in ("nef", "copc"):
-                    logic = LOGICS[name]
-                    assert frame_class(fr, logic) == frame_validates(fr, logic.axiom)
+def test_frame_class_conditions_match_the_axioms():
+    # frame_class reads NeF, CoPC and MPC off the table; on every labeled
+    # frame up to 3 worlds and every 4-world stream frame it must agree
+    # with validity of the axiom over all valuations
+    small = list(_labeled_frames(3))
+    four = [fr for fr in frames._frame_stream(4) if fr.n == 4]
+    members = {name: 0 for name in ("nef", "copc", "mpc")}
+    for fr in small + four:
+        for name in members:
+            logic = LOGICS[name]
+            got = frame_class(fr, logic)
+            assert got == frame_validates(fr, logic.axiom), (name, frame_to_dict(fr))
+            members[name] += got
+    assert len(small) + len(four) == 5562
+    assert all(0 < count < 5562 for count in members.values()), members
 
 
 def test_lawful_frames_validate_the_base_axiom():
