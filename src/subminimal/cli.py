@@ -31,7 +31,7 @@ from subminimal.algebra import (
     topframe_from_dict,
     topframe_to_dict,
 )
-from subminimal.antichain import comparison_matrix
+from subminimal.antichain import ANTICHAIN_MAX_N, comparison_matrix
 from subminimal.filtration import (
     DEFAULT_MAX_WORLDS,
     ResourceLimitError,
@@ -395,7 +395,9 @@ def _build_parser() -> argparse.ArgumentParser:
         parents=[common],
         help="pairwise onto / positive-morphism matrix of the ladder posets",
     )
-    p.add_argument("--max-n", type=int, required=True)
+    p.add_argument(
+        "--max-n", type=int, required=True, help=f"largest ladder index, at most {ANTICHAIN_MAX_N}"
+    )
     p.set_defaults(handler=_cmd_antichain)
 
     p = sub.add_parser(

@@ -5,7 +5,10 @@ together with an order and a negation table on the classes subject to
 four conditions: the order extends the projected order (a), respects
 Sigma-truth (b), its negation never exceeds the projected negation (c),
 and reaches every projected negation of a Sigma-set (d). The greatest
-filtration always exists and is computed directly, not searched.
+filtration is computed directly and dominates every filtration through
+the same Sigma (greatest_among proves it). The class-wise bound of a
+quotient set, _class_bound, is the greatest table, the ceiling of (c)
+and the range of enumerated tables, which go flat to NFrame.
 
 Each construction and check evaluates Sigma once per model, each
 shared subformula once: through frames.truth_sets, or, in the theorem
@@ -40,7 +43,6 @@ from subminimal.frames import (
     countermodel_search,
     formula_evaluator,
     frame_class,
-    ntable_from_upset_map,
     truth_sets,
 )
 from subminimal.syntax import (
@@ -138,6 +140,11 @@ def _preimage(mask: int, members: list[int]) -> int:
     return out
 
 
+def _class_bound(m: NModel, x: int, members: list[int], pi: Sequence[int]) -> int:
+    """Projection of the source negation of the preimage of class set x."""
+    return _push_mask(m.frame.neg(_preimage(x, members)), pi)
+
+
 def greatest_filtration(m: NModel, sigma: Iterable[Formula]) -> FiltrationResult:
     """The greatest filtration of the model through Sigma.
 
@@ -156,11 +163,12 @@ def _greatest(m: NModel, sigma: frozenset[Formula]) -> tuple[FiltrationResult, d
     k = len(members)
     up = [sum(1 << d for d in range(k) if sigs[c] & ~sigs[d] == 0) for c in range(k)]
     qposet = Poset(k, up)
-    table = {x: _push_mask(m.frame.neg(_preimage(x, members)), pi) for x in qposet.upsets()}
-    qframe = NFrame(qposet, ntable_from_upset_map(qposet, table))
+    table = [-1] * (1 << k)
+    for x in qposet.upsets():
+        table[x] = _class_bound(m, x, members, pi)
     names = sorted(f.name for f in sigma if isinstance(f, Var))
     qval = {name: _push_mask(m.valuation[name], pi) for name in names}
-    return FiltrationResult(NModel(qframe, qval), pi, sigma), truth
+    return FiltrationResult(NModel(NFrame(qposet, tuple(table)), qval), pi, sigma), truth
 
 
 def check_conditions(m: NModel, r: FiltrationResult) -> tuple[str, tuple] | None:
@@ -182,12 +190,9 @@ def check_conditions(m: NModel, r: FiltrationResult) -> tuple[str, tuple] | None
     sig = _signatures(truth, order, n)
     qposet = r.quotient.frame.poset
     for w in range(n):
-        rest = m.frame.poset.up[w]
-        while rest:
-            v = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            if not qposet.le(pi[w], pi[v]):
-                return ("a", (w, v))
+        lost = m.frame.poset.up[w] & ~_preimage(qposet.up[pi[w]], members)
+        if lost:
+            return ("a", (w, (lost & -lost).bit_length() - 1))
     for w in range(n):
         for v in range(n):
             if not qposet.le(pi[w], pi[v]):
@@ -196,20 +201,15 @@ def check_conditions(m: NModel, r: FiltrationResult) -> tuple[str, tuple] | None
             if lost:
                 return ("b", (w, v, order[(lost & -lost).bit_length() - 1]))
     for x in qposet.upsets():
-        bound = _push_mask(m.frame.neg(_preimage(x, members)), pi)
-        extra = r.quotient.frame.ntable[x] & ~bound
+        extra = r.quotient.frame.ntable[x] & ~_class_bound(m, x, members, pi)
         if extra:
             return ("c", (x, (extra & -extra).bit_length() - 1))
     for f in sorted((f for f in sigma if isinstance(f, Neg)), key=show):
         value = truth[f.sub]
-        target = r.quotient.frame.ntable[_push_mask(value, pi)]
-        source = m.frame.neg(value)
-        rest = source
-        while rest:
-            w = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            if not (target >> pi[w]) & 1:
-                return ("d", (w, f))
+        target = _preimage(r.quotient.frame.ntable[_push_mask(value, pi)], members)
+        missed = m.frame.neg(value) & ~target
+        if missed:
+            return ("d", ((missed & -missed).bit_length() - 1, f))
     return None
 
 
@@ -242,28 +242,28 @@ def filtration_theorem_check(m: NModel, r: FiltrationResult) -> tuple[Formula, i
 
 
 def greatest_among(m: NModel, sigma: Iterable[Formula], other: FiltrationResult) -> bool:
-    """Whether the greatest filtration dominates the given one.
+    """Whether the greatest filtration dominates the given one: always.
 
-    Domination means the other order is contained in the greatest
-    order and, on every upset of the greatest order, the other negation
-    is contained in the greatest negation. A candidate that is not a
-    filtration at all is a contract violation and raises ValueError.
+    Domination: the other order lies inside the greatest one and, on
+    every greatest upset, the other negation inside the greatest one.
+    Proof: the other pi is the Sigma-agreement projection onto as many
+    classes, so it hits every class, and c <= d in the other order means
+    c = pi(w) and d = pi(v) with, by (b), the signature of w inside that
+    of v; so c <= d in the greatest order. Each greatest upset X is then
+    an upset of the other order, and there (c) bounds the other N(X) by
+    _class_bound, the greatest table. A non-filtration, or a candidate
+    through another Sigma or projection, raises ValueError.
     """
     bad = check_conditions(m, other)
     if bad is not None:
         raise ValueError(f"not a filtration: condition ({bad[0]}) fails at {bad[1]}")
-    g = greatest_filtration(m, sigma)
-    if g.pi != other.pi:
-        raise ValueError("projection mismatch: same model and sigma expected")
-    gposet = g.quotient.frame.poset
-    oposet = other.quotient.frame.poset
-    for c in range(gposet.n):
-        if oposet.up[c] & ~gposet.up[c]:
-            return False
-    for x in gposet.upsets():
-        if other.quotient.frame.ntable[x] & ~g.quotient.frame.ntable[x]:
-            return False
-    return True
+    sigma = frozenset(sigma)
+    _require_closed(sigma)
+    if sigma == other.sigma:
+        pi, members = _partition(m, sigma)[:2]
+        if other.pi == pi and other.classes() == len(members):
+            return True
+    raise ValueError("projection mismatch: same model and sigma expected")
 
 
 def _submasks(mask: int) -> list[int]:
@@ -309,13 +309,13 @@ def enumerate_filtrations(m: NModel, sigma: Iterable[Formula]) -> list[Filtratio
         # at the projection of a negated Sigma formula's argument the
         # value is pinned from both sides; everywhere else any subset
         # of the class-wise bound is admissible
-        choices = []
-        for x in upsets:
-            bound = _push_mask(m.frame.neg(_preimage(x, members)), pi)
-            choices.append((bound,) if x in forced else _submasks(bound))
+        bounds = [_class_bound(m, x, members, pi) for x in upsets]
+        choices = [(b,) if x in forced else _submasks(b) for x, b in zip(upsets, bounds)]
+        table = [-1] * (1 << k)
         for values in itertools.product(*choices):
-            qframe = NFrame(qposet, ntable_from_upset_map(qposet, dict(zip(upsets, values))))
-            quotient = NModel(qframe, g.quotient.valuation)
+            for x, value in zip(upsets, values):
+                table[x] = value
+            quotient = NModel(NFrame(qposet, tuple(table)), g.quotient.valuation)
             out.append(FiltrationResult(quotient, pi, sigma))
     return out
 

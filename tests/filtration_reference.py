@@ -5,7 +5,8 @@ filtration functions against these and demand the same filtrations,
 the same witnesses and the same errors. Here every formula of Sigma is
 compiled and evaluated on its own through the kernel, worlds are
 grouped by a tuple signature in show order, and the order is tested
-formula by formula.
+formula by formula. greatest_among is the brute-force domination check
+that rebuilds the greatest filtration and compares orders and tables.
 """
 
 import itertools
@@ -176,6 +177,31 @@ def filtration_theorem_check(m: NModel, r: FiltrationResult) -> tuple[Formula, i
             if (source >> w) & 1 != (target >> r.pi[w]) & 1:
                 return (f, w)
     return None
+
+
+def greatest_among(m: NModel, sigma: Iterable[Formula], other: FiltrationResult) -> bool:
+    """Whether the greatest filtration dominates the given one.
+
+    Domination means the other order is contained in the greatest
+    order and, on every upset of the greatest order, the other negation
+    is contained in the greatest negation. A candidate that is not a
+    filtration at all is a contract violation and raises ValueError.
+    """
+    bad = check_conditions(m, other)
+    if bad is not None:
+        raise ValueError(f"not a filtration: condition ({bad[0]}) fails at {bad[1]}")
+    g = greatest_filtration(m, sigma)
+    if g.pi != other.pi:
+        raise ValueError("projection mismatch: same model and sigma expected")
+    gposet = g.quotient.frame.poset
+    oposet = other.quotient.frame.poset
+    for c in range(gposet.n):
+        if oposet.up[c] & ~gposet.up[c]:
+            return False
+    for x in gposet.upsets():
+        if other.quotient.frame.ntable[x] & ~g.quotient.frame.ntable[x]:
+            return False
+    return True
 
 
 def enumerate_filtrations(m: NModel, sigma: Iterable[Formula]) -> list[FiltrationResult]:

@@ -357,6 +357,17 @@ def test_antichain_matrix(capsys):
     }
 
 
+def test_antichain_caps_max_n(capsys, monkeypatch):
+    monkeypatch.setattr("subminimal.antichain.ANTICHAIN_MAX_N", 1)
+    code, out = run(capsys, ["antichain", "--max-n", "2"])
+    assert code == 2
+    assert out["status"] == "error"
+    assert "cap of 1" in out["error"]
+    code, out = run(capsys, ["antichain", "--max-n", "1"])
+    assert code == 0
+    assert out["indices"] == [0, 1]
+
+
 def test_antichain_rejects_negative(capsys):
     code, out = run(capsys, ["antichain", "--max-n", "-1"])
     assert code == 2

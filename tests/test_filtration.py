@@ -336,3 +336,49 @@ def test_differential_witnesses_on_corrupted_quotients():
     assert fails >= 200
     assert errors >= 1
     assert fails_before_error >= 3
+
+
+def test_greatest_among_matches_the_brute_force_reference():
+    rng = random.Random(46)
+    models = checked = refused = 0
+    for _ in range(300):
+        m = random_model(rng, max_worlds=3)
+        sigma = close_sigma([random_formula(rng, ("p", "q"), 3)])
+        every = enumerate_filtrations(m, sigma)
+        # a handful of models have thousands of filtrations; they would
+        # only lengthen the run
+        if len(every) > 500:
+            continue
+        models += 1
+        g = greatest_filtration(m, sigma)
+        candidates = every + [_corrupted(rng, g)] * (g.classes() >= 2)
+        for r in candidates:
+            got = outcome(greatest_among, m, sigma, r)
+            assert got == outcome(ref.greatest_among, m, sigma, r)
+            checked += 1
+            refused += got[0] != "ok"
+    assert models >= 200
+    assert checked >= 4000
+    assert refused >= 20
+
+    # the reference answered False on these two; neither is covered by
+    # the domination theorem, so the new check refuses them
+    antichain = Poset(2, (1, 2))
+    empty = ntable_from_upset_map(antichain, dict.fromkeys(antichain.upsets(), 0))
+    m = NModel(NFrame(antichain, empty), {"p": 1, "q": 2})
+    both = close_sigma([parse("p"), parse("q")])
+    through_p = greatest_filtration(m, close_sigma([parse("p")]))
+    point = Poset(1, (1,))
+    m1 = NModel(NFrame(point, ntable_from_upset_map(point, {0: 0, 1: 0})), {"p": 0})
+    two = Poset(2, (3, 2))
+    # class 1 lies above class 0 and no world projects to it
+    empty_class = FiltrationResult(
+        NModel(NFrame(two, ntable_from_upset_map(two, {0: 0, 2: 0, 3: 0})), {"p": 0}),
+        (0,),
+        close_sigma([parse("p")]),
+    )
+    assert check_conditions(m1, empty_class) is None
+    for model, sigma, r in ((m, both, through_p), (m1, empty_class.sigma, empty_class)):
+        assert ref.greatest_among(model, sigma, r) is False
+        with pytest.raises(ValueError, match="projection mismatch"):
+            greatest_among(model, sigma, r)
