@@ -37,7 +37,7 @@ def _workloads():
     code = list(compile_prop(AXIOM_COPC, ("p", "q")))
     yield (
         "refute copc axiom, 6-chain",
-        lambda k: k.find_refuting_valuation_prop(code, 2, fr.n, up, nt, ups),
+        lambda k: k.find_refuting_valuation_prop(code, 2, fr.n, up, (nt,), ups),
         20,
     )
 

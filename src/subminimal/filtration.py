@@ -175,15 +175,20 @@ def check_conditions(m: NModel, r: FiltrationResult) -> tuple[str, tuple] | None
     """Verify the four filtration conditions exhaustively.
 
     Returns None when all hold, otherwise the first violated condition
-    with a witness: ("a", (w, v)), ("b", (w, v, f)), ("c", (X, class)),
-    or ("d", (w, f)). The negation condition (c) is read class-wise:
-    the quotient table at X stays inside the projection of the source
-    negation of the preimage of X.
+    with a witness: ("onto", (class,)), ("a", (w, v)), ("b", (w, v, f)),
+    ("c", (X, class)), or ("d", (w, f)). A filtration's projection is
+    onto, so the least class no world projects to is refused first;
+    the conditions below read such a class as unconstrained. The
+    negation condition (c) is read class-wise: the quotient table at X
+    stays inside the projection of the source negation of the preimage
+    of X.
     """
     sigma = r.sigma
     pi = r.pi
     n = m.frame.n
     members = _members(pi, r.classes())
+    if 0 in members:
+        return ("onto", (members.index(0),))
     truth = truth_sets(m, sigma)
     # the (b) witness is the first formula in Sigma's iteration order
     order = tuple(sigma)
@@ -246,12 +251,13 @@ def greatest_among(m: NModel, sigma: Iterable[Formula], other: FiltrationResult)
 
     Domination: the other order lies inside the greatest one and, on
     every greatest upset, the other negation inside the greatest one.
-    Proof: the other pi is the Sigma-agreement projection onto as many
-    classes, so it hits every class, and c <= d in the other order means
-    c = pi(w) and d = pi(v) with, by (b), the signature of w inside that
-    of v; so c <= d in the greatest order. Each greatest upset X is then
-    an upset of the other order, and there (c) bounds the other N(X) by
-    _class_bound, the greatest table. A non-filtration, or a candidate
+    Proof: the other pi is the Sigma-agreement projection, and onto by
+    check_conditions, so it has the greatest one's classes; c <= d in
+    the other order means c = pi(w) and d = pi(v) with, by (b), the
+    signature of w inside that of v; so c <= d in the greatest order.
+    Each greatest upset X is then an upset of the other order, and
+    there (c) bounds the other N(X) by _class_bound, the greatest
+    table. A non-filtration, or a candidate
     through another Sigma or projection, raises ValueError.
     """
     bad = check_conditions(m, other)
@@ -259,10 +265,8 @@ def greatest_among(m: NModel, sigma: Iterable[Formula], other: FiltrationResult)
         raise ValueError(f"not a filtration: condition ({bad[0]}) fails at {bad[1]}")
     sigma = frozenset(sigma)
     _require_closed(sigma)
-    if sigma == other.sigma:
-        pi, members = _partition(m, sigma)[:2]
-        if other.pi == pi and other.classes() == len(members):
-            return True
+    if sigma == other.sigma and other.pi == _partition(m, sigma)[0]:
+        return True
     raise ValueError("projection mismatch: same model and sigma expected")
 
 

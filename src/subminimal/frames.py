@@ -28,7 +28,9 @@ One builder, ``_orbit_least_frames``, gives the frames of one poset
 class. For the classes of at most DEFAULT_MAX_WORLDS worlds its output,
 and each logic's class members among it, is built once per process and
 kept (4,501 frames in about 1.4 MiB); the stream and every countermodel
-search read it from there. Larger classes are built again on every
+search read it from there. The search takes each class's members in
+one kernel call, and the column masks that call builds for them are
+kept beside them. Larger classes are built again on every
 call, because the 5-world ones alone would take about 120 MiB, and the
 search builds none past SEARCH_MAX_WORLDS worlds.
 """
@@ -470,26 +472,26 @@ def _compiled_prop(f: Formula) -> tuple[tuple[str, ...], tuple[int, ...]]:
     return names, compile_prop(f, names)
 
 
-def refuting_valuation(
-    fr: NFrame,
-    f: Formula,
-    compiled: tuple[tuple[str, ...], tuple[int, ...]] | None = None,
-) -> tuple[dict[str, int], int] | None:
-    """Least valuation refuting f on the frame, with the least failing
-    world, or None when the frame validates f. A search over many
-    frames passes ``_compiled_prop(f)`` once as ``compiled``."""
-    names, code = compiled if compiled is not None else _compiled_prop(f)
-    up, ntable, upsets = fr.poset.up, fr.ntable, fr.poset.upsets()
-    idx = kernels.find_refuting_valuation_prop(code, len(names), fr.n, up, ntable, upsets)
-    if idx < 0:
-        return None
-    valuation = _valuation_from_index(idx, names, upsets)
+def _refutation_at(
+    fr: NFrame, names: Sequence[str], code: Sequence[int], idx: int
+) -> tuple[dict[str, int], int]:
+    """The valuation of index idx on the frame, which the kernel found
+    refuting, and its least failing world."""
+    valuation = _valuation_from_index(idx, names, fr.poset.upsets())
     # the search met no undefined entry up to idx, so neither does this
-    truth = kernels.eval_prop(code, fr.n, up, ntable, [valuation[x] for x in names])
-    full = (1 << fr.n) - 1
-    fail = full & ~truth
-    world = (fail & -fail).bit_length() - 1
-    return valuation, world
+    truth = kernels.eval_prop(code, fr.n, fr.poset.up, fr.ntable, [valuation[x] for x in names])
+    fail = ((1 << fr.n) - 1) & ~truth
+    return valuation, (fail & -fail).bit_length() - 1
+
+
+def refuting_valuation(fr: NFrame, f: Formula) -> tuple[dict[str, int], int] | None:
+    """Least valuation refuting f on the frame, with the least failing
+    world, or None when the frame validates f."""
+    names, code = _compiled_prop(f)
+    idx = kernels.find_refuting_valuation_prop(
+        code, len(names), fr.n, fr.poset.up, (fr.ntable,), fr.poset.upsets()
+    )
+    return None if idx < 0 else _refutation_at(fr, names, code, idx)
 
 
 def frame_validates(fr: NFrame, f: Formula) -> bool:
@@ -993,9 +995,22 @@ def _orbit_least_frames(size: int, key: int) -> Iterator[NFrame]:
 # built with no bound on time or memory.
 SEARCH_MAX_WORLDS = 5
 
+
+class _ClassTables(tuple):
+    """The negation tables of one memoized class's members, in stream
+    order, with the column masks the search kernel builds for them
+    (see kernels.pure._first_refutation) kept in ``columns``."""
+
+    def __new__(cls, tables: Iterable[tuple[int, ...]]) -> "_ClassTables":
+        self = super().__new__(cls, tables)
+        self.columns = {}
+        return self
+
+
 # filled on first use, for classes of at most DEFAULT_MAX_WORLDS worlds
 _CLASS_FRAMES: dict[tuple[int, int], tuple[NFrame, ...]] = {}
 _CLASS_MEMBERS: dict[tuple[int, int, str], tuple[NFrame, ...]] = {}
+_CLASS_TABLES: dict[tuple[int, int, str], _ClassTables] = {}
 
 
 def _class_frames(size: int, key: int) -> Iterable[NFrame]:
@@ -1021,6 +1036,30 @@ def _class_members(size: int, key: int, logic: Logic) -> Iterable[NFrame]:
     return _CLASS_MEMBERS[memo]
 
 
+def _class_batches(
+    size: int, key: int, logic: Logic, nvars: int
+) -> Iterator[tuple[Sequence[NFrame], Sequence[tuple[int, ...]]]]:
+    """The members of one poset class in the logic's frame class, in
+    stream order, as (frames, tables) batches of one kernel call each
+    for a formula of nvars variables. A memoized class is one batch
+    whose tables keep their column masks. A streamed class is cut into
+    batches of as many frames as fit in one kernel block, so it holds
+    no more than that at once."""
+    members = _class_members(size, key, logic)
+    if size <= DEFAULT_MAX_WORLDS:
+        memo = (size, key, logic.name)
+        if memo not in _CLASS_TABLES:
+            _CLASS_TABLES[memo] = _ClassTables(fr.ntable for fr in members)
+        if members:
+            yield members, _CLASS_TABLES[memo]
+        return
+    stream = iter(members)
+    per = len(_poset_from_mask(size, key).upsets()) ** nvars
+    step = max(1, kernels.pure._BLOCK // per)
+    while batch := tuple(itertools.islice(stream, step)):
+        yield batch, tuple(fr.ntable for fr in batch)
+
+
 def _frame_stream(n: int) -> Iterator[NFrame]:
     """One N-frame per isomorphism class up to n worlds, each the first
     of its class in the labeled order: the least-mask labeling of its
@@ -1043,10 +1082,10 @@ def countermodel_search(
     Frames stream in canonical order, so the witness is deterministic:
     the first frame of the class refuting f among all labeled frames,
     with the least refuting valuation and world. ``deadline`` is an
-    absolute time.time() value, checked before each frame of the
-    logic's class; passing it raises SearchTimeout, which says how many
+    absolute time.time() value, checked before each batch of frames
+    (see below); passing it raises SearchTimeout, which says how many
     worlds the search had reached and how many class frames it had
-    tried.
+    tried in the batches before.
 
     The frames of the poset classes of at most DEFAULT_MAX_WORLDS
     worlds, and each logic's members among them, are built once per
@@ -1067,14 +1106,30 @@ def countermodel_search(
     N^g is lawful, lies on P, and is in the class and refutes f as N
     does; were it smaller it would come earlier. So N is the least
     table of its orbit. Both filters keep (P, N) and drop only frames
-    after it, and refuting_valuation runs on the same frame, so the
-    valuation and world are the same too. Every class keeps a frame,
-    so exhaustion, and with it every verdict that rests on it, is
-    unchanged.
+    after it. Every class keeps a frame, so exhaustion, and with it
+    every verdict that rests on it, is unchanged.
+
+    The members of a poset class are searched in one kernel call per
+    batch (a whole memoized class, or a block's worth of a streamed
+    one), and the witness is the one a frame-by-frame search gives.
+    The frames of a class share its poset, so they share its upsets
+    and valuations. The kernel numbers its positions frame *
+    len(upsets)**nvars + valuation: frame-major, the order of a loop
+    over the frames that tries each frame's valuations in ascending
+    order. It returns the lowest position that refutes f, unless a
+    lower one reaches an undefined entry, and then raises. The lowest
+    refuting position lies on the first frame of the batch that
+    refutes f, at that frame's least refuting valuation, which is what
+    the loop returns; the least failing world comes from evaluating
+    that valuation once. The loop raises at the first frame with a
+    hole before its first refutation, and a frame before it neither
+    refutes nor has a hole; so the lowest hole position comes before
+    every refuting one exactly when the loop raises, on that frame.
+    Batches run in stream order, so the batch split moves nothing.
     """
     if max_worlds < 1:
         raise ValueError("need at least one world")
-    compiled = _compiled_prop(f)
+    names, code = _compiled_prop(f)
     tried = 0
     for size in range(1, max_worlds + 1):
         if size > SEARCH_MAX_WORLDS:
@@ -1083,17 +1138,21 @@ def countermodel_search(
                 f"builds no frames past that cap (asked for {max_worlds})"
             )
         for key, _ in _poset_classes(size):
-            for fr in _class_members(size, key, logic):
+            for batch, tables in _class_batches(size, key, logic, len(names)):
                 if deadline is not None and time.time() > deadline:
                     raise SearchTimeout(
                         f"no verdict within the budget: reached {size} worlds "
                         f"after trying {tried} class frames"
                     )
-                tried += 1
-                hit = refuting_valuation(fr, f, compiled)
-                if hit is not None:
-                    valuation, world = hit
-                    return NModel(fr, valuation), world
+                p = batch[0].poset
+                idx = kernels.find_refuting_valuation_prop(
+                    code, len(names), size, p.up, tables, p.upsets()
+                )
+                if idx >= 0:
+                    frame, idx = divmod(idx, len(p.upsets()) ** len(names))
+                    valuation, world = _refutation_at(batch[frame], names, code, idx)
+                    return NModel(batch[frame], valuation), world
+                tried += len(batch)
     return None
 
 

@@ -12,6 +12,16 @@ Conventions:
   mask of its negation value; strict N-frames store -1 at non-upset
   indices, NS4 and orderless tables are total;
 * formulas arrive as postfix opcode arrays, see kernels.ops.
+
+The refutation search evaluates many valuations at once, bit-sliced: a
+truth set is one int per world with one bit per search position. The
+prop search takes a sequence of tables on one poset, all frames of a
+poset class, say, and numbers its positions frame-major, frame *
+len(upsets)**nvars + valuation; a block packs as many whole frames as
+fit in _BLOCK bits. The frames share the poset's cones and valuations,
+so only the negation lookup tells them apart: it reads, for each truth
+set, column masks that mark the positions whose frame puts a world in
+N of that set (see _first_refutation).
 """
 
 from subminimal.kernels.ops import (
@@ -107,12 +117,12 @@ def eval_modal(code, n, up, ntable, val):
     return stack[-1]
 
 
-# widest block of valuations the refutation search evaluates at once
+# widest block of search positions (frame, valuation) evaluated at once
 _BLOCK = 1 << 12
 
 
 def _block_box(a, cones, ones):
-    """Box of a block truth set: w keeps the valuations that put all
+    """Box of a block truth set: w keeps the positions that put all
     of R(w) in the set."""
     out = []
     for cone in cones:
@@ -123,12 +133,46 @@ def _block_box(a, cones, ones):
     return out
 
 
-def _block_lookup(a, n, ntable, ones):
-    """Table lookup of a block truth set: the per-world ints of the
-    values, and the bitset of the valuations whose entry is negative.
+class _Columns(dict):
+    """The column masks of the frames of one block, per set x, built on
+    first use: the mask of the positions whose frame has a negative
+    entry at x, and the (w, mask) pairs, mask marking the positions
+    whose frame has w in N(x). Frame j of the block holds the ``width``
+    positions from j * width on."""
 
-    The valuations are grouped by the world set they give, world by
-    world, so each distinct set is looked up once."""
+    def __init__(self, tables, width, n):
+        super().__init__()
+        self.tables = tables
+        self.width = width
+        self.n = n
+
+    def __missing__(self, x):
+        width = self.width
+        hole = 0
+        cols = [0] * self.n
+        for j, t in enumerate(self.tables):
+            seg = ((1 << width) - 1) << (j * width)
+            v = t[x]
+            if v < 0:
+                hole |= seg
+                continue
+            while v:
+                b = v & -v
+                cols[b.bit_length() - 1] |= seg
+                v ^= b
+        self[x] = out = (hole, tuple((w, m) for w, m in enumerate(cols) if m))
+        return out
+
+
+def _block_lookup(a, n, columns, ones):
+    """Table lookup of a block truth set: the per-world ints of the
+    values, and the bitset of the positions whose entry is negative.
+
+    The positions are grouped by the world set they give, world by
+    world, so each distinct set is looked up once: in the column masks
+    of a block of several frames (a _Columns), or in the table of a
+    block of one frame, which spares a call on one table, such as the
+    modal kernel's, building columns it reads once."""
     groups = {0: ones}
     for w in range(n):
         bit = 1 << w
@@ -144,8 +188,15 @@ def _block_lookup(a, n, ntable, ones):
         groups = nxt
     out = [0] * n
     holes = 0
+    if isinstance(columns, _Columns):
+        for x, g in groups.items():
+            hole, cols = columns[x]
+            holes |= g & hole
+            for w, m in cols:
+                out[w] |= g & m
+        return out, holes
     for x, g in groups.items():
-        v = ntable[x]
+        v = columns[x]
         if v < 0:
             holes |= g
             continue
@@ -155,31 +206,44 @@ def _block_lookup(a, n, ntable, ones):
     return out, holes
 
 
-def _first_refutation(code, nvars, n, up, ntable, values, modal, error):
+def _first_refutation(code, nvars, n, up, tables, values, modal, error):
     """Bit-sliced search behind both find_refuting_valuation_* kernels.
 
-    Valuation index idx gives variable k the value values[digit k of
-    idx in base len(values)], variable 0 most significant. A block is
-    width = len(values)**j consecutive indices: the last j variables
-    run through every digit pattern inside it, the others are fixed by
-    the block number. A truth set over a block is one int per world,
-    bit i set when the world is in the set under the block's i-th
-    valuation; the Heyting arrow is box(~a | b), and the N and [n]
-    lookups group the valuations by truth set. Blocks run in ascending
-    order and the search stops in the first block that holds a
-    refutation or an error, at its lowest valuation, so the result is
-    that of evaluating one valuation at a time. The code must be
-    well-formed postfix over the variables below max(nvars, 1); with no
-    variables, variable 0 is the empty set.
+    Search position idx = frame * len(values)**nvars + valuation runs
+    frame-major over the tables, all on the one poset given by ``up``.
+    Valuation index v gives variable k the value values[digit k of v in
+    base len(values)], variable 0 most significant. A block is a run of
+    consecutive positions. When the valuations of one frame fit in
+    _BLOCK bits, a block holds as many whole frames as fit; otherwise
+    it holds width = len(values)**j consecutive valuations of one
+    frame, the last j variables running through every digit pattern
+    and the others fixed by the block number. A truth set over a block
+    is one int per world, bit i set when the world is in the set at the
+    block's i-th position; the Heyting arrow is box(~a | b). The N and
+    [n] lookups group the positions by truth set and, for each set x,
+    OR in the column masks of x: per world w the positions whose frame
+    has w in N(x), and the positions whose frame has a negative entry
+    at x (see _Columns); a block of one frame reads its table. Blocks
+    run in ascending order and the search stops in the first block that
+    holds a refutation or an error, at its lowest position, so the
+    result is that of evaluating one valuation of one frame at a time,
+    frame by frame. The code must be well-formed postfix over the
+    variables below max(nvars, 1); with no variables, variable 0 is the
+    empty set.
 
-    Prop code (modal False): a valuation that reaches a negative table
+    When ``tables`` has a ``columns`` attribute, a dict, the column
+    masks built for it are kept there, keyed by block layout, so a
+    caller that searches the same tables again builds them once.
+
+    Prop code (modal False): a position that reaches a negative table
     entry is an error, and so is any opcode other than Var, Top, And,
     Or, Imp and Neg. Modal code: any Neg opcode is an error, and the
-    table must hold a world mask at every subset.
+    tables must hold a world mask at every subset.
     """
     nu = len(values)
-    total = nu**nvars
-    if total == 0:
+    per = nu**nvars
+    nf = len(tables)
+    if per == 0 or nf == 0:
         return -1
     width = 1
     low = 0
@@ -187,14 +251,19 @@ def _first_refutation(code, nvars, n, up, ntable, values, modal, error):
         width *= nu
         low += 1
     high = nvars - low
-    ones = (1 << width) - 1
+    # frames per block, and blocks per group of fpb frames
+    fpb = min(nf, _BLOCK // width) if high == 0 else 1
+    per_group = nu**high
+    span = fpb * width
+    ones = (1 << span) - 1
     cones = [[v for v in range(n) if (up[w] >> v) & 1] for w in range(n)]
     top = [ones] * n
     bot = [0] * n
     slots = [bot] * max(nvars, 1)
     for k in range(high, nvars):
         # digit d of variable k holds on runs of `run` consecutive
-        # indices, one run in every run * nu, starting at d * run
+        # positions, one run in every run * nu, starting at d * run;
+        # run * nu divides width, so the pattern repeats frame by frame
         run = nu ** (nvars - 1 - k)
         base = ((1 << run) - 1) * (ones // ((1 << (run * nu)) - 1))
         vec = [0] * n
@@ -203,8 +272,19 @@ def _first_refutation(code, nvars, n, up, ntable, values, modal, error):
                 if (x >> w) & 1:
                     vec[w] |= base << (d * run)
         slots[k] = vec
-    for block in range(total // width):
-        t = block
+    if fpb > 1:
+        memo = getattr(tables, "columns", {}).setdefault((width, fpb), {})
+    for block in range(-(-nf // fpb) * per_group):
+        group, t = divmod(block, per_group)
+        if fpb == 1:
+            columns = tables[group]
+            live = ones
+        else:
+            columns = memo.get(group)
+            if columns is None:
+                columns = memo[group] = _Columns(tables[group * fpb : (group + 1) * fpb], width, n)
+            # the positions of the frames this block holds
+            live = (1 << (len(columns.tables) * width)) - 1
         for k in range(high - 1, -1, -1):
             x = values[t % nu]
             t //= nu
@@ -231,7 +311,7 @@ def _first_refutation(code, nvars, n, up, ntable, values, modal, error):
                 c = [(ones & ~x) | y for x, y in zip(stack[-1], b)]
                 stack[-1] = c if modal else _block_box(c, cones, ones)
             elif op == OP_NEG and not modal:
-                out, holes = _block_lookup(stack[-1], n, ntable, ones)
+                out, holes = _block_lookup(stack[-1], n, columns, ones)
                 err |= holes
                 stack[-1] = out
             elif op == OP_BOT and modal:
@@ -239,39 +319,43 @@ def _first_refutation(code, nvars, n, up, ntable, values, modal, error):
             elif op == OP_BOX and modal:
                 stack[-1] = _block_box(stack[-1], cones, ones)
             elif op == OP_BBOX and modal:
-                stack[-1] = _block_lookup(stack[-1], n, ntable, ones)[0]
+                stack[-1] = _block_lookup(stack[-1], n, columns, ones)[0]
             else:
                 raise ValueError(error)
         r = stack[-1]
         bad = err
         for w in range(n):
-            bad |= ones & ~r[w]
+            bad |= live & ~r[w]
         if bad:
             first = bad & -bad
             if err & first:
                 raise ValueError(error)
-            return block * width + first.bit_length() - 1
+            return block * span + first.bit_length() - 1
     return -1
 
 
-def find_refuting_valuation_prop(code, nvars, n, up, ntable, upsets):
-    """Index of the first refuting valuation, or -1 if the formula is valid.
+def find_refuting_valuation_prop(code, nvars, n, up, tables, upsets):
+    """First refuting position over a sequence of tables on one poset,
+    or -1 if every table validates the formula.
 
-    Valuations assign upsets to variables; index digits run over the
-    ascending upset list with variable 0 most significant, so ascending
-    indices are lexicographic valuations. Raises ValueError when, in
-    index order, a valuation reaches a negative table entry before any
-    valuation refutes the formula, or when the code holds a modal
-    opcode.
+    The position is frame * len(upsets)**nvars + valuation, frame the
+    index of the table in ``tables``; with one table it is the index of
+    the valuation. Valuations assign upsets to variables; index digits
+    run over the ascending upset list with variable 0 most significant,
+    so ascending indices are lexicographic valuations. Raises
+    ValueError when, in position order, a valuation reaches a negative
+    table entry before any position refutes the formula, or when the
+    code holds a modal opcode.
     """
     return _first_refutation(
-        code, nvars, n, up, ntable, upsets, False,
+        code, nvars, n, up, tables, upsets, False,
         "evaluation left the negation table domain",
     )
 
 
 def find_refuting_valuation_modal(code, nvars, n, up, ntable):
-    """Like find_refuting_valuation_prop, with arbitrary subsets as values.
+    """Like find_refuting_valuation_prop on one table, with arbitrary
+    subsets as values.
 
     The table must be total, a world mask at every subset, as the NS4
     frames and lift_table give it: a negative entry raises ValueError
@@ -281,7 +365,7 @@ def find_refuting_valuation_modal(code, nvars, n, up, ntable):
     if min(ntable) < 0:
         raise ValueError("modal table has a negative entry; it must cover every subset")
     return _first_refutation(
-        code, nvars, n, up, ntable, range(1 << n), True, "modal opcode mismatch"
+        code, nvars, n, up, (ntable,), range(1 << n), True, "modal opcode mismatch"
     )
 
 

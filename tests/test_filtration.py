@@ -362,7 +362,9 @@ def test_greatest_among_matches_the_brute_force_reference():
     assert refused >= 20
 
     # the reference answered False on these two; neither is covered by
-    # the domination theorem, so the new check refuses them
+    # the domination theorem, so the new check refuses them: the first
+    # as a projection mismatch, the second, whose projection is not
+    # onto, as no filtration at all
     antichain = Poset(2, (1, 2))
     empty = ntable_from_upset_map(antichain, dict.fromkeys(antichain.upsets(), 0))
     m = NModel(NFrame(antichain, empty), {"p": 1, "q": 2})
@@ -377,8 +379,29 @@ def test_greatest_among_matches_the_brute_force_reference():
         (0,),
         close_sigma([parse("p")]),
     )
-    assert check_conditions(m1, empty_class) is None
-    for model, sigma, r in ((m, both, through_p), (m1, empty_class.sigma, empty_class)):
+    assert check_conditions(m1, empty_class) == ("onto", (1,))
+    for model, sigma, r, error in (
+        (m, both, through_p, "projection mismatch"),
+        (m1, empty_class.sigma, empty_class, r"not a filtration: condition \(onto\) fails at \(1,\)"),
+    ):
         assert ref.greatest_among(model, sigma, r) is False
-        with pytest.raises(ValueError, match="projection mismatch"):
+        with pytest.raises(ValueError, match=error):
             greatest_among(model, sigma, r)
+
+
+def test_check_conditions_refuses_a_class_no_world_projects_to():
+    # the second class lies above the first and no world projects to it;
+    # the projection of the truth set of ~p is not an upset there, so its
+    # table entry is undefined, and (d) alone read it as every class
+    point = Poset(1, (1,))
+    m = NModel(NFrame(point, (1, 0)), {"p": 0})
+    two = Poset(2, (3, 2))
+    r = FiltrationResult(
+        NModel(NFrame(two, ntable_from_upset_map(two, {0: 1, 2: 0, 3: 0})), {"p": 0}),
+        (0,),
+        close_sigma([parse("~~p")]),
+    )
+    assert ref.check_conditions(m, r) is None
+    with pytest.raises(ValueError, match="undefined negation entry"):
+        filtration_theorem_check(m, r)
+    assert check_conditions(m, r) == ("onto", (1,))

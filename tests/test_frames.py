@@ -10,7 +10,8 @@ import pytest
 
 from conftest import outcome
 from filtration_reference import eval_formula as reference_eval
-from subminimal import frames
+from subminimal import frames, kernels
+from subminimal.kernels import pure
 from subminimal.algebra import TopFrame, topframe_from_dict
 from subminimal.frames import (
     DEFAULT_MAX_WORLDS,
@@ -411,15 +412,17 @@ def test_countermodel_search_timeout():
 
 
 def test_search_timeout_says_how_far_it_got(monkeypatch):
-    # a clock that ticks once per deadline check: checks 0..30 pass, so
-    # 31 frames are tried, the 4 one-world and 25 two-world ones first
+    # a clock that ticks once per deadline check, one check per batch of
+    # class frames, here one batch per poset class: checks 0..4 pass, so
+    # 5 classes are tried, the 4 one-world frames, the 10 + 15 two-world
+    # ones and the 20 + 60 of the first two 3-world classes
     ticks = itertools.count()
     monkeypatch.setattr(frames, "time", types.SimpleNamespace(time=lambda: next(ticks)))
     with pytest.raises(
         SearchTimeout,
-        match=r"^no verdict within the budget: reached 3 worlds after trying 31 class frames$",
+        match=r"^no verdict within the budget: reached 3 worlds after trying 109 class frames$",
     ):
-        countermodel_search(LOGICS["n"], AXIOM_N, 3, deadline=30)
+        countermodel_search(LOGICS["n"], AXIOM_N, 3, deadline=4)
 
 
 def _uncached_stream(n):
@@ -451,16 +454,62 @@ def test_search_on_a_warm_memo_repeats_its_witness():
 
 
 def test_five_world_classes_are_not_memoized(monkeypatch):
-    # a stand-in refutation that hits the first 5-world frame, so the
-    # search reaches 5 worlds without walking all of them
-    def refute_at_five(fr, f, compiled=None):
-        return ({}, 0) if fr.n == 5 else None
+    # a stand-in kernel that refutes at the first position of the first
+    # 5-world batch, so the search reaches 5 worlds without walking them
+    def refute_at_five(code, nvars, n, up, tables, upsets):
+        return 0 if n == 5 else -1
 
-    monkeypatch.setattr(frames, "refuting_valuation", refute_at_five)
+    monkeypatch.setattr(kernels, "find_refuting_valuation_prop", refute_at_five)
     model, _ = countermodel_search(LOGICS["n"], AXIOM_N, 5)
     assert model.frame.n == 5
-    kept = [*frames._CLASS_FRAMES, *frames._CLASS_MEMBERS]
+    kept = [*frames._CLASS_FRAMES, *frames._CLASS_MEMBERS, *frames._CLASS_TABLES]
     assert kept and all(memo[0] <= DEFAULT_MAX_WORLDS for memo in kept)
+
+
+@pytest.mark.parametrize("block, count", [(pure._BLOCK, 300), (64, 100)], ids=["wide", "narrow"])
+def test_batched_search_keeps_the_frame_by_frame_witness(monkeypatch, block, count):
+    # the reference: one kernel call per frame of the stream, in order,
+    # each frame's result shared by the four logics; narrow blocks split
+    # each class into blocks of a few frames, or of part of one
+    monkeypatch.setattr(pure, "_BLOCK", block)
+    rng = random.Random(37)
+    past_first = 0
+    for _ in range(count):
+        f = random_formula(rng, ["p", "q"], 3)
+        max_worlds = rng.randint(1, DEFAULT_MAX_WORLDS)
+        hits = {}
+        for logic in LOGICS.values():
+            want = None
+            for fr in _frame_stream(max_worlds):
+                if frame_class(fr, logic):
+                    if fr not in hits:
+                        hits[fr] = refuting_valuation(fr, f)
+                    if hits[fr] is not None:
+                        want = model_to_dict(NModel(fr, hits[fr][0])), hits[fr][1]
+                        break
+            hit = countermodel_search(logic, f, max_worlds)
+            got = None if hit is None else (model_to_dict(hit[0]), hit[1])
+            assert got == want, (show(f), logic.name, max_worlds)
+            if hit is not None:
+                fr = hit[0].frame
+                past_first += fr != _class_members(fr.n, canonical_poset_key(fr.poset), logic)[0]
+    # witnesses past the first frame of their class, where the frame
+    # order inside a batch decides
+    assert past_first >= count // 10
+
+
+def test_streamed_classes_come_in_block_sized_batches(monkeypatch):
+    # the first 5-world class has 32 upsets, so a one-variable formula
+    # puts 32 valuations on each frame and two frames fill 64 bits
+    monkeypatch.setattr(pure, "_BLOCK", 64)
+    key = _poset_classes(5)[0][0]
+    batches = list(itertools.islice(frames._class_batches(5, key, LOGICS["n"], 1), 3))
+    assert [len(batch) for batch, _ in batches] == [2, 2, 2]
+    assert [fr for batch, _ in batches for fr in batch] == list(
+        itertools.islice(_class_members(5, key, LOGICS["n"]), 6)
+    )
+    for batch, tables in batches:
+        assert tables == tuple(fr.ntable for fr in batch)
 
 
 def _labeled_frames(max_worlds):

@@ -17,7 +17,7 @@ import pytest
 
 import kernel_reference as ref
 import subminimal
-from subminimal import kernels
+from subminimal import frames, kernels
 from subminimal.antichain import (
     positive_morphism,
     verify_order_onto,
@@ -105,7 +105,7 @@ def test_refuting_valuation_prop_agrees_with_search(impl):
         ups = enumerate_upsets(fr.poset)
         f = random_formula(rng, names, 3)
         idx = impl.find_refuting_valuation_prop(
-            compile_prop(f, names), 2, fr.poset.n, fr.poset.up, fr.ntable, ups
+            compile_prop(f, names), 2, fr.poset.n, fr.poset.up, (fr.ntable,), ups
         )
         hit = refuting_valuation(fr, f)
         assert (idx == -1) == (hit is None)
@@ -121,7 +121,7 @@ def test_refuting_valuation_prop_domain_error(impl):
     code = compile_prop(parse("~p"), ["p"])
     with pytest.raises(ValueError, match="evaluation left the negation table domain"):
         impl.find_refuting_valuation_prop(
-            code, 1, 2, CHAIN2.up, (-1, -1, -1, -1), CHAIN2_UPSETS
+            code, 1, 2, CHAIN2.up, ((-1, -1, -1, -1),), CHAIN2_UPSETS
         )
 
 
@@ -130,7 +130,7 @@ def test_refuting_valuation_prop_stops_at_once_on_a_huge_space():
     # index order can return the refutation at index 0
     code = compile_prop(parse("p"), ["p"])
     t0 = time.perf_counter()
-    assert pure.find_refuting_valuation_prop(code, 70, 1, (1,), (1, 1), (0, 1)) == 0
+    assert pure.find_refuting_valuation_prop(code, 70, 1, (1,), ((1, 1),), (0, 1)) == 0
     assert pure.find_refuting_valuation_modal(code, 70, 1, (1,), (1, 1)) == 0
     assert time.perf_counter() - t0 < 1.0
 
@@ -140,20 +140,20 @@ def test_refuting_valuation_prop_raises_only_at_a_hole_before_the_refutation():
     code = compile_prop(parse("~p"), ["p"])
     ups = (0, 1)
     # index 0 refutes (N(0) = 0), index 1 reaches the hole: no error
-    assert pure.find_refuting_valuation_prop(code, 1, 1, (1,), (0, -1), ups) == 0
+    assert pure.find_refuting_valuation_prop(code, 1, 1, (1,), ((0, -1),), ups) == 0
     # index 0 reaches the hole before index 1 refutes
     with pytest.raises(ValueError, match="evaluation left the negation table domain"):
-        pure.find_refuting_valuation_prop(code, 1, 1, (1,), (-1, 0), ups)
+        pure.find_refuting_valuation_prop(code, 1, 1, (1,), ((-1, 0),), ups)
     # every one-world table over "~p" and "q | ~p" (index 2q + p): a hole
     # after the refutation in the same block must not raise
     code2 = compile_prop(parse("q | ~p"), ["q", "p"])
-    assert pure.find_refuting_valuation_prop(code2, 2, 1, (1,), (0, -1), ups) == 0
-    assert pure.find_refuting_valuation_prop(code2, 2, 1, (1,), (1, 0), ups) == 1
+    assert pure.find_refuting_valuation_prop(code2, 2, 1, (1,), ((0, -1),), ups) == 0
+    assert pure.find_refuting_valuation_prop(code2, 2, 1, (1,), ((1, 0),), ups) == 1
     for ntable in itertools.product((-1, 0, 1), repeat=2):
         for c, nvars in ((code, 1), (code2, 2)):
             args = (c, nvars, 1, (1,), ntable, ups)
             want = _capture(ref.find_refuting_valuation_prop, *args)
-            assert _capture(pure.find_refuting_valuation_prop, *args) == want
+            assert _capture(pure.find_refuting_valuation_prop, *_one_table(args)) == want
 
 
 @PURE
@@ -274,6 +274,60 @@ def _nvars_within(rng, nu, cap):
     return nvars
 
 
+def _one_table(args):
+    """Arguments of the plain prop loop as the batched kernel takes
+    them: the one table as a sequence of one."""
+    return args[:4] + ((args[4],),) + args[5:]
+
+
+def _table_by_table(code, nvars, n, up, tables, ups):
+    """The plain prop loop run on each table in turn: the first
+    position frame * len(ups)**nvars + valuation that refutes, or the
+    first error, as the batched kernel must give them."""
+    per = len(ups) ** nvars
+    for j, table in enumerate(tables):
+        got = _capture(ref.find_refuting_valuation_prop, code, nvars, n, up, table, ups)
+        if got[0] != "ok":
+            return got
+        if got[1] >= 0:
+            return ("ok", j * per + got[1])
+    return ("ok", -1)
+
+
+@pytest.mark.parametrize("block", [pure._BLOCK, 16, 4], ids=["wide", "mid", "narrow"])
+def test_batched_refutation_search_matches_the_plain_loop(monkeypatch, block):
+    # narrow blocks split a batch of tables into several blocks, and a
+    # frame's valuations into several blocks
+    monkeypatch.setattr(pure, "_BLOCK", block)
+    rng = random.Random(4343 + block)
+    names = ("p", "q", "r")
+    outcomes = set()
+    for _ in range(400):
+        n = rng.randint(0, 4)
+        p = random_poset(rng, n)
+        ups = enumerate_upsets(p)
+        nvars = _nvars_within(rng, len(ups), 300)
+        vs = names[: max(nvars, 1)]
+        code = compile_prop(random_formula(rng, vs, rng.randint(0, 4)), vs)
+        if rng.random() < 0.05:
+            modal = compile_modal(random_formula(rng, vs, 2, "modal"), vs)
+            code = code + modal + (OP_AND, 0)
+        # lawful, holed and odd tables, mostly lawful ones, in batches
+        # of 0 to 20
+        pool = [t for _ in range(3) for t in _tables(rng, p, ups)]
+        pool += [random_ntable(rng, p) for _ in range(12)]
+        tables = tuple(rng.choice(pool) for _ in range(rng.randint(0, 20)))
+        want = _table_by_table(code, nvars, n, p.up, tables, ups)
+        assert _capture(pure.find_refuting_valuation_prop, code, nvars, n, p.up, tables, ups) == want
+        # tables that keep their column masks give the same twice over
+        kept = frames._ClassTables(tables)
+        for _ in range(2):
+            assert _capture(pure.find_refuting_valuation_prop, code, nvars, n, p.up, kept, ups) == want
+        outcomes.add((want[0], want[0] == "ok" and want[1] >= len(ups) ** nvars))
+    # refutations past the first table, valid batches and errors all occur
+    assert outcomes >= {("ok", True), ("ok", False), ("err", False)}
+
+
 @pytest.mark.parametrize("block", [pure._BLOCK, 4], ids=["wide", "narrow"])
 def test_refuting_valuation_search_matches_the_plain_loop(monkeypatch, block):
     # narrow blocks make the spaces below span many blocks, so the fuzz
@@ -303,7 +357,7 @@ def test_refuting_valuation_search_matches_the_plain_loop(monkeypatch, block):
         for table in _tables(rng, p, ups):
             args = (code, nvars, n, p.up, table, ups)
             a = _capture(ref.find_refuting_valuation_prop, *args)
-            b = _capture(pure.find_refuting_valuation_prop, *args)
+            b = _capture(pure.find_refuting_valuation_prop, *_one_table(args))
             assert a == b, (n, args, a, b)
             checked += 1
         total = [rng.randrange(1 << n) for _ in range(1 << n)]
