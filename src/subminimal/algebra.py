@@ -8,18 +8,24 @@ prime filters, where properness is not required: the whole carrier is
 a prime filter here and becomes the top world of the dual frame.
 
 Elements are integers 0..size-1 and all operation tables are dense
-tuples of size^2 entries. Checking the laws and finding the prime
-filters take O(size^3) steps, so algebras of a few dozen elements are
-cheap. The dual frame has one world per prime filter and, like every
-frame here, a negation table over all subsets of its worlds, so that
-part doubles with each prime filter; a chain of s elements has s. A
-dual of more than 20 worlds, the world cap of the frame readers, raises
-ValueError.
+tuples of size^2 entries. Accepting a lawful algebra takes O(size^2)
+bitmask steps plus size steps per covering pair of its order (a table
+that breaks a law pays the O(size^3) loop that names it), and finding
+the prime filters O(size^3), so algebras of a few dozen elements are
+cheap. Each algebra builds its prime filters and dual frame once, on
+first use, and keeps them: dual_frame, duality_check and every
+least_filtration_correspondence on it share one, and the round trip
+compares world masks instead of building a second algebra. The dual
+frame has one world per prime filter and, like every frame here, a
+negation table over all subsets of its worlds, so that part doubles
+with each prime filter; a chain of s elements has s. A dual of more
+than 20 worlds, the world cap of the frame readers, raises ValueError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from subminimal.frames import (
@@ -71,15 +77,24 @@ class NAlgebra:
                 raise ValueError(f"{name} table must be square of order {self.size}")
         if len(self.neg) != self.size:
             raise ValueError("negation table length mismatch")
-        values = [v for row in self.meet for v in row]
-        values += [v for row in self.join for v in row]
-        values += [v for row in self.imp for v in row]
-        values += list(self.neg) + [self.one]
-        if any(not 0 <= v < self.size for v in values):
-            raise ValueError("table value out of range")
+        for rows in (self.meet, self.join, self.imp, (self.neg, (self.one,))):
+            for row in rows:
+                for v in row:
+                    if not 0 <= v < self.size:
+                        raise ValueError("table value out of range")
 
     def le(self, a: int, b: int) -> bool:
         return self.meet[a][b] == a
+
+    @cached_property
+    def _duality(self) -> tuple[list[int], list[int], TopFrame]:
+        """The prime filters, the hat of every element and the dual
+        frame, built on first use and kept, as Poset keeps its upsets.
+        The value stays out of ==, hash and repr; an error is not kept,
+        so the next use raises it again."""
+        filters = prime_filters(self)
+        hats = _hats(self.size, filters)
+        return filters, hats, _dual(self, filters, hats)
 
 
 def check_nalgebra(a: NAlgebra) -> tuple[str, tuple] | None:
@@ -88,7 +103,112 @@ def check_nalgebra(a: NAlgebra) -> tuple[str, tuple] | None:
     None means the tables form an N-algebra; otherwise the first broken
     law is returned with a witness tuple: lattice identities first,
     then the top, then residuation of imp, then compatibility of neg.
+
+    A lawful algebra is accepted by _laws_hold in O(size^2) bitmask
+    steps plus size steps per covering pair of its order; a lattice has
+    O(size^1.5) covering pairs, since two elements never share two
+    upper covers. Only when that test fails does the O(size^3) loop of
+    _first_broken_law run, to find the first broken law and its
+    witness, so the answer is that loop's on every input. The two
+    agree on which tables are lawful; _laws_hold proves it.
     """
+    if _laws_hold(a):
+        return None
+    return _first_broken_law(a)
+
+
+def _laws_hold(a: NAlgebra) -> bool:
+    """Whether the tables satisfy every law that check_nalgebra checks,
+    in O(size^2) steps on element bitmasks and size steps per covering
+    pair.
+
+    Read x <= y as meet[x][y] == x, let D[y] be the mask of the x below
+    y and U[x] the mask of the y above x. The test asks for:
+
+    (1) idempotence and commutativity of meet and join, both absorption
+        laws and the top (meet[x][one] == x), as the loop checks them;
+    (2) D[meet[x][y]] == D[x] & D[y] and U[join[x][y]] == U[x] & U[y];
+    (3) y & (y -> z) <= z, x <= y -> (x & y), and y -> z <= y -> c
+        whenever c covers z (c is minimal strictly above z);
+    (4) compatibility, as the loop checks it.
+
+    Associativity. Under (1), <= is reflexive (idempotence) and
+    antisymmetric (x <= y <= x gives x = meet[x][y] = meet[y][x] = y).
+    It is transitive under (2): if x <= y <= z, then meet[y][z] == y
+    gives D[y] == D[y] & D[z], and x is in D[y], so x <= z. Then (2)
+    says that meet[x][y] lies below x and y (it is in its own D) and
+    above every common lower bound: it is the greatest lower bound, and
+    the greatest lower bound of three elements does not depend on the
+    bracketing. Conversely, an associative meet is a semilattice
+    operation, so <= is a partial order with meet the greatest lower
+    bound, which is (2) for meet. For join, absorption makes its order
+    the same: if join[x][y] == y then meet[x][y] == meet[x][join[x][y]]
+    == x, and if meet[x][y] == x then join[x][y] == join[y][meet[y][x]]
+    == y. So the same argument with U and least upper bounds covers join.
+
+    Residuation, in the lattice that (1) and (2) give: for all x, y, z,
+    x & y <= z iff x <= y -> z. If it holds, x = y -> z gives the first
+    part of (3), z = x & y the second, and x = y -> z with z <= c the
+    third. Conversely, (3) makes y -> . monotone, since z <= z' is a
+    chain of covers in a finite order. Then x & y <= z gives
+    x <= y -> (x & y) <= y -> z, and x <= y -> z gives
+    x & y <= y & (y -> z) <= z.
+    """
+    rng = range(a.size)
+    meet, join, imp, neg, one = a.meet, a.join, a.imp, a.neg, a.one
+    if tuple(zip(*meet)) != meet or tuple(zip(*join)) != join:
+        return False
+    # U[x], D[x]: the elements above and below x; by commutativity
+    # x <= y reads meet[x][y] == x in row x and meet[y][x] == x in row y
+    U = [0] * a.size
+    D = [0] * a.size
+    for x in rng:
+        mx, jx = meet[x], join[x]
+        if mx[x] != x or jx[x] != x or mx[one] != x:
+            return False
+        bit = 1 << x
+        for y in rng:
+            m = mx[y]
+            if mx[jx[y]] != x or jx[m] != x:
+                return False
+            if m == x:
+                U[x] |= 1 << y
+                D[y] |= bit
+    for x in rng:
+        mx, jx, dx, ux = meet[x], join[x], D[x], U[x]
+        for y in rng:
+            if D[mx[y]] != dx & D[y] or U[jx[y]] != ux & U[y]:
+                return False
+    # covers[z]: the minimal elements strictly above z
+    covers = []
+    for z in rng:
+        strict = U[z] ^ (1 << z)
+        inner = 0
+        for y in rng:
+            if (strict >> y) & 1:
+                inner |= U[y] ^ (1 << y)
+        minimal = strict & ~inner
+        covers.append([y for y in rng if (minimal >> y) & 1])
+    for y in rng:
+        my, iy = meet[y], imp[y]
+        for z in rng:
+            izy = iy[z]
+            if not (D[z] >> my[izy]) & 1 or not (D[iy[my[z]]] >> z) & 1:
+                return False
+            uz = U[izy]
+            for c in covers[z]:
+                if not (uz >> iy[c]) & 1:
+                    return False
+    for x in rng:
+        mx = meet[x]
+        for y in rng:
+            if mx[neg[y]] != mx[neg[mx[y]]]:
+                return False
+    return True
+
+
+def _first_broken_law(a: NAlgebra) -> tuple[str, tuple] | None:
+    """The first broken law and its witness, by the plain loop: O(size^3)."""
     rng = range(a.size)
     meet, join, imp, neg, one = a.meet, a.join, a.imp, a.neg, a.one
     for x in rng:
@@ -145,19 +265,30 @@ def _set_algebra(p: Poset, elements: Sequence[int], ntable: Sequence[int]) -> NA
     for u in elements:
         if ntable[u] not in index:
             raise ValueError(f"negation value at {u} is not an element")
-    k = len(elements)
-    meet = tuple(
-        tuple(index[elements[i] & elements[j]] for j in range(k)) for i in range(k)
-    )
-    join = tuple(
-        tuple(index[elements[i] | elements[j]] for j in range(k)) for i in range(k)
-    )
-    imp = tuple(
-        tuple(index[_imp_mask(p, elements[i], elements[j])] for j in range(k))
-        for i in range(k)
-    )
+    meet = tuple(tuple(index[u & v] for v in elements) for u in elements)
+    join = tuple(tuple(index[u | v] for v in elements) for u in elements)
+    imp = tuple(tuple(index[w] for w in row) for row in _arrow_rows(p, elements))
     neg = tuple(index[ntable[u]] for u in elements)
-    return NAlgebra(k, meet, join, imp, neg, index[(1 << p.n) - 1])
+    return NAlgebra(len(elements), meet, join, imp, neg, index[(1 << p.n) - 1])
+
+
+def _arrow_rows(p: Poset, masks: Sequence[int]) -> list[list[int]]:
+    """The Heyting arrow u -> v on world masks for every pair of the
+    masks, one row per u. A world is in u -> v when its cone misses
+    the gap u & ~v, so the arrow depends on the gap alone and is worked
+    out once per distinct gap."""
+    arrows: dict[int, int] = {}
+    rows = []
+    for u in masks:
+        row = []
+        for v in masks:
+            gap = u & ~v
+            w = arrows.get(gap)
+            if w is None:
+                w = arrows[gap] = _imp_mask(p, gap, 0)
+            row.append(w)
+        rows.append(row)
+    return rows
 
 
 def upset_algebra(fr: NFrame) -> NAlgebra:
@@ -258,16 +389,31 @@ def prime_filters(a: NAlgebra) -> list[int]:
     each, and an up-set is kept when no join inside it has both
     joinands outside (Birkhoff: in a distributive lattice these are the
     up-sets of the join-irreducibles, plus the up-set of the bottom).
-    That takes O(size^3) steps and never enumerates subsets.
+    That takes O(size^3) steps and never enumerates subsets. The dual
+    frame, the duality round trip and the filtration correspondence
+    call it once per algebra: NAlgebra keeps the filters with the dual.
     """
     rng = range(a.size)
     join = a.join
     out = []
-    for x in rng:
-        row = a.meet[x]
-        mask = sum(1 << y for y in rng if row[y] == x)
-        outside = [y for y in rng if row[y] != x]
-        if not any((mask >> join[y][z]) & 1 for y in outside for z in outside):
+    for x, row in enumerate(a.meet):
+        mask = 0
+        outside = []
+        for y in rng:
+            if row[y] == x:
+                mask |= 1 << y
+            else:
+                outside.append(y)
+        prime = True
+        for y in outside:
+            jy = join[y]
+            for z in outside:
+                if (mask >> jy[z]) & 1:
+                    prime = False
+                    break
+            if not prime:
+                break
+        if prime:
             out.append(mask)
     return sorted(out)
 
@@ -281,19 +427,39 @@ def element_hat(a: NAlgebra, filters: Sequence[int], x: int) -> int:
     return out
 
 
+def _hats(size: int, filters: Sequence[int]) -> list[int]:
+    """The hat of every element: element_hat for each, in one pass over
+    the filters."""
+    hats = [0] * size
+    for i, f in enumerate(filters):
+        bit = 1 << i
+        while f:
+            x = (f & -f).bit_length() - 1
+            f &= f - 1
+            hats[x] |= bit
+    return hats
+
+
 def dual_frame(a: NAlgebra) -> TopFrame:
     """Prime filters ordered by inclusion, negation by cone agreement.
 
     A filter lands in the negation of an admissible set when it holds
     some negated element whose hat agrees with the set on the filter's
     cone. The hat of a negation is recomputed and compared against the
-    table as a construction-time sanity check.
+    table as a construction-time sanity check. The algebra builds its
+    dual once and keeps it, so every call returns the same frame.
     """
-    return _dual(a, prime_filters(a))
+    return a._duality[2]
 
 
-def _dual(a: NAlgebra, filters: Sequence[int]) -> TopFrame:
-    """The dual frame of an algebra on its given prime filters.
+def _dual(a: NAlgebra, filters: Sequence[int], hats: Sequence[int]) -> TopFrame:
+    """The dual frame of an algebra on its given prime filters and the
+    hats of its elements over them.
+
+    Filter i is in N(u) when some negated element of it has a hat that
+    agrees with u on the cone of i, that is, when up[i] & u is one of
+    the traces up[i] & hats[x] over the x with neg[x] in filter i; the
+    traces are collected once per filter.
 
     The dual's table covers all 2**k subsets of its k worlds, so k is
     capped like every frame reader's world count, and a dual past the
@@ -305,29 +471,32 @@ def _dual(a: NAlgebra, filters: Sequence[int]) -> TopFrame:
             f"the dual would have {k} worlds, more than the cap of {_JSON_MAX_WORLDS}"
         )
     up = []
-    for i in range(k):
-        mask = 0
-        for j in range(k):
-            if filters[i] & ~filters[j] == 0:
-                mask |= 1 << j
-        up.append(mask)
+    for f in filters:
+        cone = 0
+        for j, g in enumerate(filters):
+            if f & ~g == 0:
+                cone |= 1 << j
+        up.append(cone)
     p = Poset(k, up)
-    hats = {x: element_hat(a, filters, x) for x in range(a.size)}
+    neg = a.neg
+    traces = []
+    for f, cone in zip(filters, up):
+        trace = set()
+        for x in range(a.size):
+            if (f >> neg[x]) & 1:
+                trace.add(cone & hats[x])
+        traces.append(trace)
     flat = [-1] * (1 << k)
     for u in p.upsets():
-        if not u:
-            continue
-        value = 0
-        for i in range(k):
-            cone = up[i]
-            for x in range(a.size):
-                if (filters[i] >> a.neg[x]) & 1 and cone & hats[x] == cone & u:
+        if u:
+            value = 0
+            for i, cone in enumerate(up):
+                if (cone & u) in traces[i]:
                     value |= 1 << i
-                    break
-        flat[u] = value
+            flat[u] = value
     tf = TopFrame(p, tuple(flat))
     for x in range(a.size):
-        if tf.ntable[hats[x]] != hats[a.neg[x]]:
+        if tf.ntable[hats[x]] != hats[neg[x]]:
             raise RuntimeError(
                 f"dual negation disagrees with the algebra at element {x}"
             )
@@ -404,34 +573,44 @@ def duality_check(x: TopFrame | NAlgebra) -> bool:
     For a frame: the dual of its admissible algebra must be isomorphic
     to it. For an algebra: the hat map must be an isomorphism onto the
     admissible algebra of its dual frame (injectivity and every
-    operation checked pointwise).
+    operation checked pointwise, on world masks by _round_trip). The
+    algebra's kept dual is used, so it is built once per algebra.
     """
     if isinstance(x, TopFrame):
         return topframe_isomorphic(x, dual_frame(admissible_algebra(x)))
-    filters = prime_filters(x)
-    tf = _dual(x, filters)
-    b = admissible_algebra(tf)
-    elements = tf.admissible()
-    index = {u: i for i, u in enumerate(elements)}
-    alpha = []
-    for e in range(x.size):
-        hat = element_hat(x, filters, e)
-        if hat not in index:
-            return False
-        alpha.append(index[hat])
-    if len(set(alpha)) != x.size or b.size != x.size:
+    _, hats, tf = x._duality
+    return _round_trip(x, hats, tf)
+
+
+def _round_trip(a: NAlgebra, hats: Sequence[int], tf: TopFrame) -> bool:
+    """Whether the hat map is an isomorphism from the algebra onto the
+    admissible algebra of the top frame, without building that algebra.
+
+    admissible_algebra(tf) numbers the admissible sets in ascending
+    order and reads each operation off the masks: intersection, union,
+    the Heyting arrow, the table and the full set. The hat map is a
+    bijection onto that numbering exactly when sorted(hats) is the
+    ascending list of admissible sets, and a bijection commutes with
+    an operation exactly when the masks agree: hats[meet[u][v]] is
+    hats[u] & hats[v], and so on. A table value that is not admissible
+    raises ValueError, as building the admissible algebra does.
+    """
+    admissible = tf.admissible()
+    inside = set(admissible)
+    ntable = tf.ntable
+    for u in admissible:
+        if ntable[u] not in inside:
+            raise ValueError(f"negation value at {u} is not an element")
+    if sorted(hats) != admissible or hats[a.one] != (1 << tf.n) - 1:
         return False
-    if alpha[x.one] != b.one:
-        return False
-    for u in range(x.size):
-        if alpha[x.neg[u]] != b.neg[alpha[u]]:
+    arrows = _arrow_rows(tf.poset, hats)
+    meet, join, imp, neg = a.meet, a.join, a.imp, a.neg
+    for u, hu in enumerate(hats):
+        if hats[neg[u]] != ntable[hu]:
             return False
-        for v in range(x.size):
-            if alpha[x.meet[u][v]] != b.meet[alpha[u]][alpha[v]]:
-                return False
-            if alpha[x.join[u][v]] != b.join[alpha[u]][alpha[v]]:
-                return False
-            if alpha[x.imp[u][v]] != b.imp[alpha[u]][alpha[v]]:
+        mu, ju, iu, au = meet[u], join[u], imp[u], arrows[u]
+        for v, hv in enumerate(hats):
+            if hats[mu[v]] != hu & hv or hats[ju[v]] != hu | hv or hats[iu[v]] != au[v]:
                 return False
     return True
 
@@ -451,22 +630,39 @@ def subdirectly_irreducible(a: NAlgebra) -> bool:
 
 
 def algebra_eval(a: NAlgebra, mu: Mapping[str, int], f: Formula) -> int:
-    """Value of a propositional formula under an element assignment."""
-    if isinstance(f, Var):
-        if f.name not in mu:
-            raise ValueError(f"assignment misses variable {f.name}")
-        return mu[f.name]
-    if isinstance(f, Top):
-        return a.one
-    if isinstance(f, And):
-        return a.meet[algebra_eval(a, mu, f.left)][algebra_eval(a, mu, f.right)]
-    if isinstance(f, Or):
-        return a.join[algebra_eval(a, mu, f.left)][algebra_eval(a, mu, f.right)]
-    if isinstance(f, Imp):
-        return a.imp[algebra_eval(a, mu, f.left)][algebra_eval(a, mu, f.right)]
-    if isinstance(f, Neg):
-        return a.neg[algebra_eval(a, mu, f.sub)]
-    raise ValueError(f"not a propositional formula: {show(f)}")
+    """Value of a propositional formula under an element assignment.
+
+    The walk keeps its own stack, so a formula of any depth evaluates.
+    It enters nodes in the order the recursive definition would, left
+    subformula first, so the first missing variable, or the first
+    modal node, is the one reported.
+    """
+    values: list[int] = []
+    # (formula, None) is still to enter; (formula, table) has its
+    # subformulas' values on top of the stack, for the table to combine
+    todo: list[tuple[Formula, Sequence | None]] = [(f, None)]
+    while todo:
+        g, table = todo.pop()
+        if table is not None:
+            if isinstance(g, Neg):
+                values[-1] = table[values[-1]]
+            else:
+                right = values.pop()
+                values[-1] = table[values[-1]][right]
+        elif isinstance(g, Var):
+            if g.name not in mu:
+                raise ValueError(f"assignment misses variable {g.name}")
+            values.append(mu[g.name])
+        elif isinstance(g, Top):
+            values.append(a.one)
+        elif isinstance(g, Neg):
+            todo += ((g, a.neg), (g.sub, None))
+        elif isinstance(g, (And, Or, Imp)):
+            table = a.meet if isinstance(g, And) else a.join if isinstance(g, Or) else a.imp
+            todo += ((g, table), (g.right, None), (g.left, None))
+        else:
+            raise ValueError(f"not a propositional formula: {show(g)}")
+    return values[0]
 
 
 @dataclass(frozen=True)
@@ -586,10 +782,9 @@ def least_filtration_correspondence(
 
     sigma = frozenset(sigma)
     carrier = sum(1 << x for x in _lattice_closure(a, {algebra_eval(a, mu, f) for f in sigma}))
-    filters = prime_filters(a)
-    tf = _dual(a, filters)
+    filters, hats, tf = a._duality
     names = sorted({v for f in sigma for v in variables(f)})
-    valuation = {name: element_hat(a, filters, mu[name]) for name in names}
+    valuation = {name: hats[mu[name]] for name in names}
     model = NModel(tf.to_nframe(), valuation)
     g = greatest_filtration(model, sigma)
     qposet = g.quotient.frame.poset

@@ -494,11 +494,6 @@ def refuting_valuation(fr: NFrame, f: Formula) -> tuple[dict[str, int], int] | N
     return None if idx < 0 else _refutation_at(fr, names, code, idx)
 
 
-def frame_validates(fr: NFrame, f: Formula) -> bool:
-    """Whether every upset valuation makes f true at every world."""
-    return refuting_valuation(fr, f) is None
-
-
 def _antitone(domain: Sequence[int], ntable: Sequence[int]) -> bool:
     """Whether the table reverses inclusion on the domain sets: N(y) is
     inside N(x) whenever x is inside y."""
@@ -735,11 +730,6 @@ def enumerate_ntables(p: Poset) -> list[tuple[int, ...]]:
     return sorted(_trace_tables(p.up, p.upsets(), _subfamilies))
 
 
-def enumerate_nframes(p: Poset) -> list[NFrame]:
-    """Every N-frame on the poset, in canonical table order."""
-    return [NFrame(p, t) for t in enumerate_ntables(p)]
-
-
 def random_poset(rng, n: int) -> Poset:
     """A labeled poset drawn by thinning a random linear order."""
     perm = list(range(n))
@@ -813,10 +803,6 @@ def poset_isomorphisms(p: Poset, q: Poset) -> Iterator[tuple[int, ...]]:
         f[w] = -1
 
     yield from rec(0)
-
-
-def poset_isomorphic(p: Poset, q: Poset) -> bool:
-    return next(poset_isomorphisms(p, q), None) is not None
 
 
 def _push_mask(mask: int, f: Sequence[int]) -> int:

@@ -5,9 +5,11 @@ import random
 
 import pytest
 
+import algebra_reference as reference
 from subminimal.algebra import (
     NAlgebra,
     TopFrame,
+    _round_trip,
     admissible_algebra,
     algebra_corpus,
     algebra_eval,
@@ -41,7 +43,7 @@ from subminimal.frames import (
     random_nframe,
     random_ntable,
 )
-from subminimal.syntax import parse
+from subminimal.syntax import And, Box, Neg, Var, parse, random_formula
 
 CHAIN = Poset.from_pairs(2, [(0, 1)])
 CHAIN_FRAME = NFrame(CHAIN, ntable_from_upset_map(CHAIN, {0: 0, 2: 2, 3: 2}))
@@ -64,8 +66,7 @@ def test_algebra_validation_rejects_ragged_tables():
 def test_check_nalgebra_reports_broken_laws():
     # meet that is not idempotent
     bad = NAlgebra(2, ((1, 0), (0, 1)), ((0, 1), (1, 1)), ((1, 1), (0, 1)), (0, 0), 1)
-    hit = check_nalgebra(bad)
-    assert hit is not None
+    assert check_nalgebra(bad) == ("meet-idempotent", (0,))
 
 
 def test_compatibility_matches_locality_on_two_worlds():
@@ -378,3 +379,263 @@ def test_topframe_isomorphic_distinguishes():
     assert topframe_isomorphic(tf, tf)
     other = TopFrame(CHAIN, (-1, -1, 2, 2))
     assert not topframe_isomorphic(tf, other)
+
+
+# --------------------------------------------------------------------------
+# differential tests against the plain versions in algebra_reference
+
+
+def _replace(a, **fields):
+    """The algebra with some of its tables replaced."""
+    tables = {"meet": a.meet, "join": a.join, "imp": a.imp, "neg": a.neg, "one": a.one}
+    return NAlgebra(a.size, **{**tables, **fields})
+
+
+def _with_entry(rows, x, y, value, mirror=False):
+    """The table with entry (x, y), and (y, x) too when mirrored, set."""
+    out = [list(row) for row in rows]
+    out[x][y] = value
+    if mirror:
+        out[y][x] = value
+    return tuple(map(tuple, out))
+
+
+def _corruptions(rng, bases, count, mirror=False):
+    """count algebras, each a base with one entry changed: a table entry
+    (with its mirror entry when asked, meet and join only), a negation
+    value or the top."""
+    names = ("meet", "join") if mirror else ("meet", "join", "imp", "neg", "one")
+    out = []
+    while len(out) < count:
+        a = rng.choice(bases)
+        name = rng.choice(names)
+        value = rng.randrange(a.size)
+        if name == "one":
+            if value != a.one:
+                out.append(_replace(a, one=value))
+        elif name == "neg":
+            x = rng.randrange(a.size)
+            if a.neg[x] != value:
+                out.append(_replace(a, neg=a.neg[:x] + (value,) + a.neg[x + 1 :]))
+        else:
+            rows = getattr(a, name)
+            x, y = rng.randrange(a.size), rng.randrange(a.size)
+            if rows[x][y] != value:
+                out.append(_replace(a, **{name: _with_entry(rows, x, y, value, mirror)}))
+    return out
+
+
+def _moved_bounds(a):
+    """Tables that keep the lattice order of a lawful algebra but break
+    one associative law alone: the meet of an incomparable pair moved
+    down to another lower bound (the arrow rebuilt as the join of the x
+    whose meet with y lies below z), or their join moved up to another
+    upper bound. The negation is the constant top, or a's own for the
+    moved join. Only the greatest-lower-bound or the least-upper-bound
+    test of _laws_hold tells these from lawful tables."""
+    rng = range(a.size)
+    out = []
+    for x, y in itertools.combinations(rng, 2):
+        if a.le(x, y) or a.le(y, x):
+            continue
+        for z in rng:
+            if z != a.meet[x][y] and a.le(z, a.meet[x][y]):
+                meet = _with_entry(a.meet, x, y, z, mirror=True)
+                imp = []
+                for u in rng:
+                    row = []
+                    for v in rng:
+                        acc = None
+                        for w in rng:
+                            if a.le(meet[w][u], v):
+                                acc = w if acc is None else a.join[acc][w]
+                        row.append(acc)
+                    imp.append(tuple(row))
+                top = (a.one,) * a.size
+                out.append(_replace(a, meet=meet, imp=tuple(imp), neg=top))
+            if z != a.join[x][y] and a.le(a.join[x][y], z):
+                join = _with_entry(a.join, x, y, z, mirror=True)
+                out.append(_replace(a, join=join, neg=(a.one,) * a.size))
+                out.append(_replace(a, join=join))
+    return out
+
+
+def _random_upset_algebras(rng, count):
+    return [upset_algebra(random_nframe(rng, 4)) for _ in range(count)]
+
+
+def _result(fn, *args):
+    """The value of fn(*args), or the type and text of what it raises."""
+    try:
+        return ("ok", fn(*args))
+    except Exception as exc:  # every exception must match the reference's
+        return (type(exc).__name__, str(exc))
+
+
+def test_check_nalgebra_matches_the_plain_loop():
+    rng = random.Random(16)
+    bases = list(algebra_corpus(3)) + _random_upset_algebras(rng, 300)
+    lattices = {(a.meet, a.join): a for a in bases}.values()
+    cases = bases + [M3, N5]
+    cases += _corruptions(rng, bases, 20_000)
+    cases += _corruptions(rng, bases, 5_000, mirror=True)
+    cases += [t for a in lattices for t in _moved_bounds(a)]
+    laws = {}
+    for a in cases:
+        got = check_nalgebra(a)
+        assert got == reference.check_nalgebra(a), a
+        if got is not None:
+            laws[got[0]] = laws.get(got[0], 0) + 1
+    assert set(laws) == {
+        "meet-idempotent",
+        "join-idempotent",
+        "top",
+        "meet-commutative",
+        "join-commutative",
+        "absorption",
+        "meet-associative",
+        "join-associative",
+        "residuation",
+        "compatibility",
+    }
+
+
+def test_moved_bounds_break_associativity_alone():
+    # the smallest case: 0 < 1 < 2, 3 < 4 with the meet of 2 and 3 moved
+    # from 1 down to 0; everything but associativity holds
+    stem = _lattice(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 4), (3, 4)])
+    moved = [t for t in _moved_bounds(stem) if t.meet[2][3] == 0]
+    assert len(moved) == 1
+    assert check_nalgebra(moved[0]) == ("meet-associative", (1, 2, 3))
+    assert reference.check_nalgebra(moved[0]) == ("meet-associative", (1, 2, 3))
+
+
+SIGMAS = [
+    close_sigma([parse("p")]),
+    close_sigma([parse("~p")]),
+    close_sigma([parse("p -> ~q")]),
+    close_sigma([parse("~(p & q) | (q -> p)")]),
+]
+
+
+def _duality_outcomes(a, mu, sigma, reverse=False):
+    """duality_check, the dual's table and one filtration correspondence
+    on a, called in this order or, reversed, in the opposite one."""
+    calls = [
+        lambda: _result(duality_check, a),
+        lambda: _result(lambda: dual_frame(a).ntable),
+        lambda: _result(least_filtration_correspondence, a, mu, sigma),
+    ]
+    if reverse:
+        return [call() for call in calls[::-1]][::-1]
+    return [call() for call in calls]
+
+
+def test_duality_matches_the_reference():
+    rng = random.Random(17)
+    corpus = list(algebra_corpus(3))
+    assert len(corpus) == 271
+    topframes = [
+        tf
+        for n in (1, 2, 3)
+        for p in enumerate_posets(n)
+        if p.top() is not None
+        for tf in enumerate_topframes(p)
+    ]
+    assert len(topframes) == 147
+    for tf in topframes:
+        assert _result(duality_check, tf) == _result(reference.duality_check, tf)
+    tops = [reference.admissible_algebra(tf) for tf in topframes]
+    upsets = _random_upset_algebras(rng, 300)
+    bases = corpus + tops + upsets
+    corrupted = _corruptions(rng, bases, 4_000) + _corruptions(rng, bases, 1_000, mirror=True)
+    seen = {}
+    for a in bases + [M3, N5] + corrupted:
+        mu = {"p": rng.randrange(a.size), "q": rng.randrange(a.size)}
+        sigma = rng.choice(SIGMAS)
+        want = [
+            _result(reference.duality_check, a),
+            _result(lambda: reference.dual_frame(a).ntable),
+            _result(reference.least_filtration_correspondence, a, mu, sigma),
+        ]
+        fresh = _replace(a)
+        assert _duality_outcomes(fresh, mu, sigma) == want, a
+        # a second call on the same algebra repeats every answer and error
+        assert _duality_outcomes(fresh, mu, sigma) == want, a
+        assert _duality_outcomes(_replace(a), mu, sigma, reverse=True) == want, a
+        for kind, value in want:
+            key = kind if kind != "ok" or not isinstance(value, bool) else value
+            seen[key] = seen.get(key, 0) + 1
+    assert seen[True] and seen[False] and seen["RuntimeError"] and seen["ValueError"]
+
+
+def test_round_trip_sees_a_tampered_dual():
+    # every admissible entry of every corpus dual moved to each other
+    # admissible value and to a set that is not admissible: the mask
+    # round trip must answer as the admissible-algebra one, raising its
+    # ValueError at the first inadmissible value
+    outcomes = {}
+    for a in algebra_corpus(2):
+        filters, hats, tf = a._duality
+        admissible = tf.admissible()
+        for u in admissible:
+            empty_or_down = 0 if tf.n == 1 else (1 << tf.n) - 1 - (1 << tf.top)
+            for value in [*admissible, empty_or_down]:
+                if value == tf.ntable[u]:
+                    continue
+                table = list(tf.ntable)
+                table[u] = value
+                tampered = TopFrame(tf.poset, tuple(table))
+                got = _result(_round_trip, a, hats, tampered)
+                assert got == _result(reference.round_trip, a, filters, tampered)
+                outcomes[got[0], got[1]] = outcomes.get((got[0], got[1]), 0) + 1
+    assert outcomes[("ok", False)] > 0
+    assert any(kind == "ValueError" and "is not an element" in text for kind, text in outcomes)
+
+
+def test_the_dual_is_kept_out_of_equality():
+    a = _replace(ALG)
+    tf = dual_frame(a)
+    assert dual_frame(a) is tf
+    assert a == ALG and hash(a) == hash(ALG) and repr(a) == repr(ALG)
+    # an error is not kept: the next call raises it again
+    broken = _replace(ALG, neg=(0, 0, 1))
+    for _ in range(2):
+        with pytest.raises(RuntimeError, match="disagrees with the algebra at element 1"):
+            dual_frame(broken)
+
+
+def test_algebra_eval_walks_deep_formulas():
+    mu = {"p": 1, "q": 2}
+    left = right = Var("p")
+    negs = Var("q")
+    for _ in range(3_000):
+        left = And(left, Var("q"))
+        right = And(Var("q"), right)
+        negs = Neg(negs)
+    assert algebra_eval(ALG, mu, left) == algebra_eval(ALG, mu, right) == ALG.meet[1][2]
+    want = 2
+    for _ in range(3_000):
+        want = ALG.neg[want]
+    assert algebra_eval(ALG, mu, negs) == want
+    with pytest.raises(ValueError, match="assignment misses variable r"):
+        algebra_eval(ALG, mu, And(left, And(Var("r"), Box(Var("p")))))
+    with pytest.raises(ValueError, match=r"not a propositional formula: \[\]p"):
+        algebra_eval(ALG, mu, And(left, And(Box(Var("p")), Var("r"))))
+
+
+def test_algebra_eval_matches_the_recursive_walk():
+    rng = random.Random(18)
+    corpus = list(algebra_corpus(2))
+    kinds = {}
+    for i in range(2_400):
+        a = rng.choice(corpus)
+        names = ["p", "q", "r"]
+        mu = {name: rng.randrange(a.size) for name in names if rng.random() < 0.8}
+        language = "modal" if i % 4 == 0 else "prop"
+        f = random_formula(rng, names, rng.randrange(1, 7), language)
+        got = _result(algebra_eval, a, mu, f)
+        assert got == _result(reference.algebra_eval, a, mu, f), f
+        kind = got[0] if got[0] == "ok" else got[1].split(":")[0].rsplit(" ", 1)[0]
+        kinds[kind] = kinds.get(kind, 0) + 1
+    assert set(kinds) == {"ok", "assignment misses variable", "not a propositional"}

@@ -10,6 +10,7 @@ import pytest
 
 from conftest import outcome
 from filtration_reference import eval_formula as reference_eval
+from frame_helpers import enumerate_nframes, frame_validates, poset_isomorphic
 from subminimal import frames, kernels
 from subminimal.kernels import pure
 from subminimal.algebra import TopFrame, topframe_from_dict
@@ -30,7 +31,6 @@ from subminimal.frames import (
     canonical_poset_key,
     check_nframe,
     countermodel_search,
-    enumerate_nframes,
     enumerate_ntables,
     enumerate_posets,
     enumerate_posets_unlabeled,
@@ -40,14 +40,12 @@ from subminimal.frames import (
     frame_class,
     frame_from_dict,
     frame_to_dict,
-    frame_validates,
     from_neighbourhood,
     model_from_dict,
     model_to_dict,
     nframe_isomorphic,
     ntable_from_upset_map,
     poset_from_dict,
-    poset_isomorphic,
     poset_to_dict,
     random_nframe,
     random_ntable,
