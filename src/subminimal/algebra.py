@@ -418,18 +418,9 @@ def prime_filters(a: NAlgebra) -> list[int]:
     return sorted(out)
 
 
-def element_hat(a: NAlgebra, filters: Sequence[int], x: int) -> int:
-    """World mask of the filters containing the element."""
-    out = 0
-    for i, f in enumerate(filters):
-        if (f >> x) & 1:
-            out |= 1 << i
-    return out
-
-
 def _hats(size: int, filters: Sequence[int]) -> list[int]:
-    """The hat of every element: element_hat for each, in one pass over
-    the filters."""
+    """The hat of every element, in one pass over the filters: the hat
+    of x is the world mask of the filters containing x."""
     hats = [0] * size
     for i, f in enumerate(filters):
         bit = 1 << i

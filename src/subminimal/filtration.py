@@ -10,14 +10,21 @@ the same Sigma (greatest_among proves it). The class-wise bound of a
 quotient set, _class_bound, is the greatest table, the ceiling of (c)
 and the range of enumerated tables, which go flat to NFrame.
 
-Each construction and check evaluates Sigma once per model, each
-shared subformula once: through frames.truth_sets, or, in the theorem
-check, which goes formula by formula, through one
-frames.formula_evaluator per model. A world's signature is an int
-whose bit i says whether the i-th member of Sigma holds there: worlds
-agree on Sigma exactly when their signatures are equal, and in the
-greatest order class c lies below class d exactly when the signature
-of c is a subset of that of d.
+Sigma is read on a model once for all the functions here: _partition
+evaluates it through frames.truth_sets, each shared subformula once,
+derives the signatures, the projection and the classes, and keeps that
+read in the model's _reads under the Sigma object. The next call on the
+same model with the same Sigma object takes the read from there, and so
+do the class-wise bounds, each computed once. A read is keyed by the
+object, not by its value, because the (b) witness follows that object's
+iteration order; it is taken only while the model's valuation equals
+the one it was read under, and read again otherwise. A read that fails
+is not kept: the theorem check then goes formula by formula through
+frames.formula_evaluator, so its errors come in show order. A world's
+signature is an int whose bit i says whether the i-th member of Sigma
+holds there: worlds agree on Sigma exactly when their signatures are
+equal, and in the greatest order class c lies below class d exactly
+when the signature of c is a subset of that of d.
 
 Quotient tables can carry values that are not upsets of the quotient
 order; this happens in small corners and is harmless because every
@@ -29,8 +36,9 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Collection, Iterable, Mapping, Sequence
 
 from subminimal.frames import (
     DEFAULT_MAX_WORLDS,
@@ -105,23 +113,78 @@ def _signatures(truth: Mapping[Formula, int], order: Sequence[Formula], n: int) 
     return sig
 
 
-def _partition(
-    m: NModel, sigma: frozenset[Formula]
-) -> tuple[tuple[int, ...], list[int], list[int], dict[Formula, int]]:
-    """Project worlds to class indices by Sigma-agreement.
+_READS_KEPT = 8
 
-    Returns (pi, class masks, class signatures, source truth sets).
-    Classes are numbered by their least member so the construction is
-    reproducible.
+
+@dataclass(eq=False)
+class _Read:
+    """Sigma read on one model, as _partition keeps it in NModel._reads.
+
+    sig[w] has bit i set when order[i], the i-th member of tuple(sigma),
+    holds at w; sigs[c] is the signature of class c. bounds keeps each
+    _class_bound under pi as it is asked for.
     """
-    truth = truth_sets(m, sigma)
-    sig = _signatures(truth, tuple(sigma), m.frame.n)
-    # worlds run upwards, so classes enter in the order of their least member
-    classes: dict[int, int] = {}
-    for w, s in enumerate(sig):
-        classes[s] = classes.get(s, 0) | 1 << w
-    index = {s: c for c, s in enumerate(classes)}
-    return tuple(index[s] for s in sig), list(classes.values()), list(classes), truth
+
+    sigma: Collection[Formula]
+    valuation: dict[str, int]
+    truth: dict[Formula, int]
+    order: tuple[Formula, ...]
+    sig: list[int]
+    pi: tuple[int, ...]
+    members: list[int]
+    sigs: list[int]
+    closed: bool = False
+    bounds: dict[int, int] = field(default_factory=dict)
+
+    def bound(self, m: NModel, x: int) -> int:
+        """_class_bound of the class set x under pi."""
+        b = self.bounds.get(x)
+        if b is None:
+            b = self.bounds[x] = _class_bound(m, x, self.members, self.pi)
+        return b
+
+    @cached_property
+    def negs(self) -> list[Formula]:
+        """The negations in Sigma in show order, the order (d) tries."""
+        return sorted((f for f in self.sigma if isinstance(f, Neg)), key=show)
+
+
+def _partition(m: NModel, sigma: Collection[Formula], require_closed: bool = False) -> _Read:
+    """Sigma read on the model: its truth sets, the signatures and the
+    projection of worlds to classes by Sigma-agreement.
+
+    Classes are numbered by their least member so the construction is
+    reproducible. The read is kept in m._reads under the Sigma object
+    and given again while that object is the one read and the valuation
+    equals the one it was read under. With require_closed, Sigma must be
+    subformula-closed, which is checked before Sigma is read and once
+    per read.
+    """
+    reads = m._reads
+    read = reads.get(id(sigma))
+    fresh = read is None or read.sigma is not sigma or read.valuation != m.valuation
+    if require_closed and (fresh or not read.closed):
+        _require_closed(sigma)
+    if fresh:
+        truth = truth_sets(m, sigma)
+        order = tuple(sigma)
+        sig = _signatures(truth, order, m.frame.n)
+        # worlds run upwards, so classes enter in the order of their least member
+        classes: dict[int, int] = {}
+        for w, s in enumerate(sig):
+            classes[s] = classes.get(s, 0) | 1 << w
+        index = {s: c for c, s in enumerate(classes)}
+        pi = tuple(index[s] for s in sig)
+        read = _Read(sigma, dict(m.valuation), truth, order, sig, pi, list(classes.values()), list(classes))
+        # the read holds its Sigma, so the id key stays that object's; a
+        # caller passing a new Sigma object per call fills at most
+        # _READS_KEPT reads
+        reads.pop(id(sigma), None)
+        if len(reads) >= _READS_KEPT:
+            del reads[next(iter(reads))]
+        reads[id(sigma)] = read
+    read.closed |= require_closed
+    return read
 
 
 def _members(pi: Sequence[int], k: int) -> list[int]:
@@ -156,19 +219,19 @@ def greatest_filtration(m: NModel, sigma: Iterable[Formula]) -> FiltrationResult
     return _greatest(m, frozenset(sigma))[0]
 
 
-def _greatest(m: NModel, sigma: frozenset[Formula]) -> tuple[FiltrationResult, dict[Formula, int]]:
-    """The greatest filtration and the source truth sets of Sigma."""
-    _require_closed(sigma)
-    pi, members, sigs, truth = _partition(m, sigma)
-    k = len(members)
+def _greatest(m: NModel, sigma: frozenset[Formula]) -> tuple[FiltrationResult, _Read]:
+    """The greatest filtration and the read of Sigma on the model."""
+    read = _partition(m, sigma, require_closed=True)
+    pi, sigs = read.pi, read.sigs
+    k = len(sigs)
     up = [sum(1 << d for d in range(k) if sigs[c] & ~sigs[d] == 0) for c in range(k)]
     qposet = Poset(k, up)
     table = [-1] * (1 << k)
     for x in qposet.upsets():
-        table[x] = _class_bound(m, x, members, pi)
+        table[x] = read.bound(m, x)
     names = sorted(f.name for f in sigma if isinstance(f, Var))
     qval = {name: _push_mask(m.valuation[name], pi) for name in names}
-    return FiltrationResult(NModel(NFrame(qposet, tuple(table)), qval), pi, sigma), truth
+    return FiltrationResult(NModel(NFrame(qposet, tuple(table)), qval), pi, sigma), read
 
 
 def check_conditions(m: NModel, r: FiltrationResult) -> tuple[str, tuple] | None:
@@ -189,27 +252,31 @@ def check_conditions(m: NModel, r: FiltrationResult) -> tuple[str, tuple] | None
     members = _members(pi, r.classes())
     if 0 in members:
         return ("onto", (members.index(0),))
-    truth = truth_sets(m, sigma)
+    read = _partition(m, sigma)
     # the (b) witness is the first formula in Sigma's iteration order
-    order = tuple(sigma)
-    sig = _signatures(truth, order, n)
+    truth, order, sig = read.truth, read.order, read.sig
     qposet = r.quotient.frame.poset
+    # the worlds whose class lies above each class in the quotient order
+    above = [_preimage(u, members) for u in qposet.up]
     for w in range(n):
-        lost = m.frame.poset.up[w] & ~_preimage(qposet.up[pi[w]], members)
+        lost = m.frame.poset.up[w] & ~above[pi[w]]
         if lost:
             return ("a", (w, (lost & -lost).bit_length() - 1))
     for w in range(n):
-        for v in range(n):
-            if not qposet.le(pi[w], pi[v]):
-                continue
+        rest = above[pi[w]]
+        while rest:
+            v = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
             lost = sig[w] & ~sig[v]
             if lost:
                 return ("b", (w, v, order[(lost & -lost).bit_length() - 1]))
+    shared = pi == read.pi
     for x in qposet.upsets():
-        extra = r.quotient.frame.ntable[x] & ~_class_bound(m, x, members, pi)
+        bound = read.bound(m, x) if shared else _class_bound(m, x, members, pi)
+        extra = r.quotient.frame.ntable[x] & ~bound
         if extra:
             return ("c", (x, (extra & -extra).bit_length() - 1))
-    for f in sorted((f for f in sigma if isinstance(f, Neg)), key=show):
+    for f in read.negs:
         value = truth[f.sub]
         target = _preimage(r.quotient.frame.ntable[_push_mask(value, pi)], members)
         missed = m.frame.neg(value) & ~target
@@ -227,7 +294,12 @@ def filtration_theorem_check(m: NModel, r: FiltrationResult) -> tuple[Formula, i
     raises eval_formula's error when its turn comes in that order.
     """
     members = _members(r.pi, r.classes())
-    source, target = formula_evaluator(m), formula_evaluator(r.quotient)
+    try:
+        source = _partition(m, r.sigma).truth.__getitem__
+    except (TypeError, ValueError):
+        # evaluated formula by formula, the errors come in show order
+        source = formula_evaluator(m)
+    target = formula_evaluator(r.quotient)
     # collecting every failure first spares the show order when none occurs
     failures: dict[Formula, tuple[Formula, int] | ValueError] = {}
     for f in r.sigma:
@@ -264,8 +336,11 @@ def greatest_among(m: NModel, sigma: Iterable[Formula], other: FiltrationResult)
     if bad is not None:
         raise ValueError(f"not a filtration: condition ({bad[0]}) fails at {bad[1]}")
     sigma = frozenset(sigma)
-    _require_closed(sigma)
-    if sigma == other.sigma and other.pi == _partition(m, sigma)[0]:
+    # check_conditions has read other.sigma; an equal Sigma has its classes
+    read = _partition(m, other.sigma, require_closed=sigma is other.sigma)
+    if sigma is not other.sigma:
+        _require_closed(sigma)
+    if sigma == other.sigma and other.pi == read.pi:
         return True
     raise ValueError("projection mismatch: same model and sigma expected")
 
@@ -290,16 +365,15 @@ def enumerate_filtrations(m: NModel, sigma: Iterable[Formula]) -> list[Filtratio
     handful of worlds.
     """
     sigma = frozenset(sigma)
-    g, truth = _greatest(m, sigma)
+    g, read = _greatest(m, sigma)
     pi = g.pi
     k = g.classes()
-    members = _members(pi, k)
     floor = [1 << c for c in range(k)]
     for w in range(m.frame.n):
         floor[pi[w]] |= _push_mask(m.frame.poset.up[w], pi)
     ceil = g.quotient.frame.poset.up
     gap = [(c, d) for c in range(k) for d in range(k) if not (floor[c] >> d) & 1 and (ceil[c] >> d) & 1]
-    forced = {_push_mask(truth[f.sub], pi) for f in sigma if isinstance(f, Neg)}
+    forced = {_push_mask(read.truth[f.sub], pi) for f in sigma if isinstance(f, Neg)}
     out: list[FiltrationResult] = []
     for pick in range(1 << len(gap)):
         up = list(floor)
@@ -313,7 +387,7 @@ def enumerate_filtrations(m: NModel, sigma: Iterable[Formula]) -> list[Filtratio
         # at the projection of a negated Sigma formula's argument the
         # value is pinned from both sides; everywhere else any subset
         # of the class-wise bound is admissible
-        bounds = [_class_bound(m, x, members, pi) for x in upsets]
+        bounds = [read.bound(m, x) for x in upsets]
         choices = [(b,) if x in forced else _submasks(b) for x, b in zip(upsets, bounds)]
         table = [-1] * (1 << k)
         for values in itertools.product(*choices):

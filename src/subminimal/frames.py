@@ -327,7 +327,12 @@ def check_nframe(p: Poset, ntable: Sequence[int]) -> tuple[int, int] | None:
 
 @dataclass(frozen=True, eq=False)
 class NModel:
-    """An N-frame with a valuation of variables by upsets."""
+    """An N-frame with a valuation of variables by upsets.
+
+    ``_reads`` keeps what the filtration functions read of a Sigma on
+    this model (filtration._partition), so the calls on one model read
+    each Sigma once; it stays out of ==, hash and repr.
+    """
 
     frame: NFrame
     valuation: Mapping[str, int]
@@ -340,6 +345,10 @@ class NModel:
 
     def val(self, name: str) -> int:
         return self.valuation[name]
+
+    @functools.cached_property
+    def _reads(self) -> dict:
+        return {}
 
 
 class _Unevaluable(Exception):

@@ -14,11 +14,11 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
+from frame_helpers import element_hat
 from subminimal.algebra import (
     NAlgebra,
     TopFrame,
     _lattice_closure,
-    element_hat,
     prime_filters,
     topframe_isomorphic,
 )
@@ -132,7 +132,7 @@ def _dual(a: NAlgebra, filters: Sequence[int]) -> TopFrame:
                 mask |= 1 << j
         up.append(mask)
     p = Poset(k, up)
-    hats = {x: element_hat(a, filters, x) for x in range(a.size)}
+    hats = {x: element_hat(filters, x) for x in range(a.size)}
     flat = [-1] * (1 << k)
     for u in p.upsets():
         if not u:
@@ -177,7 +177,7 @@ def round_trip(x: NAlgebra, filters: Sequence[int], tf: TopFrame) -> bool:
     index = {u: i for i, u in enumerate(elements)}
     alpha = []
     for e in range(x.size):
-        hat = element_hat(x, filters, e)
+        hat = element_hat(filters, e)
         if hat not in index:
             return False
         alpha.append(index[hat])
@@ -235,7 +235,7 @@ def least_filtration_correspondence(
     filters = prime_filters(a)
     tf = _dual(a, filters)
     names = sorted({v for f in sigma for v in variables(f)})
-    valuation = {name: element_hat(a, filters, mu[name]) for name in names}
+    valuation = {name: element_hat(filters, mu[name]) for name in names}
     model = NModel(tf.to_nframe(), valuation)
     g = greatest_filtration(model, sigma)
     qposet = g.quotient.frame.poset

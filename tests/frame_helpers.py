@@ -1,10 +1,12 @@
 """Frame helpers that only the tests use.
 
-Each is a one-line composition of the package's own functions: validity
+Each is a short composition of the package's own functions: validity
 on a frame through the refutation search, the N-frames of a poset from
-its lawful tables, and poset isomorphism as the existence of one order
-isomorphism.
+its lawful tables, poset isomorphism as the existence of one order
+isomorphism, and the hat of one algebra element among prime filters.
 """
+
+from typing import Sequence
 
 from subminimal.frames import (
     NFrame,
@@ -14,6 +16,15 @@ from subminimal.frames import (
     refuting_valuation,
 )
 from subminimal.syntax import Formula
+
+
+def element_hat(filters: Sequence[int], x: int) -> int:
+    """World mask of the filters containing the element."""
+    out = 0
+    for i, f in enumerate(filters):
+        if (f >> x) & 1:
+            out |= 1 << i
+    return out
 
 
 def frame_validates(fr: NFrame, f: Formula) -> bool:

@@ -10,12 +10,12 @@ import time
 
 import kernel_reference as ref
 from conftest import load_fixture, proof_mutations
+from frame_helpers import element_hat
 
 from subminimal.algebra import (
     algebra_corpus,
     dual_frame,
     duality_check,
-    element_hat,
     enumerate_topframes,
     least_filtration_correspondence,
     prime_filters,
@@ -155,8 +155,8 @@ def test_acceptance_04_duality_both_directions():
         filters = prime_filters(algebra)
         tf = dual_frame(algebra)
         for x in range(algebra.size):
-            hat_negated = element_hat(algebra, filters, algebra.neg[x])
-            assert tf.ntable[element_hat(algebra, filters, x)] == hat_negated
+            hat_negated = element_hat(filters, algebra.neg[x])
+            assert tf.ntable[element_hat(filters, x)] == hat_negated
     _report(4, "duality round trips", started)
 
 

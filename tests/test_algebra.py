@@ -6,6 +6,7 @@ import random
 import pytest
 
 import algebra_reference as reference
+from frame_helpers import element_hat
 from subminimal.algebra import (
     NAlgebra,
     TopFrame,
@@ -19,7 +20,6 @@ from subminimal.algebra import (
     check_topframe,
     dual_frame,
     duality_check,
-    element_hat,
     enumerate_topframes,
     general_algebraic_filtration,
     least_filtration_correspondence,
@@ -203,9 +203,7 @@ def test_element_hat_is_the_negation_square():
         filters = prime_filters(a)
         tf = dual_frame(a)
         for x in range(a.size):
-            assert tf.ntable[element_hat(a, filters, x)] == element_hat(
-                a, filters, a.neg[x]
-            )
+            assert tf.ntable[element_hat(filters, x)] == element_hat(filters, a.neg[x])
 
 
 def test_duality_on_small_structures():

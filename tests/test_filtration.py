@@ -1,11 +1,13 @@
 """Filtration construction, its defining conditions, and decide()."""
 
+import dataclasses
 import random
 
 import pytest
 
 import filtration_reference as ref
 from conftest import outcome
+from subminimal import filtration
 from subminimal.filtration import (
     FiltrationResult,
     ResourceLimitError,
@@ -405,3 +407,128 @@ def test_check_conditions_refuses_a_class_no_world_projects_to():
     with pytest.raises(ValueError, match="undefined negation entry"):
         filtration_theorem_check(m, r)
     assert check_conditions(m, r) == ("onto", (1,))
+
+
+# ---------------------------------------------------------------------------
+# one read of Sigma per model
+
+
+def _comparable(out):
+    kind, value = out
+    if isinstance(value, FiltrationResult):
+        return kind, _key(value)
+    if isinstance(value, list):
+        return kind, [_key(r) for r in value]
+    return out
+
+
+def _three_ways(name, m, *args, warm=None):
+    """The outcome of the named function on the shared (warm) model, or
+    the one given, which must equal it on a fresh copy of the model and
+    in the reference."""
+    warm = _comparable(warm or outcome(getattr(filtration, name), m, *args))
+    cold = NModel(m.frame, dict(m.valuation))
+    assert _comparable(outcome(getattr(filtration, name), cold, *args)) == warm
+    assert _comparable(outcome(getattr(ref, name), m, *args)) == warm
+    return warm
+
+
+def test_warm_and_cold_reads_agree_with_the_reference():
+    rng = random.Random(47)
+    # Sigma as given, as an equal but distinct frozenset, and as a list
+    forms = (lambda s: s, lambda s: frozenset(list(s)), list)
+    enumerated = checked = 0
+    kinds = set()
+    for i in range(300):
+        m = random_model(rng, max_worlds=3)
+        sigma = close_sigma([random_formula(rng, ("p", "q"), 3)])
+        given = forms[i % 3](sigma)
+        assert _three_ways("greatest_filtration", m, given)[0] == "ok"
+        g = greatest_filtration(m, given)
+        every = [g]
+        # enumeration is exponential in the classes: a 3-world antichain
+        # with three classes can have 262,144 filtrations
+        if g.classes() <= 2:
+            every = enumerate_filtrations(m, given)
+            _three_ways("enumerate_filtrations", m, given, warm=("ok", every))
+            enumerated += 1
+        # a Sigma the model cannot evaluate: the reads fail and are not kept
+        unread = FiltrationResult(g.quotient, g.pi, close_sigma([And(next(iter(sigma)), parse("r"))]))
+        # a projection finer than Sigma-agreement, checked against Sigma
+        finer = greatest_filtration(m, sigma | {parse("p"), parse("q")})
+        finer = FiltrationResult(finer.quotient, finer.pi, g.sigma)
+        candidates = every + [_corrupted(rng, g)] * (g.classes() >= 2) + [unread, finer]
+        for r in candidates:
+            for name in ("check_conditions", "filtration_theorem_check"):
+                kinds.add((name, _three_ways(name, m, r)[0]))
+            kinds.add(("greatest_among", _three_ways("greatest_among", m, given, r)[0]))
+            checked += 1
+    assert enumerated >= 200
+    assert checked >= 2000
+    for name in ("check_conditions", "filtration_theorem_check", "greatest_among"):
+        assert {(name, "ok"), (name, "ValueError")} <= kinds
+
+
+def test_a_stale_read_is_never_used():
+    m = fork_model()
+    sigma = close_sigma([parse("~p")])
+    before = greatest_filtration(m, sigma)
+    # the valuation is a plain dict, so a caller can change it in place
+    m.valuation["p"] = 7
+    after = greatest_filtration(m, sigma)
+    assert _key(after) == _key(greatest_filtration(NModel(m.frame, dict(m.valuation)), sigma))
+    assert _key(after) != _key(before)
+    assert check_conditions(m, after) is None
+    assert filtration_theorem_check(m, after) is None
+    # p now holds at world 0, which before's quotient sends where p fails
+    assert filtration_theorem_check(m, before) == (parse("p"), 0)
+
+
+def test_the_kept_read_is_outside_equality_hash_and_repr():
+    m = fork_model()
+    twin = NModel(m.frame, m.valuation)
+    seen = (m == twin, m == m, hash(m), repr(m))
+    greatest_filtration(m, close_sigma([parse("~p")]))
+    assert m._reads
+    assert (m == twin, m == m, hash(m), repr(m)) == seen
+    assert [f.name for f in dataclasses.fields(NModel)] == ["frame", "valuation"]
+
+
+def test_a_model_keeps_a_bounded_number_of_reads():
+    m = fork_model()
+    sigma = close_sigma([parse("~p")])
+    want = _key(greatest_filtration(m, sigma))
+    # a list is made a new frozenset on every call, so each call reads anew
+    for _ in range(3 * filtration._READS_KEPT):
+        assert _key(greatest_filtration(m, list(sigma))) == want
+    assert len(m._reads) == filtration._READS_KEPT
+
+
+def test_one_source_read_per_model_and_sigma(monkeypatch):
+    # a frozen counter: one filtrate-style item per (model, Sigma) pair
+    # reads Sigma on its model once, however many calls share the read
+    reads = []
+    real = filtration.truth_sets
+
+    def counting(m, formulas):
+        reads.append((m, formulas))
+        return real(m, formulas)
+
+    monkeypatch.setattr(filtration, "truth_sets", counting)
+    fork = fork_model()
+    chain = model_from_dict(
+        {"worlds": 3, "leq": [[0, 1], [1, 2]], "N": {"0": 7, "4": 6, "6": 4, "7": 0}, "valuation": {"p": 6, "q": 4}}
+    )
+    first = close_sigma([parse("~p -> ~~p")])
+    second = close_sigma([parse("~(p & ~p) | ~~p")])
+    pairs = [(fork, first), (fork, second), (chain, first), (chain, second)]
+    filtrations = []
+    for m, sigma in pairs:
+        r = greatest_filtration(m, sigma)
+        assert check_conditions(m, r) is None
+        assert filtration_theorem_check(m, r) is None
+        every = enumerate_filtrations(m, sigma)
+        assert all(greatest_among(m, sigma, f) for f in every)
+        filtrations.append(len(every))
+    assert filtrations == [4, 4, 8, 8]
+    assert reads == pairs
