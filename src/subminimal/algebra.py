@@ -507,46 +507,58 @@ def nalgebra_isomorphisms(a: NAlgebra, b: NAlgebra) -> Iterator[tuple[int, ...]]
     b_sig = [sig(b, x) for x in range(b.size)]
     if sorted(a_sig) != sorted(b_sig):
         return
-    f = [-1] * a.size
-    used = [False] * b.size
+    yield from _extend_algebra_map(0, a, b, a_sig, b_sig, [-1] * a.size, [False] * b.size)
 
-    def consistent(x: int) -> bool:
-        for u in range(a.size):
-            if f[u] < 0:
-                continue
-            for v in range(a.size):
-                if f[v] < 0:
-                    continue
-                for table_a, table_b in (
-                    (a.meet, b.meet),
-                    (a.join, b.join),
-                    (a.imp, b.imp),
-                ):
-                    w = table_a[u][v]
-                    if f[w] >= 0 and table_b[f[u]][f[v]] != f[w]:
-                        return False
-            w = a.neg[u]
-            if f[w] >= 0 and b.neg[f[u]] != f[w]:
-                return False
-        return True
 
-    def rec(x: int) -> Iterator[tuple[int, ...]]:
-        if x == a.size:
-            yield tuple(f)
-            return
-        for c in range(b.size):
-            if used[c] or a_sig[x] != b_sig[c]:
+def _consistent(a: NAlgebra, b: NAlgebra, f: list[int]) -> bool:
+    """Whether the partial map f (-1 where unset) commutes with every
+    operation on the elements it sets."""
+    for u in range(a.size):
+        if f[u] < 0:
+            continue
+        for v in range(a.size):
+            if f[v] < 0:
                 continue
-            if x == a.one and c != b.one:
-                continue
-            f[x] = c
-            used[c] = True
-            if consistent(x):
-                yield from rec(x + 1)
-            used[c] = False
-        f[x] = -1
+            for table_a, table_b in (
+                (a.meet, b.meet),
+                (a.join, b.join),
+                (a.imp, b.imp),
+            ):
+                w = table_a[u][v]
+                if f[w] >= 0 and table_b[f[u]][f[v]] != f[w]:
+                    return False
+        w = a.neg[u]
+        if f[w] >= 0 and b.neg[f[u]] != f[w]:
+            return False
+    return True
 
-    yield from rec(0)
+
+def _extend_algebra_map(
+    x: int,
+    a: NAlgebra,
+    b: NAlgebra,
+    a_sig: list[tuple[int, int]],
+    b_sig: list[tuple[int, int]],
+    f: list[int],
+    used: list[bool],
+) -> Iterator[tuple[int, ...]]:
+    """The isomorphisms a -> b that agree with f below element x, used
+    marking the elements of b taken; each candidate for x in ascending
+    order."""
+    if x == a.size:
+        yield tuple(f)
+        return
+    for c in range(b.size):
+        if used[c] or a_sig[x] != b_sig[c]:
+            continue
+        if x == a.one and c != b.one:
+            continue
+        f[x] = c
+        used[c] = True
+        if _consistent(a, b, f):
+            yield from _extend_algebra_map(x + 1, a, b, a_sig, b_sig, f, used)
+        used[c] = False
+    f[x] = -1
 
 
 def nalgebra_isomorphic(a: NAlgebra, b: NAlgebra) -> bool:

@@ -4,11 +4,12 @@ A filtration of a model through Sigma is a quotient by Sigma-agreement
 together with an order and a negation table on the classes subject to
 four conditions: the order extends the projected order (a), respects
 Sigma-truth (b), its negation never exceeds the projected negation (c),
-and reaches every projected negation of a Sigma-set (d). The greatest
-filtration is computed directly and dominates every filtration through
-the same Sigma (greatest_among proves it). The class-wise bound of a
-quotient set, _class_bound, is the greatest table, the ceiling of (c)
-and the range of enumerated tables, which go flat to NFrame.
+and reaches every projected negation of a Sigma-set (d). Its valuation
+is the projection of the source one on the variables of Sigma. The
+greatest filtration is computed directly and dominates every filtration
+through the same Sigma (greatest_among proves it). The class-wise bound
+of a quotient set, _class_bound, is the greatest table, the ceiling of
+(c) and the range of enumerated tables, which go flat to NFrame.
 
 Sigma is read on a model once for all the functions here: _partition
 evaluates it through frames.truth_sets, each shared subformula once,
@@ -121,8 +122,10 @@ class _Read:
     """Sigma read on one model, as _partition keeps it in NModel._reads.
 
     sig[w] has bit i set when order[i], the i-th member of tuple(sigma),
-    holds at w; sigs[c] is the signature of class c. bounds keeps each
-    _class_bound under pi as it is asked for.
+    holds at w; sigs[c] is the signature of class c. qval values each
+    variable occurring in Sigma, by name order, with the projection of
+    its source value under pi. bounds keeps each _class_bound under pi
+    as it is asked for.
     """
 
     sigma: Collection[Formula]
@@ -133,6 +136,7 @@ class _Read:
     pi: tuple[int, ...]
     members: list[int]
     sigs: list[int]
+    qval: dict[str, int]
     closed: bool = False
     bounds: dict[int, int] = field(default_factory=dict)
 
@@ -175,7 +179,9 @@ def _partition(m: NModel, sigma: Collection[Formula], require_closed: bool = Fal
             classes[s] = classes.get(s, 0) | 1 << w
         index = {s: c for c, s in enumerate(classes)}
         pi = tuple(index[s] for s in sig)
-        read = _Read(sigma, dict(m.valuation), truth, order, sig, pi, list(classes.values()), list(classes))
+        names = sorted(f.name for f in truth if isinstance(f, Var))
+        qval = {name: _push_mask(m.valuation[name], pi) for name in names}
+        read = _Read(sigma, dict(m.valuation), truth, order, sig, pi, list(classes.values()), list(classes), qval)
         # the read holds its Sigma, so the id key stays that object's; a
         # caller passing a new Sigma object per call fills at most
         # _READS_KEPT reads
@@ -229,8 +235,8 @@ def _greatest(m: NModel, sigma: frozenset[Formula]) -> tuple[FiltrationResult, _
     table = [-1] * (1 << k)
     for x in qposet.upsets():
         table[x] = read.bound(m, x)
-    names = sorted(f.name for f in sigma if isinstance(f, Var))
-    qval = {name: _push_mask(m.valuation[name], pi) for name in names}
+    # a copy: a caller may change the quotient's valuation in place
+    qval = dict(read.qval)
     return FiltrationResult(NModel(NFrame(qposet, tuple(table)), qval), pi, sigma), read
 
 
@@ -239,12 +245,15 @@ def check_conditions(m: NModel, r: FiltrationResult) -> tuple[str, tuple] | None
 
     Returns None when all hold, otherwise the first violated condition
     with a witness: ("onto", (class,)), ("a", (w, v)), ("b", (w, v, f)),
-    ("c", (X, class)), or ("d", (w, f)). A filtration's projection is
-    onto, so the least class no world projects to is refused first;
-    the conditions below read such a class as unconstrained. The
-    negation condition (c) is read class-wise: the quotient table at X
-    stays inside the projection of the source negation of the preimage
-    of X.
+    ("c", (X, class)), ("d", (w, f)) or ("v", (name,)). A filtration's
+    projection is onto, so the least class no world projects to is
+    refused first; the conditions below read such a class as
+    unconstrained. The negation condition (c) is read class-wise: the
+    quotient table at X stays inside the projection of the source
+    negation of the preimage of X. Last, the quotient must value each
+    variable occurring in Sigma by the projection of its source value;
+    the least variable, by name, it leaves out or values otherwise is
+    refused.
     """
     sigma = r.sigma
     pi = r.pi
@@ -282,6 +291,13 @@ def check_conditions(m: NModel, r: FiltrationResult) -> tuple[str, tuple] | None
         missed = m.frame.neg(value) & ~target
         if missed:
             return ("d", ((missed & -missed).bit_length() - 1, f))
+    qval = read.qval if shared else {name: _push_mask(m.valuation[name], pi) for name in read.qval}
+    valuation = r.quotient.valuation
+    if valuation != qval:
+        # the quotient may value variables outside Sigma as it likes
+        for name, value in qval.items():
+            if valuation.get(name) != value:
+                return ("v", (name,))
     return None
 
 

@@ -33,6 +33,13 @@ one kernel call, and the column masks that call builds for them are
 kept beside them. Larger classes are built again on every
 call, because the 5-world ones alone would take about 120 MiB, and the
 search builds none past SEARCH_MAX_WORLDS worlds.
+
+No closure on a per-call path names itself. A closure that calls itself
+is a reference cycle, which would leave the call's memo, its nodes and
+the formula tree to the cyclic garbage collector; the truth walk is a
+slotted object that recurses through its method, and the recursive
+searches are module-level functions that take their state as
+arguments, so every call is freed by reference counting.
 """
 
 from __future__ import annotations
@@ -367,20 +374,21 @@ def truth_sets(m: NModel, formulas: Collection[Formula]) -> dict[Formula, int]:
     entry. For one formula these are the errors of compiling it and
     running the kernel.
     """
-    value, memo = _truth_walker(m)
+    walker = _TruthWalker(m)
+    value = walker.value
     try:
         for f in formulas:
             value(f)
     except _Unevaluable:
         raise _truth_error(m, formulas) from None
-    return {f: v for f, v in memo.values()}
+    return {f: v for f, v in walker.memo.values()}
 
 
 def formula_evaluator(m: NModel) -> Callable[[Formula], int]:
     """eval_formula on one model, with a memory: every subformula it
     evaluates is kept, so a node shared by several formulas is
     evaluated once over all the calls."""
-    value, _ = _truth_walker(m)
+    value = _TruthWalker(m).value
 
     def evaluate(f: Formula) -> int:
         try:
@@ -400,54 +408,63 @@ def eval_formula(m: NModel, f: Formula) -> int:
     return formula_evaluator(m)(f)
 
 
-def _truth_walker(m: NModel) -> tuple[Callable[[Formula], int], dict[int, tuple[Formula, int]]]:
-    """A function giving the truth set of a node, raising _Unevaluable
-    where the model cannot evaluate it, and its memory: each node it
-    evaluated with its value, keyed by id, in evaluation order. The
-    memory holds the nodes, so their ids stay theirs while it lives. A
-    shared node object is evaluated once; equal nodes that are distinct
-    objects are evaluated apart, which costs less than hashing every
-    node of a fresh tree."""
-    n = m.frame.n
-    full = (1 << n) - 1
-    up = m.frame.poset.up
-    ntable = m.frame.ntable
-    valuation = m.valuation
-    memo: dict[int, tuple[Formula, int]] = {}
+class _TruthWalker:
+    """The truth set of a node by ``value``, raising _Unevaluable where
+    the model cannot evaluate it, and its memory ``memo``: each node it
+    evaluated with its value, keyed by id, in evaluation order, left
+    operand first. The memory holds the nodes, so their ids stay theirs
+    while it lives. A shared node object is evaluated once; equal nodes
+    that are distinct objects are evaluated apart, which costs less than
+    hashing every node of a fresh tree.
 
-    def value(f: Formula) -> int:
-        hit = memo.get(id(f))
+    ``value`` recurses through the bound method rather than a closure
+    that names itself: such a closure is a reference cycle, and would
+    leave the memo, the nodes and the tree to the cyclic collector
+    after every call; a walker is freed when its last user lets go.
+    """
+
+    __slots__ = ("n", "full", "up", "ntable", "valuation", "memo")
+
+    def __init__(self, m: NModel) -> None:
+        self.n = m.frame.n
+        self.full = (1 << self.n) - 1
+        self.up = m.frame.poset.up
+        self.ntable = m.frame.ntable
+        self.valuation = m.valuation
+        self.memo: dict[int, tuple[Formula, int]] = {}
+
+    def value(self, f: Formula) -> int:
+        hit = self.memo.get(id(f))
         if hit is not None:
             return hit[1]
         kind = f.__class__
         if kind is Var:
-            v = valuation.get(f.name)
+            v = self.valuation.get(f.name)
             if v is None:
                 raise _Unevaluable
         elif kind is Imp:
             # _imp_mask inlined: calling it made truth_sets about 1.15x slower
-            gap = value(f.left) & ~value(f.right)
-            v = full
+            gap = self.value(f.left) & ~self.value(f.right)
+            v = self.full
             if gap:
-                for w in range(n):
+                up = self.up
+                for w in range(self.n):
                     if up[w] & gap:
                         v ^= 1 << w
         elif kind is Neg:
-            v = ntable[value(f.sub)]
+            v = self.ntable[self.value(f.sub)]
             if v < 0:
                 raise _Unevaluable
         elif kind is And:
-            v = value(f.left) & value(f.right)
+            v = self.value(f.left) & self.value(f.right)
         elif kind is Or:
-            v = value(f.left) | value(f.right)
+            v = self.value(f.left) | self.value(f.right)
         elif kind is Top:
-            v = full
+            v = self.full
         else:
             raise _Unevaluable
-        memo[id(f)] = (f, v)
+        self.memo[id(f)] = (f, v)
         return v
-
-    return value, memo
 
 
 def _truth_error(m: NModel, formulas: Collection[Formula]) -> Exception:
@@ -687,41 +704,52 @@ def _trace_tables(
     clusters = [(cone, cone & ~sum(1 << w for w in ws), ws) for cone, ws in by_cone.items()]
     traces: list[frozenset[int]] = [frozenset()] * n
     results: list[tuple[int, ...]] = []
-
-    def rec(k: int) -> None:
-        if k == len(clusters):
-            worlds = [(1 << w, up[w], traces[w]) for w in range(n)]
-            flat = [-1] * (1 << n)
-            for u in domain:
-                value = 0
-                for bit, cone, family in worlds:
-                    if u & cone in family:
-                        value |= bit
-                flat[u] = value
-            results.append(tuple(flat))
-            return
-        cone, above, cluster = clusters[k]
-        allowed = []
-        for z in domain:
-            if z & ~cone:
-                continue
-            m = above
-            good = True
-            while m:
-                v = (m & -m).bit_length() - 1
-                m &= m - 1
-                if (z & up[v]) not in traces[v]:
-                    good = False
-                    break
-            if good:
-                allowed.append(z)
-        for family in choose(allowed):
-            for w in cluster:
-                traces[w] = family
-            rec(k + 1)
-
-    rec(0)
+    _choose_traces(0, clusters, traces, up, domain, choose, results)
     return results
+
+
+def _choose_traces(
+    k: int,
+    clusters: list[tuple[int, int, list[int]]],
+    traces: list[frozenset[int]],
+    up: Sequence[int],
+    domain: Sequence[int],
+    choose: Callable[[list[int]], Iterable[frozenset[int]]],
+    results: list[tuple[int, ...]],
+) -> None:
+    """_trace_tables from cluster k on, the families of the clusters
+    before it fixed in traces: appends each finished table to results."""
+    n = len(up)
+    if k == len(clusters):
+        worlds = [(1 << w, up[w], traces[w]) for w in range(n)]
+        flat = [-1] * (1 << n)
+        for u in domain:
+            value = 0
+            for bit, cone, family in worlds:
+                if u & cone in family:
+                    value |= bit
+            flat[u] = value
+        results.append(tuple(flat))
+        return
+    cone, above, cluster = clusters[k]
+    allowed = []
+    for z in domain:
+        if z & ~cone:
+            continue
+        m = above
+        good = True
+        while m:
+            v = (m & -m).bit_length() - 1
+            m &= m - 1
+            if (z & up[v]) not in traces[v]:
+                good = False
+                break
+        if good:
+            allowed.append(z)
+    for family in choose(allowed):
+        for w in cluster:
+            traces[w] = family
+        _choose_traces(k + 1, clusters, traces, up, domain, choose, results)
 
 
 def _subfamilies(allowed: list[int]) -> Iterator[frozenset[int]]:
@@ -789,29 +817,38 @@ def poset_isomorphisms(p: Poset, q: Poset) -> Iterator[tuple[int, ...]]:
     q_sig = _world_signatures(q)
     if sorted(p_sig) != sorted(q_sig):
         return
-    f = [-1] * p.n
-    used = [False] * q.n
+    yield from _extend_isomorphism(0, p, q, p_sig, q_sig, [-1] * p.n, [False] * q.n)
 
-    def rec(w: int) -> Iterator[tuple[int, ...]]:
-        if w == p.n:
-            yield tuple(f)
-            return
-        for c in range(q.n):
-            if used[c] or p_sig[w] != q_sig[c]:
-                continue
-            ok = True
-            for u in range(w):
-                if p.le(u, w) != q.le(f[u], c) or p.le(w, u) != q.le(c, f[u]):
-                    ok = False
-                    break
-            if ok:
-                f[w] = c
-                used[c] = True
-                yield from rec(w + 1)
-                used[c] = False
-        f[w] = -1
 
-    yield from rec(0)
+def _extend_isomorphism(
+    w: int,
+    p: Poset,
+    q: Poset,
+    p_sig: list[tuple[int, int]],
+    q_sig: list[tuple[int, int]],
+    f: list[int],
+    used: list[bool],
+) -> Iterator[tuple[int, ...]]:
+    """The order isomorphisms p -> q that agree with f below world w,
+    used marking the worlds of q taken; each candidate for w in
+    ascending order."""
+    if w == p.n:
+        yield tuple(f)
+        return
+    for c in range(q.n):
+        if used[c] or p_sig[w] != q_sig[c]:
+            continue
+        ok = True
+        for u in range(w):
+            if p.le(u, w) != q.le(f[u], c) or p.le(w, u) != q.le(c, f[u]):
+                ok = False
+                break
+        if ok:
+            f[w] = c
+            used[c] = True
+            yield from _extend_isomorphism(w + 1, p, q, p_sig, q_sig, f, used)
+            used[c] = False
+    f[w] = -1
 
 
 def _push_mask(mask: int, f: Sequence[int]) -> int:
@@ -888,29 +925,41 @@ def canonical_poset_key(p: Poset) -> int:
     order = sorted(range(n), key=_world_signatures(p).__getitem__)
     placed: list[tuple[int, int]] = []  # (label, world), labels descending
     best = 1 << n * (n - 1)  # above every pair mask
+    return _least_placement(n - 1, 0, (1 << n) - 1, best, n, order, twin, above, below, placed)
 
-    def place(label: int, bound: int, free: int) -> None:
-        nonlocal best
-        if label < 0:
-            best = bound
-            return
-        tried = 0
-        for w in order:
-            if not (free >> w) & 1 or (tried >> twin[w]) & 1:
-                continue
-            tried |= 1 << twin[w]
-            b = bound
-            for m, x in placed:
-                if (above[w] >> x) & 1:
-                    b |= 1 << _pair_bit(label, m, n)
-                elif (below[w] >> x) & 1:
-                    b |= 1 << _pair_bit(m, label, n)
-            if b < best:
-                placed.append((label, w))
-                place(label - 1, b, free & ~(1 << w))
-                placed.pop()
 
-    place(n - 1, 0, (1 << n) - 1)
+def _least_placement(
+    label: int,
+    bound: int,
+    free: int,
+    best: int,
+    n: int,
+    order: list[int],
+    twin: list[int],
+    above: list[int],
+    below: list[int],
+    placed: list[tuple[int, int]],
+) -> int:
+    """canonical_poset_key's search below one branch: the least full
+    mask under best among the placements of the free worlds on labels
+    label .. 0, bound holding the bits fixed so far, else best."""
+    if label < 0:
+        return bound
+    tried = 0
+    for w in order:
+        if not (free >> w) & 1 or (tried >> twin[w]) & 1:
+            continue
+        tried |= 1 << twin[w]
+        b = bound
+        for m, x in placed:
+            if (above[w] >> x) & 1:
+                b |= 1 << _pair_bit(label, m, n)
+            elif (below[w] >> x) & 1:
+                b |= 1 << _pair_bit(m, label, n)
+        if b < best:
+            placed.append((label, w))
+            best = _least_placement(label - 1, b, free & ~(1 << w), best, n, order, twin, above, below, placed)
+            placed.pop()
     return best
 
 

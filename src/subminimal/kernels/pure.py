@@ -22,6 +22,11 @@ fit in _BLOCK bits. The frames share the poset's cones and valuations,
 so only the negation lookup tells them apart: it reads, for each truth
 set, column masks that mark the positions whose frame puts a world in
 N of that set (see _first_refutation).
+
+No closure here names itself: the recursive searches are module-level
+functions that take their state as arguments. A closure that calls
+itself is a reference cycle, and each call would leave its state to
+the cyclic garbage collector instead of freeing it on return.
 """
 
 from subminimal.kernels.ops import (
@@ -547,31 +552,33 @@ def search_order_onto(nt, t_up, t_down, ns, s_up, s_down):
         return None
     full_t = (1 << nt) - 1
     f = [-1] * ns
-
-    def rec(v, covered):
-        if v == ns:
-            return covered == full_t
-        cand = full_t
-        for u in range(v):
-            if (s_up[u] >> v) & 1:
-                cand &= t_up[f[u]]
-            if (s_down[u] >> v) & 1:
-                cand &= t_down[f[u]]
-        m = cand
-        while m:
-            c = (m & -m).bit_length() - 1
-            m &= m - 1
-            newcov = covered | (1 << c)
-            if (full_t & ~newcov).bit_count() <= ns - v - 1:
-                f[v] = c
-                if rec(v + 1, newcov):
-                    return True
-        f[v] = -1
-        return False
-
-    if rec(0, 0):
+    if _order_onto_from(0, 0, f, full_t, t_up, t_down, ns, s_up, s_down):
         return list(f)
     return None
+
+
+def _order_onto_from(v, covered, f, full_t, t_up, t_down, ns, s_up, s_down):
+    """Whether f, set below world v with image covered, extends to an
+    onto order-preserving map; the first extension is left in f."""
+    if v == ns:
+        return covered == full_t
+    cand = full_t
+    for u in range(v):
+        if (s_up[u] >> v) & 1:
+            cand &= t_up[f[u]]
+        if (s_down[u] >> v) & 1:
+            cand &= t_down[f[u]]
+    m = cand
+    while m:
+        c = (m & -m).bit_length() - 1
+        m &= m - 1
+        newcov = covered | (1 << c)
+        if (full_t & ~newcov).bit_count() <= ns - v - 1:
+            f[v] = c
+            if _order_onto_from(v + 1, newcov, f, full_t, t_up, t_down, ns, s_up, s_down):
+                return True
+    f[v] = -1
+    return False
 
 
 def search_positive_morphism(nt, t_up, ns, s_up):
@@ -622,35 +629,38 @@ def search_positive_morphism(nt, t_up, ns, s_up):
         order = [w for w in by_cone if (dom >> w) & 1]
         pins = [full_t] * ns
         f = [-1] * ns
-
-        def extend(i, covered):
-            if i == len(order):
-                return covered == full_t
-            w = order[i]
-            image = 0
-            m = above[w] & dom
-            while m:
-                image |= 1 << f[(m & -m).bit_length() - 1]
-                m &= m - 1
-            m = allowed.get(image, 0) & pins[w]
-            while m:
-                c = (m & -m).bit_length() - 1
-                m &= m - 1
-                newcov = covered | (1 << c)
-                if (full_t & ~newcov).bit_count() < len(order) - i:
-                    f[w] = c
-                    if extend(i + 1, newcov):
-                        return True
-            return False
-
-        if extend(0, 0):
+        if _positive_from(0, 0, f, order, above, dom, allowed, pins, full_t):
             best = list(f)
             for w in sorted(order):
                 for c in range(best[w]):
                     pins[w] = 1 << c
-                    if extend(0, 0):
+                    if _positive_from(0, 0, f, order, above, dom, allowed, pins, full_t):
                         best = list(f)
                         break
                 pins[w] = 1 << best[w]
             return dom, best
     return None
+
+
+def _positive_from(i, covered, f, order, above, dom, allowed, pins, full_t):
+    """Whether f, set on order[:i] with image covered, extends to a
+    positive morphism on the domain dom whose values lie in pins; the
+    first extension is left in f. See search_positive_morphism."""
+    if i == len(order):
+        return covered == full_t
+    w = order[i]
+    image = 0
+    m = above[w] & dom
+    while m:
+        image |= 1 << f[(m & -m).bit_length() - 1]
+        m &= m - 1
+    m = allowed.get(image, 0) & pins[w]
+    while m:
+        c = (m & -m).bit_length() - 1
+        m &= m - 1
+        newcov = covered | (1 << c)
+        if (full_t & ~newcov).bit_count() < len(order) - i:
+            f[w] = c
+            if _positive_from(i + 1, newcov, f, order, above, dom, allowed, pins, full_t):
+                return True
+    return False

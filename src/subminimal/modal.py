@@ -345,37 +345,35 @@ def _is_taut_instance(f: Formula) -> bool:
     """Truth-table the formula with maximal modal subformulas and
     variables abstracted as atoms."""
     atoms: dict[Formula, int] = {}
-
-    def atom(g: Formula) -> int:
-        if g not in atoms:
-            atoms[g] = len(atoms)
-        return atoms[g]
-
-    def scan(g: Formula) -> None:
-        if isinstance(g, (And, Or, Imp)):
-            scan(g.left)
-            scan(g.right)
-        elif isinstance(g, (Box, BBox, Var)):
-            atom(g)
-
-    scan(f)
+    _scan_atoms(f, atoms)
     if len(atoms) > 16:
         raise ValueError("too many distinct atoms to truth-table")
+    return all(_atom_truth(f, atoms, bits) for bits in range(1 << len(atoms)))
 
-    def ev(g: Formula, bits: int) -> bool:
-        if isinstance(g, And):
-            return ev(g.left, bits) and ev(g.right, bits)
-        if isinstance(g, Or):
-            return ev(g.left, bits) or ev(g.right, bits)
-        if isinstance(g, Imp):
-            return not ev(g.left, bits) or ev(g.right, bits)
-        if isinstance(g, Top):
-            return True
-        if isinstance(g, (Box, BBox, Var)):
-            return bool((bits >> atoms[g]) & 1)
-        return False  # Bot
 
-    return all(ev(f, bits) for bits in range(1 << len(atoms)))
+def _scan_atoms(g: Formula, atoms: dict[Formula, int]) -> None:
+    """Number the atoms of g in atoms, left to right as first met."""
+    if isinstance(g, (And, Or, Imp)):
+        _scan_atoms(g.left, atoms)
+        _scan_atoms(g.right, atoms)
+    elif isinstance(g, (Box, BBox, Var)):
+        if g not in atoms:
+            atoms[g] = len(atoms)
+
+
+def _atom_truth(g: Formula, atoms: dict[Formula, int], bits: int) -> bool:
+    """Classical truth of g when atom i has the truth value of bit i."""
+    if isinstance(g, And):
+        return _atom_truth(g.left, atoms, bits) and _atom_truth(g.right, atoms, bits)
+    if isinstance(g, Or):
+        return _atom_truth(g.left, atoms, bits) or _atom_truth(g.right, atoms, bits)
+    if isinstance(g, Imp):
+        return not _atom_truth(g.left, atoms, bits) or _atom_truth(g.right, atoms, bits)
+    if isinstance(g, Top):
+        return True
+    if isinstance(g, (Box, BBox, Var)):
+        return bool((bits >> atoms[g]) & 1)
+    return False  # Bot
 
 
 def check_proof(proof: HilbertProof) -> tuple[int, str] | None:

@@ -120,9 +120,12 @@ def check_conditions(m: NModel, r: FiltrationResult) -> tuple[str, tuple] | None
 
     Returns None when all hold, otherwise the first violated condition
     with a witness: ("a", (w, v)), ("b", (w, v, f)), ("c", (X, class)),
-    or ("d", (w, f)). The negation condition (c) is read class-wise:
-    the quotient table at X stays inside the projection of the source
-    negation of the preimage of X.
+    ("d", (w, f)) or ("v", (name,)). The negation condition (c) is read
+    class-wise: the quotient table at X stays inside the projection of
+    the source negation of the preimage of X. Last, the quotient must
+    value each variable of Sigma by the projection of its source value;
+    the least such variable, by name, it leaves out or values otherwise
+    is refused.
     """
     sigma = r.sigma
     pi = r.pi
@@ -161,6 +164,9 @@ def check_conditions(m: NModel, r: FiltrationResult) -> tuple[str, tuple] | None
             rest &= rest - 1
             if not (target >> pi[w]) & 1:
                 return ("d", (w, f))
+    for name in sorted({v for f in sigma for v in variables(f)}):
+        if r.quotient.valuation.get(name) != _push_mask(m.valuation[name], pi):
+            return ("v", (name,))
     return None
 
 

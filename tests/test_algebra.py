@@ -24,6 +24,7 @@ from subminimal.algebra import (
     general_algebraic_filtration,
     least_filtration_correspondence,
     nalgebra_isomorphic,
+    nalgebra_isomorphisms,
     prime_filters,
     subdirectly_irreducible,
     sublattice_filtration,
@@ -370,6 +371,49 @@ def test_nalgebra_isomorphic_distinguishes():
     )
     assert nalgebra_isomorphic(ALG, ALG)
     assert not nalgebra_isomorphic(ALG, a)
+
+
+def _relabeled(a, perm):
+    """The algebra a with element x renamed perm[x]."""
+    back = [0] * a.size
+    for x, y in enumerate(perm):
+        back[y] = x
+
+    def table(rows):
+        return tuple(tuple(perm[rows[back[x]][back[y]]] for y in range(a.size)) for x in range(a.size))
+
+    neg = tuple(perm[a.neg[back[x]]] for x in range(a.size))
+    return NAlgebra(a.size, table(a.meet), table(a.join), table(a.imp), neg, perm[a.one])
+
+
+def test_nalgebra_isomorphisms_come_in_lexicographic_order():
+    # the search places element 0 first, each element on ascending
+    # targets, so it yields every isomorphism once, in the brute
+    # force's order over all bijections
+    rng = random.Random(56)
+    corpus = [a for a in algebra_corpus(3) if a.size <= 6]
+    found = 0
+    for a in rng.sample(corpus, 40):
+        perm = list(range(a.size))
+        rng.shuffle(perm)
+        for b in (_relabeled(a, perm), rng.choice(corpus)):
+            if b.size != a.size:
+                continue
+            brute = [
+                f
+                for f in itertools.permutations(range(a.size))
+                if f[a.one] == b.one
+                and all(b.neg[f[x]] == f[a.neg[x]] for x in range(a.size))
+                and all(
+                    tb[f[x]][f[y]] == f[ta[x][y]]
+                    for ta, tb in ((a.meet, b.meet), (a.join, b.join), (a.imp, b.imp))
+                    for x in range(a.size)
+                    for y in range(a.size)
+                )
+            ]
+            assert list(nalgebra_isomorphisms(a, b)) == brute
+            found += len(brute)
+    assert found >= 40
 
 
 def test_topframe_isomorphic_distinguishes():

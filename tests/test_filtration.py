@@ -340,6 +340,43 @@ def test_differential_witnesses_on_corrupted_quotients():
     assert fails_before_error >= 3
 
 
+def test_every_valuation_corruption_is_refused():
+    # check_conditions once returned None on each of these, leaving the
+    # wrong valuation to the theorem check
+    rng = random.Random(45)
+    corrupted = 0
+    for _ in range(300):
+        m = random_model(rng, max_worlds=4)
+        sigma = close_sigma([random_formula(rng, ("p", "q"), 3)])
+        g = greatest_filtration(m, sigma)
+        if g.classes() < 2:
+            continue
+        bad = _corrupted(rng, g)
+        wrong = sorted(x for x, v in g.quotient.valuation.items() if bad.quotient.valuation[x] != v)
+        if not wrong:
+            continue
+        corrupted += 1
+        for module in (filtration, ref):
+            assert module.check_conditions(m, bad) == ("v", (wrong[0],))
+            with pytest.raises(ValueError, match=r"condition \(v\) fails at \('%s',\)" % wrong[0]):
+                module.greatest_among(m, sigma, bad)
+    assert corrupted >= 50
+
+    # a variable of Sigma left out is refused, one outside Sigma is not
+    m = fork_model()
+    sigma = close_sigma([parse("~p & q")])
+    m.valuation["q"] = 6
+    g = greatest_filtration(m, sigma)
+    frame = g.quotient.frame
+    for valuation, want in (
+        ({"p": g.quotient.valuation["p"]}, ("v", ("q",))),
+        ({**g.quotient.valuation, "r": 0}, None),
+    ):
+        r = FiltrationResult(NModel(frame, valuation), g.pi, sigma)
+        assert check_conditions(m, r) == want
+        assert ref.check_conditions(m, r) == want
+
+
 def test_greatest_among_matches_the_brute_force_reference():
     rng = random.Random(46)
     models = checked = refused = 0
@@ -482,6 +519,7 @@ def test_a_stale_read_is_never_used():
     assert filtration_theorem_check(m, after) is None
     # p now holds at world 0, which before's quotient sends where p fails
     assert filtration_theorem_check(m, before) == (parse("p"), 0)
+    assert check_conditions(m, before) == ("v", ("p",))
 
 
 def test_the_kept_read_is_outside_equality_hash_and_repr():

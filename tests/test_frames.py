@@ -46,6 +46,7 @@ from subminimal.frames import (
     nframe_isomorphic,
     ntable_from_upset_map,
     poset_from_dict,
+    poset_isomorphisms,
     poset_to_dict,
     random_nframe,
     random_ntable,
@@ -632,6 +633,24 @@ def test_canonical_key_is_the_least_relabeled_mask():
     for _ in range(40):
         p = random_poset(rng, 7)
         assert canonical_poset_key(p) == min(_relabeled_masks(p)), p
+
+
+def test_poset_isomorphisms_come_in_lexicographic_order():
+    # the search places world 0 first, each world on ascending targets,
+    # so it yields every isomorphism once, in the brute force's order
+    rng = random.Random(36)
+    found = 0
+    for _ in range(80):
+        p = random_poset(rng, rng.randint(1, 5))
+        q = _shuffled(rng, p) if rng.random() < 0.8 else random_poset(rng, p.n)
+        brute = [
+            f
+            for f in itertools.permutations(range(p.n))
+            if all(p.le(u, v) == q.le(f[u], f[v]) for u in range(p.n) for v in range(p.n))
+        ]
+        assert list(poset_isomorphisms(p, q)) == brute, (p, q)
+        found += len(brute)
+    assert found >= 100
 
 
 def test_random_generators_are_lawful():

@@ -1,5 +1,6 @@
 """NS4 frames, the lifted negation, the translation, and En/Rn."""
 
+import hashlib
 import itertools
 import random
 
@@ -125,6 +126,29 @@ def test_three_world_trace_tables_are_lawful_and_hold_every_lift():
     assert len(lifts) == 1282
     for fr in lifts:
         assert fr.ntable in tables[fr.rel]
+
+
+def test_trace_tables_keep_their_order():
+    # a digest of every table, in the order the trace recursion yields
+    # them, frozen from the nested-closure recursion it replaced: on
+    # each preorder of up to 3 worlds over all subsets and each poset of
+    # up to 4 worlds over its upsets. The test above checks the sets
+    # alone, and the coin-flip draws meet ns4_reference in
+    # test_random_ns4_frame_matches_the_cluster_loop
+    digest = hashlib.sha256()
+    count = 0
+    for n in range(4):
+        for rel in enumerate_preorders(n):
+            tables = _trace_tables(rel, range(1 << n), _subfamilies)
+            count += len(tables)
+            digest.update(repr(tables).encode())
+    for n in range(5):
+        for p in enumerate_posets(n):
+            tables = _trace_tables(p.up, p.upsets(), _subfamilies)
+            count += len(tables)
+            digest.update(repr(tables).encode())
+    assert count == 99712
+    assert digest.hexdigest() == "0a5b503dbf1b0f17c26883bec6f62f43befb060bf92855d02b46c7dde15e5816"
 
 
 def test_preorder_count_on_two_worlds():

@@ -4,17 +4,21 @@ Each fixture must check under its own system and fail under the other,
 and every generated single-line corruption must be rejected.
 """
 
+import itertools
+import random
+
 import pytest
 from conftest import load_fixture, proof_mutations
 
 from subminimal.modal import (
     HilbertProof,
     ProofLine,
+    _is_taut_instance,
     check_proof,
     proof_from_list,
     proof_lines_to_list,
 )
-from subminimal.syntax import parse
+from subminimal.syntax import And, BBox, Box, Imp, Or, Top, Var, parse, random_formula
 
 FIXTURES = [
     ("proof_cong.json", "ns4"),
@@ -90,6 +94,51 @@ def test_taut_rule_truth_tables_under_abstraction():
     assert check_proof(good) is None
     bad = HilbertProof("ns4", (ProofLine(M("[]p -> p"), "taut"),))
     assert check_proof(bad) == (0, "not a tautology under modal abstraction")
+
+
+def _taut_by_brute_force(f):
+    """Whether f is a classical tautology with its maximal boxed
+    subformulas and its variables read as atoms."""
+    atoms = set()
+    todo = [f]
+    while todo:
+        g = todo.pop()
+        if isinstance(g, (And, Or, Imp)):
+            todo += [g.left, g.right]
+        elif isinstance(g, (Box, BBox, Var)):
+            atoms.add(g)
+    if len(atoms) > 16:
+        raise ValueError("too many distinct atoms to truth-table")
+
+    def holds(g, env):
+        if isinstance(g, (Box, BBox, Var)):
+            return env[g]
+        if isinstance(g, Top):
+            return True
+        if not isinstance(g, (And, Or, Imp)):
+            return False
+        left, right = holds(g.left, env), holds(g.right, env)
+        return {And: left and right, Or: left or right, Imp: not left or right}[type(g)]
+
+    return all(holds(f, dict(zip(atoms, bits))) for bits in itertools.product((False, True), repeat=len(atoms)))
+
+
+def test_taut_instances_match_the_brute_force_truth_table():
+    rng = random.Random(61)
+    verdicts = []
+    for _ in range(150):
+        g = random_formula(rng, ("p", "q", "r"), 4, "modal")
+        h = random_formula(rng, ("p", "q"), 3, "modal")
+        for f in (g, Imp(g, g), Or(g, Imp(g, h)), Imp(And(g, h), h), Imp(g, h)):
+            verdicts.append(_is_taut_instance(f))
+            assert verdicts[-1] == _taut_by_brute_force(f), f
+    assert 100 <= sum(verdicts) <= len(verdicts) - 100
+    wide = Var("x0")
+    for i in range(1, 17):
+        wide = And(wide, Box(Var(f"x{i}")))
+    for check in (_is_taut_instance, _taut_by_brute_force):
+        with pytest.raises(ValueError, match="too many distinct atoms"):
+            check(wide)
 
 
 def test_box_conj_rewrite_rule():
