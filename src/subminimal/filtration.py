@@ -328,10 +328,16 @@ def filtration_theorem_check(m: NModel, r: FiltrationResult) -> tuple[Formula, i
             failures[f] = (f, (diff & -diff).bit_length() - 1)
     if not failures:
         return None
+    # each kept error's traceback holds this frame, so neither the dict
+    # nor the error raised may stay in it: that would be a cycle
     first = failures[min(failures, key=show)]
-    if isinstance(first, ValueError):
+    failures.clear()
+    if not isinstance(first, ValueError):
+        return first
+    try:
         raise first
-    return first
+    finally:
+        del first
 
 
 def greatest_among(m: NModel, sigma: Iterable[Formula], other: FiltrationResult) -> bool:

@@ -27,12 +27,15 @@ its class.
 One builder, ``_orbit_least_frames``, gives the frames of one poset
 class. For the classes of at most DEFAULT_MAX_WORLDS worlds its output,
 and each logic's class members among it, is built once per process and
-kept (4,501 frames in about 1.4 MiB); the stream and every countermodel
-search read it from there. The search takes each class's members in
-one kernel call, and the column masks that call builds for them are
-kept beside them. Larger classes are built again on every
-call, because the 5-world ones alone would take about 120 MiB, and the
-search builds none past SEARCH_MAX_WORLDS worlds.
+kept; the stream and every countermodel search read it from there. The
+search walks only the rooted classes, those with a least world: its
+memo up to 4 worlds holds 1,702 frames in about 0.5 MiB, and the
+stream adds the other 2,799 (about 1.3 MiB in all). The search takes
+each class's members in one kernel call, and the column masks that
+call builds for them are kept beside them. Larger classes are built
+again on every call, because the rooted 5-world ones alone hold 62,058
+frames (about 23 MiB before their column masks), and the search builds
+none past SEARCH_MAX_WORLDS worlds.
 
 No closure on a per-call path names itself. A closure that calls itself
 is a reference cycle, which would leave the call's memo, its nodes and
@@ -1014,7 +1017,9 @@ def _least_in_orbit(
 
 
 # Poset classes of at most this many worlds keep their frames for the
-# life of the process; it is also the default bound of ``decide``.
+# life of the process; it is also the default bound of ``decide``. A
+# search fills the memo for the rooted classes only (1,702 frames for
+# N), the frame stream for all of them (4,501).
 DEFAULT_MAX_WORLDS = 4
 
 
@@ -1035,8 +1040,9 @@ def _orbit_least_frames(size: int, key: int) -> Iterator[NFrame]:
 
 
 # The search stops before building the classes past this many worlds:
-# the 5-world classes hold 203,008 frames and the 6-world ones are
-# built with no bound on time or memory.
+# the 16 rooted 5-world classes it walks hold 62,058 frames (of 203,008
+# in all 63), and the 63 rooted 6-world ones are built with no bound on
+# time or memory.
 SEARCH_MAX_WORLDS = 5
 
 
@@ -1129,16 +1135,59 @@ def countermodel_search(
     absolute time.time() value, checked before each batch of frames
     (see below); passing it raises SearchTimeout, which says how many
     worlds the search had reached and how many class frames it had
-    tried in the batches before.
+    tried in the batches before, counting the rooted classes only.
 
-    The frames of the poset classes of at most DEFAULT_MAX_WORLDS
+    The search walks only the rooted poset classes, those with a least
+    world (proof below): for N that is 131 of the 271 stream frames up
+    to 3 worlds, 1,702 of 4,501 up to 4 and 62,058 of the 203,008 at 5.
+    The frames of the rooted classes of at most DEFAULT_MAX_WORLDS
     worlds, and each logic's members among them, are built once per
     process and shared by every later search, so a search goes straight
     to the frames in the logic's class. Larger classes are built again
-    on every call, frame by frame, because keeping the 5-world ones
-    would take about 120 MiB. A search that finds no countermodel up to
-    SEARCH_MAX_WORLDS worlds raises ValueError rather than build the
-    classes beyond, so every refutation it can find keeps its answer.
+    on every call, frame by frame, because the rooted 5-world ones
+    alone hold 62,058 frames, about 23 MiB. A search that finds no
+    countermodel up to SEARCH_MAX_WORLDS worlds raises ValueError rather
+    than build the classes beyond, so every refutation it can find
+    keeps its answer.
+
+    Skipping the classes with no least world keeps the first witness
+    (frame, valuation, world) and every exhaustion verdict.
+
+    - Generated subframes. Let (P, N) be a lawful frame, U an upset of
+      P, and (U, N_U) the frame on the suborder U with N_U(X) = N(X) & U.
+      The upsets of U are the upsets of P inside U, and N_U is lawful:
+      its values N(X) & U are upsets of U, and for upsets X, Y of U,
+      N_U(X) & Y = N(X) & Y = N(X & Y) & Y = N_U(X & Y) & Y by the
+      locality of N. Give U the valuation V_U(p) = V(p) & U. Then every
+      formula A has truth set [A] & U on U, by induction on A: the
+      variables, Top, & and | are pointwise; v in U sees only R(v),
+      which lies in U, so v satisfies A -> B in U iff it does in P; and
+      locality at Y = U gives N([A]) & U = N([A] & U) & U = N_U([A]_U),
+      so v in U satisfies ~A in U iff it does in P.
+    - Closure. Each frame_class condition holds exactly when the frame
+      validates the logic's axiom (proved there). A valuation on U is
+      one on P as well, with the same values, and the axiom is true on
+      all of P, so on U by the lemma; so (U, N_U) is in the logic's
+      class whenever (P, N) is.
+    - The stream holds an isomorph of every lawful frame: each poset
+      class in its least labeling, under the least lawful table of each
+      orbit of its automorphisms (``_frame_stream``). An isomorph of a
+      member that refutes f is a member that refutes f.
+    - So, by induction on k, the search reaches k worlds only when every
+      member of fewer worlds validates f (at k = 1 there is none). Let a
+      member (P, N) of k worlds refute f at a world w under V. The cone
+      U = R(w) gives a member (U, N_U) that refutes f at w under V_U,
+      and so does its isomorph in the stream; hence U has k worlds,
+      U = W, and w is the least world of P. A class with no least world
+      holds no refuting member of k worlds, so dropping its batches
+      drops no frame the frame-by-frame search could return; if the
+      rooted classes refute nothing either, every member of k worlds
+      validates f, which carries the induction to k + 1. The batches of
+      the rooted classes run in their stream order as before, so the
+      first witness and every verdict of exhaustion stay as they were.
+      Nor is a kernel error dropped: stream tables are lawful and
+      defined on every upset, so every truth set is an upset and no
+      lookup meets a hole.
 
     The stream skips every frame but the first of its isomorphism
     class, and the witness is still the first of the labeled order.
@@ -1181,7 +1230,10 @@ def countermodel_search(
                 f"no countermodel up to {SEARCH_MAX_WORLDS} worlds, and the search "
                 f"builds no frames past that cap (asked for {max_worlds})"
             )
-        for key, _ in _poset_classes(size):
+        for key, rep in _poset_classes(size):
+            # only a rooted class can hold a first countermodel (above)
+            if (1 << size) - 1 not in rep.up:
+                continue
             for batch, tables in _class_batches(size, key, logic, len(names)):
                 if deadline is not None and time.time() > deadline:
                     raise SearchTimeout(

@@ -1,5 +1,6 @@
 """Posets, N-frames, validity, enumeration, and the frame classes."""
 
+import collections
 import hashlib
 import itertools
 import random
@@ -412,16 +413,17 @@ def test_countermodel_search_timeout():
 
 def test_search_timeout_says_how_far_it_got(monkeypatch):
     # a clock that ticks once per deadline check, one check per batch of
-    # class frames, here one batch per poset class: checks 0..4 pass, so
-    # 5 classes are tried, the 4 one-world frames, the 10 + 15 two-world
-    # ones and the 20 + 60 of the first two 3-world classes
+    # class frames, here one batch per rooted poset class: checks 0..4
+    # pass, so 5 classes are tried, the 4 one-world frames, the 15 of the
+    # two-world chain, the 48 + 64 of both rooted 3-world classes and the
+    # 232 of the first rooted 4-world class
     ticks = itertools.count()
     monkeypatch.setattr(frames, "time", types.SimpleNamespace(time=lambda: next(ticks)))
     with pytest.raises(
         SearchTimeout,
-        match=r"^no verdict within the budget: reached 3 worlds after trying 109 class frames$",
+        match=r"^no verdict within the budget: reached 4 worlds after trying 363 class frames$",
     ):
-        countermodel_search(LOGICS["n"], AXIOM_N, 3, deadline=4)
+        countermodel_search(LOGICS["n"], AXIOM_N, 4, deadline=4)
 
 
 def _uncached_stream(n):
@@ -465,6 +467,125 @@ def test_five_world_classes_are_not_memoized(monkeypatch):
     assert kept and all(memo[0] <= DEFAULT_MAX_WORLDS for memo in kept)
 
 
+def _rooted(size, up):
+    return (1 << size) - 1 in up
+
+
+def test_search_hands_only_rooted_classes_to_the_kernel(monkeypatch):
+    # a stand-in kernel that records every poset it is given and refutes
+    # nothing below 5 worlds, so each logic's search exhausts 4 worlds;
+    # on fresh memos the searches must build and keep the rooted classes
+    # and nothing of the others; N then goes on to the first 5-world
+    # batch, refuted at its first position
+    for memo in ("_CLASS_FRAMES", "_CLASS_MEMBERS", "_CLASS_TABLES"):
+        monkeypatch.setattr(frames, memo, {})
+    seen = []
+
+    def record(code, nvars, n, up, tables, upsets):
+        seen.append((n, tuple(up)))
+        return 0 if n == 5 else -1
+
+    monkeypatch.setattr(kernels, "find_refuting_valuation_prop", record)
+    for logic in LOGICS.values():
+        assert countermodel_search(logic, AXIOM_N, DEFAULT_MAX_WORLDS) is None
+    model, _ = countermodel_search(LOGICS["n"], AXIOM_N, 5)
+    assert seen[-1][0] == 5 and all(_rooted(n, up) for n, up in seen)
+    rooted = {
+        (size, key)
+        for size in range(1, DEFAULT_MAX_WORLDS + 1)
+        for key, rep in _poset_classes(size)
+        if _rooted(size, rep.up)
+    }
+    assert len(rooted) == 1 + 1 + 2 + 5
+    assert set(frames._CLASS_FRAMES) == rooted
+    assert set(frames._CLASS_MEMBERS) == set(frames._CLASS_TABLES) == {
+        (size, key, name) for size, key in rooted for name in LOGICS
+    }
+    # the witness is on the first rooted 5-world class, which is not the
+    # first 5-world class
+    first = next(key for key, rep in _poset_classes(5) if _rooted(5, rep.up))
+    assert first != _poset_classes(5)[0][0]
+    assert canonical_poset_key(model.frame.poset) == first == model.frame.poset.pair_mask()
+
+
+def _walked_witnesses(f, max_worlds):
+    """Each logic's witness from the unpruned walk of the frame stream,
+    one kernel call per frame in stream order, each frame's refutation
+    shared by the four logics: the reference the batched search over
+    the rooted classes must agree with."""
+    hits = {}
+    out = {}
+    for name, logic in LOGICS.items():
+        out[name] = None
+        for fr in _frame_stream(max_worlds):
+            if frame_class(fr, logic):
+                if fr not in hits:
+                    hits[fr] = refuting_valuation(fr, f)
+                if hits[fr] is not None:
+                    out[name] = model_to_dict(NModel(fr, hits[fr][0])), hits[fr][1]
+                    break
+    return out
+
+
+# classical tautologies drawn by random_formula, with the world count of
+# each logic's witness up to 4 worlds (None: no countermodel there)
+ROOTED_PINS = {
+    "~~(p | T) | ~p & ~p & ~(p & p) | ((~q & ~p -> ~(p & q)) | ~(p | ~p))": (4, 4, None, None),
+    "~(T & p | (q | q)) | ~(p -> p -> T) | ~~((p -> q) | p)": (1, 1, 1, 4),
+    "~((q -> r) -> p & r) & p -> (~(p & r) -> ~q | ~q) -> ((r -> q) -> q -> p) & (~q | q & q)": (
+        2,
+        4,
+        None,
+        None,
+    ),
+    "(~p -> p | r) | (r | q) | q | ((p | ~T) & p -> ~~~p)": (3, 3, 3, 3),
+    "~~q | ~q": (1, 1, 1, 3),
+    "~~q -> ~~T": (3, None, None, None),
+    "~~(~T -> p & T) | ~p": (1, 1, 1, 4),
+    "~~~(T -> q) -> ~~(T & q -> T -> T)": (4, None, None, None),
+    "~(p & ~p)": (1, 1, 1, None),
+    "p -> p": (None, None, None, None),
+}
+
+# one world under classical negation: it validates the classical
+# tautologies and nothing else
+BOOLEAN = NFrame(Poset(1, (1,)), (1, 0))
+
+
+def test_rooted_search_keeps_the_walked_witness():
+    # the pinned tautologies up to 4 worlds, and the classical tautologies
+    # among 400 draws up to 3 worlds: most exhaust the bound, and those
+    # refuted past one world are refuted only on rooted frames, here on
+    # both rooted 3-world classes and four of the five 4-world ones
+    cases = [(parse(text), 4) for text in ROOTED_PINS]
+    for i in range(400):
+        f = random_formula(random.Random(i), ["p", "q", "r"], 3 + i % 3)
+        if refuting_valuation(BOOLEAN, f) is None:
+            cases.append((f, 3))
+    sizes = collections.Counter()
+    classes = set()
+    for f, bound in cases:
+        walked = _walked_witnesses(f, bound)
+        got = {}
+        for name, logic in LOGICS.items():
+            hit = countermodel_search(logic, f, bound)
+            got[name] = None if hit is None else (model_to_dict(hit[0]), hit[1])
+            if hit is not None:
+                # the search fails f at the least world of its frame
+                model, world = hit
+                assert model.frame.poset.up[world] == (1 << model.frame.n) - 1
+                classes.add((model.frame.n, model.frame.poset.pair_mask()))
+            sizes[hit and hit[0].frame.n] += 1
+        assert got == walked, show(f)
+        if show(f) in ROOTED_PINS:
+            counts = tuple(w and w[0]["worlds"] for w in walked.values())
+            assert counts == ROOTED_PINS[show(f)], show(f)
+    assert len(cases) == len(ROOTED_PINS) + 108
+    assert sizes[3] >= 8 and sizes[4] >= 4 and sizes[None] >= 300, sizes
+    assert {key for n, key in classes if n == 3} == {3, 11}
+    assert {key for n, key in classes if n == 4} == {7, 23, 55, 311}
+
+
 @pytest.mark.parametrize("block, count", [(pure._BLOCK, 300), (64, 100)], ids=["wide", "narrow"])
 def test_batched_search_keeps_the_frame_by_frame_witness(monkeypatch, block, count):
     # the reference: one kernel call per frame of the stream, in order,
@@ -476,19 +597,11 @@ def test_batched_search_keeps_the_frame_by_frame_witness(monkeypatch, block, cou
     for _ in range(count):
         f = random_formula(rng, ["p", "q"], 3)
         max_worlds = rng.randint(1, DEFAULT_MAX_WORLDS)
-        hits = {}
+        walked = _walked_witnesses(f, max_worlds)
         for logic in LOGICS.values():
-            want = None
-            for fr in _frame_stream(max_worlds):
-                if frame_class(fr, logic):
-                    if fr not in hits:
-                        hits[fr] = refuting_valuation(fr, f)
-                    if hits[fr] is not None:
-                        want = model_to_dict(NModel(fr, hits[fr][0])), hits[fr][1]
-                        break
             hit = countermodel_search(logic, f, max_worlds)
             got = None if hit is None else (model_to_dict(hit[0]), hit[1])
-            assert got == want, (show(f), logic.name, max_worlds)
+            assert got == walked[logic.name], (show(f), logic.name, max_worlds)
             if hit is not None:
                 fr = hit[0].frame
                 past_first += fr != _class_members(fr.n, canonical_poset_key(fr.poset), logic)[0]

@@ -34,6 +34,7 @@ from subminimal.filtration import (
 from subminimal.frames import (
     LOGICS,
     NFrame,
+    NModel,
     Poset,
     canonical_poset_key,
     countermodel_search,
@@ -95,6 +96,23 @@ def _on_the_greatest_filtration(fn):
     return build
 
 
+def _refused_check(m, r):
+    try:
+        filtration_theorem_check(m, r)
+    except ValueError as exc:
+        assert str(exc) == "model does not value variable q"
+    else:
+        raise AssertionError("the check evaluated an unvalued variable")
+
+
+def _filtration_theorem_check_raising():
+    # the error path: Sigma holds q, which the model leaves unvalued, and
+    # the error raised has the formulas' other errors kept beside it
+    m = fork_model()
+    unvalued = NModel(m.frame, {"p": m.valuation["p"]})
+    return _refused_check, (unvalued, greatest_filtration(m, SIGMA))
+
+
 def _countermodel_search():
     # the first call builds the process-wide frame stream
     countermodel_search(LOGICS["n"], parse("p | ~p"), 3)
@@ -123,6 +141,7 @@ CASES = {
     "enumerate_filtrations": _on_a_fresh_model(enumerate_filtrations),
     "check_conditions": _on_the_greatest_filtration(check_conditions),
     "filtration_theorem_check": _on_the_greatest_filtration(filtration_theorem_check),
+    "filtration_theorem_check_raising": _filtration_theorem_check_raising,
     "greatest_among": _on_the_greatest_filtration(greatest_among),
     "countermodel_search": _countermodel_search,
     "cli_decide": _cli_decide,
