@@ -44,6 +44,7 @@ from subminimal.frames import (
     _trace_tables,
     _transports,
     poset_from_dict,
+    poset_isomorphisms,
     poset_to_dict,
 )
 from subminimal.syntax import (
@@ -85,6 +86,14 @@ class NAlgebra:
 
     def le(self, a: int, b: int) -> bool:
         return self.meet[a][b] == a
+
+    @cached_property
+    def _order(self) -> Poset:
+        """The order of the elements, x <= y iff meet[x][y] == x, as a
+        poset on 0..size-1, built on first use and kept as _duality is;
+        ValueError unless it is a partial order."""
+        rng = range(self.size)
+        return Poset(self.size, [sum(1 << y for y in rng if self.meet[x][y] == x) for x in rng])
 
     @cached_property
     def _duality(self) -> tuple[list[int], list[int], TopFrame]:
@@ -495,70 +504,23 @@ def _dual(a: NAlgebra, filters: Sequence[int], hats: Sequence[int]) -> TopFrame:
 
 
 def nalgebra_isomorphisms(a: NAlgebra, b: NAlgebra) -> Iterator[tuple[int, ...]]:
-    """All isomorphisms between two algebras, as assignment tuples."""
-    if a.size != b.size:
-        return
+    """All isomorphisms between two N-algebras (see check_nalgebra), as
+    assignment tuples in ascending order: the order isomorphisms of
+    their element orders (poset_isomorphisms, on the orders each algebra
+    keeps) that commute with neg.
 
-    def sig(alg: NAlgebra, x: int) -> tuple[int, int]:
-        below = sum(1 for y in range(alg.size) if alg.le(y, x))
-        return (below, sum(1 for y in range(alg.size) if alg.neg[y] == x))
-
-    a_sig = [sig(a, x) for x in range(a.size)]
-    b_sig = [sig(b, x) for x in range(b.size)]
-    if sorted(a_sig) != sorted(b_sig):
-        return
-    yield from _extend_algebra_map(0, a, b, a_sig, b_sig, [-1] * a.size, [False] * b.size)
-
-
-def _consistent(a: NAlgebra, b: NAlgebra, f: list[int]) -> bool:
-    """Whether the partial map f (-1 where unset) commutes with every
-    operation on the elements it sets."""
-    for u in range(a.size):
-        if f[u] < 0:
-            continue
-        for v in range(a.size):
-            if f[v] < 0:
-                continue
-            for table_a, table_b in (
-                (a.meet, b.meet),
-                (a.join, b.join),
-                (a.imp, b.imp),
-            ):
-                w = table_a[u][v]
-                if f[w] >= 0 and table_b[f[u]][f[v]] != f[w]:
-                    return False
-        w = a.neg[u]
-        if f[w] >= 0 and b.neg[f[u]] != f[w]:
-            return False
-    return True
-
-
-def _extend_algebra_map(
-    x: int,
-    a: NAlgebra,
-    b: NAlgebra,
-    a_sig: list[tuple[int, int]],
-    b_sig: list[tuple[int, int]],
-    f: list[int],
-    used: list[bool],
-) -> Iterator[tuple[int, ...]]:
-    """The isomorphisms a -> b that agree with f below element x, used
-    marking the elements of b taken; each candidate for x in ascending
-    order."""
-    if x == a.size:
-        yield tuple(f)
-        return
-    for c in range(b.size):
-        if used[c] or a_sig[x] != b_sig[c]:
-            continue
-        if x == a.one and c != b.one:
-            continue
-        f[x] = c
-        used[c] = True
-        if _consistent(a, b, f):
-            yield from _extend_algebra_map(x + 1, a, b, a_sig, b_sig, f, used)
-        used[c] = False
-    f[x] = -1
+    An isomorphism preserves meet, so it is an order isomorphism.
+    Conversely an order isomorphism f of two lattices preserves what
+    the order alone defines: meet and join are the greatest lower and
+    least upper bound, the top is the greatest element, and y -> z is
+    the greatest x with x & y <= z (residuation). So f preserves every
+    operation but neg, which is checked. The reduction needs lattices,
+    so both algebras must pass check_nalgebra; tables whose element
+    order is not a partial order raise ValueError.
+    """
+    for f in poset_isomorphisms(a._order, b._order):
+        if all(b.neg[f[x]] == f[a.neg[x]] for x in range(a.size)):
+            yield f
 
 
 def nalgebra_isomorphic(a: NAlgebra, b: NAlgebra) -> bool:

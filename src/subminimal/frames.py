@@ -26,16 +26,18 @@ its class.
 
 One builder, ``_orbit_least_frames``, gives the frames of one poset
 class. For the classes of at most DEFAULT_MAX_WORLDS worlds its output,
-and each logic's class members among it, is built once per process and
-kept; the stream and every countermodel search read it from there. The
-search walks only the rooted classes, those with a least world: its
-memo up to 4 worlds holds 1,702 frames in about 0.5 MiB, and the
-stream adds the other 2,799 (about 1.3 MiB in all). The search takes
-each class's members in one kernel call, and the column masks that
-call builds for them are kept beside them. Larger classes are built
-again on every call, because the rooted 5-world ones alone hold 62,058
-frames (about 23 MiB before their column masks), and the search builds
-none past SEARCH_MAX_WORLDS worlds.
+and the tables of each logic's class members among it, are built once
+per process and kept; the stream and every countermodel search read
+them from there. The search walks only the rooted classes, those with a
+least world: its memo up to 4 worlds holds 1,702 frames in about
+0.5 MiB, and the stream adds the other 2,799 (about 1.3 MiB in all).
+The search hands each class's member tables to the kernel in one call,
+at every size, and builds a frame only for the witness. The column
+masks that call builds are kept beside a memoized class's tables.
+Larger classes are built again on every call, because the rooted
+5-world ones alone hold 62,058 frames (about 23 MiB), and their column
+masks live one block at a time; the search builds no class past
+SEARCH_MAX_WORLDS worlds.
 
 No closure on a per-call path names itself. A closure that calls itself
 is a reference cycle, which would leave the call's memo, its nodes and
@@ -1048,8 +1050,8 @@ SEARCH_MAX_WORLDS = 5
 
 class _ClassTables(tuple):
     """The negation tables of one memoized class's members, in stream
-    order, with the column masks the search kernel builds for them
-    (see kernels.pure._first_refutation) kept in ``columns``."""
+    order, with the column masks the search kernel builds for them kept
+    in ``columns`` (see kernels.find_refuting_valuation_prop)."""
 
     def __new__(cls, tables: Iterable[tuple[int, ...]]) -> "_ClassTables":
         self = super().__new__(cls, tables)
@@ -1059,8 +1061,7 @@ class _ClassTables(tuple):
 
 # filled on first use, for classes of at most DEFAULT_MAX_WORLDS worlds
 _CLASS_FRAMES: dict[tuple[int, int], tuple[NFrame, ...]] = {}
-_CLASS_MEMBERS: dict[tuple[int, int, str], tuple[NFrame, ...]] = {}
-_CLASS_TABLES: dict[tuple[int, int, str], _ClassTables] = {}
+_CLASS_TABLES: dict[tuple[int, int, str], tuple[Poset, _ClassTables]] = {}
 
 
 def _class_frames(size: int, key: int) -> Iterable[NFrame]:
@@ -1074,40 +1075,21 @@ def _class_frames(size: int, key: int) -> Iterable[NFrame]:
     return frames
 
 
-def _class_members(size: int, key: int, logic: Logic) -> Iterable[NFrame]:
-    """The frames of one poset class in the logic's frame class, in
-    stream order, memoized as ``_class_frames`` is."""
-    members = (fr for fr in _class_frames(size, key) if frame_class(fr, logic))
-    if size > DEFAULT_MAX_WORLDS:
-        return members
+def _class_tables(size: int, key: int, logic: Logic) -> tuple[Poset, Sequence[tuple[int, ...]]]:
+    """The poset of one class (its key, decoded) and the tables of its
+    frames in the logic's frame class, in stream order. Up to
+    DEFAULT_MAX_WORLDS worlds they are kept, as a _ClassTables; a larger
+    class is built afresh and its tables are a plain tuple."""
     memo = (size, key, logic.name)
-    if memo not in _CLASS_MEMBERS:
-        _CLASS_MEMBERS[memo] = tuple(members)
-    return _CLASS_MEMBERS[memo]
-
-
-def _class_batches(
-    size: int, key: int, logic: Logic, nvars: int
-) -> Iterator[tuple[Sequence[NFrame], Sequence[tuple[int, ...]]]]:
-    """The members of one poset class in the logic's frame class, in
-    stream order, as (frames, tables) batches of one kernel call each
-    for a formula of nvars variables. A memoized class is one batch
-    whose tables keep their column masks. A streamed class is cut into
-    batches of as many frames as fit in one kernel block, so it holds
-    no more than that at once."""
-    members = _class_members(size, key, logic)
-    if size <= DEFAULT_MAX_WORLDS:
-        memo = (size, key, logic.name)
-        if memo not in _CLASS_TABLES:
-            _CLASS_TABLES[memo] = _ClassTables(fr.ntable for fr in members)
-        if members:
-            yield members, _CLASS_TABLES[memo]
-        return
-    stream = iter(members)
-    per = len(_poset_from_mask(size, key).upsets()) ** nvars
-    step = max(1, kernels.pure._BLOCK // per)
-    while batch := tuple(itertools.islice(stream, step)):
-        yield batch, tuple(fr.ntable for fr in batch)
+    kept = _CLASS_TABLES.get(memo)
+    if kept is not None:
+        return kept
+    tables = tuple(fr.ntable for fr in _class_frames(size, key) if frame_class(fr, logic))
+    p = _poset_from_mask(size, key)
+    if size > DEFAULT_MAX_WORLDS:
+        return p, tables
+    kept = _CLASS_TABLES[memo] = p, _ClassTables(tables)
+    return kept
 
 
 def _frame_stream(n: int) -> Iterator[NFrame]:
@@ -1132,20 +1114,23 @@ def countermodel_search(
     Frames stream in canonical order, so the witness is deterministic:
     the first frame of the class refuting f among all labeled frames,
     with the least refuting valuation and world. ``deadline`` is an
-    absolute time.time() value, checked before each batch of frames
-    (see below); passing it raises SearchTimeout, which says how many
-    worlds the search had reached and how many class frames it had
-    tried in the batches before, counting the rooted classes only.
+    absolute time.time() value, checked before each rooted poset class;
+    passing it raises SearchTimeout, which says how many worlds the
+    search had reached and how many frames of the classes before it had
+    tried. A class is searched whole once begun, so the search can
+    overrun the deadline by one class: by about 5 s for the largest
+    rooted 5-world class (key 15) on a 2-vCPU host, 4.7 s of it building
+    the class and 0.4 s the kernel call on ~(p & q) -> ~(q & p).
 
     The search walks only the rooted poset classes, those with a least
     world (proof below): for N that is 131 of the 271 stream frames up
     to 3 worlds, 1,702 of 4,501 up to 4 and 62,058 of the 203,008 at 5.
     The frames of the rooted classes of at most DEFAULT_MAX_WORLDS
-    worlds, and each logic's members among them, are built once per
-    process and shared by every later search, so a search goes straight
-    to the frames in the logic's class. Larger classes are built again
-    on every call, frame by frame, because the rooted 5-world ones
-    alone hold 62,058 frames, about 23 MiB. A search that finds no
+    worlds, and the tables of each logic's members among them, are
+    built once per process and shared by every later search, so a
+    search goes straight to the tables in the logic's class. Larger
+    classes are built again on every call, because the rooted 5-world
+    ones alone hold 62,058 frames, about 23 MiB. A search that finds no
     countermodel up to SEARCH_MAX_WORLDS worlds raises ValueError rather
     than build the classes beyond, so every refutation it can find
     keeps its answer.
@@ -1179,12 +1164,12 @@ def countermodel_search(
       U = R(w) gives a member (U, N_U) that refutes f at w under V_U,
       and so does its isomorph in the stream; hence U has k worlds,
       U = W, and w is the least world of P. A class with no least world
-      holds no refuting member of k worlds, so dropping its batches
-      drops no frame the frame-by-frame search could return; if the
-      rooted classes refute nothing either, every member of k worlds
-      validates f, which carries the induction to k + 1. The batches of
-      the rooted classes run in their stream order as before, so the
-      first witness and every verdict of exhaustion stay as they were.
+      holds no refuting member of k worlds, so dropping it drops no
+      frame the frame-by-frame search could return; if the rooted
+      classes refute nothing either, every member of k worlds validates
+      f, which carries the induction to k + 1. The rooted classes run
+      in their stream order as before, so the first witness and every
+      verdict of exhaustion stay as they were.
       Nor is a kernel error dropped: stream tables are lawful and
       defined on every upset, so every truth set is an upset and no
       lookup meets a hole.
@@ -1202,23 +1187,23 @@ def countermodel_search(
     after it. Every class keeps a frame, so exhaustion, and with it
     every verdict that rests on it, is unchanged.
 
-    The members of a poset class are searched in one kernel call per
-    batch (a whole memoized class, or a block's worth of a streamed
-    one), and the witness is the one a frame-by-frame search gives.
+    The members of a poset class are searched in one kernel call, and
+    the witness is the one a frame-by-frame search gives.
     The frames of a class share its poset, so they share its upsets
     and valuations. The kernel numbers its positions frame *
     len(upsets)**nvars + valuation: frame-major, the order of a loop
     over the frames that tries each frame's valuations in ascending
     order. It returns the lowest position that refutes f, unless a
     lower one reaches an undefined entry, and then raises. The lowest
-    refuting position lies on the first frame of the batch that
+    refuting position lies on the first frame of the class that
     refutes f, at that frame's least refuting valuation, which is what
     the loop returns; the least failing world comes from evaluating
     that valuation once. The loop raises at the first frame with a
     hole before its first refutation, and a frame before it neither
     refutes nor has a hole; so the lowest hole position comes before
     every refuting one exactly when the loop raises, on that frame.
-    Batches run in stream order, so the batch split moves nothing.
+    Classes run in stream order, so the witness is the frame-by-frame
+    search's.
     """
     if max_worlds < 1:
         raise ValueError("need at least one world")
@@ -1234,21 +1219,21 @@ def countermodel_search(
             # only a rooted class can hold a first countermodel (above)
             if (1 << size) - 1 not in rep.up:
                 continue
-            for batch, tables in _class_batches(size, key, logic, len(names)):
-                if deadline is not None and time.time() > deadline:
-                    raise SearchTimeout(
-                        f"no verdict within the budget: reached {size} worlds "
-                        f"after trying {tried} class frames"
-                    )
-                p = batch[0].poset
-                idx = kernels.find_refuting_valuation_prop(
-                    code, len(names), size, p.up, tables, p.upsets()
+            if deadline is not None and time.time() > deadline:
+                raise SearchTimeout(
+                    f"no verdict within the budget: reached {size} worlds "
+                    f"after trying {tried} class frames"
                 )
-                if idx >= 0:
-                    frame, idx = divmod(idx, len(p.upsets()) ** len(names))
-                    valuation, world = _refutation_at(batch[frame], names, code, idx)
-                    return NModel(batch[frame], valuation), world
-                tried += len(batch)
+            p, tables = _class_tables(size, key, logic)
+            idx = kernels.find_refuting_valuation_prop(
+                code, len(names), size, p.up, tables, p.upsets()
+            )
+            if idx >= 0:
+                frame, idx = divmod(idx, len(p.upsets()) ** len(names))
+                fr = NFrame(p, tables[frame])
+                valuation, world = _refutation_at(fr, names, code, idx)
+                return NModel(fr, valuation), world
+            tried += len(tables)
     return None
 
 

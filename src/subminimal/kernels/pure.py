@@ -239,6 +239,10 @@ def _first_refutation(code, nvars, n, up, tables, values, modal, error):
     When ``tables`` has a ``columns`` attribute, a dict, the column
     masks built for it are kept there, keyed by block layout, so a
     caller that searches the same tables again builds them once.
+    Otherwise each block's masks are dropped when the next block starts:
+    with several frames per block each group of frames is met once per
+    call, so keeping them would only hold masks that are never read
+    again, a whole class's worth on a call over all its frames.
 
     Prop code (modal False): a position that reaches a negative table
     entry is an error, and so is any opcode other than Var, Top, And,
@@ -277,17 +281,20 @@ def _first_refutation(code, nvars, n, up, tables, values, modal, error):
                 if (x >> w) & 1:
                     vec[w] |= base << (d * run)
         slots[k] = vec
-    if fpb > 1:
-        memo = getattr(tables, "columns", {}).setdefault((width, fpb), {})
+    memo = getattr(tables, "columns", None)
+    if fpb > 1 and memo is not None:
+        memo = memo.setdefault((width, fpb), {})
     for block in range(-(-nf // fpb) * per_group):
         group, t = divmod(block, per_group)
         if fpb == 1:
             columns = tables[group]
             live = ones
         else:
-            columns = memo.get(group)
+            columns = memo.get(group) if memo is not None else None
             if columns is None:
-                columns = memo[group] = _Columns(tables[group * fpb : (group + 1) * fpb], width, n)
+                columns = _Columns(tables[group * fpb : (group + 1) * fpb], width, n)
+                if memo is not None:
+                    memo[group] = columns
             # the positions of the frames this block holds
             live = (1 << (len(columns.tables) * width)) - 1
         for k in range(high - 1, -1, -1):
@@ -350,7 +357,9 @@ def find_refuting_valuation_prop(code, nvars, n, up, tables, upsets):
     so ascending indices are lexicographic valuations. Raises
     ValueError when, in position order, a valuation reaches a negative
     table entry before any position refutes the formula, or when the
-    code holds a modal opcode.
+    code holds a modal opcode. A ``columns`` dict attribute on
+    ``tables`` keeps the column masks for a later search of the same
+    tables (see _first_refutation).
     """
     return _first_refutation(
         code, nvars, n, up, tables, upsets, False,

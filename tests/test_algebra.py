@@ -416,6 +416,19 @@ def test_nalgebra_isomorphisms_come_in_lexicographic_order():
     assert found >= 40
 
 
+def test_nalgebra_isomorphisms_refuse_an_element_order_that_is_no_partial_order():
+    # meet[x][y] == x for all x, y puts every element below every other,
+    # which is no antisymmetric order; meet[1][1] == 0 breaks reflexivity
+    flat = ((0, 0), (1, 1))
+    preorder = NAlgebra(2, flat, flat, flat, (0, 1), 1)
+    irreflexive = NAlgebra(2, ((0, 0), (0, 0)), flat, flat, (0, 1), 1)
+    assert check_nalgebra(preorder) is not None and check_nalgebra(irreflexive) is not None
+    for bad in (preorder, irreflexive):
+        for a, b in ((bad, bad), (bad, ALG), (ALG, bad)):
+            with pytest.raises(ValueError):
+                list(nalgebra_isomorphisms(a, b))
+
+
 def test_topframe_isomorphic_distinguishes():
     tf = dual_frame(ALG)
     assert topframe_isomorphic(tf, tf)

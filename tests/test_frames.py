@@ -6,6 +6,7 @@ import itertools
 import random
 import time
 import types
+import weakref
 
 import pytest
 
@@ -22,12 +23,14 @@ from subminimal.frames import (
     NModel,
     Poset,
     SearchTimeout,
+    _ClassTables,
     _class_frames,
-    _class_members,
+    _class_tables,
     _frame_stream,
     _orbit_least_frames,
     _pair_bit,
     _poset_classes,
+    _poset_from_mask,
     _relabeled_masks,
     canonical_poset_key,
     check_nframe,
@@ -412,11 +415,11 @@ def test_countermodel_search_timeout():
 
 
 def test_search_timeout_says_how_far_it_got(monkeypatch):
-    # a clock that ticks once per deadline check, one check per batch of
-    # class frames, here one batch per rooted poset class: checks 0..4
-    # pass, so 5 classes are tried, the 4 one-world frames, the 15 of the
-    # two-world chain, the 48 + 64 of both rooted 3-world classes and the
-    # 232 of the first rooted 4-world class
+    # a clock that ticks once per deadline check, one check per rooted
+    # poset class: checks 0..4 pass, so 5 classes are tried, the 4
+    # one-world frames, the 15 of the two-world chain, the 48 + 64 of
+    # both rooted 3-world classes and the 232 of the first rooted 4-world
+    # class
     ticks = itertools.count()
     monkeypatch.setattr(frames, "time", types.SimpleNamespace(time=lambda: next(ticks)))
     with pytest.raises(
@@ -441,8 +444,15 @@ def test_memoized_class_members_equal_the_uncached_build():
     for size, key in classes:
         assert _class_frames(size, key) is _class_frames(size, key)
     for logic in LOGICS.values():
-        members = [fr for size, key in classes for fr in _class_members(size, key, logic)]
-        assert members == [fr for fr in uncached if frame_class(fr, logic)], logic.name
+        tables = []
+        for size, key in classes:
+            kept = _class_tables(size, key, logic)
+            assert kept is _class_tables(size, key, logic)
+            p, class_tables = kept
+            assert p == _poset_from_mask(size, key) and type(class_tables) is _ClassTables
+            assert all(fr.poset == p for fr in _class_frames(size, key))
+            tables += class_tables
+        assert tables == [fr.ntable for fr in uncached if frame_class(fr, logic)], logic.name
 
 
 def test_search_on_a_warm_memo_repeats_its_witness():
@@ -456,14 +466,14 @@ def test_search_on_a_warm_memo_repeats_its_witness():
 
 def test_five_world_classes_are_not_memoized(monkeypatch):
     # a stand-in kernel that refutes at the first position of the first
-    # 5-world batch, so the search reaches 5 worlds without walking them
+    # 5-world class, so the search reaches 5 worlds without walking them
     def refute_at_five(code, nvars, n, up, tables, upsets):
         return 0 if n == 5 else -1
 
     monkeypatch.setattr(kernels, "find_refuting_valuation_prop", refute_at_five)
     model, _ = countermodel_search(LOGICS["n"], AXIOM_N, 5)
     assert model.frame.n == 5
-    kept = [*frames._CLASS_FRAMES, *frames._CLASS_MEMBERS, *frames._CLASS_TABLES]
+    kept = [*frames._CLASS_FRAMES, *frames._CLASS_TABLES]
     assert kept and all(memo[0] <= DEFAULT_MAX_WORLDS for memo in kept)
 
 
@@ -471,13 +481,46 @@ def _rooted(size, up):
     return (1 << size) - 1 in up
 
 
+def test_each_rooted_five_world_class_is_one_kernel_call(monkeypatch):
+    # a stand-in kernel that refutes nothing, so the search walks every
+    # rooted 5-world class; the class builder is teed, so each call's
+    # tables are checked against the frames built for it, which are
+    # dropped after, one class in memory at a time
+    build = frames._orbit_least_frames
+    built = []
+    calls = collections.Counter()
+
+    def tee(size, key):
+        out = tuple(build(size, key))
+        if size == 5:
+            built.append((key, out))
+        return out
+
+    def record(code, nvars, n, up, tables, upsets):
+        if n == 5:
+            key, members = built.pop()
+            assert not built and tuple(up) == _poset_from_mask(5, key).up
+            assert type(tables) is tuple
+            assert list(tables) == [fr.ntable for fr in members if frame_class(fr, LOGICS["n"])]
+            calls[key] += 1
+        return -1
+
+    monkeypatch.setattr(frames, "_orbit_least_frames", tee)
+    monkeypatch.setattr(kernels, "find_refuting_valuation_prop", record)
+    assert countermodel_search(LOGICS["n"], parse("~(p & q) -> ~(q & p)"), 5) is None
+    rooted = [key for key, rep in _poset_classes(5) if _rooted(5, rep.up)]
+    assert len(rooted) == 16 and calls == dict.fromkeys(rooted, 1)
+    kept = [*frames._CLASS_FRAMES, *frames._CLASS_TABLES]
+    assert all(memo[0] <= DEFAULT_MAX_WORLDS for memo in kept)
+
+
 def test_search_hands_only_rooted_classes_to_the_kernel(monkeypatch):
     # a stand-in kernel that records every poset it is given and refutes
     # nothing below 5 worlds, so each logic's search exhausts 4 worlds;
     # on fresh memos the searches must build and keep the rooted classes
     # and nothing of the others; N then goes on to the first 5-world
-    # batch, refuted at its first position
-    for memo in ("_CLASS_FRAMES", "_CLASS_MEMBERS", "_CLASS_TABLES"):
+    # class, refuted at its first position
+    for memo in ("_CLASS_FRAMES", "_CLASS_TABLES"):
         monkeypatch.setattr(frames, memo, {})
     seen = []
 
@@ -498,7 +541,7 @@ def test_search_hands_only_rooted_classes_to_the_kernel(monkeypatch):
     }
     assert len(rooted) == 1 + 1 + 2 + 5
     assert set(frames._CLASS_FRAMES) == rooted
-    assert set(frames._CLASS_MEMBERS) == set(frames._CLASS_TABLES) == {
+    assert set(frames._CLASS_TABLES) == {
         (size, key, name) for size, key in rooted for name in LOGICS
     }
     # the witness is on the first rooted 5-world class, which is not the
@@ -511,8 +554,8 @@ def test_search_hands_only_rooted_classes_to_the_kernel(monkeypatch):
 def _walked_witnesses(f, max_worlds):
     """Each logic's witness from the unpruned walk of the frame stream,
     one kernel call per frame in stream order, each frame's refutation
-    shared by the four logics: the reference the batched search over
-    the rooted classes must agree with."""
+    shared by the four logics: the reference the class-by-class search
+    over the rooted classes must agree with."""
     hits = {}
     out = {}
     for name, logic in LOGICS.items():
@@ -604,24 +647,48 @@ def test_batched_search_keeps_the_frame_by_frame_witness(monkeypatch, block, cou
             assert got == walked[logic.name], (show(f), logic.name, max_worlds)
             if hit is not None:
                 fr = hit[0].frame
-                past_first += fr != _class_members(fr.n, canonical_poset_key(fr.poset), logic)[0]
+                _, tables = _class_tables(fr.n, canonical_poset_key(fr.poset), logic)
+                past_first += fr.ntable != tables[0]
     # witnesses past the first frame of their class, where the frame
-    # order inside a batch decides
+    # order inside a class decides
     assert past_first >= count // 10
 
 
-def test_streamed_classes_come_in_block_sized_batches(monkeypatch):
-    # the first 5-world class has 32 upsets, so a one-variable formula
-    # puts 32 valuations on each frame and two frames fill 64 bits
+def test_column_masks_outlive_their_block_only_when_kept(monkeypatch):
+    # a narrow block holds a few frames of the first rooted 4-world
+    # class under a one-variable formula valid in N, so the search walks
+    # every block: a plain tuple of tables keeps at most one _Columns
+    # alive at a time, and a _ClassTables keeps one per block
     monkeypatch.setattr(pure, "_BLOCK", 64)
-    key = _poset_classes(5)[0][0]
-    batches = list(itertools.islice(frames._class_batches(5, key, LOGICS["n"], 1), 3))
-    assert [len(batch) for batch, _ in batches] == [2, 2, 2]
-    assert [fr for batch, _ in batches for fr in batch] == list(
-        itertools.islice(_class_members(5, key, LOGICS["n"]), 6)
-    )
-    for batch, tables in batches:
-        assert tables == tuple(fr.ntable for fr in batch)
+    refs = []
+    most = 0
+
+    def alive():
+        return sum(ref() is not None for ref in refs)
+
+    class Counted(pure._Columns):
+        def __init__(self, *args):
+            super().__init__(*args)
+            refs.append(weakref.ref(self))
+
+        def __missing__(self, x):
+            nonlocal most
+            most = max(most, alive())
+            return super().__missing__(x)
+
+    monkeypatch.setattr(pure, "_Columns", Counted)
+    key = next(key for key, rep in _poset_classes(4) if _rooted(4, rep.up))
+    p, tables = _class_tables(4, key, LOGICS["n"])
+    _, code = frames._compiled_prop(parse("~(p & p) -> ~p"))
+    fpb = 64 // len(p.upsets())
+    blocks = -(-len(tables) // fpb)
+    assert fpb > 1 and blocks > 10
+    assert pure.find_refuting_valuation_prop(code, 1, 4, p.up, tuple(tables), p.upsets()) == -1
+    assert most == 1 and alive() == 0
+    kept = _ClassTables(tables)
+    assert pure.find_refuting_valuation_prop(code, 1, 4, p.up, kept, p.upsets()) == -1
+    assert list(kept.columns) == [(len(p.upsets()), fpb)]
+    assert len(kept.columns[len(p.upsets()), fpb]) == alive() == blocks
 
 
 def _labeled_frames(max_worlds):
