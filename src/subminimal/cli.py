@@ -1,11 +1,11 @@
 """Command line front end.
 
 Each subcommand writes one JSON document to stdout and encodes its
-verdict in the exit code: 0 for clean outcomes, 1 when something was
-refuted or violated, 2 for usage and input problems. Refutation
-witnesses are re-verified against the library evaluators before they
-are printed, and every search takes explicit bounds, so output for
-fixed inputs is deterministic.
+verdict in the exit code, even when stdout closes early: 0 for clean
+outcomes, 1 when something was refuted or violated, 2 for usage and
+input problems. Refutation witnesses are re-verified against the
+library evaluators before they are printed, and every search takes
+explicit bounds, so output for fixed inputs is deterministic.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import time
 from typing import Any, Mapping, Sequence
@@ -448,7 +449,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         payload, code = {"status": "error", "error": str(exc)}, 2
     except RecursionError:
         payload, code = {"status": "error", "error": "input nested too deeply"}, 2
-    print(json.dumps(payload, sort_keys=True, indent=2 if args.pretty else None))
+    try:
+        print(json.dumps(payload, sort_keys=True, indent=2 if args.pretty else None))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the verdict stays in the exit code; devnull keeps the exit flush quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return code
 
 

@@ -24,20 +24,22 @@ over every relabeling. The labeled posets are the relabelings of the
 classes, and the search decodes each key into the least labeling of
 its class.
 
-One builder, ``_orbit_least_frames``, gives the frames of one poset
-class. For the classes of at most DEFAULT_MAX_WORLDS worlds its output,
-and the tables of each logic's class members among it, are built once
-per process and kept; the stream and every countermodel search read
-them from there. The search walks only the rooted classes, those with a
-least world: its memo up to 4 worlds holds 1,702 frames in about
-0.5 MiB, and the stream adds the other 2,799 (about 1.3 MiB in all).
-The search hands each class's member tables to the kernel in one call,
-at every size, and builds a frame only for the witness. The column
-masks that call builds are kept beside a memoized class's tables.
-Larger classes are built again on every call, because the rooted
-5-world ones alone hold 62,058 frames (about 23 MiB), and their column
-masks live one block at a time; the search builds no class past
-SEARCH_MAX_WORLDS worlds.
+One builder, ``_class_tables``, gives one poset class's tables in a
+logic's frame class: for N the lawful tables least in their
+automorphism orbit, for the other logics N's tables in their class. Up
+to DEFAULT_MAX_WORLDS worlds they are built once per process, in one
+memo that the stream and every countermodel search read. The search
+walks only the rooted classes, those with a least world: after it ran
+in all four logics the memo holds N's 1,702 tables of those classes,
+with the other logics' members, in about 0.35 MiB, and the stream adds
+N's other 2,799 (about 0.8 MiB in all). The search hands each class's
+member tables to the kernel in one call, at every size, and builds a
+frame only for the witness. The column masks that call builds are kept
+beside a memoized class's tables (about 0.5 MiB more for a formula
+with negation). Larger classes are built again on every call, because
+the rooted 5-world ones alone hold 62,058 tables (about 18 MiB), and
+their column masks live one block at a time; the search builds no
+class past SEARCH_MAX_WORLDS worlds.
 
 No closure on a per-call path names itself. A closure that calls itself
 is a reference cycle, which would leave the call's memo, its nodes and
@@ -1018,27 +1020,11 @@ def _least_in_orbit(
     return True
 
 
-# Poset classes of at most this many worlds keep their frames for the
+# Poset classes of at most this many worlds keep their tables for the
 # life of the process; it is also the default bound of ``decide``. A
-# search fills the memo for the rooted classes only (1,702 frames for
-# N), the frame stream for all of them (4,501).
+# search fills the memo for the rooted classes only (1,702 tables for
+# N), the frame stream adds N's tables of the others (4,501 in all).
 DEFAULT_MAX_WORLDS = 4
-
-
-def _orbit_least_frames(size: int, key: int) -> Iterator[NFrame]:
-    """The frames of one poset class, built afresh: its least labeling
-    (the canonical key, decoded) under every lawful table that is least
-    in its automorphism orbit, in table order."""
-    p = _poset_from_mask(size, key)
-    upsets = p.upsets()
-    images = [
-        {u: _push_mask(u, g) for u in upsets}
-        for g in poset_isomorphisms(p, p)
-        if g != tuple(range(size))
-    ]
-    for t in enumerate_ntables(p):
-        if _least_in_orbit(upsets, t, images):
-            yield NFrame(p, t)
 
 
 # The search stops before building the classes past this many worlds:
@@ -1060,32 +1046,31 @@ class _ClassTables(tuple):
 
 
 # filled on first use, for classes of at most DEFAULT_MAX_WORLDS worlds
-_CLASS_FRAMES: dict[tuple[int, int], tuple[NFrame, ...]] = {}
 _CLASS_TABLES: dict[tuple[int, int, str], tuple[Poset, _ClassTables]] = {}
-
-
-def _class_frames(size: int, key: int) -> Iterable[NFrame]:
-    """``_orbit_least_frames(size, key)``, memoized up to
-    DEFAULT_MAX_WORLDS worlds."""
-    if size > DEFAULT_MAX_WORLDS:
-        return _orbit_least_frames(size, key)
-    frames = _CLASS_FRAMES.get((size, key))
-    if frames is None:
-        frames = _CLASS_FRAMES[size, key] = tuple(_orbit_least_frames(size, key))
-    return frames
 
 
 def _class_tables(size: int, key: int, logic: Logic) -> tuple[Poset, Sequence[tuple[int, ...]]]:
     """The poset of one class (its key, decoded) and the tables of its
-    frames in the logic's frame class, in stream order. Up to
-    DEFAULT_MAX_WORLDS worlds they are kept, as a _ClassTables; a larger
-    class is built afresh and its tables are a plain tuple."""
+    frames in the logic's frame class, in stream order: for N the lawful
+    tables least in their automorphism orbit, for the other logics N's
+    in their class. Up to DEFAULT_MAX_WORLDS worlds they are kept, as a
+    _ClassTables; a larger class is built afresh, as a plain tuple."""
     memo = (size, key, logic.name)
     kept = _CLASS_TABLES.get(memo)
     if kept is not None:
         return kept
-    tables = tuple(fr.ntable for fr in _class_frames(size, key) if frame_class(fr, logic))
-    p = _poset_from_mask(size, key)
+    if logic.name == "n":
+        p = _poset_from_mask(size, key)
+        upsets = p.upsets()
+        images = [
+            {u: _push_mask(u, g) for u in upsets}
+            for g in poset_isomorphisms(p, p)
+            if g != tuple(range(size))
+        ]
+        tables = tuple(t for t in enumerate_ntables(p) if _least_in_orbit(upsets, t, images))
+    else:
+        p, every = _class_tables(size, key, LOGICS["n"])
+        tables = tuple(t for t in every if frame_class(NFrame(p, t), logic))
     if size > DEFAULT_MAX_WORLDS:
         return p, tables
     kept = _CLASS_TABLES[memo] = p, _ClassTables(tables)
@@ -1099,7 +1084,9 @@ def _frame_stream(n: int) -> Iterator[NFrame]:
     automorphism orbit."""
     for size in range(1, n + 1):
         for key, _ in _poset_classes(size):
-            yield from _class_frames(size, key)
+            p, tables = _class_tables(size, key, LOGICS["n"])
+            for t in tables:
+                yield NFrame(p, t)
 
 
 def countermodel_search(
@@ -1125,15 +1112,14 @@ def countermodel_search(
     The search walks only the rooted poset classes, those with a least
     world (proof below): for N that is 131 of the 271 stream frames up
     to 3 worlds, 1,702 of 4,501 up to 4 and 62,058 of the 203,008 at 5.
-    The frames of the rooted classes of at most DEFAULT_MAX_WORLDS
-    worlds, and the tables of each logic's members among them, are
-    built once per process and shared by every later search, so a
-    search goes straight to the tables in the logic's class. Larger
-    classes are built again on every call, because the rooted 5-world
-    ones alone hold 62,058 frames, about 23 MiB. A search that finds no
-    countermodel up to SEARCH_MAX_WORLDS worlds raises ValueError rather
-    than build the classes beyond, so every refutation it can find
-    keeps its answer.
+    Each logic's member tables of the rooted classes of at most
+    DEFAULT_MAX_WORLDS worlds are built once per process, in the memo
+    the frame stream reads too, so a later search goes straight to the
+    tables in the logic's class. Larger classes are built again on every
+    call, because the rooted 5-world ones alone hold 62,058 tables,
+    about 18 MiB. A search that finds no countermodel up to
+    SEARCH_MAX_WORLDS worlds raises ValueError rather than build the
+    classes beyond, so every refutation it can find keeps its answer.
 
     Skipping the classes with no least world keeps the first witness
     (frame, valuation, world) and every exhaustion verdict.

@@ -1,7 +1,8 @@
 """End-to-end coverage of the command line front end.
 
 Every case calls main() in process and checks the JSON payload and the
-exit code; one subprocess smoke test proves the module entry point.
+exit code; subprocess tests prove the module entry point and the exit
+code under a closed stdout.
 """
 
 import copy
@@ -710,6 +711,41 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["translation"] == "[n][]p"
+
+
+def test_closed_stdout_keeps_the_verdict_in_process(monkeypatch):
+    # a pipe whose read end is closed: the print raises BrokenPipeError,
+    # main returns the verdict's code, and stdout then writes to devnull
+    read, write = os.pipe()
+    os.close(read)
+    with open(write, "w") as closed:
+        monkeypatch.setattr(sys, "stdout", closed)
+        assert main(["decide", "p -> p", "--logic", "n"]) == 0
+        assert main(["countermodel", "p | ~p", "--logic", "n", "--max-worlds", "3"]) == 1
+        closed.write("after\n")
+        closed.flush()
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["decide", "p -> p", "--logic", "n"], 0), (["countermodel", "p | ~p", "--logic", "n"], 1)],
+    ids=["theorem", "refuted"],
+)
+def test_closed_stdout_keeps_the_exit_code(argv, code):
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "subminimal.cli", *argv],
+            stdout=write,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=SRC),
+        )
+    finally:
+        os.close(write)
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr
 
 
 def test_filtrate_missing_variable_error_is_the_same_under_every_hash_seed(tmp_path):

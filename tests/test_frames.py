@@ -24,10 +24,8 @@ from subminimal.frames import (
     Poset,
     SearchTimeout,
     _ClassTables,
-    _class_frames,
     _class_tables,
     _frame_stream,
-    _orbit_least_frames,
     _pair_bit,
     _poset_classes,
     _poset_from_mask,
@@ -429,20 +427,53 @@ def test_search_timeout_says_how_far_it_got(monkeypatch):
         countermodel_search(LOGICS["n"], AXIOM_N, 4, deadline=4)
 
 
+def _uncached_tables(size, key):
+    """N's tables of one poset class, built afresh: every lawful table on
+    the class's least labeling that no automorphism carries to a smaller
+    value tuple over the ascending upsets."""
+    p = _poset_from_mask(size, key)
+    upsets = p.upsets()
+    images = [
+        {u: frames._push_mask(u, g) for u in upsets}
+        for g in poset_isomorphisms(p, p)
+        if g != tuple(range(size))
+    ]
+    return [t for t in enumerate_ntables(p) if frames._least_in_orbit(upsets, t, images)]
+
+
 def _uncached_stream(n):
     for size in range(1, n + 1):
         for key, _ in _poset_classes(size):
-            yield from _orbit_least_frames(size, key)
+            p = _poset_from_mask(size, key)
+            yield from (NFrame(p, t) for t in _uncached_tables(size, key))
 
 
-def test_memoized_class_members_equal_the_uncached_build():
-    uncached = list(_uncached_stream(DEFAULT_MAX_WORLDS))
-    assert list(_frame_stream(DEFAULT_MAX_WORLDS)) == uncached
+def test_memoized_class_members_equal_the_uncached_build(monkeypatch):
+    monkeypatch.setattr(frames, "_CLASS_TABLES", {})
     classes = [
         (size, key) for size in range(1, DEFAULT_MAX_WORLDS + 1) for key, _ in _poset_classes(size)
     ]
+    rooted = {(size, key) for size, key in classes if _rooted(size, _poset_from_mask(size, key).up)}
+    # the four logics' searches fill the memo for the rooted classes,
+    # and a stream run after them adds N's tables of the others only
+    for logic in LOGICS.values():
+        assert countermodel_search(logic, AXIOM_N, DEFAULT_MAX_WORLDS) is None
+    searched = set(frames._CLASS_TABLES)
+    assert searched == {(size, key, name) for size, key in rooted for name in LOGICS}
+    stream = list(_frame_stream(DEFAULT_MAX_WORLDS))
+    assert set(frames._CLASS_TABLES) - searched == {
+        (size, key, "n") for size, key in classes if (size, key) not in rooted
+    }
+    uncached = list(_uncached_stream(DEFAULT_MAX_WORLDS))
+    assert stream == uncached
+    # the stream yields N's memo entries, in order, as the very tables
+    # the search hands to the kernel
+    entries = []
     for size, key in classes:
-        assert _class_frames(size, key) is _class_frames(size, key)
+        p, tables = _class_tables(size, key, LOGICS["n"])
+        entries += [(p, t) for t in tables]
+    assert [(fr.poset, fr.ntable) for fr in stream] == entries
+    assert all(fr.poset is p and fr.ntable is t for fr, (p, t) in zip(stream, entries))
     for logic in LOGICS.values():
         tables = []
         for size, key in classes:
@@ -450,7 +481,6 @@ def test_memoized_class_members_equal_the_uncached_build():
             assert kept is _class_tables(size, key, logic)
             p, class_tables = kept
             assert p == _poset_from_mask(size, key) and type(class_tables) is _ClassTables
-            assert all(fr.poset == p for fr in _class_frames(size, key))
             tables += class_tables
         assert tables == [fr.ntable for fr in uncached if frame_class(fr, logic)], logic.name
 
@@ -473,7 +503,7 @@ def test_five_world_classes_are_not_memoized(monkeypatch):
     monkeypatch.setattr(kernels, "find_refuting_valuation_prop", refute_at_five)
     model, _ = countermodel_search(LOGICS["n"], AXIOM_N, 5)
     assert model.frame.n == 5
-    kept = [*frames._CLASS_FRAMES, *frames._CLASS_TABLES]
+    kept = frames._CLASS_TABLES
     assert kept and all(memo[0] <= DEFAULT_MAX_WORLDS for memo in kept)
 
 
@@ -483,45 +513,42 @@ def _rooted(size, up):
 
 def test_each_rooted_five_world_class_is_one_kernel_call(monkeypatch):
     # a stand-in kernel that refutes nothing, so the search walks every
-    # rooted 5-world class; the class builder is teed, so each call's
-    # tables are checked against the frames built for it, which are
-    # dropped after, one class in memory at a time
-    build = frames._orbit_least_frames
+    # rooted 5-world class; the class builder is teed, so each call is
+    # checked to get the very tables built for it, which are dropped
+    # after, one class in memory at a time
+    build = frames._class_tables
     built = []
     calls = collections.Counter()
 
-    def tee(size, key):
-        out = tuple(build(size, key))
+    def tee(size, key, logic):
+        out = build(size, key, logic)
         if size == 5:
             built.append((key, out))
         return out
 
     def record(code, nvars, n, up, tables, upsets):
         if n == 5:
-            key, members = built.pop()
-            assert not built and tuple(up) == _poset_from_mask(5, key).up
-            assert type(tables) is tuple
-            assert list(tables) == [fr.ntable for fr in members if frame_class(fr, LOGICS["n"])]
+            key, (p, members) = built.pop()
+            assert not built and p == _poset_from_mask(5, key) and tuple(up) == p.up
+            assert type(tables) is tuple and tables is members
             calls[key] += 1
         return -1
 
-    monkeypatch.setattr(frames, "_orbit_least_frames", tee)
+    monkeypatch.setattr(frames, "_class_tables", tee)
     monkeypatch.setattr(kernels, "find_refuting_valuation_prop", record)
     assert countermodel_search(LOGICS["n"], parse("~(p & q) -> ~(q & p)"), 5) is None
     rooted = [key for key, rep in _poset_classes(5) if _rooted(5, rep.up)]
     assert len(rooted) == 16 and calls == dict.fromkeys(rooted, 1)
-    kept = [*frames._CLASS_FRAMES, *frames._CLASS_TABLES]
-    assert all(memo[0] <= DEFAULT_MAX_WORLDS for memo in kept)
+    assert all(memo[0] <= DEFAULT_MAX_WORLDS for memo in frames._CLASS_TABLES)
 
 
 def test_search_hands_only_rooted_classes_to_the_kernel(monkeypatch):
     # a stand-in kernel that records every poset it is given and refutes
     # nothing below 5 worlds, so each logic's search exhausts 4 worlds;
-    # on fresh memos the searches must build and keep the rooted classes
+    # on a fresh memo the searches must build and keep the rooted classes
     # and nothing of the others; N then goes on to the first 5-world
     # class, refuted at its first position
-    for memo in ("_CLASS_FRAMES", "_CLASS_TABLES"):
-        monkeypatch.setattr(frames, memo, {})
+    monkeypatch.setattr(frames, "_CLASS_TABLES", {})
     seen = []
 
     def record(code, nvars, n, up, tables, upsets):
@@ -540,7 +567,6 @@ def test_search_hands_only_rooted_classes_to_the_kernel(monkeypatch):
         if _rooted(size, rep.up)
     }
     assert len(rooted) == 1 + 1 + 2 + 5
-    assert set(frames._CLASS_FRAMES) == rooted
     assert set(frames._CLASS_TABLES) == {
         (size, key, name) for size, key in rooted for name in LOGICS
     }

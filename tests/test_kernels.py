@@ -7,10 +7,7 @@ and the same first witness.
 """
 
 import itertools
-import pathlib
 import random
-import subprocess
-import sys
 import time
 
 import pytest
@@ -19,6 +16,7 @@ import kernel_reference as ref
 import subminimal
 from subminimal import frames, kernels
 from subminimal.antichain import (
+    build_delta,
     positive_morphism,
     verify_order_onto,
     verify_positive_morphism,
@@ -36,7 +34,14 @@ from subminimal.frames import (
 from subminimal.kernels import pure
 from subminimal.kernels.ops import OP_AND, OP_OR
 from subminimal.modal import NS4Model, ns4_eval, random_ns4_frame
-from subminimal.syntax import compile_modal, compile_prop, parse, random_formula
+from subminimal.syntax import (
+    AXIOM_COPC,
+    compile_modal,
+    compile_prop,
+    godel_translate,
+    parse,
+    random_formula,
+)
 
 # one implementation; the ids keep the [pure] suffix the kernel tests
 # have always carried, so their history stays comparable
@@ -432,14 +437,38 @@ def test_companion_kernels_match_the_plain_loops():
 
 
 def test_kernel_micro_cases_keep_their_frozen_results():
-    root = pathlib.Path(__file__).resolve().parents[1]
-    proc = subprocess.run(
-        [sys.executable, str(root / "perfbench" / "kernel_cases.py")],
-        capture_output=True,
-        text=True,
-        cwd=root,
-    )
-    assert proc.returncode == 0, proc.stdout + proc.stderr
+    # six deterministic kernel cases with results frozen when the
+    # kernels were first timed on them
+    chain = Poset.from_pairs(6, [(i, i + 1) for i in range(5)])
+    ups, up = list(chain.upsets()), list(chain.up)
+    table = [-1] * 64
+    for u in ups:
+        table[u] = 63 if u == 63 else 32
+    code = compile_prop(AXIOM_COPC, ("p", "q"))
+    assert kernels.find_refuting_valuation_prop(code, 2, 6, up, (table,), ups) == 6
+
+    total = list(kernels.lift_table(6, up, ups, table))
+    mcode = compile_modal(godel_translate(AXIOM_COPC), ("p", "q"))
+    assert kernels.find_refuting_valuation_modal(mcode, 2, 6, up, total) == 48
+
+    anti = Poset.from_pairs(6, [])
+    aups = enumerate_upsets(anti)
+    lifted = list(kernels.lift_table(6, list(anti.up), list(aups), [63] * 64))
+    assert kernels.translation_gap(6, list(anti.up), [63] * 64, lifted, list(aups), 2) == -1
+
+    d2, d3 = build_delta(2).poset, build_delta(3).poset
+    assert kernels.search_order_onto(d2.n, d2.up, d2.down, d3.n, d3.up, d3.down) is None
+
+    d1 = build_delta(1).poset
+    hit = kernels.search_positive_morphism(d1.n, d1.up, d1.n, d1.up)
+    assert (hit[0], list(hit[1])) == (511, list(range(9)))
+
+    diamond = Poset.from_pairs(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
+    dups = list(enumerate_upsets(diamond))
+    dtable = [-1] * 16
+    for u in dups:
+        dtable[u] = 15 if u == 15 else 8
+    assert {kernels.locality_violation(4, dups, dtable) for _ in range(2000)} == {32}
 
 
 def test_positive_morphism_wrapper_round_trip():
