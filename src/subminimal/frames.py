@@ -69,6 +69,7 @@ from subminimal.syntax import (
     Top,
     Var,
     compile_prop,
+    compiled,
     variables,
 )
 
@@ -499,12 +500,6 @@ def _valuation_from_index(idx: int, names: Sequence[str], upsets: Sequence[int])
     return out
 
 
-def _compiled_prop(f: Formula) -> tuple[tuple[str, ...], tuple[int, ...]]:
-    """The sorted variable names of f and its kernel code over them."""
-    names = variables(f)
-    return names, compile_prop(f, names)
-
-
 def _refutation_at(
     fr: NFrame, names: Sequence[str], code: Sequence[int], idx: int
 ) -> tuple[dict[str, int], int]:
@@ -520,7 +515,7 @@ def _refutation_at(
 def refuting_valuation(fr: NFrame, f: Formula) -> tuple[dict[str, int], int] | None:
     """Least valuation refuting f on the frame, with the least failing
     world, or None when the frame validates f."""
-    names, code = _compiled_prop(f)
+    names, code = compiled(f)
     idx = kernels.find_refuting_valuation_prop(
         code, len(names), fr.n, fr.poset.up, (fr.ntable,), fr.poset.upsets()
     )
@@ -590,12 +585,16 @@ def frame_class(fr: NFrame, logic: Logic) -> bool:
     upsets the MPC condition may disagree with the axiom; check_nframe
     decides lawfulness.
     """
-    upsets = fr.poset.upsets()
-    ntable = fr.ntable
+    return _table_in_class(fr.poset, fr.ntable, logic)
+
+
+def _table_in_class(p: Poset, ntable: Sequence[int], logic: Logic) -> bool:
+    """frame_class of the frame (p, ntable), with no frame built."""
+    upsets = p.upsets()
     if logic.name == "n":
         return True
     if logic.name == "nef":
-        cores, meet = 0, (1 << fr.n) - 1
+        cores, meet = 0, (1 << p.n) - 1
         for x in upsets:
             cores |= x & ntable[x]
             meet &= ntable[x]
@@ -603,8 +602,8 @@ def frame_class(fr: NFrame, logic: Logic) -> bool:
     if logic.name == "copc":
         return _antitone(upsets, ntable)
     if logic.name == "mpc":
-        nw = ntable[(1 << fr.n) - 1]
-        return all(ntable[x] == _imp_mask(fr.poset, x, nw) for x in upsets)
+        nw = ntable[(1 << p.n) - 1]
+        return all(ntable[x] == _imp_mask(p, x, nw) for x in upsets)
     raise ValueError(f"unknown logic: {logic.name}")
 
 
@@ -1070,7 +1069,7 @@ def _class_tables(size: int, key: int, logic: Logic) -> tuple[Poset, Sequence[tu
         tables = tuple(t for t in enumerate_ntables(p) if _least_in_orbit(upsets, t, images))
     else:
         p, every = _class_tables(size, key, LOGICS["n"])
-        tables = tuple(t for t in every if frame_class(NFrame(p, t), logic))
+        tables = tuple(t for t in every if _table_in_class(p, t, logic))
     if size > DEFAULT_MAX_WORLDS:
         return p, tables
     kept = _CLASS_TABLES[memo] = p, _ClassTables(tables)
@@ -1193,7 +1192,7 @@ def countermodel_search(
     """
     if max_worlds < 1:
         raise ValueError("need at least one world")
-    names, code = _compiled_prop(f)
+    names, code = compiled(f)
     tried = 0
     for size in range(1, max_worlds + 1):
         if size > SEARCH_MAX_WORLDS:

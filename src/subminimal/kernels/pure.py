@@ -23,11 +23,21 @@ so only the negation lookup tells them apart: it reads, for each truth
 set, column masks that mark the positions whose frame puts a world in
 N of that set (see _first_refutation).
 
+A search's block layout and the truth sets of its variables that vary
+inside a block depend only on _BLOCK, the values, the variable count
+and the world count. _layout keeps the last 64 of them in a module
+memo keyed by those four, so a search that repeats a layout, such as
+one NS4 axiom check after another on 3-world frames, does not rebuild
+them. An entry holds at most _BLOCK values, so it stays under about
+0.16 MiB even at 20 worlds and takes a few KiB up to 5 (see _layout).
+
 No closure here names itself: the recursive searches are module-level
 functions that take their state as arguments. A closure that calls
 itself is a reference cycle, and each call would leave its state to
 the cyclic garbage collector instead of freeing it on return.
 """
+
+import functools
 
 from subminimal.kernels.ops import (
     OP_AND,
@@ -49,43 +59,18 @@ def eval_prop(code, n, up, ntable, val):
     cover (possible on lenient quotient frames) and -2 when the code
     contains a modal opcode.
     """
-    full = (1 << n) - 1
-    stack = []
-    i = 0
-    while i < len(code):
-        op = code[i]
-        arg = code[i + 1]
-        i += 2
-        if op == OP_VAR:
-            stack.append(val[arg])
-        elif op == OP_TOP:
-            stack.append(full)
-        elif op == OP_AND:
-            b = stack.pop()
-            stack[-1] &= b
-        elif op == OP_OR:
-            b = stack.pop()
-            stack[-1] |= b
-        elif op == OP_IMP:
-            b = stack.pop()
-            a = stack[-1]
-            m = 0
-            for w in range(n):
-                if up[w] & a & ~b == 0:
-                    m |= 1 << w
-            stack[-1] = m
-        elif op == OP_NEG:
-            v = ntable[stack[-1]]
-            if v < 0:
-                return -1
-            stack[-1] = v
-        else:
-            return -2
-    return stack[-1]
+    return _eval(code, n, up, ntable, val, False)
 
 
 def eval_modal(code, n, up, ntable, val):
     """Truth set of a modal formula on a preorder; -2 on a Neg opcode."""
+    return _eval(code, n, up, ntable, val, True)
+
+
+def _eval(code, n, up, ntable, val, modal):
+    """The stack machine of both eval kernels. The modal arrow is
+    ~a | b; the Heyting arrow is box(~a | b), as w's cone misses
+    a & ~b exactly when it lies in ~a | b."""
     full = (1 << n) - 1
     stack = []
     i = 0
@@ -97,8 +82,6 @@ def eval_modal(code, n, up, ntable, val):
             stack.append(val[arg])
         elif op == OP_TOP:
             stack.append(full)
-        elif op == OP_BOT:
-            stack.append(0)
         elif op == OP_AND:
             b = stack.pop()
             stack[-1] &= b
@@ -107,19 +90,31 @@ def eval_modal(code, n, up, ntable, val):
             stack[-1] |= b
         elif op == OP_IMP:
             b = stack.pop()
-            stack[-1] = (~stack[-1] | b) & full
-        elif op == OP_BOX:
-            a = stack[-1]
-            m = 0
-            for w in range(n):
-                if up[w] & ~a == 0:
-                    m |= 1 << w
-            stack[-1] = m
-        elif op == OP_BBOX:
+            c = ~stack[-1] | b
+            stack[-1] = c & full if modal else _box(c, n, up)
+        elif op == OP_NEG and not modal:
+            v = ntable[stack[-1]]
+            if v < 0:
+                return -1
+            stack[-1] = v
+        elif op == OP_BOT and modal:
+            stack.append(0)
+        elif op == OP_BOX and modal:
+            stack[-1] = _box(stack[-1], n, up)
+        elif op == OP_BBOX and modal:
             stack[-1] = ntable[stack[-1]]
         else:
             return -2
     return stack[-1]
+
+
+def _box(a, n, up):
+    """The worlds whose cone lies in a."""
+    m = 0
+    for w in range(n):
+        if up[w] & ~a == 0:
+            m |= 1 << w
+    return m
 
 
 # widest block of search positions (frame, valuation) evaluated at once
@@ -211,6 +206,48 @@ def _block_lookup(a, n, columns, ones):
     return out, holes
 
 
+@functools.lru_cache(maxsize=64)
+def _layout(block, values, nvars, n):
+    """The layout of a search over the tuple ``values`` in blocks of at
+    most ``block`` bits: (width, low, vecs).
+
+    The last ``low`` variables, as many as fit, run through every digit
+    pattern within one frame's width = len(values)**low positions of a
+    block. vecs holds their truth sets over those positions, a tuple of
+    one int per world each: digit d of variable k holds on runs of
+    ``run`` consecutive positions, one run in every run * len(values),
+    starting at d * run.
+
+    The layout depends on nothing else, so the last 64 are kept, keyed
+    by all four arguments, the least recently used dropped first. The
+    caller never passes more than ``block`` values (more leave no
+    variable inside a block), so an entry holds at most ``block`` values
+    and log2(block) * n ints of ``block`` bits, or with one value
+    nvars * n one-bit ints: at the default block and 20 worlds at most
+    about 0.16 MiB, 10 MiB for all 64 (measured with tracemalloc); on
+    the frames of up to 5 worlds the package searches, a few KiB.
+    """
+    nu = len(values)
+    width = 1
+    low = 0
+    while low < nvars and width * nu <= block:
+        width *= nu
+        low += 1
+    ones = (1 << width) - 1
+    vecs = []
+    for k in range(nvars - low, nvars):
+        run = nu ** (nvars - 1 - k)
+        # run * nu divides width, so this repeats the run pattern
+        base = ((1 << run) - 1) * (ones // ((1 << (run * nu)) - 1))
+        vec = [0] * n
+        for d, x in enumerate(values):
+            for w in range(n):
+                if (x >> w) & 1:
+                    vec[w] |= base << (d * run)
+        vecs.append(tuple(vec))
+    return width, low, tuple(vecs)
+
+
 def _first_refutation(code, nvars, n, up, tables, values, modal, error):
     """Bit-sliced search behind both find_refuting_valuation_* kernels.
 
@@ -236,6 +273,14 @@ def _first_refutation(code, nvars, n, up, tables, values, modal, error):
     variables below max(nvars, 1); with no variables, variable 0 is the
     empty set.
 
+    The layout, and the truth sets of the variables that run inside a
+    block, depend on neither the frames nor the code, so they come from
+    _layout, which keeps the last 64 of them keyed by (_BLOCK, values as
+    a tuple, nvars, n): callers pass tuples, lists and ranges. Its
+    entries are bounded in size (see there). A block of several frames
+    repeats one frame's truth sets. The cones are read off ``up`` on
+    every call.
+
     When ``tables`` has a ``columns`` attribute, a dict, the column
     masks built for it are kept there, keyed by block layout, so a
     caller that searches the same tables again builds them once.
@@ -254,11 +299,11 @@ def _first_refutation(code, nvars, n, up, tables, values, modal, error):
     nf = len(tables)
     if per == 0 or nf == 0:
         return -1
-    width = 1
-    low = 0
-    while low < nvars and width * nu <= _BLOCK:
-        width *= nu
-        low += 1
+    if nu > _BLOCK:
+        # no variable runs inside a block; keep no key that long
+        width, low, vecs = 1, 0, ()
+    else:
+        width, low, vecs = _layout(_BLOCK, tuple(values), nvars, n)
     high = nvars - low
     # frames per block, and blocks per group of fpb frames
     fpb = min(nf, _BLOCK // width) if high == 0 else 1
@@ -269,18 +314,11 @@ def _first_refutation(code, nvars, n, up, tables, values, modal, error):
     top = [ones] * n
     bot = [0] * n
     slots = [bot] * max(nvars, 1)
-    for k in range(high, nvars):
-        # digit d of variable k holds on runs of `run` consecutive
-        # positions, one run in every run * nu, starting at d * run;
-        # run * nu divides width, so the pattern repeats frame by frame
-        run = nu ** (nvars - 1 - k)
-        base = ((1 << run) - 1) * (ones // ((1 << (run * nu)) - 1))
-        vec = [0] * n
-        for d, x in enumerate(values):
-            for w in range(n):
-                if (x >> w) & 1:
-                    vec[w] |= base << (d * run)
-        slots[k] = vec
+    if fpb > 1:
+        # one frame's pattern, repeated for each frame of the block
+        rep = ones // ((1 << width) - 1)
+        vecs = [[x * rep for x in vec] for vec in vecs]
+    slots[high:nvars] = vecs
     memo = getattr(tables, "columns", None)
     if fpb > 1 and memo is not None:
         memo = memo.setdefault((width, fpb), {})

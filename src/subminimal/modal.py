@@ -49,12 +49,11 @@ from subminimal.syntax import (
     Or,
     Top,
     Var,
-    compile_modal,
+    compiled,
     godel_translate,
     is_instance_of,
     parse,
     show,
-    variables,
 )
 
 
@@ -100,8 +99,7 @@ class NS4Model:
 
 
 def ns4_eval(m: NS4Model, f: Formula) -> int:
-    names = variables(f)
-    code = compile_modal(f, names)
+    names, code = compiled(f, "modal")
     return kernels.eval_modal(
         code, m.frame.n, m.frame.rel, m.frame.ntable, [m.val(v) for v in names]
     )
@@ -110,8 +108,7 @@ def ns4_eval(m: NS4Model, f: Formula) -> int:
 def ns4_refuting_valuation(fr: NS4Frame, f: Formula) -> tuple[dict[str, int], int] | None:
     """Least valuation into arbitrary subsets refuting f, with the
     least world where it fails."""
-    names = variables(f)
-    code = compile_modal(f, names)
+    names, code = compiled(f, "modal")
     idx = kernels.find_refuting_valuation_modal(code, len(names), fr.n, fr.rel, fr.ntable)
     if idx < 0:
         return None

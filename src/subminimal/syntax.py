@@ -16,9 +16,14 @@ computes the dataclass value, the hash of the tuple of its fields, and
 keeps it in a slot, so sets and dicts of formulas iterate in the same
 order as with the plain dataclass hash. The slot is filled lazily, so
 building a node costs what it did before and a node never hashed
-never pays. The slot is not a field: it
-stays out of ==, repr, copies and pickles, and a node loaded under
-another hash seed hashes afresh.
+never pays. A second slot, ``_code``, keeps what ``compiled`` gives
+for the node: its sorted variable names and its prop and modal kernel
+code, each filled on the first compilation that succeeds in its
+language (a node with no Neg, Bot, Box or BBox has one code for both),
+so a formula checked again and again is compiled once. A failed
+compilation keeps nothing and fails again the next time. Neither slot
+is a field: they stay out of ==, repr, copies and pickles, and a node
+loaded under another hash seed hashes afresh.
 """
 
 from __future__ import annotations
@@ -49,14 +54,14 @@ class ParseError(ValueError):
         self.position = position
 
 
-# bypasses the frozen dataclass __setattr__ to fill the hash slot
+# bypasses the frozen dataclass __setattr__ to fill the slots
 _setattr = object.__setattr__
 
 
 class Formula:
-    """Base class for all formula nodes; holds the hash slot."""
+    """Base class for all formula nodes; holds the hash and code slots."""
 
-    __slots__ = ("_hash",)
+    __slots__ = ("_hash", "_code")
 
     def __hash__(self) -> int:
         h = getattr(self, "_hash", None)
@@ -477,6 +482,31 @@ def compile_modal(formula: Formula, var_order: Sequence[str]) -> tuple[int, ...]
     _emit(formula, index, code, modal=True)
     return tuple(code)
 
+
+def compiled(formula: Formula, language: str = "prop") -> tuple[tuple[str, ...], tuple[int, ...]]:
+    """The sorted variable names of a formula and its kernel code over
+    them, as compile_prop or compile_modal (``language`` "prop" or
+    "modal") gives it, with the same errors; kept on the node, see the
+    module docstring."""
+    if language not in ("prop", "modal"):
+        raise ValueError(f"unknown language: {language!r}")
+    modal = language == "modal"
+    kept = getattr(formula, "_code", None)
+    if kept is not None and kept[1 + modal] is not None:
+        return kept[0], kept[1 + modal]
+    # a kept node gets here only in the language it fails to compile in
+    names = variables(formula)
+    code = (compile_modal if modal else compile_prop)(formula, names)
+    if _SPECIFIC.isdisjoint(code[::2]):
+        kept = names, code, code
+    else:
+        kept = (names, None, code) if modal else (names, code, None)
+    _setattr(formula, "_code", kept)
+    return names, code
+
+
+# the opcodes only one of the two compilations emits
+_SPECIFIC = frozenset((OP_NEG, OP_BOT, OP_BOX, OP_BBOX))
 
 _BINOPS = {And: OP_AND, Or: OP_OR, Imp: OP_IMP}
 

@@ -64,6 +64,7 @@ from subminimal.syntax import (
     AXIOM_N,
     AXIOM_NEF,
     Neg,
+    compiled,
     parse,
     random_formula,
     show,
@@ -705,7 +706,7 @@ def test_column_masks_outlive_their_block_only_when_kept(monkeypatch):
     monkeypatch.setattr(pure, "_Columns", Counted)
     key = next(key for key, rep in _poset_classes(4) if _rooted(4, rep.up))
     p, tables = _class_tables(4, key, LOGICS["n"])
-    _, code = frames._compiled_prop(parse("~(p & p) -> ~p"))
+    _, code = compiled(parse("~(p & p) -> ~p"))
     fpb = 64 // len(p.upsets())
     blocks = -(-len(tables) // fpb)
     assert fpb > 1 and blocks > 10

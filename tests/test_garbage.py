@@ -47,10 +47,14 @@ from subminimal.frames import (
 )
 from subminimal.modal import (
     HilbertProof,
+    NS4Model,
     ProofLine,
     check_proof,
     lift_nstar,
+    ns4_eval,
     ns4_frame_validates,
+    ns4_from_dict,
+    ns4_refuting_valuation,
     translation_gap_search,
     translation_preservation,
 )
@@ -128,6 +132,24 @@ def _ns4_frame_validates():
     return ns4_frame_validates, (lift_nstar(chain_frame()), parse("[](p -> q) -> []p -> []q", "modal"))
 
 
+def hand_ns4_frame():
+    # two unrelated worlds, N(X) = {1} everywhere: [n]p -> p fails at 1
+    return ns4_from_dict({"worlds": 2, "rel": [[0, 0], [1, 1]], "N": {str(x): 2 for x in range(4)}})
+
+
+def _ns4_refuting_valuation():
+    # the first call fills the layout memo and the formula's code slot
+    fr, f = hand_ns4_frame(), parse("[n]p -> p", "modal")
+    assert ns4_refuting_valuation(fr, f) == ({"p": 0}, 1)
+    return ns4_refuting_valuation, (fr, f)
+
+
+def _ns4_eval():
+    m, f = NS4Model(hand_ns4_frame(), {"p": 0}), parse("[n]p -> p", "modal")
+    ns4_refuting_valuation(m.frame, f)
+    return ns4_eval, (m, f)
+
+
 def _check_proof():
     line = ProofLine(parse("([]p & []q) -> []p", "modal"), "taut")
     return check_proof, (HilbertProof("ns4", (line,)),)
@@ -154,6 +176,8 @@ CASES = {
     "translation_preservation": lambda: (translation_preservation, (fork_model(), FORMULA)),
     "translation_gap_search": lambda: (translation_gap_search, (chain_frame(), 2)),
     "ns4_frame_validates": _ns4_frame_validates,
+    "ns4_refuting_valuation": _ns4_refuting_valuation,
+    "ns4_eval": _ns4_eval,
     "positive_morphism": lambda: (positive_morphism, (CHAIN2, build_delta(1).poset)),
     "extend_positive": lambda: (extend_positive, (CHAIN2, diamond(), {0: 0, 1: 1, 2: 1, 3: 1})),
     "order_onto": lambda: (order_onto, (Poset.from_pairs(3, [(0, 1), (0, 2)]), diamond())),

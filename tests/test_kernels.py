@@ -381,6 +381,76 @@ def test_refuting_valuation_search_matches_the_plain_loop(monkeypatch, block):
     assert checked >= 1000
 
 
+def test_layout_memo_keeps_the_results_of_the_plain_loops(monkeypatch):
+    # every case runs on a cleared memo at the three block widths, twice
+    # over, so each width meets layouts the others left; with the values
+    # as a tuple, a list and, on discrete posets, whose upsets are all
+    # subsets, a range
+    blocks = (pure._BLOCK, 16, 4) * 2
+    rng = random.Random(4545)
+    names = ("p", "q", "r")
+    outcomes = set()
+    for _ in range(300):
+        n = rng.randint(0, 4)
+        if rng.random() < 0.3:
+            p = Poset(n, tuple(1 << w for w in range(n)))
+        else:
+            p = random_poset(rng, n)
+        ups = enumerate_upsets(p)
+        forms = [tuple(ups), list(ups)]
+        if ups == list(range(1 << n)):
+            forms.append(range(1 << n))
+        nvars = _nvars_within(rng, len(ups), 300)
+        mvars = _nvars_within(rng, 1 << n, 300)
+        vs, mvs = names[: max(nvars, 1)], names[: max(mvars, 1)]
+        code = compile_prop(random_formula(rng, vs, rng.randint(0, 4)), vs)
+        mcode = compile_modal(random_formula(rng, mvs, rng.randint(0, 4), "modal"), mvs)
+        if rng.random() < 0.1:
+            mcode = mcode + compile_prop(parse("~p"), ["p"]) + (OP_OR, 0)
+        pool = _tables(rng, p, ups) + [random_ntable(rng, p) for _ in range(6)]
+        tables = tuple(rng.choice(pool) for _ in range(rng.randint(1, 8)))
+        want = _table_by_table(code, nvars, n, p.up, tables, ups)
+        mtable = pure.lift_table(n, p.up, ups, random_ntable(rng, p))
+        mwant = _capture(ref.find_refuting_valuation_modal, mcode, mvars, n, p.up, mtable)
+        pure._layout.cache_clear()
+        for block in blocks:
+            monkeypatch.setattr(pure, "_BLOCK", block)
+            for values in forms:
+                got = _capture(pure.find_refuting_valuation_prop, code, nvars, n, p.up, tables, values)
+                assert got == want, (block, n, nvars, values, tables)
+            got = _capture(pure.find_refuting_valuation_modal, mcode, mvars, n, p.up, mtable)
+            assert got == mwant, (block, n, mvars, mtable)
+        outcomes |= {want[0], mwant[0], want[0] == "ok" and want[1] >= len(ups) ** nvars}
+    # errors, and refutations past the first table, occur
+    assert outcomes == {"ok", "err", True, False}
+
+
+def test_layout_memo_stays_within_its_bound():
+    pure._layout.cache_clear()
+    code = compile_prop(parse("p"), ["p"])
+    bound = pure._layout.cache_info().maxsize
+
+    def search(k):
+        # k values make k distinct layouts
+        assert pure.find_refuting_valuation_prop(code, 1, 1, (1,), ((1, 1),), (1,) * k) == -1
+
+    for k in range(1, 2 * bound + 1):
+        search(k)
+        assert pure._layout.cache_info().currsize == min(k, bound)
+    # the last bound layouts are kept, the ones before are gone
+    hits = pure._layout.cache_info().hits
+    for k in range(bound + 1, 2 * bound + 1):
+        search(k)
+    assert pure._layout.cache_info().hits == hits + bound
+    search(bound)
+    assert pure._layout.cache_info().hits == hits + bound
+    assert pure._layout.cache_info().currsize == bound
+    # more values than a block holds leave nothing to keep
+    pure._layout.cache_clear()
+    search(pure._BLOCK + 1)
+    assert pure._layout.cache_info().currsize == 0
+
+
 def test_companion_kernels_match_the_plain_loops():
     rng = random.Random(4243)
     checked = {"lift": 0, "gap": 0, "en": 0, "rn": 0, "morphism": 0}

@@ -3,6 +3,7 @@
 import copy
 import os
 import pathlib
+import pickle
 import random
 import subprocess
 import sys
@@ -27,6 +28,9 @@ from subminimal.syntax import (
     Top,
     Var,
     chain_axioms,
+    compile_modal,
+    compile_prop,
+    compiled,
     depth,
     godel_translate,
     is_instance_of,
@@ -210,6 +214,59 @@ def test_hash_cache_stays_out_of_eq_repr_and_copies():
         assert clone == hashed
         assert clone in {fresh}
         assert hash(clone) == hash(hashed)
+
+
+def _outcome(fn, *args):
+    try:
+        return ("ok", fn(*args))
+    except Exception as exc:  # noqa: BLE001 - the test wants the exact failure
+        return ("err", type(exc).__name__, str(exc))
+
+
+def test_compiled_code_is_a_fresh_compilation():
+    # both languages on formulas of both, each twice: the kept code and
+    # a failure that keeps nothing give what compiling afresh gives
+    rng = random.Random(6)
+    both = 0
+    for i in range(1000):
+        f = random_formula(rng, ("p", "q", "r"), 4, "modal" if i % 2 else "prop")
+        names = variables(f)
+        for _ in range(2):
+            for language, compile_ in (("prop", compile_prop), ("modal", compile_modal)):
+                want = _outcome(compile_, f, names)
+                if want[0] == "ok":
+                    want = ("ok", (names, want[1]))
+                assert _outcome(compiled, f, language) == want
+        # a node with no Neg, Bot, Box or BBox keeps one code for both
+        both += None not in f._code
+    assert both > 100
+
+
+def test_compiled_keeps_no_error():
+    f = parse("p -> ~q")
+    assert compiled(f) == (("p", "q"), compile_prop(f, ("p", "q")))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="primitive negation in a modal compilation"):
+            compiled(f, "modal")
+    g = parse("[n]p -> p", "modal")
+    assert compiled(g, "modal") == (("p",), compile_modal(g, ("p",)))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="second modality in a propositional compilation"):
+            compiled(g)
+    with pytest.raises(ValueError, match="unknown language"):
+        compiled(f, "Prop")
+
+
+def test_code_slot_stays_out_of_eq_repr_copies_and_pickles():
+    text = "~(p & q) -> T | r"
+    kept, fresh = parse(text), parse(text)
+    compiled(kept)
+    assert kept._code is not None
+    assert kept == fresh and repr(kept) == repr(fresh)
+    for clone in (copy.copy(kept), copy.deepcopy(kept), pickle.loads(pickle.dumps(kept))):
+        assert clone == kept
+        assert getattr(clone, "_code", None) is None
+        assert compiled(clone) == compiled(kept)
 
 
 def _python(code: str, seed: int, stdin: bytes = b"") -> bytes:
