@@ -382,7 +382,7 @@ def truth_sets(m: NModel, formulas: Collection[Formula]) -> dict[Formula, int]:
     entry. For one formula these are the errors of compiling it and
     running the kernel.
     """
-    walker = _TruthWalker(m)
+    walker = _TruthWalker(m.frame.poset, m.frame.ntable, m.valuation)
     value = walker.value
     try:
         for f in formulas:
@@ -396,7 +396,7 @@ def formula_evaluator(m: NModel) -> Callable[[Formula], int]:
     """eval_formula on one model, with a memory: every subformula it
     evaluates is kept, so a node shared by several formulas is
     evaluated once over all the calls."""
-    value = _TruthWalker(m).value
+    value = _TruthWalker(m.frame.poset, m.frame.ntable, m.valuation).value
 
     def evaluate(f: Formula) -> int:
         try:
@@ -417,13 +417,15 @@ def eval_formula(m: NModel, f: Formula) -> int:
 
 
 class _TruthWalker:
-    """The truth set of a node by ``value``, raising _Unevaluable where
-    the model cannot evaluate it, and its memory ``memo``: each node it
-    evaluated with its value, keyed by id, in evaluation order, left
-    operand first. The memory holds the nodes, so their ids stay theirs
-    while it lives. A shared node object is evaluated once; equal nodes
-    that are distinct objects are evaluated apart, which costs less than
-    hashing every node of a fresh tree.
+    """The truth set of a node by ``value`` on a poset, with negation
+    read off the table and variables off the valuation it is given (a
+    model's own, or the lift's, see modal.translation_preservation),
+    raising _Unevaluable where those cannot evaluate it, and its memory
+    ``memo``: each node it evaluated with its value, keyed by id, in
+    evaluation order, left operand first. The memory holds the nodes,
+    so their ids stay theirs while it lives. A shared node object is
+    evaluated once; equal nodes that are distinct objects are evaluated
+    apart, which costs less than hashing every node of a fresh tree.
 
     ``value`` recurses through the bound method rather than a closure
     that names itself: such a closure is a reference cycle, and would
@@ -433,12 +435,12 @@ class _TruthWalker:
 
     __slots__ = ("n", "full", "up", "ntable", "valuation", "memo")
 
-    def __init__(self, m: NModel) -> None:
-        self.n = m.frame.n
-        self.full = (1 << self.n) - 1
-        self.up = m.frame.poset.up
-        self.ntable = m.frame.ntable
-        self.valuation = m.valuation
+    def __init__(self, p: Poset, ntable: Sequence[int], valuation: Mapping[str, int]) -> None:
+        self.n = p.n
+        self.full = (1 << p.n) - 1
+        self.up = p.up
+        self.ntable = ntable
+        self.valuation = valuation
         self.memo: dict[int, tuple[Formula, int]] = {}
 
     def value(self, f: Formula) -> int:

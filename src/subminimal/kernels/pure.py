@@ -460,10 +460,11 @@ def lift_table(n, up, upsets, ntable):
     """Extend an upset-indexed table to all subsets.
 
     w lands in the lifted value at X iff some upset Y agrees with X on
-    R(w) and w is in N(Y). The result is total, and on upsets it
-    coincides with the input table. The cuts Y & R(w) of the upsets Y
-    with w in N(Y) are collected once per world, so each X costs one
-    set lookup per world.
+    R(w) and w is in N(Y). The result is total. On an upset X it holds
+    N(X) (take Y = X), and equals it when the table is local (see
+    modal.lift_nstar); a table that is not local can gain worlds there.
+    The cuts Y & R(w) of the upsets Y with w in N(Y) are collected once
+    per world, so each X costs one set lookup per world.
     """
     cuts = [
         (up[w], 1 << w, {y & up[w] for y in upsets if (ntable[y] >> w) & 1})
@@ -487,58 +488,58 @@ def translation_gap(n, up, ntable, nstar, upsets, depth):
     ``depth`` rounds; the prop side uses the Heyting arrow and the
     negation table, the modal side uses the boxed pointwise arrow and
     the lifted table. Returns a packed non-diagonal pair
-    (left << n) | right as soon as one appears, else -1.
+    (left << n) | right as soon as one appears, else -1. The pairs are
+    checked round by round, each round's negations first in ascending
+    order of the pairs, then its combinations; a negation undefined on
+    a set raises ValueError there.
 
-    Box is tabulated once over all 2**n sets, and the Heyting arrow is
-    read from it: w is in himp(a, b) iff R(w) & a & ~b is empty iff
-    R(w) lies in ~a | b iff w is in box(~a | b), for any masks a, b.
+    Precondition: ``upsets`` holds every upset of ``up``, which the
+    search reads through it alone.
+
+    The search keeps single masks and evaluates semi-naively:
+
+    * Only negation can leave the diagonal. For diagonal pairs (a, a)
+      and (b, b), meet and join are diagonal, and so is the arrow: w is
+      in himp(a, b) iff R(w) & a & ~b is empty iff R(w) lies in ~a | b
+      iff w is in box(~a | b), for any masks a, b. So while no witness
+      has appeared every pair is (x, x), and negation maps it to
+      (N(x), N*(x)), a witness exactly when N(x) != N*(x).
+    * The arrow adds nothing: a box is an upset, since R(v) lies in
+      R(w) for v in R(w), and every upset is there from the start. So
+      the combinations are meets and joins, and round 1 combines
+      nothing, as the upsets are closed under both.
+    * Let S_r be the sets at the start of round r and D_r the ones
+      round r - 1 added (D_1 = S_1, the upsets). Round r adds the
+      negations of S_r and the combinations of pairs from S_r. Those
+      of sets and pairs from S_r minus D_r = S_(r-1) were added by
+      round r - 1 already, so it suffices to negate D_r and to combine
+      the pairs with a member in D_r, and S_r is the set the plain
+      closure has at round r.
+    * The sets of S_r minus D_r had their negations checked and found
+      diagonal and defined in earlier rounds, so the first witness, or
+      the first undefined entry, among S_r in ascending order is the
+      first among D_r. The rounds stop early once one adds nothing.
     """
-    full = (1 << n) - 1
-    box = [0] * (full + 1)
-    for w in range(n):
-        bit = 1 << w
-        cone = up[w]
-        for x in range(full + 1):
-            if cone & ~x == 0:
-                box[x] |= bit
-
-    pairs = set()
-    for u in upsets:
-        pairs.add((u << n) | u)
-    for _ in range(depth):
-        cur = sorted(pairs)
-        added = False
-        for p in cur:
-            la = p >> n
-            nl = ntable[la]
-            if nl < 0:
+    have = set(upsets)
+    new = sorted(have)
+    for r in range(depth):
+        added = set()
+        for x in new:
+            nx = ntable[x]
+            if nx < 0:
                 raise ValueError("negation escaped the upset domain")
-            cand = (nl << n) | nstar[p & full]
-            if cand not in pairs:
-                if (cand >> n) != (cand & full):
-                    return cand
-                pairs.add(cand)
-                added = True
-        for p in cur:
-            la = p >> n
-            ra = p & full
-            nla = full & ~la
-            nra = full & ~ra
-            for q in cur:
-                lb = q >> n
-                rb = q & full
-                for cand in (
-                    ((la & lb) << n) | (ra & rb),
-                    ((la | lb) << n) | (ra | rb),
-                    (box[nla | lb] << n) | box[nra | rb],
-                ):
-                    if cand not in pairs:
-                        if (cand >> n) != (cand & full):
-                            return cand
-                        pairs.add(cand)
-                        added = True
-        if not added:
+            if nx != nstar[x]:
+                return (nx << n) | nstar[x]
+            added.add(nx)
+        if r:
+            for a in new:
+                for b in have:
+                    added.add(a & b)
+                    added.add(a | b)
+        new = sorted(added - have)
+        if not new:
             break
+        have.update(new)
     return -1
 
 

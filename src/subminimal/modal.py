@@ -24,12 +24,14 @@ from subminimal import kernels
 from subminimal.frames import (
     NFrame,
     NModel,
+    _TruthWalker,
     _antisymmetric,
     _antitone,
     _check_preorder,
     _check_table,
     _coin_flips,
     _cones_from_pairs,
+    _imp_mask,
     _ints,
     _pairs,
     _subfamilies,
@@ -50,7 +52,6 @@ from subminimal.syntax import (
     Top,
     Var,
     compiled,
-    godel_translate,
     is_instance_of,
     parse,
     show,
@@ -208,28 +209,59 @@ def random_ns4_frame(rng, n: int) -> NS4Frame:
 def lift_nstar(fr: NFrame) -> NS4Frame:
     """Extend a frame's negation from upsets to all subsets.
 
-    A world lands in the lifted value when some upset agrees with the
-    input on its cone and the world is in that upset's negation. On
-    upsets the lift changes nothing.
+    A world lands in the lifted value at X when some upset agrees with
+    X on the world's cone and the world is in that upset's negation.
+    On an upset X the lift keeps N(X) (take the upset X itself) and
+    may add to it. It adds nothing when the table is local: if w is in
+    N(Y) with Y & R(w) = X & R(w), locality at the upset R(w) gives
+    N(Y) & R(w) = N(Y & R(w)) & R(w) = N(X & R(w)) & R(w) = N(X) & R(w),
+    so w is in N(X). NFrame also takes tables that are not local; on
+    the antichain Poset(2, [1, 2]) the lift of (1, 1, 2, 2) is
+    (1, 1, 3, 3).
     """
     p = fr.poset
     lifted = kernels.lift_table(p.n, p.up, list(p.upsets()), fr.ntable)
     return NS4Frame(p.n, p.up, tuple(lifted))
 
 
-def lift_model(m: NModel) -> NS4Model:
-    return NS4Model(lift_nstar(m.frame), dict(m.valuation))
-
-
 def translation_preservation(m: NModel, f: Formula) -> int | None:
-    """First world where f and its boxed translation disagree, if any.
+    """First world where f and its boxed translation T(f) disagree, if
+    any: f evaluated in the model, T(f) in the lifted model (the table
+    of lift_nstar) under the very same valuation.
 
-    The formula is evaluated in the model and its translation in the
-    lifted model under the very same valuation.
+    T(f) is never built. In the lifted model T(f) holds exactly where
+    f holds under the frame's own semantics with the lifted table N*
+    read for negation and box V(p) for each variable p, by induction
+    on f:
+
+    * T(p) = []p holds on box V(p), the worlds whose cone lies in V(p);
+      for an upset V(p) that is V(p) itself;
+    * T(a -> b) = [](Ta -> Tb) with the pointwise arrow, and box(~A | B)
+      is the Heyting arrow of A and B for any masks (see
+      kernels.pure.translation_gap);
+    * T(~a) = [n]Ta holds on N*(Ta);
+    * T(a & b) and T(a | b) are pointwise, and T keeps the constant T.
+
+    So the truth walker that evaluates f reads N* and the boxed
+    valuation in place of the frame's table and the model's valuation.
+    The valuation is boxed and not trusted to hold upsets: the model
+    checks that at construction, and a mapping can change afterwards.
+
+    Errors are those of evaluating f in the model, and then, for a
+    valuation that has since left the subsets of the worlds, the
+    ValueError of NS4Model. Past those nothing can fail: the lift is
+    total and every variable of f is valued.
     """
     prop = eval_formula(m, f)
-    modal = ns4_eval(lift_model(m), godel_translate(f))
-    diff = prop ^ modal
+    p = m.frame.poset
+    full = (1 << p.n) - 1
+    boxed = {}
+    for name, mask in m.valuation.items():
+        if mask < 0 or mask & ~full:
+            raise ValueError(f"truth set of {name} out of range")
+        boxed[name] = _imp_mask(p, full, mask)
+    nstar = kernels.lift_table(p.n, p.up, list(p.upsets()), m.frame.ntable)
+    diff = prop ^ _TruthWalker(p, nstar, boxed).value(f)
     if diff == 0:
         return None
     return (diff & -diff).bit_length() - 1

@@ -54,8 +54,8 @@ def lift_table(n, up, upsets, ntable):
     """Extend an upset-indexed table to all subsets.
 
     w lands in the lifted value at X iff some upset Y agrees with X on
-    R(w) and w is in N(Y). The result is total, and on upsets it
-    coincides with the input table.
+    R(w) and w is in N(Y). The result is total; on upsets it holds the
+    input table's values, and equals them when the table is local.
     """
     size = 1 << n
     out = []

@@ -33,9 +33,16 @@ from subminimal.frames import (
 )
 from subminimal.kernels import pure
 from subminimal.kernels.ops import OP_AND, OP_OR
-from subminimal.modal import NS4Model, ns4_eval, random_ns4_frame
+from subminimal.modal import random_ns4_frame, random_preorder
 from subminimal.syntax import (
     AXIOM_COPC,
+    And,
+    BBox,
+    Bot,
+    Box,
+    Or,
+    Top,
+    Var,
     compile_modal,
     compile_prop,
     godel_translate,
@@ -81,18 +88,49 @@ def test_eval_prop_sentinels(impl):
     assert impl.eval_prop(modal_code, 2, CHAIN2.up, LAWFUL2, [2]) == -2
 
 
+def _modal_truth(f, n, up, ntable, val):
+    """Truth set of a modal formula straight from the semantics, world
+    by world over the AST: [] holds where the whole cone does, [n] is a
+    lookup in the table, the arrow is pointwise and F holds nowhere.
+    The oracle of the modal evaluator; it shares no code with it."""
+    kind = type(f)
+    if kind is Var:
+        return val[f.name]
+    if kind is Top:
+        return (1 << n) - 1
+    if kind is Bot:
+        return 0
+    if kind is Box:
+        a = _modal_truth(f.sub, n, up, ntable, val)
+        return sum(1 << w for w in range(n) if all((a >> v) & 1 for v in range(n) if (up[w] >> v) & 1))
+    if kind is BBox:
+        return ntable[_modal_truth(f.sub, n, up, ntable, val)]
+    a = _modal_truth(f.left, n, up, ntable, val)
+    b = _modal_truth(f.right, n, up, ntable, val)
+    if kind is And:
+        return a & b
+    if kind is Or:
+        return a | b
+    return sum(1 << w for w in range(n) if not (a >> w) & 1 or (b >> w) & 1)
+
+
 @PURE
-def test_eval_modal_matches_ns4_eval(impl):
+def test_eval_modal_matches_an_ast_walk(impl):
+    # lawful frames, and arbitrary total tables on random preorders
     rng = random.Random(21)
     names = ("p", "q")
-    for _ in range(150):
-        fr = random_ns4_frame(rng, rng.randint(1, 3))
-        val = {x: rng.randrange(1 << fr.n) for x in names}
+    for _ in range(300):
+        if rng.random() < 0.5:
+            fr = random_ns4_frame(rng, rng.randint(1, 3))
+            n, up, table = fr.n, fr.rel, fr.ntable
+        else:
+            n = rng.randint(1, 4)
+            up = random_preorder(rng, n)
+            table = [rng.randrange(1 << n) for _ in range(1 << n)]
+        val = {x: rng.randrange(1 << n) for x in names}
         f = random_formula(rng, names, 3, "modal")
-        got = impl.eval_modal(
-            compile_modal(f, names), fr.n, fr.rel, fr.ntable, [val[x] for x in names]
-        )
-        assert got == ns4_eval(NS4Model(fr, val), f)
+        got = impl.eval_modal(compile_modal(f, names), n, up, table, [val[x] for x in names])
+        assert got == _modal_truth(f, n, up, table, val), (n, up, table, val, f)
 
 
 @PURE
@@ -504,6 +542,41 @@ def test_companion_kernels_match_the_plain_loops():
         assert a == _capture(pure.search_positive_morphism, t.n, t.up, s.n, s.up), (args, a)
         checked["morphism"] += 1
     assert min(checked.values()) >= 1000, checked
+
+
+def test_translation_gap_later_rounds_match_the_plain_loop():
+    # a total table, so no negation is undefined, and an N* equal to it
+    # but at a few sets: on a lift the first round meets every
+    # difference the closure can reach, on a random table the closure
+    # leaves the upsets and runs the later rounds, where the kernel
+    # combines only the sets the round before added
+    rng = random.Random(4244)
+    first = [0, 0]
+    for _ in range(600):
+        n = rng.randint(1, 4)
+        size = 1 << n
+        p = random_poset(rng, n)
+        ups = enumerate_upsets(p)
+        if rng.random() < 0.5:
+            ntable = pure.lift_table(n, p.up, ups, random_ntable(rng, p))
+        else:
+            ntable = [rng.randrange(size) for _ in range(size)]
+        nstar = list(ntable)
+        # mostly off the upsets, which only the later rounds reach
+        others = [x for x in range(size) if x not in ups] or [0]
+        for _ in range(rng.randint(1, 3)):
+            x = rng.choice(others) if rng.random() < 0.8 else rng.randrange(size)
+            nstar[x] = rng.randrange(size)
+        wants = []
+        for depth in (1, 2, 3):
+            args = (n, p.up, ntable, nstar, ups, depth)
+            wants.append(ref.translation_gap(*args))
+            assert pure.translation_gap(*args) == wants[-1], args
+        if wants[0] < 0 <= wants[-1]:
+            first[wants.index(wants[-1]) - 1] += 1
+    # witnesses that first appear at depth 2, and at depth 3, after the
+    # first round that combines
+    assert min(first) >= 20, first
 
 
 def test_kernel_micro_cases_keep_their_frozen_results():

@@ -16,8 +16,10 @@ from subminimal.frames import (
     _trace_tables,
     enumerate_ntables,
     enumerate_posets,
+    eval_formula,
     ntable_from_upset_map,
     random_nframe,
+    random_poset,
 )
 from subminimal.modal import (
     AXIOM_BBOX_CONTRA,
@@ -182,6 +184,40 @@ def test_lift_extends_the_table_on_random_frames():
             assert lifted.ntable[u] == g.ntable[u]
 
 
+def _upset_valued_frame(rng, n):
+    """A random poset with any upset at each upset: rarely local."""
+    p = random_poset(rng, n)
+    ups = p.upsets()
+    table = [-1] * (1 << n)
+    for u in ups:
+        table[u] = rng.choice(ups)
+    return NFrame(p, tuple(table))
+
+
+def test_lift_keeps_exactly_the_local_tables_on_upsets():
+    # N(X) lies in N*(X) on every upset X, with equality for a local
+    # table (the proof is in lift_nstar's docstring); NFrame also takes
+    # tables that are not local, and the lift can grow those
+    swept = 0
+    for n in range(4):
+        for p in enumerate_posets(n):
+            for t in enumerate_ntables(p):
+                lifted = lift_nstar(NFrame(p, t)).ntable
+                assert all(lifted[u] == t[u] for u in p.upsets()), (p, t)
+                swept += 1
+    assert swept == 1 + 4 + 46 + 1282
+    antichain = Poset(2, [1, 2])
+    assert lift_nstar(NFrame(antichain, (1, 1, 2, 2))).ntable == (1, 1, 3, 3)
+    rng = random.Random(54)
+    grown = 0
+    for _ in range(300):
+        g = _upset_valued_frame(rng, rng.randint(1, 3))
+        lifted = lift_nstar(g).ntable
+        assert all(g.ntable[u] & ~lifted[u] == 0 for u in g.poset.upsets())
+        grown += any(lifted[u] != g.ntable[u] for u in g.poset.upsets())
+    assert grown > 100, grown
+
+
 def test_translated_base_axiom_matches_the_proof_goal():
     goal = M("[](([]([]p <-> []q)) -> []([n][]p <-> [n][]q))")
     assert _box_conj_norm(godel_translate(AXIOM_N)) == _box_conj_norm(goal)
@@ -196,6 +232,72 @@ def test_translation_preservation_fuzz():
         val = {nm: rng.choice(upsets) for nm in names}
         f = random_formula(rng, names, 3)
         assert translation_preservation(NModel(g, val), f) is None
+
+
+def _composed_preservation(m, f):
+    """translation_preservation as the composition it was: f in the
+    model, the built translation in the lifted model."""
+    prop = eval_formula(m, f)
+    modal = ns4_eval(NS4Model(lift_nstar(m.frame), dict(m.valuation)), godel_translate(f))
+    diff = prop ^ modal
+    return None if diff == 0 else (diff & -diff).bit_length() - 1
+
+
+def _outcome(fn, *args):
+    try:
+        return ("ok", fn(*args))
+    except Exception as exc:  # noqa: BLE001 - the errors must match too
+        return ("err", type(exc).__name__, str(exc))
+
+
+def test_translation_preservation_matches_the_built_translation():
+    # lawful frames, where the two agree, and upset-valued tables that
+    # are rarely local, where the lift differs from the table and the
+    # translation can fail to preserve truth
+    rng = random.Random(55)
+    found = 0
+    for _ in range(1500):
+        n = rng.randint(1, 4)
+        g = random_nframe(rng, n) if rng.random() < 0.4 else _upset_valued_frame(rng, n)
+        names = ["p", "q"][: rng.randint(1, 2)]
+        ups = g.poset.upsets()
+        m = NModel(g, {nm: rng.choice(ups) for nm in names})
+        f = random_formula(rng, names, rng.randint(0, 3))
+        want = _composed_preservation(m, f)
+        assert translation_preservation(m, f) == want, (g, m.valuation, f)
+        found += want is not None
+    assert found > 50, found
+
+
+def test_translation_preservation_keeps_the_built_translations_answers_and_errors():
+    chain = Poset(2, [3, 2])
+    frame = NFrame(chain, (0, -1, 2, 2))
+    # a valuation changed after the model checked it: p holds at world 0
+    # only, not an upset; the translation reads []p, which is empty
+    m = NModel(frame, {"p": 3})
+    m.valuation["p"] = 1
+    assert translation_preservation(m, parse("p")) == 0 == _composed_preservation(m, parse("p"))
+    cases = [
+        (NModel(frame, {"p": 3}), parse("p -> q")),
+        (NModel(frame, {"p": 3}), M("[]p")),
+        (NModel(frame, {"p": 3}), M("F")),
+    ]
+    for mask in (4, -1):
+        bad = NModel(frame, {"p": 3, "q": 2})
+        bad.valuation["q"] = mask
+        cases += [(bad, parse("p")), (bad, parse("~q"))]
+    errors = set()
+    for model, f in cases:
+        want = _outcome(_composed_preservation, model, f)
+        assert _outcome(translation_preservation, model, f) == want, (model.valuation, f)
+        errors.add(want[1:])
+    assert errors == {
+        ("ValueError", "model does not value variable q"),
+        ("ValueError", "box in a propositional compilation"),
+        ("ValueError", "falsum in a propositional compilation"),
+        ("ValueError", "truth set of q out of range"),
+        ("IndexError", "tuple index out of range"),
+    }, errors
 
 
 def test_translation_gap_search_clean_on_small_frames():
