@@ -668,7 +668,9 @@ def general_algebraic_filtration(
     element whose meet with the antecedent falls inside the consequent;
     the negation collects every universe element below the ambient
     negation and falls back to the least universe element when nothing
-    qualifies.
+    qualifies. The algebra must satisfy the lattice laws
+    (check_nalgebra); then the arrow needs no fallback, as the least
+    universe element s has meet(x, s) <= s <= y and so qualifies.
     """
     sigma = frozenset(sigma)
     elements = sorted(set(carrier))
@@ -702,7 +704,7 @@ def general_algebraic_filtration(
             for s in elements:
                 if a.le(a.meet[x][s], y):
                     acc = s if acc is None else a.join[acc][s]
-            row.append(index[acc if acc is not None else least])
+            row.append(index[acc])
         imp_rows.append(tuple(row))
     neg_row = []
     for x in elements:

@@ -1256,18 +1256,25 @@ def _worlds(d: Mapping) -> int:
     if not isinstance(d, Mapping):
         raise ValueError("frame JSON must be an object")
     n = d["worlds"]
-    if not isinstance(n, int) or not 0 <= n <= _JSON_MAX_WORLDS:
+    if type(n) is not int or not 0 <= n <= _JSON_MAX_WORLDS:
         raise ValueError(f"worlds must be an integer from 0 to {_JSON_MAX_WORLDS}")
     return n
 
 
 def _int(raw: object, what: str) -> int:
-    """A JSON entry read through int(); anything int() cannot read
-    raises ValueError."""
+    """A JSON integer entry; anything else raises ValueError, a float
+    or a string, and also true and false, which Python counts as ints."""
+    if type(raw) is not int:
+        raise ValueError(f"{what} must be an integer")
+    return raw
+
+
+def _key(raw: object) -> int:
+    """An "N" key: JSON object keys are strings, read through int()."""
     try:
         return int(raw)
     except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"{what} must be an integer") from None
+        raise ValueError("N key must be an integer") from None
 
 
 def _ints(raw: object, what: str) -> tuple[int, ...]:
@@ -1284,7 +1291,7 @@ def _table_array(d: Mapping, n: int) -> tuple[int, ...]:
     raw = d.get("N")
     if not isinstance(raw, Mapping):
         raise ValueError("frame JSON needs an N table")
-    return _spread(n, {_int(k, "N key"): _int(v, "N value") for k, v in raw.items()})
+    return _spread(n, {_key(k): _int(v, "N value") for k, v in raw.items()})
 
 
 def _pairs(raw: object, what: str) -> list[tuple[int, int]]:

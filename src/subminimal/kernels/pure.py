@@ -480,74 +480,59 @@ def lift_table(n, up, upsets, ntable):
     return out
 
 
-def translation_gap(n, up, ntable, nstar, upsets, depth):
+def translation_gap(n, up, ntable, upsets, depth):
     """Search for a truth-set divergence between the two semantics.
 
     Pairs (prop truth set, modal truth set) start diagonal at every
     upset valuation and are closed under the connective actions for
     ``depth`` rounds; the prop side uses the Heyting arrow and the
     negation table, the modal side uses the boxed pointwise arrow and
-    the lifted table. Returns a packed non-diagonal pair
-    (left << n) | right as soon as one appears, else -1. The pairs are
-    checked round by round, each round's negations first in ascending
-    order of the pairs, then its combinations; a negation undefined on
-    a set raises ValueError there.
+    N*, the lift of the table (lift_table). Returns the first
+    non-diagonal pair as (left << n) | right, else -1; a negation
+    undefined on a set raises ValueError.
 
-    Precondition: ``upsets`` holds every upset of ``up``, which the
-    search reads through it alone.
+    Precondition: ``upsets`` holds every upset of ``up`` in ascending
+    order, and ``ntable`` is -1 off them, as NFrame keeps it.
 
-    The search keeps single masks and evaluates semi-naively:
+    One ascending pass over the upsets decides the closure:
 
-    * Only negation can leave the diagonal. For diagonal pairs (a, a)
-      and (b, b), meet and join are diagonal, and so is the arrow: w is
-      in himp(a, b) iff R(w) & a & ~b is empty iff R(w) lies in ~a | b
-      iff w is in box(~a | b), for any masks a, b. So while no witness
-      has appeared every pair is (x, x), and negation maps it to
-      (N(x), N*(x)), a witness exactly when N(x) != N*(x).
-    * The arrow adds nothing: a box is an upset, since R(v) lies in
-      R(w) for v in R(w), and every upset is there from the start. So
-      the combinations are meets and joins, and round 1 combines
-      nothing, as the upsets are closed under both.
-    * Let S_r be the sets at the start of round r and D_r the ones
-      round r - 1 added (D_1 = S_1, the upsets). Round r adds the
-      negations of S_r and the combinations of pairs from S_r. Those
-      of sets and pairs from S_r minus D_r = S_(r-1) were added by
-      round r - 1 already, so it suffices to negate D_r and to combine
-      the pairs with a member in D_r, and S_r is the set the plain
-      closure has at round r.
-    * The sets of S_r minus D_r had their negations checked and found
-      diagonal and defined in earlier rounds, so the first witness, or
-      the first undefined entry, among S_r in ascending order is the
-      first among D_r. The rounds stop early once one adds nothing.
+    1. Meet, join and the arrow keep diagonal pairs diagonal: w is in
+       himp(a, b) iff R(w) misses a & ~b iff w is in box(~a | b). Their
+       results are upsets, all present from the start, so only
+       negation adds a pair, and it sends (x, x) to (N(x), N*(x)).
+    2. Round 1 negates the upsets in ascending order, so the first
+       hole raises and the first difference is the witness, whichever
+       comes first.
+    3. Otherwise round 1 adds (v, v) for each value v = N(x) that is
+       not an upset. Round 2 negates before it combines, and N is -1
+       at those values, so it raises. If no value leaves the upsets,
+       no later round adds anything.
+
+    So for depth >= 1 the answer depends on depth only as 1 or >= 2.
     """
-    have = set(upsets)
-    new = sorted(have)
-    for r in range(depth):
-        added = set()
-        for x in new:
-            nx = ntable[x]
-            if nx < 0:
-                raise ValueError("negation escaped the upset domain")
-            if nx != nstar[x]:
-                return (nx << n) | nstar[x]
-            added.add(nx)
-        if r:
-            for a in new:
-                for b in have:
-                    added.add(a & b)
-                    added.add(a | b)
-        new = sorted(added - have)
-        if not new:
-            break
-        have.update(new)
+    if depth < 1:
+        return -1
+    nstar = lift_table(n, up, upsets, ntable)
+    for x in upsets:
+        nx = ntable[x]
+        if nx < 0:
+            raise ValueError("negation escaped the upset domain")
+        if nx != nstar[x]:
+            return (nx << n) | nstar[x]
+    # every upset has a value now, so a value v is off the upsets
+    # exactly when N(v) is -1
+    if depth > 1 and any(ntable[ntable[x]] < 0 for x in upsets):
+        raise ValueError("negation escaped the upset domain")
     return -1
 
 
-def _guard_sets(size, ntable, k):
-    """The guard sets the k-ary laws are checked at: the full set at
-    k = 0, and for k >= 1 the distinct table values in table order (a
-    -1 entry acts as the full set, as i & -1 == i), so that the kernels
-    stop at the first failing set.
+def _guard_sets(ntable, k):
+    """The guard sets the k-ary laws are checked at: none at k = 0,
+    whose one guard, the full set W, makes the identity read
+    N(x) & W == N(x & W) & W, that is N(x) == N(x), which cannot fail;
+    and for k >= 1 the distinct table values in table order (a -1 entry
+    acts as the full set, as i & -1 == i), so that the kernels stop at
+    the first failing set.
 
     The laws range over every intersection of k table values, repeats
     allowed, but for k >= 1 the values alone decide them. Write E(I)
@@ -563,7 +548,7 @@ def _guard_sets(size, ntable, k):
     so N(q) & I == N(q & I) & I. So the rule is the law, and rn_holds
     runs en_holds.
     """
-    return dict.fromkeys(ntable) if k else (size - 1,)
+    return dict.fromkeys(ntable) if k else ()
 
 
 def en_holds(n, ntable, k):
@@ -571,7 +556,7 @@ def en_holds(n, ntable, k):
     of the k framing sets and the argument set; every k >= 1 gives the
     answer of k = 1 (see _guard_sets)."""
     size = 1 << n
-    for inter in _guard_sets(size, ntable, k):
+    for inter in _guard_sets(ntable, k):
         for x in range(size):
             if ntable[x] & inter != ntable[x & inter] & inter:
                 return 0

@@ -238,7 +238,7 @@ def translation_preservation(m: NModel, f: Formula) -> int | None:
       for an upset V(p) that is V(p) itself;
     * T(a -> b) = [](Ta -> Tb) with the pointwise arrow, and box(~A | B)
       is the Heyting arrow of A and B for any masks (see
-      kernels.pure.translation_gap);
+      kernels.pure._eval);
     * T(~a) = [n]Ta holds on N*(Ta);
     * T(a & b) and T(a | b) are pointwise, and T keeps the constant T.
 
@@ -270,12 +270,15 @@ def translation_preservation(m: NModel, f: Formula) -> int | None:
 def translation_gap_search(fr: NFrame, depth: int) -> tuple[int, int] | None:
     """Search all value pairs reachable by formulas up to the given
     connective depth for a disagreement between the frame's semantics
-    and the lifted one; None certifies agreement at that depth for all
-    formulas over all valuations at once."""
+    and the lifted one (see kernels.pure.translation_gap).
+
+    None certifies agreement for all formulas of that depth over all
+    valuations at once. At depth 0 that is trivial; at every depth >= 1
+    it means N agrees with its lift on the upsets, which on a table
+    whose values are upsets is exactly the locality law (lift_nstar).
+    """
     p = fr.poset
-    upsets = list(p.upsets())
-    nstar = kernels.lift_table(p.n, p.up, upsets, fr.ntable)
-    code = kernels.translation_gap(p.n, p.up, fr.ntable, nstar, upsets, depth)
+    code = kernels.translation_gap(p.n, p.up, fr.ntable, list(p.upsets()), depth)
     if code < 0:
         return None
     return code >> p.n, code & ((1 << p.n) - 1)

@@ -471,6 +471,8 @@ def test_ns4_en_and_rn(capsys, tmp_path):
 ALGEBRA_FILTRATE = ["algebra", "filtrate", "--algebra", "-", "--sigma", "p", "--assign"]
 LAWLESS_CHAIN_ALGEBRA = copy.deepcopy(CHAIN_ALGEBRA)
 LAWLESS_CHAIN_ALGEBRA["meet"][1][2] = 0  # algebra check: top fails at [1]
+FLOAT_MEET_ALGEBRA = copy.deepcopy(CHAIN_ALGEBRA)
+FLOAT_MEET_ALGEBRA["meet"][2][2] = 2.0
 
 
 @pytest.mark.parametrize(
@@ -521,6 +523,29 @@ LAWLESS_CHAIN_ALGEBRA["meet"][1][2] = 0  # algebra check: top fails at [1]
             '{"worlds": 2, "rel": [], "N": {"0": 0, "1": 0, "2": 0, "3": 0, "4": 0}}',
         ),
         (["ns4", "rn", "--frame", "-", "-k", "1"], '{"worlds": 2, "N": {"0": 3, "1": 2, "2": 1}}'),
+        # a float or a boolean where a JSON integer belongs; read
+        # through int(), each would be a well-formed document
+        (["check-frame", "-"], '{"worlds": true, "N": {"0": 0, "1": 0}}'),
+        (["check-frame", "-"], '{"worlds": 2, "leq": [[0, 1]], "N": {"0": 2, "2": 2.9, "3": 2}}'),
+        (["check-frame", "-"], '{"worlds": 2, "leq": [[0, 1.7]], "N": {"0": 2, "2": 3, "3": 2}}'),
+        (
+            ["filtrate", "--model", "-", "--sigma", "p"],
+            '{"worlds": 1, "leq": [], "N": {"0": 0, "1": 0}, "valuation": {"p": true}}',
+        ),
+        (
+            ["ns4", "valid", "--frame", "-"],
+            '{"worlds": 2, "rel": [[0, 0], [1, true]], "N": {"0": 2, "1": 2, "2": 2, "3": 2}}',
+        ),
+        (["algebra", "check", "-"], json.dumps(dict(CHAIN_ALGEBRA, size=3.0))),
+        (["algebra", "check", "-"], json.dumps(dict(CHAIN_ALGEBRA, one=2.0))),
+        (["algebra", "check", "-"], json.dumps(dict(CHAIN_ALGEBRA, neg=[1, 2.0, 1]))),
+        (["algebra", "check", "-"], json.dumps(FLOAT_MEET_ALGEBRA)),
+        (ALGEBRA_FILTRATE + ['{"p": true}'], json.dumps(CHAIN_ALGEBRA)),
+        (
+            ["ns4", "check-proof", "-", "--system", "ns4"],
+            '[{"formula": "p -> p", "rule": "taut", "refs": []},'
+            ' {"formula": "[](p -> p)", "rule": "Nec", "refs": [0.0]}]',
+        ),
     ],
     ids=[
         "check-frame",
@@ -547,6 +572,17 @@ LAWLESS_CHAIN_ALGEBRA["meet"][1][2] = 0  # algebra check: top fails at [1]
         "algebra-dual-N-value-out-of-range",
         "ns4-valid-N-key-out-of-range",
         "ns4-rn-N-misses-subset",
+        "check-frame-worlds-bool",
+        "check-frame-N-value-float",
+        "check-frame-leq-float",
+        "filtrate-valuation-bool",
+        "ns4-valid-rel-bool",
+        "algebra-check-size-float",
+        "algebra-check-one-float",
+        "algebra-check-neg-float",
+        "algebra-check-meet-float",
+        "algebra-filtrate-assign-bool",
+        "ns4-check-proof-refs-float",
     ],
 )
 def test_malformed_json_shape_exits_2(capsys, monkeypatch, argv, text):

@@ -14,6 +14,7 @@ from subminimal.frames import (
     Poset,
     _subfamilies,
     _trace_tables,
+    check_nframe,
     enumerate_ntables,
     enumerate_posets,
     eval_formula,
@@ -308,6 +309,24 @@ def test_translation_gap_search_clean_on_small_frames():
     rng = random.Random(53)
     for _ in range(50):
         assert translation_gap_search(random_nframe(rng, 3), 3) is None
+
+
+def test_translation_gap_search_finds_no_gap_exactly_on_local_tables():
+    # on upset-valued tables the gap search settles at its first round,
+    # where N meets its lift on the upsets: None exactly when the
+    # locality law holds (translation_gap_search's docstring)
+    rng = random.Random(55)
+    seen = {True: 0, False: 0}
+    for _ in range(2000):
+        n = rng.randint(0, 4)
+        if rng.random() < 0.5:
+            fr = random_nframe(rng, n)
+        else:
+            fr = _upset_valued_frame(rng, n)
+        local = check_nframe(fr.poset, fr.ntable) is None
+        assert (translation_gap_search(fr, 3) is None) == local, fr
+        seen[local] += 1
+    assert min(seen.values()) >= 500, seen
 
 
 def test_en_matches_rn_on_all_two_world_tables():
