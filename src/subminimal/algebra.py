@@ -46,6 +46,7 @@ from subminimal.frames import (
     poset_from_dict,
     poset_isomorphisms,
     poset_to_dict,
+    truth_sets,
 )
 from subminimal.syntax import (
     And,
@@ -671,6 +672,7 @@ def general_algebraic_filtration(
     qualifies. The algebra must satisfy the lattice laws
     (check_nalgebra); then the arrow needs no fallback, as the least
     universe element s has meet(x, s) <= s <= y and so qualifies.
+    Tables where no universe element qualifies raise ValueError.
     """
     sigma = frozenset(sigma)
     elements = sorted(set(carrier))
@@ -704,6 +706,10 @@ def general_algebraic_filtration(
             for s in elements:
                 if a.le(a.meet[x][s], y):
                     acc = s if acc is None else a.join[acc][s]
+            if acc is None:
+                raise ValueError(
+                    f"the tables are not a lattice: no universe element s has meet({x}, s) <= {y}"
+                )
             row.append(index[acc])
         imp_rows.append(tuple(row))
     neg_row = []
@@ -743,22 +749,37 @@ def least_filtration_correspondence(
     the hat of its assigned element; the greatest filtration of that
     model through Sigma must order classes exactly as inclusion of
     filter traces on the sublattice the Sigma values generate, the
-    universe of sublattice_filtration.
+    universe of sublattice_filtration. No quotient is built: the
+    worlds' signatures are compared with their traces, with the answer
+    and every error of reading the order of greatest_filtration, since
+    (a) the dual's table is upset-valued on every algebra: if filter i
+        is included in filter j and i is in N(u) through x (neg[x] in
+        F_i, R(i) & u == R(i) & hat(x)), then neg[x] is in F_j, and R(j)
+        within R(i) gives R(j) & u == R(j) & hat(x): j is in N(u);
+    (b) so every Sigma truth set is an upset, as the hats are, and
+        signatures grow along the order: a quotient upset has an upset
+        as preimage, so no class bound meets an undefined entry and the
+        projected valuation holds quotient upsets; greatest_filtration
+        returns once truth_sets does;
+    (c) it orders class c below class d exactly when sigs[c] is
+        included in sigs[d], so pi[i] <= pi[j] iff sig[i] <= sig[j].
+    The errors come in greatest_filtration's order: the Sigma values,
+    their closure, the dual, the check that Sigma is subformula-closed,
+    after which its Var members are all the variables it holds.
     """
-    from subminimal.filtration import greatest_filtration
+    from subminimal.filtration import _require_closed, _signatures
 
     sigma = frozenset(sigma)
     carrier = sum(1 << x for x in _lattice_closure(a, {algebra_eval(a, mu, f) for f in sigma}))
     filters, hats, tf = a._duality
-    names = sorted({v for f in sigma for v in variables(f)})
-    valuation = {name: hats[mu[name]] for name in names}
-    model = NModel(tf.to_nframe(), valuation)
-    g = greatest_filtration(model, sigma)
-    qposet = g.quotient.frame.poset
+    _require_closed(sigma)
+    valuation = {f.name: hats[mu[f.name]] for f in sigma if isinstance(f, Var)}
+    order = tuple(sigma)
+    sig = _signatures(truth_sets(NModel(tf.to_nframe(), valuation), order), order, tf.n)
     traces = [f & carrier for f in filters]
-    for i, trace_i in enumerate(traces):
-        for j, trace_j in enumerate(traces):
-            if qposet.le(g.pi[i], g.pi[j]) != (trace_i & ~trace_j == 0):
+    for sig_i, trace_i in zip(sig, traces):
+        for sig_j, trace_j in zip(sig, traces):
+            if (sig_i & ~sig_j == 0) != (trace_i & ~trace_j == 0):
                 return False
     return True
 

@@ -11,6 +11,12 @@ emits the minimal parenthesisation, so parse(show(f)) == f for every
 formula, while show(parse(s)) == s only for inputs that already use
 minimal parentheses and no <->.
 
+The parser splits the text with one regex findall, finds token
+positions only to report an error, and reads the tokens by precedence
+climbing: two Python frames per parenthesis, one per prefix operator.
+A parse shares one Var per name, which changes no ==, hash or show
+result, and a pickled formula loads equal.
+
 Nodes are frozen dataclasses that hash once: the first hash of a node
 computes the dataclass value, the hash of the tuple of its fields, and
 keeps it in a slot, so sets and dicts of formulas iterate in the same
@@ -197,108 +203,75 @@ def _wrap(formula: Formula, level: int, strict: bool) -> str:
 # --------------------------------------------------------------------------
 # parsing
 
-_TOKEN_RE = re.compile(
-    r"(?P<iff><->)|(?P<imp>->)|(?P<and>&)|(?P<or>\|)|(?P<not>~)"
-    r"|(?P<bbox>\[n\])|(?P<box>\[\])|(?P<lp>\()|(?P<rp>\))"
-    r"|(?P<top>T\b)|(?P<bot>F\b)|(?P<atom>[a-z][a-zA-Z0-9_]*)"
-)
+# group 1 holds the tokens of the grammar; any other run of word
+# characters, or other non-space character, reads as the empty string
+_TOKEN_RE = re.compile(r"(<->|->|\[n\]|\[\]|T\b|F\b|[a-z][a-zA-Z0-9_]*|[&|~()])|\w+|\S")
 
-_WS_RE = re.compile(r"\s*")
-
-
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    while True:
-        pos = _WS_RE.match(text, pos).end()
-        if pos == len(text):
-            break
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError("unexpected character", pos)
-        tokens.append((m.lastgroup, m.group(), pos))
-        pos = m.end()
-    tokens.append(("end", "", len(text)))
-    return tokens
+# infix operator: its binding power, the floor of its right operand
+# (its own power for the right-associative <-> and ->), its node
+_INFIX = {"->": (1, 1, Imp), "|": (2, 3, Or), "&": (3, 4, And)}
+_INFIX["<->"] = (0, 0, lambda left, right: And(Imp(left, right), Imp(right, left)))
 
 
 class _Parser:
-    def __init__(self, tokens: list[tuple[str, str, int]], modal: bool):
+    """Precedence climbing over the tokens, kept reversed behind an
+    empty end marker so that the next token is tokens[-1]."""
+
+    __slots__ = ("text", "tokens", "count", "modal", "names")
+
+    def __init__(self, text: str, tokens: list[str], modal: bool):
+        self.text, self.count, self.modal = text, len(tokens), modal
+        tokens.append("")
+        tokens.reverse()
         self.tokens = tokens
-        self.i = 0
-        self.modal = modal
+        self.names: dict[str, Var] = {}
 
-    def peek(self) -> str:
-        return self.tokens[self.i][0]
+    def fail(self, message: str, taken: bool = False) -> ParseError:
+        """The error at the next token, or at the one just taken."""
+        return _error(self.text, self.count + 1 - len(self.tokens) - taken, message)
 
-    def take(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def fail(self, message: str) -> ParseError:
-        return ParseError(message, self.tokens[self.i][2])
-
-    def iff(self) -> Formula:
-        left = self.imp()
-        if self.peek() == "iff":
-            self.take()
-            right = self.iff()
-            return And(Imp(left, right), Imp(right, left))
-        return left
-
-    def imp(self) -> Formula:
-        left = self.disj()
-        if self.peek() == "imp":
-            self.take()
-            return Imp(left, self.imp())
-        return left
-
-    def disj(self) -> Formula:
-        out = self.conj()
-        while self.peek() == "or":
-            self.take()
-            out = Or(out, self.conj())
-        return out
-
-    def conj(self) -> Formula:
-        out = self.unary()
-        while self.peek() == "and":
-            self.take()
-            out = And(out, self.unary())
-        return out
+    def expr(self, floor: int) -> Formula:
+        left = self.unary()
+        tokens = self.tokens
+        while True:
+            op = _INFIX.get(tokens[-1])
+            if op is None or op[0] < floor:
+                return left
+            tokens.pop()
+            left = op[2](left, self.expr(op[1]))
 
     def unary(self) -> Formula:
-        kind = self.peek()
-        if kind == "not":
-            self.take()
+        tok = self.tokens.pop()
+        if "a" <= tok < "{":  # an atom: "{" follows "z"
+            var = self.names.get(tok)
+            if var is None:
+                var = self.names[tok] = Var(tok)
+            return var
+        if tok == "(":
+            inner = self.expr(0)
+            if self.tokens.pop() != ")":
+                raise self.fail("expected closing parenthesis", True)
+            return inner
+        if tok == "~":
             sub = self.unary()
             return Imp(sub, Bot()) if self.modal else Neg(sub)
-        if kind in ("box", "bbox"):
-            if not self.modal:
-                raise self.fail("modal operator outside the modal language")
-            self.take()
-            sub = self.unary()
-            return Box(sub) if kind == "box" else BBox(sub)
-        return self.atom()
-
-    def atom(self) -> Formula:
-        kind, text, pos = self.take()
-        if kind == "atom":
-            return Var(text)
-        if kind == "top":
+        if tok == "T":
             return Top()
-        if kind == "bot":
+        if tok == "F" or tok == "[]" or tok == "[n]":
             if not self.modal:
-                raise ParseError("falsum outside the modal language", pos)
-            return Bot()
-        if kind == "lp":
-            inner = self.iff()
-            kind2, _, pos2 = self.take()
-            if kind2 != "rp":
-                raise ParseError("expected closing parenthesis", pos2)
-            return inner
-        raise ParseError("expected a formula", pos)
+                what = "falsum" if tok == "F" else "modal operator"
+                raise self.fail(f"{what} outside the modal language", True)
+            if tok == "F":
+                return Bot()
+            sub = self.unary()
+            return Box(sub) if tok == "[]" else BBox(sub)
+        raise self.fail("expected a formula", True)
+
+
+def _error(text: str, index: int, message: str) -> ParseError:
+    """ParseError at the index-th token, the end of the text past the last."""
+    starts = [m.start() for m in _TOKEN_RE.finditer(text)]
+    return ParseError(message, starts[index] if index < len(starts) else len(text))
 
 
 def parse(text: str, language: str = "prop") -> Formula:
@@ -309,9 +282,12 @@ def parse(text: str, language: str = "prop") -> Formula:
     """
     if language not in ("prop", "modal"):
         raise ValueError(f"unknown language: {language!r}")
-    parser = _Parser(_tokenize(text), modal=language == "modal")
-    formula = parser.iff()
-    if parser.peek() != "end":
+    tokens = _TOKEN_RE.findall(text)
+    if "" in tokens:
+        raise _error(text, tokens.index(""), "unexpected character")
+    parser = _Parser(text, tokens, language == "modal")
+    formula = parser.expr(0)
+    if parser.tokens[-1]:
         raise parser.fail("trailing input")
     return formula
 

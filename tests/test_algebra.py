@@ -8,6 +8,7 @@ import pytest
 import algebra_reference as reference
 from frame_helpers import element_hat
 from subminimal.algebra import (
+    AlgebraicFiltration,
     NAlgebra,
     TopFrame,
     _round_trip,
@@ -33,9 +34,10 @@ from subminimal.algebra import (
     topframe_to_dict,
     upset_algebra,
 )
-from subminimal.filtration import close_sigma
+from subminimal.filtration import close_sigma, greatest_filtration
 from subminimal.frames import (
     NFrame,
+    NModel,
     Poset,
     check_nframe,
     enumerate_ntables,
@@ -43,8 +45,9 @@ from subminimal.frames import (
     ntable_from_upset_map,
     random_nframe,
     random_ntable,
+    truth_sets,
 )
-from subminimal.syntax import And, Box, Neg, Var, parse, random_formula
+from subminimal.syntax import And, Box, Neg, Var, parse, random_formula, variables
 
 CHAIN = Poset.from_pairs(2, [(0, 1)])
 CHAIN_FRAME = NFrame(CHAIN, ntable_from_upset_map(CHAIN, {0: 0, 2: 2, 3: 2}))
@@ -283,6 +286,41 @@ def test_general_filtration_rejects_bad_universe():
     sigma = close_sigma([parse("p & q"), parse("~p")])
     with pytest.raises(ValueError, match="universe misses the top"):
         general_algebraic_filtration(ALG, {"p": 1, "q": 2}, sigma, [0])
+
+
+def test_general_filtration_refuses_tables_that_are_no_lattice():
+    # every two-element meet table beside the chain's join, arrow and
+    # negation: where no universe element qualifies for some arrow the
+    # tables are not a lattice; the rest keep their filtration
+    join, imp, neg = ((0, 1), (1, 1)), ((1, 0), (1, 1)), (1, 0)
+    kept = {
+        (0, 0, 0, 0): (((1, 1), (1, 1)), (0, 0)),
+        (0, 0, 0, 1): (((1, 1), (0, 1)), (1, 0)),
+        (0, 0, 1, 0): (((1, 1), (1, 1)), (0, 1)),
+        (0, 0, 1, 1): (((1, 1), (1, 1)), (1, 1)),
+        (0, 1, 0, 1): (((0, 1), (0, 1)), (1, 0)),
+        (0, 1, 1, 1): (((1, 1), (1, 1)), (1, 1)),
+        (1, 0, 1, 0): (((0, 1), (0, 1)), (0, 1)),
+        (1, 0, 1, 1): (((0, 1), (1, 1)), (1, 1)),
+        (1, 1, 1, 1): (((1, 1), (1, 1)), (1, 1)),
+    }
+    refused = 0
+    for cells in itertools.product((0, 1), repeat=4):
+        meet = (cells[:2], cells[2:])
+        a = NAlgebra(2, meet, join, imp, neg, 1)
+        mu, sigma = {"p": 0}, [Var("p")]
+        if cells in kept:
+            small_imp, small_neg = kept[cells]
+            want = AlgebraicFiltration(NAlgebra(2, meet, join, small_imp, small_neg, 1), mu, (0, 1))
+            assert general_algebraic_filtration(a, mu, sigma, [0, 1]) == want
+            assert sublattice_filtration(a, mu, sigma) == want
+        else:
+            refused += 1
+            with pytest.raises(ValueError, match="the tables are not a lattice"):
+                general_algebraic_filtration(a, mu, sigma, [0, 1])
+            with pytest.raises(ValueError, match="the tables are not a lattice"):
+                sublattice_filtration(a, mu, sigma)
+    assert refused == 7
 
 
 def test_least_filtration_correspondence_samples():
@@ -586,7 +624,11 @@ def _duality_outcomes(a, mu, sigma, reverse=False):
     return [call() for call in calls]
 
 
-def test_duality_matches_the_reference():
+def _duality_cases():
+    """The top frames on up to 3 worlds, and the inputs of the duality
+    differential: the corpus, the top frames' algebras, 300 random
+    upset algebras, M3, N5 and 5,000 corruptions of the lawful ones,
+    each with a seeded assignment and Sigma."""
     rng = random.Random(17)
     corpus = list(algebra_corpus(3))
     assert len(corpus) == 271
@@ -598,16 +640,23 @@ def test_duality_matches_the_reference():
         for tf in enumerate_topframes(p)
     ]
     assert len(topframes) == 147
-    for tf in topframes:
-        assert _result(duality_check, tf) == _result(reference.duality_check, tf)
     tops = [reference.admissible_algebra(tf) for tf in topframes]
     upsets = _random_upset_algebras(rng, 300)
     bases = corpus + tops + upsets
     corrupted = _corruptions(rng, bases, 4_000) + _corruptions(rng, bases, 1_000, mirror=True)
-    seen = {}
+    cases = []
     for a in bases + [M3, N5] + corrupted:
         mu = {"p": rng.randrange(a.size), "q": rng.randrange(a.size)}
-        sigma = rng.choice(SIGMAS)
+        cases.append((a, mu, rng.choice(SIGMAS)))
+    return topframes, cases
+
+
+def test_duality_matches_the_reference():
+    topframes, cases = _duality_cases()
+    for tf in topframes:
+        assert _result(duality_check, tf) == _result(reference.duality_check, tf)
+    seen = {}
+    for a, mu, sigma in cases:
         want = [
             _result(reference.duality_check, a),
             _result(lambda: reference.dual_frame(a).ntable),
@@ -622,6 +671,33 @@ def test_duality_matches_the_reference():
             key = kind if kind != "ok" or not isinstance(value, bool) else value
             seen[key] = seen.get(key, 0) + 1
     assert seen[True] and seen[False] and seen["RuntimeError"] and seen["ValueError"]
+
+
+def test_signatures_order_the_greatest_filtration_of_the_dual():
+    # the lemma least_filtration_correspondence rests on: every dual
+    # table is upset-valued, so on the dual model greatest_filtration
+    # returns whenever the truth sets do, ordered by signature inclusion
+    _, cases = _duality_cases()
+    built = 0
+    for a, mu, sigma in cases:
+        a = _replace(a)
+        try:
+            _, hats, tf = a._duality
+        except (RuntimeError, ValueError):
+            continue
+        built += 1
+        upsets = set(tf.poset.upsets())
+        assert all(tf.ntable[u] in upsets for u in tf.admissible()), a
+        names = sorted({v for f in sigma for v in variables(f)})
+        model = NModel(tf.to_nframe(), {name: hats[mu[name]] for name in names})
+        truth = truth_sets(model, sigma)
+        g = greatest_filtration(model, sigma)
+        qposet = g.quotient.frame.poset
+        for i in range(tf.n):
+            for j in range(tf.n):
+                included = all(truth[f] >> j & 1 for f in sigma if truth[f] >> i & 1)
+                assert qposet.le(g.pi[i], g.pi[j]) == included, a
+    assert built == 4464
 
 
 def test_round_trip_sees_a_tampered_dual():

@@ -11,6 +11,7 @@ import sys
 import pytest
 
 import subminimal
+import syntax_reference
 from subminimal.syntax import (
     AXIOM_COPC,
     AXIOM_MPC,
@@ -108,6 +109,58 @@ def test_parse_error_positions():
         parse("(p -> q")
     with pytest.raises(ParseError):
         parse("p -> $")
+
+
+# the token alphabet, spaces of several kinds and near misses: word
+# characters no token takes, T before a word character, a box with a
+# space inside and arrows cut short
+FUZZ_PIECES = [
+    "p", "q", "r1", "x_y", "pT", "T", "F", "~", "&", "|", "->", "<->", "[]", "[n]", "(", ")",
+    " ", "\t", "\n", "\u2003", "Té", "pé", "_p", "1p", "[ ]", "<-", "-", "[", "]", "n", "é", "$",
+]
+
+
+def _parsed(parser, text, language):
+    """The tree parsed, or the error as type, message and position."""
+    try:
+        return ("ok", parser(text, language))
+    except ParseError as exc:
+        return ("ParseError", exc.message, exc.position, str(exc))
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+def test_parse_matches_the_reference_parser():
+    rng = random.Random(25)
+    texts = []
+    for _ in range(3_000):
+        texts.append("".join(rng.choice(FUZZ_PIECES) for _ in range(rng.randrange(10))))
+        text = show(random_formula(rng, ["p", "q"], rng.randrange(5), rng.choice(["prop", "modal"])))
+        k = rng.randrange(len(text) + 1)
+        texts += [text, text[:k] + rng.choice(FUZZ_PIECES) + text[k + rng.randrange(2) :]]
+    messages = set()
+    for text in texts:
+        for language in ("prop", "modal", "classical"):
+            got = _parsed(parse, text, language)
+            assert got == _parsed(syntax_reference.parse, text, language), (text, language)
+            if got[0] == "ParseError":
+                messages.add(got[1])
+    assert messages == {
+        "unexpected character",
+        "expected a formula",
+        "expected closing parenthesis",
+        "trailing input",
+        "modal operator outside the modal language",
+        "falsum outside the modal language",
+    }
+
+
+def test_parse_shares_one_var_per_name():
+    f = parse("p & q -> p | ~q")
+    assert f.left.left is f.right.left and f.left.right is f.right.right.sub
+    assert f == Imp(And(Var("p"), Var("q")), Or(Var("p"), Neg(Var("q"))))
+    assert pickle.loads(pickle.dumps(f)) == f and show(f) == "p & q -> p | ~q"
+    assert parse("p").name == "p" and parse("p") is not parse("p")
 
 
 def test_parse_rejects_unknown_language():
