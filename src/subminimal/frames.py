@@ -41,6 +41,14 @@ the rooted 5-world ones alone hold 62,058 tables (about 18 MiB), and
 their column masks live one block at a time; the search builds no
 class past SEARCH_MAX_WORLDS worlds.
 
+Posets of at most DEFAULT_MAX_WORLDS worlds are kept as well, one
+object per (n, cones), for the life of the process: all 243 labeled
+posets up to 4 worlds fit in that memo (1 + 1 + 3 + 19 + 219). A kept
+poset holds its down sets and its upsets, so every frame, model and top
+frame built again on it reads them instead of recomputing them, and
+its cones hold the set-up the positive-morphism kernel derives from
+them (``_Cones``).
+
 No closure on a per-call path names itself. A closure that calls itself
 is a reference cycle, which would leave the call's memo, its nodes and
 the formula tree to the cyclic garbage collector; the truth walk is a
@@ -144,17 +152,43 @@ def _antisymmetric(up: Sequence[int]) -> bool:
     return len(set(up)) == len(up)
 
 
+class _Cones(tuple):
+    """A poset's cone masks. Its instance dict keeps what a kernel
+    derives from the cones alone, such as the set-up of
+    kernels.search_positive_morphism, for the life of the poset (see
+    kernels.pure._kept)."""
+
+
+# the posets of at most DEFAULT_MAX_WORLDS worlds, one per (n, cones)
+_POSETS: dict[tuple[int, tuple[int, ...]], "Poset"] = {}
+
+
 class Poset:
     """A finite partial order on worlds 0..n-1.
 
     ``up[w]`` and ``down[w]`` are the principal upset and downset of w
     as masks, reflexive by convention. Equality and hashing go through
     (n, up), so posets can key caches and sets.
+
+    A poset of at most DEFAULT_MAX_WORLDS worlds is built once per
+    (n, tuple(up)) and kept for the life of the process, with its down
+    sets, its upsets and its kernels' set-up: there are 243 of them up
+    to 4 worlds. An input that fails the checks is never kept, so it
+    raises on every call. Pickling and copying go through (n, up), so a
+    small poset comes back as the kept object.
     """
 
     __slots__ = ("n", "up", "down", "_upsets")
 
-    def __init__(self, n: int, up: Sequence[int]):
+    def __new__(cls, n: int, up: Sequence[int]) -> "Poset":
+        try:
+            key = (n, tuple(up))
+            kept = _POSETS.get(key)
+        except TypeError:
+            # unhashable cones: let the checks below name the fault
+            key = kept = None
+        if kept is not None:
+            return kept
         if n < 0:
             raise ValueError("world count must be nonnegative")
         _check_preorder(n, up)
@@ -167,10 +201,17 @@ class Poset:
                 v = (cone & -cone).bit_length() - 1
                 cone &= cone - 1
                 down[v] |= bit
+        self = super().__new__(cls)
         self.n = n
-        self.up = tuple(up)
+        self.up = _Cones(up)
         self.down = tuple(down)
         self._upsets: tuple[int, ...] | None = None
+        if key is not None and n <= DEFAULT_MAX_WORLDS:
+            _POSETS[key] = self
+        return self
+
+    def __reduce__(self) -> tuple:
+        return Poset, (self.n, tuple(self.up))
 
     @classmethod
     def from_pairs(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "Poset":
@@ -357,9 +398,6 @@ class NModel:
         for name, mask in self.valuation.items():
             if mask not in upsets:
                 raise ValueError(f"valuation of {name} is not an upset")
-
-    def val(self, name: str) -> int:
-        return self.valuation[name]
 
     @functools.cached_property
     def _reads(self) -> dict:
@@ -1021,7 +1059,8 @@ def _least_in_orbit(
     return True
 
 
-# Poset classes of at most this many worlds keep their tables for the
+# Poset classes of at most this many worlds keep their tables, and
+# posets of at most this many worlds are kept once per value, for the
 # life of the process; it is also the default bound of ``decide``. A
 # search fills the memo for the rooted classes only (1,702 tables for
 # N), the frame stream adds N's tables of the others (4,501 in all).

@@ -31,6 +31,14 @@ one NS4 axiom check after another on 3-world frames, does not rebuild
 them. An entry holds at most _BLOCK values, so it stays under about
 0.16 MiB even at 20 worlds and takes a few KiB up to 5 (see _layout).
 
+The positive-morphism search derives its set-up from one poset at a
+time: the target's allowed values, the source's strict cones and
+visiting order, and the source's candidate domains for each spare
+world count. _kept keeps each in the instance dict of the cones it
+came from when they have one, as a Poset's cones do, so the entries
+live exactly as long as the poset and need no bound of their own;
+plain tuples and lists build the set-up per call.
+
 No closure here names itself: the recursive searches are module-level
 functions that take their state as arguments. A closure that calls
 itself is a reference cycle, and each call would leave its state to
@@ -456,6 +464,24 @@ def ns4_table_violation(n, up, ntable):
     return -1
 
 
+def _cuts(n, up, upsets, ntable):
+    """Per world w: its cone, its bit, and the cuts Y & R(w) of the
+    upsets Y with w in N(Y); a -1 entry puts every world in N(Y)."""
+    return [
+        (up[w], 1 << w, {y & up[w] for y in upsets if (ntable[y] >> w) & 1})
+        for w in range(n)
+    ]
+
+
+def _lift_at(cuts, x):
+    """The lifted value at x: the worlds w whose cut holds x & R(w)."""
+    m = 0
+    for cone, bit, cut in cuts:
+        if x & cone in cut:
+            m |= bit
+    return m
+
+
 def lift_table(n, up, upsets, ntable):
     """Extend an upset-indexed table to all subsets.
 
@@ -466,18 +492,8 @@ def lift_table(n, up, upsets, ntable):
     The cuts Y & R(w) of the upsets Y with w in N(Y) are collected once
     per world, so each X costs one set lookup per world.
     """
-    cuts = [
-        (up[w], 1 << w, {y & up[w] for y in upsets if (ntable[y] >> w) & 1})
-        for w in range(n)
-    ]
-    out = []
-    for x in range(1 << n):
-        m = 0
-        for cone, bit, cut in cuts:
-            if x & cone in cut:
-                m |= bit
-        out.append(m)
-    return out
+    cuts = _cuts(n, up, upsets, ntable)
+    return [_lift_at(cuts, x) for x in range(1 << n)]
 
 
 def translation_gap(n, up, ntable, upsets, depth):
@@ -509,16 +525,20 @@ def translation_gap(n, up, ntable, upsets, depth):
        no later round adds anything.
 
     So for depth >= 1 the answer depends on depth only as 1 or >= 2.
+    The pass reads N* at the upsets alone, so it lifts the table there
+    only, from the cuts lift_table collects, and never at the other
+    subsets.
     """
     if depth < 1:
         return -1
-    nstar = lift_table(n, up, upsets, ntable)
+    cuts = _cuts(n, up, upsets, ntable)
     for x in upsets:
         nx = ntable[x]
         if nx < 0:
             raise ValueError("negation escaped the upset domain")
-        if nx != nstar[x]:
-            return (nx << n) | nstar[x]
+        star = _lift_at(cuts, x)
+        if nx != star:
+            return (nx << n) | star
     # every upset has a value now, so a value v is off the upsets
     # exactly when N(v) is -1
     if depth > 1 and any(ntable[ntable[x]] < 0 for x in upsets):
@@ -637,28 +657,18 @@ def search_positive_morphism(nt, t_up, ns, s_up):
     earlier worlds fixed and this one pinned to c exists; only c below
     g(w) needs a search. Each step keeps a morphism with the fixed
     prefix and rules out every smaller value at its world.
+
+    The allowed values depend on the target alone, the strict cones
+    and the visiting order on the source alone, and the domains on the
+    source and ns - nt alone, so all three are kept with a poset's
+    cones (see _kept).
     """
     if ns < nt:
         return None
     full_t = (1 << nt) - 1
-    allowed = {}
-    for c in range(nt):
-        for key in (t_up[c], t_up[c] & ~(1 << c)):
-            allowed[key] = allowed.get(key, 0) | 1 << c
-    # the domains of at least nt worlds are the complements of the
-    # source upsets of at most ns - nt worlds, grown a world at a time
-    above = [s_up[w] & ~(1 << w) for w in range(ns)]
-    cut = {0}
-    grown = [0]
-    for u in grown:
-        if u.bit_count() < ns - nt:
-            for w in range(ns):
-                v = u | (1 << w)
-                if v != u and above[w] & ~u == 0 and v not in cut:
-                    cut.add(v)
-                    grown.append(v)
-    by_cone = sorted(range(ns), key=lambda w: s_up[w].bit_count())
-    for dom in sorted(((1 << ns) - 1) ^ u for u in cut):
+    allowed = _kept(t_up, _allowed, nt)
+    above, by_cone = _kept(s_up, _strict, ns)
+    for dom in _kept(s_up, _domains, ns, ns - nt):
         order = [w for w in by_cone if (dom >> w) & 1]
         pins = [full_t] * ns
         f = [-1] * ns
@@ -673,6 +683,55 @@ def search_positive_morphism(nt, t_up, ns, s_up):
                 pins[w] = 1 << best[w]
             return dom, best
     return None
+
+
+def _kept(up, build, *args):
+    """build(up, *args), kept in the instance dict of ``up`` when it
+    has one, as a Poset's cones (frames._Cones) do, so a search on that
+    poset builds it once; plain tuples and lists build it per call. The
+    key holds build and args, so no entry is read for other sizes."""
+    memo = getattr(up, "__dict__", None)
+    if memo is None:
+        return build(up, *args)
+    key = (build, *args)
+    out = memo.get(key)
+    if out is None:
+        out = memo[key] = build(up, *args)
+    return out
+
+
+def _allowed(t_up, nt):
+    """The target's allowed values: t_up[c] and t_up[c] minus c, each
+    mapped to the mask of the c it allows."""
+    allowed = {}
+    for c in range(nt):
+        for key in (t_up[c], t_up[c] & ~(1 << c)):
+            allowed[key] = allowed.get(key, 0) | 1 << c
+    return allowed
+
+
+def _strict(s_up, ns):
+    """The source's strict cones, and its worlds in ascending cone
+    size."""
+    above = [s_up[w] & ~(1 << w) for w in range(ns)]
+    return above, sorted(range(ns), key=lambda w: s_up[w].bit_count())
+
+
+def _domains(s_up, ns, spare):
+    """The source's downward-closed domains of at least ns - spare
+    worlds, in ascending mask order: the complements of its upsets of
+    at most spare worlds, grown a world at a time."""
+    above = _kept(s_up, _strict, ns)[0]
+    cut = {0}
+    grown = [0]
+    for u in grown:
+        if u.bit_count() < spare:
+            for w in range(ns):
+                v = u | (1 << w)
+                if v != u and above[w] & ~u == 0 and v not in cut:
+                    cut.add(v)
+                    grown.append(v)
+    return tuple(sorted(((1 << ns) - 1) ^ u for u in cut))
 
 
 def _positive_from(i, covered, f, order, above, dom, allowed, pins, full_t):

@@ -10,14 +10,21 @@ the plain system, contraposition for the antitone one.
 
 Tables are dense tuples of length 2^n, so everything here is for
 desk-scale frames. The k-premise replacement rule and the k-ary
-intersection law are one condition on a table (the proof is in
-``kernels.pure._guard_sets``), so ``rn_validity`` runs the check of
-``en_check``.
+intersection law are one condition on a table, and every arity k >= 1
+gives the answer of k = 1 (the proofs are in
+``kernels.pure._guard_sets``). So ``en_check`` and ``rn_validity``
+answer k = 0 without a scan and every other arity from one scan at
+k = 1, kept on the frame.
+
+The translation gap reads the lift of a frame's table at the upsets
+alone; the preservation check reads the whole lift
+(``kernels.lift_table``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Mapping, Sequence
 
 from subminimal import kernels
@@ -220,7 +227,7 @@ def lift_nstar(fr: NFrame) -> NS4Frame:
     (1, 1, 3, 3).
     """
     p = fr.poset
-    lifted = kernels.lift_table(p.n, p.up, list(p.upsets()), fr.ntable)
+    lifted = kernels.lift_table(p.n, p.up, p.upsets(), fr.ntable)
     return NS4Frame(p.n, p.up, tuple(lifted))
 
 
@@ -260,7 +267,7 @@ def translation_preservation(m: NModel, f: Formula) -> int | None:
         if mask < 0 or mask & ~full:
             raise ValueError(f"truth set of {name} out of range")
         boxed[name] = _imp_mask(p, full, mask)
-    nstar = kernels.lift_table(p.n, p.up, list(p.upsets()), m.frame.ntable)
+    nstar = kernels.lift_table(p.n, p.up, p.upsets(), m.frame.ntable)
     diff = prop ^ _TruthWalker(p, nstar, boxed).value(f)
     if diff == 0:
         return None
@@ -278,7 +285,7 @@ def translation_gap_search(fr: NFrame, depth: int) -> tuple[int, int] | None:
     whose values are upsets is exactly the locality law (lift_nstar).
     """
     p = fr.poset
-    code = kernels.translation_gap(p.n, p.up, fr.ntable, list(p.upsets()), depth)
+    code = kernels.translation_gap(p.n, p.up, fr.ntable, p.upsets(), depth)
     if code < 0:
         return None
     return code >> p.n, code & ((1 << p.n) - 1)
@@ -290,7 +297,12 @@ def translation_gap_search(fr: NFrame, depth: int) -> tuple[int, int] | None:
 
 @dataclass(frozen=True)
 class ModalNFrame:
-    """Just worlds and a total table; no order, no intrinsic laws."""
+    """Just worlds and a total table; no order, no intrinsic laws.
+
+    ``_law`` keeps whether the intersection law holds at k = 1, the
+    answer of every k >= 1 and of the rule (kernels.pure._guard_sets);
+    it stays out of ==, hash and repr.
+    """
 
     n: int
     ntable: tuple[int, ...]
@@ -298,14 +310,19 @@ class ModalNFrame:
     def __post_init__(self) -> None:
         _check_table(self.n, range(1 << self.n), self.ntable, "subset")
 
+    @cached_property
+    def _law(self) -> bool:
+        return bool(kernels.en_holds(self.n, self.ntable, 1))
+
 
 def en_check(fr: ModalNFrame, k: int) -> bool:
     """The k-ary intersection law: cutting the input down by k table
     values and intersecting the output with them is invisible. k = 0
-    reads the empty intersection as all worlds."""
-    if k < 0:
-        raise ValueError("arity must be nonnegative")
-    return bool(kernels.en_holds(fr.n, fr.ntable, k))
+    reads the empty intersection as all worlds, where the law cannot
+    fail; every k >= 1 has the answer of k = 1 (the proof is in
+    kernels.pure._guard_sets), which the frame scans for once and
+    keeps."""
+    return _law_at(fr, k)
 
 
 def rn_validity(fr: ModalNFrame, k: int) -> bool:
@@ -313,10 +330,14 @@ def rn_validity(fr: ModalNFrame, k: int) -> bool:
     any valuation, if q and r agree wherever all k guard values hold,
     the table must send them to outputs agreeing there too. That is
     the intersection law at the same guard sets, so the answer is
-    en_check's."""
+    en_check's, read off the same kept scan."""
+    return _law_at(fr, k)
+
+
+def _law_at(fr: ModalNFrame, k: int) -> bool:
     if k < 0:
         raise ValueError("arity must be nonnegative")
-    return bool(kernels.rn_holds(fr.n, fr.ntable, k))
+    return k == 0 or fr._law
 
 
 def random_modal_ntable(rng, n: int) -> ModalNFrame:

@@ -135,6 +135,24 @@ def translation_gap(n, up, ntable, nstar, upsets, depth):
     return -1
 
 
+def translation_gap_lifted(n, up, ntable, upsets, depth):
+    """The one-pass translation gap as it was when it lifted the whole
+    table first: the same pass over the upsets, reading N* from the
+    lift at all 2**n subsets."""
+    if depth < 1:
+        return -1
+    nstar = lift_table(n, up, upsets, ntable)
+    for x in upsets:
+        nx = ntable[x]
+        if nx < 0:
+            raise ValueError("negation escaped the upset domain")
+        if nx != nstar[x]:
+            return (nx << n) | nstar[x]
+    if depth > 1 and any(ntable[ntable[x]] < 0 for x in upsets):
+        raise ValueError("negation escaped the upset domain")
+    return -1
+
+
 def en_holds(n, ntable, k):
     """1 iff the k-ary locality-style identity holds for every choice
     of the k framing sets and the argument set."""

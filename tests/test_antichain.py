@@ -170,6 +170,31 @@ def test_positive_morphisms_extend_to_onto_maps():
     assert hits == 65
 
 
+def test_kept_search_set_up_keeps_every_witness():
+    # positive_morphism keeps the search's set-up with each poset's
+    # cones; on fresh lists the kernel builds it per call, and every
+    # pair, asked twice, must give the witness of the fresh call
+    from subminimal import kernels
+    from subminimal.frames import enumerate_posets_unlabeled
+
+    all_posets = [p for k in range(1, 6) for p in enumerate_posets_unlabeled(k)]
+    topped = [p for p in all_posets if p.top() is not None]
+    hits = 0
+    for _ in range(2):
+        for tgt in topped:
+            for src in all_posets:
+                found = kernels.search_positive_morphism(tgt.n, list(tgt.up), src.n, list(src.up))
+                want = None
+                if found is not None:
+                    dom, flat = found
+                    want = {w: flat[w] for w in range(src.n) if (dom >> w) & 1}
+                    hits += 1
+                assert positive_morphism(tgt, src) == want, (tgt, src)
+    assert len(topped) * len(all_posets) == 25 * 87
+    assert 0 < hits < 2 * 25 * 87
+    assert all(vars(p.up) for p in all_posets)
+
+
 def test_variant_names():
     assert VARIANTS == ("base", "nef", "sub_nef", "copc")
     with pytest.raises(ValueError):

@@ -1,8 +1,10 @@
 """Posets, N-frames, validity, enumeration, and the frame classes."""
 
 import collections
+import copy
 import hashlib
 import itertools
+import pickle
 import random
 import time
 import types
@@ -16,6 +18,7 @@ from frame_helpers import enumerate_nframes, frame_validates, poset_isomorphic
 from subminimal import frames, kernels
 from subminimal.kernels import pure
 from subminimal.algebra import TopFrame, topframe_from_dict
+from subminimal.antichain import positive_morphism
 from subminimal.frames import (
     DEFAULT_MAX_WORLDS,
     LOGICS,
@@ -92,6 +95,64 @@ def test_upsets_of_chain_and_antichain():
     assert enumerate_upsets(CHAIN2) == [0, 2, 3]
     assert len(enumerate_upsets(Poset(3, (1, 2, 4)))) == 8
     assert len(enumerate_upsets(Poset.from_pairs(4, [(0, 1), (0, 2), (1, 3), (2, 3)]))) == 6
+
+
+def test_small_posets_are_kept_once_per_value():
+    # one object per (n, cones) up to DEFAULT_MAX_WORLDS worlds, whatever
+    # sequence type the cones come in; none kept above
+    n = DEFAULT_MAX_WORLDS
+    chain = [(1 << n) - (1 << w) for w in range(n)]
+    p = Poset(n, chain)
+    assert Poset(n, tuple(chain)) is p
+    assert Poset.from_pairs(n, [(w, w + 1) for w in range(n - 1)]) is p
+    assert p.upsets() is Poset(n, chain).upsets()
+    big = [(1 << n + 1) - (1 << w) for w in range(n + 1)]
+    assert Poset(n + 1, big) == Poset(n + 1, big)
+    assert Poset(n + 1, big) is not Poset(n + 1, big)
+    assert (n + 1, tuple(big)) not in frames._POSETS
+    assert all(k <= DEFAULT_MAX_WORLDS for k, _ in frames._POSETS)
+
+
+def test_the_poset_memo_holds_at_most_the_243_small_posets():
+    labeled = [p for n in range(DEFAULT_MAX_WORLDS + 1) for p in enumerate_posets(n)]
+    assert len(labeled) == 1 + 1 + 3 + 19 + 219 == 243
+    assert all(frames._POSETS[p.n, p.up] is p for p in labeled)
+    assert len(frames._POSETS) == 243
+
+
+def test_posets_pickle_and_copy_by_value():
+    small = Poset.from_pairs(3, [(0, 1), (0, 2)])
+    big = Poset.from_pairs(DEFAULT_MAX_WORLDS + 1, [(0, 1), (1, 2)])
+    for p in (small, big):
+        # a kept set-up rides on the cones; it is not part of the value
+        positive_morphism(p, p)
+        for back in (
+            pickle.loads(pickle.dumps(p)),
+            pickle.loads(pickle.dumps(p, protocol=0)),
+            copy.copy(p),
+            copy.deepcopy(p),
+        ):
+            assert back == p and hash(back) == hash(p) and repr(back) == repr(p)
+            assert (back is p) == (p is small)
+            assert back.down == p.down and back.upsets() == p.upsets()
+
+
+@pytest.mark.parametrize(
+    "n, up, message",
+    [
+        (3, (3, 2, 5), "transitivity fails"),
+        (2, (3, 3), "antisymmetry fails"),
+        (-1, (), "world count must be nonnegative"),
+        (2, (2, 2), "cone of world 0 is not reflexive in range"),
+        (2, (3,), "one cone per world required"),
+    ],
+)
+def test_an_invalid_poset_raises_on_every_call(n, up, message):
+    kept = dict(frames._POSETS)
+    for _ in range(3):
+        with pytest.raises(ValueError, match=message):
+            Poset(n, up)
+    assert frames._POSETS == kept
 
 
 def _mask_walk_posets(n):

@@ -6,6 +6,7 @@ kernel_reference.py, and demands the same value, the same exception
 and the same first witness.
 """
 
+import collections
 import itertools
 import random
 import time
@@ -555,6 +556,31 @@ def test_companion_kernels_match_the_plain_loops():
         checked["morphism"] += 1
     assert min(checked.values()) >= 1000, checked
     assert min(gaps.values()) >= 20, gaps
+
+
+def test_translation_gap_matches_the_pass_over_the_whole_lift():
+    # the gap lifts the table at the upsets alone; the pass that lifted
+    # it at every subset must give the same witness or error at every
+    # depth, on the frame stream and on unlawful and holed tables
+    cases = [(fr.poset, fr.ntable) for fr in frames._frame_stream(3)]
+    rng = random.Random(2611)
+    for _ in range(600):
+        p = random_poset(rng, rng.randint(0, 4))
+        lawful, holed, odd = _tables(rng, p, list(p.upsets()))
+        nonlocal_ = list(lawful)
+        for u in p.upsets():
+            nonlocal_[u] = rng.choice(p.upsets())
+        cases += [(p, holed), (p, odd), (p, tuple(nonlocal_))]
+    gaps = collections.Counter()
+    for p, table in cases:
+        got = []
+        for depth in range(4):
+            args = (p.n, p.up, table, p.upsets(), depth)
+            a = _capture(ref.translation_gap_lifted, *args)
+            assert a == _capture(pure.translation_gap, *args), (p, table, depth, a)
+            got.append(a)
+        gaps[_gap_outcome(got)] += 1
+    assert min(gaps[k] for k in ("none", "witness", "hole", "escape")) >= 20, gaps
 
 
 def _gap_outcome(got):

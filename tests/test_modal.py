@@ -345,6 +345,41 @@ def test_en_rn_at_a_huge_arity_equal_arity_two_to_the_n():
         assert rn_validity(fr, 1000) == rn_validity(fr, 4)
 
 
+def test_en_rn_match_a_fresh_scan_at_every_arity():
+    # the frame keeps the k = 1 answer; every arity must still read what
+    # a fresh en_holds gives, on all 2-world tables and random 3- and
+    # 4-world ones
+    rng = random.Random(2612)
+    tables = list(itertools.product(range(4), repeat=4))
+    tables += [tuple(rng.randrange(8) for _ in range(8)) for _ in range(300)]
+    tables += [tuple(rng.randrange(16) for _ in range(16)) for _ in range(100)]
+    answers = set()
+    for values in tables:
+        n = len(values).bit_length() - 1
+        fr = ModalNFrame(n, values)
+        for k in range(4):
+            want = bool(kernels.en_holds(n, list(values), k))
+            assert en_check(fr, k) is want and rn_validity(fr, k) is want, (values, k)
+            answers.add(want)
+        assert fr == ModalNFrame(n, values) and hash(fr) == hash(ModalNFrame(n, values))
+        assert repr(fr) == repr(ModalNFrame(n, values))
+    assert answers == {False, True}
+
+
+def test_en_rn_scan_each_frame_once(monkeypatch):
+    calls = []
+
+    def counted(n, ntable, k):
+        calls.append(k)
+        return 0
+
+    monkeypatch.setattr(kernels, "en_holds", counted)
+    monkeypatch.setattr(kernels, "rn_holds", counted)
+    fr = ModalNFrame(2, (1, 0, 3, 2))
+    assert [(en_check(fr, k), rn_validity(fr, k)) for k in range(4)] == [(True, True)] + [(False, False)] * 3
+    assert calls == [1]
+
+
 def test_en_rn_reject_negative_arity():
     fr = ModalNFrame(1, (0, 0))
     with pytest.raises(ValueError):
