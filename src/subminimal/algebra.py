@@ -48,6 +48,7 @@ from subminimal.frames import (
     poset_to_dict,
     truth_sets,
 )
+from subminimal.kernels.pure import _trace_table
 from subminimal.syntax import (
     And,
     Formula,
@@ -458,9 +459,10 @@ def _dual(a: NAlgebra, filters: Sequence[int], hats: Sequence[int]) -> TopFrame:
     hats of its elements over them.
 
     Filter i is in N(u) when some negated element of it has a hat that
-    agrees with u on the cone of i, that is, when up[i] & u is one of
-    the traces up[i] & hats[x] over the x with neg[x] in filter i; the
-    traces are collected once per filter.
+    agrees with u on the cone of i, that is, when up[i] & u is in the
+    family {up[i] & hats[x] : neg[x] in filter i}; the table is the
+    trace table of those families on the nonempty upsets
+    (kernels.pure._trace_table).
 
     The dual's table covers all 2**k subsets of its k worlds, so k is
     capped like every frame reader's world count, and a dual past the
@@ -480,22 +482,11 @@ def _dual(a: NAlgebra, filters: Sequence[int], hats: Sequence[int]) -> TopFrame:
         up.append(cone)
     p = Poset(k, up)
     neg = a.neg
-    traces = []
-    for f, cone in zip(filters, up):
-        trace = set()
-        for x in range(a.size):
-            if (f >> neg[x]) & 1:
-                trace.add(cone & hats[x])
-        traces.append(trace)
-    flat = [-1] * (1 << k)
-    for u in p.upsets():
-        if u:
-            value = 0
-            for i, cone in enumerate(up):
-                if (cone & u) in traces[i]:
-                    value |= 1 << i
-            flat[u] = value
-    tf = TopFrame(p, tuple(flat))
+    cuts = [
+        (cone, 1 << i, {cone & hats[x] for x in range(a.size) if (f >> neg[x]) & 1})
+        for i, (f, cone) in enumerate(zip(filters, up))
+    ]
+    tf = TopFrame(p, tuple(_trace_table(k, cuts, p.upsets()[1:])))
     for x in range(a.size):
         if tf.ntable[hats[x]] != hats[neg[x]]:
             raise RuntimeError(

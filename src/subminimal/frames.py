@@ -66,6 +66,7 @@ from dataclasses import dataclass
 from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 from subminimal import kernels
+from subminimal.kernels.pure import _trace_table
 from subminimal.syntax import (
     And,
     Formula,
@@ -541,13 +542,13 @@ def _valuation_from_index(idx: int, names: Sequence[str], upsets: Sequence[int])
 
 
 def _refutation_at(
-    fr: NFrame, names: Sequence[str], code: Sequence[int], idx: int
+    fr: NFrame, names: Sequence[str], f: Formula, idx: int
 ) -> tuple[dict[str, int], int]:
     """The valuation of index idx on the frame, which the kernel found
-    refuting, and its least failing world."""
+    refuting, and its least failing world, read off the truth walk."""
     valuation = _valuation_from_index(idx, names, fr.poset.upsets())
     # the search met no undefined entry up to idx, so neither does this
-    truth = kernels.eval_prop(code, fr.n, fr.poset.up, fr.ntable, [valuation[x] for x in names])
+    truth = _TruthWalker(fr.poset, fr.ntable, valuation).value(f)
     fail = ((1 << fr.n) - 1) & ~truth
     return valuation, (fail & -fail).bit_length() - 1
 
@@ -559,7 +560,7 @@ def refuting_valuation(fr: NFrame, f: Formula) -> tuple[dict[str, int], int] | N
     idx = kernels.find_refuting_valuation_prop(
         code, len(names), fr.n, fr.poset.up, (fr.ntable,), fr.poset.upsets()
     )
-    return None if idx < 0 else _refutation_at(fr, names, code, idx)
+    return None if idx < 0 else _refutation_at(fr, names, f, idx)
 
 
 def _antitone(domain: Sequence[int], ntable: Sequence[int]) -> bool:
@@ -680,10 +681,9 @@ def from_neighbourhood(p: Poset, nbhd: Sequence[frozenset[int]]) -> NFrame:
         for x in upset_set:
             if ((x & p.up[w]) in nbhd[w]) != (x in nbhd[w]):
                 raise ValueError(f"neighbourhood of world {w} ignores its cone unevenly")
-    table = [-1] * (1 << p.n)
-    for u in p.upsets():
-        table[u] = sum(1 << w for w in range(p.n) if u in nbhd[w])
-    return NFrame(p, tuple(table))
+    # so an upset is in w's family exactly when its cut to R(w) is
+    cuts = [(p.up[w], 1 << w, nbhd[w]) for w in range(p.n)]
+    return NFrame(p, tuple(_trace_table(p.n, cuts, p.upsets())))
 
 
 # --------------------------------------------------------------------------
@@ -719,7 +719,9 @@ def _trace_tables(
     when w comes; the first world of a cluster passes its allowed sets
     to ``choose``, which yields the families to try, and the rest of
     the cluster takes the same family. N(X) is the set of worlds whose
-    family holds X's cut to their cone.
+    family holds X's cut to their cone: each finished choice is one
+    kernels.pure._trace_table call, the loop the lift and the dual
+    frame build their tables with too.
 
     With every subset as the domain, the tables are exactly the lawful
     NS4 tables of the preorder: every N(X) is cone-closed, and w is in
@@ -767,15 +769,8 @@ def _choose_traces(
     before it fixed in traces: appends each finished table to results."""
     n = len(up)
     if k == len(clusters):
-        worlds = [(1 << w, up[w], traces[w]) for w in range(n)]
-        flat = [-1] * (1 << n)
-        for u in domain:
-            value = 0
-            for bit, cone, family in worlds:
-                if u & cone in family:
-                    value |= bit
-            flat[u] = value
-        results.append(tuple(flat))
+        cuts = [(up[w], 1 << w, traces[w]) for w in range(n)]
+        results.append(tuple(_trace_table(n, cuts, domain)))
         return
     cone, above, cluster = clusters[k]
     allowed = []
@@ -1257,7 +1252,7 @@ def countermodel_search(
             if idx >= 0:
                 frame, idx = divmod(idx, len(p.upsets()) ** len(names))
                 fr = NFrame(p, tables[frame])
-                valuation, world = _refutation_at(fr, names, code, idx)
+                valuation, world = _refutation_at(fr, names, f, idx)
                 return NModel(fr, valuation), world
             tried += len(tables)
     return None

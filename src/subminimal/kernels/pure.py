@@ -13,6 +13,14 @@ Conventions:
   indices, NS4 and orderless tables are total;
 * formulas arrive as postfix opcode arrays, see kernels.ops.
 
+One stack machine, _run, runs formula code: the refutation searches
+call it once per block of positions, and eval_prop and eval_modal call
+it at one position. One loop, _trace_table, builds every table whose
+value at X is the set of worlds w whose family holds X & R(w): the
+lift, the translation gap's lift at the upsets, and, imported from
+here, the trace tables of frames, the tables of
+frames.from_neighbourhood and the dual frames of algebra.
+
 The refutation search evaluates many valuations at once, bit-sliced: a
 truth set is one int per world with one bit per search position. The
 prop search takes a sequence of tables on one poset, all frames of a
@@ -65,64 +73,35 @@ def eval_prop(code, n, up, ntable, val):
 
     Returns -1 when a negation lookup hits an index the table does not
     cover (possible on lenient quotient frames) and -2 when the code
-    contains a modal opcode.
+    contains a modal opcode. Runs _run at one position (see _eval).
     """
     return _eval(code, n, up, ntable, val, False)
 
 
 def eval_modal(code, n, up, ntable, val):
-    """Truth set of a modal formula on a preorder; -2 on a Neg opcode."""
+    """Truth set of a modal formula on a preorder; -2 on a Neg opcode.
+
+    The table must be total, as the NS4 frames and lift_table give it;
+    on a -1 entry that a [n] lookup reaches this returns -1.
+    """
     return _eval(code, n, up, ntable, val, True)
 
 
 def _eval(code, n, up, ntable, val, modal):
-    """The stack machine of both eval kernels. The modal arrow is
-    ~a | b; the Heyting arrow is box(~a | b), as w's cone misses
-    a & ~b exactly when it lies in ~a | b."""
-    full = (1 << n) - 1
-    stack = []
-    i = 0
-    while i < len(code):
-        op = code[i]
-        arg = code[i + 1]
-        i += 2
-        if op == OP_VAR:
-            stack.append(val[arg])
-        elif op == OP_TOP:
-            stack.append(full)
-        elif op == OP_AND:
-            b = stack.pop()
-            stack[-1] &= b
-        elif op == OP_OR:
-            b = stack.pop()
-            stack[-1] |= b
-        elif op == OP_IMP:
-            b = stack.pop()
-            c = ~stack[-1] | b
-            stack[-1] = c & full if modal else _box(c, n, up)
-        elif op == OP_NEG and not modal:
-            v = ntable[stack[-1]]
-            if v < 0:
-                return -1
-            stack[-1] = v
-        elif op == OP_BOT and modal:
-            stack.append(0)
-        elif op == OP_BOX and modal:
-            stack[-1] = _box(stack[-1], n, up)
-        elif op == OP_BBOX and modal:
-            stack[-1] = ntable[stack[-1]]
-        else:
-            return -2
-    return stack[-1]
+    """Both eval kernels: _run at one position, each truth set one 0/1
+    int per world, the table read as a block of one frame.
 
-
-def _box(a, n, up):
-    """The worlds whose cone lies in a."""
-    m = 0
-    for w in range(n):
-        if up[w] & ~a == 0:
-            m |= 1 << w
-    return m
+    -1 when a lookup met a negative entry, -2 on an opcode of the other
+    language. _run goes on past a hole, so hand-made code that meets a
+    hole and later a wrong opcode gives -2, and one whose stack then
+    runs dry raises IndexError; compiled code never does either.
+    """
+    slots = [[(x >> w) & 1 for w in range(n)] for x in val]
+    try:
+        r, err = _run(code, slots, [1] * n, [0] * n, _cones(up, n), 1, n, ntable, modal, "")
+    except ValueError:
+        return -2
+    return -1 if err else sum(b << w for w, b in enumerate(r))
 
 
 # widest block of search positions (frame, valuation) evaluated at once
@@ -256,6 +235,60 @@ def _layout(block, values, nvars, n):
     return width, low, tuple(vecs)
 
 
+def _cones(up, n):
+    """Each world's cone as the list of its worlds."""
+    return [[v for v in range(n) if (up[w] >> v) & 1] for w in range(n)]
+
+
+def _run(code, slots, top, bot, cones, ones, n, columns, modal, error):
+    """The one stack machine: run postfix code over a block of
+    positions. A truth set is one int per world, bit i set when the
+    world is in the set at the block's i-th position; ``ones`` marks
+    the positions, ``slots`` holds the variables' truth sets, ``top``
+    and ``bot`` the constants'. The Heyting arrow is box(~a | b), as w's
+    cone misses a & ~b exactly when it lies in ~a | b; the modal arrow
+    is ~a | b. Neg (prop) and [n] (modal) look the set up in
+    ``columns``, the column masks of the block's frames or one table
+    (see _block_lookup).
+
+    Returns the truth set of the code and the mask of the positions
+    whose lookups met a negative entry; a position that did evaluates
+    on as if the entry were empty. An opcode outside the language,
+    prop (Var, Top, And, Or, Imp, Neg) or modal (Var, Top, Bot, And,
+    Or, Imp, Box, [n]), raises ValueError(error).
+    """
+    stack = []
+    err = 0
+    look = OP_BBOX if modal else OP_NEG
+    for i in range(0, len(code), 2):
+        op = code[i]
+        arg = code[i + 1]
+        if op == OP_VAR:
+            stack.append(slots[arg])
+        elif op == OP_TOP:
+            stack.append(top)
+        elif op == OP_AND:
+            b = stack.pop()
+            stack[-1] = [x & y for x, y in zip(stack[-1], b)]
+        elif op == OP_OR:
+            b = stack.pop()
+            stack[-1] = [x | y for x, y in zip(stack[-1], b)]
+        elif op == OP_IMP:
+            b = stack.pop()
+            c = [(ones & ~x) | y for x, y in zip(stack[-1], b)]
+            stack[-1] = c if modal else _block_box(c, cones, ones)
+        elif op == look:
+            stack[-1], holes = _block_lookup(stack[-1], n, columns, ones)
+            err |= holes
+        elif op == OP_BOT and modal:
+            stack.append(bot)
+        elif op == OP_BOX and modal:
+            stack[-1] = _block_box(stack[-1], cones, ones)
+        else:
+            raise ValueError(error)
+    return stack[-1], err
+
+
 def _first_refutation(code, nvars, n, up, tables, values, modal, error):
     """Bit-sliced search behind both find_refuting_valuation_* kernels.
 
@@ -267,13 +300,12 @@ def _first_refutation(code, nvars, n, up, tables, values, modal, error):
     _BLOCK bits, a block holds as many whole frames as fit; otherwise
     it holds width = len(values)**j consecutive valuations of one
     frame, the last j variables running through every digit pattern
-    and the others fixed by the block number. A truth set over a block
-    is one int per world, bit i set when the world is in the set at the
-    block's i-th position; the Heyting arrow is box(~a | b). The N and
-    [n] lookups group the positions by truth set and, for each set x,
-    OR in the column masks of x: per world w the positions whose frame
-    has w in N(x), and the positions whose frame has a negative entry
-    at x (see _Columns); a block of one frame reads its table. Blocks
+    and the others fixed by the block number. Each block runs the code
+    once through _run, all its positions at once. The N and [n] lookups
+    group the positions by truth set and, for each set x, OR in the
+    column masks of x: per world w the positions whose frame has w in
+    N(x), and the positions whose frame has a negative entry at x (see
+    _Columns); a block of one frame reads its table. Blocks
     run in ascending order and the search stops in the first block that
     holds a refutation or an error, at its lowest position, so the
     result is that of evaluating one valuation of one frame at a time,
@@ -318,7 +350,7 @@ def _first_refutation(code, nvars, n, up, tables, values, modal, error):
     per_group = nu**high
     span = fpb * width
     ones = (1 << span) - 1
-    cones = [[v for v in range(n) if (up[w] >> v) & 1] for w in range(n)]
+    cones = _cones(up, n)
     top = [ones] * n
     bot = [0] * n
     slots = [bot] * max(nvars, 1)
@@ -347,40 +379,7 @@ def _first_refutation(code, nvars, n, up, tables, values, modal, error):
             x = values[t % nu]
             t //= nu
             slots[k] = [ones if (x >> w) & 1 else 0 for w in range(n)]
-        err = 0
-        stack = []
-        i = 0
-        while i < len(code):
-            op = code[i]
-            arg = code[i + 1]
-            i += 2
-            if op == OP_VAR:
-                stack.append(slots[arg])
-            elif op == OP_TOP:
-                stack.append(top)
-            elif op == OP_AND:
-                b = stack.pop()
-                stack[-1] = [x & y for x, y in zip(stack[-1], b)]
-            elif op == OP_OR:
-                b = stack.pop()
-                stack[-1] = [x | y for x, y in zip(stack[-1], b)]
-            elif op == OP_IMP:
-                b = stack.pop()
-                c = [(ones & ~x) | y for x, y in zip(stack[-1], b)]
-                stack[-1] = c if modal else _block_box(c, cones, ones)
-            elif op == OP_NEG and not modal:
-                out, holes = _block_lookup(stack[-1], n, columns, ones)
-                err |= holes
-                stack[-1] = out
-            elif op == OP_BOT and modal:
-                stack.append(bot)
-            elif op == OP_BOX and modal:
-                stack[-1] = _block_box(stack[-1], cones, ones)
-            elif op == OP_BBOX and modal:
-                stack[-1] = _block_lookup(stack[-1], n, columns, ones)[0]
-            else:
-                raise ValueError(error)
-        r = stack[-1]
+        r, err = _run(code, slots, top, bot, cones, ones, n, columns, modal, error)
         bad = err
         for w in range(n):
             bad |= live & ~r[w]
@@ -473,13 +472,21 @@ def _cuts(n, up, upsets, ntable):
     ]
 
 
-def _lift_at(cuts, x):
-    """The lifted value at x: the worlds w whose cut holds x & R(w)."""
-    m = 0
-    for cone, bit, cut in cuts:
-        if x & cone in cut:
-            m |= bit
-    return m
+def _trace_table(n, cuts, domain):
+    """The one trace-family loop: the flat table over the domain sets,
+    -1 elsewhere, whose value at x holds w exactly when x & R(w) is in
+    w's family. ``cuts`` gives (R(w), 1 << w, family) per world, as
+    _cuts does. lift_table, translation_gap, the trace tables of
+    frames._trace_tables, frames.from_neighbourhood and the dual frame
+    of algebra._dual all build their tables here."""
+    table = [-1] * (1 << n)
+    for x in domain:
+        m = 0
+        for cone, bit, family in cuts:
+            if x & cone in family:
+                m |= bit
+        table[x] = m
+    return table
 
 
 def lift_table(n, up, upsets, ntable):
@@ -490,10 +497,9 @@ def lift_table(n, up, upsets, ntable):
     N(X) (take Y = X), and equals it when the table is local (see
     modal.lift_nstar); a table that is not local can gain worlds there.
     The cuts Y & R(w) of the upsets Y with w in N(Y) are collected once
-    per world, so each X costs one set lookup per world.
+    per world, so each X costs one set lookup per world in _trace_table.
     """
-    cuts = _cuts(n, up, upsets, ntable)
-    return [_lift_at(cuts, x) for x in range(1 << n)]
+    return _trace_table(n, _cuts(n, up, upsets, ntable), range(1 << n))
 
 
 def translation_gap(n, up, ntable, upsets, depth):
@@ -526,19 +532,20 @@ def translation_gap(n, up, ntable, upsets, depth):
 
     So for depth >= 1 the answer depends on depth only as 1 or >= 2.
     The pass reads N* at the upsets alone, so it lifts the table there
-    only, from the cuts lift_table collects, and never at the other
-    subsets.
+    only, in one _trace_table call over the cuts lift_table collects,
+    and never at the other subsets; the scan then runs over the upsets
+    in ascending order, so the first hole and the first witness are
+    those of lifting one upset at a time.
     """
     if depth < 1:
         return -1
-    cuts = _cuts(n, up, upsets, ntable)
+    star = _trace_table(n, _cuts(n, up, upsets, ntable), upsets)
     for x in upsets:
         nx = ntable[x]
         if nx < 0:
             raise ValueError("negation escaped the upset domain")
-        star = _lift_at(cuts, x)
-        if nx != star:
-            return (nx << n) | star
+        if nx != star[x]:
+            return (nx << n) | star[x]
     # every upset has a value now, so a value v is off the upsets
     # exactly when N(v) is -1
     if depth > 1 and any(ntable[ntable[x]] < 0 for x in upsets):

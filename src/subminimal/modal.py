@@ -120,8 +120,7 @@ def ns4_refuting_valuation(fr: NS4Frame, f: Formula) -> tuple[dict[str, int], in
     idx = kernels.find_refuting_valuation_modal(code, len(names), fr.n, fr.rel, fr.ntable)
     if idx < 0:
         return None
-    subsets = list(range(1 << fr.n))
-    valuation = _valuation_from_index(idx, names, subsets)
+    valuation = _valuation_from_index(idx, names, range(1 << fr.n))
     mask = kernels.eval_modal(
         code, fr.n, fr.rel, fr.ntable, [valuation[v] for v in names]
     )
@@ -224,7 +223,9 @@ def lift_nstar(fr: NFrame) -> NS4Frame:
     N(Y) & R(w) = N(Y & R(w)) & R(w) = N(X & R(w)) & R(w) = N(X) & R(w),
     so w is in N(X). NFrame also takes tables that are not local; on
     the antichain Poset(2, [1, 2]) the lift of (1, 1, 2, 2) is
-    (1, 1, 3, 3).
+    (1, 1, 3, 3). The lift is the trace table of the cuts of N over all
+    subsets, built by the loop every trace-family table shares
+    (kernels.pure._trace_table).
     """
     p = fr.poset
     lifted = kernels.lift_table(p.n, p.up, p.upsets(), fr.ntable)
@@ -245,7 +246,7 @@ def translation_preservation(m: NModel, f: Formula) -> int | None:
       for an upset V(p) that is V(p) itself;
     * T(a -> b) = [](Ta -> Tb) with the pointwise arrow, and box(~A | B)
       is the Heyting arrow of A and B for any masks (see
-      kernels.pure._eval);
+      kernels.pure._run);
     * T(~a) = [n]Ta holds on N*(Ta);
     * T(a & b) and T(a | b) are pointwise, and T keeps the constant T.
 

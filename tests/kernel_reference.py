@@ -4,9 +4,87 @@ The differential fuzz in test_kernels.py runs each rewritten kernel in
 ``subminimal.kernels.pure`` against its counterpart here and demands
 the same value, the same exception and the same first witness. These
 are the plain loops: one valuation, one pair, one domain at a time.
+The eval kernels here are the one-valuation stack machine the package
+ran before both eval kernels and the searches shared one machine; the
+reference searches run on it, so they share no code with the package.
 """
 
-from subminimal.kernels.pure import eval_modal, eval_prop
+from subminimal.kernels.ops import (
+    OP_AND,
+    OP_BBOX,
+    OP_BOT,
+    OP_BOX,
+    OP_IMP,
+    OP_NEG,
+    OP_OR,
+    OP_TOP,
+    OP_VAR,
+)
+
+
+def eval_prop(code, n, up, ntable, val):
+    """Truth set of a propositional formula, or a negative sentinel.
+
+    Returns -1 when a negation lookup hits an index the table does not
+    cover (possible on lenient quotient frames) and -2 when the code
+    contains a modal opcode.
+    """
+    return _eval(code, n, up, ntable, val, False)
+
+
+def eval_modal(code, n, up, ntable, val):
+    """Truth set of a modal formula on a preorder; -2 on a Neg opcode."""
+    return _eval(code, n, up, ntable, val, True)
+
+
+def _eval(code, n, up, ntable, val, modal):
+    """The stack machine of both eval kernels. The modal arrow is
+    ~a | b; the Heyting arrow is box(~a | b), as w's cone misses
+    a & ~b exactly when it lies in ~a | b."""
+    full = (1 << n) - 1
+    stack = []
+    i = 0
+    while i < len(code):
+        op = code[i]
+        arg = code[i + 1]
+        i += 2
+        if op == OP_VAR:
+            stack.append(val[arg])
+        elif op == OP_TOP:
+            stack.append(full)
+        elif op == OP_AND:
+            b = stack.pop()
+            stack[-1] &= b
+        elif op == OP_OR:
+            b = stack.pop()
+            stack[-1] |= b
+        elif op == OP_IMP:
+            b = stack.pop()
+            c = ~stack[-1] | b
+            stack[-1] = c & full if modal else _box(c, n, up)
+        elif op == OP_NEG and not modal:
+            v = ntable[stack[-1]]
+            if v < 0:
+                return -1
+            stack[-1] = v
+        elif op == OP_BOT and modal:
+            stack.append(0)
+        elif op == OP_BOX and modal:
+            stack[-1] = _box(stack[-1], n, up)
+        elif op == OP_BBOX and modal:
+            stack[-1] = ntable[stack[-1]]
+        else:
+            return -2
+    return stack[-1]
+
+
+def _box(a, n, up):
+    """The worlds whose cone lies in a."""
+    m = 0
+    for w in range(n):
+        if up[w] & ~a == 0:
+            m |= 1 << w
+    return m
 
 
 def find_refuting_valuation_prop(code, nvars, n, up, ntable, upsets):

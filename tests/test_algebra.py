@@ -288,6 +288,30 @@ def test_general_filtration_rejects_bad_universe():
         general_algebraic_filtration(ALG, {"p": 1, "q": 2}, sigma, [0])
 
 
+def test_general_filtration_checks_its_universe():
+    sigma = close_sigma([parse("p")])
+    with pytest.raises(ValueError, match="empty universe"):
+        general_algebraic_filtration(ALG, {"p": 1}, sigma, [])
+    with pytest.raises(ValueError, match="universe element -1 out of range"):
+        general_algebraic_filtration(ALG, {"p": 1}, sigma, [-1, 2])
+    with pytest.raises(ValueError, match="universe misses the value of p"):
+        general_algebraic_filtration(ALG, {"p": 1}, sigma, [0, 2])
+    # the four upsets of the two-world antichain; {0} and {1} meet in 0
+    square = upset_algebra(NFrame(Poset(2, [1, 2]), (0, 0, 0, 0)))
+    with pytest.raises(ValueError, match="universe is not a sublattice"):
+        general_algebraic_filtration(square, {"p": 3}, sigma, [1, 2, 3])
+
+
+def test_algebra_checks_name_what_is_wrong():
+    with pytest.raises(ValueError, match="an algebra needs at least one element"):
+        NAlgebra(0, (), (), (), (), 0)
+    # NFrame takes a value off the upsets; its upset algebra cannot
+    with pytest.raises(ValueError, match="negation value at 2 is not an element"):
+        upset_algebra(NFrame(CHAIN, (0, -1, 1, 2)))
+    with pytest.raises(ValueError, match="algebra JSON must be an object"):
+        algebra_from_dict([])
+
+
 def test_general_filtration_refuses_tables_that_are_no_lattice():
     # every two-element meet table beside the chain's join, arrow and
     # negation: where no universe element qualifies for some arrow the

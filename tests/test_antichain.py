@@ -224,3 +224,8 @@ def test_theta_refutation(n):
     d = build_delta(n)
     assert theta_refutation_check(d, "base")
     assert theta_refutation_check(d, "nef")
+
+
+def test_theta_refutation_is_defined_for_base_and_nef_alone():
+    with pytest.raises(ValueError, match="the refutation pattern is defined for base and nef"):
+        theta_refutation_check(build_delta(0), "copc")

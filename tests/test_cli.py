@@ -592,6 +592,25 @@ def test_malformed_json_shape_exits_2(capsys, monkeypatch, argv, text):
     assert out["status"] == "error"
 
 
+@pytest.mark.parametrize(
+    "argv, text, error",
+    [
+        (ALGEBRA_FILTRATE + ["[1]"], json.dumps(CHAIN_ALGEBRA), "--assign must be a JSON object"),
+        (
+            ["ns4", "check-proof", "-", "--system", "ns4"],
+            '{"lines": []}',
+            "proof JSON must be a list of lines",
+        ),
+    ],
+    ids=["algebra-filtrate-assign-list", "ns4-check-proof-object"],
+)
+def test_input_checks_exit_2_with_their_message(capsys, monkeypatch, argv, text, error):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    code, out = run(capsys, argv)
+    assert code == 2
+    assert out == {"status": "error", "error": error}
+
+
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
     lambda inner: st.lists(inner, max_size=3)

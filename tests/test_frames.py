@@ -66,6 +66,7 @@ from subminimal.syntax import (
     AXIOM_MPC,
     AXIOM_N,
     AXIOM_NEF,
+    Logic,
     Neg,
     compiled,
     parse,
@@ -845,6 +846,32 @@ def test_neighbourhood_round_trip():
         fr = random_nframe(rng, rng.randint(1, 4))
         nbhd = to_neighbourhood(fr)
         assert from_neighbourhood(fr.poset, nbhd) == fr
+
+
+def test_from_neighbourhood_names_the_bad_family():
+    chain = Poset.from_pairs(2, [(0, 1)])  # upsets 0, 2, 3; R(1) = {1}
+    fr = from_neighbourhood(chain, (frozenset({3}), frozenset({2, 3})))
+    assert fr.ntable == (0, -1, 2, 3)
+    cases = [
+        ((frozenset({3}),), "one neighbourhood family per world required"),
+        ((frozenset({1}), frozenset()), "neighbourhood of world 0 holds a non-upset"),
+        ((frozenset({3}), frozenset()), "neighbourhoods shrink from world 0 upward"),
+        ((frozenset(), frozenset({3})), "neighbourhood of world 1 ignores its cone unevenly"),
+    ]
+    for nbhd, message in cases:
+        with pytest.raises(ValueError, match=message):
+            from_neighbourhood(chain, nbhd)
+
+
+def test_frame_checks_name_the_offending_set():
+    chain = Poset.from_pairs(2, [(0, 1)])
+    fr = NFrame(chain, (0, -1, 2, 3))
+    with pytest.raises(ValueError, match="negation undefined at 1"):
+        fr.neg(1)
+    with pytest.raises(ValueError, match="negation table misses upset 2"):
+        check_nframe(chain, (0, -1, -1, 3))
+    with pytest.raises(ValueError, match="unknown logic: ipc"):
+        frame_class(fr, Logic("ipc", 9, AXIOM_N))
 
 
 def test_poset_isomorphism():

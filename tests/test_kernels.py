@@ -33,7 +33,7 @@ from subminimal.frames import (
     refuting_valuation,
 )
 from subminimal.kernels import pure
-from subminimal.kernels.ops import OP_AND, OP_OR
+from subminimal.kernels.ops import OP_AND, OP_BBOX, OP_OR
 from subminimal.modal import random_ns4_frame, random_preorder
 from subminimal.syntax import (
     AXIOM_COPC,
@@ -138,6 +138,65 @@ def test_eval_modal_matches_an_ast_walk(impl):
 def test_eval_modal_rejects_prop_negation(impl):
     code = compile_prop(parse("~p"), ["p"])
     assert impl.eval_modal(code, 2, CHAIN2.up, LAWFUL2, [2]) == -2
+
+
+def test_eval_kernels_match_the_one_valuation_machine():
+    # compiled code inside the kernels' contracts: prop code on lawful
+    # tables with upset values and on holed tables with any subsets,
+    # modal code on total tables, and each language's code fed to the
+    # other kernel; the results, sentinels included, are the reference's
+    rng = random.Random(27)
+    names = ("p", "q", "r")
+    seen = collections.Counter()
+    for _ in range(1500):
+        n = rng.randint(1, 4)
+        case = rng.randrange(3)
+        if case == 0:
+            fr = random_nframe(rng, n)
+            up, table = fr.poset.up, fr.ntable
+            ups = enumerate_upsets(fr.poset)
+            val = [rng.choice(ups) for _ in names]
+        elif case == 1:
+            up = random_poset(rng, n).up
+            table = [rng.randrange(1 << n) if rng.random() < 0.7 else -1 for _ in range(1 << n)]
+            val = [rng.randrange(1 << n) for _ in names]
+        else:
+            up = random_preorder(rng, n)
+            table = [rng.randrange(1 << n) for _ in range(1 << n)]
+            val = [rng.randrange(1 << n) for _ in names]
+        modal = case == 2
+        f = random_formula(rng, names, 4, "modal" if modal else "prop")
+        code = (compile_modal if modal else compile_prop)(f, names)
+        # now and then the other language's kernel, which must give -2
+        # unless the code is in both languages; eval_modal only on total
+        # tables, as its contract asks
+        if rng.random() < 0.2 and (modal or min(table) >= 0):
+            modal = not modal
+        kernel, want = (
+            (pure.eval_modal, ref.eval_modal) if modal else (pure.eval_prop, ref.eval_prop)
+        )
+        got = kernel(code, n, up, table, val)
+        assert got == want(code, n, up, table, val), (code, n, up, table, val)
+        seen[min(got, 0)] += 1
+    assert min(seen[0], seen[-1], seen[-2]) >= 20, seen
+
+
+def test_eval_kernels_differ_from_the_reference_only_off_contract():
+    # a [n] lookup at a -1 entry: the reference carries -1 on as a
+    # world mask, the one machine reports the hole
+    bbox_and_q = compile_modal(parse("[n]p & q", "modal"), ["p", "q"])
+    assert ref.eval_modal(bbox_and_q, 2, CHAIN2.up, LAWFUL2, [1, 2]) == 2
+    assert pure.eval_modal(bbox_and_q, 2, CHAIN2.up, LAWFUL2, [1, 2]) == -1
+    # hand-made code past a hole: the reference stops at the hole,
+    # the one machine runs on to the wrong opcode or the empty stack
+    neg_p = compile_prop(parse("~p"), ["p"])
+    wrong = neg_p + (OP_BBOX, 0)
+    assert ref.eval_prop(wrong, 2, CHAIN2.up, LAWFUL2, [1]) == -1
+    assert pure.eval_prop(wrong, 2, CHAIN2.up, LAWFUL2, [1]) == -2
+    underflow = neg_p + (OP_AND, 0)
+    assert ref.eval_prop(underflow, 2, CHAIN2.up, LAWFUL2, [1]) == -1
+    with pytest.raises(IndexError):
+        pure.eval_prop(underflow, 2, CHAIN2.up, LAWFUL2, [1])
 
 
 @PURE

@@ -449,3 +449,11 @@ def test_modal_nframe_json_round_trip():
     for _ in range(30):
         fr = random_modal_ntable(rng, rng.randint(1, 3))
         assert modal_nframe_from_dict(modal_nframe_to_dict(fr)) == fr
+
+
+def test_ns4_model_names_an_unvalued_variable():
+    m = NS4Model(NS4Frame(1, (1,), (0, 0)), {})
+    with pytest.raises(ValueError, match="model has no valuation for p"):
+        m.val("p")
+    with pytest.raises(ValueError, match="model has no valuation for p"):
+        ns4_eval(m, parse("p", "modal"))

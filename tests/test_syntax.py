@@ -351,3 +351,16 @@ def test_pickled_formula_hashes_afresh_under_another_seed():
         stdin=dumped,
     )
     assert found.split() == [b"True"] * 3
+
+
+def test_syntax_checks_name_what_is_wrong():
+    with pytest.raises(TypeError, match="not a formula: 42"):
+        show(42)
+    with pytest.raises(ValueError, match=r"not a propositional formula: \[\]p"):
+        godel_translate(Box(Var("p")))
+    with pytest.raises(ValueError, match="unknown language: 'tense'"):
+        random_formula(random.Random(0), ["p"], 2, "tense")
+    with pytest.raises(ValueError, match="variable not in the compilation order: q"):
+        compile_prop(Var("q"), ["p"])
+    with pytest.raises(TypeError, match="not a formula: 42"):
+        compile_modal(42, [])
