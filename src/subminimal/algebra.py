@@ -20,6 +20,8 @@ frame has one world per prime filter and, like every frame here, a
 negation table over all subsets of its worlds, so that part doubles
 with each prime filter; a chain of s elements has s. A dual of more
 than 20 worlds, the world cap of the frame readers, raises ValueError.
+The hats are the transpose of the filters (kernels.pure._transpose)
+and the dual's order their inclusion (kernels.pure._inclusion_cones).
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from subminimal.frames import (
     poset_to_dict,
     truth_sets,
 )
-from subminimal.kernels.pure import _trace_table
+from subminimal.kernels.pure import _inclusion_cones, _trace_table, _transpose
 from subminimal.syntax import (
     And,
     Formula,
@@ -57,6 +59,7 @@ from subminimal.syntax import (
     Or,
     Top,
     Var,
+    _require_closed,
     show,
     variables,
 )
@@ -104,7 +107,7 @@ class NAlgebra:
         The value stays out of ==, hash and repr; an error is not kept,
         so the next use raises it again."""
         filters = prime_filters(self)
-        hats = _hats(self.size, filters)
+        hats = _transpose(filters, self.size)
         return filters, hats, _dual(self, filters, hats)
 
 
@@ -429,19 +432,6 @@ def prime_filters(a: NAlgebra) -> list[int]:
     return sorted(out)
 
 
-def _hats(size: int, filters: Sequence[int]) -> list[int]:
-    """The hat of every element, in one pass over the filters: the hat
-    of x is the world mask of the filters containing x."""
-    hats = [0] * size
-    for i, f in enumerate(filters):
-        bit = 1 << i
-        while f:
-            x = (f & -f).bit_length() - 1
-            f &= f - 1
-            hats[x] |= bit
-    return hats
-
-
 def dual_frame(a: NAlgebra) -> TopFrame:
     """Prime filters ordered by inclusion, negation by cone agreement.
 
@@ -473,13 +463,7 @@ def _dual(a: NAlgebra, filters: Sequence[int], hats: Sequence[int]) -> TopFrame:
         raise ValueError(
             f"the dual would have {k} worlds, more than the cap of {_JSON_MAX_WORLDS}"
         )
-    up = []
-    for f in filters:
-        cone = 0
-        for j, g in enumerate(filters):
-            if f & ~g == 0:
-                cone |= 1 << j
-        up.append(cone)
+    up = _inclusion_cones(filters)
     p = Poset(k, up)
     neg = a.neg
     cuts = [
@@ -594,32 +578,46 @@ def algebra_eval(a: NAlgebra, mu: Mapping[str, int], f: Formula) -> int:
     subformula first, so the first missing variable, or the first
     modal node, is the one reported.
     """
+    return _algebra_values(a, mu, (f,))[0]
+
+
+def _algebra_values(a: NAlgebra, mu: Mapping[str, int], formulas: Iterable[Formula]) -> list[int]:
+    """algebra_eval of each formula in iteration order, from one walk
+    whose memory keys each connective node by id, as
+    frames._TruthWalker does; the formulas hold the nodes. A node the
+    walk skips was evaluated before without error, so the first failing
+    formula still raises at its first failing node in entry order."""
+    memo: dict[int, int] = {}
     values: list[int] = []
-    # (formula, None) is still to enter; (formula, table) has its
-    # subformulas' values on top of the stack, for the table to combine
-    todo: list[tuple[Formula, Sequence | None]] = [(f, None)]
-    while todo:
-        g, table = todo.pop()
-        if table is not None:
-            if isinstance(g, Neg):
-                values[-1] = table[values[-1]]
-            else:
+    for f in formulas:
+        # (formula, None) is still to enter; (formula, table) has its
+        # subformulas' values on top of the stack, for the table to
+        # combine; each formula leaves its own value there
+        todo: list[tuple[Formula, Sequence | None]] = [(f, None)]
+        while todo:
+            g, table = todo.pop()
+            if table is not None:
                 right = values.pop()
-                values[-1] = table[values[-1]][right]
-        elif isinstance(g, Var):
-            if g.name not in mu:
-                raise ValueError(f"assignment misses variable {g.name}")
-            values.append(mu[g.name])
-        elif isinstance(g, Top):
-            values.append(a.one)
-        elif isinstance(g, Neg):
-            todo += ((g, a.neg), (g.sub, None))
-        elif isinstance(g, (And, Or, Imp)):
-            table = a.meet if isinstance(g, And) else a.join if isinstance(g, Or) else a.imp
-            todo += ((g, table), (g.right, None), (g.left, None))
-        else:
-            raise ValueError(f"not a propositional formula: {show(g)}")
-    return values[0]
+                v = memo[id(g)] = table[right] if isinstance(g, Neg) else table[values.pop()][right]
+            elif id(g) in memo:
+                v = memo[id(g)]
+            elif isinstance(g, Var):
+                if g.name not in mu:
+                    raise ValueError(f"assignment misses variable {g.name}")
+                v = mu[g.name]
+            elif isinstance(g, Top):
+                v = a.one
+            elif isinstance(g, Neg):
+                todo += ((g, a.neg), (g.sub, None))
+                continue
+            elif isinstance(g, (And, Or, Imp)):
+                table = a.meet if isinstance(g, And) else a.join if isinstance(g, Or) else a.imp
+                todo += ((g, table), (g.right, None), (g.left, None))
+                continue
+            else:
+                raise ValueError(f"not a propositional formula: {show(g)}")
+            values.append(v)
+    return values
 
 
 @dataclass(frozen=True)
@@ -678,8 +676,7 @@ def general_algebraic_filtration(
         for y in elements:
             if a.meet[x][y] not in inside or a.join[x][y] not in inside:
                 raise ValueError("universe is not a sublattice")
-    values = {f: algebra_eval(a, mu, f) for f in sigma}
-    for f, v in values.items():
+    for f, v in zip(sigma, _algebra_values(a, mu, sigma)):
         if v not in inside:
             raise ValueError(f"universe misses the value of {show(f)}")
     index = {x: i for i, x in enumerate(elements)}
@@ -727,7 +724,7 @@ def sublattice_filtration(
     embeds into every general_algebraic_filtration over the same data.
     """
     sigma = frozenset(sigma)
-    values = {algebra_eval(a, mu, f) for f in sigma}
+    values = _algebra_values(a, mu, sigma)
     return general_algebraic_filtration(a, mu, sigma, _lattice_closure(a, values))
 
 
@@ -758,21 +755,14 @@ def least_filtration_correspondence(
     their closure, the dual, the check that Sigma is subformula-closed,
     after which its Var members are all the variables it holds.
     """
-    from subminimal.filtration import _require_closed, _signatures
-
     sigma = frozenset(sigma)
-    carrier = sum(1 << x for x in _lattice_closure(a, {algebra_eval(a, mu, f) for f in sigma}))
+    carrier = sum(1 << x for x in _lattice_closure(a, _algebra_values(a, mu, sigma)))
     filters, hats, tf = a._duality
     _require_closed(sigma)
     valuation = {f.name: hats[mu[f.name]] for f in sigma if isinstance(f, Var)}
-    order = tuple(sigma)
-    sig = _signatures(truth_sets(NModel(tf.to_nframe(), valuation), order), order, tf.n)
-    traces = [f & carrier for f in filters]
-    for sig_i, trace_i in zip(sig, traces):
-        for sig_j, trace_j in zip(sig, traces):
-            if (sig_i & ~sig_j == 0) != (trace_i & ~trace_j == 0):
-                return False
-    return True
+    truth = truth_sets(NModel(tf.to_nframe(), valuation), sigma)
+    sig = _transpose([truth[f] for f in sigma], tf.n)
+    return _inclusion_cones(sig) == _inclusion_cones([f & carrier for f in filters])
 
 
 # --------------------------------------------------------------------------

@@ -25,7 +25,12 @@ frames.formula_evaluator, so its errors come in show order. A world's
 signature is an int whose bit i says whether the i-th member of Sigma
 holds there: worlds agree on Sigma exactly when their signatures are
 equal, and in the greatest order class c lies below class d exactly
-when the signature of c is a subset of that of d.
+when the signature of c is a subset of that of d. The signatures are
+the transpose of the truth sets, and the class members that of the
+projection (kernels.pure._transpose); the greatest order is
+kernels.pure._inclusion_cones of the class signatures; and
+enumerate_filtrations takes its orders, from the projected order up
+to the greatest, from frames._orders_between.
 
 Quotient tables can carry values that are not upsets of the quotient
 order; this happens in small corners and is harmless because every
@@ -39,7 +44,7 @@ import itertools
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Collection, Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Sequence
 
 from subminimal.frames import (
     DEFAULT_MAX_WORLDS,
@@ -47,20 +52,21 @@ from subminimal.frames import (
     NModel,
     Poset,
     SearchTimeout,
+    _orders_between,
     _push_mask,
-    _transitive,
     countermodel_search,
     formula_evaluator,
     frame_class,
     truth_sets,
 )
+from subminimal.kernels.pure import _inclusion_cones, _transpose
 from subminimal.syntax import (
     Formula,
     Logic,
     Neg,
     Top,
     Var,
-    _children,
+    _require_closed,
     chain_axioms,
     is_instance_of,
     show,
@@ -80,16 +86,6 @@ def close_sigma(formulas: Iterable[Formula]) -> frozenset[Formula]:
     return frozenset(out)
 
 
-def _require_closed(sigma: frozenset[Formula]) -> None:
-    # a set holding the direct subformulas of each member holds all
-    for f in sigma:
-        for sub in _children(f):
-            if sub not in sigma:
-                raise ValueError(
-                    f"sigma is not subformula-closed: {show(f)} needs {show(sub)}"
-                )
-
-
 @dataclass(frozen=True)
 class FiltrationResult:
     """A quotient model with its projection and the set it was built from."""
@@ -100,18 +96,6 @@ class FiltrationResult:
 
     def classes(self) -> int:
         return self.quotient.frame.n
-
-
-def _signatures(truth: Mapping[Formula, int], order: Sequence[Formula], n: int) -> list[int]:
-    """Per world, the int whose bit i is set when order[i] holds there."""
-    sig = [0] * n
-    for i, f in enumerate(order):
-        t = truth[f]
-        while t:
-            w = (t & -t).bit_length() - 1
-            t &= t - 1
-            sig[w] |= 1 << i
-    return sig
 
 
 _READS_KEPT = 8
@@ -172,7 +156,7 @@ def _partition(m: NModel, sigma: Collection[Formula], require_closed: bool = Fal
     if fresh:
         truth = truth_sets(m, sigma)
         order = tuple(sigma)
-        sig = _signatures(truth, order, m.frame.n)
+        sig = _transpose([truth[f] for f in order], m.frame.n)
         # worlds run upwards, so classes enter in the order of their least member
         classes: dict[int, int] = {}
         for w, s in enumerate(sig):
@@ -191,14 +175,6 @@ def _partition(m: NModel, sigma: Collection[Formula], require_closed: bool = Fal
         reads[id(sigma)] = read
     read.closed |= require_closed
     return read
-
-
-def _members(pi: Sequence[int], k: int) -> list[int]:
-    """World masks of the k classes of the projection pi."""
-    out = [0] * k
-    for w, c in enumerate(pi):
-        out[c] |= 1 << w
-    return out
 
 
 def _preimage(mask: int, members: list[int]) -> int:
@@ -230,8 +206,7 @@ def _greatest(m: NModel, sigma: frozenset[Formula]) -> tuple[FiltrationResult, _
     read = _partition(m, sigma, require_closed=True)
     pi, sigs = read.pi, read.sigs
     k = len(sigs)
-    up = [sum(1 << d for d in range(k) if sigs[c] & ~sigs[d] == 0) for c in range(k)]
-    qposet = Poset(k, up)
+    qposet = Poset(k, _inclusion_cones(sigs))
     table = [-1] * (1 << k)
     for x in qposet.upsets():
         table[x] = read.bound(m, x)
@@ -258,7 +233,7 @@ def check_conditions(m: NModel, r: FiltrationResult) -> tuple[str, tuple] | None
     sigma = r.sigma
     pi = r.pi
     n = m.frame.n
-    members = _members(pi, r.classes())
+    members = _transpose([1 << c for c in pi], r.classes())
     if 0 in members:
         return ("onto", (members.index(0),))
     read = _partition(m, sigma)
@@ -309,7 +284,7 @@ def filtration_theorem_check(m: NModel, r: FiltrationResult) -> tuple[Formula, i
     in show order. A formula the model or the quotient cannot evaluate
     raises eval_formula's error when its turn comes in that order.
     """
-    members = _members(r.pi, r.classes())
+    members = _transpose([1 << c for c in r.pi], r.classes())
     try:
         source = _partition(m, r.sigma).truth.__getitem__
     except (TypeError, ValueError):
@@ -393,17 +368,9 @@ def enumerate_filtrations(m: NModel, sigma: Iterable[Formula]) -> list[Filtratio
     floor = [1 << c for c in range(k)]
     for w in range(m.frame.n):
         floor[pi[w]] |= _push_mask(m.frame.poset.up[w], pi)
-    ceil = g.quotient.frame.poset.up
-    gap = [(c, d) for c in range(k) for d in range(k) if not (floor[c] >> d) & 1 and (ceil[c] >> d) & 1]
     forced = {_push_mask(read.truth[f.sub], pi) for f in sigma if isinstance(f, Neg)}
     out: list[FiltrationResult] = []
-    for pick in range(1 << len(gap)):
-        up = list(floor)
-        for i, (c, d) in enumerate(gap):
-            if (pick >> i) & 1:
-                up[c] |= 1 << d
-        if not _transitive(up):
-            continue
+    for up in _orders_between(floor, g.quotient.frame.poset.up):
         qposet = Poset(k, up)
         upsets = qposet.upsets()
         # at the projection of a negated Sigma formula's argument the

@@ -44,10 +44,16 @@ class past SEARCH_MAX_WORLDS worlds.
 Posets of at most DEFAULT_MAX_WORLDS worlds are kept as well, one
 object per (n, cones), for the life of the process: all 243 labeled
 posets up to 4 worlds fit in that memo (1 + 1 + 3 + 19 + 219). A kept
-poset holds its down sets and its upsets, so every frame, model and top
+poset holds its down sets (the transpose of its cones,
+kernels.pure._transpose) and its upsets, so every frame, model and top
 frame built again on it reads them instead of recomputing them, and
 its cones hold the set-up the positive-morphism kernel derives from
 them (``_Cones``).
+
+One enumerator, _orders_between, lists the transitive cone lists
+between a floor and a ceiling in a fixed binary count: the preorders
+of modal.enumerate_preorders and the orders of
+filtration.enumerate_filtrations.
 
 No closure on a per-call path names itself. A closure that calls itself
 is a reference cycle, which would leave the call's memo, its nodes and
@@ -66,7 +72,7 @@ from dataclasses import dataclass
 from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 from subminimal import kernels
-from subminimal.kernels.pure import _trace_table
+from subminimal.kernels.pure import _trace_table, _transpose
 from subminimal.syntax import (
     And,
     Formula,
@@ -134,6 +140,22 @@ def _transitive(up: Sequence[int]) -> bool:
     return True
 
 
+def _orders_between(floor: Sequence[int], ceil: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """The one order enumerator: every transitive cone list that holds
+    floor and lies inside ceil, cone by cone. It counts in binary over
+    the pairs (c, d) that ceil adds to floor, c major and d minor, with
+    the first pair least significant; modal.enumerate_preorders and
+    filtration.enumerate_filtrations list their orders so."""
+    gap = [(c, 1 << d) for c, cone in enumerate(ceil) for d in range(len(ceil)) if (cone & ~floor[c]) >> d & 1]
+    for pick in range(1 << len(gap)):
+        up = list(floor)
+        for i, (c, bit) in enumerate(gap):
+            if pick >> i & 1:
+                up[c] |= bit
+        if _transitive(up):
+            yield tuple(up)
+
+
 def _check_preorder(n: int, up: Sequence[int]) -> None:
     """Raise ValueError unless ``up`` is the cone list of a preorder on
     worlds 0..n-1: one cone per world, reflexive, in range, transitive."""
@@ -195,17 +217,10 @@ class Poset:
         _check_preorder(n, up)
         if not _antisymmetric(up):
             raise ValueError("antisymmetry fails")
-        down = [0] * n
-        for w, cone in enumerate(up):
-            bit = 1 << w
-            while cone:
-                v = (cone & -cone).bit_length() - 1
-                cone &= cone - 1
-                down[v] |= bit
         self = super().__new__(cls)
         self.n = n
         self.up = _Cones(up)
-        self.down = tuple(down)
+        self.down = tuple(_transpose(up, n))
         self._upsets: tuple[int, ...] | None = None
         if key is not None and n <= DEFAULT_MAX_WORLDS:
             _POSETS[key] = self

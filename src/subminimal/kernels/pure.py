@@ -19,7 +19,10 @@ it at one position. One loop, _trace_table, builds every table whose
 value at X is the set of worlds w whose family holds X & R(w): the
 lift, the translation gap's lift at the upsets, and, imported from
 here, the trace tables of frames, the tables of
-frames.from_neighbourhood and the dual frames of algebra.
+frames.from_neighbourhood and the dual frames of algebra. Two mask
+helpers sit beside it, imported from here as well: _transpose, the one
+bit transpose of a mask list, and _inclusion_cones, the one inclusion
+order of a mask list.
 
 The refutation search evaluates many valuations at once, bit-sliced: a
 truth set is one int per world with one bit per search position. The
@@ -487,6 +490,35 @@ def _trace_table(n, cuts, domain):
                 m |= bit
         table[x] = m
     return table
+
+
+def _transpose(rows, width):
+    """The one mask transpose: bit i of out[j] is bit j of rows[i], for
+    the width entries of out; every row lies below 1 << width. The down
+    sets of frames.Poset, the hats of algebra's prime filters and the
+    signatures and class members of filtration are transposes."""
+    out = [0] * width
+    for i, row in enumerate(rows):
+        bit = 1 << i
+        while row:
+            j = (row & -row).bit_length() - 1
+            row &= row - 1
+            out[j] |= bit
+    return out
+
+
+def _inclusion_cones(masks):
+    """The one inclusion order: j is in cone i exactly when masks[i]
+    lies inside masks[j]. The dual frame orders its prime filters so,
+    the greatest filtration its classes by their signatures."""
+    out = []
+    for a in masks:
+        cone = 0
+        for j, b in enumerate(masks):
+            if a & ~b == 0:
+                cone |= 1 << j
+        out.append(cone)
+    return out
 
 
 def lift_table(n, up, upsets, ntable):

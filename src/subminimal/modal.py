@@ -40,11 +40,11 @@ from subminimal.frames import (
     _cones_from_pairs,
     _imp_mask,
     _ints,
+    _orders_between,
     _pairs,
     _subfamilies,
     _table_array,
     _trace_tables,
-    _transitive,
     _valuation_from_index,
     _worlds,
     eval_formula,
@@ -161,17 +161,9 @@ COS4_AXIOMS = {
 
 
 def enumerate_preorders(n: int) -> list[tuple[int, ...]]:
-    """All reflexive transitive cone families on n worlds."""
-    out = []
-    offdiag = [(w, v) for w in range(n) for v in range(n) if w != v]
-    for bits in range(1 << len(offdiag)):
-        rel = [1 << w for w in range(n)]
-        for k, (w, v) in enumerate(offdiag):
-            if (bits >> k) & 1:
-                rel[w] |= 1 << v
-        if _transitive(rel):
-            out.append(tuple(rel))
-    return out
+    """All reflexive transitive cone families on n worlds, as
+    frames._orders_between lists them from the identity to all worlds."""
+    return list(_orders_between([1 << w for w in range(n)], [(1 << n) - 1] * n))
 
 
 def enumerate_ns4_frames(n: int) -> list[NS4Frame]:

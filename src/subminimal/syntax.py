@@ -301,6 +301,16 @@ def subformula_closure(formula: Formula) -> frozenset[Formula]:
     return frozenset(_walk(formula))
 
 
+def _require_closed(sigma: frozenset[Formula]) -> None:
+    # a set holding the direct subformulas of each member holds all
+    for f in sigma:
+        for sub in _children(f):
+            if sub not in sigma:
+                raise ValueError(
+                    f"sigma is not subformula-closed: {show(f)} needs {show(sub)}"
+                )
+
+
 def variables(formula: Formula) -> tuple[str, ...]:
     """Variable names occurring in the formula, sorted."""
     return tuple(sorted({f.name for f in _walk(formula) if isinstance(f, Var)}))

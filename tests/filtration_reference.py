@@ -13,7 +13,7 @@ import itertools
 from typing import Iterable
 
 from subminimal import kernels
-from subminimal.filtration import FiltrationResult, _members, _preimage, _submasks
+from subminimal.filtration import FiltrationResult, _preimage, _submasks
 from subminimal.frames import (
     NFrame,
     NModel,
@@ -45,6 +45,14 @@ def eval_formula(m: NModel, f: Formula) -> int:
         raise ValueError("evaluation hit an undefined negation entry")
     if out == -2:
         raise ValueError(f"not a propositional formula: {show(f)}")
+    return out
+
+
+def _members(pi, k: int) -> list[int]:
+    """World masks of the k classes of the projection pi."""
+    out = [0] * k
+    for w, c in enumerate(pi):
+        out[c] |= 1 << w
     return out
 
 

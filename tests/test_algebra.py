@@ -1,5 +1,6 @@
 """N-algebras, top frames, duality, and algebraic filtration."""
 
+import collections
 import itertools
 import random
 
@@ -7,10 +8,12 @@ import pytest
 
 import algebra_reference as reference
 from frame_helpers import element_hat
+from subminimal import algebra
 from subminimal.algebra import (
     AlgebraicFiltration,
     NAlgebra,
     TopFrame,
+    _lattice_closure,
     _round_trip,
     admissible_algebra,
     algebra_corpus,
@@ -794,3 +797,57 @@ def test_algebra_eval_matches_the_recursive_walk():
         kind = got[0] if got[0] == "ok" else got[1].split(":")[0].rsplit(" ", 1)[0]
         kinds[kind] = kinds.get(kind, 0) + 1
     assert set(kinds) == {"ok", "assignment misses variable", "not a propositional"}
+
+
+def _one_by_one(a, mu, formulas):
+    """The Sigma values as the filtrations took them before they shared
+    one walk: one recursive evaluation per member."""
+    return [reference.algebra_eval(a, mu, f) for f in formulas]
+
+
+def test_sigma_values_keep_the_answers_and_errors_of_one_walk_per_member(monkeypatch):
+    # the draws of test_algebra_eval_matches_the_recursive_walk, each
+    # formula's closure as Sigma, a fifth of them with a member dropped
+    rng, extra = random.Random(18), random.Random(19)
+    corpus = list(algebra_corpus(2))
+    cases = []
+    for i in range(2_400):
+        a = rng.choice(corpus)
+        names = ["p", "q", "r"]
+        mu = {name: rng.randrange(a.size) for name in names if rng.random() < 0.8}
+        language = "modal" if i % 4 == 0 else "prop"
+        f = random_formula(rng, names, rng.randrange(1, 7), language)
+        sigma = set(close_sigma([f]))
+        if len(sigma) > 1 and extra.random() < 0.2:
+            sigma.remove(extra.choice(sorted(sigma, key=str)))
+        sigma = frozenset(sigma)
+        carrier = range(a.size) if extra.random() < 0.5 else _lattice_closure(a, [extra.randrange(a.size)])
+        cases.append((a, mu, sigma, list(carrier)))
+
+    def outcomes():
+        return [
+            [
+                _result(algebra._algebra_values, a, mu, sigma),
+                _result(general_algebraic_filtration, a, mu, sigma, carrier),
+                _result(sublattice_filtration, a, mu, sigma),
+                _result(least_filtration_correspondence, a, mu, sigma),
+            ]
+            for a, mu, sigma, carrier in cases
+        ]
+
+    got = outcomes()
+    monkeypatch.setattr(algebra, "_algebra_values", _one_by_one)
+    want = outcomes()
+    errors = (
+        "assignment misses variable",
+        "not a propositional formula",
+        "universe misses the value",
+        "sigma is not subformula-closed",
+    )
+    kinds = collections.Counter()
+    for case, g, w in zip(cases, got, want):
+        assert g == w, case
+        for kind, value in g:
+            kinds[kind if kind == "ok" else [e for e in errors if value.startswith(e)][0]] += 1
+    assert set(kinds) == {"ok", *errors}
+    assert min(kinds.values()) >= 100

@@ -12,7 +12,9 @@ import weakref
 
 import pytest
 
+import mask_reference
 from conftest import outcome
+from filtration_reference import _members as reference_members
 from filtration_reference import eval_formula as reference_eval
 from frame_helpers import enumerate_nframes, frame_validates, poset_isomorphic
 from subminimal import frames, kernels
@@ -989,3 +991,71 @@ def test_validity_is_monotone_down_the_chain():
         for weak, strong in zip(flags, flags[1:]):
             if strong:
                 assert weak
+
+
+def test_transpose_matches_the_loops_it_replaced():
+    rng = random.Random(28)
+    for width in range(13):
+        for _ in range(30):
+            rows = [rng.getrandbits(width) for _ in range(rng.randrange(14))]
+            got = pure._transpose(rows, width)
+            assert got == mask_reference.down_sets(width, rows)
+            assert got == mask_reference.hats(width, rows)
+            order = [object() for _ in rows]
+            assert got == mask_reference.signatures(dict(zip(order, rows)), order, width)
+            pi = [rng.randrange(width) for _ in range(rng.randrange(14))] if width else []
+            assert pure._transpose([1 << c for c in pi], width) == reference_members(pi, width)
+    for n in range(5):
+        for p in enumerate_posets(n):
+            assert list(p.down) == mask_reference.down_sets(n, p.up)
+
+
+def test_inclusion_cones_match_the_loops_they_replaced():
+    rng = random.Random(29)
+    seen = collections.Counter()
+    for _ in range(600):
+        width = rng.randrange(6)
+        masks = [rng.getrandbits(width) for _ in range(rng.randrange(9))]
+        if masks and rng.random() < 0.3:
+            masks.insert(rng.randrange(len(masks)), rng.choice(masks))
+        cones = pure._inclusion_cones(masks)
+        assert cones == mask_reference.dual_cones(masks) == mask_reference.greatest_cones(masks)
+        # a shift and a common bit keep every inclusion; random traces
+        # mostly break one
+        if rng.random() < 0.5:
+            other = [m << 1 | 1 for m in masks]
+        else:
+            other = [rng.getrandbits(width) for _ in masks]
+        agree = mask_reference.orders_agree(masks, other)
+        assert (cones == pure._inclusion_cones(other)) == agree
+        seen[agree] += 1
+        seen["duplicate"] += len(set(masks)) < len(masks)
+    assert seen[True] > 100 and seen[False] > 100 and seen["duplicate"] > 100
+
+
+def _count_order(floor, ceil, up):
+    """The binary count at which up is picked: bit i for the i-th pair
+    (c, d), c major, that ceil adds to floor."""
+    n = len(floor)
+    gap = [(c, d) for c in range(n) for d in range(n) if (ceil[c] >> d) & 1 and not (floor[c] >> d) & 1]
+    return sum(1 << i for i, (c, d) in enumerate(gap) if (up[c] >> d) & 1)
+
+
+def test_orders_between_are_every_transitive_relation_in_count_order():
+    rng = random.Random(30)
+    sizes = collections.Counter()
+    for _ in range(120):
+        n = rng.randrange(5)
+        floor = [sum(1 << d for d in range(n) if rng.random() < 0.3) for _ in range(n)]
+        ceil = [f | sum(1 << d for d in range(n) if rng.random() < 0.6) for f in floor]
+        # every relation between floor and ceil, cone by cone, kept when
+        # transitive by the definition
+        cones = [[x for x in range(1 << n) if f & ~x == 0 and x & ~c == 0] for f, c in zip(floor, ceil)]
+        want = [
+            up for up in itertools.product(*cones)
+            if all(up[d] & ~up[c] == 0 for c in range(n) for d in range(n) if (up[c] >> d) & 1)
+        ]
+        want.sort(key=lambda up: _count_order(floor, ceil, up))
+        assert list(frames._orders_between(floor, ceil)) == want
+        sizes[len(want) > 1] += 1
+    assert sizes[True] > 30

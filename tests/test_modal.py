@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+import mask_reference
 import ns4_reference
 from subminimal import kernels
 from subminimal.frames import (
@@ -154,8 +155,13 @@ def test_trace_tables_keep_their_order():
     assert digest.hexdigest() == "0a5b503dbf1b0f17c26883bec6f62f43befb060bf92855d02b46c7dde15e5816"
 
 
-def test_preorder_count_on_two_worlds():
-    assert len(enumerate_preorders(2)) == 4
+def test_preorders_keep_the_relation_loop_order():
+    counts = []
+    for n in range(5):
+        got = enumerate_preorders(n)
+        assert got == mask_reference.enumerate_preorders(n)
+        counts.append(len(got))
+    assert counts == [1, 1, 4, 29, 355]
 
 
 def test_random_frames_are_lawful_and_sound():

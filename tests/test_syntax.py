@@ -56,6 +56,17 @@ def test_structure_of_connectives():
     assert f == Imp(And(Neg(Var("p")), Var("q")), Or(Var("p"), Top()))
 
 
+def test_str_is_show():
+    rng = random.Random(28)
+    seen = set()
+    for i in range(400):
+        language = "modal" if i % 2 else "prop"
+        f = random_formula(rng, ["p", "q"], rng.randrange(5), language)
+        assert str(f) == show(f)
+        seen.update(type(g).__name__ for g in subformula_closure(f))
+    assert seen == {"Var", "Top", "Bot", "Neg", "And", "Or", "Imp", "Box", "BBox"}
+
+
 def test_precedence_strings_round_trip():
     for text in [
         "p & q & r",
