@@ -12,16 +12,29 @@ tuples of size^2 entries. Accepting a lawful algebra takes O(size^2)
 bitmask steps plus size steps per covering pair of its order (a table
 that breaks a law pays the O(size^3) loop that names it), and finding
 the prime filters O(size^3), so algebras of a few dozen elements are
-cheap. Each algebra builds its prime filters and dual frame once, on
-first use, and keeps them: dual_frame, duality_check and every
+cheap. The dual frame has one world per prime filter and, like every
+frame here, a negation table over all subsets of its worlds, so that
+part doubles with each prime filter; a chain of s elements has s. A
+dual of more than 20 worlds, the world cap of the frame readers,
+raises ValueError.
+
+Every algebra is its Heyting reduct (meet, join, imp and one;
+_heyting.Reduct) plus its negation. The reduct finds, once and on first
+use, the element order as masks, the verdict of the lattice and
+residuation laws, the prime filters, their hats and the dual poset,
+and the lattice half of the round trip; each algebra builds and keeps
+its dual frame's table, so dual_frame, duality_check and every
 least_filtration_correspondence on it share one, and the round trip
-compares world masks instead of building a second algebra. The dual
-frame has one world per prime filter and, like every frame here, a
-negation table over all subsets of its worlds, so that part doubles
-with each prime filter; a chain of s elements has s. A dual of more
-than 20 worlds, the world cap of the frame readers, raises ValueError.
-The hats are the transpose of the filters (kernels.pure._transpose)
-and the dual's order their inclusion (kernels.pure._inclusion_cones).
+compares world masks instead of building a second algebra. The upset
+algebras and admissible algebras of one poset share their tables and
+reduct: the poset's cones keep them per element list
+(kernels.pure._kept), for the life of the process up to
+DEFAULT_MAX_WORLDS worlds and as long as the poset past that. The
+reducts of every poset up to 4 worlds, upsets and nonempty upsets,
+fully used, hold about 1.2 MiB (330 of them, tracemalloc); a duality
+benchmark stream keeps about 200. Each such algebra builds only its
+negation column and checks only what reads the negation. Any other
+algebra builds its own reduct from its own tables.
 """
 
 from __future__ import annotations
@@ -30,14 +43,13 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
 
+from subminimal._heyting import Reduct, lattice_round_trip, set_reduct
 from subminimal.frames import (
     NFrame,
     NModel,
     Poset,
-    _JSON_MAX_WORLDS,
     _check_table,
     _frame_stream,
-    _imp_mask,
     _int,
     _ints,
     _locality_witness,
@@ -50,7 +62,7 @@ from subminimal.frames import (
     poset_to_dict,
     truth_sets,
 )
-from subminimal.kernels.pure import _inclusion_cones, _trace_table, _transpose
+from subminimal.kernels.pure import _inclusion_cones, _kept, _trace_table, _transpose
 from subminimal.syntax import (
     And,
     Formula,
@@ -79,36 +91,36 @@ class NAlgebra:
             raise ValueError("an algebra needs at least one element")
         for name in ("meet", "join", "imp"):
             table = getattr(self, name)
-            if len(table) != self.size or any(len(row) != self.size for row in table):
+            if len(table) != self.size or set(map(len, table)) != {self.size}:
                 raise ValueError(f"{name} table must be square of order {self.size}")
         if len(self.neg) != self.size:
             raise ValueError("negation table length mismatch")
-        for rows in (self.meet, self.join, self.imp, (self.neg, (self.one,))):
-            for row in rows:
-                for v in row:
-                    if not 0 <= v < self.size:
-                        raise ValueError("table value out of range")
+        # each distinct value once: in-range tables hold at most size
+        values = set(self.neg).union(*self.meet, *self.join, *self.imp)
+        values.add(self.one)
+        if not all(0 <= v < self.size for v in values):
+            raise ValueError("table value out of range")
 
     def le(self, a: int, b: int) -> bool:
         return self.meet[a][b] == a
 
     @cached_property
-    def _order(self) -> Poset:
-        """The order of the elements, x <= y iff meet[x][y] == x, as a
-        poset on 0..size-1, built on first use and kept as _duality is;
-        ValueError unless it is a partial order."""
-        rng = range(self.size)
-        return Poset(self.size, [sum(1 << y for y in rng if self.meet[x][y] == x) for x in rng])
+    def _reduct(self) -> Reduct:
+        """The Heyting reduct of meet, join, imp and one, built from the
+        algebra's own tables on first use unless _set_algebra handed it
+        the one its poset keeps. Like _duality it stays out of ==, hash
+        and repr."""
+        return Reduct(self.size, self.meet, self.join, self.imp, self.one)
 
     @cached_property
-    def _duality(self) -> tuple[list[int], list[int], TopFrame]:
+    def _duality(self) -> tuple[tuple[int, ...], tuple[int, ...], TopFrame]:
         """The prime filters, the hat of every element and the dual
-        frame, built on first use and kept, as Poset keeps its upsets.
-        The value stays out of ==, hash and repr; an error is not kept,
-        so the next use raises it again."""
-        filters = prime_filters(self)
-        hats = _transpose(filters, self.size)
-        return filters, hats, _dual(self, filters, hats)
+        frame, built on first use and kept, as Poset keeps its upsets;
+        the filters and hats are the reduct's. The value stays out of
+        ==, hash and repr; an error is not kept, so the next use raises
+        it again."""
+        r = self._reduct
+        return r.filters, r.hats, _dual(self, r)
 
 
 def check_nalgebra(a: NAlgebra) -> tuple[str, tuple] | None:
@@ -118,101 +130,26 @@ def check_nalgebra(a: NAlgebra) -> tuple[str, tuple] | None:
     law is returned with a witness tuple: lattice identities first,
     then the top, then residuation of imp, then compatibility of neg.
 
-    A lawful algebra is accepted by _laws_hold in O(size^2) bitmask
-    steps plus size steps per covering pair of its order; a lattice has
-    O(size^1.5) covering pairs, since two elements never share two
+    A lawful algebra is accepted by the reduct's law test
+    (_heyting.Reduct.laws: the lattice and residuation laws in O(size^2)
+    bitmask steps plus size steps per covering pair, once per reduct)
+    and by _compatible on its negation, in O(size^2) steps. A lattice
+    has O(size^1.5) covering pairs, since two elements never share two
     upper covers. Only when that test fails does the O(size^3) loop of
     _first_broken_law run, to find the first broken law and its
     witness, so the answer is that loop's on every input. The two
-    agree on which tables are lawful; _laws_hold proves it.
+    agree on which tables are lawful; Reduct.laws proves it.
     """
-    if _laws_hold(a):
+    if a._reduct.laws and _compatible(a):
         return None
     return _first_broken_law(a)
 
 
-def _laws_hold(a: NAlgebra) -> bool:
-    """Whether the tables satisfy every law that check_nalgebra checks,
-    in O(size^2) steps on element bitmasks and size steps per covering
-    pair.
-
-    Read x <= y as meet[x][y] == x, let D[y] be the mask of the x below
-    y and U[x] the mask of the y above x. The test asks for:
-
-    (1) idempotence and commutativity of meet and join, both absorption
-        laws and the top (meet[x][one] == x), as the loop checks them;
-    (2) D[meet[x][y]] == D[x] & D[y] and U[join[x][y]] == U[x] & U[y];
-    (3) y & (y -> z) <= z, x <= y -> (x & y), and y -> z <= y -> c
-        whenever c covers z (c is minimal strictly above z);
-    (4) compatibility, as the loop checks it.
-
-    Associativity. Under (1), <= is reflexive (idempotence) and
-    antisymmetric (x <= y <= x gives x = meet[x][y] = meet[y][x] = y).
-    It is transitive under (2): if x <= y <= z, then meet[y][z] == y
-    gives D[y] == D[y] & D[z], and x is in D[y], so x <= z. Then (2)
-    says that meet[x][y] lies below x and y (it is in its own D) and
-    above every common lower bound: it is the greatest lower bound, and
-    the greatest lower bound of three elements does not depend on the
-    bracketing. Conversely, an associative meet is a semilattice
-    operation, so <= is a partial order with meet the greatest lower
-    bound, which is (2) for meet. For join, absorption makes its order
-    the same: if join[x][y] == y then meet[x][y] == meet[x][join[x][y]]
-    == x, and if meet[x][y] == x then join[x][y] == join[y][meet[y][x]]
-    == y. So the same argument with U and least upper bounds covers join.
-
-    Residuation, in the lattice that (1) and (2) give: for all x, y, z,
-    x & y <= z iff x <= y -> z. If it holds, x = y -> z gives the first
-    part of (3), z = x & y the second, and x = y -> z with z <= c the
-    third. Conversely, (3) makes y -> . monotone, since z <= z' is a
-    chain of covers in a finite order. Then x & y <= z gives
-    x <= y -> (x & y) <= y -> z, and x <= y -> z gives
-    x & y <= y & (y -> z) <= z.
-    """
+def _compatible(a: NAlgebra) -> bool:
+    """The compatibility law, as _first_broken_law checks it: the only
+    part of the law test that reads the negation."""
     rng = range(a.size)
-    meet, join, imp, neg, one = a.meet, a.join, a.imp, a.neg, a.one
-    if tuple(zip(*meet)) != meet or tuple(zip(*join)) != join:
-        return False
-    # U[x], D[x]: the elements above and below x; by commutativity
-    # x <= y reads meet[x][y] == x in row x and meet[y][x] == x in row y
-    U = [0] * a.size
-    D = [0] * a.size
-    for x in rng:
-        mx, jx = meet[x], join[x]
-        if mx[x] != x or jx[x] != x or mx[one] != x:
-            return False
-        bit = 1 << x
-        for y in rng:
-            m = mx[y]
-            if mx[jx[y]] != x or jx[m] != x:
-                return False
-            if m == x:
-                U[x] |= 1 << y
-                D[y] |= bit
-    for x in rng:
-        mx, jx, dx, ux = meet[x], join[x], D[x], U[x]
-        for y in rng:
-            if D[mx[y]] != dx & D[y] or U[jx[y]] != ux & U[y]:
-                return False
-    # covers[z]: the minimal elements strictly above z
-    covers = []
-    for z in rng:
-        strict = U[z] ^ (1 << z)
-        inner = 0
-        for y in rng:
-            if (strict >> y) & 1:
-                inner |= U[y] ^ (1 << y)
-        minimal = strict & ~inner
-        covers.append([y for y in rng if (minimal >> y) & 1])
-    for y in rng:
-        my, iy = meet[y], imp[y]
-        for z in rng:
-            izy = iy[z]
-            if not (D[z] >> my[izy]) & 1 or not (D[iy[my[z]]] >> z) & 1:
-                return False
-            uz = U[izy]
-            for c in covers[z]:
-                if not (uz >> iy[c]) & 1:
-                    return False
+    meet, neg = a.meet, a.neg
     for x in rng:
         mx = meet[x]
         for y in rng:
@@ -274,35 +211,20 @@ def _set_algebra(p: Poset, elements: Sequence[int], ntable: Sequence[int]) -> NA
     and the arrow is the largest upset whose meet with the antecedent
     stays inside the consequent. The elements must be closed under all
     three and hold the full set and every table value.
+
+    The tables and their reduct depend on p and the elements alone, so
+    p's cones keep them (kernels.pure._kept), keyed by the element
+    list, and every algebra of those upsets holds the same table
+    objects and the same reduct: only its neg column is built here.
     """
-    index = {u: i for i, u in enumerate(elements)}
+    index, r = _kept(p.up, set_reduct, tuple(elements))
     for u in elements:
         if ntable[u] not in index:
             raise ValueError(f"negation value at {u} is not an element")
-    meet = tuple(tuple(index[u & v] for v in elements) for u in elements)
-    join = tuple(tuple(index[u | v] for v in elements) for u in elements)
-    imp = tuple(tuple(index[w] for w in row) for row in _arrow_rows(p, elements))
-    neg = tuple(index[ntable[u]] for u in elements)
-    return NAlgebra(len(elements), meet, join, imp, neg, index[(1 << p.n) - 1])
-
-
-def _arrow_rows(p: Poset, masks: Sequence[int]) -> list[list[int]]:
-    """The Heyting arrow u -> v on world masks for every pair of the
-    masks, one row per u. A world is in u -> v when its cone misses
-    the gap u & ~v, so the arrow depends on the gap alone and is worked
-    out once per distinct gap."""
-    arrows: dict[int, int] = {}
-    rows = []
-    for u in masks:
-        row = []
-        for v in masks:
-            gap = u & ~v
-            w = arrows.get(gap)
-            if w is None:
-                w = arrows[gap] = _imp_mask(p, gap, 0)
-            row.append(w)
-        rows.append(row)
-    return rows
+    a = NAlgebra(r.size, r.meet, r.join, r.imp, tuple(index[ntable[u]] for u in elements), r.one)
+    # the reduct goes where the cached property would put it
+    a.__dict__["_reduct"] = r
+    return a
 
 
 def upset_algebra(fr: NFrame) -> NAlgebra:
@@ -391,7 +313,7 @@ def admissible_algebra(tf: TopFrame) -> NAlgebra:
 
 
 def prime_filters(a: NAlgebra) -> list[int]:
-    """All prime filters as element masks, ascending.
+    """All prime filters as element masks, ascending, in a fresh list.
 
     A filter here contains the top, is closed upward and under meet,
     and can only contain a join by containing a joinand. The improper
@@ -403,33 +325,12 @@ def prime_filters(a: NAlgebra) -> list[int]:
     each, and an up-set is kept when no join inside it has both
     joinands outside (Birkhoff: in a distributive lattice these are the
     up-sets of the join-irreducibles, plus the up-set of the bottom).
-    That takes O(size^3) steps and never enumerates subsets. The dual
-    frame, the duality round trip and the filtration correspondence
-    call it once per algebra: NAlgebra keeps the filters with the dual.
+    That takes O(size^3) steps and never enumerates subsets. The
+    algebra's reduct finds them once (_heyting.Reduct.filters) and
+    keeps them with the dual, which the upset algebras of one poset
+    share.
     """
-    rng = range(a.size)
-    join = a.join
-    out = []
-    for x, row in enumerate(a.meet):
-        mask = 0
-        outside = []
-        for y in rng:
-            if row[y] == x:
-                mask |= 1 << y
-            else:
-                outside.append(y)
-        prime = True
-        for y in outside:
-            jy = join[y]
-            for z in outside:
-                if (mask >> jy[z]) & 1:
-                    prime = False
-                    break
-            if not prime:
-                break
-        if prime:
-            out.append(mask)
-    return sorted(out)
+    return list(a._reduct.filters)
 
 
 def dual_frame(a: NAlgebra) -> TopFrame:
@@ -444,33 +345,24 @@ def dual_frame(a: NAlgebra) -> TopFrame:
     return a._duality[2]
 
 
-def _dual(a: NAlgebra, filters: Sequence[int], hats: Sequence[int]) -> TopFrame:
-    """The dual frame of an algebra on its given prime filters and the
-    hats of its elements over them.
+def _dual(a: NAlgebra, r: Reduct) -> TopFrame:
+    """The dual frame of an algebra on the prime filters, hats and dual
+    poset of its reduct.
 
     Filter i is in N(u) when some negated element of it has a hat that
     agrees with u on the cone of i, that is, when up[i] & u is in the
     family {up[i] & hats[x] : neg[x] in filter i}; the table is the
     trace table of those families on the nonempty upsets
-    (kernels.pure._trace_table).
-
-    The dual's table covers all 2**k subsets of its k worlds, so k is
-    capped like every frame reader's world count, and a dual past the
-    cap raises ValueError: no reader could take it back.
+    (kernels.pure._trace_table). The dual poset raises ValueError past
+    the world cap (_heyting.Reduct.dual).
     """
-    k = len(filters)
-    if k > _JSON_MAX_WORLDS:
-        raise ValueError(
-            f"the dual would have {k} worlds, more than the cap of {_JSON_MAX_WORLDS}"
-        )
-    up = _inclusion_cones(filters)
-    p = Poset(k, up)
-    neg = a.neg
+    p = r.dual
+    hats, neg = r.hats, a.neg
     cuts = [
         (cone, 1 << i, {cone & hats[x] for x in range(a.size) if (f >> neg[x]) & 1})
-        for i, (f, cone) in enumerate(zip(filters, up))
+        for i, (f, cone) in enumerate(zip(r.filters, p.up))
     ]
-    tf = TopFrame(p, tuple(_trace_table(k, cuts, p.upsets()[1:])))
+    tf = TopFrame(p, tuple(_trace_table(p.n, cuts, p.upsets()[1:])))
     for x in range(a.size):
         if tf.ntable[hats[x]] != hats[neg[x]]:
             raise RuntimeError(
@@ -482,8 +374,8 @@ def _dual(a: NAlgebra, filters: Sequence[int], hats: Sequence[int]) -> TopFrame:
 def nalgebra_isomorphisms(a: NAlgebra, b: NAlgebra) -> Iterator[tuple[int, ...]]:
     """All isomorphisms between two N-algebras (see check_nalgebra), as
     assignment tuples in ascending order: the order isomorphisms of
-    their element orders (poset_isomorphisms, on the orders each algebra
-    keeps) that commute with neg.
+    their element orders (poset_isomorphisms, on the orders the
+    algebras' reducts keep) that commute with neg.
 
     An isomorphism preserves meet, so it is an order isomorphism.
     Conversely an order isomorphism f of two lattices preserves what
@@ -494,7 +386,7 @@ def nalgebra_isomorphisms(a: NAlgebra, b: NAlgebra) -> Iterator[tuple[int, ...]]
     so both algebras must pass check_nalgebra; tables whose element
     order is not a partial order raise ValueError.
     """
-    for f in poset_isomorphisms(a._order, b._order):
+    for f in poset_isomorphisms(a._reduct.order, b._reduct.order):
         if all(b.neg[f[x]] == f[a.neg[x]] for x in range(a.size)):
             yield f
 
@@ -535,6 +427,10 @@ def _round_trip(a: NAlgebra, hats: Sequence[int], tf: TopFrame) -> bool:
     an operation exactly when the masks agree: hats[meet[u][v]] is
     hats[u] & hats[v], and so on. A table value that is not admissible
     raises ValueError, as building the admissible algebra does.
+
+    All but the negation depends on the hats and tf's order alone
+    (_heyting.lattice_round_trip); on the reduct's own hats and dual
+    poset the reduct's kept answer is read.
     """
     admissible = tf.admissible()
     inside = set(admissible)
@@ -542,28 +438,20 @@ def _round_trip(a: NAlgebra, hats: Sequence[int], tf: TopFrame) -> bool:
     for u in admissible:
         if ntable[u] not in inside:
             raise ValueError(f"negation value at {u} is not an element")
-    if sorted(hats) != admissible or hats[a.one] != (1 << tf.n) - 1:
-        return False
-    arrows = _arrow_rows(tf.poset, hats)
-    meet, join, imp, neg = a.meet, a.join, a.imp, a.neg
-    for u, hu in enumerate(hats):
-        if hats[neg[u]] != ntable[hu]:
-            return False
-        mu, ju, iu, au = meet[u], join[u], imp[u], arrows[u]
-        for v, hv in enumerate(hats):
-            if hats[mu[v]] != hu & hv or hats[ju[v]] != hu | hv or hats[iu[v]] != au[v]:
-                return False
-    return True
+    r = a._reduct
+    if hats is r.hats and tf.poset is r.dual:
+        lattice = r.round_trip
+    else:
+        lattice = lattice_round_trip(r, hats, tf.poset)
+    return lattice and all(hats[x] == ntable[h] for h, x in zip(hats, a.neg))
 
 
 def subdirectly_irreducible(a: NAlgebra) -> bool:
-    """Presence of a second greatest element below the top."""
-    for s in range(a.size):
-        if s == a.one:
-            continue
-        if all(a.le(x, s) for x in range(a.size) if x != a.one):
-            return True
-    return False
+    """Presence of a second greatest element below the top: an s other
+    than the top whose down set (_heyting.Reduct.down) holds every
+    element but the top."""
+    full, top = (1 << a.size) - 1, 1 << a.one
+    return any(s != a.one and below | top == full for s, below in enumerate(a._reduct.down))
 
 
 # --------------------------------------------------------------------------

@@ -56,7 +56,6 @@ from subminimal.frames import (
     _push_mask,
     countermodel_search,
     formula_evaluator,
-    frame_class,
     truth_sets,
 )
 from subminimal.kernels.pure import _inclusion_cones, _transpose
@@ -64,7 +63,6 @@ from subminimal.syntax import (
     Formula,
     Logic,
     Neg,
-    Top,
     Var,
     _require_closed,
     chain_axioms,

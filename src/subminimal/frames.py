@@ -176,9 +176,10 @@ def _antisymmetric(up: Sequence[int]) -> bool:
 
 
 class _Cones(tuple):
-    """A poset's cone masks. Its instance dict keeps what a kernel
-    derives from the cones alone, such as the set-up of
-    kernels.search_positive_morphism, for the life of the poset (see
+    """A poset's cone masks. Its instance dict keeps what is derived
+    from the cones alone, such as the set-up of
+    kernels.search_positive_morphism and the upset algebras' reducts
+    (algebra._set_algebra), for the life of the poset (see
     kernels.pure._kept)."""
 
 

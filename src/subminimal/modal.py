@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from subminimal import kernels
 from subminimal.frames import (

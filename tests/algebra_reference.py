@@ -1,13 +1,14 @@
 """The algebra-layer functions the package replaced, as they were.
 
 The differential tests in test_algebra.py run the package's law check,
-duality round trip, dual frame and filtration correspondence against
-these and demand the same value, the same first broken law and witness,
-or the same exception. These are the plain versions: the O(size^3) law
-loop, the arrow by one ``_imp_mask`` call per pair, the dual table by
-scanning every element at every filter, and a round trip that builds
-the dual's admissible algebra to compare against. Each builds its dual
-afresh on every call.
+duality round trip, dual frame, filtration correspondence and
+subdirect irreducibility against these and demand the same value, the
+same first broken law and witness, or the same exception. These are
+the plain versions: the O(size^3) law loop, the arrow by one
+``_imp_mask`` call per pair, the dual table by scanning every element
+at every filter, a round trip that builds the dual's admissible
+algebra to compare against, and the second greatest element by one
+``le`` call per pair. Each builds its dual afresh on every call.
 """
 
 from __future__ import annotations
@@ -196,6 +197,16 @@ def round_trip(x: NAlgebra, filters: Sequence[int], tf: TopFrame) -> bool:
             if alpha[x.imp[u][v]] != b.imp[alpha[u]][alpha[v]]:
                 return False
     return True
+
+
+def subdirectly_irreducible(a: NAlgebra) -> bool:
+    """Presence of a second greatest element below the top."""
+    for s in range(a.size):
+        if s == a.one:
+            continue
+        if all(a.le(x, s) for x in range(a.size) if x != a.one):
+            return True
+    return False
 
 
 def algebra_eval(a: NAlgebra, mu: Mapping[str, int], f: Formula) -> int:

@@ -1,8 +1,12 @@
 """N-algebras, top frames, duality, and algebraic filtration."""
 
 import collections
+import copy
+import functools
 import itertools
+import pickle
 import random
+import weakref
 
 import pytest
 
@@ -48,6 +52,7 @@ from subminimal.frames import (
     ntable_from_upset_map,
     random_nframe,
     random_ntable,
+    random_poset,
     truth_sets,
 )
 from subminimal.syntax import And, Box, Neg, Var, parse, random_formula, variables
@@ -851,3 +856,125 @@ def test_sigma_values_keep_the_answers_and_errors_of_one_walk_per_member(monkeyp
             kinds[kind if kind == "ok" else [e for e in errors if value.startswith(e)][0]] += 1
     assert set(kinds) == {"ok", *errors}
     assert min(kinds.values()) >= 100
+
+
+# --------------------------------------------------------------------------
+# Heyting reducts shared by the set algebras of one poset
+
+
+def test_subdirectly_irreducible_matches_the_plain_loop():
+    rng = random.Random(29)
+    bases = list(algebra_corpus(3)) + _random_upset_algebras(rng, 300)
+    cases = bases + [M3, N5] + _corruptions(rng, bases, 2_000)
+    seen = collections.Counter()
+    for a in cases:
+        got = subdirectly_irreducible(a)
+        assert got == reference.subdirectly_irreducible(a), a
+        seen[got] += 1
+    assert seen[True] and seen[False]
+
+
+def test_set_algebras_of_one_poset_share_their_tables_and_reduct():
+    for n in (1, 2, 3):
+        for p in enumerate_posets(n):
+            families = [[upset_algebra(NFrame(p, t)) for t in enumerate_ntables(p)]]
+            if p.top() is not None:
+                families.append([admissible_algebra(tf) for tf in enumerate_topframes(p)])
+                assert families[0][0]._reduct is not families[1][0]._reduct
+            for first, *rest in families:
+                for a in rest:
+                    assert a.meet is first.meet and a.join is first.join and a.imp is first.imp
+                    assert a._reduct is first._reduct
+    # any other algebra builds its own, even on the same table objects
+    assert _replace(ALG)._reduct is not ALG._reduct
+
+
+def test_a_large_poset_keeps_its_reducts_no_longer_than_itself():
+    # five worlds are past the posets kept for the life of the process
+    p = Poset(5, [1 << w for w in range(5)])
+    frame = NFrame(p, ntable_from_upset_map(p, {u: 0 for u in p.upsets()}))
+    a = upset_algebra(frame)
+    assert check_nalgebra(a) is None and duality_check(a)
+    assert upset_algebra(frame)._reduct is a._reduct
+    kept = weakref.ref(a._reduct)
+    del p, frame, a
+    assert kept() is None
+
+
+def _shared_outcomes(a, mu, sigma, reverse=False):
+    """check_nalgebra, duality_check, the dual's table and one
+    filtration correspondence on a, in this order or, reversed, in the
+    opposite one."""
+    calls = [
+        lambda: _result(check_nalgebra, a),
+        lambda: _result(duality_check, a),
+        lambda: _result(lambda: dual_frame(a).ntable),
+        lambda: _result(least_filtration_correspondence, a, mu, sigma),
+    ]
+    if reverse:
+        return [call() for call in calls[::-1]][::-1]
+    return [call() for call in calls]
+
+
+def test_shared_reducts_match_the_reference():
+    # frames drawn on a few posets, so that most algebras meet a reduct
+    # an earlier one built; half the tables are arbitrary upset maps,
+    # which break compatibility and make some duals disagree
+    rng = random.Random(30)
+    posets = [random_poset(rng, n) for n in (1, 2, 2, 3, 3, 3, 4, 4)]
+    seen = collections.Counter()
+    for _ in range(600):
+        p = rng.choice(posets)
+        lawful = rng.random() < 0.5
+        if p.top() is not None and rng.random() < 0.3:
+            admissible = [u for u in p.upsets() if u]
+            if lawful:
+                tf = rng.choice(enumerate_topframes(p))
+            else:
+                table = [-1] * (1 << p.n)
+                for u in admissible:
+                    table[u] = rng.choice(admissible)
+                tf = TopFrame(p, tuple(table))
+            make = functools.partial(admissible_algebra, tf)
+            want_algebra = reference.admissible_algebra(tf)
+        else:
+            upsets = p.upsets()
+            table = random_ntable(rng, p) if lawful else ntable_from_upset_map(p, {u: rng.choice(upsets) for u in upsets})
+            make = functools.partial(upset_algebra, NFrame(p, table))
+            want_algebra = reference._set_algebra(p, upsets, table)
+        a = make()
+        assert a == want_algebra
+        mu = {"p": rng.randrange(a.size), "q": rng.randrange(a.size)}
+        sigma = rng.choice(SIGMAS)
+        want = [
+            _result(reference.check_nalgebra, a),
+            _result(reference.duality_check, a),
+            _result(lambda: reference.dual_frame(a).ntable),
+            _result(reference.least_filtration_correspondence, a, mu, sigma),
+        ]
+        reverse = rng.random() < 0.5
+        assert _shared_outcomes(a, mu, sigma, reverse) == want, a
+        # a second call on the same algebra repeats every answer and error
+        assert _shared_outcomes(a, mu, sigma, reverse) == want, a
+        again = make()
+        assert again._reduct is a._reduct
+        assert _shared_outcomes(again, mu, sigma, not reverse) == want, a
+        for kind, value in want:
+            seen[kind if kind != "ok" else "lawful" if value is None else value] += 1
+    assert seen["lawful"] and seen[True] and seen["RuntimeError"]
+    assert any(isinstance(key, tuple) and key[0] == "compatibility" for key in seen)
+
+
+def test_shared_algebras_compare_copy_and_pickle_as_plain_ones():
+    rng = random.Random(31)
+    for a in _random_upset_algebras(rng, 20) + [upset_algebra(CHAIN_FRAME)]:
+        want = (check_nalgebra(a), dual_frame(a), duality_check(a), prime_filters(a))
+        plain = _replace(a)
+        for b in (plain, copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+            assert b == a and hash(b) == hash(a) and repr(b) == repr(a)
+            assert (check_nalgebra(b), dual_frame(b), duality_check(b), prime_filters(b)) == want
+        assert "Reduct" not in repr(a)
+        # prime_filters hands out a fresh list each time
+        filters = prime_filters(a)
+        filters.append(-1)
+        assert prime_filters(a) == want[3]
