@@ -21,7 +21,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Sequence
 
-from subminimal.frames import Poset, _JSON_MAX_WORLDS
+from subminimal.frames import Poset, _JSON_MAX_WORLDS, _imp_mask
 from subminimal.kernels.pure import _inclusion_cones, _transpose
 
 
@@ -38,21 +38,38 @@ class Reduct:
         self.one = one
 
     @cached_property
-    def up(self) -> list[int]:
-        """U[x], the mask of the y above x: meet[x][y] == x."""
-        out = []
-        for x, row in enumerate(self.meet):
-            mask = 0
-            for y, m in enumerate(row):
+    def _scan(self) -> tuple[list[int], list[int], bool]:
+        """One pass over the tables: U[x], the mask of the y above x
+        (meet[x][y] == x), D[y], the mask of the x below y (the
+        transpose of U), and whether part (1) of the law test holds."""
+        rng = range(self.size)
+        meet, join, one = self.meet, self.join, self.one
+        U = [0] * self.size
+        D = [0] * self.size
+        ok = tuple(zip(*meet)) == meet and tuple(zip(*join)) == join
+        for x in rng:
+            mx, jx = meet[x], join[x]
+            if mx[x] != x or jx[x] != x or mx[one] != x:
+                ok = False
+            bit = 1 << x
+            for y in rng:
+                m = mx[y]
+                if mx[jx[y]] != x or jx[m] != x:
+                    ok = False
                 if m == x:
-                    mask |= 1 << y
-            out.append(mask)
-        return out
+                    U[x] |= 1 << y
+                    D[y] |= bit
+        return U, D, ok
 
-    @cached_property
+    @property
+    def up(self) -> list[int]:
+        """U[x], the mask of the y above x."""
+        return self._scan[0]
+
+    @property
     def down(self) -> list[int]:
-        """D[y], the mask of the x below y: the transpose of U."""
-        return _transpose(self.up, self.size)
+        """D[y], the mask of the x below y."""
+        return self._scan[1]
 
     @cached_property
     def order(self) -> Poset:
@@ -68,7 +85,7 @@ class Reduct:
 
         (1) idempotence and commutativity of meet and join, both
             absorption laws and the top (meet[x][one] == x), as the
-            loop checks them;
+            loop checks them (in _scan, which builds U and D);
         (2) D[meet[x][y]] == D[x] & D[y] and U[join[x][y]] == U[x] & U[y];
         (3) y & (y -> z) <= z, x <= y -> (x & y), and y -> z <= y -> c
             whenever c covers z (c is minimal strictly above z).
@@ -96,18 +113,11 @@ class Reduct:
         x & y <= z gives x <= y -> (x & y) <= y -> z, and x <= y -> z
         gives x & y <= y & (y -> z) <= z.
         """
-        rng = range(self.size)
-        meet, join, imp, one = self.meet, self.join, self.imp, self.one
-        if tuple(zip(*meet)) != meet or tuple(zip(*join)) != join:
+        U, D, ok = self._scan
+        if not ok:
             return False
-        for x in rng:
-            mx, jx = meet[x], join[x]
-            if mx[x] != x or jx[x] != x or mx[one] != x:
-                return False
-            for y in rng:
-                if mx[jx[y]] != x or jx[mx[y]] != x:
-                    return False
-        U, D = self.up, self.down
+        rng = range(self.size)
+        meet, join, imp = self.meet, self.join, self.imp
         for x in rng:
             mx, jx, dx, ux = meet[x], join[x], D[x], U[x]
             for y in rng:
@@ -179,24 +189,21 @@ class Reduct:
 
     @cached_property
     def round_trip(self) -> bool:
-        """lattice_round_trip on the reduct's own hats and dual."""
-        return lattice_round_trip(self, self.hats, self.dual)
-
-
-def lattice_round_trip(r: Reduct, hats: Sequence[int], p: Poset) -> bool:
-    """Whether the hat map is a bijection onto the nonempty upsets of p
-    that sends the top to all worlds and commutes with meet, join and
-    the arrow, read on world masks: hats[meet[u][v]] is
-    hats[u] & hats[v], and so on."""
-    if sorted(hats) != list(p.upsets()[1:]) or hats[r.one] != (1 << p.n) - 1:
-        return False
-    arrows = _arrow_rows(p.up, hats)
-    for u, hu in enumerate(hats):
-        mu, ju, iu, au = r.meet[u], r.join[u], r.imp[u], arrows[u]
-        for v, hv in enumerate(hats):
-            if hats[mu[v]] != hu & hv or hats[ju[v]] != hu | hv or hats[iu[v]] != au[v]:
-                return False
-    return True
+        """The lattice half of the duality round trip: whether the hat
+        map is a bijection onto the nonempty upsets of the dual poset
+        that sends the top to all worlds and commutes with meet, join
+        and the arrow, read on world masks: hats[meet[u][v]] is
+        hats[u] & hats[v], and so on."""
+        hats, p = self.hats, self.dual
+        if sorted(hats) != list(p.upsets()[1:]) or hats[self.one] != (1 << p.n) - 1:
+            return False
+        arrows = _arrow_rows(p.up, hats)
+        for u, hu in enumerate(hats):
+            mu, ju, iu, au = self.meet[u], self.join[u], self.imp[u], arrows[u]
+            for v, hv in enumerate(hats):
+                if hats[mu[v]] != hu & hv or hats[ju[v]] != hu | hv or hats[iu[v]] != au[v]:
+                    return False
+        return True
 
 
 def set_reduct(up: Sequence[int], elements: tuple[int, ...]) -> tuple[dict[int, int], Reduct]:
@@ -215,9 +222,9 @@ def set_reduct(up: Sequence[int], elements: tuple[int, ...]) -> tuple[dict[int, 
 def _arrow_rows(up: Sequence[int], masks: Sequence[int]) -> list[list[int]]:
     """The Heyting arrow u -> v on world masks for every pair of the
     masks, one row per u, on the poset with cones up. A world is in
-    u -> v when its cone misses the gap u & ~v (frames._imp_mask, on
-    the cones alone), so the arrow depends on the gap alone and is
-    worked out once per distinct gap."""
+    u -> v when its cone misses the gap u & ~v (frames._imp_mask), so
+    the arrow depends on the gap alone and is worked out once per
+    distinct gap."""
     arrows: dict[int, int] = {}
     rows = []
     for u in masks:
@@ -226,11 +233,7 @@ def _arrow_rows(up: Sequence[int], masks: Sequence[int]) -> list[list[int]]:
             gap = u & ~v
             w = arrows.get(gap)
             if w is None:
-                w = 0
-                for i, cone in enumerate(up):
-                    if not cone & gap:
-                        w |= 1 << i
-                arrows[gap] = w
+                w = arrows[gap] = _imp_mask(up, u, v)
             row.append(w)
         rows.append(row)
     return rows

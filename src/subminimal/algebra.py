@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from subminimal._heyting import Reduct, lattice_round_trip, set_reduct
+from subminimal._heyting import Reduct, set_reduct
 from subminimal.frames import (
     NFrame,
     NModel,
@@ -428,22 +428,21 @@ def _round_trip(a: NAlgebra, hats: Sequence[int], tf: TopFrame) -> bool:
     hats[u] & hats[v], and so on. A table value that is not admissible
     raises ValueError, as building the admissible algebra does.
 
-    All but the negation depends on the hats and tf's order alone
-    (_heyting.lattice_round_trip); on the reduct's own hats and dual
-    poset the reduct's kept answer is read.
+    All but the negation depends on the hats and tf's order alone, so
+    the hats must be the algebra's own and tf's poset its dual poset
+    (ValueError otherwise), and the reduct's kept answer is read
+    (_heyting.Reduct.round_trip); the table may be any.
     """
+    r = a._reduct
+    if hats != r.hats or tf.poset != r.dual:
+        raise ValueError("the hats and poset must be the algebra's own")
     admissible = tf.admissible()
     inside = set(admissible)
     ntable = tf.ntable
     for u in admissible:
         if ntable[u] not in inside:
             raise ValueError(f"negation value at {u} is not an element")
-    r = a._reduct
-    if hats is r.hats and tf.poset is r.dual:
-        lattice = r.round_trip
-    else:
-        lattice = lattice_round_trip(r, hats, tf.poset)
-    return lattice and all(hats[x] == ntable[h] for h, x in zip(hats, a.neg))
+    return r.round_trip and all(hats[x] == ntable[h] for h, x in zip(hats, a.neg))
 
 
 def subdirectly_irreducible(a: NAlgebra) -> bool:

@@ -590,12 +590,12 @@ def _antitone(domain: Sequence[int], ntable: Sequence[int]) -> bool:
     return True
 
 
-def _imp_mask(p: Poset, u: int, v: int) -> int:
-    """The Heyting arrow u -> v on world masks: the worlds whose cone
-    meets u only inside v."""
+def _imp_mask(up: Sequence[int], u: int, v: int) -> int:
+    """The Heyting arrow u -> v on world masks, on the poset with cones
+    up: the worlds whose cone meets u only inside v."""
     out = 0
-    for w in range(p.n):
-        if p.up[w] & u & ~v == 0:
+    for w, cone in enumerate(up):
+        if cone & u & ~v == 0:
             out |= 1 << w
     return out
 
@@ -660,7 +660,7 @@ def _table_in_class(p: Poset, ntable: Sequence[int], logic: Logic) -> bool:
         return _antitone(upsets, ntable)
     if logic.name == "mpc":
         nw = ntable[(1 << p.n) - 1]
-        return all(ntable[x] == _imp_mask(p, x, nw) for x in upsets)
+        return all(ntable[x] == _imp_mask(p.up, x, nw) for x in upsets)
     raise ValueError(f"unknown logic: {logic.name}")
 
 

@@ -259,7 +259,7 @@ def translation_preservation(m: NModel, f: Formula) -> int | None:
     for name, mask in m.valuation.items():
         if mask < 0 or mask & ~full:
             raise ValueError(f"truth set of {name} out of range")
-        boxed[name] = _imp_mask(p, full, mask)
+        boxed[name] = _imp_mask(p.up, full, mask)
     nstar = kernels.lift_table(p.n, p.up, p.upsets(), m.frame.ntable)
     diff = prop ^ _TruthWalker(p, nstar, boxed).value(f)
     if diff == 0:

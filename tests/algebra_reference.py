@@ -98,7 +98,7 @@ def _set_algebra(p: Poset, elements: Sequence[int], ntable: Sequence[int]) -> NA
         tuple(index[elements[i] | elements[j]] for j in range(k)) for i in range(k)
     )
     imp = tuple(
-        tuple(index[_imp_mask(p, elements[i], elements[j])] for j in range(k))
+        tuple(index[_imp_mask(p.up, elements[i], elements[j])] for j in range(k))
         for i in range(k)
     )
     neg = tuple(index[ntable[u]] for u in elements)

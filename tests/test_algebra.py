@@ -756,6 +756,18 @@ def test_round_trip_sees_a_tampered_dual():
     assert any(kind == "ValueError" and "is not an element" in text for kind, text in outcomes)
 
 
+def test_round_trip_takes_only_the_algebras_own_hats_and_dual():
+    # the lattice half of the round trip is kept per reduct, so it is
+    # read only for the algebra's own hats and dual poset
+    a = _replace(ALG)
+    _, hats, tf = a._duality
+    assert _round_trip(a, hats, tf) is True
+    other = enumerate_topframes(Poset(1, [1]))[0]
+    for args in [(hats, other), (hats[::-1], tf), (list(hats), tf)]:
+        with pytest.raises(ValueError, match="the algebra's own"):
+            _round_trip(a, *args)
+
+
 def test_the_dual_is_kept_out_of_equality():
     a = _replace(ALG)
     tf = dual_frame(a)
