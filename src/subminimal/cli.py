@@ -15,7 +15,6 @@ import functools
 import json
 import os
 import sys
-import time
 from typing import Any, Mapping, Sequence
 
 from subminimal.algebra import (
@@ -37,6 +36,7 @@ from subminimal.filtration import (
     DEFAULT_MAX_WORLDS,
     ResourceLimitError,
     Verdict,
+    _deadline,
     close_sigma,
     decide,
     greatest_filtration,
@@ -138,7 +138,7 @@ def _cmd_decide(args: argparse.Namespace) -> tuple[dict, int]:
 
 def _cmd_countermodel(args: argparse.Namespace) -> tuple[dict, int]:
     f = parse(args.formula)
-    deadline = time.time() + args.timeout_ms / 1000 if args.timeout_ms is not None else None
+    deadline = _deadline(args.timeout_ms)
     hit = countermodel_search(LOGICS[args.logic], f, args.max_worlds, deadline)
     bound = args.max_worlds
     if hit is None:
@@ -304,141 +304,173 @@ def _cmd_ns4_law(args: argparse.Namespace) -> tuple[dict, int]:
     return {"status": status, "k": args.k, "holds": holds}, 0 if holds else 1
 
 
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The parser, built once per process: building it costs far more
-    than one parse."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--pretty", action="store_true", help="indent the JSON output"
-    )
-
-    parser = argparse.ArgumentParser(
-        prog="subminimal",
-        description="Subminimal logics of negation: semantics, filtration, "
-        "duality and bimodal companions.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("parse", parents=[common], help="parse and reprint a formula")
+def _formula(p: argparse.ArgumentParser) -> None:
     p.add_argument("formula")
+
+
+def _language_args(p: argparse.ArgumentParser) -> None:
+    _formula(p)
     p.add_argument("--language", choices=("prop", "modal"), default="prop")
-    p.set_defaults(handler=_cmd_parse)
 
-    p = sub.add_parser(
-        "decide", parents=[common], help="decide a formula against a logic"
-    )
-    p.add_argument("formula")
+
+def _search_args(p: argparse.ArgumentParser) -> None:
+    _formula(p)
     p.add_argument("--logic", choices=sorted(LOGICS), required=True)
     p.add_argument("--max-worlds", type=int, default=DEFAULT_MAX_WORLDS)
     p.add_argument("--timeout-ms", type=int, default=None)
-    p.set_defaults(handler=_cmd_decide)
 
-    p = sub.add_parser(
-        "countermodel",
-        parents=[common],
-        help="search frames of a logic's class for a countermodel",
-    )
-    p.add_argument("formula")
-    p.add_argument("--logic", choices=sorted(LOGICS), required=True)
-    p.add_argument("--max-worlds", type=int, default=DEFAULT_MAX_WORLDS)
-    p.add_argument("--timeout-ms", type=int, default=None)
-    p.set_defaults(handler=_cmd_countermodel)
 
-    p = sub.add_parser(
-        "check-frame",
-        parents=[common],
-        help="validate a frame JSON file against the locality law",
-    )
+def _check_frame_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("frame", help="frame JSON path, - for stdin")
-    p.set_defaults(handler=_cmd_check_frame)
 
-    p = sub.add_parser(
-        "filtrate", parents=[common], help="greatest filtration of a model"
-    )
+
+def _filtrate_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--model", required=True, help="model JSON path, - for stdin")
     p.add_argument(
         "--sigma",
         required=True,
         help="formulas separated by ';', closed under subformulas automatically",
     )
-    p.set_defaults(handler=_cmd_filtrate)
 
-    p = sub.add_parser("algebra", parents=[], help="algebra and duality commands")
-    asub = p.add_subparsers(dest="algebra_command", required=True)
 
-    q = asub.add_parser(
-        "dual",
-        parents=[common],
-        help="dual top frame of an algebra, or algebra of a top frame",
-    )
-    q.add_argument("source", help="algebra or top-frame JSON path, - for stdin")
-    q.set_defaults(handler=_cmd_algebra_dual)
+def _source_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("source", help="algebra or top-frame JSON path, - for stdin")
 
-    q = asub.add_parser(
-        "check", parents=[common], help="validate an algebra or top frame"
-    )
-    q.add_argument("source", help="algebra or top-frame JSON path, - for stdin")
-    q.set_defaults(handler=_cmd_algebra_check)
 
-    q = asub.add_parser(
-        "filtrate", parents=[common], help="least algebraic filtration"
-    )
-    q.add_argument("--algebra", required=True, help="algebra JSON path, - for stdin")
-    q.add_argument(
+def _algebra_filtrate_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--algebra", required=True, help="algebra JSON path, - for stdin")
+    p.add_argument(
         "--assign", required=True, help='JSON object, e.g. \'{"p": 1}\''
     )
-    q.add_argument("--sigma", required=True, help="formulas separated by ';'")
-    q.set_defaults(handler=_cmd_algebra_filtrate)
+    p.add_argument("--sigma", required=True, help="formulas separated by ';'")
 
-    p = sub.add_parser(
-        "antichain",
-        parents=[common],
-        help="pairwise onto / positive-morphism matrix of the ladder posets",
-    )
+
+def _antichain_args(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--max-n", type=int, required=True, help=f"largest ladder index, at most {ANTICHAIN_MAX_N}"
     )
-    p.set_defaults(handler=_cmd_antichain)
 
-    p = sub.add_parser(
-        "translate", parents=[common], help="modal translation of a formula"
+
+def _ns4_valid_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--frame", required=True, help="frame JSON path, - for stdin")
+    p.add_argument("--system", choices=("ns4", "cos4"), default="ns4")
+    p.add_argument("formulas", nargs="*")
+
+
+def _check_proof_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("proof", help="proof JSON path, - for stdin")
+    p.add_argument("--system", choices=("ns4", "cos4"), required=True)
+
+
+def _law_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--frame", required=True, help="frame JSON path, - for stdin")
+    p.add_argument("-k", type=int, required=True)
+
+
+# name: (help, handler, arguments) for a command, (help, dest, table) for a
+# group of commands; one table builds the full parser and each command's own
+_COMMANDS: dict[str, tuple[str, Any, Any]] = {
+    "parse": ("parse and reprint a formula", _cmd_parse, _language_args),
+    "decide": ("decide a formula against a logic", _cmd_decide, _search_args),
+    "countermodel": (
+        "search frames of a logic's class for a countermodel",
+        _cmd_countermodel,
+        _search_args,
+    ),
+    "check-frame": (
+        "validate a frame JSON file against the locality law",
+        _cmd_check_frame,
+        _check_frame_args,
+    ),
+    "filtrate": ("greatest filtration of a model", _cmd_filtrate, _filtrate_args),
+    "algebra": (
+        "algebra and duality commands",
+        "algebra_command",
+        {
+            "dual": (
+                "dual top frame of an algebra, or algebra of a top frame",
+                _cmd_algebra_dual,
+                _source_args,
+            ),
+            "check": ("validate an algebra or top frame", _cmd_algebra_check, _source_args),
+            "filtrate": (
+                "least algebraic filtration",
+                _cmd_algebra_filtrate,
+                _algebra_filtrate_args,
+            ),
+        },
+    ),
+    "antichain": (
+        "pairwise onto / positive-morphism matrix of the ladder posets",
+        _cmd_antichain,
+        _antichain_args,
+    ),
+    "translate": ("modal translation of a formula", _cmd_translate, _formula),
+    "ns4": (
+        "bimodal companion commands",
+        "ns4_command",
+        {
+            "valid": (
+                "check formulas (default: the system's axioms) on a frame",
+                _cmd_ns4_valid,
+                _ns4_valid_args,
+            ),
+            "check-proof": ("verify a proof file", _cmd_ns4_check_proof, _check_proof_args),
+            "en": ("k-ary locality identity on a total table", _cmd_ns4_law, _law_args),
+            "rn": ("k-premise replacement rule on a total table", _cmd_ns4_law, _law_args),
+        },
+    ),
+}
+
+
+def _fill(p: argparse.ArgumentParser, target: Any, spec: Any) -> None:
+    """Give p a group's subparsers, or a command's --pretty, arguments and
+    handler, in the order the help lists them."""
+    if isinstance(target, str):
+        sub = p.add_subparsers(dest=target, required=True)
+        for name, (text, *entry) in spec.items():
+            _fill(sub.add_parser(name, help=text), *entry)
+        return
+    p.add_argument("--pretty", action="store_true", help="indent the JSON output")
+    spec(p)
+    p.set_defaults(handler=target)
+
+
+@functools.cache
+def _build_parser() -> argparse.ArgumentParser:
+    """The full parser, built once per process for what no command's own
+    parser answers: top-level help, no or an unknown command, an option
+    before the command and leftover arguments. Building it takes about
+    5 ms, far more than one parse."""
+    parser = argparse.ArgumentParser(
+        prog="subminimal",
+        description="Subminimal logics of negation: semantics, filtration, "
+        "duality and bimodal companions.",
     )
-    p.add_argument("formula")
-    p.set_defaults(handler=_cmd_translate)
+    _fill(parser, "command", _COMMANDS)
+    return parser
 
-    p = sub.add_parser("ns4", parents=[], help="bimodal companion commands")
-    nsub = p.add_subparsers(dest="ns4_command", required=True)
 
-    q = nsub.add_parser(
-        "valid",
-        parents=[common],
-        help="check formulas (default: the system's axioms) on a frame",
-    )
-    q.add_argument("--frame", required=True, help="frame JSON path, - for stdin")
-    q.add_argument("--system", choices=("ns4", "cos4"), default="ns4")
-    q.add_argument("formulas", nargs="*")
-    q.set_defaults(handler=_cmd_ns4_valid)
-
-    q = nsub.add_parser("check-proof", parents=[common], help="verify a proof file")
-    q.add_argument("proof", help="proof JSON path, - for stdin")
-    q.add_argument("--system", choices=("ns4", "cos4"), required=True)
-    q.set_defaults(handler=_cmd_ns4_check_proof)
-
-    for name, text in (
-        ("en", "k-ary locality identity on a total table"),
-        ("rn", "k-premise replacement rule on a total table"),
-    ):
-        q = nsub.add_parser(name, parents=[common], help=text)
-        q.add_argument("--frame", required=True, help="frame JSON path, - for stdin")
-        q.add_argument("-k", type=int, required=True)
-        q.set_defaults(handler=_cmd_ns4_law)
-
+@functools.cache
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """One command's parser, built as the full parser's subparser is."""
+    _, target, spec = _COMMANDS[name]
+    parser = argparse.ArgumentParser(prog=f"subminimal {name}")
+    _fill(parser, target, spec)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    """Run one command. When argv starts with a command, that command's
+    own parser parses the rest, as the full parser hands it to its
+    subparser; anything else, and arguments left over, goes to the full
+    parser, so help and usage errors read as they always have."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    name = argv[0] if argv else None
+    if name in _COMMANDS:
+        args, extras = _command_parser(name).parse_known_args(argv[1:])
+    if name not in _COMMANDS or extras:
+        args = _build_parser().parse_args(argv)
     try:
         payload, code = args.handler(args)
     except KeyError as exc:

@@ -389,6 +389,17 @@ def enumerate_filtrations(m: NModel, sigma: Iterable[Formula]) -> list[Filtratio
 # decision wrapper
 
 
+def _deadline(timeout_ms: int | None) -> float | None:
+    """The time.time() value timeout_ms milliseconds from now, or None for
+    no timeout; ValueError when the timeout is too large for a float."""
+    if timeout_ms is None:
+        return None
+    try:
+        return time.time() + timeout_ms / 1000
+    except OverflowError:
+        raise ValueError("timeout too large for a float") from None
+
+
 @dataclass(frozen=True)
 class Verdict:
     """Outcome of decide: status plus the witness when refuted."""
@@ -416,12 +427,13 @@ def decide(
     base logic and MPC, bound 2^|closure|); when that bound exceeds
     max_worlds and no countermodel surfaced, ResourceLimitError is
     raised rather than guessing. For NeF and CoPC no bound is claimed
-    and the non-refuted status says only how far the search went.
+    and the non-refuted status says only how far the search went. A
+    timeout too large for a float raises ValueError.
     """
+    deadline = _deadline(timeout_ms)
     for axiom in chain_axioms(logic):
         if is_instance_of(f, axiom):
             return Verdict("theorem", logic.name, f)
-    deadline = time.time() + timeout_ms / 1000 if timeout_ms is not None else None
     fmp = logic.name in ("n", "mpc")
     target = 1 << len(subformula_closure(f)) if fmp else max_worlds
     reach = min(target, max_worlds)

@@ -5,14 +5,16 @@ exit code; subprocess tests prove the module entry point and the exit
 code under a closed stdout.
 """
 
+import argparse
 import copy
 import io
 import json
 import os
 import pathlib
+import shlex
 import subprocess
 import sys
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from unittest import mock
 
 import pytest
@@ -20,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import subminimal
-from subminimal import frames
+from subminimal import cli, frames
 from subminimal.algebra import (
     algebra_from_dict,
     algebra_to_dict,
@@ -710,6 +712,14 @@ def test_search_arguments_keep_the_exit_code_contract(
 
 
 @pytest.mark.parametrize("command", ["decide", "countermodel"])
+def test_a_timeout_too_large_for_a_float_exits_2(capsys, command):
+    argv = [command, "p -> p", "--logic", "n", "--timeout-ms", "1" + "0" * 400]
+    code, out = run(capsys, argv)
+    assert code == 2
+    assert out == {"status": "error", "error": "timeout too large for a float"}
+
+
+@pytest.mark.parametrize("command", ["decide", "countermodel"])
 def test_search_stops_at_the_world_cap(capsys, monkeypatch, command):
     # with the cap at 2 worlds a bound of 9 would otherwise build the
     # classes of 3 to 9 worlds; a refutation found below the cap keeps
@@ -815,3 +825,163 @@ def test_filtrate_missing_variable_error_is_the_same_under_every_hash_seed(tmp_p
     code, out = results.pop()
     assert code == 2
     assert json.loads(out) == {"status": "error", "error": "model does not value variable q"}
+
+
+# ---------------------------------------------------------------------------
+# dispatch: a command's own parser against the full parser
+
+
+def _subcommands(parser):
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+PARSER_PATHS = [(name,) for name in cli._COMMANDS] + [
+    (name, sub)
+    for name, (_, dest, table) in cli._COMMANDS.items()
+    if isinstance(dest, str)
+    for sub in table
+]
+
+
+@pytest.mark.parametrize("path", PARSER_PATHS, ids=" ".join)
+def test_a_commands_own_parser_is_the_full_parsers_subparser(path):
+    own = cli._command_parser(path[0])
+    full = _subcommands(cli._build_parser())[path[0]]
+    for name in path[1:]:
+        own, full = _subcommands(own)[name], _subcommands(full)[name]
+    assert own.prog == full.prog
+    assert own.format_help() == full.format_help()
+
+
+DISPATCH_CORPUS = [
+    # valid calls of each command
+    "parse '(p <-> q) -> (~p <-> ~q)'",
+    "parse '[n] [] p' --language modal",
+    "decide '(p -> q) -> (~q -> ~p)' --logic copc",
+    "decide 'p | ~p' --logic n --max-worlds 2 --timeout-ms 60000",
+    "countermodel '(p & ~p) -> ~q' --logic n --pretty",
+    "check-frame {frame}",
+    "filtrate --model {model} --sigma 'p; ~p'",
+    "algebra dual {algebra}",
+    "algebra check {algebra}",
+    "algebra filtrate --algebra {algebra} --assign '{{\"p\": 1}}' --sigma '~p'",
+    "antichain --max-n 1",
+    "translate '~(p & q)'",
+    "ns4 valid --frame {ns4} '[n]p -> p'",
+    "ns4 check-proof {proof} --system ns4",
+    "ns4 en --frame {table} -k 1",
+    "ns4 rn --frame {table} -k 1",
+    # --opt=value and abbreviated options
+    "decide p --logic=nef --max 1",
+    "countermodel p --log mpc --max-worlds=1 --pre",
+    "antichain --max-n=0",
+    "ns4 en --frame={table} -k1",
+    # missing required argument, bad choice, bad int
+    "decide p",
+    "filtrate --model {model}",
+    "decide p --logic lj",
+    "countermodel p --logic n --max-worlds three",
+    "antichain --max-n x",
+    # extra positional, unknown option
+    "decide p q --logic n",
+    "decide p --logic n --bogus",
+    "translate p --bogus=1 q",
+    "algebra check {algebra} --pretty --bogus",
+    # help per command and at the top
+    "-h",
+    "--help",
+    "parse -h",
+    "decide -h",
+    "countermodel --help",
+    "check-frame -h",
+    "filtrate -h",
+    "algebra -h",
+    "algebra dual -h",
+    "algebra check -h",
+    "algebra filtrate -h",
+    "antichain -h",
+    "translate -h",
+    "ns4 -h",
+    "ns4 valid -h",
+    "ns4 check-proof -h",
+    "ns4 en -h",
+    "ns4 rn -h",
+    "decide p --logic n -h --bogus",
+    # no command, an unknown one, an option before the command
+    "",
+    "frobnicate",
+    "--pretty decide p --logic n",
+    "--bogus",
+    # groups with no subcommand, ns4 en with no -k
+    "algebra",
+    "ns4",
+    "algebra frobnicate",
+    "ns4 en --frame {table}",
+    # input errors after a clean parse
+    "decide 'p -> (' --logic n",
+    "decide 'p -> p' --logic n --timeout-ms 1{zeros}",
+]
+
+
+class _FullParse:
+    """Stands in for every command's own parser: parses the whole argv
+    with the full parser, as main did before commands had their own."""
+
+    def __init__(self, argv):
+        self.argv = argv
+
+    def parse_known_args(self, rest):
+        return cli._build_parser().parse_args(self.argv), []
+
+
+def _outcome(argv):
+    """Exit code, returned or raised, stdout and stderr of main(argv)."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def input_files(tmp_path_factory):
+    from conftest import DATA
+
+    root = tmp_path_factory.mktemp("dispatch")
+    docs = {
+        "frame": SEPARATING_JSON,
+        "model": FORK_MODEL_JSON,
+        "algebra": CHAIN_ALGEBRA,
+        "ns4": HAND_NS4_JSON,
+        "table": SWAP_JSON,
+    }
+    paths = {name: write(root, f"{name}.json", doc) for name, doc in docs.items()}
+    return dict(paths, proof=str(DATA / "proof_cong.json"), zeros="0" * 400)
+
+
+@pytest.mark.parametrize("line", DISPATCH_CORPUS)
+def test_main_answers_as_the_full_parser_did(input_files, line):
+    argv = [word.format(**input_files) for word in shlex.split(line)]
+    own = _outcome(argv)
+    with mock.patch.object(cli, "_command_parser", lambda name: _FullParse(argv)):
+        full = _outcome(argv)
+    assert own == full
+
+
+def test_a_command_call_builds_only_its_own_parser(capsys):
+    cli._build_parser.cache_clear()
+    assert main(["decide", "p -> p", "--logic", "n"]) == 0
+    assert main(["countermodel", "p", "--logic", "n", "--max-worlds", "1"]) == 1
+    assert cli._build_parser.cache_info().currsize == 0
+    # a missing argument is the command parser's own error
+    with pytest.raises(SystemExit):
+        main(["decide", "p"])
+    assert cli._build_parser.cache_info().currsize == 0
+    for argv in (["decide", "p", "--logic", "n", "--bogus"], ["frobnicate"], ["-h"]):
+        cli._build_parser.cache_clear()
+        with pytest.raises(SystemExit):
+            main(argv)
+        assert cli._build_parser.cache_info().currsize == 1

@@ -241,6 +241,14 @@ def test_decide_timeout():
         decide(LOGICS["nef"], And(AXIOM_COPC, flipped), timeout_ms=0)
 
 
+@pytest.mark.parametrize("f", [parse("p -> p"), AXIOM_N], ids=["searched", "axiom-instance"])
+def test_decide_rejects_a_timeout_too_large_for_a_float(f):
+    # 10**400 / 1000 overflows a float; the check comes before the
+    # axiom scan, so an instance is no exception
+    with pytest.raises(ValueError, match="^timeout too large for a float$"):
+        decide(LOGICS["n"], f, 3, 10**400)
+
+
 # ---------------------------------------------------------------------------
 # differential against the formula-by-formula layer in filtration_reference
 
