@@ -41,6 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from subminimal._heyting import Reduct, set_reduct
@@ -87,19 +88,7 @@ class NAlgebra:
     one: int
 
     def __post_init__(self) -> None:
-        if self.size < 1:
-            raise ValueError("an algebra needs at least one element")
-        for name in ("meet", "join", "imp"):
-            table = getattr(self, name)
-            if len(table) != self.size or set(map(len, table)) != {self.size}:
-                raise ValueError(f"{name} table must be square of order {self.size}")
-        if len(self.neg) != self.size:
-            raise ValueError("negation table length mismatch")
-        # each distinct value once: in-range tables hold at most size
-        values = set(self.neg).union(*self.meet, *self.join, *self.imp)
-        values.add(self.one)
-        if not all(0 <= v < self.size for v in values):
-            raise ValueError("table value out of range")
+        _check_shape(self.size, self.one, self.neg, meet=self.meet, join=self.join, imp=self.imp)
 
     def le(self, a: int, b: int) -> bool:
         return self.meet[a][b] == a
@@ -121,6 +110,26 @@ class NAlgebra:
         it again."""
         r = self._reduct
         return r.filters, r.hats, _dual(self, r)
+
+
+def _check_shape(size: int, one: int, neg: Sequence[int] | None = None, **tables: Sequence) -> None:
+    """ValueError unless the named tables are square of order size, neg
+    (when given) has size entries and every value, one included, is an
+    element. NAlgebra checks all five; an upset lattice's reduct has
+    its three tables checked once (_upset_reduct) and each algebra on
+    it only its neg and one (_set_algebra)."""
+    if size < 1:
+        raise ValueError("an algebra needs at least one element")
+    for name, table in tables.items():
+        if len(table) != size or set(map(len, table)) != {size}:
+            raise ValueError(f"{name} table must be square of order {size}")
+    if neg is not None and len(neg) != size:
+        raise ValueError("negation table length mismatch")
+    # each distinct value once: in-range tables hold at most size
+    values = set(neg or ()).union(*chain.from_iterable(tables.values()))
+    values.add(one)
+    if not all(0 <= v < size for v in values):
+        raise ValueError("table value out of range")
 
 
 def check_nalgebra(a: NAlgebra) -> tuple[str, tuple] | None:
@@ -215,16 +224,27 @@ def _set_algebra(p: Poset, elements: Sequence[int], ntable: Sequence[int]) -> NA
     The tables and their reduct depend on p and the elements alone, so
     p's cones keep them (kernels.pure._kept), keyed by the element
     list, and every algebra of those upsets holds the same table
-    objects and the same reduct: only its neg column is built here.
+    objects and the same reduct: only its neg column is built and
+    checked here.
     """
-    index, r = _kept(p.up, set_reduct, tuple(elements))
+    index, r = _kept(p.up, _upset_reduct, tuple(elements))
     for u in elements:
         if ntable[u] not in index:
             raise ValueError(f"negation value at {u} is not an element")
-    a = NAlgebra(r.size, r.meet, r.join, r.imp, tuple(index[ntable[u]] for u in elements), r.one)
-    # the reduct goes where the cached property would put it
-    a.__dict__["_reduct"] = r
+    neg = tuple(index[ntable[u]] for u in elements)
+    _check_shape(r.size, r.one, neg)
+    # the fields as NAlgebra's __init__ sets them, with its tables checked
+    # once per reduct, and the reduct where the cached property puts it
+    a = object.__new__(NAlgebra)
+    vars(a).update(size=r.size, meet=r.meet, join=r.join, imp=r.imp, neg=neg, one=r.one, _reduct=r)
     return a
+
+
+def _upset_reduct(up: Sequence[int], elements: tuple[int, ...]) -> tuple[dict[int, int], Reduct]:
+    """set_reduct's index and reduct, the reduct's tables checked once."""
+    index, r = set_reduct(up, elements)
+    _check_shape(r.size, r.one, meet=r.meet, join=r.join, imp=r.imp)
+    return index, r
 
 
 def upset_algebra(fr: NFrame) -> NAlgebra:

@@ -6,6 +6,17 @@ outcomes, 1 when something was refuted or violated, 2 for usage and
 input problems. Refutation witnesses are re-verified against the
 library evaluators before they are printed, and every search takes
 explicit bounds, so output for fixed inputs is deterministic.
+
+A call builds only its own command's parser. When the argv after the
+command uses only exact option strings, ``--opt=value``, flags and
+values that do not start with "-", that parser reads it straight off
+its own actions and argparse does not run (_CommandParser, whose
+docstring proves the namespace is argparse's). Anything else, such as
+help, an abbreviation, "--", a dash-led value or a usage error, goes
+to argparse as before, and to the full parser of all commands only for
+what the command's parser cannot answer: no or an unknown command, an
+option before the command and leftover arguments. Either way the
+output is the same.
 """
 
 from __future__ import annotations
@@ -427,7 +438,7 @@ def _fill(p: argparse.ArgumentParser, target: Any, spec: Any) -> None:
     """Give p a group's subparsers, or a command's --pretty, arguments and
     handler, in the order the help lists them."""
     if isinstance(target, str):
-        sub = p.add_subparsers(dest=target, required=True)
+        sub = p.add_subparsers(dest=target, required=True, parser_class=argparse.ArgumentParser)
         for name, (text, *entry) in spec.items():
             _fill(sub.add_parser(name, help=text), *entry)
         return
@@ -451,11 +462,91 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _CommandParser(argparse.ArgumentParser):
+    """A command's own parser, which reads a plain argv itself and hands
+    any other to argparse, so that a plain call runs no argparse code
+    but the type and choices checks.
+
+    The read takes a parser whose actions are help, store actions with
+    nargs None and store_true actions, none with the default SUPPRESS
+    or with both a type and a str default, in no mutually exclusive
+    group. An argv is plain when each token is an exact option string
+    of a store action followed by a value that does not start with "-",
+    such an option string joined to its value by "=", an exact option
+    string of a store_true action, or a positional that does not start
+    with "-" (a lone "-" is not dash-led); each value passes the
+    action's type and choices, every required action is seen and no
+    token is left over.
+
+    On a plain argv argparse's parse_known_args returns the same
+    namespace and no extras. Its _parse_optional (prefix_chars "-" and
+    no fromfile prefix, the defaults here) takes a token that does not
+    start with "-", or is "-" alone, as an argument, and an exact option
+    string, or one before "=", as that option, before it tries any
+    prefix; a plain argv holds no other token. So each store option
+    takes its own value, the next token or the text after "=", each
+    store_true option takes no value, and the positionals, one token
+    each, take the other tokens in order: as many as there are
+    positionals, since none is left over and each required one is seen.
+    Each value goes through argparse's own _get_value and _check_value;
+    the namespace starts as argparse's does, from each dest's first
+    action's default, then the parser's own defaults; and argparse
+    converts no unseen default here, since a str default has no type
+    and so converts to itself. A given namespace is left to argparse.
+    """
+
+    @functools.cached_property
+    def _plain(self):
+        """The read's spec, derived once from the parser's actions: the
+        store_true and the store options by option string, the actions
+        but help, and the namespace argparse starts from; None when the
+        parser has anything the read does not take."""
+        acts = [a for a in self._actions if type(a) is not argparse._HelpAction]
+        if not self._mutually_exclusive_groups and all(
+            (type(a), a.nargs) in {(argparse._StoreAction, None), (argparse._StoreTrueAction, 0)}
+            and a.default is not argparse.SUPPRESS
+            and not (a.type and isinstance(a.default, str))
+            for a in acts
+        ):
+            flags, stores = ({s: a for a in acts if a.nargs == n for s in a.option_strings} for n in (0, None))
+            start = {**self._defaults, **{a.dest: a.default for a in reversed(acts)}}
+            return flags, stores, acts, start
+        return None
+
+    def parse_known_args(self, args=None, namespace=None):
+        """The read of a plain argv, on which nothing below raises, or
+        argparse's parse of any other."""
+        try:
+            flags, stores, acts, start = self._plain
+            ns, seen, tokens = argparse.Namespace(**start), set(), iter(args)
+            positionals = iter([a for a in acts if not a.option_strings])
+            for token in tokens:
+                if token in flags:
+                    a, value = flags[token], None
+                elif token in stores:
+                    a, value = stores[token], next(tokens)
+                    if value[:1] == "-" != value:
+                        raise ValueError(value)
+                elif token[:1] == "-" != token:
+                    option, _, value = token.partition("=")
+                    a = stores[option]
+                else:
+                    a, value = next(positionals), token
+                seen.add(a)
+                setattr(ns, a.dest, a.const if value is None else self._get_value(a, value))
+                self._check_value(a, getattr(ns, a.dest))
+            if namespace is None and all(a in seen for a in acts if a.required):
+                return ns, []
+        except Exception:  # whatever the read cannot take, argparse parses or reports
+            pass
+        return super().parse_known_args(args, namespace)
+
+
 @functools.cache
 def _command_parser(name: str) -> argparse.ArgumentParser:
     """One command's parser, built as the full parser's subparser is."""
     _, target, spec = _COMMANDS[name]
-    parser = argparse.ArgumentParser(prog=f"subminimal {name}")
+    parser = _CommandParser(prog=f"subminimal {name}")
     _fill(parser, target, spec)
     return parser
 

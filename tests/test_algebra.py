@@ -901,6 +901,46 @@ def test_set_algebras_of_one_poset_share_their_tables_and_reduct():
     assert _replace(ALG)._reduct is not ALG._reduct
 
 
+MALFORMED = [
+    ("meet", ((0, 0, 0), (0, 1)), "meet table must be square of order 3"),
+    ("join", ((0, 1, 2),) * 2, "join table must be square of order 3"),
+    ("imp", ((2, 2, 2), (0, 2, 2), (0, 1, 3)), "table value out of range"),
+    ("neg", (2, 0), "negation table length mismatch"),
+    ("neg", (2, 0, -1), "table value out of range"),
+    ("one", 3, "table value out of range"),
+]
+
+
+@pytest.mark.parametrize("field, value, message", MALFORMED)
+def test_a_malformed_table_raises_on_each_constructor_path(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        _replace(ALG, **{field: value})
+    with pytest.raises(ValueError, match=message):
+        algebra_from_dict(dict(algebra_to_dict(ALG), **{field: value}))
+
+
+def test_an_upset_algebra_checks_its_negation_and_its_reducts_tables_once(monkeypatch):
+    # each algebra of a poset's upsets or admissible sets checks its own
+    # negation; the tables its reduct shares are checked when it is kept
+    with pytest.raises(ValueError, match="negation value at 2 is not an element"):
+        admissible_algebra(TopFrame(CHAIN, (-1, -1, 0, 2)))
+    calls = []
+    check = algebra._check_shape
+
+    def spy(*args, **tables):
+        calls.append(sorted(tables))
+        return check(*args, **tables)
+
+    monkeypatch.setattr(algebra, "_check_shape", spy)
+    p = Poset(5, [1 << w for w in range(5)])  # past the posets kept for the process
+    for value in (lambda u: 0, lambda u: u, lambda u: 31):
+        upset_algebra(NFrame(p, ntable_from_upset_map(p, {u: value(u) for u in p.upsets()})))
+    assert calls == [["imp", "join", "meet"], [], [], []]
+    calls.clear()
+    _replace(ALG)
+    assert calls == [["imp", "join", "meet"]]
+
+
 def test_a_large_poset_keeps_its_reducts_no_longer_than_itself():
     # five worlds are past the posets kept for the life of the process
     p = Poset(5, [1 << w for w in range(5)])

@@ -921,6 +921,32 @@ DISPATCH_CORPUS = [
     # input errors after a clean parse
     "decide 'p -> (' --logic n",
     "decide 'p -> p' --logic n --timeout-ms 1{zeros}",
+    # the edges of a plain argv: --opt=value and --opt=, a repeated
+    # option, a dash-led value, a lone "-", "--", an empty formula, an
+    # option string as a value, a store_true given a value
+    "decide p --logic=n",
+    "decide p --logic=",
+    "decide p --logic n --max-worlds=",
+    "decide p --logic n --logic nef --max-worlds 1",
+    "decide p --logic n --max-worlds -1",
+    "filtrate --model {model} --sigma --pretty",
+    "filtrate --model {model} --sigma -p",
+    "decide p --logic n --timeout-ms=-1",
+    "countermodel p --logic n -1",
+    "decide - --logic n",
+    "decide p --logic n -",
+    "decide -- p --logic n",
+    "decide p --logic n --",
+    "decide '' --logic n",
+    "decide --logic --pretty p",
+    "countermodel p --logic n --max-worlds --pretty",
+    "decide p --logic n --pretty=1",
+    "decide '~p -> p' --logic nef --pretty --pretty",
+    "countermodel '~~p -> p' --max-worlds=2 --logic=copc",
+    "parse '~p' --language=modal",
+    "antichain --max-n 1 --max-n 0",
+    "filtrate --sigma=p --model={model}",
+    "translate -h p",
 ]
 
 
@@ -985,3 +1011,131 @@ def test_a_command_call_builds_only_its_own_parser(capsys):
         with pytest.raises(SystemExit):
             main(argv)
         assert cli._build_parser.cache_info().currsize == 1
+
+
+# ---------------------------------------------------------------------------
+# the plain read of a command's own parser against argparse's parse
+
+ARGPARSE_PARSE = argparse.ArgumentParser.parse_known_args
+# what a command's argv needs to parse at all, then what it may add;
+# the groups' parsers never read an argv themselves
+REQUIRED = {
+    "parse": [["~p"]],
+    "decide": [["~p -> p"], ["--logic", "nef"]],
+    "countermodel": [["p"], ["--logic", "n"]],
+    "check-frame": [["-"]],
+    "filtrate": [["--model", "-"], ["--sigma", "p"]],
+    "antichain": [["--max-n", "1"]],
+    "translate": [["~~p"]],
+    "algebra": [["check"], ["-"]],
+    "ns4": [["en"], ["--frame", "-"], ["-k", "1"]],
+}
+SEARCH_OPTIONS = [
+    ["--logic", "copc"], ["--logic=mpc"], ["--max-worlds", "2"], ["--max-worlds=-1"],
+    ["--timeout-ms", "7"], ["--timeout-ms="], ["--max-worlds", "-1"], ["--logic", "-"],
+]
+OPTIONAL = {
+    "parse": [["--language", "modal"], ["--language=prop"], ["--language="]],
+    "decide": SEARCH_OPTIONS,
+    "countermodel": SEARCH_OPTIONS,
+    "check-frame": [],
+    "filtrate": [
+        ["--model=m.json"], ["--sigma", "~p; p"], ["--sigma=-p"], ["--sigma="], ["--sigma", "-p"],
+        ["--model", "--pretty"], ["--model", "-"],
+    ],
+    "antichain": [["--max-n", "0"], ["--max-n=-2"]],
+    "translate": [],
+    "algebra": [["--pretty"]],
+    "ns4": [["--frame", "f.json"], ["-k", "2"], ["-k=2"]],
+}
+OPTIONS = [
+    "--logic", "--max-worlds", "--timeout-ms", "--pretty", "--language",
+    "--model", "--sigma", "--max-n", "--frame", "-k", "--log", "--max",
+    "--pre", "--lang", "--time", "--mod", "--sig", "--help", "-h",
+]
+VALUES = [
+    "n", "nef", "copc", "mpc", "lj", "0", "2", "x", "prop", "modal", "ns4",
+    "p", "~p", "~(p & q) -> ~q", "-", "--", "-1", "", "p q", "check", "en",
+    "decide", "algebra",
+]
+TOKENS = st.sampled_from(
+    OPTIONS + VALUES + [f"{o}={v}" for o in OPTIONS[:9] for v in ("", "n", "1", "-1", "p")]
+)
+NOISE = st.one_of(TOKENS.map(lambda t: [t]), st.tuples(st.sampled_from(OPTIONS), TOKENS).map(list))
+
+
+def _items(command):
+    """Extra argv items for a command: its own options, each with a
+    value or none, and in half the draws any token or pair too."""
+    own = st.sampled_from(OPTIONAL[command] + [["--pretty"]])
+    return st.lists(own, max_size=4) | st.lists(own | NOISE, max_size=4)
+
+
+def _argparse_spy():
+    """argparse's own parse_known_args, patched to record its calls."""
+    return mock.patch.object(
+        argparse.ArgumentParser, "parse_known_args", autospec=True, side_effect=ARGPARSE_PARSE
+    )
+
+
+def _parsed(parse, parser, argv):
+    """parse(parser, argv), or None when it exits."""
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            return parse(parser, argv)
+        except SystemExit:
+            return None
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(command=st.sampled_from(sorted(REQUIRED)), data=st.data())
+def test_a_plain_read_is_argparses_read(command, data):
+    """Whenever a command's parser reads an argv without argparse, its
+    namespace is argparse's and argparse leaves no extras."""
+    items = REQUIRED[command] + data.draw(_items(command), label="more")
+    if data.draw(st.booleans(), label="drop a required item"):
+        del items[data.draw(st.sampled_from(range(len(REQUIRED[command]))))]
+    argv = [token for item in data.draw(st.permutations(items)) for token in item]
+    parser = cli._command_parser(command)
+    with _argparse_spy() as spy:
+        got = _parsed(type(parser).parse_known_args, parser, argv)
+    want = _parsed(ARGPARSE_PARSE, parser, argv)
+    if not spy.called:
+        assert want is not None and want[1] == []
+        assert vars(got[0]) == vars(want[0]) and got[1] == []
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "decide 'p -> p' --logic nef --max-worlds 3",
+        "countermodel 'p | ~p' --logic=n --max-worlds 3",
+        "decide '~(p & q) -> ~q' --pretty --max-worlds=2 --logic copc --timeout-ms 9",
+        "countermodel p --logic mpc --logic nef",
+        "parse '~p' --language modal",
+        "translate '~p'",
+        "antichain --max-n=0",
+    ],
+)
+def test_a_plain_call_skips_argparse(line):
+    with _argparse_spy() as spy:
+        code, out, err = _outcome(shlex.split(line))
+    assert code in (0, 1) and err == "" and json.loads(out)["status"] != "error"
+    assert not spy.called
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "decide -h",
+        "decide p --log n",
+        "decide p --logic n --max-worlds -1",
+        "decide p",
+        "decide p --logic n --bogus",
+        "algebra check -",
+    ],
+)
+def test_any_other_call_reaches_argparse(line):
+    with _argparse_spy() as spy:
+        _outcome(shlex.split(line))
+    assert spy.called
