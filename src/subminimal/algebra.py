@@ -116,8 +116,8 @@ def _check_shape(size: int, one: int, neg: Sequence[int] | None = None, **tables
     """ValueError unless the named tables are square of order size, neg
     (when given) has size entries and every value, one included, is an
     element. NAlgebra checks all five; an upset lattice's reduct has
-    its three tables checked once (_upset_reduct) and each algebra on
-    it only its neg and one (_set_algebra)."""
+    its three tables checked once (_upset_reduct), and each algebra on
+    it builds neg and one so that they pass (_set_algebra)."""
     if size < 1:
         raise ValueError("an algebra needs at least one element")
     for name, table in tables.items():
@@ -224,15 +224,16 @@ def _set_algebra(p: Poset, elements: Sequence[int], ntable: Sequence[int]) -> NA
     The tables and their reduct depend on p and the elements alone, so
     p's cones keep them (kernels.pure._kept), keyed by the element
     list, and every algebra of those upsets holds the same table
-    objects and the same reduct: only its neg column is built and
-    checked here.
+    objects and the same reduct: only its neg column is built here,
+    each table value checked to be an element. _check_shape would find
+    nothing more: neg holds one index per element, each taken from the
+    reduct's index, and one is the reduct's own top.
     """
     index, r = _kept(p.up, _upset_reduct, tuple(elements))
     for u in elements:
         if ntable[u] not in index:
             raise ValueError(f"negation value at {u} is not an element")
     neg = tuple(index[ntable[u]] for u in elements)
-    _check_shape(r.size, r.one, neg)
     # the fields as NAlgebra's __init__ sets them, with its tables checked
     # once per reduct, and the reduct where the cached property puts it
     a = object.__new__(NAlgebra)

@@ -16,10 +16,16 @@ evaluates it through frames.truth_sets, each shared subformula once,
 derives the signatures, the projection and the classes, and keeps that
 read in the model's _reads under the Sigma object. The next call on the
 same model with the same Sigma object takes the read from there, and so
-do the class-wise bounds, each computed once. A read is keyed by the
-object, not by its value, because the (b) witness follows that object's
-iteration order; it is taken only while the model's valuation equals
-the one it was read under, and read again otherwise. A read that fails
+do the class-wise bounds, each computed once, the greatest quotient
+frame, built once per read, and the verdict of conditions (a) and (b)
+per quotient order, which is all they depend on (_Read states the
+bounds). A filtration that projects by the read's pi onto the read's
+classes takes its class members from the read; any other has them as
+the transpose of its projection, and "onto" is refused before Sigma is
+read. A read is keyed by the object, not by its value, because the (b)
+witness follows that object's iteration order; it is taken only while
+the model's valuation equals the one it was read under, and read again
+otherwise. A read that fails
 is not kept: the theorem check then goes formula by formula through
 frames.formula_evaluator, so its errors come in show order. A world's
 signature is an int whose bit i says whether the i-th member of Sigma
@@ -97,6 +103,7 @@ class FiltrationResult:
 
 
 _READS_KEPT = 8
+_ORDERS_KEPT = 64
 
 
 @dataclass(eq=False)
@@ -104,10 +111,22 @@ class _Read:
     """Sigma read on one model, as _partition keeps it in NModel._reads.
 
     sig[w] has bit i set when order[i], the i-th member of tuple(sigma),
-    holds at w; sigs[c] is the signature of class c. qval values each
-    variable occurring in Sigma, by name order, with the projection of
-    its source value under pi. bounds keeps each _class_bound under pi
-    as it is asked for.
+    holds at w; sigs[c] is the signature of class c and members[c] its
+    worlds. qval values each variable occurring in Sigma, by name order,
+    with the projection of its source value under pi. The read keeps,
+    as they are first asked for and for as long as it is kept itself:
+
+    - bounds, each _class_bound under pi;
+    - frame, the greatest quotient frame (_greatest_read), an immutable
+      NFrame that every greatest filtration of this read shares;
+    - orders, for each quotient order, keyed by its cones: the verdict
+      of conditions (a) and (b) under pi and the bounds (c) reads on
+      its upsets (order_checks). They depend on the order alone, so the
+      filtrations on one order share them. The last _ORDERS_KEPT orders
+      are kept, which holds every order enumerate_filtrations walks on
+      a model of up to 3 worlds (at most 19).
+
+    neg_args, what (d) reads, is kept likewise.
     """
 
     sigma: Collection[Formula]
@@ -121,6 +140,8 @@ class _Read:
     qval: dict[str, int]
     closed: bool = False
     bounds: dict[int, int] = field(default_factory=dict)
+    frame: NFrame | None = None
+    orders: dict[tuple[int, ...], tuple] = field(default_factory=dict)
 
     def bound(self, m: NModel, x: int) -> int:
         """_class_bound of the class set x under pi."""
@@ -129,10 +150,53 @@ class _Read:
             b = self.bounds[x] = _class_bound(m, x, self.members, self.pi)
         return b
 
+    def order_checks(self, m: NModel, qposet: Poset) -> tuple[tuple[str, tuple] | None, tuple]:
+        """_order_witness under pi for the quotient order qposet and,
+        when it is None, the pairs (X, bound) for the upsets X of that
+        order, ascending, that (c) reads; decided once per order while
+        the order stays among the kept. Once (a) holds, the preimage of
+        a quotient upset is a source upset, so no bound raises."""
+        up = qposet.up
+        checks = self.orders.get(up)
+        if checks is None:
+            hit = _order_witness(m.frame.poset.up, self.pi, self.members, self.sig, self.order, up)
+            bounds = () if hit else tuple((x, self.bound(m, x)) for x in qposet.upsets())
+            if len(self.orders) >= _ORDERS_KEPT:
+                del self.orders[next(iter(self.orders))]
+            checks = self.orders[up] = hit, bounds
+        return checks
+
     @cached_property
-    def negs(self) -> list[Formula]:
-        """The negations in Sigma in show order, the order (d) tries."""
-        return sorted((f for f in self.sigma if isinstance(f, Neg)), key=show)
+    def neg_args(self) -> list[tuple[Formula, int, int, int]]:
+        """What (d) reads of each negation ~g in Sigma, in Sigma's order:
+        the truth set of g, its projection under pi and the truth set of
+        ~g, which is the source negation of the truth set of g."""
+        truth, pi = self.truth, self.pi
+        out = []
+        for f in self.order:
+            if isinstance(f, Neg):
+                value = truth[f.sub]
+                out.append((f, value, _push_mask(value, pi), truth[f]))
+        return out
+
+
+def _fresh_read(m: NModel, sigma: Collection[Formula]) -> _Read | None:
+    """The read of this Sigma object kept on the model, unless the
+    model's valuation is no longer the one it was read under."""
+    read = m._reads.get(id(sigma))
+    if read is None or read.sigma is not sigma or read.valuation != m.valuation:
+        return None
+    return read
+
+
+def _shared_read(m: NModel, r: FiltrationResult) -> _Read | None:
+    """The fresh read of r.sigma when r projects by the read's pi onto
+    the read's classes, so that the read's members are r's class
+    members and no class is empty; None otherwise."""
+    read = _fresh_read(m, r.sigma)
+    if read is None or r.pi != read.pi or r.classes() != len(read.members):
+        return None
+    return read
 
 
 def _partition(m: NModel, sigma: Collection[Formula], require_closed: bool = False) -> _Read:
@@ -142,16 +206,14 @@ def _partition(m: NModel, sigma: Collection[Formula], require_closed: bool = Fal
     Classes are numbered by their least member so the construction is
     reproducible. The read is kept in m._reads under the Sigma object
     and given again while that object is the one read and the valuation
-    equals the one it was read under. With require_closed, Sigma must be
-    subformula-closed, which is checked before Sigma is read and once
-    per read.
+    equals the one it was read under (_fresh_read). With
+    require_closed, Sigma must be subformula-closed, which is checked
+    before Sigma is read and once per read.
     """
-    reads = m._reads
-    read = reads.get(id(sigma))
-    fresh = read is None or read.sigma is not sigma or read.valuation != m.valuation
-    if require_closed and (fresh or not read.closed):
+    read = _fresh_read(m, sigma)
+    if require_closed and (read is None or not read.closed):
         _require_closed(sigma)
-    if fresh:
+    if read is None:
         truth = truth_sets(m, sigma)
         order = tuple(sigma)
         sig = _transpose([truth[f] for f in order], m.frame.n)
@@ -167,6 +229,7 @@ def _partition(m: NModel, sigma: Collection[Formula], require_closed: bool = Fal
         # the read holds its Sigma, so the id key stays that object's; a
         # caller passing a new Sigma object per call fills at most
         # _READS_KEPT reads
+        reads = m._reads
         reads.pop(id(sigma), None)
         if len(reads) >= _READS_KEPT:
             del reads[next(iter(reads))]
@@ -188,29 +251,65 @@ def _class_bound(m: NModel, x: int, members: list[int], pi: Sequence[int]) -> in
     return _push_mask(m.frame.neg(_preimage(x, members)), pi)
 
 
+def _order_witness(
+    source_up: Sequence[int],
+    pi: Sequence[int],
+    members: list[int],
+    sig: list[int],
+    order: Sequence[Formula],
+    up: Sequence[int],
+) -> tuple[str, tuple] | None:
+    """The first witness against conditions (a) and (b) for the
+    quotient order with cones up, (a) first, as check_conditions
+    returns them; None when both hold. Only the order, the source
+    cones, the projection and the signatures are read; the (b) witness
+    names the first formula of order, Sigma's iteration order, that
+    holds at w and fails at v."""
+    # the worlds whose class lies above each class in the quotient order
+    above = [_preimage(u, members) for u in up]
+    for w, cone in enumerate(source_up):
+        lost = cone & ~above[pi[w]]
+        if lost:
+            return ("a", (w, (lost & -lost).bit_length() - 1))
+    for w in range(len(source_up)):
+        rest = above[pi[w]]
+        while rest:
+            v = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
+            lost = sig[w] & ~sig[v]
+            if lost:
+                return ("b", (w, v, order[(lost & -lost).bit_length() - 1]))
+    return None
+
+
 def greatest_filtration(m: NModel, sigma: Iterable[Formula]) -> FiltrationResult:
     """The greatest filtration of the model through Sigma.
 
     Classes are ordered by one-directional Sigma-truth inclusion and
     the negation of a quotient upset is the projection of the source
     negation of its preimage. The valuation keeps exactly the
-    variables occurring in Sigma.
+    variables occurring in Sigma. The quotient frame is built once per
+    read and shared; each call returns a new model with its own copy
+    of the valuation.
     """
-    return _greatest(m, frozenset(sigma))[0]
-
-
-def _greatest(m: NModel, sigma: frozenset[Formula]) -> tuple[FiltrationResult, _Read]:
-    """The greatest filtration and the read of Sigma on the model."""
-    read = _partition(m, sigma, require_closed=True)
-    pi, sigs = read.pi, read.sigs
-    k = len(sigs)
-    qposet = Poset(k, _inclusion_cones(sigs))
-    table = [-1] * (1 << k)
-    for x in qposet.upsets():
-        table[x] = read.bound(m, x)
+    sigma = frozenset(sigma)
+    read = _greatest_read(m, sigma)
     # a copy: a caller may change the quotient's valuation in place
-    qval = dict(read.qval)
-    return FiltrationResult(NModel(NFrame(qposet, tuple(table)), qval), pi, sigma), read
+    return FiltrationResult(NModel(read.frame, dict(read.qval)), read.pi, sigma)
+
+
+def _greatest_read(m: NModel, sigma: frozenset[Formula]) -> _Read:
+    """The read of Sigma on the model, Sigma checked closed, holding the
+    greatest quotient frame."""
+    read = _partition(m, sigma, require_closed=True)
+    if read.frame is None:
+        k = len(read.sigs)
+        qposet = Poset(k, _inclusion_cones(read.sigs))
+        table = [-1] * (1 << k)
+        for x in qposet.upsets():
+            table[x] = read.bound(m, x)
+        read.frame = NFrame(qposet, tuple(table))
+    return read
 
 
 def check_conditions(m: NModel, r: FiltrationResult) -> tuple[str, tuple] | None:
@@ -227,43 +326,49 @@ def check_conditions(m: NModel, r: FiltrationResult) -> tuple[str, tuple] | None
     variable occurring in Sigma by the projection of its source value;
     the least variable, by name, it leaves out or values otherwise is
     refused.
+
+    When r projects by the pi of a fresh read of its Sigma object onto
+    that read's classes (_shared_read), the class members come from the
+    read, and (a) and (b) are decided once per quotient order, with the
+    bounds (c) reads (_Read.order_checks); otherwise the members are
+    the transpose of pi, and "onto" is refused before Sigma is read.
     """
-    sigma = r.sigma
     pi = r.pi
-    n = m.frame.n
-    members = _transpose([1 << c for c in pi], r.classes())
-    if 0 in members:
-        return ("onto", (members.index(0),))
-    read = _partition(m, sigma)
-    # the (b) witness is the first formula in Sigma's iteration order
-    truth, order, sig = read.truth, read.order, read.sig
-    qposet = r.quotient.frame.poset
-    # the worlds whose class lies above each class in the quotient order
-    above = [_preimage(u, members) for u in qposet.up]
-    for w in range(n):
-        lost = m.frame.poset.up[w] & ~above[pi[w]]
-        if lost:
-            return ("a", (w, (lost & -lost).bit_length() - 1))
-    for w in range(n):
-        rest = above[pi[w]]
-        while rest:
-            v = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            lost = sig[w] & ~sig[v]
-            if lost:
-                return ("b", (w, v, order[(lost & -lost).bit_length() - 1]))
-    shared = pi == read.pi
-    for x in qposet.upsets():
-        bound = read.bound(m, x) if shared else _class_bound(m, x, members, pi)
-        extra = r.quotient.frame.ntable[x] & ~bound
+    qframe = r.quotient.frame
+    read = _shared_read(m, r)
+    if read is not None:
+        members = read.members
+        shared = True
+        hit, bounds = read.order_checks(m, qframe.poset)
+    else:
+        members = _transpose([1 << c for c in pi], r.classes())
+        if 0 in members:
+            return ("onto", (members.index(0),))
+        read = _partition(m, r.sigma)
+        shared = pi == read.pi
+        hit = _order_witness(m.frame.poset.up, pi, members, read.sig, read.order, qframe.poset.up)
+        bounds = (
+            (x, read.bound(m, x) if shared else _class_bound(m, x, members, pi))
+            for x in qframe.poset.upsets()
+        )
+    if hit is not None:
+        return hit
+    ntable = qframe.ntable
+    for x, bound in bounds:
+        extra = ntable[x] & ~bound
         if extra:
             return ("c", (x, (extra & -extra).bit_length() - 1))
-    for f in read.negs:
-        value = truth[f.sub]
-        target = _preimage(r.quotient.frame.ntable[_push_mask(value, pi)], members)
-        missed = m.frame.neg(value) & ~target
-        if missed:
-            return ("d", ((missed & -missed).bit_length() - 1, f))
+    missed = []
+    for f, value, x, source in read.neg_args:
+        lost = source & ~_preimage(ntable[x if shared else _push_mask(value, pi)], members)
+        if lost:
+            missed.append((f, lost))
+    if missed:
+        # every negation was checked and none can raise (the read holds
+        # both truth sets), so the first failure in show order is the
+        # least failure by show
+        f, lost = min(missed, key=lambda hit: show(hit[0]))
+        return ("d", ((lost & -lost).bit_length() - 1, f))
     qval = read.qval if shared else {name: _push_mask(m.valuation[name], pi) for name in read.qval}
     valuation = r.quotient.valuation
     if valuation != qval:
@@ -281,13 +386,19 @@ def filtration_theorem_check(m: NModel, r: FiltrationResult) -> tuple[Formula, i
     else the first (formula, world) where membership differs, formulas
     in show order. A formula the model or the quotient cannot evaluate
     raises eval_formula's error when its turn comes in that order.
+    Under a shared read (_shared_read) the class members and source
+    truth sets are the read's.
     """
-    members = _transpose([1 << c for c in r.pi], r.classes())
-    try:
-        source = _partition(m, r.sigma).truth.__getitem__
-    except (TypeError, ValueError):
-        # evaluated formula by formula, the errors come in show order
-        source = formula_evaluator(m)
+    read = _shared_read(m, r)
+    if read is not None:
+        members, source = read.members, read.truth.__getitem__
+    else:
+        members = _transpose([1 << c for c in r.pi], r.classes())
+        try:
+            source = _partition(m, r.sigma).truth.__getitem__
+        except (TypeError, ValueError):
+            # evaluated formula by formula, the errors come in show order
+            source = formula_evaluator(m)
     target = formula_evaluator(r.quotient)
     # collecting every failure first spares the show order when none occurs
     failures: dict[Formula, tuple[Formula, int] | ValueError] = {}
@@ -360,15 +471,17 @@ def enumerate_filtrations(m: NModel, sigma: Iterable[Formula]) -> list[Filtratio
     handful of worlds.
     """
     sigma = frozenset(sigma)
-    g, read = _greatest(m, sigma)
-    pi = g.pi
-    k = g.classes()
+    read = _greatest_read(m, sigma)
+    pi = read.pi
+    k = len(read.members)
     floor = [1 << c for c in range(k)]
     for w in range(m.frame.n):
         floor[pi[w]] |= _push_mask(m.frame.poset.up[w], pi)
     forced = {_push_mask(read.truth[f.sub], pi) for f in sigma if isinstance(f, Neg)}
+    # one copy of the valuation, which the results share
+    qval = dict(read.qval)
     out: list[FiltrationResult] = []
-    for up in _orders_between(floor, g.quotient.frame.poset.up):
+    for up in _orders_between(floor, read.frame.poset.up):
         qposet = Poset(k, up)
         upsets = qposet.upsets()
         # at the projection of a negated Sigma formula's argument the
@@ -380,7 +493,7 @@ def enumerate_filtrations(m: NModel, sigma: Iterable[Formula]) -> list[Filtratio
         for values in itertools.product(*choices):
             for x, value in zip(upsets, values):
                 table[x] = value
-            quotient = NModel(NFrame(qposet, tuple(table)), g.quotient.valuation)
+            quotient = NModel(NFrame(qposet, tuple(table)), qval)
             out.append(FiltrationResult(quotient, pi, sigma))
     return out
 

@@ -209,10 +209,23 @@ class Poset:
             key = (n, tuple(up))
             kept = _POSETS.get(key)
         except TypeError:
-            # unhashable cones: let the checks below name the fault
+            # unhashable cones: let the checks of _new name the fault
             key = kept = None
-        if kept is not None:
-            return kept
+        return kept if kept is not None else cls._new(n, up, key, None)
+
+    @classmethod
+    def _with_down(cls, n: int, up: Sequence[int], down: Sequence[int]) -> "Poset":
+        """Poset(n, up) for a caller that holds its down sets, the
+        transpose of up, as _heyting.Reduct.order has them from its own
+        scan; they are not computed again."""
+        key = (n, tuple(up))
+        kept = _POSETS.get(key)
+        return kept if kept is not None else cls._new(n, up, key, down)
+
+    @classmethod
+    def _new(cls, n: int, up: Sequence[int], key: tuple | None, down: Sequence[int] | None) -> "Poset":
+        """A poset not kept yet: the checks, the down sets (the
+        transpose of up unless given) and, when small, keeping it."""
         if n < 0:
             raise ValueError("world count must be nonnegative")
         _check_preorder(n, up)
@@ -221,7 +234,7 @@ class Poset:
         self = super().__new__(cls)
         self.n = n
         self.up = _Cones(up)
-        self.down = tuple(_transpose(up, n))
+        self.down = tuple(_transpose(up, n) if down is None else down)
         self._upsets: tuple[int, ...] | None = None
         if key is not None and n <= DEFAULT_MAX_WORLDS:
             _POSETS[key] = self
@@ -276,21 +289,19 @@ class Poset:
 def enumerate_upsets(p: Poset) -> list[int]:
     """Every upward-closed subset of the poset, each once, ascending.
 
-    The empty set and the full set are always included. Meant for desk
-    scale; the loop is linear in 2**n.
+    The empty set and the full set are always included. One pass over
+    the 2**n masks: the upward closure of x is that of x without its
+    lowest world w, joined with w's cone, and x is an upset exactly when
+    it is its own closure. Meant for desk scale: time and the closure
+    list are linear in 2**n, as a frame's negation table is.
     """
-    out = []
-    for mask in range(1 << p.n):
-        m = mask
-        ok = True
-        while m:
-            w = (m & -m).bit_length() - 1
-            if p.up[w] & ~mask:
-                ok = False
-                break
-            m &= m - 1
-        if ok:
-            out.append(mask)
+    cones = {1 << w: cone for w, cone in enumerate(p.up)}
+    closure = [0] * (1 << p.n)
+    out = [0]
+    for x in range(1, 1 << p.n):
+        c = closure[x] = closure[x & (x - 1)] | cones[x & -x]
+        if c == x:
+            out.append(x)
     return out
 
 
@@ -411,7 +422,7 @@ class NModel:
     valuation: Mapping[str, int]
 
     def __post_init__(self) -> None:
-        upsets = set(self.frame.poset.upsets())
+        upsets = self.frame.poset.upsets()
         for name, mask in self.valuation.items():
             if mask not in upsets:
                 raise ValueError(f"valuation of {name} is not an upset")

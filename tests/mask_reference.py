@@ -2,10 +2,11 @@
 
 The differential tests in test_frames.py and test_modal.py run
 ``kernels.pure._transpose``, ``kernels.pure._inclusion_cones``,
-``frames._orders_between``, ``Poset.down`` and ``enumerate_preorders``
-against these copies and demand the same lists in the same order.
-Each copy is the loop as it stood in its module: the down sets of
-``Poset``, the hats of ``algebra``, the Sigma signatures of
+``frames._orders_between``, ``Poset.down``, ``enumerate_preorders`` and
+``frames.enumerate_upsets`` against these copies and demand the same
+lists in the same order. Each copy is the loop as it stood in its
+module: the upsets and the down sets of ``Poset``, the hats of
+``algebra``, the Sigma signatures of
 ``filtration`` (its class members stay in filtration_reference.py);
 the cones of the dual frame, of the greatest filtration and the
 pairwise order check of the filtration correspondence; and the order
@@ -19,6 +20,24 @@ from typing import Mapping, Sequence
 
 from subminimal.frames import _transitive
 from subminimal.syntax import Formula
+
+
+def upsets(n: int, up: Sequence[int]) -> list[int]:
+    """Every upset of a poset, ascending, each mask tested world by
+    world against the cones (frames.enumerate_upsets)."""
+    out = []
+    for mask in range(1 << n):
+        m = mask
+        ok = True
+        while m:
+            w = (m & -m).bit_length() - 1
+            if up[w] & ~mask:
+                ok = False
+                break
+            m &= m - 1
+        if ok:
+            out.append(mask)
+    return out
 
 
 def down_sets(n: int, up: Sequence[int]) -> list[int]:

@@ -12,7 +12,8 @@ import pytest
 
 import algebra_reference as reference
 from frame_helpers import element_hat
-from subminimal import algebra
+from subminimal import algebra, frames
+from subminimal._heyting import set_reduct
 from subminimal.algebra import (
     AlgebraicFiltration,
     NAlgebra,
@@ -921,7 +922,9 @@ def test_a_malformed_table_raises_on_each_constructor_path(field, value, message
 
 def test_an_upset_algebra_checks_its_negation_and_its_reducts_tables_once(monkeypatch):
     # each algebra of a poset's upsets or admissible sets checks its own
-    # negation; the tables its reduct shares are checked when it is kept
+    # negation values; the tables its reduct shares are checked when it
+    # is kept, and its neg and one, built from the reduct, need no shape
+    # check
     with pytest.raises(ValueError, match="negation value at 2 is not an element"):
         admissible_algebra(TopFrame(CHAIN, (-1, -1, 0, 2)))
     calls = []
@@ -935,7 +938,7 @@ def test_an_upset_algebra_checks_its_negation_and_its_reducts_tables_once(monkey
     p = Poset(5, [1 << w for w in range(5)])  # past the posets kept for the process
     for value in (lambda u: 0, lambda u: u, lambda u: 31):
         upset_algebra(NFrame(p, ntable_from_upset_map(p, {u: value(u) for u in p.upsets()})))
-    assert calls == [["imp", "join", "meet"], [], [], []]
+    assert calls == [["imp", "join", "meet"]]
     calls.clear()
     _replace(ALG)
     assert calls == [["imp", "join", "meet"]]
@@ -1030,3 +1033,23 @@ def test_shared_algebras_compare_copy_and_pickle_as_plain_ones():
         filters = prime_filters(a)
         filters.append(-1)
         assert prime_filters(a) == want[3]
+
+
+def test_the_reducts_order_takes_the_down_sets_of_its_scan(monkeypatch):
+    # eight elements are past the posets kept for the process, so the
+    # order is built here, from the scan's cones and down sets
+    antichain = Poset(3, (1, 2, 4))
+    _, r = set_reduct(antichain.up, antichain.upsets())
+    transposed = []
+    transpose = frames._transpose
+
+    def spy(rows, width):
+        transposed.append(width)
+        return transpose(rows, width)
+
+    monkeypatch.setattr(frames, "_transpose", spy)
+    order = r.order
+    assert transposed == []
+    assert order.down == tuple(r.down)
+    monkeypatch.undo()
+    assert order == Poset(r.size, r.up) and order.down == Poset(r.size, r.up).down

@@ -5,7 +5,9 @@ Each case starts a fresh interpreter that calls
 script does, so main reads sys.argv: a command's own parser answers
 help and its missing arguments, the full parser leftover arguments and
 an unknown command, a timeout too large for a float is an input error,
-and a plain argv is read without argparse.
+and a plain argv is read without argparse. The last cases reach the
+filtration layer, the modal kernel and the box translation, with the
+hand-made inputs of test_cli.py on stdin.
 """
 
 import json
@@ -15,15 +17,18 @@ import subprocess
 import sys
 
 import subminimal
+from test_cli import FORK_MODEL_JSON, HAND_NS4_JSON
 
 SRC = str(pathlib.Path(subminimal.__file__).resolve().parents[1])
 ENTRY = "import sys; from subminimal.cli import main; sys.exit(main())"
 
 
-def console(*argv):
-    """Exit code, stdout and stderr of the console entry on argv."""
+def console(*argv, stdin=None):
+    """Exit code, stdout and stderr of the console entry on argv, with
+    the JSON value stdin, if given, on its standard input."""
     proc = subprocess.run(
         [sys.executable, "-c", ENTRY, *argv],
+        input=None if stdin is None else json.dumps(stdin),
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=SRC),
@@ -72,3 +77,60 @@ def test_plain_argv_with_a_world_bound():
     assert (code, err) == (1, "")
     assert json.loads(out)["status"] == "refuted"
     assert json.loads(out)["bound"] == 2
+
+
+def test_filtrate_the_fork():
+    # the greatest filtration of tests/test_cli.py's fork model through
+    # the closure of ~p merges the worlds where p fails
+    code, out, err = console("filtrate", "--model", "-", "--sigma", "~p", stdin=FORK_MODEL_JSON)
+    assert (code, err) == (0, "")
+    out = json.loads(out)
+    assert out["pi"] == [0, 1, 0]
+    assert out["worlds"] == 2
+    assert out["N"] == {"0": 3, "2": 3, "3": 0}
+
+
+def test_filtrate_through_a_variable_the_model_leaves_out():
+    code, out, err = console("filtrate", "--model", "-", "--sigma", "q & ~p", stdin=FORK_MODEL_JSON)
+    assert code == 2
+    assert "model does not value variable q" in json.loads(out)["error"]
+    assert "Traceback" not in err
+
+
+# the hand frame of tests/test_cli.py validates the five NS4 axioms and
+# refutes [n]p -> p at world 1 with p empty
+
+
+def test_ns4_axioms_hold_on_the_hand_frame():
+    code, _, _ = console("ns4", "valid", "--frame", "-", stdin=HAND_NS4_JSON)
+    assert code == 0
+
+
+def test_ns4_valid_checks_the_five_axioms_in_order():
+    _, out, _ = console("ns4", "valid", "--frame", "-", stdin=HAND_NS4_JSON)
+    assert json.loads(out)["checked"] == ["K", "T", "4", "bbox-cong", "bbox-persist"]
+
+
+def test_ns4_valid_refutes_a_formula_on_the_hand_frame():
+    code, _, _ = console("ns4", "valid", "--frame", "-", "[n]p -> p", stdin=HAND_NS4_JSON)
+    assert code == 1
+
+
+def test_ns4_valid_names_the_refuting_valuation_and_world():
+    _, out, _ = console("ns4", "valid", "--frame", "-", "[n]p -> p", stdin=HAND_NS4_JSON)
+    d = json.loads(out)
+    assert (d["valuation"], d["world"]) == ({"p": 0}, 1)
+
+
+# the package checks the translation without building it, so only the
+# translate subcommand prints the translated formula
+
+
+def test_translate_succeeds():
+    code, _, _ = console("translate", "~(p -> q)")
+    assert code == 0
+
+
+def test_translate_prints_the_box_translation():
+    _, out, _ = console("translate", "~(p -> q)")
+    assert json.loads(out)["translation"] == "[n][]([]p -> []q)"

@@ -1,5 +1,6 @@
 """Filtration construction, its defining conditions, and decide()."""
 
+import collections
 import dataclasses
 import random
 
@@ -578,3 +579,137 @@ def test_one_source_read_per_model_and_sigma(monkeypatch):
         filtrations.append(len(every))
     assert filtrations == [4, 4, 8, 8]
     assert reads == pairs
+
+
+def test_orders_are_decided_once_per_read_and_order(monkeypatch):
+    # a frozen counter beside the one above: (a) and (b) run once per
+    # read and quotient order, however many filtrations share the order,
+    # and Sigma is still read once per pair of model and Sigma
+    reads = []
+    decided = []
+    real_truth, real_order = filtration.truth_sets, filtration._order_witness
+
+    def counting_truth(m, formulas):
+        reads.append((m, formulas))
+        return real_truth(m, formulas)
+
+    def counting_order(source_up, pi, members, sig, order, up):
+        decided.append(tuple(up))
+        return real_order(source_up, pi, members, sig, order, up)
+
+    monkeypatch.setattr(filtration, "truth_sets", counting_truth)
+    monkeypatch.setattr(filtration, "_order_witness", counting_order)
+    fork = fork_model()
+    chain = model_from_dict(
+        {"worlds": 3, "leq": [[0, 1], [1, 2]], "N": {"0": 7, "4": 6, "6": 4, "7": 0}, "valuation": {"p": 6, "q": 4}}
+    )
+    # two worlds, unrelated: the projected order is discrete and the
+    # greatest one puts the class where p fails below the other
+    antichain = model_from_dict({"worlds": 2, "leq": [], "N": {"0": 3, "1": 3, "2": 0, "3": 0}, "valuation": {"p": 1}})
+    first = close_sigma([parse("~p -> ~~p")])
+    second = close_sigma([parse("~(p & ~p) | ~~p")])
+    pairs = [(m, sigma) for m in (fork, chain, antichain) for sigma in (first, second)]
+    counts = []
+    for m, sigma in pairs:
+        decided.clear()
+        r = greatest_filtration(m, sigma)
+        assert check_conditions(m, r) is None
+        assert filtration_theorem_check(m, r) is None
+        every = enumerate_filtrations(m, sigma)
+        assert all(greatest_among(m, sigma, f) for f in every)
+        assert all(check_conditions(m, f) is None for f in every)
+        orders = list(dict.fromkeys(f.quotient.frame.poset.up for f in [r, *every]))
+        assert decided == orders
+        counts.append((len(every), len(decided)))
+    assert counts == [(4, 1), (4, 1), (8, 1), (8, 1), (8, 2), (8, 2)]
+    assert reads == pairs
+
+
+def _on_other_orders(g):
+    """g's classes, projection and valuation on every other order of
+    its classes that keeps the valuation an upset, each with g's table
+    value at the sets that are upsets in both orders and 0 elsewhere."""
+    q = g.quotient
+    out = []
+    for qposet in enumerate_posets(g.classes()):
+        if qposet == q.frame.poset:
+            continue
+        table = [-1] * len(q.frame.ntable)
+        for x in qposet.upsets():
+            table[x] = max(q.frame.ntable[x], 0)
+        try:
+            out.append(FiltrationResult(NModel(NFrame(qposet, tuple(table)), q.valuation), g.pi, g.sigma))
+        except ValueError:
+            continue
+    return out
+
+
+def _with_an_empty_class(g):
+    """g with one more class, above none and below none, that no world
+    projects to."""
+    q = g.quotient
+    k = g.classes()
+    qposet = Poset(k + 1, (*q.frame.poset.up, 1 << k))
+    table = {x: q.frame.ntable[x & ~(1 << k)] for x in qposet.upsets()}
+    frame = NFrame(qposet, ntable_from_upset_map(qposet, table))
+    return FiltrationResult(NModel(frame, q.valuation), g.pi, g.sigma)
+
+
+def _all_three(m, sigma, r):
+    return (
+        outcome(check_conditions, m, r),
+        outcome(filtration_theorem_check, m, r),
+        outcome(greatest_among, m, sigma, r),
+    )
+
+
+def _reference_three(m, sigma, r):
+    return (
+        outcome(ref.check_conditions, m, r),
+        outcome(ref.filtration_theorem_check, m, r),
+        outcome(ref.greatest_among, m, sigma, r),
+    )
+
+
+def test_shared_reads_match_the_reference_witness_for_witness():
+    # the candidates share the read's projection, as the same tuple or an
+    # equal one, on a warm model and after its valuation changed in place;
+    # every violation kind is reached, and each answer is the reference's,
+    # but for "onto", which the reference does not know
+    rng = random.Random(48)
+    kinds = collections.Counter()
+    models = stale = 0
+    for _ in range(120):
+        m = random_model(rng, max_worlds=3)
+        sigma = close_sigma([random_formula(rng, ("p", "q"), 3)])
+        every = enumerate_filtrations(m, sigma)
+        # a handful of models have thousands of filtrations
+        if len(every) > 200:
+            continue
+        models += 1
+        g = greatest_filtration(m, sigma)
+        candidates = every + _on_other_orders(g) + [_corrupted(rng, g) for _ in range(3 * (g.classes() >= 2))]
+        candidates.append(_with_an_empty_class(g))
+        for changed in (False, True):
+            if changed:
+                # a valuation changed in place makes the kept read stale;
+                # the next call must read Sigma again
+                name = min(g.quotient.valuation, default="p")
+                upsets = m.frame.poset.upsets()
+                m.valuation[name] = rng.choice([u for u in upsets if u != m.valuation[name]] or upsets)
+                stale += _key(greatest_filtration(NModel(m.frame, dict(m.valuation)), sigma)) != _key(g)
+            for r in candidates:
+                got = _all_three(m, sigma, r)
+                hit = got[0][1]
+                kinds[None if hit is None else hit[0]] += 1
+                if hit is not None and hit[0] == "onto":
+                    assert hit == ("onto", (g.classes(),))
+                    assert got[2] == ("ValueError", f"not a filtration: condition (onto) fails at {hit[1]}")
+                    assert got[1] == outcome(ref.filtration_theorem_check, m, r)
+                else:
+                    assert got == _reference_three(m, sigma, r)
+                assert _all_three(NModel(m.frame, dict(m.valuation)), sigma, r) == got
+                assert _all_three(m, sigma, FiltrationResult(r.quotient, tuple(list(r.pi)), r.sigma)) == got
+    assert models >= 110
+    assert stale >= 80
+    assert set(kinds) == {None, "onto", "a", "b", "c", "d", "v"}

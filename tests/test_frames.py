@@ -1010,6 +1010,17 @@ def test_transpose_matches_the_loops_it_replaced():
             assert list(p.down) == mask_reference.down_sets(n, p.up)
 
 
+def test_enumerate_upsets_matches_the_loop_it_replaced():
+    counts = []
+    for n in range(6):
+        posets = list(enumerate_posets(n))
+        for p in posets:
+            assert enumerate_upsets(p) == mask_reference.upsets(n, p.up)
+        counts.append(len(posets))
+    # every labeled poset of up to 5 worlds
+    assert counts == [1, 1, 3, 19, 219, 4231]
+
+
 def test_inclusion_cones_match_the_loops_they_replaced():
     rng = random.Random(29)
     seen = collections.Counter()
