@@ -73,10 +73,9 @@ class Reduct:
 
     @cached_property
     def order(self) -> Poset:
-        """The element order as a poset, with the down sets of the scan;
-        ValueError unless the order is a partial order, raised again on
-        the next use."""
-        return Poset._with_down(self.size, self.up, self.down)
+        """The element order as a poset; ValueError unless the order is
+        a partial order, raised again on the next use."""
+        return Poset(self.size, self.up)
 
     @cached_property
     def laws(self) -> bool:

@@ -8,7 +8,7 @@ and reaches every projected negation of a Sigma-set (d). Its valuation
 is the projection of the source one on the variables of Sigma. The
 greatest filtration is computed directly and dominates every filtration
 through the same Sigma (greatest_among proves it). The class-wise bound
-of a quotient set, _class_bound, is the greatest table, the ceiling of
+of a quotient set, _Read.bound, is the greatest table, the ceiling of
 (c) and the range of enumerated tables, which go flat to NFrame.
 
 Sigma is read on a model once for all the functions here: _partition
@@ -19,21 +19,23 @@ same model with the same Sigma object takes the read from there, and so
 do the class-wise bounds, each computed once, the greatest quotient
 frame, built once per read, and the verdict of conditions (a) and (b)
 per quotient order, which is all they depend on (_Read states the
-bounds). A filtration that projects by the read's pi onto the read's
-classes takes its class members from the read; any other has them as
-the transpose of its projection, and "onto" is refused before Sigma is
-read. A read is keyed by the object, not by its value, because the (b)
-witness follows that object's iteration order; it is taken only while
-the model's valuation equals the one it was read under, and read again
-otherwise. A read that fails
-is not kept: the theorem check then goes formula by formula through
-frames.formula_evaluator, so its errors come in show order. A world's
-signature is an int whose bit i says whether the i-th member of Sigma
-holds there: worlds agree on Sigma exactly when their signatures are
-equal, and in the greatest order class c lies below class d exactly
-when the signature of c is a subset of that of d. The signatures are
-the transpose of the truth sets, and the class members that of the
-projection (kernels.pure._transpose); the greatest order is
+bounds). check_conditions reads every filtration through a read of its
+own projection: the kept read when the filtration projects by its pi
+onto its classes; otherwise its class members are the transpose of its
+projection, "onto" is refused before Sigma is read, and the read is
+_Read.projected from the kept one, which serves that one call and is
+never kept. A read is keyed by the object, not by its value, because
+the (b) witness follows that object's iteration order; it is taken
+only while the model's valuation equals the one it was read under, and
+read again otherwise. A read that fails is not kept: the theorem check
+then goes formula by formula through frames.formula_evaluator, so its
+errors come in show order. A world's signature is an int whose bit i
+says whether the i-th member of Sigma holds there: worlds agree on
+Sigma exactly when their signatures are equal, and in the greatest
+order class c lies below class d exactly when the signature of c is a
+subset of that of d. The signatures are the transpose of the truth
+sets, and the class members that of the projection
+(kernels.pure._transpose); the greatest order is
 kernels.pure._inclusion_cones of the class signatures; and
 enumerate_filtrations takes its orders, from the projected order up
 to the greatest, from frames._orders_between.
@@ -108,15 +110,17 @@ _ORDERS_KEPT = 64
 
 @dataclass(eq=False)
 class _Read:
-    """Sigma read on one model, as _partition keeps it in NModel._reads.
+    """Sigma read on one model under a projection, as _partition keeps
+    it in NModel._reads or _Read.projected makes it for one call.
 
     sig[w] has bit i set when order[i], the i-th member of tuple(sigma),
-    holds at w; sigs[c] is the signature of class c and members[c] its
-    worlds. qval values each variable occurring in Sigma, by name order,
-    with the projection of its source value under pi. The read keeps,
-    as they are first asked for and for as long as it is kept itself:
+    holds at w; pi sends each world to its class and members[c] holds
+    the worlds of class c. qval values each variable occurring in Sigma,
+    by name order, with the projection of its source value under pi.
+    The read keeps, as they are first asked for and for as long as it
+    is kept itself:
 
-    - bounds, each _class_bound under pi;
+    - bounds, the class-wise bound of each quotient set (bound);
     - frame, the greatest quotient frame (_greatest_read), an immutable
       NFrame that every greatest filtration of this read shares;
     - orders, for each quotient order, keyed by its cones: the verdict
@@ -136,18 +140,27 @@ class _Read:
     sig: list[int]
     pi: tuple[int, ...]
     members: list[int]
-    sigs: list[int]
     qval: dict[str, int]
     closed: bool = False
     bounds: dict[int, int] = field(default_factory=dict)
     frame: NFrame | None = None
     orders: dict[tuple[int, ...], tuple] = field(default_factory=dict)
 
+    def projected(self, m: NModel, pi: tuple[int, ...], members: list[int]) -> "_Read":
+        """This Sigma read under another projection pi onto classes with
+        members members, for check_conditions on a filtration that does
+        not project by this read's pi: it shares the truth sets, the
+        signatures and Sigma's order, and computes its own valuation,
+        bounds, order checks and neg_args. It is never kept."""
+        qval = {name: _push_mask(m.valuation[name], pi) for name in self.qval}
+        return _Read(self.sigma, self.valuation, self.truth, self.order, self.sig, pi, members, qval)
+
     def bound(self, m: NModel, x: int) -> int:
-        """_class_bound of the class set x under pi."""
+        """The projection under pi of the source negation of the
+        preimage of the class set x."""
         b = self.bounds.get(x)
         if b is None:
-            b = self.bounds[x] = _class_bound(m, x, self.members, self.pi)
+            b = self.bounds[x] = _push_mask(m.frame.neg(_preimage(x, self.members)), self.pi)
         return b
 
     def order_checks(self, m: NModel, qposet: Poset) -> tuple[tuple[str, tuple] | None, tuple]:
@@ -167,17 +180,12 @@ class _Read:
         return checks
 
     @cached_property
-    def neg_args(self) -> list[tuple[Formula, int, int, int]]:
+    def neg_args(self) -> list[tuple[Formula, int, int]]:
         """What (d) reads of each negation ~g in Sigma, in Sigma's order:
-        the truth set of g, its projection under pi and the truth set of
-        ~g, which is the source negation of the truth set of g."""
+        the projection under pi of the truth set of g and the truth set
+        of ~g, which is the source negation of the truth set of g."""
         truth, pi = self.truth, self.pi
-        out = []
-        for f in self.order:
-            if isinstance(f, Neg):
-                value = truth[f.sub]
-                out.append((f, value, _push_mask(value, pi), truth[f]))
-        return out
+        return [(f, _push_mask(truth[f.sub], pi), truth[f]) for f in self.order if isinstance(f, Neg)]
 
 
 def _fresh_read(m: NModel, sigma: Collection[Formula]) -> _Read | None:
@@ -225,7 +233,7 @@ def _partition(m: NModel, sigma: Collection[Formula], require_closed: bool = Fal
         pi = tuple(index[s] for s in sig)
         names = sorted(f.name for f in truth if isinstance(f, Var))
         qval = {name: _push_mask(m.valuation[name], pi) for name in names}
-        read = _Read(sigma, dict(m.valuation), truth, order, sig, pi, list(classes.values()), list(classes), qval)
+        read = _Read(sigma, dict(m.valuation), truth, order, sig, pi, list(classes.values()), qval)
         # the read holds its Sigma, so the id key stays that object's; a
         # caller passing a new Sigma object per call fills at most
         # _READS_KEPT reads
@@ -244,11 +252,6 @@ def _preimage(mask: int, members: list[int]) -> int:
         if (mask >> c) & 1:
             out |= cm
     return out
-
-
-def _class_bound(m: NModel, x: int, members: list[int], pi: Sequence[int]) -> int:
-    """Projection of the source negation of the preimage of class set x."""
-    return _push_mask(m.frame.neg(_preimage(x, members)), pi)
 
 
 def _order_witness(
@@ -303,8 +306,10 @@ def _greatest_read(m: NModel, sigma: frozenset[Formula]) -> _Read:
     greatest quotient frame."""
     read = _partition(m, sigma, require_closed=True)
     if read.frame is None:
-        k = len(read.sigs)
-        qposet = Poset(k, _inclusion_cones(read.sigs))
+        # a class's signature is that of any member, say its least
+        sigs = [read.sig[(c & -c).bit_length() - 1] for c in read.members]
+        k = len(sigs)
+        qposet = Poset(k, _inclusion_cones(sigs))
         table = [-1] * (1 << k)
         for x in qposet.upsets():
             table[x] = read.bound(m, x)
@@ -327,30 +332,31 @@ def check_conditions(m: NModel, r: FiltrationResult) -> tuple[str, tuple] | None
     the least variable, by name, it leaves out or values otherwise is
     refused.
 
-    When r projects by the pi of a fresh read of its Sigma object onto
-    that read's classes (_shared_read), the class members come from the
-    read, and (a) and (b) are decided once per quotient order, with the
-    bounds (c) reads (_Read.order_checks); otherwise the members are
-    the transpose of pi, and "onto" is refused before Sigma is read.
+    The projection is not checked to be Sigma-agreement: a projection
+    finer than it, or one that numbers the classes another way, passes
+    when its quotient meets the conditions under it, as in the
+    formula-by-formula reference; greatest_among is what refuses such a
+    projection.
+
+    Every filtration is checked through a _Read of its own projection:
+    (a), (b) and the bounds (c) reads come from its order_checks, (d)
+    from its neg_args and the valuation from its qval. When r projects
+    by the pi of a fresh read of its Sigma object onto that read's
+    classes (_shared_read), that is the kept read; otherwise the class
+    members are the transpose of pi, "onto" is refused before Sigma is
+    read, and the read is the kept one projected by pi (_Read.projected).
     """
-    pi = r.pi
     qframe = r.quotient.frame
     read = _shared_read(m, r)
-    if read is not None:
-        members = read.members
-        shared = True
-        hit, bounds = read.order_checks(m, qframe.poset)
-    else:
+    if read is None:
+        pi = r.pi
         members = _transpose([1 << c for c in pi], r.classes())
         if 0 in members:
             return ("onto", (members.index(0),))
         read = _partition(m, r.sigma)
-        shared = pi == read.pi
-        hit = _order_witness(m.frame.poset.up, pi, members, read.sig, read.order, qframe.poset.up)
-        bounds = (
-            (x, read.bound(m, x) if shared else _class_bound(m, x, members, pi))
-            for x in qframe.poset.upsets()
-        )
+        if pi != read.pi:
+            read = read.projected(m, pi, members)
+    hit, bounds = read.order_checks(m, qframe.poset)
     if hit is not None:
         return hit
     ntable = qframe.ntable
@@ -358,9 +364,10 @@ def check_conditions(m: NModel, r: FiltrationResult) -> tuple[str, tuple] | None
         extra = ntable[x] & ~bound
         if extra:
             return ("c", (x, (extra & -extra).bit_length() - 1))
+    members = read.members
     missed = []
-    for f, value, x, source in read.neg_args:
-        lost = source & ~_preimage(ntable[x if shared else _push_mask(value, pi)], members)
+    for f, x, source in read.neg_args:
+        lost = source & ~_preimage(ntable[x], members)
         if lost:
             missed.append((f, lost))
     if missed:
@@ -369,7 +376,7 @@ def check_conditions(m: NModel, r: FiltrationResult) -> tuple[str, tuple] | None
         # least failure by show
         f, lost = min(missed, key=lambda hit: show(hit[0]))
         return ("d", ((lost & -lost).bit_length() - 1, f))
-    qval = read.qval if shared else {name: _push_mask(m.valuation[name], pi) for name in read.qval}
+    qval = read.qval
     valuation = r.quotient.valuation
     if valuation != qval:
         # the quotient may value variables outside Sigma as it likes
@@ -434,7 +441,7 @@ def greatest_among(m: NModel, sigma: Iterable[Formula], other: FiltrationResult)
     the other order means c = pi(w) and d = pi(v) with, by (b), the
     signature of w inside that of v; so c <= d in the greatest order.
     Each greatest upset X is then an upset of the other order, and
-    there (c) bounds the other N(X) by _class_bound, the greatest
+    there (c) bounds the other N(X) by _Read.bound, the greatest
     table. A non-filtration, or a candidate
     through another Sigma or projection, raises ValueError.
     """

@@ -209,23 +209,10 @@ class Poset:
             key = (n, tuple(up))
             kept = _POSETS.get(key)
         except TypeError:
-            # unhashable cones: let the checks of _new name the fault
+            # unhashable cones: let the checks below name the fault
             key = kept = None
-        return kept if kept is not None else cls._new(n, up, key, None)
-
-    @classmethod
-    def _with_down(cls, n: int, up: Sequence[int], down: Sequence[int]) -> "Poset":
-        """Poset(n, up) for a caller that holds its down sets, the
-        transpose of up, as _heyting.Reduct.order has them from its own
-        scan; they are not computed again."""
-        key = (n, tuple(up))
-        kept = _POSETS.get(key)
-        return kept if kept is not None else cls._new(n, up, key, down)
-
-    @classmethod
-    def _new(cls, n: int, up: Sequence[int], key: tuple | None, down: Sequence[int] | None) -> "Poset":
-        """A poset not kept yet: the checks, the down sets (the
-        transpose of up unless given) and, when small, keeping it."""
+        if kept is not None:
+            return kept
         if n < 0:
             raise ValueError("world count must be nonnegative")
         _check_preorder(n, up)
@@ -234,7 +221,7 @@ class Poset:
         self = super().__new__(cls)
         self.n = n
         self.up = _Cones(up)
-        self.down = tuple(_transpose(up, n) if down is None else down)
+        self.down = tuple(_transpose(up, n))
         self._upsets: tuple[int, ...] | None = None
         if key is not None and n <= DEFAULT_MAX_WORLDS:
             _POSETS[key] = self

@@ -17,7 +17,7 @@ import subprocess
 import sys
 
 import subminimal
-from test_cli import FORK_MODEL_JSON, HAND_NS4_JSON
+from test_cli import CHAIN_ALGEBRA, FORK_MODEL_JSON, HAND_NS4_JSON, LAWLESS_CHAIN_ALGEBRA
 
 SRC = str(pathlib.Path(subminimal.__file__).resolve().parents[1])
 ENTRY = "import sys; from subminimal.cli import main; sys.exit(main())"
@@ -134,3 +134,40 @@ def test_translate_succeeds():
 def test_translate_prints_the_box_translation():
     _, out, _ = console("translate", "~(p -> q)")
     assert json.loads(out)["translation"] == "[n][]([]p -> []q)"
+
+
+# the chain algebra of tests/test_cli.py passes the law check and has the
+# 3-world dual of test_algebra_dual_of_the_chain_algebra; with one meet
+# entry moved it breaks the top law at element 1
+
+
+def test_algebra_check_passes_the_chain_algebra():
+    code, _, _ = console("algebra", "check", "-", stdin=CHAIN_ALGEBRA)
+    assert code == 0
+
+
+def test_algebra_check_finds_the_chain_algebra_subdirectly_irreducible():
+    _, out, _ = console("algebra", "check", "-", stdin=CHAIN_ALGEBRA)
+    assert json.loads(out)["subdirectly_irreducible"] is True
+
+
+def test_algebra_dual_succeeds_on_the_chain_algebra():
+    code, _, _ = console("algebra", "dual", "-", stdin=CHAIN_ALGEBRA)
+    assert code == 0
+
+
+def test_algebra_dual_of_the_chain_algebra_has_three_worlds():
+    _, out, _ = console("algebra", "dual", "-", stdin=CHAIN_ALGEBRA)
+    d = json.loads(out)
+    assert (d["worlds"], d["N"]) == (3, {"4": 6, "6": 7, "7": 6})
+
+
+def test_algebra_check_refuses_the_lawless_chain_algebra():
+    code, _, _ = console("algebra", "check", "-", stdin=LAWLESS_CHAIN_ALGEBRA)
+    assert code == 1
+
+
+def test_algebra_check_names_the_broken_top_law():
+    _, out, _ = console("algebra", "check", "-", stdin=LAWLESS_CHAIN_ALGEBRA)
+    d = json.loads(out)
+    assert (d["law"], d["witness"]) == ("top", [1])

@@ -2,6 +2,7 @@
 
 import collections
 import dataclasses
+import itertools
 import random
 
 import pytest
@@ -27,6 +28,7 @@ from subminimal.frames import (
     NFrame,
     NModel,
     Poset,
+    _push_mask,
     enumerate_ntables,
     enumerate_posets,
     model_from_dict,
@@ -644,6 +646,29 @@ def _on_other_orders(g):
     return out
 
 
+def _relabeled(g):
+    """g with its classes numbered in each other way, class c becoming
+    class perm[c]: projection, order, table and valuation moved along.
+    Each is a filtration that does not project by the read's pi."""
+    q = g.quotient
+    k = g.classes()
+    out = []
+    for perm in itertools.permutations(range(k)):
+        if perm == tuple(range(k)):
+            continue
+        up = [0] * k
+        for c, cone in enumerate(q.frame.poset.up):
+            up[perm[c]] = _push_mask(cone, perm)
+        qposet = Poset(k, up)
+        table = [-1] * len(q.frame.ntable)
+        for x in q.frame.poset.upsets():
+            table[_push_mask(x, perm)] = _push_mask(q.frame.ntable[x], perm)
+        valuation = {name: _push_mask(value, perm) for name, value in q.valuation.items()}
+        pi = tuple(perm[c] for c in g.pi)
+        out.append(FiltrationResult(NModel(NFrame(qposet, tuple(table)), valuation), pi, g.sigma))
+    return out
+
+
 def _with_an_empty_class(g):
     """g with one more class, above none and below none, that no world
     projects to."""
@@ -674,11 +699,14 @@ def _reference_three(m, sigma, r):
 def test_shared_reads_match_the_reference_witness_for_witness():
     # the candidates share the read's projection, as the same tuple or an
     # equal one, on a warm model and after its valuation changed in place;
-    # every violation kind is reached, and each answer is the reference's,
-    # but for "onto", which the reference does not know
+    # the relabeled ones are filtrations that number the classes another
+    # way, which only a read projected for them serves; every violation
+    # kind is reached, and each answer is the reference's, but for
+    # "onto", which the reference does not know
     rng = random.Random(48)
     kinds = collections.Counter()
-    models = stale = 0
+    models = stale = relabeled = 0
+    mismatch = "projection mismatch: same model and sigma expected"
     for _ in range(120):
         m = random_model(rng, max_worlds=3)
         sigma = close_sigma([random_formula(rng, ("p", "q"), 3)])
@@ -688,8 +716,12 @@ def test_shared_reads_match_the_reference_witness_for_witness():
             continue
         models += 1
         g = greatest_filtration(m, sigma)
+        renumbered = _relabeled(g)
+        relabeled += len(renumbered)
+        for r in renumbered:
+            assert _all_three(m, sigma, r) == (("ok", None), ("ok", None), ("ValueError", mismatch))
         candidates = every + _on_other_orders(g) + [_corrupted(rng, g) for _ in range(3 * (g.classes() >= 2))]
-        candidates.append(_with_an_empty_class(g))
+        candidates += [_with_an_empty_class(g), *renumbered]
         for changed in (False, True):
             if changed:
                 # a valuation changed in place makes the kept read stale;
@@ -712,4 +744,26 @@ def test_shared_reads_match_the_reference_witness_for_witness():
                 assert _all_three(m, sigma, FiltrationResult(r.quotient, tuple(list(r.pi)), r.sigma)) == got
     assert models >= 110
     assert stale >= 80
+    assert relabeled >= 90
     assert set(kinds) == {None, "onto", "a", "b", "c", "d", "v"}
+
+
+def test_a_read_made_for_another_projection_is_never_kept():
+    m = fork_model()
+    sigma = close_sigma([parse("~p")])
+    g = greatest_filtration(m, sigma)
+    (relabeled,) = _relabeled(g)
+    # p -> ~~p fails at world 0, which sees world 1, and holds at world 2
+    finer = greatest_filtration(m, sigma | close_sigma([parse("p -> ~~p")]))
+    finer = FiltrationResult(finer.quotient, finer.pi, sigma)
+    assert (g.pi, relabeled.pi, finer.pi) == ((0, 1, 0), (1, 0, 1), (0, 1, 2))
+    assert check_conditions(m, g) is None
+    kept = list(m._reads.items())
+    orders = list(m._reads[id(sigma)].orders)
+    for r in (relabeled, finer):
+        assert check_conditions(m, r) is None
+        assert ref.check_conditions(m, r) is None
+        with pytest.raises(ValueError, match="projection mismatch"):
+            greatest_among(m, sigma, r)
+    assert [(key, id(read)) for key, read in m._reads.items()] == [(key, id(read)) for key, read in kept]
+    assert list(m._reads[id(sigma)].orders) == orders
