@@ -176,11 +176,11 @@ def _antisymmetric(up: Sequence[int]) -> bool:
 
 
 class _Cones(tuple):
-    """A poset's cone masks. Its instance dict keeps what is derived
-    from the cones alone, such as the set-up of
-    kernels.search_positive_morphism and the upset algebras' reducts
-    (algebra._set_algebra), for the life of the poset (see
-    kernels.pure._kept)."""
+    """A poset's cone masks, or an NS4 frame's. Its instance dict keeps
+    what is derived from the cones alone, such as the formula kernels'
+    cone lists, the set-up of kernels.search_positive_morphism and the
+    upset algebras' reducts (algebra._set_algebra), for the life of the
+    poset (see kernels.pure._kept)."""
 
 
 # the posets of at most DEFAULT_MAX_WORLDS worlds, one per (n, cones)

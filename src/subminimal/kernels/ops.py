@@ -1,9 +1,13 @@
 """Opcode table for the compiled formula representation.
 
-A formula is flattened to postfix as a sequence of (opcode, argument)
-pairs; the argument is a variable index for OP_VAR and 0 otherwise.
-The kernels in kernels.pure interpret this encoding with small stack
-machines; syntax.compile_prop and compile_modal emit it.
+A formula is compiled to value-numbered code: a flat sequence of
+(opcode, a, b) triples, one instruction per distinct subformula, each
+after the instructions of its operands. Instruction i puts its truth
+set in slot i, and the code's value is its last slot. For OP_VAR, a is
+the variable's index; for a connective, a (and b for a binary one) are
+the slots of its operands, left then right; every other field is 0.
+The kernels in kernels.pure run this code on one slot machine;
+syntax.compile_prop and compile_modal emit it.
 """
 
 OP_VAR = 0

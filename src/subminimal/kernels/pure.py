@@ -11,15 +11,17 @@ Conventions:
 * ``ntable`` is a flat list of length 2**n mapping a set's mask to the
   mask of its negation value; strict N-frames store -1 at non-upset
   indices, NS4 and orderless tables are total;
-* formulas arrive as postfix opcode arrays, see kernels.ops.
+* formulas arrive as value-numbered code, one instruction per distinct
+  subformula, see kernels.ops.
 
-One stack machine, _run, runs formula code: the refutation searches
+One slot machine, _run, runs formula code: the refutation searches
 call it once per block of positions, and eval_prop and eval_modal call
-it at one position. One loop, _trace_table, builds every table whose
-value at X is the set of worlds w whose family holds X & R(w): the
-lift, the translation gap's lift at the upsets, and, imported from
-here, the trace tables of frames, the tables of
-frames.from_neighbourhood and the dual frames of algebra. Two mask
+it at one position; both read a poset's cone lists through _kept. One
+loop, _trace_table, builds every table whose value at X is the set of
+worlds w whose family holds X & R(w): the lift, the translation gap's
+lift at the upsets, and, imported from here, the trace tables of
+frames, the tables of frames.from_neighbourhood and the dual frames of
+algebra. Two mask
 helpers sit beside it, imported from here as well: _transpose, the one
 bit transpose of a mask list, and _inclusion_cones, the one inclusion
 order of a mask list.
@@ -42,13 +44,14 @@ one NS4 axiom check after another on 3-world frames, does not rebuild
 them. An entry holds at most _BLOCK values, so it stays under about
 0.16 MiB even at 20 worlds and takes a few KiB up to 5 (see _layout).
 
-The positive-morphism search derives its set-up from one poset at a
+The formula kernels read each world's cone as a list of worlds, and
+the positive-morphism search derives its set-up from one poset at a
 time: the target's allowed values, the source's strict cones and
 visiting order, and the source's candidate domains for each spare
 world count. _kept keeps each in the instance dict of the cones it
-came from when they have one, as a Poset's cones do, so the entries
-live exactly as long as the poset and need no bound of their own;
-plain tuples and lists build the set-up per call.
+came from when they have one, as the cones of a Poset or an NS4Frame
+do, so the entries live exactly as long as the poset and need no bound
+of their own; plain tuples and lists build them per call.
 
 No closure here names itself: the recursive searches are module-level
 functions that take their state as arguments. A closure that calls
@@ -96,12 +99,13 @@ def _eval(code, n, up, ntable, val, modal):
 
     -1 when a lookup met a negative entry, -2 on an opcode of the other
     language. _run goes on past a hole, so hand-made code that meets a
-    hole and later a wrong opcode gives -2, and one whose stack then
-    runs dry raises IndexError; compiled code never does either.
+    hole and later a wrong opcode gives -2, and one that then reads a
+    slot not yet filled raises IndexError; compiled code never does
+    either.
     """
-    slots = [[(x >> w) & 1 for w in range(n)] for x in val]
+    atoms = [[(x >> w) & 1 for w in range(n)] for x in val]
     try:
-        r, err = _run(code, slots, [1] * n, [0] * n, _cones(up, n), 1, n, ntable, modal, "")
+        r, err = _run(code, atoms, [1] * n, [0] * n, _kept(up, _cones, n), 1, n, ntable, modal, "")
     except ValueError:
         return -2
     return -1 if err else sum(b << w for w, b in enumerate(r))
@@ -190,9 +194,10 @@ def _block_lookup(a, n, columns, ones):
         if v < 0:
             holes |= g
             continue
-        for w in range(n):
-            if (v >> w) & 1:
-                out[w] |= g
+        while v:
+            b = v & -v
+            out[b.bit_length() - 1] |= g
+            v ^= b
     return out, holes
 
 
@@ -239,57 +244,59 @@ def _layout(block, values, nvars, n):
 
 
 def _cones(up, n):
-    """Each world's cone as the list of its worlds."""
-    return [[v for v in range(n) if (up[w] >> v) & 1] for w in range(n)]
+    """Each world's cone as the tuple of its worlds; read through _kept,
+    so a poset's or an NS4 frame's cones (frames._Cones) build them
+    once."""
+    return tuple(tuple(v for v in range(n) if (up[w] >> v) & 1) for w in range(n))
 
 
-def _run(code, slots, top, bot, cones, ones, n, columns, modal, error):
-    """The one stack machine: run postfix code over a block of
-    positions. A truth set is one int per world, bit i set when the
+def _run(code, atoms, top, bot, cones, ones, n, columns, modal, error):
+    """The one slot machine: run value-numbered code (kernels.ops) over
+    a block of positions, each instruction once, its truth set put in
+    the next slot. A truth set is one int per world, bit i set when the
     world is in the set at the block's i-th position; ``ones`` marks
-    the positions, ``slots`` holds the variables' truth sets, ``top``
+    the positions, ``atoms`` holds the variables' truth sets, ``top``
     and ``bot`` the constants'. The Heyting arrow is box(~a | b), as w's
     cone misses a & ~b exactly when it lies in ~a | b; the modal arrow
     is ~a | b. Neg (prop) and [n] (modal) look the set up in
     ``columns``, the column masks of the block's frames or one table
     (see _block_lookup).
 
-    Returns the truth set of the code and the mask of the positions
-    whose lookups met a negative entry; a position that did evaluates
-    on as if the entry were empty. An opcode outside the language,
-    prop (Var, Top, And, Or, Imp, Neg) or modal (Var, Top, Bot, And,
-    Or, Imp, Box, [n]), raises ValueError(error).
+    Returns the truth set of the last instruction and the mask of the
+    positions whose lookups met a negative entry; a position that did
+    evaluates on as if the entry were empty. An opcode outside the
+    language, prop (Var, Top, And, Or, Imp, Neg) or modal (Var, Top,
+    Bot, And, Or, Imp, Box, [n]), raises ValueError(error); an operand
+    slot not yet filled raises IndexError.
     """
-    stack = []
+    slots = []
+    push = slots.append
     err = 0
     look = OP_BBOX if modal else OP_NEG
-    for i in range(0, len(code), 2):
-        op = code[i]
-        arg = code[i + 1]
+    it = iter(code)
+    for op, a, b in zip(it, it, it):
         if op == OP_VAR:
-            stack.append(slots[arg])
-        elif op == OP_TOP:
-            stack.append(top)
-        elif op == OP_AND:
-            b = stack.pop()
-            stack[-1] = [x & y for x, y in zip(stack[-1], b)]
-        elif op == OP_OR:
-            b = stack.pop()
-            stack[-1] = [x | y for x, y in zip(stack[-1], b)]
+            push(atoms[a])
         elif op == OP_IMP:
-            b = stack.pop()
-            c = [(ones & ~x) | y for x, y in zip(stack[-1], b)]
-            stack[-1] = c if modal else _block_box(c, cones, ones)
+            c = [(ones & ~x) | y for x, y in zip(slots[a], slots[b])]
+            push(c if modal else _block_box(c, cones, ones))
+        elif op == OP_AND:
+            push([x & y for x, y in zip(slots[a], slots[b])])
+        elif op == OP_OR:
+            push([x | y for x, y in zip(slots[a], slots[b])])
         elif op == look:
-            stack[-1], holes = _block_lookup(stack[-1], n, columns, ones)
+            out, holes = _block_lookup(slots[a], n, columns, ones)
+            push(out)
             err |= holes
+        elif op == OP_TOP:
+            push(top)
         elif op == OP_BOT and modal:
-            stack.append(bot)
+            push(bot)
         elif op == OP_BOX and modal:
-            stack[-1] = _block_box(stack[-1], cones, ones)
+            push(_block_box(slots[a], cones, ones))
         else:
             raise ValueError(error)
-    return stack[-1], err
+    return slots[-1], err
 
 
 def _first_refutation(code, nvars, n, up, tables, values, modal, error):
@@ -312,17 +319,22 @@ def _first_refutation(code, nvars, n, up, tables, values, modal, error):
     run in ascending order and the search stops in the first block that
     holds a refutation or an error, at its lowest position, so the
     result is that of evaluating one valuation of one frame at a time,
-    frame by frame. The code must be well-formed postfix over the
-    variables below max(nvars, 1); with no variables, variable 0 is the
-    empty set.
+    frame by frame. The code must be well-formed value-numbered code
+    (kernels.ops) over the variables below max(nvars, 1); with no
+    variables, variable 0 is the empty set. A subformula shared by
+    several parents has one instruction, run once per block: its truth
+    set is the same wherever it occurs, and so is the set of positions
+    whose lookups meet a hole in it.
 
     The layout, and the truth sets of the variables that run inside a
     block, depend on neither the frames nor the code, so they come from
     _layout, which keeps the last 64 of them keyed by (_BLOCK, values as
     a tuple, nvars, n): callers pass tuples, lists and ranges. Its
     entries are bounded in size (see there). A block of several frames
-    repeats one frame's truth sets. The cones are read off ``up`` on
-    every call.
+    repeats one frame's truth sets. The cone lists come through _kept:
+    once per frames._Cones, the cones of a Poset or an NS4Frame, so the
+    searches of one frame share them; per call for plain tuples and
+    lists.
 
     When ``tables`` has a ``columns`` attribute, a dict, the column
     masks built for it are kept there, keyed by block layout, so a
@@ -353,15 +365,15 @@ def _first_refutation(code, nvars, n, up, tables, values, modal, error):
     per_group = nu**high
     span = fpb * width
     ones = (1 << span) - 1
-    cones = _cones(up, n)
+    cones = _kept(up, _cones, n)
     top = [ones] * n
     bot = [0] * n
-    slots = [bot] * max(nvars, 1)
+    atoms = [bot] * max(nvars, 1)
     if fpb > 1:
         # one frame's pattern, repeated for each frame of the block
         rep = ones // ((1 << width) - 1)
         vecs = [[x * rep for x in vec] for vec in vecs]
-    slots[high:nvars] = vecs
+    atoms[high:nvars] = vecs
     memo = getattr(tables, "columns", None)
     if fpb > 1 and memo is not None:
         memo = memo.setdefault((width, fpb), {})
@@ -381,8 +393,8 @@ def _first_refutation(code, nvars, n, up, tables, values, modal, error):
         for k in range(high - 1, -1, -1):
             x = values[t % nu]
             t //= nu
-            slots[k] = [ones if (x >> w) & 1 else 0 for w in range(n)]
-        r, err = _run(code, slots, top, bot, cones, ones, n, columns, modal, error)
+            atoms[k] = [ones if (x >> w) & 1 else 0 for w in range(n)]
+        r, err = _run(code, atoms, top, bot, cones, ones, n, columns, modal, error)
         bad = err
         for w in range(n):
             bad |= live & ~r[w]
@@ -726,9 +738,10 @@ def search_positive_morphism(nt, t_up, ns, s_up):
 
 def _kept(up, build, *args):
     """build(up, *args), kept in the instance dict of ``up`` when it
-    has one, as a Poset's cones (frames._Cones) do, so a search on that
-    poset builds it once; plain tuples and lists build it per call. The
-    key holds build and args, so no entry is read for other sizes."""
+    has one, as the cones of a Poset or an NS4Frame (frames._Cones) do,
+    so the searches on that poset build it once; plain tuples and lists
+    build it per call. The key holds build and args, so no entry is read
+    for other sizes."""
     memo = getattr(up, "__dict__", None)
     if memo is None:
         return build(up, *args)

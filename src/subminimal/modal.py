@@ -31,6 +31,7 @@ from subminimal import kernels
 from subminimal.frames import (
     NFrame,
     NModel,
+    _Cones,
     _TruthWalker,
     _antisymmetric,
     _antitone,
@@ -61,13 +62,19 @@ from subminimal.syntax import (
     compiled,
     is_instance_of,
     parse,
-    show,
 )
 
 
 @dataclass(frozen=True)
 class NS4Frame:
-    """Preorder plus a total negation table with cone-closed values."""
+    """Preorder plus a total negation table with cone-closed values.
+
+    ``rel`` is kept as a frames._Cones, so the kernel calls on one
+    frame, such as the five axiom searches of ``ns4 valid``, build its
+    cone lists once (kernels.pure._kept). It compares, hashes and
+    prints as the plain tuple, and a frame pickles and copies through
+    its constructor with ``rel`` as a plain tuple, so no kept entry
+    goes with it."""
 
     n: int
     rel: tuple[int, ...]
@@ -76,6 +83,10 @@ class NS4Frame:
     def __post_init__(self) -> None:
         _check_preorder(self.n, self.rel)
         _check_table(self.n, range(1 << self.n), self.ntable, "subset")
+        object.__setattr__(self, "rel", _Cones(self.rel))
+
+    def __reduce__(self) -> tuple:
+        return NS4Frame, (self.n, tuple(self.rel), self.ntable)
 
 
 def ns4_check_frame(fr: NS4Frame) -> tuple[str, int] | None:
@@ -479,37 +490,15 @@ def check_proof(proof: HilbertProof) -> tuple[int, str] | None:
 # JSON
 
 
-def ns4_to_dict(fr: NS4Frame) -> dict:
-    rel = [
-        [w, v] for w in range(fr.n) for v in range(fr.n) if (fr.rel[w] >> v) & 1
-    ]
-    return {
-        "worlds": fr.n,
-        "rel": rel,
-        "N": {str(x): fr.ntable[x] for x in range(1 << fr.n)},
-    }
-
-
 def ns4_from_dict(d: Mapping) -> NS4Frame:
     n = _worlds(d)
     rel = _cones_from_pairs(n, _pairs(d["rel"], "rel"))
     return NS4Frame(n, tuple(rel), _table_array(d, n))
 
 
-def modal_nframe_to_dict(fr: ModalNFrame) -> dict:
-    return {"worlds": fr.n, "N": {str(x): fr.ntable[x] for x in range(1 << fr.n)}}
-
-
 def modal_nframe_from_dict(d: Mapping) -> ModalNFrame:
     n = _worlds(d)
     return ModalNFrame(n, _table_array(d, n))
-
-
-def proof_lines_to_list(proof: HilbertProof) -> list[dict]:
-    return [
-        {"formula": show(line.formula), "rule": line.rule, "refs": list(line.refs)}
-        for line in proof.lines
-    ]
 
 
 def proof_from_list(items: Sequence[Mapping], system: str) -> HilbertProof:

@@ -30,13 +30,21 @@ so a formula checked again and again is compiled once. A failed
 compilation keeps nothing and fails again the next time. Neither slot
 is a field: they stay out of ==, repr, copies and pickles, and a node
 loaded under another hash seed hashes afresh.
+
+Kernel code is value-numbered (kernels.ops): one instruction per
+distinct subformula, whose operands name the slots of earlier
+instructions, so a subformula that occurs twice, as both sides of a
+desugared <-> do, is evaluated once. The compilers key each
+instruction by its opcode and operand slots, never by a node, so no
+node is hashed; ``compiled`` takes the names and the code from one
+walk.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
 from subminimal.kernels.ops import (
     OP_AND,
@@ -324,19 +332,6 @@ def depth(formula: Formula) -> int:
     return 1 + max(depth(k) for k in kids)
 
 
-def substitute(formula: Formula, mapping: Mapping[str, Formula]) -> Formula:
-    """Replace every variable that the mapping covers, simultaneously."""
-    if isinstance(formula, Var):
-        return mapping.get(formula.name, formula)
-    if isinstance(formula, _BINARY):
-        return formula.__class__(
-            substitute(formula.left, mapping), substitute(formula.right, mapping)
-        )
-    if isinstance(formula, _UNARY):
-        return formula.__class__(substitute(formula.sub, mapping))
-    return formula
-
-
 def _match(scheme: Formula, formula: Formula, env: dict[str, Formula]) -> bool:
     if isinstance(scheme, Var):
         bound = env.get(scheme.name)
@@ -450,30 +445,28 @@ def random_formula(rng, names: Sequence[str], max_depth: int, language: str = "p
 
 
 def compile_prop(formula: Formula, var_order: Sequence[str]) -> tuple[int, ...]:
-    """Flatten a propositional formula to postfix kernel opcodes.
+    """Compile a propositional formula to value-numbered kernel code
+    (see kernels.ops).
 
     Variables are numbered by their position in var_order; a variable
     outside it, or a modal node, raises ValueError.
     """
-    index = {name: i for i, name in enumerate(var_order)}
-    code: list[int] = []
-    _emit(formula, index, code, modal=False)
-    return tuple(code)
+    return _compile(formula, {name: i for i, name in enumerate(var_order)}, False, False)
 
 
 def compile_modal(formula: Formula, var_order: Sequence[str]) -> tuple[int, ...]:
-    """Flatten a modal formula to postfix kernel opcodes."""
-    index = {name: i for i, name in enumerate(var_order)}
-    code: list[int] = []
-    _emit(formula, index, code, modal=True)
-    return tuple(code)
+    """Compile a modal formula to value-numbered kernel code."""
+    return _compile(formula, {name: i for i, name in enumerate(var_order)}, True, False)
 
 
 def compiled(formula: Formula, language: str = "prop") -> tuple[tuple[str, ...], tuple[int, ...]]:
     """The sorted variable names of a formula and its kernel code over
     them, as compile_prop or compile_modal (``language`` "prop" or
     "modal") gives it, with the same errors; kept on the node, see the
-    module docstring."""
+    module docstring.
+
+    One walk gives both: it numbers the variables as it meets them, and
+    the Var instructions are renumbered in sorted order after it."""
     if language not in ("prop", "modal"):
         raise ValueError(f"unknown language: {language!r}")
     modal = language == "modal"
@@ -481,9 +474,17 @@ def compiled(formula: Formula, language: str = "prop") -> tuple[tuple[str, ...],
     if kept is not None and kept[1 + modal] is not None:
         return kept[0], kept[1 + modal]
     # a kept node gets here only in the language it fails to compile in
-    names = variables(formula)
-    code = (compile_modal if modal else compile_prop)(formula, names)
-    if _SPECIFIC.isdisjoint(code[::2]):
+    index: dict[str, int] = {}
+    code = _compile(formula, index, modal, True)
+    names = tuple(sorted(index))
+    if tuple(index) != names:
+        rank = {index[name]: i for i, name in enumerate(names)}
+        code = list(code)
+        for i in range(0, len(code), 3):
+            if code[i] == OP_VAR:
+                code[i + 1] = rank[code[i + 1]]
+        code = tuple(code)
+    if _SPECIFIC.isdisjoint(code[::3]):
         kept = names, code, code
     else:
         kept = (names, None, code) if modal else (names, code, None)
@@ -495,37 +496,60 @@ def compiled(formula: Formula, language: str = "prop") -> tuple[tuple[str, ...],
 _SPECIFIC = frozenset((OP_NEG, OP_BOT, OP_BOX, OP_BBOX))
 
 _BINOPS = {And: OP_AND, Or: OP_OR, Imp: OP_IMP}
+_UNOPS = {Neg: OP_NEG, Box: OP_BOX, BBox: OP_BBOX}
+
+# the language error of each node kind a compilation refuses, by
+# whether it is modal
+_REFUSED = {
+    (Neg, True): "primitive negation in a modal compilation",
+    (Bot, False): "falsum in a propositional compilation",
+    (Box, False): "box in a propositional compilation",
+    (BBox, False): "second modality in a propositional compilation",
+}
 
 
-def _emit(formula: Formula, index: Mapping[str, int], code: list[int], modal: bool) -> None:
-    if isinstance(formula, Var):
-        if formula.name not in index:
-            raise ValueError(f"variable not in the compilation order: {formula.name}")
-        code.extend((OP_VAR, index[formula.name]))
-    elif isinstance(formula, Top):
-        code.extend((OP_TOP, 0))
-    elif isinstance(formula, Bot):
-        if not modal:
-            raise ValueError("falsum in a propositional compilation")
-        code.extend((OP_BOT, 0))
-    elif isinstance(formula, _BINARY):
-        _emit(formula.left, index, code, modal)
-        _emit(formula.right, index, code, modal)
-        code.extend((_BINOPS[formula.__class__], 0))
-    elif isinstance(formula, Neg):
-        if modal:
-            raise ValueError("primitive negation in a modal compilation")
-        _emit(formula.sub, index, code, modal)
-        code.extend((OP_NEG, 0))
-    elif isinstance(formula, Box):
-        if not modal:
-            raise ValueError("box in a propositional compilation")
-        _emit(formula.sub, index, code, modal)
-        code.extend((OP_BOX, 0))
-    elif isinstance(formula, BBox):
-        if not modal:
-            raise ValueError("second modality in a propositional compilation")
-        _emit(formula.sub, index, code, modal)
-        code.extend((OP_BBOX, 0))
+def _compile(formula: Formula, index: dict[str, int], modal: bool, grow: bool) -> tuple[int, ...]:
+    """Value-numbered code of the formula: one instruction per distinct
+    subformula, in the order of the first postfix visit of each, so an
+    error is met where the postfix walk met it. An instruction is keyed
+    by its opcode and operands, operand slots for a connective, so no
+    node is hashed and two subformulas share an instruction exactly
+    when they are equal; the key keeps the operand order, as -> needs.
+    Variables are numbered by ``index``; with ``grow`` a name met first
+    is added to it, else it raises ValueError."""
+    numbers: dict[tuple[int, int, int], int] = {}
+    code: list[int] = []
+    _emit(formula, index, modal, grow, numbers, code)
+    return tuple(code)
+
+
+def _emit(formula, index, modal, grow, numbers, code) -> int:
+    """The slot of the formula's instruction, emitted unless an equal
+    subformula's is already there."""
+    kind = formula.__class__
+    error = _REFUSED.get((kind, modal))
+    if error is not None:
+        raise ValueError(error)
+    if kind is Var:
+        i = index.get(formula.name)
+        if i is None:
+            if not grow:
+                raise ValueError(f"variable not in the compilation order: {formula.name}")
+            i = index[formula.name] = len(index)
+        key = (OP_VAR, i, 0)
+    elif kind in _BINOPS:
+        a = _emit(formula.left, index, modal, grow, numbers, code)
+        key = (_BINOPS[kind], a, _emit(formula.right, index, modal, grow, numbers, code))
+    elif kind in _UNOPS:
+        key = (_UNOPS[kind], _emit(formula.sub, index, modal, grow, numbers, code), 0)
+    elif kind is Top:
+        key = (OP_TOP, 0, 0)
+    elif kind is Bot:
+        key = (OP_BOT, 0, 0)
     else:
         raise TypeError(f"not a formula: {formula!r}")
+    slot = numbers.get(key)
+    if slot is None:
+        slot = numbers[key] = len(numbers)
+        code.extend(key)
+    return slot

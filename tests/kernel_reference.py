@@ -7,6 +7,12 @@ are the plain loops: one valuation, one pair, one domain at a time.
 The eval kernels here are the one-valuation stack machine the package
 ran before both eval kernels and the searches shared one machine; the
 reference searches run on it, so they share no code with the package.
+
+The stack machine runs postfix code, a flat sequence of (opcode,
+argument) pairs, the argument a variable index for OP_VAR and 0
+otherwise, as ``compile_prop`` and ``compile_modal`` here emit it: the
+compilers the package ran before it gave each distinct subformula one
+instruction. So a subformula is evaluated here once per occurrence.
 """
 
 from subminimal.kernels.ops import (
@@ -20,6 +26,7 @@ from subminimal.kernels.ops import (
     OP_TOP,
     OP_VAR,
 )
+from subminimal.syntax import And, BBox, Bot, Box, Imp, Neg, Or, Top, Var
 
 
 def eval_prop(code, n, up, ntable, val):
@@ -76,6 +83,63 @@ def _eval(code, n, up, ntable, val, modal):
         else:
             return -2
     return stack[-1]
+
+
+def compile_prop(formula, var_order):
+    """Flatten a propositional formula to postfix kernel opcodes.
+
+    Variables are numbered by their position in var_order; a variable
+    outside it, or a modal node, raises ValueError.
+    """
+    index = {name: i for i, name in enumerate(var_order)}
+    code = []
+    _emit(formula, index, code, modal=False)
+    return tuple(code)
+
+
+def compile_modal(formula, var_order):
+    """Flatten a modal formula to postfix kernel opcodes."""
+    index = {name: i for i, name in enumerate(var_order)}
+    code = []
+    _emit(formula, index, code, modal=True)
+    return tuple(code)
+
+
+_BINOPS = {And: OP_AND, Or: OP_OR, Imp: OP_IMP}
+
+
+def _emit(formula, index, code, modal):
+    if isinstance(formula, Var):
+        if formula.name not in index:
+            raise ValueError(f"variable not in the compilation order: {formula.name}")
+        code.extend((OP_VAR, index[formula.name]))
+    elif isinstance(formula, Top):
+        code.extend((OP_TOP, 0))
+    elif isinstance(formula, Bot):
+        if not modal:
+            raise ValueError("falsum in a propositional compilation")
+        code.extend((OP_BOT, 0))
+    elif isinstance(formula, (And, Or, Imp)):
+        _emit(formula.left, index, code, modal)
+        _emit(formula.right, index, code, modal)
+        code.extend((_BINOPS[formula.__class__], 0))
+    elif isinstance(formula, Neg):
+        if modal:
+            raise ValueError("primitive negation in a modal compilation")
+        _emit(formula.sub, index, code, modal)
+        code.extend((OP_NEG, 0))
+    elif isinstance(formula, Box):
+        if not modal:
+            raise ValueError("box in a propositional compilation")
+        _emit(formula.sub, index, code, modal)
+        code.extend((OP_BOX, 0))
+    elif isinstance(formula, BBox):
+        if not modal:
+            raise ValueError("second modality in a propositional compilation")
+        _emit(formula.sub, index, code, modal)
+        code.extend((OP_BBOX, 0))
+    else:
+        raise TypeError(f"not a formula: {formula!r}")
 
 
 def _box(a, n, up):

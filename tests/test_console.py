@@ -7,7 +7,9 @@ help and its missing arguments, the full parser leftover arguments and
 an unknown command, a timeout too large for a float is an input error,
 and a plain argv is read without argparse. The last cases reach the
 filtration layer, the modal kernel and the box translation, with the
-hand-made inputs of test_cli.py on stdin.
+hand-made inputs of test_cli.py on stdin, and the two five-world
+countermodel searches run the real kernel over every rooted 5-world
+class.
 """
 
 import json
@@ -171,3 +173,25 @@ def test_algebra_check_names_the_broken_top_law():
     _, out, _ = console("algebra", "check", "-", stdin=LAWLESS_CHAIN_ALGEBRA)
     d = json.loads(out)
     assert (d["law"], d["witness"]) == ("top", [1])
+
+
+# the only runs of a real kernel over the rooted 5-world classes, one
+# call per class; p -> p looks up no negation, while the second formula
+# makes the kernel build the column masks of every rooted 5-world class;
+# about 6 s each on a 2-vCPU host
+
+
+def test_five_world_search_through_the_console_script():
+    code, out, err = console("countermodel", "p -> p", "--logic", "nef", "--max-worlds", "5")
+    assert (code, json.loads(out)["status"], "Traceback" in err) == (
+        0, "no-countermodel-up-to-bound", False
+    )
+
+
+def test_five_world_search_with_negation_through_the_console_script():
+    code, out, err = console(
+        "countermodel", "~(p & q) -> ~(q & p)", "--logic", "n", "--max-worlds", "5"
+    )
+    assert (code, json.loads(out)["status"], "Traceback" in err) == (
+        0, "no-countermodel-up-to-bound", False
+    )

@@ -43,9 +43,9 @@ from subminimal.syntax import (
     And,
     parse,
     random_formula,
-    substitute,
     variables,
 )
+from syntax_helpers import substitute
 
 
 def fork_model():

@@ -33,7 +33,7 @@ from subminimal.frames import (
     refuting_valuation,
 )
 from subminimal.kernels import pure
-from subminimal.kernels.ops import OP_AND, OP_BBOX, OP_OR
+from subminimal.kernels.ops import OP_AND, OP_BBOX, OP_BOX, OP_IMP, OP_NEG, OP_OR
 from subminimal.modal import random_ns4_frame, random_preorder
 from subminimal.syntax import (
     AXIOM_COPC,
@@ -41,6 +41,7 @@ from subminimal.syntax import (
     BBox,
     Bot,
     Box,
+    Imp,
     Or,
     Top,
     Var,
@@ -49,7 +50,9 @@ from subminimal.syntax import (
     godel_translate,
     parse,
     random_formula,
+    variables,
 )
+from syntax_helpers import substitute
 
 # one implementation; the ids keep the [pure] suffix the kernel tests
 # have always carried, so their history stays comparable
@@ -166,7 +169,7 @@ def test_eval_kernels_match_the_one_valuation_machine():
             val = [rng.randrange(1 << n) for _ in names]
         modal = case == 2
         f = random_formula(rng, names, 4, "modal" if modal else "prop")
-        code = (compile_modal if modal else compile_prop)(f, names)
+        code, postfix = _both(f, names, "modal" if modal else "prop")
         # now and then the other language's kernel, which must give -2
         # unless the code is in both languages; eval_modal only on total
         # tables, as its contract asks
@@ -176,7 +179,7 @@ def test_eval_kernels_match_the_one_valuation_machine():
             (pure.eval_modal, ref.eval_modal) if modal else (pure.eval_prop, ref.eval_prop)
         )
         got = kernel(code, n, up, table, val)
-        assert got == want(code, n, up, table, val), (code, n, up, table, val)
+        assert got == want(postfix, n, up, table, val), (code, n, up, table, val)
         seen[min(got, 0)] += 1
     assert min(seen[0], seen[-1], seen[-2]) >= 20, seen
 
@@ -184,17 +187,19 @@ def test_eval_kernels_match_the_one_valuation_machine():
 def test_eval_kernels_differ_from_the_reference_only_off_contract():
     # a [n] lookup at a -1 entry: the reference carries -1 on as a
     # world mask, the one machine reports the hole
-    bbox_and_q = compile_modal(parse("[n]p & q", "modal"), ["p", "q"])
-    assert ref.eval_modal(bbox_and_q, 2, CHAIN2.up, LAWFUL2, [1, 2]) == 2
+    bbox_and_q, postfix = _both(parse("[n]p & q", "modal"), ["p", "q"], "modal")
+    assert ref.eval_modal(postfix, 2, CHAIN2.up, LAWFUL2, [1, 2]) == 2
     assert pure.eval_modal(bbox_and_q, 2, CHAIN2.up, LAWFUL2, [1, 2]) == -1
-    # hand-made code past a hole: the reference stops at the hole,
-    # the one machine runs on to the wrong opcode or the empty stack
-    neg_p = compile_prop(parse("~p"), ["p"])
-    wrong = neg_p + (OP_BBOX, 0)
-    assert ref.eval_prop(wrong, 2, CHAIN2.up, LAWFUL2, [1]) == -1
+    # hand-made code past a hole: the reference stops at the hole, the
+    # one machine runs on to the wrong opcode, or to an operand slot no
+    # instruction has filled, where the stack machine ran dry; ~p fills
+    # slots 0 (p) and 1 (~p)
+    neg_p, postfix_neg_p = _both(parse("~p"), ["p"])
+    wrong = neg_p + (OP_BBOX, 1, 0)
+    assert ref.eval_prop(postfix_neg_p + (OP_BBOX, 0), 2, CHAIN2.up, LAWFUL2, [1]) == -1
     assert pure.eval_prop(wrong, 2, CHAIN2.up, LAWFUL2, [1]) == -2
-    underflow = neg_p + (OP_AND, 0)
-    assert ref.eval_prop(underflow, 2, CHAIN2.up, LAWFUL2, [1]) == -1
+    underflow = neg_p + (OP_AND, 1, 2)
+    assert ref.eval_prop(postfix_neg_p + (OP_AND, 0), 2, CHAIN2.up, LAWFUL2, [1]) == -1
     with pytest.raises(IndexError):
         pure.eval_prop(underflow, 2, CHAIN2.up, LAWFUL2, [1])
 
@@ -253,9 +258,10 @@ def test_refuting_valuation_prop_raises_only_at_a_hole_before_the_refutation():
     assert pure.find_refuting_valuation_prop(code2, 2, 1, (1,), ((0, -1),), ups) == 0
     assert pure.find_refuting_valuation_prop(code2, 2, 1, (1,), ((1, 0),), ups) == 1
     for ntable in itertools.product((-1, 0, 1), repeat=2):
-        for c, nvars in ((code, 1), (code2, 2)):
-            args = (c, nvars, 1, (1,), ntable, ups)
-            want = _capture(ref.find_refuting_valuation_prop, *args)
+        for text, vs in (("~p", ["p"]), ("q | ~p", ["q", "p"])):
+            c, postfix = _both(parse(text), vs)
+            args = (c, len(vs), 1, (1,), ntable, ups)
+            want = _capture(ref.find_refuting_valuation_prop, postfix, *args[1:])
             assert _capture(pure.find_refuting_valuation_prop, *_one_table(args)) == want
 
 
@@ -350,6 +356,32 @@ def test_search_positive_morphism_existence(impl):
             assert verify_positive_morphism(t, s, mapping)
 
 
+def _both(f, names, language="prop"):
+    """The formula's value-numbered code for the package kernels and
+    its postfix code for the reference machine, as a pair."""
+    if language == "modal":
+        return compile_modal(f, names), ref.compile_modal(f, names)
+    return compile_prop(f, names), ref.compile_prop(f, names)
+
+
+def _join(left, right, op):
+    """The (code, postfix) pair of the binary opcode op over the values
+    of two such pairs: hand-made code, which may mix the languages. The
+    right code's operand slots move past the left code's instructions,
+    and op reads the last slot of each."""
+    a, b = left[0], right[0]
+    k = len(a) // 3
+    moved = list(b)
+    for i in range(0, len(b), 3):
+        if b[i] in (OP_AND, OP_OR, OP_IMP):
+            moved[i + 1] += k
+            moved[i + 2] += k
+        elif b[i] in (OP_NEG, OP_BOX, OP_BBOX):
+            moved[i + 1] += k
+    code = a + tuple(moved) + (op, k - 1, k + len(b) // 3 - 1)
+    return code, left[1] + right[1] + (op, 0)
+
+
 def _capture(fn, *args):
     try:
         return ("ok", fn(*args))
@@ -411,16 +443,16 @@ def test_batched_refutation_search_matches_the_plain_loop(monkeypatch, block):
         ups = enumerate_upsets(p)
         nvars = _nvars_within(rng, len(ups), 300)
         vs = names[: max(nvars, 1)]
-        code = compile_prop(random_formula(rng, vs, rng.randint(0, 4)), vs)
+        code, postfix = _both(random_formula(rng, vs, rng.randint(0, 4)), vs)
         if rng.random() < 0.05:
-            modal = compile_modal(random_formula(rng, vs, 2, "modal"), vs)
-            code = code + modal + (OP_AND, 0)
+            modal = _both(random_formula(rng, vs, 2, "modal"), vs, "modal")
+            code, postfix = _join((code, postfix), modal, OP_AND)
         # lawful, holed and odd tables, mostly lawful ones, in batches
         # of 0 to 20
         pool = [t for _ in range(3) for t in _tables(rng, p, ups)]
         pool += [random_ntable(rng, p) for _ in range(12)]
         tables = tuple(rng.choice(pool) for _ in range(rng.randint(0, 20)))
-        want = _table_by_table(code, nvars, n, p.up, tables, ups)
+        want = _table_by_table(postfix, nvars, n, p.up, tables, ups)
         assert _capture(pure.find_refuting_valuation_prop, code, nvars, n, p.up, tables, ups) == want
         # tables that keep their column masks give the same twice over
         kept = frames._ClassTables(tables)
@@ -448,18 +480,18 @@ def test_refuting_valuation_search_matches_the_plain_loop(monkeypatch, block):
         nvars = _nvars_within(rng, len(ups), 1500)
         mvars = _nvars_within(rng, 1 << n, 1500)
         vs, mvs = names[: max(nvars, 1)], names[: max(mvars, 1)]
-        code = compile_prop(random_formula(rng, vs, rng.randint(0, 4)), vs)
-        mcode = compile_modal(random_formula(rng, mvs, rng.randint(0, 4), "modal"), mvs)
+        code = _both(random_formula(rng, vs, rng.randint(0, 4)), vs)
+        mcode = _both(random_formula(rng, mvs, rng.randint(0, 4), "modal"), mvs, "modal")
         if rng.random() < 0.15:
             # prop code holding modal opcodes, modal code holding ~
             ws = names[: max(min(nvars, mvars), 1)]
-            prop_part = compile_prop(random_formula(rng, ws, 3), ws)
-            modal_part = compile_modal(random_formula(rng, ws, 3, "modal"), ws)
-            code = code + modal_part + (OP_AND, 0)
-            mcode = mcode + prop_part + (OP_OR, 0)
+            prop_part = _both(random_formula(rng, ws, 3), ws)
+            modal_part = _both(random_formula(rng, ws, 3, "modal"), ws, "modal")
+            code = _join(code, modal_part, OP_AND)
+            mcode = _join(mcode, prop_part, OP_OR)
         for table in _tables(rng, p, ups):
-            args = (code, nvars, n, p.up, table, ups)
-            a = _capture(ref.find_refuting_valuation_prop, *args)
+            args = (code[0], nvars, n, p.up, table, ups)
+            a = _capture(ref.find_refuting_valuation_prop, code[1], *args[1:])
             b = _capture(pure.find_refuting_valuation_prop, *_one_table(args))
             assert a == b, (n, args, a, b)
             checked += 1
@@ -467,15 +499,15 @@ def test_refuting_valuation_search_matches_the_plain_loop(monkeypatch, block):
         holed = [-1 if rng.random() < 0.2 else v for v in total]
         lifted = pure.lift_table(n, p.up, ups, random_ntable(rng, p))
         for table in (total, lifted):
-            args = (mcode, mvars, n, p.up, table)
-            a = _capture(ref.find_refuting_valuation_modal, *args)
+            args = (mcode[0], mvars, n, p.up, table)
+            a = _capture(ref.find_refuting_valuation_modal, mcode[1], *args[1:])
             b = _capture(pure.find_refuting_valuation_modal, *args)
             assert a == b, (n, args, a, b)
             checked += 1
         if -1 in holed:
             # modal tables are total; a hole is refused before any search
             with pytest.raises(ValueError, match="must cover every subset"):
-                pure.find_refuting_valuation_modal(mcode, mvars, n, p.up, holed)
+                pure.find_refuting_valuation_modal(mcode[0], mvars, n, p.up, holed)
     assert checked >= 1000
 
 
@@ -501,15 +533,16 @@ def test_layout_memo_keeps_the_results_of_the_plain_loops(monkeypatch):
         nvars = _nvars_within(rng, len(ups), 300)
         mvars = _nvars_within(rng, 1 << n, 300)
         vs, mvs = names[: max(nvars, 1)], names[: max(mvars, 1)]
-        code = compile_prop(random_formula(rng, vs, rng.randint(0, 4)), vs)
-        mcode = compile_modal(random_formula(rng, mvs, rng.randint(0, 4), "modal"), mvs)
+        code, postfix = _both(random_formula(rng, vs, rng.randint(0, 4)), vs)
+        mcode = _both(random_formula(rng, mvs, rng.randint(0, 4), "modal"), mvs, "modal")
         if rng.random() < 0.1:
-            mcode = mcode + compile_prop(parse("~p"), ["p"]) + (OP_OR, 0)
+            mcode = _join(mcode, _both(parse("~p"), ["p"]), OP_OR)
+        mcode, mpostfix = mcode
         pool = _tables(rng, p, ups) + [random_ntable(rng, p) for _ in range(6)]
         tables = tuple(rng.choice(pool) for _ in range(rng.randint(1, 8)))
-        want = _table_by_table(code, nvars, n, p.up, tables, ups)
+        want = _table_by_table(postfix, nvars, n, p.up, tables, ups)
         mtable = pure.lift_table(n, p.up, ups, random_ntable(rng, p))
-        mwant = _capture(ref.find_refuting_valuation_modal, mcode, mvars, n, p.up, mtable)
+        mwant = _capture(ref.find_refuting_valuation_modal, mpostfix, mvars, n, p.up, mtable)
         pure._layout.cache_clear()
         for block in blocks:
             monkeypatch.setattr(pure, "_BLOCK", block)
@@ -521,6 +554,69 @@ def test_layout_memo_keeps_the_results_of_the_plain_loops(monkeypatch):
         outcomes |= {want[0], mwant[0], want[0] == "ok" and want[1] >= len(ups) ** nvars}
     # errors, and refutations past the first table, occur
     assert outcomes == {"ok", "err", True, False}
+
+
+@pytest.mark.parametrize("block", [pure._BLOCK, 16, 4], ids=["wide", "mid", "narrow"])
+def test_shared_subformulas_give_the_results_of_the_postfix_machine(monkeypatch, block):
+    # one random compound substituted for two of the variables, often
+    # in both sides of a <->, so the value-numbered code runs it once
+    # where the postfix code runs it per occurrence: the first position
+    # or error of both searches and the values of both eval kernels are
+    # the postfix machine's, on lawful and holed prop tables, lawful NS4
+    # tables and any total ones
+    monkeypatch.setattr(pure, "_BLOCK", block)
+    rng = random.Random(4747 + block)
+    names = ("p", "q", "r")
+    shared = 0
+    outcomes = set()
+    for _ in range(400):
+        language = rng.choice(("prop", "modal"))
+        g = Top()
+        while isinstance(g, (Var, Top, Bot)):
+            g = random_formula(rng, names, 2, language)
+        f = random_formula(rng, names, 3, language)
+        if rng.random() < 0.5:
+            # a desugared <->, whose two arrows swap the same operands
+            h = random_formula(rng, names, 2, language)
+            f = And(Imp(f, h), Imp(h, f))
+        f = substitute(f, dict.fromkeys(rng.sample(names, 2), g))
+        vs = variables(f)
+        code, postfix = _both(f, vs, language)
+        shared += len(code) // 3 < len(postfix) // 2
+        n = rng.randint(1, 3)
+        val = [rng.randrange(1 << n) for _ in vs]
+        if language == "prop":
+            p = random_poset(rng, n)
+            ups = enumerate_upsets(p)
+            lawful, holed, _ = _tables(rng, p, ups)
+            tables = tuple(rng.choice((lawful, holed)) for _ in range(rng.randint(1, 6)))
+            want = _table_by_table(postfix, len(vs), n, p.up, tables, ups)
+            got = _capture(pure.find_refuting_valuation_prop, code, len(vs), n, p.up, tables, ups)
+            for table in (lawful, holed):
+                assert pure.eval_prop(code, n, p.up, table, val) == ref.eval_prop(
+                    postfix, n, p.up, table, val
+                ), (f, table, val)
+        else:
+            if rng.random() < 0.5:
+                fr = random_ns4_frame(rng, n)
+                up, table = fr.rel, fr.ntable
+            else:
+                up = random_preorder(rng, n)
+                table = [rng.randrange(1 << n) for _ in range(1 << n)]
+            want = _capture(ref.find_refuting_valuation_modal, postfix, len(vs), n, up, table)
+            got = _capture(pure.find_refuting_valuation_modal, code, len(vs), n, up, table)
+            assert pure.eval_modal(code, n, up, table, val) == ref.eval_modal(
+                postfix, n, up, table, val
+            ), (f, up, table, val)
+        assert got == want, (f, n, want)
+        outcomes.add((language, want[0], want[0] == "ok" and want[1] >= 0))
+    # the substituted variables occur in most formulas
+    assert shared >= 250, shared
+    # refutations and valid formulas in both languages, and prop errors
+    assert outcomes >= {
+        ("prop", "ok", True), ("prop", "ok", False), ("prop", "err", False),
+        ("modal", "ok", True), ("modal", "ok", False),
+    }, outcomes
 
 
 def test_layout_memo_stays_within_its_bound():

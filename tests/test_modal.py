@@ -1,14 +1,18 @@
 """NS4 frames, the lifted negation, the translation, and En/Rn."""
 
+import copy
 import hashlib
 import itertools
+import pickle
 import random
 
 import pytest
 
 import mask_reference
 import ns4_reference
+from modal_helpers import modal_nframe_to_dict, ns4_to_dict
 from subminimal import kernels
+from subminimal.kernels import pure
 from subminimal.frames import (
     NFrame,
     NModel,
@@ -25,6 +29,7 @@ from subminimal.frames import (
 )
 from subminimal.modal import (
     AXIOM_BBOX_CONTRA,
+    AXIOM_BBOX_PERSIST,
     COS4_AXIOMS,
     ModalNFrame,
     NS4Frame,
@@ -37,13 +42,11 @@ from subminimal.modal import (
     enumerate_preorders,
     lift_nstar,
     modal_nframe_from_dict,
-    modal_nframe_to_dict,
     ns4_check_frame,
     ns4_eval,
     ns4_frame_validates,
     ns4_from_dict,
     ns4_refuting_valuation,
-    ns4_to_dict,
     random_modal_ntable,
     random_ns4_frame,
     rn_validity,
@@ -64,6 +67,35 @@ def M(s):
 def test_ns4_frame_requires_a_preorder():
     with pytest.raises(ValueError):
         NS4Frame(2, (3, 1), (0, 0, 0, 0))
+
+
+def test_the_axiom_searches_of_a_frame_build_its_cone_lists_once(monkeypatch):
+    built = []
+    build = pure._cones
+
+    def cones(up, n):
+        built.append(tuple(up))
+        return build(up, n)
+
+    monkeypatch.setattr(pure, "_cones", cones)
+    # the 3-chain, N(X) the worlds whose cone lies inside X
+    fr = NS4Frame(3, (7, 6, 4), (0, 0, 0, 0, 4, 4, 6, 7))
+    assert all(ns4_frame_validates(fr, ax) for ax in NS4_AXIOMS.values())
+    assert ns4_eval(NS4Model(fr, {"p": 6}), M("[n]p & []p")) == 6
+    assert built == [(7, 6, 4)]
+
+
+def test_ns4_frame_rel_compares_pickles_and_copies_as_the_plain_tuple():
+    # a frame whose search kept its cone lists pickles as a fresh one
+    rel, table = (7, 6, 4), (0, 0, 0, 0, 4, 4, 6, 7)
+    fr = NS4Frame(3, rel, table)
+    assert ns4_frame_validates(fr, AXIOM_BBOX_PERSIST)
+    assert vars(fr.rel)
+    assert fr.rel == rel and hash(fr.rel) == hash(rel) and repr(fr) == repr(NS4Frame(3, rel, table))
+    assert pickle.dumps(fr) == pickle.dumps(NS4Frame(3, rel, table))
+    for clone in (copy.copy(fr), copy.deepcopy(fr), pickle.loads(pickle.dumps(fr))):
+        assert clone == fr and hash(clone) == hash(fr)
+        assert clone.rel == rel and vars(clone.rel) == {}
 
 
 def test_lift_of_the_separating_frame_is_lawful():

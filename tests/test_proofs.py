@@ -9,6 +9,7 @@ import random
 
 import pytest
 from conftest import load_fixture, proof_mutations
+from modal_helpers import proof_lines_to_list
 
 from subminimal.modal import (
     HilbertProof,
@@ -16,7 +17,6 @@ from subminimal.modal import (
     _is_taut_instance,
     check_proof,
     proof_from_list,
-    proof_lines_to_list,
 )
 from subminimal.syntax import And, BBox, Box, Imp, Or, Top, Var, parse, random_formula
 

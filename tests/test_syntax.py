@@ -10,6 +10,7 @@ import sys
 
 import pytest
 
+import kernel_reference
 import subminimal
 import syntax_reference
 from subminimal.syntax import (
@@ -39,9 +40,10 @@ from subminimal.syntax import (
     random_formula,
     show,
     subformula_closure,
-    substitute,
     variables,
 )
+from subminimal.modal import AXIOM_BBOX_CONTRA, NS4_AXIOMS
+from syntax_helpers import substitute
 
 
 def test_atoms_and_constants():
@@ -319,6 +321,32 @@ def test_compiled_keeps_no_error():
             compiled(g)
     with pytest.raises(ValueError, match="unknown language"):
         compiled(f, "Prop")
+
+
+def test_code_holds_one_instruction_per_distinct_subformula():
+    iff_chain = parse("((p <-> q) <-> (q <-> r)) <-> ((r <-> p) <-> (p <-> q))")
+    assert len(compiled(iff_chain)[1]) == 3 * 21
+    counts = {name: len(compiled(ax, "modal")[1]) // 3 for name, ax in NS4_AXIOMS.items()}
+    assert counts == {"K": 8, "T": 3, "4": 4, "bbox-cong": 12, "bbox-persist": 4}
+    assert len(compiled(AXIOM_BBOX_CONTRA, "modal")[1]) == 3 * 8
+    rng = random.Random(7)
+    for i in range(500):
+        language = "modal" if i % 2 else "prop"
+        f = random_formula(rng, ("p", "q"), 5, language)
+        assert len(compiled(f, language)[1]) == 3 * len(subformula_closure(f))
+
+
+def test_compilers_fail_as_the_postfix_compilers_did():
+    # value numbering keeps the postfix visit order, so the first
+    # language or variable error is the one the postfix walk met
+    rng = random.Random(8)
+    for _ in range(1000):
+        f = random_formula(rng, ("p", "q", "r"), 4, rng.choice(("prop", "modal")))
+        names = rng.sample(("p", "q", "r"), rng.randint(0, 3))
+        for mine, old in ((compile_prop, kernel_reference.compile_prop),
+                          (compile_modal, kernel_reference.compile_modal)):
+            got, want = _outcome(mine, f, names), _outcome(old, f, names)
+            assert got[0] == want[0] and (got[0] == "ok" or got == want), (f, names)
 
 
 def test_code_slot_stays_out_of_eq_repr_copies_and_pickles():
