@@ -24,8 +24,10 @@ use, the element order as masks, the verdict of the lattice and
 residuation laws, the prime filters, their hats and the dual poset,
 and the lattice half of the round trip; each algebra builds and keeps
 its dual frame's table, so dual_frame, duality_check and every
-least_filtration_correspondence on it share one, and the round trip
-compares world masks instead of building a second algebra. The upset
+least_filtration_correspondence on it share one. Building the dual
+checks the negation at every hat, so the round trip of duality_check
+is that check plus the reduct's lattice half, with no second algebra
+built. The upset
 algebras and admissible algebras of one poset share their tables and
 reduct: the poset's cones keep them per element list
 (kernels.pure._kept), for the life of the process up to
@@ -102,14 +104,12 @@ class NAlgebra:
         return Reduct(self.size, self.meet, self.join, self.imp, self.one)
 
     @cached_property
-    def _duality(self) -> tuple[tuple[int, ...], tuple[int, ...], TopFrame]:
-        """The prime filters, the hat of every element and the dual
-        frame, built on first use and kept, as Poset keeps its upsets;
-        the filters and hats are the reduct's. The value stays out of
-        ==, hash and repr; an error is not kept, so the next use raises
-        it again."""
-        r = self._reduct
-        return r.filters, r.hats, _dual(self, r)
+    def _duality(self) -> TopFrame:
+        """The dual frame, built on first use and kept, as Poset keeps
+        its upsets, on the prime filters and hats the reduct keeps. The
+        value stays out of ==, hash and repr; an error is not kept, so
+        the next use raises it again."""
+        return _dual(self)
 
 
 def _check_shape(size: int, one: int, neg: Sequence[int] | None = None, **tables: Sequence) -> None:
@@ -359,14 +359,15 @@ def dual_frame(a: NAlgebra) -> TopFrame:
 
     A filter lands in the negation of an admissible set when it holds
     some negated element whose hat agrees with the set on the filter's
-    cone. The hat of a negation is recomputed and compared against the
-    table as a construction-time sanity check. The algebra builds its
-    dual once and keeps it, so every call returns the same frame.
+    cone. The table is then checked at every hat: N(hat(x)) must be
+    hat(neg x), or RuntimeError names the first element x where it is
+    not. This is the negation half of duality_check. The algebra builds
+    its dual once and keeps it, so every call returns the same frame.
     """
-    return a._duality[2]
+    return a._duality
 
 
-def _dual(a: NAlgebra, r: Reduct) -> TopFrame:
+def _dual(a: NAlgebra) -> TopFrame:
     """The dual frame of an algebra on the prime filters, hats and dual
     poset of its reduct.
 
@@ -377,6 +378,7 @@ def _dual(a: NAlgebra, r: Reduct) -> TopFrame:
     (kernels.pure._trace_table). The dual poset raises ValueError past
     the world cap (_heyting.Reduct.dual).
     """
+    r = a._reduct
     p = r.dual
     hats, neg = r.hats, a.neg
     cuts = [
@@ -426,44 +428,31 @@ def duality_check(x: TopFrame | NAlgebra) -> bool:
 
     For a frame: the dual of its admissible algebra must be isomorphic
     to it. For an algebra: the hat map must be an isomorphism onto the
-    admissible algebra of its dual frame (injectivity and every
-    operation checked pointwise, on world masks by _round_trip). The
-    algebra's kept dual is used, so it is built once per algebra.
+    admissible algebra of its dual frame. That is two checks, each made
+    once per algebra, both on the hats and dual poset its reduct keeps:
+
+    - the negation: building the kept dual (dual_frame) compares
+      N(hat(x)) with hat(neg x) at every element and raises
+      RuntimeError on the first mismatch, so once it returns the hat
+      map commutes with neg;
+    - the rest: the hat map is a bijection onto the admissible sets that
+      commutes with meet, join, the arrow and the top, on world masks
+      (_heyting.Reduct.round_trip).
+
+    The admissible algebra of the dual is never built, and it could
+    not fail to build: that raises ValueError only at a dual value that
+    is not admissible, and every value is. The dual's table is -1 off
+    the admissible sets and no hat(neg x) is, so once the dual is built
+    every hat is admissible and holds the top world t, the greatest
+    prime filter; so filter t holds every element. Then t is in every
+    value N(u): neg x is in filter t for any x, and R(t) & u and
+    R(t) & hat(x) are both {t}. Each value is an upset by (a) of
+    least_filtration_correspondence, so it is a nonempty upset.
     """
     if isinstance(x, TopFrame):
         return topframe_isomorphic(x, dual_frame(admissible_algebra(x)))
-    _, hats, tf = x._duality
-    return _round_trip(x, hats, tf)
-
-
-def _round_trip(a: NAlgebra, hats: Sequence[int], tf: TopFrame) -> bool:
-    """Whether the hat map is an isomorphism from the algebra onto the
-    admissible algebra of the top frame, without building that algebra.
-
-    admissible_algebra(tf) numbers the admissible sets in ascending
-    order and reads each operation off the masks: intersection, union,
-    the Heyting arrow, the table and the full set. The hat map is a
-    bijection onto that numbering exactly when sorted(hats) is the
-    ascending list of admissible sets, and a bijection commutes with
-    an operation exactly when the masks agree: hats[meet[u][v]] is
-    hats[u] & hats[v], and so on. A table value that is not admissible
-    raises ValueError, as building the admissible algebra does.
-
-    All but the negation depends on the hats and tf's order alone, so
-    the hats must be the algebra's own and tf's poset its dual poset
-    (ValueError otherwise), and the reduct's kept answer is read
-    (_heyting.Reduct.round_trip); the table may be any.
-    """
-    r = a._reduct
-    if hats != r.hats or tf.poset != r.dual:
-        raise ValueError("the hats and poset must be the algebra's own")
-    admissible = tf.admissible()
-    inside = set(admissible)
-    ntable = tf.ntable
-    for u in admissible:
-        if ntable[u] not in inside:
-            raise ValueError(f"negation value at {u} is not an element")
-    return r.round_trip and all(hats[x] == ntable[h] for h, x in zip(hats, a.neg))
+    x._duality  # the kept dual, whose construction checks the negation
+    return x._reduct.round_trip
 
 
 def subdirectly_irreducible(a: NAlgebra) -> bool:
@@ -665,7 +654,8 @@ def least_filtration_correspondence(
     """
     sigma = frozenset(sigma)
     carrier = sum(1 << x for x in _lattice_closure(a, _algebra_values(a, mu, sigma)))
-    filters, hats, tf = a._duality
+    tf = a._duality
+    filters, hats = a._reduct.filters, a._reduct.hats
     _require_closed(sigma)
     valuation = {f.name: hats[mu[f.name]] for f in sigma if isinstance(f, Var)}
     truth = truth_sets(NModel(tf.to_nframe(), valuation), sigma)

@@ -566,9 +566,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         payload, code = args.handler(args)
     except KeyError as exc:
         payload, code = {"status": "error", "error": f"missing key {exc}"}, 2
-    except (ParseError, ValueError, OSError) as exc:
-        payload, code = {"status": "error", "error": str(exc)}, 2
-    except (ResourceLimitError, SearchTimeout) as exc:
+    except (ParseError, ValueError, OSError, ResourceLimitError, SearchTimeout) as exc:
         payload, code = {"status": "error", "error": str(exc)}, 2
     except RecursionError:
         payload, code = {"status": "error", "error": "input nested too deeply"}, 2

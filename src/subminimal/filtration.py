@@ -74,6 +74,7 @@ from subminimal.syntax import (
     Var,
     _require_closed,
     chain_axioms,
+    compiled,
     is_instance_of,
     show,
     subformula_closure,
@@ -190,9 +191,10 @@ class _Read:
 
 def _fresh_read(m: NModel, sigma: Collection[Formula]) -> _Read | None:
     """The read of this Sigma object kept on the model, unless the
-    model's valuation is no longer the one it was read under."""
+    model's valuation is no longer the one it was read under. A kept
+    read holds its Sigma, so no other object has that id meanwhile."""
     read = m._reads.get(id(sigma))
-    if read is None or read.sigma is not sigma or read.valuation != m.valuation:
+    if read is None or read.valuation != m.valuation:
         return None
     return read
 
@@ -555,7 +557,9 @@ def decide(
         if is_instance_of(f, axiom):
             return Verdict("theorem", logic.name, f)
     fmp = logic.name in ("n", "mpc")
-    target = 1 << len(subformula_closure(f)) if fmp else max_worlds
+    # value-numbered code holds one instruction of three fields per
+    # distinct subformula, and the search compiles f anyway
+    target = 1 << len(compiled(f)[1]) // 3 if fmp else max_worlds
     reach = min(target, max_worlds)
     hit = countermodel_search(logic, f, reach, deadline=deadline)
     if hit is not None:

@@ -617,7 +617,7 @@ def _guard_sets(ntable, k):
     N(q) & I depends only on q & I, is E(I): E(I) makes it
     N(q & I) & I, and conversely q and q & I have the same cut q & I,
     so N(q) & I == N(q & I) & I. So the rule is the law, and rn_holds
-    runs en_holds.
+    is en_holds.
     """
     return dict.fromkeys(ntable) if k else ()
 
@@ -634,15 +634,12 @@ def en_holds(n, ntable, k):
     return 1
 
 
-def rn_holds(n, ntable, k):
-    """1 iff the k-premise replacement rule is frame-valid.
-
-    For every valuation of the k guard variables and of q, r: when the
-    guarded equivalence of q and r holds at every world, the guarded
-    equivalence of their negations must too. At each guard set the rule
-    is the intersection law (see _guard_sets), so this is en_holds.
-    """
-    return en_holds(n, ntable, k)
+# 1 iff the k-premise replacement rule is frame-valid: for every
+# valuation of the k guard variables and of q, r, when the guarded
+# equivalence of q and r holds at every world, so does that of their
+# negations. At each guard set the rule is the intersection law (see
+# _guard_sets), so this name is bound to en_holds.
+rn_holds = en_holds
 
 
 def search_order_onto(nt, t_up, t_down, ns, s_up, s_down):

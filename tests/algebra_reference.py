@@ -171,8 +171,7 @@ def duality_check(x: TopFrame | NAlgebra) -> bool:
 
 
 def round_trip(x: NAlgebra, filters: Sequence[int], tf: TopFrame) -> bool:
-    """The algebra half of duality_check on a given dual, unchanged but
-    split off so that a test can hand it a dual that was tampered with."""
+    """The algebra half of duality_check on a given dual, unchanged."""
     b = admissible_algebra(tf)
     elements = tf.admissible()
     index = {u: i for i, u in enumerate(elements)}

@@ -33,6 +33,8 @@ from subminimal.cli import main
 from subminimal.frames import NFrame, Poset, ntable_from_upset_map
 
 SRC = str(pathlib.Path(subminimal.__file__).resolve().parents[1])
+# what the console script that project.scripts installs runs
+ENTRY = "import sys; from subminimal.cli import main; sys.exit(main())"
 CHAIN = Poset.from_pairs(2, [(0, 1)])
 SEPARATING = NFrame(CHAIN, ntable_from_upset_map(CHAIN, {0: 2, 2: 3, 3: 2}))
 SEPARATING_JSON = {
@@ -792,20 +794,32 @@ def test_closed_stdout_keeps_the_verdict_in_process(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "argv, code",
-    [(["decide", "p -> p", "--logic", "n"], 0), (["countermodel", "p | ~p", "--logic", "n"], 1)],
-    ids=["theorem", "refuted"],
+    "launcher, argv, code",
+    [
+        (launcher, argv, code)
+        for launcher in (["-m", "subminimal.cli"], ["-c", ENTRY])
+        for argv, code in [
+            (["decide", "p -> p", "--logic", "n"], 0),
+            (["countermodel", "p | ~p", "--logic", "n"], 1),
+        ]
+    ],
+    ids=["theorem", "refuted", "entry-theorem", "entry-refuted"],
 )
-def test_closed_stdout_keeps_the_exit_code(argv, code):
+def test_closed_stdout_keeps_the_exit_code(launcher, argv, code):
+    # through python -m and through the console entry; the read end of
+    # stdout's pipe is closed before the child starts, and the child's
+    # stdout is buffered, as by default, so that output still in the
+    # buffer fails the flush at exit (exit code 120)
     read, write = os.pipe()
     os.close(read)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     try:
         proc = subprocess.run(
-            [sys.executable, "-m", "subminimal.cli", *argv],
+            [sys.executable, *launcher, *argv],
             stdout=write,
             stderr=subprocess.PIPE,
             text=True,
-            env=dict(os.environ, PYTHONPATH=SRC),
+            env=dict(env, PYTHONPATH=SRC),
         )
     finally:
         os.close(write)

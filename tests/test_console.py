@@ -14,15 +14,10 @@ class.
 
 import json
 import os
-import pathlib
 import subprocess
 import sys
 
-import subminimal
-from test_cli import CHAIN_ALGEBRA, FORK_MODEL_JSON, HAND_NS4_JSON, LAWLESS_CHAIN_ALGEBRA
-
-SRC = str(pathlib.Path(subminimal.__file__).resolve().parents[1])
-ENTRY = "import sys; from subminimal.cli import main; sys.exit(main())"
+from test_cli import CHAIN_ALGEBRA, ENTRY, FORK_MODEL_JSON, HAND_NS4_JSON, LAWLESS_CHAIN_ALGEBRA, SRC
 
 
 def console(*argv, stdin=None):
