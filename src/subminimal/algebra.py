@@ -44,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 from subminimal._heyting import Reduct, set_reduct
 from subminimal.frames import (
@@ -60,10 +60,10 @@ from subminimal.frames import (
     _table_array,
     _trace_tables,
     _transports,
+    _truths,
     poset_from_dict,
     poset_isomorphisms,
     poset_to_dict,
-    truth_sets,
 )
 from subminimal.kernels.pure import _inclusion_cones, _kept, _trace_table, _transpose
 from subminimal.syntax import (
@@ -74,8 +74,12 @@ from subminimal.syntax import (
     Or,
     Top,
     Var,
+    _PROP,
+    _first,
+    _postorder,
     _require_closed,
     show,
+    subformulas,
     variables,
 )
 
@@ -470,51 +474,42 @@ def subdirectly_irreducible(a: NAlgebra) -> bool:
 def algebra_eval(a: NAlgebra, mu: Mapping[str, int], f: Formula) -> int:
     """Value of a propositional formula under an element assignment.
 
-    The walk keeps its own stack, so a formula of any depth evaluates.
-    It enters nodes in the order the recursive definition would, left
-    subformula first, so the first missing variable, or the first
-    modal node, is the one reported.
+    The walk is a loop over the formula's nodes, children first, so a
+    formula of any depth evaluates. A failure raises the error of the
+    first failing node in entry order, left subformula first, so the
+    first missing variable, or the first modal node, is the one
+    reported, as the recursive definition would meet it.
     """
     return _algebra_values(a, mu, (f,))[0]
 
 
-def _algebra_values(a: NAlgebra, mu: Mapping[str, int], formulas: Iterable[Formula]) -> list[int]:
-    """algebra_eval of each formula in iteration order, from one walk
-    whose memory keys each connective node by id, as
-    frames._TruthWalker does; the formulas hold the nodes. A node the
-    walk skips was evaluated before without error, so the first failing
-    formula still raises at its first failing node in entry order."""
-    memo: dict[int, int] = {}
-    values: list[int] = []
-    for f in formulas:
-        # (formula, None) is still to enter; (formula, table) has its
-        # subformulas' values on top of the stack, for the table to
-        # combine; each formula leaves its own value there
-        todo: list[tuple[Formula, Sequence | None]] = [(f, None)]
-        while todo:
-            g, table = todo.pop()
-            if table is not None:
-                right = values.pop()
-                v = memo[id(g)] = table[right] if isinstance(g, Neg) else table[values.pop()][right]
-            elif id(g) in memo:
-                v = memo[id(g)]
-            elif isinstance(g, Var):
-                if g.name not in mu:
-                    raise ValueError(f"assignment misses variable {g.name}")
-                v = mu[g.name]
-            elif isinstance(g, Top):
-                v = a.one
-            elif isinstance(g, Neg):
-                todo += ((g, a.neg), (g.sub, None))
-                continue
-            elif isinstance(g, (And, Or, Imp)):
-                table = a.meet if isinstance(g, And) else a.join if isinstance(g, Or) else a.imp
-                todo += ((g, table), (g.right, None), (g.left, None))
-                continue
-            else:
-                raise ValueError(f"not a propositional formula: {show(g)}")
-            values.append(v)
-    return values
+def _algebra_values(a: NAlgebra, mu: Mapping[str, int], formulas: Collection[Formula]) -> list[int]:
+    """algebra_eval of each formula in iteration order, from one loop
+    over their nodes whose memory keys each node by id, as
+    frames.truth_sets does; the formulas hold the nodes. When a node
+    fails, the first formula holding a failing node raises at its first
+    failing node in entry order."""
+    value: dict[int, int] = {}
+    tables = {And: a.meet, Or: a.join, Imp: a.imp}
+    for g in _postorder(formulas):
+        kind = g.__class__
+        if kind in tables:
+            value[id(g)] = tables[kind][value[id(g.left)]][value[id(g.right)]]
+        elif kind is Neg:
+            value[id(g)] = a.neg[value[id(g.sub)]]
+        elif kind is Top or kind is Var and g.name in mu:
+            value[id(g)] = a.one if kind is Top else mu[g.name]
+        else:
+
+            def failing(h: Formula) -> bool:
+                return h.__class__ not in _PROP or h.__class__ is Var and h.name not in mu
+
+            for f in formulas:
+                for bad in _first(subformulas(f), failing):
+                    if bad.__class__ is Var:
+                        raise ValueError(f"assignment misses variable {bad.name}")
+                    raise ValueError(f"not a propositional formula: {show(bad)}")
+    return [value[id(f)] for f in formulas]
 
 
 @dataclass(frozen=True)
@@ -657,9 +652,10 @@ def least_filtration_correspondence(
     tf = a._duality
     filters, hats = a._reduct.filters, a._reduct.hats
     _require_closed(sigma)
-    valuation = {f.name: hats[mu[f.name]] for f in sigma if isinstance(f, Var)}
-    truth = truth_sets(NModel(tf.to_nframe(), valuation), sigma)
-    sig = _transpose([truth[f] for f in sigma], tf.n)
+    m = NModel(tf.to_nframe(), {f.name: hats[mu[f.name]] for f in sigma if isinstance(f, Var)})
+    # truth_sets' walk, which by (b) meets no undefined entry
+    truth = _truths(m.frame.poset, m.frame.ntable, m.valuation, _postorder(sigma), {})
+    sig = _transpose([truth[id(f)] for f in sigma], tf.n)
     return _inclusion_cones(sig) == _inclusion_cones([f & carrier for f in filters])
 
 

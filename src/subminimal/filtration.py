@@ -12,10 +12,11 @@ of a quotient set, _Read.bound, is the greatest table, the ceiling of
 (c) and the range of enumerated tables, which go flat to NFrame.
 
 Sigma is read on a model once for all the functions here: _partition
-evaluates it through frames.truth_sets, each shared subformula once,
-derives the signatures, the projection and the classes, and keeps that
-read in the model's _reads under the Sigma object. The next call on the
-same model with the same Sigma object takes the read from there, and so
+evaluates it as frames.truth_sets does, each shared subformula once,
+keeping its walk, derives the signatures, the projection and the
+classes, and keeps that read in the model's _reads under the Sigma
+object. The next call on the same model with the same Sigma object
+takes the read from there, and so
 do the class-wise bounds, each computed once, the greatest quotient
 frame, built once per read, and the verdict of conditions (a) and (b)
 per quotient order, which is all they depend on (_Read states the
@@ -60,11 +61,13 @@ from subminimal.frames import (
     NModel,
     Poset,
     SearchTimeout,
+    _Unevaluable,
     _orders_between,
     _push_mask,
+    _truth_dict,
+    _truths,
     countermodel_search,
     formula_evaluator,
-    truth_sets,
 )
 from subminimal.kernels.pure import _inclusion_cones, _transpose
 from subminimal.syntax import (
@@ -72,6 +75,7 @@ from subminimal.syntax import (
     Logic,
     Neg,
     Var,
+    _postorder,
     _require_closed,
     chain_axioms,
     compiled,
@@ -131,7 +135,9 @@ class _Read:
       are kept, which holds every order enumerate_filtrations walks on
       a model of up to 3 worlds (at most 19).
 
-    neg_args, what (d) reads, is kept likewise.
+    neg_args, what (d) reads, is kept likewise. nodes lists Sigma's
+    nodes as its truth sets were walked, for the quotient's walk in
+    filtration_theorem_check.
     """
 
     sigma: Collection[Formula]
@@ -146,6 +152,7 @@ class _Read:
     bounds: dict[int, int] = field(default_factory=dict)
     frame: NFrame | None = None
     orders: dict[tuple[int, ...], tuple] = field(default_factory=dict)
+    nodes: list[Formula] = field(default_factory=list)
 
     def projected(self, m: NModel, pi: tuple[int, ...], members: list[int]) -> "_Read":
         """This Sigma read under another projection pi onto classes with
@@ -224,7 +231,8 @@ def _partition(m: NModel, sigma: Collection[Formula], require_closed: bool = Fal
     if require_closed and (read is None or not read.closed):
         _require_closed(sigma)
     if read is None:
-        truth = truth_sets(m, sigma)
+        nodes = _postorder(sigma)
+        truth = _truth_dict(m, sigma, nodes)
         order = tuple(sigma)
         sig = _transpose([truth[f] for f in order], m.frame.n)
         # worlds run upwards, so classes enter in the order of their least member
@@ -235,7 +243,7 @@ def _partition(m: NModel, sigma: Collection[Formula], require_closed: bool = Fal
         pi = tuple(index[s] for s in sig)
         names = sorted(f.name for f in truth if isinstance(f, Var))
         qval = {name: _push_mask(m.valuation[name], pi) for name in names}
-        read = _Read(sigma, dict(m.valuation), truth, order, sig, pi, list(classes.values()), qval)
+        read = _Read(sigma, dict(m.valuation), truth, order, sig, pi, list(classes.values()), qval, nodes=nodes)
         # the read holds its Sigma, so the id key stays that object's; a
         # caller passing a new Sigma object per call fills at most
         # _READS_KEPT reads
@@ -396,11 +404,20 @@ def filtration_theorem_check(m: NModel, r: FiltrationResult) -> tuple[Formula, i
     in show order. A formula the model or the quotient cannot evaluate
     raises eval_formula's error when its turn comes in that order.
     Under a shared read (_shared_read) the class members and source
-    truth sets are the read's.
+    truth sets are the read's, and the quotient is walked over the
+    read's nodes.
     """
     read = _shared_read(m, r)
+    target = formula_evaluator(r.quotient)
     if read is not None:
         members, source = read.members, read.truth.__getitem__
+        q = r.quotient
+        # the quotient walked over the read's nodes at once, if it can be
+        try:
+            truth = _truths(q.frame.poset, q.frame.ntable, q.valuation, read.nodes, {})
+            target = lambda f: truth[id(f)]
+        except _Unevaluable:
+            pass
     else:
         members = _transpose([1 << c for c in r.pi], r.classes())
         try:
@@ -408,7 +425,6 @@ def filtration_theorem_check(m: NModel, r: FiltrationResult) -> tuple[Formula, i
         except (TypeError, ValueError):
             # evaluated formula by formula, the errors come in show order
             source = formula_evaluator(m)
-    target = formula_evaluator(r.quotient)
     # collecting every failure first spares the show order when none occurs
     failures: dict[Formula, tuple[Formula, int] | ValueError] = {}
     for f in r.sigma:

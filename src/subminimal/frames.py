@@ -58,9 +58,9 @@ filtration.enumerate_filtrations.
 No closure on a per-call path names itself. A closure that calls itself
 is a reference cycle, which would leave the call's memo, its nodes and
 the formula tree to the cyclic garbage collector; the truth walk is a
-slotted object that recurses through its method, and the recursive
-searches are module-level functions that take their state as
-arguments, so every call is freed by reference counting.
+loop over syntax.subformulas (_truths), and the recursive searches are
+module-level functions that take their state as arguments, so every
+call is freed by reference counting.
 """
 
 from __future__ import annotations
@@ -83,8 +83,10 @@ from subminimal.syntax import (
     Or,
     Top,
     Var,
+    _postorder,
     compile_prop,
     compiled,
+    subformulas,
     variables,
 )
 
@@ -435,27 +437,36 @@ def truth_sets(m: NModel, formulas: Collection[Formula]) -> dict[Formula, int]:
     entry. For one formula these are the errors of compiling it and
     running the kernel.
     """
-    walker = _TruthWalker(m.frame.poset, m.frame.ntable, m.valuation)
-    value = walker.value
+    return _truth_dict(m, formulas, _postorder(formulas))
+
+
+def _truth_dict(m: NModel, formulas: Collection[Formula], order: list[Formula]) -> dict[Formula, int]:
+    """truth_sets of the formulas, given their nodes in the order of
+    syntax._postorder, which a caller that walks them again keeps."""
     try:
-        for f in formulas:
-            value(f)
+        truth = _truths(m.frame.poset, m.frame.ntable, m.valuation, order, {})
     except _Unevaluable:
         raise _truth_error(m, formulas) from None
-    return {f: v for f, v in walker.memo.values()}
+    return dict(zip(order, map(truth.__getitem__, map(id, order))))
 
 
 def formula_evaluator(m: NModel) -> Callable[[Formula], int]:
     """eval_formula on one model, with a memory: every subformula it
     evaluates is kept, so a node shared by several formulas is
     evaluated once over all the calls."""
-    value = _TruthWalker(m.frame.poset, m.frame.ntable, m.valuation).value
+    truth: dict[int, int] = {}
+    met: list = []  # the orders walked, so that the ids truth holds stay theirs
+    p, ntable, valuation = m.frame.poset, m.frame.ntable, m.valuation
 
     def evaluate(f: Formula) -> int:
-        try:
-            return value(f)
-        except _Unevaluable:
-            raise _truth_error(m, (f,)) from None
+        if id(f) not in truth:
+            order = _postorder((f,), truth) if truth else subformulas(f)
+            met.append(order)
+            try:
+                _truths(p, ntable, valuation, order, truth)
+            except _Unevaluable:
+                raise _truth_error(m, (f,)) from None
+        return truth[id(f)]
 
     return evaluate
 
@@ -469,65 +480,43 @@ def eval_formula(m: NModel, f: Formula) -> int:
     return formula_evaluator(m)(f)
 
 
-class _TruthWalker:
-    """The truth set of a node by ``value`` on a poset, with negation
-    read off the table and variables off the valuation it is given (a
-    model's own, or the lift's, see modal.translation_preservation),
-    raising _Unevaluable where those cannot evaluate it, and its memory
-    ``memo``: each node it evaluated with its value, keyed by id, in
-    evaluation order, left operand first. The memory holds the nodes,
-    so their ids stay theirs while it lives. A shared node object is
-    evaluated once; equal nodes that are distinct objects are evaluated
-    apart, which costs less than hashing every node of a fresh tree.
-
-    ``value`` recurses through the bound method rather than a closure
-    that names itself: such a closure is a reference cycle, and would
-    leave the memo, the nodes and the tree to the cyclic collector
-    after every call; a walker is freed when its last user lets go.
-    """
-
-    __slots__ = ("n", "full", "up", "ntable", "valuation", "memo")
-
-    def __init__(self, p: Poset, ntable: Sequence[int], valuation: Mapping[str, int]) -> None:
-        self.n = p.n
-        self.full = (1 << p.n) - 1
-        self.up = p.up
-        self.ntable = ntable
-        self.valuation = valuation
-        self.memo: dict[int, tuple[Formula, int]] = {}
-
-    def value(self, f: Formula) -> int:
-        hit = self.memo.get(id(f))
-        if hit is not None:
-            return hit[1]
+def _truths(
+    p: Poset, ntable: Sequence[int], valuation: Mapping[str, int], order: Iterable[Formula], truth: dict
+) -> dict[int, int]:
+    """truth, with the truth set on the poset of each node of order,
+    children first (see syntax.subformulas), keyed by id: negation
+    read off the table and variables off the valuation given (a
+    model's own, or the lift's, see modal.translation_preservation).
+    Raises _Unevaluable at the first node those cannot evaluate. The
+    caller keeps the nodes alive while truth lives, so their ids stay
+    theirs. A shared node object is evaluated once; equal nodes that
+    are distinct objects are evaluated apart, which costs less than
+    hashing every node of a fresh tree."""
+    n, up, full = p.n, p.up, (1 << p.n) - 1
+    for f in order:
         kind = f.__class__
         if kind is Var:
-            v = self.valuation.get(f.name)
-            if v is None:
-                raise _Unevaluable
+            v = valuation.get(f.name)
         elif kind is Imp:
             # _imp_mask inlined: calling it made truth_sets about 1.15x slower
-            gap = self.value(f.left) & ~self.value(f.right)
-            v = self.full
-            if gap:
-                up = self.up
-                for w in range(self.n):
-                    if up[w] & gap:
-                        v ^= 1 << w
+            gap = truth[id(f.left)] & ~truth[id(f.right)]
+            v = full
+            for w in range(n if gap else 0):
+                if up[w] & gap:
+                    v ^= 1 << w
         elif kind is Neg:
-            v = self.ntable[self.value(f.sub)]
-            if v < 0:
-                raise _Unevaluable
+            v = ntable[truth[id(f.sub)]]
+            v = None if v < 0 else v
         elif kind is And:
-            v = self.value(f.left) & self.value(f.right)
+            v = truth[id(f.left)] & truth[id(f.right)]
         elif kind is Or:
-            v = self.value(f.left) | self.value(f.right)
-        elif kind is Top:
-            v = self.full
+            v = truth[id(f.left)] | truth[id(f.right)]
         else:
+            v = full if kind is Top else None
+        if v is None:
             raise _Unevaluable
-        self.memo[id(f)] = (f, v)
-        return v
+        truth[id(f)] = v
+    return truth
 
 
 def _truth_error(m: NModel, formulas: Collection[Formula]) -> Exception:
@@ -562,7 +551,7 @@ def _refutation_at(
     refuting, and its least failing world, read off the truth walk."""
     valuation = _valuation_from_index(idx, names, fr.poset.upsets())
     # the search met no undefined entry up to idx, so neither does this
-    truth = _TruthWalker(fr.poset, fr.ntable, valuation).value(f)
+    truth = _truths(fr.poset, fr.ntable, valuation, subformulas(f), {})[id(f)]
     fail = ((1 << fr.n) - 1) & ~truth
     return valuation, (fail & -fail).bit_length() - 1
 
@@ -660,44 +649,6 @@ def _table_in_class(p: Poset, ntable: Sequence[int], logic: Logic) -> bool:
         nw = ntable[(1 << p.n) - 1]
         return all(ntable[x] == _imp_mask(p.up, x, nw) for x in upsets)
     raise ValueError(f"unknown logic: {logic.name}")
-
-
-def to_neighbourhood(fr: NFrame) -> tuple[frozenset[int], ...]:
-    """Per-world families n(w) = {X upset : w in N(X)}."""
-    out = []
-    for w in range(fr.n):
-        out.append(
-            frozenset(u for u in fr.poset.upsets() if (fr.ntable[u] >> w) & 1)
-        )
-    return tuple(out)
-
-
-def from_neighbourhood(p: Poset, nbhd: Sequence[frozenset[int]]) -> NFrame:
-    """Rebuild an N-frame from per-world upset families.
-
-    The families must grow along the order and must not distinguish
-    upsets that agree on the world's cone; either failure raises
-    ValueError with the offending world.
-    """
-    if len(nbhd) != p.n:
-        raise ValueError("one neighbourhood family per world required")
-    upset_set = set(p.upsets())
-    for w in range(p.n):
-        for x in nbhd[w]:
-            if x not in upset_set:
-                raise ValueError(f"neighbourhood of world {w} holds a non-upset")
-        m = p.up[w] & ~(1 << w)
-        while m:
-            v = (m & -m).bit_length() - 1
-            m &= m - 1
-            if nbhd[w] - nbhd[v]:
-                raise ValueError(f"neighbourhoods shrink from world {w} upward")
-        for x in upset_set:
-            if ((x & p.up[w]) in nbhd[w]) != (x in nbhd[w]):
-                raise ValueError(f"neighbourhood of world {w} ignores its cone unevenly")
-    # so an upset is in w's family exactly when its cut to R(w) is
-    cuts = [(p.up[w], 1 << w, nbhd[w]) for w in range(p.n)]
-    return NFrame(p, tuple(_trace_table(p.n, cuts, p.upsets())))
 
 
 # --------------------------------------------------------------------------

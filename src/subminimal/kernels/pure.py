@@ -20,7 +20,7 @@ it at one position; both read a poset's cone lists through _kept. One
 loop, _trace_table, builds every table whose value at X is the set of
 worlds w whose family holds X & R(w): the lift, the translation gap's
 lift at the upsets, and, imported from here, the trace tables of
-frames, the tables of frames.from_neighbourhood and the dual frames of
+frames, the tests' from_neighbourhood and the dual frames of
 algebra. Two mask
 helpers sit beside it, imported from here as well: _transpose, the one
 bit transpose of a mask list, and _inclusion_cones, the one inclusion
@@ -492,8 +492,8 @@ def _trace_table(n, cuts, domain):
     -1 elsewhere, whose value at x holds w exactly when x & R(w) is in
     w's family. ``cuts`` gives (R(w), 1 << w, family) per world, as
     _cuts does. lift_table, translation_gap, the trace tables of
-    frames._trace_tables, frames.from_neighbourhood and the dual frame
-    of algebra._dual all build their tables here."""
+    frames._trace_tables, the tests' from_neighbourhood and the dual
+    frame of algebra._dual all build their tables here."""
     table = [-1] * (1 << n)
     for x in domain:
         m = 0

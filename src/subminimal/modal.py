@@ -32,7 +32,6 @@ from subminimal.frames import (
     NFrame,
     NModel,
     _Cones,
-    _TruthWalker,
     _antisymmetric,
     _antitone,
     _check_preorder,
@@ -46,6 +45,7 @@ from subminimal.frames import (
     _subfamilies,
     _table_array,
     _trace_tables,
+    _truths,
     _valuation_from_index,
     _worlds,
     eval_formula,
@@ -59,9 +59,11 @@ from subminimal.syntax import (
     Or,
     Top,
     Var,
+    _fold,
     compiled,
     is_instance_of,
     parse,
+    subformulas,
 )
 
 
@@ -272,7 +274,7 @@ def translation_preservation(m: NModel, f: Formula) -> int | None:
             raise ValueError(f"truth set of {name} out of range")
         boxed[name] = _imp_mask(p.up, full, mask)
     nstar = kernels.lift_table(p.n, p.up, p.upsets(), m.frame.ntable)
-    diff = prop ^ _TruthWalker(p, nstar, boxed).value(f)
+    diff = prop ^ _truths(p, nstar, boxed, subformulas(f), {})[id(f)]
     if diff == 0:
         return None
     return (diff & -diff).bit_length() - 1
@@ -388,49 +390,50 @@ _RULES = set(_AXIOM_RULES) | {"taut", "MP", "Nec", "box-conj", "premise"}
 
 
 def _box_conj_norm(f: Formula) -> Formula:
-    if isinstance(f, (And, Or, Imp)):
-        return type(f)(_box_conj_norm(f.left), _box_conj_norm(f.right))
-    if isinstance(f, (Box, BBox)):
-        sub = _box_conj_norm(f.sub)
-        if isinstance(f, Box) and isinstance(sub, And):
-            return And(_box_conj_norm(Box(sub.left)), _box_conj_norm(Box(sub.right)))
-        return type(f)(sub)
-    return f
+    """f with each box distributed over conjunction, children first."""
+    ops = {And: And, Or: Or, Imp: Imp, BBox: BBox, Box: _box_over, None: lambda g: g}
+    return _fold(subformulas(f), ops, {})[id(f)]
+
+
+def _box_over(f: Formula) -> Formula:
+    """[]f distributed, for a distributed f: each conjunct boxed."""
+    boxed: dict[int, Formula] = {}
+    spine = [f] if f.__class__ is And else []
+    while spine:
+        g = spine[-1]
+        below = [c for c in (g.left, g.right) if c.__class__ is And and id(c) not in boxed]
+        if below:
+            spine += below
+        else:
+            spine.pop()
+            boxed[id(g)] = And(*[boxed.get(id(c)) or Box(c) for c in (g.left, g.right)])
+    return boxed.get(id(f)) or Box(f)
 
 
 def _is_taut_instance(f: Formula) -> bool:
     """Truth-table the formula with maximal modal subformulas and
-    variables abstracted as atoms."""
+    variables abstracted as atoms, all rows at once: bit r of a value
+    is its truth in row r, where atom i is bit i of r."""
+    order = subformulas(f)
     atoms: dict[Formula, int] = {}
-    _scan_atoms(f, atoms)
+    outer = {id(f)}
+    for g in reversed(order):
+        if id(g) in outer and isinstance(g, (And, Or, Imp)):
+            outer.update((id(g.left), id(g.right)))
+        elif id(g) in outer and isinstance(g, (Box, BBox, Var)):
+            atoms.setdefault(g, len(atoms))
     if len(atoms) > 16:
         raise ValueError("too many distinct atoms to truth-table")
-    return all(_atom_truth(f, atoms, bits) for bits in range(1 << len(atoms)))
+    full = (1 << (1 << len(atoms))) - 1
 
-
-def _scan_atoms(g: Formula, atoms: dict[Formula, int]) -> None:
-    """Number the atoms of g in atoms, left to right as first met."""
-    if isinstance(g, (And, Or, Imp)):
-        _scan_atoms(g.left, atoms)
-        _scan_atoms(g.right, atoms)
-    elif isinstance(g, (Box, BBox, Var)):
+    def atom(g: Formula) -> int:
         if g not in atoms:
-            atoms[g] = len(atoms)
+            return full if isinstance(g, Top) else 0  # Bot
+        run = 1 << atoms[g]  # runs of 2^i set bits, each after as many clear
+        return full // ((1 << 2 * run) - 1) * ((1 << run) - 1 << run)
 
-
-def _atom_truth(g: Formula, atoms: dict[Formula, int], bits: int) -> bool:
-    """Classical truth of g when atom i has the truth value of bit i."""
-    if isinstance(g, And):
-        return _atom_truth(g.left, atoms, bits) and _atom_truth(g.right, atoms, bits)
-    if isinstance(g, Or):
-        return _atom_truth(g.left, atoms, bits) or _atom_truth(g.right, atoms, bits)
-    if isinstance(g, Imp):
-        return not _atom_truth(g.left, atoms, bits) or _atom_truth(g.right, atoms, bits)
-    if isinstance(g, Top):
-        return True
-    if isinstance(g, (Box, BBox, Var)):
-        return bool((bits >> atoms[g]) & 1)
-    return False  # Bot
+    ops = {And: int.__and__, Or: int.__or__, Imp: lambda x, y: full & ~x | y, None: atom}
+    return _fold([g for g in order if id(g) in outer], ops, {})[id(f)] == full
 
 
 def check_proof(proof: HilbertProof) -> tuple[int, str] | None:

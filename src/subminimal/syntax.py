@@ -8,43 +8,43 @@ sugar for x -> F, so parsed modal formulas never contain a Neg node.
 Operator precedence, loosest first: <-> (desugared while parsing),
 -> (right associative), |, &, then the prefix operators. The printer
 emits the minimal parenthesisation, so parse(show(f)) == f for every
-formula, while show(parse(s)) == s only for inputs that already use
-minimal parentheses and no <->.
+formula within the parser's nesting limit, while show(parse(s)) == s
+only for inputs that already use minimal parentheses and no <->.
 
-The parser splits the text with one regex findall, finds token
-positions only to report an error, and reads the tokens by precedence
-climbing: two Python frames per parenthesis, one per prefix operator.
-A parse shares one Var per name, which changes no ==, hash or show
-result, and a pickled formula loads equal.
+The parser reads the tokens of one regex findall by precedence
+climbing. It alone recurses on formula structure: two frames per
+parenthesis, one per prefix operator and per right-nested -> or <->
+(& and | chains are read in a loop). A parse shares one Var per name.
 
-Nodes are frozen dataclasses that hash once: the first hash of a node
-computes the dataclass value, the hash of the tuple of its fields, and
-keeps it in a slot, so sets and dicts of formulas iterate in the same
-order as with the plain dataclass hash. The slot is filled lazily, so
-building a node costs what it did before and a node never hashed
-never pays. A second slot, ``_code``, keeps what ``compiled`` gives
-for the node: its sorted variable names and its prop and modal kernel
-code, each filled on the first compilation that succeeds in its
-language (a node with no Neg, Bot, Box or BBox has one code for both),
-so a formula checked again and again is compiled once. A failed
-compilation keeps nothing and fails again the next time. Neither slot
-is a field: they stay out of ==, repr, copies and pickles, and a node
-loaded under another hash seed hashes afresh.
+Every other walk is a loop over ``subformulas``, the distinct node
+objects children first, left operand first, built on one explicit
+stack (_postorder) and keyed by id, so a formula of any depth hashes,
+compares, prints, compiles and evaluates. A parse keeps the order it
+built its nodes in, which is that order, and so skips that walk
+(tests/test_syntax.py checks that the two agree). repr, copy.deepcopy and
+pickle are the standard library's and still recurse.
+
+Nodes are frozen dataclasses whose == runs on a stack of pairs and
+whose first hash computes the dataclass value (after the subformulas'
+hashes, so sets and dicts iterate as with the plain dataclass hash)
+and keeps it in a slot. The slot ``_code`` keeps the subformula order
+without the node itself (no reference cycle), the sorted variable
+names and the prop and modal kernel code, each filled on the first
+compilation that succeeds in its language. Both slots are filled
+lazily and are no fields: they stay out of ==, repr, copies and
+pickles.
 
 Kernel code is value-numbered (kernels.ops): one instruction per
-distinct subformula, whose operands name the slots of earlier
-instructions, so a subformula that occurs twice, as both sides of a
-desugared <-> do, is evaluated once. The compilers key each
-instruction by its opcode and operand slots, never by a node, so no
-node is hashed; ``compiled`` takes the names and the code from one
-walk.
+distinct subformula, keyed by its opcode and operand slots, never by a
+node, so a subformula that occurs twice is evaluated once and no node
+is hashed.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Collection, Iterable, Sequence
 
 from subminimal.kernels.ops import (
     OP_AND,
@@ -73,16 +73,38 @@ _setattr = object.__setattr__
 
 
 class Formula:
-    """Base class for all formula nodes; holds the hash and code slots."""
+    """Base class for all formula nodes; holds the hash, code and order slots."""
 
     __slots__ = ("_hash", "_code")
 
     def __hash__(self) -> int:
         h = getattr(self, "_hash", None)
         if h is None:
+            # the field hash reads the children's: hash below first, if need be
+            kids = _children(self)
+            if kids and None in (getattr(kids[0], "_hash", None), getattr(kids[-1], "_hash", None)):
+                for f in subformulas(self)[:-1]:
+                    if f.__class__ in _KINDS:
+                        _setattr(f, "_hash", f._field_hash())
             h = self._field_hash()
             _setattr(self, "_hash", h)
         return h
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        if self.__class__ not in _INNER:
+            return self._fields_eq(other)
+        pairs = [(self, other)]
+        while pairs:
+            a, b = pairs.pop()
+            if a is b:  # as tuple == skips the same object
+                continue
+            if a.__class__ is b.__class__ and a.__class__ in _INNER:
+                pairs += zip(_children(a), _children(b))
+            elif not a == b:  # leaves, or no nodes
+                return False
+        return True
 
     def __str__(self) -> str:
         return show(self)
@@ -90,10 +112,10 @@ class Formula:
 
 def _node(cls):
     """A frozen slotted dataclass whose generated hash runs once per
-    node, behind Formula's cache."""
+    node, behind Formula's cache, and whose == is Formula's."""
     cls = dataclass(frozen=True, slots=True)(cls)
-    cls._field_hash = cls.__hash__
-    cls.__hash__ = Formula.__hash__
+    cls._field_hash, cls._fields_eq = cls.__hash__, cls.__eq__
+    cls.__hash__, cls.__eq__ = Formula.__hash__, Formula.__eq__
     return cls
 
 
@@ -147,65 +169,130 @@ class BBox(Formula):
 
 _BINARY = (And, Or, Imp)
 _UNARY = (Neg, Box, BBox)
+_INNER = frozenset(_BINARY + _UNARY)
+_KINDS = _INNER | {Var, Top, Bot}
+_PROP = frozenset((Var, Top, And, Or, Imp, Neg))
 
 
 def _children(formula: Formula) -> tuple[Formula, ...]:
-    if isinstance(formula, _BINARY):
+    kind = formula.__class__
+    if kind in _BINARY:
         return (formula.left, formula.right)
-    if isinstance(formula, _UNARY):
+    if kind in _UNARY:
         return (formula.sub,)
     return ()
 
 
-def _walk(formula: Formula) -> Iterator[Formula]:
-    stack = [formula]
+# pushed above a node whose children are on the stack: the node is left next
+_LEAVE = object()
+
+
+def _postorder(formulas: Iterable[Formula], seen: Collection[int] = ()) -> list[Formula]:
+    """The nodes of the formulas in turn whose ids seen lacks, in the
+    order of subformulas; anything not a formula is a leaf."""
+    order: list[Formula] = []
+    entered: set[int] = set()
+    stack = list(formulas)[::-1]
     while stack:
         f = stack.pop()
-        yield f
-        stack.extend(_children(f))
+        if f is _LEAVE:
+            order.append(stack.pop())
+        elif (i := id(f)) not in entered and i not in seen:
+            entered.add(i)
+            kind = f.__class__
+            if kind in _BINARY:
+                stack += (f, _LEAVE, f.right, f.left)
+            elif kind in _UNARY:
+                stack += (f, _LEAVE, f.sub)
+            else:
+                order.append(f)
+    return order
 
 
-# --------------------------------------------------------------------------
-# printing
+def subformulas(formula: Formula) -> tuple[Formula, ...]:
+    """The distinct subformula objects of a formula, children first,
+    left operand first, the formula last (see the module docstring)."""
+    kept = getattr(formula, "_code", None)
+    if kept is not None:
+        return kept[0] + (formula,)
+    order = tuple(_postorder((formula,)))
+    if formula.__class__ in _KINDS:
+        _setattr(formula, "_code", (order[:-1], None, None, None))
+    return order
 
 
-def _prec(formula: Formula) -> int:
-    if isinstance(formula, (Var, Top, Bot)):
-        return 4
-    if isinstance(formula, _UNARY):
-        return 3
-    if isinstance(formula, And):
-        return 2
-    if isinstance(formula, Or):
-        return 1
-    return 0
+def _first(order: Sequence[Formula], failing: Callable[[Formula], bool]) -> tuple[Formula, ...]:
+    """(node,) for the first node of order[-1] in entry order that
+    failing holds for, else (): a node's first is itself, else its left
+    operand's, else its right operand's."""
+    first: dict[int, tuple[Formula, ...]] = {}
+    for f in order:
+        below = (first[id(c)] for c in _children(f))
+        first[id(f)] = (f,) if failing(f) else next(filter(None, below), ())
+    return first[id(order[-1])]
+
+
+def _fold(order: Iterable[Formula], ops: dict, value: dict) -> dict:
+    """value, with each node of order keyed by id: ops[kind] of the
+    values of a connective's operands, of the node itself for any other
+    kind, and ops[None] of the node for a kind that ops lacks."""
+    for f in order:
+        op = ops.get(f.__class__)
+        if op is None:
+            value[id(f)] = ops[None](f)
+        elif f.__class__ in _BINARY:
+            value[id(f)] = op(value[id(f.left)], value[id(f.right)])
+        else:
+            value[id(f)] = op(value[id(f.sub)]) if f.__class__ in _UNARY else op(f)
+    return value
+
+
+# binding power of each kind of node, the loosest 0
+_PREC = {Var: 4, Top: 4, Bot: 4, Neg: 3, Box: 3, BBox: 3, And: 2, Or: 1, Imp: 0}
+_SIGN = {Top: "T", Bot: "F", Neg: "~", Box: "[]", BBox: "[n]", And: " & ", Or: " | ", Imp: " -> "}
 
 
 def show(formula: Formula) -> str:
-    """Render a formula in the surface syntax with minimal parentheses."""
-    if isinstance(formula, Var):
-        return formula.name
-    if isinstance(formula, Top):
-        return "T"
-    if isinstance(formula, Bot):
-        return "F"
-    if isinstance(formula, _UNARY):
-        op = "~" if isinstance(formula, Neg) else "[]" if isinstance(formula, Box) else "[n]"
-        return op + _wrap(formula.sub, 3, False)
-    if isinstance(formula, And):
-        return _wrap(formula.left, 2, False) + " & " + _wrap(formula.right, 2, True)
-    if isinstance(formula, Or):
-        return _wrap(formula.left, 1, False) + " | " + _wrap(formula.right, 1, True)
-    if isinstance(formula, Imp):
-        return _wrap(formula.left, 0, True) + " -> " + _wrap(formula.right, 0, False)
-    raise TypeError(f"not a formula: {formula!r}")
+    """Render a formula in the surface syntax with minimal parentheses.
+    A node's text is a string while short, else a rope (a tuple of
+    texts) joined once at the end, so any depth prints in linear time."""
+    text: dict[int, object] = {}
+    for f in subformulas(formula):
+        kind = f.__class__
+        if kind is Var:
+            t = f.name
+        elif kind in _BINARY:
+            a, b, level = text[id(f.left)], text[id(f.right)], _PREC[kind]
+            # an operand in parentheses when it binds looser than its place,
+            # or as loose where that is strict: left of ->, right of & and |
+            if _PREC.get(f.left.__class__, 0) < level + (kind is Imp):
+                a = _join("(", a, ")")
+            if _PREC.get(f.right.__class__, 0) < level + (kind is not Imp):
+                b = _join("(", b, ")")
+            t = _join(a, _SIGN[kind], b)
+        elif kind in _UNARY:
+            t = text[id(f.sub)]
+            t = _join(_SIGN[kind], _join("(", t, ")") if _PREC.get(f.sub.__class__, 0) < 3 else t)
+        elif kind is Top or kind is Bot:
+            t = _SIGN[kind]
+        else:
+            raise TypeError(f"not a formula: {f!r}")
+        text[id(f)] = t
+    pieces, ropes = [], [text[id(formula)]]
+    while ropes:
+        t = ropes.pop()
+        if t.__class__ is tuple:
+            ropes += t[::-1]
+        else:
+            pieces.append(t)
+    return "".join(pieces)
 
 
-def _wrap(formula: Formula, level: int, strict: bool) -> str:
-    p = _prec(formula)
-    if p < level or (strict and p == level):
-        return "(" + show(formula) + ")"
-    return show(formula)
+def _join(a: object, b: object, c: object = "") -> object:
+    """The texts as one string while that is short, else as a rope."""
+    if a.__class__ is b.__class__ is c.__class__ is str and len(a) + len(b) + len(c) <= 256:
+        return a + b + c
+    return (a, b, c)
 
 
 # --------------------------------------------------------------------------
@@ -223,9 +310,11 @@ _INFIX["<->"] = (0, 0, lambda left, right: And(Imp(left, right), Imp(right, left
 
 class _Parser:
     """Precedence climbing over the tokens, kept reversed behind an
-    empty end marker so that the next token is tokens[-1]."""
+    empty end marker so that the next token is tokens[-1]. ``made``
+    lists the nodes as built, each after its operands, left before
+    right, a Var once: the order of the result's subformulas."""
 
-    __slots__ = ("text", "tokens", "count", "modal", "names")
+    __slots__ = ("text", "tokens", "count", "modal", "names", "made")
 
     def __init__(self, text: str, tokens: list[str], modal: bool):
         self.text, self.count, self.modal = text, len(tokens), modal
@@ -233,6 +322,7 @@ class _Parser:
         tokens.reverse()
         self.tokens = tokens
         self.names: dict[str, Var] = {}
+        self.made: list[Formula] = []
 
     def fail(self, message: str, taken: bool = False) -> ParseError:
         """The error at the next token, or at the one just taken."""
@@ -240,13 +330,15 @@ class _Parser:
 
     def expr(self, floor: int) -> Formula:
         left = self.unary()
-        tokens = self.tokens
+        tokens, made = self.tokens, self.made
         while True:
             op = _INFIX.get(tokens[-1])
             if op is None or op[0] < floor:
                 return left
             tokens.pop()
             left = op[2](left, self.expr(op[1]))
+            # a desugared <->, no class, builds its two implications first
+            made += (left,) if left.__class__ is op[2] else (left.left, left.right, left)
 
     def unary(self) -> Formula:
         tok = self.tokens.pop()
@@ -254,6 +346,7 @@ class _Parser:
             var = self.names.get(tok)
             if var is None:
                 var = self.names[tok] = Var(tok)
+                self.made.append(var)
             return var
         if tok == "(":
             inner = self.expr(0)
@@ -262,18 +355,19 @@ class _Parser:
             return inner
         if tok == "~":
             sub = self.unary()
-            return Imp(sub, Bot()) if self.modal else Neg(sub)
-        if tok == "T":
-            return Top()
-        if tok == "F" or tok == "[]" or tok == "[n]":
+            node = Imp(sub, Bot()) if self.modal else Neg(sub)
+        elif tok == "T":
+            node = Top()
+        elif tok == "F" or tok == "[]" or tok == "[n]":
             if not self.modal:
                 what = "falsum" if tok == "F" else "modal operator"
                 raise self.fail(f"{what} outside the modal language", True)
-            if tok == "F":
-                return Bot()
-            sub = self.unary()
-            return Box(sub) if tok == "[]" else BBox(sub)
-        raise self.fail("expected a formula", True)
+            node = Bot() if tok == "F" else (Box if tok == "[]" else BBox)(self.unary())
+        else:
+            raise self.fail("expected a formula", True)
+        # a modal ~ builds its falsum first
+        self.made += (node.right, node) if node.__class__ is Imp else (node,)
+        return node
 
 
 def _error(text: str, index: int, message: str) -> ParseError:
@@ -297,6 +391,8 @@ def parse(text: str, language: str = "prop") -> Formula:
     formula = parser.expr(0)
     if parser.tokens[-1]:
         raise parser.fail("trailing input")
+    # the result is built last, so the nodes before it are its subformulas' order
+    _setattr(formula, "_code", (tuple(parser.made[:-1]), None, None, None))
     return formula
 
 
@@ -306,7 +402,8 @@ def parse(text: str, language: str = "prop") -> Formula:
 
 def subformula_closure(formula: Formula) -> frozenset[Formula]:
     """All subformulas of the formula, itself included."""
-    return frozenset(_walk(formula))
+    hash(formula)  # hashes the nodes below in one loop, not one by one
+    return frozenset(subformulas(formula))
 
 
 def _require_closed(sigma: frozenset[Formula]) -> None:
@@ -321,39 +418,38 @@ def _require_closed(sigma: frozenset[Formula]) -> None:
 
 def variables(formula: Formula) -> tuple[str, ...]:
     """Variable names occurring in the formula, sorted."""
-    return tuple(sorted({f.name for f in _walk(formula) if isinstance(f, Var)}))
+    return tuple(sorted({f.name for f in subformulas(formula) if f.__class__ is Var}))
 
 
 def depth(formula: Formula) -> int:
     """Connective nesting depth; atoms and constants have depth 0."""
-    kids = _children(formula)
-    if not kids:
-        return 0
-    return 1 + max(depth(k) for k in kids)
-
-
-def _match(scheme: Formula, formula: Formula, env: dict[str, Formula]) -> bool:
-    if isinstance(scheme, Var):
-        bound = env.get(scheme.name)
-        if bound is None:
-            env[scheme.name] = formula
-            return True
-        return bound == formula
-    if scheme.__class__ is not formula.__class__:
-        return False
-    if isinstance(scheme, _UNARY):
-        return _match(scheme.sub, formula.sub, env)
-    if isinstance(scheme, _BINARY):
-        return _match(scheme.left, formula.left, env) and _match(
-            scheme.right, formula.right, env
-        )
-    return True
+    d: dict[int, int] = {}
+    for f in subformulas(formula):
+        d[id(f)] = max([d[id(c)] + 1 for c in _children(f)], default=0)
+    return d[id(formula)]
 
 
 def is_instance_of(formula: Formula, scheme: Formula) -> bool:
     """Whether the formula arises from the scheme by substituting for
-    the scheme's variables."""
-    return _match(scheme, formula, {})
+    the scheme's variables: matched parents first, a scheme node met
+    at several places, a variable by its name, must meet equal
+    formulas at all of them."""
+    if scheme.__class__ is not formula.__class__ and scheme.__class__ is not Var:
+        return False
+    at, env = {id(scheme): formula}, {}
+    for s in reversed(subformulas(scheme)):
+        f = at[id(s)]
+        if s.__class__ is Var:
+            bound = env.setdefault(s.name, f)
+            if bound is not f and bound != f:
+                return False
+        elif s.__class__ is not f.__class__:
+            return False
+        for c, g in zip(_children(s), _children(f)):
+            bound = at.setdefault(id(c), g)
+            if bound is not g and bound != g:
+                return False
+    return True
 
 
 def godel_translate(formula: Formula) -> Formula:
@@ -362,19 +458,14 @@ def godel_translate(formula: Formula) -> Formula:
     Atoms are boxed, conjunction and disjunction pass through,
     implications are boxed, and the primitive negation becomes [n].
     """
-    if isinstance(formula, Var):
-        return Box(formula)
-    if isinstance(formula, Top):
-        return Top()
-    if isinstance(formula, And):
-        return And(godel_translate(formula.left), godel_translate(formula.right))
-    if isinstance(formula, Or):
-        return Or(godel_translate(formula.left), godel_translate(formula.right))
-    if isinstance(formula, Imp):
-        return Box(Imp(godel_translate(formula.left), godel_translate(formula.right)))
-    if isinstance(formula, Neg):
-        return BBox(godel_translate(formula.sub))
-    raise ValueError(f"not a propositional formula: {show(formula)}")
+    order = subformulas(formula)
+
+    def fail(f: Formula) -> None:
+        for bad in _first(order, lambda g: g.__class__ not in _PROP):
+            raise ValueError(f"not a propositional formula: {show(bad)}")
+
+    ops = {Var: Box, Top: lambda f: Top(), And: And, Or: Or, Imp: lambda a, b: Box(Imp(a, b)), Neg: BBox}
+    return _fold(order, {**ops, None: fail}, {})[id(formula)]
 
 
 # --------------------------------------------------------------------------
@@ -420,28 +511,34 @@ def random_formula(rng, names: Sequence[str], max_depth: int, language: str = "p
     """Draw a formula over the given variable names.
 
     rng is a random.Random. Leaves are variables or constants; the
-    connective set follows the language.
+    connective set follows the language. Nodes are drawn in entry
+    order, left operand first, from a stack of depth budgets, with a
+    node's kind under the budgets of its operands.
     """
     if language not in ("prop", "modal"):
         raise ValueError(f"unknown language: {language!r}")
     modal = language == "modal"
-    if max_depth <= 0 or rng.random() < 0.2:
-        leaves: list[Formula] = [Var(name) for name in names]
-        leaves.append(Top())
-        if modal:
-            leaves.append(Bot())
-        return rng.choice(leaves)
     kinds = ["and", "or", "imp"] + (["box", "bbox"] if modal else ["neg"])
-    kind = rng.choice(kinds)
-    if kind == "neg":
-        return Neg(random_formula(rng, names, max_depth - 1, language))
-    if kind == "box":
-        return Box(random_formula(rng, names, max_depth - 1, language))
-    if kind == "bbox":
-        return BBox(random_formula(rng, names, max_depth - 1, language))
-    left = random_formula(rng, names, max_depth - 1, language)
-    right = random_formula(rng, names, max_depth - 1, language)
-    return {"and": And, "or": Or, "imp": Imp}[kind](left, right)
+    built: list[Formula] = []
+    todo: list = [max_depth]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, type):
+            sub = built.pop()
+            built.append(item(sub) if item in _UNARY else item(built.pop(), sub))
+        elif item <= 0 or rng.random() < 0.2:
+            leaves: list[Formula] = [Var(name) for name in names]
+            leaves.append(Top())
+            if modal:
+                leaves.append(Bot())
+            built.append(rng.choice(leaves))
+        else:
+            kind = _NAMED[rng.choice(kinds)]
+            todo += (kind, item - 1) if kind in _UNARY else (kind, item - 1, item - 1)
+    return built[0]
+
+
+_NAMED = {"and": And, "or": Or, "imp": Imp, "neg": Neg, "box": Box, "bbox": BBox}
 
 
 def compile_prop(formula: Formula, var_order: Sequence[str]) -> tuple[int, ...]:
@@ -463,19 +560,18 @@ def compiled(formula: Formula, language: str = "prop") -> tuple[tuple[str, ...],
     """The sorted variable names of a formula and its kernel code over
     them, as compile_prop or compile_modal (``language`` "prop" or
     "modal") gives it, with the same errors; kept on the node, see the
-    module docstring.
-
-    One walk gives both: it numbers the variables as it meets them, and
+    module docstring. One loop numbers the variables as it meets them;
     the Var instructions are renumbered in sorted order after it."""
     if language not in ("prop", "modal"):
         raise ValueError(f"unknown language: {language!r}")
     modal = language == "modal"
     kept = getattr(formula, "_code", None)
-    if kept is not None and kept[1 + modal] is not None:
-        return kept[0], kept[1 + modal]
-    # a kept node gets here only in the language it fails to compile in
+    if kept is not None and kept[2 + modal] is not None:
+        return kept[1], kept[2 + modal]
+    # a node with code gets here only in the language it fails to compile in
     index: dict[str, int] = {}
     code = _compile(formula, index, modal, True)
+    order = formula._code[0]  # kept by _compile's subformulas
     names = tuple(sorted(index))
     if tuple(index) != names:
         rank = {index[name]: i for i, name in enumerate(names)}
@@ -485,9 +581,9 @@ def compiled(formula: Formula, language: str = "prop") -> tuple[tuple[str, ...],
                 code[i + 1] = rank[code[i + 1]]
         code = tuple(code)
     if _SPECIFIC.isdisjoint(code[::3]):
-        kept = names, code, code
+        kept = order, names, code, code
     else:
-        kept = (names, None, code) if modal else (names, code, None)
+        kept = (order, names, None, code) if modal else (order, names, code, None)
     _setattr(formula, "_code", kept)
     return names, code
 
@@ -495,8 +591,6 @@ def compiled(formula: Formula, language: str = "prop") -> tuple[tuple[str, ...],
 # the opcodes only one of the two compilations emits
 _SPECIFIC = frozenset((OP_NEG, OP_BOT, OP_BOX, OP_BBOX))
 
-_BINOPS = {And: OP_AND, Or: OP_OR, Imp: OP_IMP}
-_UNOPS = {Neg: OP_NEG, Box: OP_BOX, BBox: OP_BBOX}
 
 # the language error of each node kind a compilation refuses, by
 # whether it is modal
@@ -506,50 +600,46 @@ _REFUSED = {
     (Box, False): "box in a propositional compilation",
     (BBox, False): "second modality in a propositional compilation",
 }
+# the opcode of each kind but Var that a compilation takes, by whether it is modal
+_OPS = {And: OP_AND, Or: OP_OR, Imp: OP_IMP, Neg: OP_NEG, Box: OP_BOX, BBox: OP_BBOX}
+_OPS.update({Top: OP_TOP, Bot: OP_BOT})
+_OPCODES = {m: {k: op for k, op in _OPS.items() if (k, m) not in _REFUSED} for m in (False, True)}
 
 
 def _compile(formula: Formula, index: dict[str, int], modal: bool, grow: bool) -> tuple[int, ...]:
     """Value-numbered code of the formula: one instruction per distinct
-    subformula, in the order of the first postfix visit of each, so an
-    error is met where the postfix walk met it. An instruction is keyed
-    by its opcode and operands, operand slots for a connective, so no
-    node is hashed and two subformulas share an instruction exactly
-    when they are equal; the key keeps the operand order, as -> needs.
-    Variables are numbered by ``index``; with ``grow`` a name met first
-    is added to it, else it raises ValueError."""
+    subformula, in the order of subformulas, keyed by its opcode and
+    operand slots, so no node is hashed and two subformulas share an
+    instruction exactly when they are equal. Variables are numbered by
+    ``index``; with ``grow`` a name met first is added to it, else it
+    raises ValueError. A failure raises the error of the first failing
+    node in entry order, as a compiler checking nodes before their
+    operands meets it."""
+    slots: dict[int, int] = {}
     numbers: dict[tuple[int, int, int], int] = {}
     code: list[int] = []
-    _emit(formula, index, modal, grow, numbers, code)
+    opcodes = _OPCODES[modal]
+    order = subformulas(formula)
+    for f in order:
+        kind = f.__class__
+        if kind is Var and (grow or f.name in index):
+            key = (OP_VAR, index.setdefault(f.name, len(index)), 0)
+        elif kind not in opcodes:
+            for bad in _first(order, lambda g: g.__class__ not in opcodes and not (
+                    g.__class__ is Var and (grow or g.name in index))):
+                if bad.__class__ is Var:
+                    raise ValueError(f"variable not in the compilation order: {bad.name}")
+                if bad.__class__ not in _KINDS:
+                    raise TypeError(f"not a formula: {bad!r}")
+                raise ValueError(_REFUSED[bad.__class__, modal])
+        elif kind in _BINARY:
+            key = (opcodes[kind], slots[id(f.left)], slots[id(f.right)])
+        else:
+            key = (opcodes[kind], slots[id(f.sub)], 0) if kind in _UNARY else (opcodes[kind], 0, 0)
+        slot = numbers.get(key)
+        if slot is None:
+            slot = numbers[key] = len(numbers)
+            code += key
+        slots[id(f)] = slot
     return tuple(code)
 
-
-def _emit(formula, index, modal, grow, numbers, code) -> int:
-    """The slot of the formula's instruction, emitted unless an equal
-    subformula's is already there."""
-    kind = formula.__class__
-    error = _REFUSED.get((kind, modal))
-    if error is not None:
-        raise ValueError(error)
-    if kind is Var:
-        i = index.get(formula.name)
-        if i is None:
-            if not grow:
-                raise ValueError(f"variable not in the compilation order: {formula.name}")
-            i = index[formula.name] = len(index)
-        key = (OP_VAR, i, 0)
-    elif kind in _BINOPS:
-        a = _emit(formula.left, index, modal, grow, numbers, code)
-        key = (_BINOPS[kind], a, _emit(formula.right, index, modal, grow, numbers, code))
-    elif kind in _UNOPS:
-        key = (_UNOPS[kind], _emit(formula.sub, index, modal, grow, numbers, code), 0)
-    elif kind is Top:
-        key = (OP_TOP, 0, 0)
-    elif kind is Bot:
-        key = (OP_BOT, 0, 0)
-    else:
-        raise TypeError(f"not a formula: {formula!r}")
-    slot = numbers.get(key)
-    if slot is None:
-        slot = numbers[key] = len(numbers)
-        code.extend(key)
-    return slot

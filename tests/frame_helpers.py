@@ -3,7 +3,9 @@
 Each is a short composition of the package's own functions: validity
 on a frame through the refutation search, the N-frames of a poset from
 its lawful tables, poset isomorphism as the existence of one order
-isomorphism, and the hat of one algebra element among prime filters.
+isomorphism, the hat of one algebra element among prime filters, and a
+frame's per-world neighbourhood families and back, the way back
+through kernels.pure._trace_table.
 """
 
 from typing import Sequence
@@ -15,6 +17,7 @@ from subminimal.frames import (
     poset_isomorphisms,
     refuting_valuation,
 )
+from subminimal.kernels.pure import _trace_table
 from subminimal.syntax import Formula
 
 
@@ -39,3 +42,41 @@ def enumerate_nframes(p: Poset) -> list[NFrame]:
 
 def poset_isomorphic(p: Poset, q: Poset) -> bool:
     return next(poset_isomorphisms(p, q), None) is not None
+
+
+def to_neighbourhood(fr: NFrame) -> tuple[frozenset[int], ...]:
+    """Per-world families n(w) = {X upset : w in N(X)}."""
+    out = []
+    for w in range(fr.n):
+        out.append(
+            frozenset(u for u in fr.poset.upsets() if (fr.ntable[u] >> w) & 1)
+        )
+    return tuple(out)
+
+
+def from_neighbourhood(p: Poset, nbhd: Sequence[frozenset[int]]) -> NFrame:
+    """Rebuild an N-frame from per-world upset families.
+
+    The families must grow along the order and must not distinguish
+    upsets that agree on the world's cone; either failure raises
+    ValueError with the offending world.
+    """
+    if len(nbhd) != p.n:
+        raise ValueError("one neighbourhood family per world required")
+    upset_set = set(p.upsets())
+    for w in range(p.n):
+        for x in nbhd[w]:
+            if x not in upset_set:
+                raise ValueError(f"neighbourhood of world {w} holds a non-upset")
+        m = p.up[w] & ~(1 << w)
+        while m:
+            v = (m & -m).bit_length() - 1
+            m &= m - 1
+            if nbhd[w] - nbhd[v]:
+                raise ValueError(f"neighbourhoods shrink from world {w} upward")
+        for x in upset_set:
+            if ((x & p.up[w]) in nbhd[w]) != (x in nbhd[w]):
+                raise ValueError(f"neighbourhood of world {w} ignores its cone unevenly")
+    # so an upset is in w's family exactly when its cut to R(w) is
+    cuts = [(p.up[w], 1 << w, nbhd[w]) for w in range(p.n)]
+    return NFrame(p, tuple(_trace_table(p.n, cuts, p.upsets())))

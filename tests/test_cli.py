@@ -762,6 +762,30 @@ def test_deep_nesting_exits_2(capsys, monkeypatch, argv, stdin):
     assert out == {"status": "error", "error": "input nested too deeply"}
 
 
+# a flat chain of conjunctions, as the parser reads it: in one loop
+FLAT = " & ".join(["p"] * 10_000)
+
+
+def test_flat_conjunctions_of_any_length_pass(capsys, monkeypatch):
+    # the parser limits nesting only; the walks after it take any depth
+    code, out = run(capsys, ["parse", FLAT])
+    assert code == 0 and out["formula"] == FLAT and out["depth"] == 9_999
+    checked = []
+    assert_refutes = cli._assert_refutes
+    monkeypatch.setattr(cli, "_assert_refutes", lambda *a: checked.append(assert_refutes(*a)))
+    code, out = run(capsys, ["decide", FLAT, "--logic", "n"])
+    assert code == 1 and out["status"] == "refuted" and checked == [None]
+    assert out["formula"] == FLAT
+    code, out = run(capsys, ["translate", FLAT])
+    assert code == 0 and out["translation"] == " & ".join(["[]p"] * 10_000)
+
+
+def test_an_axiom_instance_over_a_long_chain_is_a_theorem(capsys):
+    chain = " & ".join(["p", "q"] * 2_500)
+    code, out = run(capsys, ["decide", f"(({chain}) & ~({chain})) -> ~q", "--logic", "nef"])
+    assert code == 0 and out["status"] == "theorem"
+
+
 def test_pretty_prints_indented(capsys):
     code = main(["translate", "~p", "--pretty"])
     out = capsys.readouterr().out

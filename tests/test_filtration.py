@@ -557,13 +557,13 @@ def test_one_source_read_per_model_and_sigma(monkeypatch):
     # a frozen counter: one filtrate-style item per (model, Sigma) pair
     # reads Sigma on its model once, however many calls share the read
     reads = []
-    real = filtration.truth_sets
+    real = filtration._truth_dict
 
-    def counting(m, formulas):
+    def counting(m, formulas, order):
         reads.append((m, formulas))
-        return real(m, formulas)
+        return real(m, formulas, order)
 
-    monkeypatch.setattr(filtration, "truth_sets", counting)
+    monkeypatch.setattr(filtration, "_truth_dict", counting)
     fork = fork_model()
     chain = model_from_dict(
         {"worlds": 3, "leq": [[0, 1], [1, 2]], "N": {"0": 7, "4": 6, "6": 4, "7": 0}, "valuation": {"p": 6, "q": 4}}
@@ -589,17 +589,17 @@ def test_orders_are_decided_once_per_read_and_order(monkeypatch):
     # and Sigma is still read once per pair of model and Sigma
     reads = []
     decided = []
-    real_truth, real_order = filtration.truth_sets, filtration._order_witness
+    real_truth, real_order = filtration._truth_dict, filtration._order_witness
 
-    def counting_truth(m, formulas):
+    def counting_truth(m, formulas, order):
         reads.append((m, formulas))
-        return real_truth(m, formulas)
+        return real_truth(m, formulas, order)
 
     def counting_order(source_up, pi, members, sig, order, up):
         decided.append(tuple(up))
         return real_order(source_up, pi, members, sig, order, up)
 
-    monkeypatch.setattr(filtration, "truth_sets", counting_truth)
+    monkeypatch.setattr(filtration, "_truth_dict", counting_truth)
     monkeypatch.setattr(filtration, "_order_witness", counting_order)
     fork = fork_model()
     chain = model_from_dict(

@@ -16,7 +16,13 @@ import mask_reference
 from conftest import outcome
 from filtration_reference import _members as reference_members
 from filtration_reference import eval_formula as reference_eval
-from frame_helpers import enumerate_nframes, frame_validates, poset_isomorphic
+from frame_helpers import (
+    enumerate_nframes,
+    frame_validates,
+    from_neighbourhood,
+    poset_isomorphic,
+    to_neighbourhood,
+)
 from subminimal import frames, kernels
 from subminimal.kernels import pure
 from subminimal.algebra import TopFrame, topframe_from_dict
@@ -47,7 +53,6 @@ from subminimal.frames import (
     frame_class,
     frame_from_dict,
     frame_to_dict,
-    from_neighbourhood,
     model_from_dict,
     model_to_dict,
     nframe_isomorphic,
@@ -59,7 +64,6 @@ from subminimal.frames import (
     random_ntable,
     random_poset,
     refuting_valuation,
-    to_neighbourhood,
     truth_sets,
 )
 from subminimal.modal import ModalNFrame, NS4Frame, modal_nframe_from_dict, ns4_from_dict

@@ -40,9 +40,20 @@ from subminimal.syntax import (
     random_formula,
     show,
     subformula_closure,
+    subformulas,
     variables,
 )
-from subminimal.modal import AXIOM_BBOX_CONTRA, NS4_AXIOMS
+from subminimal.algebra import algebra_eval, upset_algebra
+from subminimal.frames import NFrame, NModel, Poset, _imp_mask, enumerate_ntables, eval_formula
+from subminimal.frames import formula_evaluator, truth_sets
+from subminimal.modal import (
+    AXIOM_BBOX_CONTRA,
+    NS4_AXIOMS,
+    HilbertProof,
+    ProofLine,
+    check_proof,
+    translation_preservation,
+)
 from syntax_helpers import substitute
 
 
@@ -174,6 +185,34 @@ def test_parse_shares_one_var_per_name():
     assert f == Imp(And(Var("p"), Var("q")), Or(Var("p"), Neg(Var("q"))))
     assert pickle.loads(pickle.dumps(f)) == f and show(f) == "p & q -> p | ~q"
     assert parse("p").name == "p" and parse("p") is not parse("p")
+
+
+def _walk_order(f, seen=None, out=None):
+    """The children first order by its definition: each node object
+    once, where a recursive walk that skips what it met leaves it."""
+    seen, out = set() if seen is None else seen, [] if out is None else out
+    if id(f) not in seen:
+        seen.add(id(f))
+        for child in (f.left, f.right) if isinstance(f, (And, Or, Imp)) else (
+            (f.sub,) if isinstance(f, (Neg, Box, BBox)) else ()
+        ):
+            _walk_order(child, seen, out)
+        out.append(f)
+    return out
+
+
+def test_subformulas_is_the_order_a_recursive_walk_leaves_nodes_in():
+    # on parsed formulas, which keep the order the parser built them in,
+    # and on formulas built by hand, which get it from the walk
+    rng = random.Random(29)
+    for i in range(2000):
+        language = "modal" if i % 2 else "prop"
+        f = random_formula(rng, ["p", "q", "r"], rng.randrange(6), language)
+        text = show(f) if i % 3 else show(f).replace(" & ", " <-> ", 1)
+        for g in (f, parse(text, language)):
+            want = _walk_order(g)
+            assert len(subformulas(g)) == len(want)
+            assert all(a is b for a, b in zip(subformulas(g), want)), text
 
 
 def test_parse_rejects_unknown_language():
@@ -361,6 +400,17 @@ def test_code_slot_stays_out_of_eq_repr_copies_and_pickles():
         assert compiled(clone) == compiled(kept)
 
 
+def test_kept_order_holds_no_cycle_and_stays_out_of_copies_and_pickles():
+    f = parse("(p <-> q) -> ~p")
+    g = Imp(And(Var("p"), Var("q")), Neg(Var("p")))
+    for h in (f, g):
+        order = subformulas(h)
+        assert order[-1] is h and all(k is not h for k in h._code[0]) and h._code[0] == order[:-1]
+        for clone in (copy.copy(h), copy.deepcopy(h), pickle.loads(pickle.dumps(h))):
+            assert clone == h and getattr(clone, "_code", None) is None
+            assert [show(k) for k in subformulas(clone)] == [show(k) for k in order]
+
+
 def _python(code: str, seed: int, stdin: bytes = b"") -> bytes:
     src = str(pathlib.Path(subminimal.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
@@ -403,3 +453,126 @@ def test_syntax_checks_name_what_is_wrong():
         compile_prop(Var("q"), ["p"])
     with pytest.raises(TypeError, match="not a formula: 42"):
         compile_modal(42, [])
+
+
+# ---------------------------------------------------------------------------
+# depth: every walk is a loop over subformulas, so nothing recurses on depth
+# (repr, copy.deepcopy and pickle are the standard library's and do)
+
+DEEP = 100_000
+
+# each chain is built bottom up from p, one node per step, sharing one
+# q as a parse does
+Q = Var("q")
+CHAINS = {
+    "left-and": lambda i, f: And(f, Q),
+    "right-and": lambda i, f: And(Q, f),
+    "neg-imp": lambda i, f: Neg(f) if i % 2 else Imp(Q, f),
+    "box-bbox": lambda i, f: Box(f) if i % 2 else BBox(f),
+}
+
+
+def _chain(name, leaf=None):
+    f = Var("p") if leaf is None else leaf
+    step = CHAINS[name]
+    for i in range(DEEP):
+        f = step(i, f)
+    return f
+
+
+def _value(name, p, q, meet, imp, neg):
+    """The chain's value, step by step, from the values of p and q."""
+    v = p
+    for i in range(DEEP):
+        if name == "neg-imp":
+            v = neg(v) if i % 2 else imp(q, v)
+        else:
+            v = meet(v, q) if name == "left-and" else meet(q, v)
+    return v
+
+
+def _proof_checks(f, g, distributed):
+    lines = (
+        ProofLine(Imp(f, g), "taut"),
+        ProofLine(Box(f), "premise"),
+        ProofLine(distributed, "box-conj", (1,)),
+    )
+    return check_proof(HilbertProof("ns4", lines))
+
+
+@pytest.mark.parametrize("name", ["left-and", "right-and", "neg-imp"])
+def test_propositional_walks_take_any_depth(name):
+    f, g = _chain(name), _chain(name)
+    assert f is not g and f == g and hash(f) == hash(g) and not f != g
+    assert f != _chain(name, Var("r"))
+    assert depth(f) == DEEP and variables(f) == ("p", "q")
+    assert len(subformula_closure(f)) == DEEP + 2
+    text = show(f)
+    if name == "left-and":
+        assert text == " & ".join(["p"] + ["q"] * DEEP) and parse(text) == g
+    else:
+        k = DEEP - 1 if name == "right-and" else DEEP // 2
+        assert text == ("q & (" if name == "right-and" else "~(q -> ") * k + ("q & p" if name == "right-and" else "p") + ")" * k
+    assert is_instance_of(Imp(And(f, Neg(g)), Neg(Var("q"))), AXIOM_NEF)
+    assert godel_translate(f) == godel_translate(g) and depth(godel_translate(f)) > DEEP
+    names, code = compiled(f)
+    assert names == ("p", "q") and len(code) == 3 * (DEEP + 2) and compile_prop(g, names) == code
+    if name == "neg-imp":
+        with pytest.raises(ValueError, match="primitive negation in a modal compilation"):
+            compile_modal(f, names)
+    else:
+        assert compile_modal(f, names) == code
+    poset = Poset.from_pairs(2, [(0, 1)])
+    table = next(t for t in enumerate_ntables(poset) if len({v for v in t if v >= 0}) == 3)
+    m = NModel(NFrame(poset, table), {"p": 2, "q": 3})
+    want = _value(name, 2, 3, int.__and__, lambda u, v: _imp_mask(poset.up, u, v), table.__getitem__)
+    assert eval_formula(m, f) == want == formula_evaluator(m)(g) == truth_sets(m, [f])[g]
+    assert translation_preservation(m, f) is None
+    a = upset_algebra(m.frame)
+    want = _value(name, 1, 2, lambda x, y: a.meet[x][y], lambda x, y: a.imp[x][y], a.neg.__getitem__)
+    assert algebra_eval(a, {"p": 1, "q": 2}, f) == want
+    boxed = Box(g) if name == "neg-imp" else Box(Var("p"))
+    for _ in range(DEEP if name != "neg-imp" else 0):
+        boxed = And(boxed, Box(Var("q"))) if name == "left-and" else And(Box(Var("q")), boxed)
+    assert _proof_checks(f, g, boxed) is None
+
+
+def test_eq_skips_an_operand_both_sides_share():
+    # <-> shares its operands, so this unfolds to 2^40 nodes; the
+    # dataclass == never entered an operand that is the same object
+    text = "p"
+    for _ in range(40):
+        text = f"({text}) <-> q"
+    f = parse(text)
+    assert f.left.left is f.right.right
+    assert f == f and f == copy.copy(f) and Box(f) == Box(f) and not f != copy.copy(f)
+    assert hash(f) == hash(copy.copy(f))
+
+
+def test_box_over_a_conjunction_takes_any_depth():
+    f, p, q = And(Var("p"), Var("q")), Var("p"), Var("q")
+    for _ in range(DEEP):
+        f, p, q = Box(f), Box(p), Box(q)
+    lines = (ProofLine(f, "premise"), ProofLine(And(p, q), "box-conj", (0,)))
+    assert check_proof(HilbertProof("ns4", lines)) is None
+    lines = (ProofLine(f, "premise"), ProofLine(And(q, p), "box-conj", (0,)))
+    assert check_proof(HilbertProof("ns4", lines)) == (1, "not equal modulo distributing the box over conjunction")
+
+
+def test_modal_walks_take_any_depth():
+    f, g = _chain("box-bbox"), _chain("box-bbox")
+    assert f is not g and f == g and hash(f) == hash(g) and not f != g
+    assert depth(f) == DEEP and variables(f) == ("p",) and len(subformula_closure(f)) == DEEP + 1
+    assert show(f) == "[][n]" * (DEEP // 2) + "p"
+    assert is_instance_of(Imp(Box(Imp(f, g)), Imp(Box(f), Box(g))), NS4_AXIOMS["K"])
+    with pytest.raises(ValueError, match=r"not a propositional formula: \[\]\[n\]"):
+        godel_translate(f)
+    names, code = compiled(f, "modal")
+    assert names == ("p",) and len(code) == 3 * (DEEP + 1) == len(compile_modal(g, names))
+    with pytest.raises(ValueError, match="box in a propositional compilation"):
+        compile_prop(f, names)
+    poset = Poset.from_pairs(2, [(0, 1)])
+    m = NModel(NFrame(poset, list(enumerate_ntables(poset))[0]), {"p": 2})
+    with pytest.raises(ValueError, match="box in a propositional compilation"):
+        eval_formula(m, f)
+    assert _proof_checks(f, g, Box(g)) is None
