@@ -76,11 +76,10 @@ from subminimal.syntax import (
     Var,
     _PROP,
     _first,
-    _postorder,
+    _frozen,
     _require_closed,
+    _walk,
     show,
-    subformulas,
-    variables,
 )
 
 
@@ -485,13 +484,14 @@ def algebra_eval(a: NAlgebra, mu: Mapping[str, int], f: Formula) -> int:
 
 def _algebra_values(a: NAlgebra, mu: Mapping[str, int], formulas: Collection[Formula]) -> list[int]:
     """algebra_eval of each formula in iteration order, from one loop
-    over their nodes whose memory keys each node by id, as
-    frames.truth_sets does; the formulas hold the nodes. When a node
-    fails, the first formula holding a failing node raises at its first
-    failing node in entry order."""
+    over their walk (syntax._walk) whose memory keys each node by id,
+    as frames.truth_sets does. When a node fails, the first formula
+    holding a failing node raises at its first failing node in entry
+    order."""
     value: dict[int, int] = {}
     tables = {And: a.meet, Or: a.join, Imp: a.imp}
-    for g in _postorder(formulas):
+    order = _walk(formulas)
+    for g in order:
         kind = g.__class__
         if kind in tables:
             value[id(g)] = tables[kind][value[id(g.left)]][value[id(g.right)]]
@@ -500,12 +500,9 @@ def _algebra_values(a: NAlgebra, mu: Mapping[str, int], formulas: Collection[For
         elif kind is Top or kind is Var and g.name in mu:
             value[id(g)] = a.one if kind is Top else mu[g.name]
         else:
-
-            def failing(h: Formula) -> bool:
-                return h.__class__ not in _PROP or h.__class__ is Var and h.name not in mu
-
+            first = _first(order, lambda h: h.__class__ not in _PROP or h.__class__ is Var and h.name not in mu)
             for f in formulas:
-                for bad in _first(subformulas(f), failing):
+                for bad in first[id(f)]:
                     if bad.__class__ is Var:
                         raise ValueError(f"assignment misses variable {bad.name}")
                     raise ValueError(f"not a propositional formula: {show(bad)}")
@@ -555,7 +552,7 @@ def general_algebraic_filtration(
     universe element s has meet(x, s) <= s <= y and so qualifies.
     Tables where no universe element qualifies raise ValueError.
     """
-    sigma = frozenset(sigma)
+    sigma = _frozen(sigma)
     elements = sorted(set(carrier))
     if not elements:
         raise ValueError("empty universe")
@@ -600,7 +597,7 @@ def general_algebraic_filtration(
                 acc = s if acc is None else a.join[acc][s]
         neg_row.append(index[acc if acc is not None else least])
     small = NAlgebra(k, meet, join, tuple(imp_rows), tuple(neg_row), index[a.one])
-    names = sorted({name for f in sigma for name in variables(f)})
+    names = sorted({f.name for f in _walk(sigma) if f.__class__ is Var})
     mu_small = {
         name: index[mu[name]] for name in names if name in mu and mu[name] in index
     }
@@ -615,7 +612,7 @@ def sublattice_filtration(
     This is the least universe any filtration can use, so the result
     embeds into every general_algebraic_filtration over the same data.
     """
-    sigma = frozenset(sigma)
+    sigma = _frozen(sigma)
     values = _algebra_values(a, mu, sigma)
     return general_algebraic_filtration(a, mu, sigma, _lattice_closure(a, values))
 
@@ -647,14 +644,15 @@ def least_filtration_correspondence(
     their closure, the dual, the check that Sigma is subformula-closed,
     after which its Var members are all the variables it holds.
     """
-    sigma = frozenset(sigma)
+    sigma = _frozen(sigma)
     carrier = sum(1 << x for x in _lattice_closure(a, _algebra_values(a, mu, sigma)))
     tf = a._duality
     filters, hats = a._reduct.filters, a._reduct.hats
-    _require_closed(sigma)
+    walk = _walk(sigma)
+    _require_closed(sigma, walk)
     m = NModel(tf.to_nframe(), {f.name: hats[mu[f.name]] for f in sigma if isinstance(f, Var)})
     # truth_sets' walk, which by (b) meets no undefined entry
-    truth = _truths(m.frame.poset, m.frame.ntable, m.valuation, _postorder(sigma), {})
+    truth = _truths(m.frame.poset, m.frame.ntable, m.valuation, walk, {})
     sig = _transpose([truth[id(f)] for f in sigma], tf.n)
     return _inclusion_cones(sig) == _inclusion_cones([f & carrier for f in filters])
 

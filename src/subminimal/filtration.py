@@ -13,10 +13,14 @@ of a quotient set, _Read.bound, is the greatest table, the ceiling of
 
 Sigma is read on a model once for all the functions here: _partition
 evaluates it as frames.truth_sets does, each shared subformula once,
-keeping its walk, derives the signatures, the projection and the
-classes, and keeps that read in the model's _reads under the Sigma
-object. The next call on the same model with the same Sigma object
-takes the read from there, and so
+over Sigma's walk (syntax._walk: the one a closure from close_sigma
+keeps, so its read builds none, else syntax._postorder's), keying
+the truth sets by node id rather than by formula, derives the
+signatures, the projection and the classes, and keeps that read in the
+model's _reads under the Sigma object. The functions taking a Sigma
+copy it only when it is no frozenset (syntax._frozen), so the walk and
+the object stay. The next call on the same model with the same Sigma
+object takes the read from there, and so
 do the class-wise bounds, each computed once, the greatest quotient
 frame, built once per read, and the verdict of conditions (a) and (b)
 per quotient order, which is all they depend on (_Read states the
@@ -64,7 +68,7 @@ from subminimal.frames import (
     _Unevaluable,
     _orders_between,
     _push_mask,
-    _truth_dict,
+    _truth_by_id,
     _truths,
     countermodel_search,
     formula_evaluator,
@@ -75,13 +79,16 @@ from subminimal.syntax import (
     Logic,
     Neg,
     Var,
-    _postorder,
+    _Closure,
+    _frozen,
     _require_closed,
+    _walk,
     chain_axioms,
     compiled,
     is_instance_of,
     show,
     subformula_closure,
+    subformulas,
 )
 
 
@@ -90,11 +97,17 @@ class ResourceLimitError(RuntimeError):
 
 
 def close_sigma(formulas: Iterable[Formula]) -> frozenset[Formula]:
-    """Subformula closure of a set of formulas."""
+    """Subformula closure of a set of formulas, a syntax._Closure that
+    keeps their walk: the kept subformulas order of each in turn, each
+    node object once."""
     out: set[Formula] = set()
+    orders = []
     for f in formulas:
         out |= subformula_closure(f)
-    return frozenset(out)
+        orders.append(subformulas(f))
+    sigma = _Closure(out)
+    sigma.walk = orders[0] if len(orders) == 1 else tuple({id(g): g for o in orders for g in o}.values())
+    return sigma
 
 
 @dataclass(frozen=True)
@@ -118,10 +131,14 @@ class _Read:
     """Sigma read on one model under a projection, as _partition keeps
     it in NModel._reads or _Read.projected makes it for one call.
 
-    sig[w] has bit i set when order[i], the i-th member of tuple(sigma),
-    holds at w; pi sends each world to its class and members[c] holds
-    the worlds of class c. qval values each variable occurring in Sigma,
-    by name order, with the projection of its source value under pi.
+    nodes is Sigma's walk (syntax._walk): the walk a closure from
+    close_sigma keeps, else the one syntax._postorder builds. truth holds
+    the truth set of each of its nodes, keyed by node id rather than by
+    formula; Sigma's members are among the nodes. sig[w] has bit i set
+    when order[i], the i-th member of tuple(sigma), holds at w; pi sends
+    each world to its class and members[c] holds the worlds of class c.
+    qval values each variable occurring in Sigma, by name order, with
+    the projection of its source value under pi.
     The read keeps, as they are first asked for and for as long as it
     is kept itself:
 
@@ -135,14 +152,13 @@ class _Read:
       are kept, which holds every order enumerate_filtrations walks on
       a model of up to 3 worlds (at most 19).
 
-    neg_args, what (d) reads, is kept likewise. nodes lists Sigma's
-    nodes as its truth sets were walked, for the quotient's walk in
-    filtration_theorem_check.
+    neg_args, what (d) reads, is kept likewise. filtration_theorem_check
+    walks the quotient over the nodes.
     """
 
     sigma: Collection[Formula]
     valuation: dict[str, int]
-    truth: dict[Formula, int]
+    truth: dict[int, int]
     order: tuple[Formula, ...]
     sig: list[int]
     pi: tuple[int, ...]
@@ -152,7 +168,7 @@ class _Read:
     bounds: dict[int, int] = field(default_factory=dict)
     frame: NFrame | None = None
     orders: dict[tuple[int, ...], tuple] = field(default_factory=dict)
-    nodes: list[Formula] = field(default_factory=list)
+    nodes: Sequence[Formula] = ()
 
     def projected(self, m: NModel, pi: tuple[int, ...], members: list[int]) -> "_Read":
         """This Sigma read under another projection pi onto classes with
@@ -193,7 +209,7 @@ class _Read:
         the projection under pi of the truth set of g and the truth set
         of ~g, which is the source negation of the truth set of g."""
         truth, pi = self.truth, self.pi
-        return [(f, _push_mask(truth[f.sub], pi), truth[f]) for f in self.order if isinstance(f, Neg)]
+        return [(f, _push_mask(truth[id(f.sub)], pi), truth[id(f)]) for f in self.order if isinstance(f, Neg)]
 
 
 def _fresh_read(m: NModel, sigma: Collection[Formula]) -> _Read | None:
@@ -228,20 +244,20 @@ def _partition(m: NModel, sigma: Collection[Formula], require_closed: bool = Fal
     before Sigma is read and once per read.
     """
     read = _fresh_read(m, sigma)
+    nodes = _walk(sigma) if read is None else read.nodes
     if require_closed and (read is None or not read.closed):
-        _require_closed(sigma)
+        _require_closed(sigma, nodes)
     if read is None:
-        nodes = _postorder(sigma)
-        truth = _truth_dict(m, sigma, nodes)
+        truth = _truth_by_id(m, sigma, nodes)
         order = tuple(sigma)
-        sig = _transpose([truth[f] for f in order], m.frame.n)
+        sig = _transpose([truth[id(f)] for f in order], m.frame.n)
         # worlds run upwards, so classes enter in the order of their least member
         classes: dict[int, int] = {}
         for w, s in enumerate(sig):
             classes[s] = classes.get(s, 0) | 1 << w
         index = {s: c for c, s in enumerate(classes)}
         pi = tuple(index[s] for s in sig)
-        names = sorted(f.name for f in truth if isinstance(f, Var))
+        names = sorted({f.name for f in nodes if f.__class__ is Var})
         qval = {name: _push_mask(m.valuation[name], pi) for name in names}
         read = _Read(sigma, dict(m.valuation), truth, order, sig, pi, list(classes.values()), qval, nodes=nodes)
         # the read holds its Sigma, so the id key stays that object's; a
@@ -305,7 +321,7 @@ def greatest_filtration(m: NModel, sigma: Iterable[Formula]) -> FiltrationResult
     read and shared; each call returns a new model with its own copy
     of the valuation.
     """
-    sigma = frozenset(sigma)
+    sigma = _frozen(sigma)
     read = _greatest_read(m, sigma)
     # a copy: a caller may change the quotient's valuation in place
     return FiltrationResult(NModel(read.frame, dict(read.qval)), read.pi, sigma)
@@ -408,23 +424,22 @@ def filtration_theorem_check(m: NModel, r: FiltrationResult) -> tuple[Formula, i
     read's nodes.
     """
     read = _shared_read(m, r)
+    members = _transpose([1 << c for c in r.pi], r.classes()) if read is None else read.members
+    try:
+        truth = (read or _partition(m, r.sigma)).truth
+        source = lambda f: truth[id(f)]
+    except (TypeError, ValueError):
+        # evaluated formula by formula, the errors come in show order
+        source = formula_evaluator(m)
     target = formula_evaluator(r.quotient)
     if read is not None:
-        members, source = read.members, read.truth.__getitem__
         q = r.quotient
         # the quotient walked over the read's nodes at once, if it can be
         try:
-            truth = _truths(q.frame.poset, q.frame.ntable, q.valuation, read.nodes, {})
-            target = lambda f: truth[id(f)]
+            qtruth = _truths(q.frame.poset, q.frame.ntable, q.valuation, read.nodes, {})
+            target = lambda f: qtruth[id(f)]
         except _Unevaluable:
             pass
-    else:
-        members = _transpose([1 << c for c in r.pi], r.classes())
-        try:
-            source = _partition(m, r.sigma).truth.__getitem__
-        except (TypeError, ValueError):
-            # evaluated formula by formula, the errors come in show order
-            source = formula_evaluator(m)
     # collecting every failure first spares the show order when none occurs
     failures: dict[Formula, tuple[Formula, int] | ValueError] = {}
     for f in r.sigma:
@@ -466,11 +481,11 @@ def greatest_among(m: NModel, sigma: Iterable[Formula], other: FiltrationResult)
     bad = check_conditions(m, other)
     if bad is not None:
         raise ValueError(f"not a filtration: condition ({bad[0]}) fails at {bad[1]}")
-    sigma = frozenset(sigma)
+    sigma = _frozen(sigma)
     # check_conditions has read other.sigma; an equal Sigma has its classes
     read = _partition(m, other.sigma, require_closed=sigma is other.sigma)
     if sigma is not other.sigma:
-        _require_closed(sigma)
+        _require_closed(sigma, _walk(sigma))
     if sigma == other.sigma and other.pi == read.pi:
         return True
     raise ValueError("projection mismatch: same model and sigma expected")
@@ -495,14 +510,14 @@ def enumerate_filtrations(m: NModel, sigma: Iterable[Formula]) -> list[Filtratio
     bound elsewhere. Exponential by nature: meant for models of a
     handful of worlds.
     """
-    sigma = frozenset(sigma)
+    sigma = _frozen(sigma)
     read = _greatest_read(m, sigma)
     pi = read.pi
     k = len(read.members)
     floor = [1 << c for c in range(k)]
     for w in range(m.frame.n):
         floor[pi[w]] |= _push_mask(m.frame.poset.up[w], pi)
-    forced = {_push_mask(read.truth[f.sub], pi) for f in sigma if isinstance(f, Neg)}
+    forced = {x for _, x, _ in read.neg_args}
     # one copy of the valuation, which the results share
     qval = dict(read.qval)
     out: list[FiltrationResult] = []

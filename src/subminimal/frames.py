@@ -83,11 +83,13 @@ from subminimal.syntax import (
     Or,
     Top,
     Var,
+    _PROP,
+    _first,
     _postorder,
+    _walk,
     compile_prop,
     compiled,
     subformulas,
-    variables,
 )
 
 
@@ -404,7 +406,9 @@ class NModel:
 
     ``_reads`` keeps what the filtration functions read of a Sigma on
     this model (filtration._partition), so the calls on one model read
-    each Sigma once; it stays out of ==, hash and repr.
+    each Sigma once; it stays out of ==, hash and repr, and out of
+    pickles and copies, since it is keyed by the ids of objects that
+    only this model's process and its Sigmas keep alive.
     """
 
     frame: NFrame
@@ -419,6 +423,9 @@ class NModel:
     @functools.cached_property
     def _reads(self) -> dict:
         return {}
+
+    def __reduce__(self) -> tuple:
+        return NModel, (self.frame, self.valuation)
 
 
 class _Unevaluable(Exception):
@@ -437,17 +444,17 @@ def truth_sets(m: NModel, formulas: Collection[Formula]) -> dict[Formula, int]:
     entry. For one formula these are the errors of compiling it and
     running the kernel.
     """
-    return _truth_dict(m, formulas, _postorder(formulas))
+    order = _walk(formulas)
+    return dict(zip(order, map(_truth_by_id(m, formulas, order).__getitem__, map(id, order))))
 
 
-def _truth_dict(m: NModel, formulas: Collection[Formula], order: list[Formula]) -> dict[Formula, int]:
-    """truth_sets of the formulas, given their nodes in the order of
-    syntax._postorder, which a caller that walks them again keeps."""
+def _truth_by_id(m: NModel, formulas: Collection[Formula], order: Sequence[Formula]) -> dict[int, int]:
+    """truth_sets of the formulas keyed by node id, over order, their
+    walk (syntax._walk), with truth_sets' errors."""
     try:
-        truth = _truths(m.frame.poset, m.frame.ntable, m.valuation, order, {})
+        return _truths(m.frame.poset, m.frame.ntable, m.valuation, order, {})
     except _Unevaluable:
-        raise _truth_error(m, formulas) from None
-    return dict(zip(order, map(truth.__getitem__, map(id, order))))
+        raise _truth_error(m, formulas, order) from None
 
 
 def formula_evaluator(m: NModel) -> Callable[[Formula], int]:
@@ -465,7 +472,7 @@ def formula_evaluator(m: NModel) -> Callable[[Formula], int]:
             try:
                 _truths(p, ntable, valuation, order, truth)
             except _Unevaluable:
-                raise _truth_error(m, (f,)) from None
+                raise _truth_error(m, (f,), subformulas(f)) from None
         return truth[id(f)]
 
     return evaluate
@@ -519,17 +526,21 @@ def _truths(
     return truth
 
 
-def _truth_error(m: NModel, formulas: Collection[Formula]) -> Exception:
-    """The error of a truth walk that met an unevaluable node."""
-    names = {x for f in formulas for x in variables(f)}
-    missing = sorted(names - m.valuation.keys())
+def _truth_error(m: NModel, formulas: Collection[Formula], order: Sequence[Formula]) -> Exception:
+    """The error of a truth walk over order, the formulas' walk, that
+    met an unevaluable node, read off that walk: only the first formula
+    holding a modal node, if any, is compiled, over the valued names,
+    which then hold all of its own."""
+    missing = {f.name for f in order if f.__class__ is Var} - m.valuation.keys()
     if missing:
-        return ValueError(f"model does not value variable {missing[0]}")
+        return ValueError(f"model does not value variable {min(missing)}")
+    first = _first(order, lambda g: g.__class__ not in _PROP)
     for f in formulas:
-        try:
-            compile_prop(f, sorted(names))
-        except (TypeError, ValueError) as exc:
-            return exc
+        if first[id(f)]:
+            try:
+                compile_prop(f, tuple(m.valuation))
+            except (TypeError, ValueError) as exc:
+                return exc
     return ValueError("evaluation hit an undefined negation entry")
 
 

@@ -21,7 +21,10 @@ objects children first, left operand first, built on one explicit
 stack (_postorder) and keyed by id, so a formula of any depth hashes,
 compares, prints, compiles and evaluates. A parse keeps the order it
 built its nodes in, which is that order, and so skips that walk
-(tests/test_syntax.py checks that the two agree). repr, copy.deepcopy and
+(tests/test_syntax.py checks that the two agree). A subformula closure
+from filtration.close_sigma (_Closure) keeps the walk of the formulas
+it closes, taken from their kept orders, and every walk of that Sigma
+(_walk) reads it instead of building one. repr, copy.deepcopy and
 pickle are the standard library's and still recurse.
 
 Nodes are frozen dataclasses whose == runs on a stack of pairs and
@@ -221,15 +224,15 @@ def subformulas(formula: Formula) -> tuple[Formula, ...]:
     return order
 
 
-def _first(order: Sequence[Formula], failing: Callable[[Formula], bool]) -> tuple[Formula, ...]:
-    """(node,) for the first node of order[-1] in entry order that
-    failing holds for, else (): a node's first is itself, else its left
-    operand's, else its right operand's."""
+def _first(order: Iterable[Formula], failing: Callable[[Formula], bool]) -> dict[int, tuple[Formula, ...]]:
+    """For each node of order, a walk, keyed by id: (node,) for its
+    first node in entry order that failing holds for, else (); a node's
+    first is itself, else its left operand's, else its right operand's."""
     first: dict[int, tuple[Formula, ...]] = {}
     for f in order:
         below = (first[id(c)] for c in _children(f))
         first[id(f)] = (f,) if failing(f) else next(filter(None, below), ())
-    return first[id(order[-1])]
+    return first
 
 
 def _fold(order: Iterable[Formula], ops: dict, value: dict) -> dict:
@@ -406,14 +409,47 @@ def subformula_closure(formula: Formula) -> frozenset[Formula]:
     return frozenset(subformulas(formula))
 
 
-def _require_closed(sigma: frozenset[Formula]) -> None:
-    # a set holding the direct subformulas of each member holds all
+class _Closure(frozenset):
+    """A subformula-closed set that keeps ``walk``: the nodes of the
+    formulas it was closed from, each object once, children first, the
+    subformulas orders of those formulas in turn. Its members are among
+    them, so a walk of the set reads it (_walk). It iterates as the
+    plain frozenset of the same construction, and pickles and copies as
+    a plain frozenset, leaving the walk behind."""
+
+    __slots__ = ("walk",)
+
+    def __reduce__(self) -> tuple:
+        return frozenset, (tuple(self),)
+
+
+def _walk(formulas: Iterable[Formula]) -> Sequence[Formula]:
+    """The nodes of the formulas, each object once, children first: a
+    closure's kept walk, else _postorder's."""
+    return formulas.walk if formulas.__class__ is _Closure else _postorder(formulas)
+
+
+def _frozen(formulas: Iterable[Formula]) -> frozenset[Formula]:
+    """The formulas as a frozenset: one already, such as a closure with
+    its walk, is not copied."""
+    return formulas if isinstance(formulas, frozenset) else frozenset(formulas)
+
+
+def _require_closed(sigma: frozenset[Formula], walk: Sequence[Formula]) -> None:
+    """Raise unless sigma holds the direct subformulas of each member,
+    and so all; walk is _walk(sigma). Sigma is closed exactly when every
+    member is a node of the walk and every node is in sigma: a node that
+    is a member object passes by its id, any other is looked up. On a
+    failure the member loop names the first member, in sigma's order,
+    that misses a direct subformula."""
+    ids = set(map(id, sigma))
+    others = [f for f in walk if id(f) not in ids]
+    if len(walk) - len(others) == len(ids) and all(map(sigma.__contains__, others)):
+        return
     for f in sigma:
         for sub in _children(f):
             if sub not in sigma:
-                raise ValueError(
-                    f"sigma is not subformula-closed: {show(f)} needs {show(sub)}"
-                )
+                raise ValueError(f"sigma is not subformula-closed: {show(f)} needs {show(sub)}")
 
 
 def variables(formula: Formula) -> tuple[str, ...]:
@@ -461,7 +497,7 @@ def godel_translate(formula: Formula) -> Formula:
     order = subformulas(formula)
 
     def fail(f: Formula) -> None:
-        for bad in _first(order, lambda g: g.__class__ not in _PROP):
+        for bad in _first(order, lambda g: g.__class__ not in _PROP)[id(formula)]:
             raise ValueError(f"not a propositional formula: {show(bad)}")
 
     ops = {Var: Box, Top: lambda f: Top(), And: And, Or: Or, Imp: lambda a, b: Box(Imp(a, b)), Neg: BBox}
@@ -504,41 +540,7 @@ def chain_axioms(logic: Logic) -> tuple[Formula, ...]:
 
 
 # --------------------------------------------------------------------------
-# random formulas and kernel compilation
-
-
-def random_formula(rng, names: Sequence[str], max_depth: int, language: str = "prop") -> Formula:
-    """Draw a formula over the given variable names.
-
-    rng is a random.Random. Leaves are variables or constants; the
-    connective set follows the language. Nodes are drawn in entry
-    order, left operand first, from a stack of depth budgets, with a
-    node's kind under the budgets of its operands.
-    """
-    if language not in ("prop", "modal"):
-        raise ValueError(f"unknown language: {language!r}")
-    modal = language == "modal"
-    kinds = ["and", "or", "imp"] + (["box", "bbox"] if modal else ["neg"])
-    built: list[Formula] = []
-    todo: list = [max_depth]
-    while todo:
-        item = todo.pop()
-        if isinstance(item, type):
-            sub = built.pop()
-            built.append(item(sub) if item in _UNARY else item(built.pop(), sub))
-        elif item <= 0 or rng.random() < 0.2:
-            leaves: list[Formula] = [Var(name) for name in names]
-            leaves.append(Top())
-            if modal:
-                leaves.append(Bot())
-            built.append(rng.choice(leaves))
-        else:
-            kind = _NAMED[rng.choice(kinds)]
-            todo += (kind, item - 1) if kind in _UNARY else (kind, item - 1, item - 1)
-    return built[0]
-
-
-_NAMED = {"and": And, "or": Or, "imp": Imp, "neg": Neg, "box": Box, "bbox": BBox}
+# kernel compilation
 
 
 def compile_prop(formula: Formula, var_order: Sequence[str]) -> tuple[int, ...]:
@@ -626,7 +628,7 @@ def _compile(formula: Formula, index: dict[str, int], modal: bool, grow: bool) -
             key = (OP_VAR, index.setdefault(f.name, len(index)), 0)
         elif kind not in opcodes:
             for bad in _first(order, lambda g: g.__class__ not in opcodes and not (
-                    g.__class__ is Var and (grow or g.name in index))):
+                    g.__class__ is Var and (grow or g.name in index)))[id(formula)]:
                 if bad.__class__ is Var:
                     raise ValueError(f"variable not in the compilation order: {bad.name}")
                 if bad.__class__ not in _KINDS:

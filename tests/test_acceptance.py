@@ -70,8 +70,8 @@ from subminimal.syntax import (
     AXIOM_NEF,
     LOGICS,
     parse,
-    random_formula,
 )
+from syntax_helpers import random_formula
 
 
 def _report(number, label, started):

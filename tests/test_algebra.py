@@ -55,7 +55,8 @@ from subminimal.frames import (
     random_poset,
     truth_sets,
 )
-from subminimal.syntax import And, Box, Neg, Var, parse, random_formula, variables
+from subminimal.syntax import And, Box, Neg, Var, parse, variables
+from syntax_helpers import random_formula
 
 CHAIN = Poset.from_pairs(2, [(0, 1)])
 CHAIN_FRAME = NFrame(CHAIN, ntable_from_upset_map(CHAIN, {0: 0, 2: 2, 3: 2}))

@@ -1,15 +1,18 @@
 """Filtration construction, its defining conditions, and decide()."""
 
 import collections
+import copy
 import dataclasses
 import itertools
+import pickle
 import random
 
 import pytest
 
 import filtration_reference as ref
 from conftest import outcome
-from subminimal import filtration
+from subminimal import filtration, frames, syntax
+from subminimal.algebra import algebra_corpus, least_filtration_correspondence, sublattice_filtration
 from subminimal.filtration import (
     FiltrationResult,
     ResourceLimitError,
@@ -42,10 +45,10 @@ from subminimal.syntax import (
     AXIOM_N,
     And,
     parse,
-    random_formula,
+    subformula_closure,
     variables,
 )
-from syntax_helpers import substitute
+from syntax_helpers import random_formula, substitute
 
 
 def fork_model():
@@ -557,13 +560,13 @@ def test_one_source_read_per_model_and_sigma(monkeypatch):
     # a frozen counter: one filtrate-style item per (model, Sigma) pair
     # reads Sigma on its model once, however many calls share the read
     reads = []
-    real = filtration._truth_dict
+    real = filtration._truth_by_id
 
     def counting(m, formulas, order):
         reads.append((m, formulas))
         return real(m, formulas, order)
 
-    monkeypatch.setattr(filtration, "_truth_dict", counting)
+    monkeypatch.setattr(filtration, "_truth_by_id", counting)
     fork = fork_model()
     chain = model_from_dict(
         {"worlds": 3, "leq": [[0, 1], [1, 2]], "N": {"0": 7, "4": 6, "6": 4, "7": 0}, "valuation": {"p": 6, "q": 4}}
@@ -589,7 +592,7 @@ def test_orders_are_decided_once_per_read_and_order(monkeypatch):
     # and Sigma is still read once per pair of model and Sigma
     reads = []
     decided = []
-    real_truth, real_order = filtration._truth_dict, filtration._order_witness
+    real_truth, real_order = filtration._truth_by_id, filtration._order_witness
 
     def counting_truth(m, formulas, order):
         reads.append((m, formulas))
@@ -599,7 +602,7 @@ def test_orders_are_decided_once_per_read_and_order(monkeypatch):
         decided.append(tuple(up))
         return real_order(source_up, pi, members, sig, order, up)
 
-    monkeypatch.setattr(filtration, "_truth_dict", counting_truth)
+    monkeypatch.setattr(filtration, "_truth_by_id", counting_truth)
     monkeypatch.setattr(filtration, "_order_witness", counting_order)
     fork = fork_model()
     chain = model_from_dict(
@@ -767,3 +770,182 @@ def test_a_read_made_for_another_projection_is_never_kept():
             greatest_among(m, sigma, r)
     assert [(key, id(read)) for key, read in m._reads.items()] == [(key, id(read)) for key, read in kept]
     assert list(m._reads[id(sigma)].orders) == orders
+
+
+# --------------------------------------------------------------------------
+# the walk close_sigma keeps against a plain frozenset of the same Sigma
+
+
+def _sigma_formulas(rng):
+    """Formula lists to close: parsed ones (one Var per name, <->, ~),
+    random_formula ones (no node shared) and several at once."""
+    texts = ["(p <-> q) -> (~q <-> ~p)", "~(p -> ~p) | ~~p", "(p & ~p) -> ~q", "~T & ~(q | p)", "~p"]
+    out = [[parse(t)] for t in texts]
+    out += [[parse(a), parse(b)] for a, b in zip(texts, texts[1:])]
+    out += [[random_formula(rng, ("p", "q"), 3)] for _ in range(30)]
+    out += [[random_formula(rng, ("p", "q"), 3) for _ in range(3)] for _ in range(15)]
+    return out
+
+
+def _as_before(formulas):
+    """close_sigma as it was built before it kept a walk."""
+    out = set()
+    for f in formulas:
+        out |= subformula_closure(f)
+    return frozenset(out)
+
+
+def _candidates(rng, m, sigma):
+    """The greatest filtration and candidates against it that reach every
+    witness of check_conditions, each with Sigma as given."""
+    g = greatest_filtration(m, sigma)
+    out = [g, *_on_other_orders(g), *_relabeled(g), _with_an_empty_class(g)]
+    out += [_corrupted(rng, g) for _ in range(3 * (g.classes() >= 2))]
+    if g.classes() <= 2:
+        out += enumerate_filtrations(m, sigma)
+    return out
+
+
+def _answers(m, sigma, candidates):
+    """Every answer and witness the filtration layer gives on the
+    candidates, each carrying sigma: the greatest filtration, the
+    enumerated ones on at most two classes, and per candidate its
+    check_conditions, theorem check and greatest_among outcomes."""
+    g = greatest_filtration(m, sigma)
+    every = [_key(r) for r in enumerate_filtrations(m, sigma)] if g.classes() <= 2 else None
+    checks = [_all_three(m, sigma, dataclasses.replace(r, sigma=sigma)) for r in candidates]
+    return _key(g), every, checks
+
+
+def test_a_kept_walk_moves_no_answer_witness_or_error():
+    rng = random.Random(49)
+    kinds = collections.Counter()
+    corpus = algebra_corpus(2)
+    for formulas in _sigma_formulas(rng):
+        sigma = close_sigma(formulas)
+        plain = frozenset(sigma)
+        before = _as_before(formulas)
+        assert type(sigma) is not frozenset and type(plain) is type(before) is frozenset
+        # the same members, the same objects, in the same order
+        assert [id(f) for f in sigma] == [id(f) for f in plain] == [id(f) for f in before]
+        for _ in range(6):
+            m = random_model(rng, max_worlds=3)
+            twin = NModel(m.frame, dict(m.valuation))
+            candidates = _candidates(random.Random(rng.random()), m, sigma)
+            got = _answers(m, sigma, candidates)
+            assert got == _answers(twin, plain, candidates)
+            for (_, hit), _, _ in got[2]:
+                kinds[None if hit is None else hit[0]] += 1
+        for _ in range(2):
+            a = rng.choice(corpus)
+            mu = {"p": rng.randrange(a.size), "q": rng.randrange(a.size)}
+            for fn in (least_filtration_correspondence, sublattice_filtration):
+                assert outcome(fn, a, mu, sigma) == outcome(fn, a, mu, plain)
+    assert set(kinds) == {None, "onto", "a", "b", "c", "d", "v"}
+
+
+def test_a_kept_walk_raises_the_errors_of_a_plain_sigma():
+    m = fork_model()  # values p alone
+    open_sigma = frozenset(close_sigma([parse("~p -> ~~p")]) - {parse("~p")})
+    cases = [
+        (open_sigma, "sigma is not subformula-closed: "),
+        (close_sigma([parse("~p | q")]), "model does not value variable q"),
+        (close_sigma([parse("[]p -> p", "modal")]), "box in a propositional compilation"),
+    ]
+    for sigma, message in cases:
+        # the first member missing a subformula follows Sigma's order
+        want = outcome(ref.greatest_filtration, m, sigma)
+        assert want[0] == "ValueError" and want[1].startswith(message)
+        for s in (sigma, frozenset(sigma)):
+            for fn in (greatest_filtration, enumerate_filtrations):
+                assert outcome(fn, m, s) == want
+
+
+def _count_walks(monkeypatch):
+    """The node counts of every syntax._postorder walk from here on."""
+    walked = []
+    real = syntax._postorder
+
+    def counting(formulas, seen=()):
+        order = real(formulas, seen)
+        walked.append(len(order))
+        return order
+
+    for module in (syntax, frames):
+        monkeypatch.setattr(module, "_postorder", counting)
+    return walked
+
+
+def test_a_kept_walk_is_read_without_walking_sigma_again(monkeypatch):
+    m = fork_model()
+    sigma = close_sigma([parse("~(p -> ~p) | ~~p"), parse("~p & (p -> p)")])
+    walked = _count_walks(monkeypatch)
+    r = greatest_filtration(m, sigma)
+    assert check_conditions(m, r) is None
+    assert filtration_theorem_check(m, r) is None
+    assert all(greatest_among(m, sigma, f) for f in enumerate_filtrations(m, sigma))
+    assert walked == []
+    # a plain frozenset is walked once per read
+    plain = frozenset(sigma)
+    assert filtration_theorem_check(m, greatest_filtration(m, plain)) is None
+    assert len(walked) == 1
+
+
+def test_sigma_errors_and_names_cost_one_walk(monkeypatch):
+    # a flat p & ... & p & q: walking each member apart, or compiling
+    # each, costs |Sigma|^2 / 2 nodes; reading the names and the first
+    # failing formula off one walk costs |Sigma|. Each Sigma is parsed
+    # anew, since a walked member keeps its order.
+    n = 400
+    walked = _count_walks(monkeypatch)
+    compiles = []
+    real_compile = frames.compile_prop
+    monkeypatch.setattr(frames, "compile_prop", lambda f, names: compiles.append(f) or real_compile(f, names))
+    m = fork_model()
+
+    def sigmas(text, language="prop"):
+        return close_sigma([parse(text, language)]), frozenset(close_sigma([parse(text, language)]))
+
+    cases = [
+        ("model does not value variable q", sigmas(" & ".join(["p"] * n + ["q"]))),
+        ("box in a propositional compilation", sigmas(" & ".join(["p"] * n + ["[]p"]), "modal")),
+    ]
+    for message, both in cases:
+        for s in both:
+            walked.clear()
+            compiles.clear()
+            with pytest.raises(ValueError, match=message):
+                greatest_filtration(m, s)
+            assert sum(walked) <= 2 * len(s) and len(compiles) <= 1
+    a = algebra_corpus(2)[3]
+    flat = " & ".join(["p"] * n)
+    want = outcome(sublattice_filtration, a, {"p": 1}, close_sigma([parse(flat)]))
+    assert want[0] == "ok"
+    for fn, expected in ((sublattice_filtration, want), (least_filtration_correspondence, ("ok", True))):
+        for s in sigmas(flat):
+            walked.clear()
+            assert outcome(fn, a, {"p": 1}, s) == expected
+            assert sum(walked) <= 3 * len(s)
+
+
+def test_a_kept_walk_stays_out_of_pickles_and_copies():
+    sigma = close_sigma([parse("~p -> ~~p"), parse("p & ~T")])
+    r = greatest_filtration(fork_model(), sigma)
+    for other in (pickle.loads(pickle.dumps(sigma)), copy.copy(sigma), copy.deepcopy(sigma)):
+        assert type(other) is frozenset and other == sigma
+    for other in (pickle.loads(pickle.dumps(r)), copy.deepcopy(r)):
+        assert type(other.sigma) is frozenset and _key(other) == _key(r)
+    # a shallow copy shares its fields, so the Sigma object and its read
+    assert copy.copy(r).sigma is sigma
+
+
+def test_a_model_pickles_and_copies_without_its_reads():
+    # the reads are keyed by the ids of Sigma objects and their nodes,
+    # which mean nothing in another model or process
+    m = fork_model()
+    sigma = close_sigma([parse("~p -> ~~p")])
+    want = _key(greatest_filtration(m, sigma))
+    for other in (pickle.loads(pickle.dumps(m)), copy.copy(m), copy.deepcopy(m)):
+        assert "_reads" not in vars(other)
+        assert (other.frame, dict(other.valuation)) == (m.frame, dict(m.valuation))
+        assert _key(greatest_filtration(other, sigma)) == want

@@ -76,10 +76,10 @@ from subminimal.syntax import (
     Neg,
     compiled,
     parse,
-    random_formula,
     show,
     subformula_closure,
 )
+from syntax_helpers import random_formula
 
 CHAIN2 = Poset(2, (3, 2))
 LAWFUL2 = ntable_from_upset_map(CHAIN2, {0: 2, 2: 3, 3: 2})

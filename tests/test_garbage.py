@@ -159,7 +159,10 @@ CASES = {
     "truth_sets": _on_a_fresh_model(truth_sets),
     "eval_formula": lambda: (eval_formula, (fork_model(), FORMULA)),
     "formula_evaluator": lambda: (lambda m: formula_evaluator(m)(FORMULA), (fork_model(),)),
+    "close_sigma": lambda: (close_sigma, ([FORMULA],)),
+    "close_sigma_of_several": lambda: (close_sigma, ([FORMULA, parse("~p -> q")],)),
     "greatest_filtration": _on_a_fresh_model(greatest_filtration),
+    "greatest_filtration_plain_sigma": lambda: (greatest_filtration, (fork_model(), frozenset(SIGMA))),
     "enumerate_filtrations": _on_a_fresh_model(enumerate_filtrations),
     "check_conditions": _on_the_greatest_filtration(check_conditions),
     "filtration_theorem_check": _on_the_greatest_filtration(filtration_theorem_check),
@@ -169,6 +172,10 @@ CASES = {
     "cli_decide": _cli_decide,
     "duality_check_topframe": lambda: (duality_check, (enumerate_topframes(CHAIN2)[-1],)),
     "duality_check_algebra": lambda: (duality_check, (upset_algebra(chain_frame()),)),
+    "least_filtration_correspondence_plain_sigma": lambda: (
+        least_filtration_correspondence,
+        (upset_algebra(chain_frame()), {"p": 1, "q": 2}, frozenset(SIGMA)),
+    ),
     "least_filtration_correspondence": lambda: (
         least_filtration_correspondence,
         (upset_algebra(chain_frame()), {"p": 1, "q": 2}, SIGMA),

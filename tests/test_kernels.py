@@ -49,10 +49,9 @@ from subminimal.syntax import (
     compile_prop,
     godel_translate,
     parse,
-    random_formula,
     variables,
 )
-from syntax_helpers import substitute
+from syntax_helpers import random_formula, substitute
 
 # one implementation; the ids keep the [pure] suffix the kernel tests
 # have always carried, so their history stays comparable

@@ -53,7 +53,8 @@ from subminimal.modal import (
     translation_gap_search,
     translation_preservation,
 )
-from subminimal.syntax import AXIOM_N, godel_translate, parse, random_formula
+from subminimal.syntax import AXIOM_N, godel_translate, parse
+from syntax_helpers import random_formula
 
 CHAIN = Poset.from_pairs(2, [(0, 1)])
 SEPARATING = NFrame(CHAIN, ntable_from_upset_map(CHAIN, {0: 2, 2: 3, 3: 2}))

@@ -18,7 +18,8 @@ from subminimal.modal import (
     check_proof,
     proof_from_list,
 )
-from subminimal.syntax import And, BBox, Box, Imp, Or, Top, Var, parse, random_formula
+from subminimal.syntax import And, BBox, Box, Imp, Or, Top, Var, parse
+from syntax_helpers import random_formula
 
 FIXTURES = [
     ("proof_cong.json", "ns4"),

@@ -37,7 +37,6 @@ from subminimal.syntax import (
     godel_translate,
     is_instance_of,
     parse,
-    random_formula,
     show,
     subformula_closure,
     subformulas,
@@ -54,7 +53,7 @@ from subminimal.modal import (
     check_proof,
     translation_preservation,
 )
-from syntax_helpers import substitute
+from syntax_helpers import random_formula, substitute
 
 
 def test_atoms_and_constants():
