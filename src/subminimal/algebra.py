@@ -80,6 +80,7 @@ from subminimal.syntax import (
     _require_closed,
     _walk,
     show,
+    subformulas,
 )
 
 
@@ -479,18 +480,19 @@ def algebra_eval(a: NAlgebra, mu: Mapping[str, int], f: Formula) -> int:
     first missing variable, or the first modal node, is the one
     reported, as the recursive definition would meet it.
     """
-    return _algebra_values(a, mu, (f,))[0]
+    return _algebra_values(a, mu, (f,), subformulas(f))[0]
 
 
-def _algebra_values(a: NAlgebra, mu: Mapping[str, int], formulas: Collection[Formula]) -> list[int]:
+def _algebra_values(
+    a: NAlgebra, mu: Mapping[str, int], formulas: Collection[Formula], order: Sequence[Formula]
+) -> list[int]:
     """algebra_eval of each formula in iteration order, from one loop
-    over their walk (syntax._walk) whose memory keys each node by id,
-    as frames.truth_sets does. When a node fails, the first formula
-    holding a failing node raises at its first failing node in entry
-    order."""
+    over order, their walk (syntax._walk), whose memory keys each node
+    by id, as frames.truth_sets does. When a node fails, the first
+    formula holding a failing node raises at its first failing node in
+    entry order."""
     value: dict[int, int] = {}
     tables = {And: a.meet, Or: a.join, Imp: a.imp}
-    order = _walk(formulas)
     for g in order:
         kind = g.__class__
         if kind in tables:
@@ -553,6 +555,13 @@ def general_algebraic_filtration(
     Tables where no universe element qualifies raise ValueError.
     """
     sigma = _frozen(sigma)
+    return _filtration_through(a, mu, sigma, _walk(sigma), carrier)
+
+
+def _filtration_through(
+    a: NAlgebra, mu: Mapping[str, int], sigma: frozenset[Formula], walk: Sequence[Formula], carrier: Iterable[int]
+) -> AlgebraicFiltration:
+    """general_algebraic_filtration over walk, Sigma's walk (syntax._walk)."""
     elements = sorted(set(carrier))
     if not elements:
         raise ValueError("empty universe")
@@ -565,7 +574,7 @@ def general_algebraic_filtration(
         for y in elements:
             if a.meet[x][y] not in inside or a.join[x][y] not in inside:
                 raise ValueError("universe is not a sublattice")
-    for f, v in zip(sigma, _algebra_values(a, mu, sigma)):
+    for f, v in zip(sigma, _algebra_values(a, mu, sigma, walk)):
         if v not in inside:
             raise ValueError(f"universe misses the value of {show(f)}")
     index = {x: i for i, x in enumerate(elements)}
@@ -597,7 +606,7 @@ def general_algebraic_filtration(
                 acc = s if acc is None else a.join[acc][s]
         neg_row.append(index[acc if acc is not None else least])
     small = NAlgebra(k, meet, join, tuple(imp_rows), tuple(neg_row), index[a.one])
-    names = sorted({f.name for f in _walk(sigma) if f.__class__ is Var})
+    names = sorted({f.name for f in walk if f.__class__ is Var})
     mu_small = {
         name: index[mu[name]] for name in names if name in mu and mu[name] in index
     }
@@ -613,8 +622,8 @@ def sublattice_filtration(
     embeds into every general_algebraic_filtration over the same data.
     """
     sigma = _frozen(sigma)
-    values = _algebra_values(a, mu, sigma)
-    return general_algebraic_filtration(a, mu, sigma, _lattice_closure(a, values))
+    walk = _walk(sigma)
+    return _filtration_through(a, mu, sigma, walk, _lattice_closure(a, _algebra_values(a, mu, sigma, walk)))
 
 
 def least_filtration_correspondence(
@@ -645,10 +654,10 @@ def least_filtration_correspondence(
     after which its Var members are all the variables it holds.
     """
     sigma = _frozen(sigma)
-    carrier = sum(1 << x for x in _lattice_closure(a, _algebra_values(a, mu, sigma)))
+    walk = _walk(sigma)
+    carrier = sum(1 << x for x in _lattice_closure(a, _algebra_values(a, mu, sigma, walk)))
     tf = a._duality
     filters, hats = a._reduct.filters, a._reduct.hats
-    walk = _walk(sigma)
     _require_closed(sigma, walk)
     m = NModel(tf.to_nframe(), {f.name: hats[mu[f.name]] for f in sigma if isinstance(f, Var)})
     # truth_sets' walk, which by (b) meets no undefined entry

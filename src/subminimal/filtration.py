@@ -99,7 +99,7 @@ class ResourceLimitError(RuntimeError):
 def close_sigma(formulas: Iterable[Formula]) -> frozenset[Formula]:
     """Subformula closure of a set of formulas, a syntax._Closure that
     keeps their walk: the kept subformulas order of each in turn, each
-    node object once."""
+    subformula once."""
     out: set[Formula] = set()
     orders = []
     for f in formulas:

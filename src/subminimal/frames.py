@@ -496,9 +496,8 @@ def _truths(
     model's own, or the lift's, see modal.translation_preservation).
     Raises _Unevaluable at the first node those cannot evaluate. The
     caller keeps the nodes alive while truth lives, so their ids stay
-    theirs. A shared node object is evaluated once; equal nodes that
-    are distinct objects are evaluated apart, which costs less than
-    hashing every node of a fresh tree."""
+    theirs. A subformula is one node however often it occurs
+    (syntax), so it is evaluated once."""
     n, up, full = p.n, p.up, (1 << p.n) - 1
     for f in order:
         kind = f.__class__

@@ -14,38 +14,47 @@ only for inputs that already use minimal parentheses and no <->.
 The parser reads the tokens of one regex findall by precedence
 climbing. It alone recurses on formula structure: two frames per
 parenthesis, one per prefix operator and per right-nested -> or <->
-(& and | chains are read in a loop). A parse shares one Var per name.
+(& and | chains are read in a loop).
 
-Every other walk is a loop over ``subformulas``, the distinct node
-objects children first, left operand first, built on one explicit
-stack (_postorder) and keyed by id, so a formula of any depth hashes,
-compares, prints, compiles and evaluates. A parse keeps the order it
-built its nodes in, which is that order, and so skips that walk
+There is one object per distinct formula (hash-consing): each node
+class builds its nodes, from their fields in order and not by keyword
+(Var("p"), And(a, b)), through one __new__, which looks the node up in
+_NODES by its class and name, or its class and the ids of its
+operands, and returns the live node if there is one. The table holds
+weak references, so a node's entry goes when reference counting frees
+the node, and a new node takes its hash at construction, the value the
+plain dataclass hash gives, so sets and dicts of formulas iterate as
+they would with it. So == is identity and a lookup costs one hash;
+copy.copy and copy.deepcopy return the node itself, and a pickle holds
+the operands and loads through the constructor, as the node. The table
+takes no lock: two threads building the same new formula at once may
+make two objects of it, so build formulas from one thread.
+
+Every other walk is a loop over ``subformulas``, the subformulas of a
+formula, children first, left operand first, each node once, built on
+one explicit stack (_postorder) and keyed by id, so a formula of any
+depth prints, compiles and evaluates. A parse keeps the order it built
+its nodes in, which is that order, and so skips that walk
 (tests/test_syntax.py checks that the two agree). A subformula closure
 from filtration.close_sigma (_Closure) keeps the walk of the formulas
 it closes, taken from their kept orders, and every walk of that Sigma
-(_walk) reads it instead of building one. repr, copy.deepcopy and
-pickle are the standard library's and still recurse.
+(_walk) reads it instead of building one. repr and pickle are the
+standard library's and still recurse.
 
-Nodes are frozen dataclasses whose == runs on a stack of pairs and
-whose first hash computes the dataclass value (after the subformulas'
-hashes, so sets and dicts iterate as with the plain dataclass hash)
-and keeps it in a slot. The slot ``_code`` keeps the subformula order
-without the node itself (no reference cycle), the sorted variable
-names and the prop and modal kernel code, each filled on the first
-compilation that succeeds in its language. Both slots are filled
-lazily and are no fields: they stay out of ==, repr, copies and
-pickles.
+The slot ``_code`` keeps the subformula order without the node itself
+(no reference cycle), the sorted variable names and the prop and modal
+kernel code, each filled on the first compilation that succeeds in its
+language. It is no field: it stays out of repr and pickles.
 
-Kernel code is value-numbered (kernels.ops): one instruction per
-distinct subformula, keyed by its opcode and operand slots, never by a
-node, so a subformula that occurs twice is evaluated once and no node
-is hashed.
+Kernel code has one instruction per subformula, in the order of
+subformulas (kernels.ops), so a subformula that occurs twice is
+evaluated once and no node is hashed.
 """
 
 from __future__ import annotations
 
 import re
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Collection, Iterable, Sequence
 
@@ -75,51 +84,63 @@ class ParseError(ValueError):
 _setattr = object.__setattr__
 
 
-class Formula:
-    """Base class for all formula nodes; holds the hash, code and order slots."""
+class _Ref(weakref.ref):
+    """A weak reference to a node that knows the node's key in _NODES."""
 
-    __slots__ = ("_hash", "_code")
+    __slots__ = ("key",)
+
+
+# every live node under its key: its class and name, or its class and
+# the ids of its operands, which it keeps alive while it lives
+_NODES: dict[tuple, _Ref] = {}
+
+
+def _drop(ref: _Ref) -> None:
+    """The callback of a dying node's reference: its entry goes, unless
+    a lookup that met the dead reference first gave the key a new node."""
+    if _NODES.get(ref.key) is ref:
+        del _NODES[ref.key]
+
+
+class Formula:
+    """Base class for all formula nodes; holds the hash and code slots."""
+
+    __slots__ = ("_hash", "_code", "__weakref__")
+
+    def __new__(cls, *fields: object) -> Formula:
+        key = (cls, *fields) if cls is Var else (cls, *map(id, fields))
+        ref = _NODES.get(key)
+        node = None if ref is None else ref()
+        if node is None:
+            node = object.__new__(cls)
+            # the dataclass hash value, so sets and dicts iterate as with it
+            _setattr(node, "_hash", hash(fields))
+            for name, value in zip(cls.__match_args__, fields):
+                _setattr(node, name, value)
+            ref = _NODES[key] = _Ref(node, _drop)
+            ref.key = key
+        return node
 
     def __hash__(self) -> int:
-        h = getattr(self, "_hash", None)
-        if h is None:
-            # the field hash reads the children's: hash below first, if need be
-            kids = _children(self)
-            if kids and None in (getattr(kids[0], "_hash", None), getattr(kids[-1], "_hash", None)):
-                for f in subformulas(self)[:-1]:
-                    if f.__class__ in _KINDS:
-                        _setattr(f, "_hash", f._field_hash())
-            h = self._field_hash()
-            _setattr(self, "_hash", h)
-        return h
+        return self._hash
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        if self.__class__ not in _INNER:
-            return self._fields_eq(other)
-        pairs = [(self, other)]
-        while pairs:
-            a, b = pairs.pop()
-            if a is b:  # as tuple == skips the same object
-                continue
-            if a.__class__ is b.__class__ and a.__class__ in _INNER:
-                pairs += zip(_children(a), _children(b))
-            elif not a == b:  # leaves, or no nodes
-                return False
-        return True
+    def __copy__(self) -> Formula:
+        return self
+
+    def __deepcopy__(self, memo: dict) -> Formula:
+        return self
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, tuple(getattr(self, name) for name in self.__match_args__)
 
     def __str__(self) -> str:
         return show(self)
 
 
 def _node(cls):
-    """A frozen slotted dataclass whose generated hash runs once per
-    node, behind Formula's cache, and whose == is Formula's."""
-    cls = dataclass(frozen=True, slots=True)(cls)
-    cls._field_hash, cls._fields_eq = cls.__hash__, cls.__eq__
-    cls.__hash__, cls.__eq__ = Formula.__hash__, Formula.__eq__
-    return cls
+    """A frozen slotted dataclass whose nodes Formula.__new__ interns,
+    with Formula's hash and identity for ==."""
+    return dataclass(frozen=True, slots=True, init=False, eq=False)(cls)
 
 
 @_node
@@ -172,8 +193,7 @@ class BBox(Formula):
 
 _BINARY = (And, Or, Imp)
 _UNARY = (Neg, Box, BBox)
-_INNER = frozenset(_BINARY + _UNARY)
-_KINDS = _INNER | {Var, Top, Bot}
+_KINDS = frozenset(_BINARY + _UNARY + (Var, Top, Bot))
 _PROP = frozenset((Var, Top, And, Or, Imp, Neg))
 
 
@@ -315,16 +335,16 @@ class _Parser:
     """Precedence climbing over the tokens, kept reversed behind an
     empty end marker so that the next token is tokens[-1]. ``made``
     lists the nodes as built, each after its operands, left before
-    right, a Var once: the order of the result's subformulas."""
+    right; a node built again is listed again, so each object at its
+    first place gives the order of the result's subformulas."""
 
-    __slots__ = ("text", "tokens", "count", "modal", "names", "made")
+    __slots__ = ("text", "tokens", "count", "modal", "made")
 
     def __init__(self, text: str, tokens: list[str], modal: bool):
         self.text, self.count, self.modal = text, len(tokens), modal
         tokens.append("")
         tokens.reverse()
         self.tokens = tokens
-        self.names: dict[str, Var] = {}
         self.made: list[Formula] = []
 
     def fail(self, message: str, taken: bool = False) -> ParseError:
@@ -345,18 +365,14 @@ class _Parser:
 
     def unary(self) -> Formula:
         tok = self.tokens.pop()
-        if "a" <= tok < "{":  # an atom: "{" follows "z"
-            var = self.names.get(tok)
-            if var is None:
-                var = self.names[tok] = Var(tok)
-                self.made.append(var)
-            return var
         if tok == "(":
             inner = self.expr(0)
             if self.tokens.pop() != ")":
                 raise self.fail("expected closing parenthesis", True)
             return inner
-        if tok == "~":
+        if "a" <= tok < "{":  # an atom: "{" follows "z"
+            node = Var(tok)
+        elif tok == "~":
             sub = self.unary()
             node = Imp(sub, Bot()) if self.modal else Neg(sub)
         elif tok == "T":
@@ -394,8 +410,11 @@ def parse(text: str, language: str = "prop") -> Formula:
     formula = parser.expr(0)
     if parser.tokens[-1]:
         raise parser.fail("trailing input")
-    # the result is built last, so the nodes before it are its subformulas' order
-    _setattr(formula, "_code", (tuple(parser.made[:-1]), None, None, None))
+    # the result is built last, so the nodes before it, each object at
+    # its first place, are its subformulas' order
+    if getattr(formula, "_code", None) is None:
+        order = tuple({id(f): f for f in parser.made}.values())
+        _setattr(formula, "_code", (order[:-1], None, None, None))
     return formula
 
 
@@ -405,7 +424,6 @@ def parse(text: str, language: str = "prop") -> Formula:
 
 def subformula_closure(formula: Formula) -> frozenset[Formula]:
     """All subformulas of the formula, itself included."""
-    hash(formula)  # hashes the nodes below in one loop, not one by one
     return frozenset(subformulas(formula))
 
 
@@ -436,20 +454,15 @@ def _frozen(formulas: Iterable[Formula]) -> frozenset[Formula]:
 
 
 def _require_closed(sigma: frozenset[Formula], walk: Sequence[Formula]) -> None:
-    """Raise unless sigma holds the direct subformulas of each member,
-    and so all; walk is _walk(sigma). Sigma is closed exactly when every
-    member is a node of the walk and every node is in sigma: a node that
-    is a member object passes by its id, any other is looked up. On a
-    failure the member loop names the first member, in sigma's order,
-    that misses a direct subformula."""
-    ids = set(map(id, sigma))
-    others = [f for f in walk if id(f) not in ids]
-    if len(walk) - len(others) == len(ids) and all(map(sigma.__contains__, others)):
+    """Raise unless sigma is subformula-closed, that is, holds every
+    node of walk, _walk(sigma). The error names the least member by
+    show that misses a direct subformula, and the first it misses, so
+    it reads the same under every hash seed."""
+    if all(map(sigma.__contains__, walk)):
         return
-    for f in sigma:
-        for sub in _children(f):
-            if sub not in sigma:
-                raise ValueError(f"sigma is not subformula-closed: {show(f)} needs {show(sub)}")
+    f = min((f for f in sigma if not all(map(sigma.__contains__, _children(f)))), key=show)
+    sub = next(c for c in _children(f) if c not in sigma)
+    raise ValueError(f"sigma is not subformula-closed: {show(f)} needs {show(sub)}")
 
 
 def variables(formula: Formula) -> tuple[str, ...]:
@@ -476,14 +489,12 @@ def is_instance_of(formula: Formula, scheme: Formula) -> bool:
     for s in reversed(subformulas(scheme)):
         f = at[id(s)]
         if s.__class__ is Var:
-            bound = env.setdefault(s.name, f)
-            if bound is not f and bound != f:
+            if env.setdefault(s.name, f) is not f:
                 return False
         elif s.__class__ is not f.__class__:
             return False
         for c, g in zip(_children(s), _children(f)):
-            bound = at.setdefault(id(c), g)
-            if bound is not g and bound != g:
+            if at.setdefault(id(c), g) is not g:
                 return False
     return True
 
@@ -609,23 +620,22 @@ _OPCODES = {m: {k: op for k, op in _OPS.items() if (k, m) not in _REFUSED} for m
 
 
 def _compile(formula: Formula, index: dict[str, int], modal: bool, grow: bool) -> tuple[int, ...]:
-    """Value-numbered code of the formula: one instruction per distinct
-    subformula, in the order of subformulas, keyed by its opcode and
-    operand slots, so no node is hashed and two subformulas share an
-    instruction exactly when they are equal. Variables are numbered by
+    """Value-numbered code of the formula: one instruction per
+    subformula, in the order of subformulas, so a node's slot is its
+    position there; distinct nodes are distinct formulas, so no two
+    instructions are equal. Variables are numbered by
     ``index``; with ``grow`` a name met first is added to it, else it
     raises ValueError. A failure raises the error of the first failing
     node in entry order, as a compiler checking nodes before their
     operands meets it."""
     slots: dict[int, int] = {}
-    numbers: dict[tuple[int, int, int], int] = {}
     code: list[int] = []
     opcodes = _OPCODES[modal]
     order = subformulas(formula)
     for f in order:
         kind = f.__class__
         if kind is Var and (grow or f.name in index):
-            key = (OP_VAR, index.setdefault(f.name, len(index)), 0)
+            code += (OP_VAR, index.setdefault(f.name, len(index)), 0)
         elif kind not in opcodes:
             for bad in _first(order, lambda g: g.__class__ not in opcodes and not (
                     g.__class__ is Var and (grow or g.name in index)))[id(formula)]:
@@ -635,13 +645,9 @@ def _compile(formula: Formula, index: dict[str, int], modal: bool, grow: bool) -
                     raise TypeError(f"not a formula: {bad!r}")
                 raise ValueError(_REFUSED[bad.__class__, modal])
         elif kind in _BINARY:
-            key = (opcodes[kind], slots[id(f.left)], slots[id(f.right)])
+            code += (opcodes[kind], slots[id(f.left)], slots[id(f.right)])
         else:
-            key = (opcodes[kind], slots[id(f.sub)], 0) if kind in _UNARY else (opcodes[kind], 0, 0)
-        slot = numbers.get(key)
-        if slot is None:
-            slot = numbers[key] = len(numbers)
-            code += key
-        slots[id(f)] = slot
+            code += (opcodes[kind], slots[id(f.sub)], 0) if kind in _UNARY else (opcodes[kind], 0, 0)
+        slots[id(f)] = len(slots)
     return tuple(code)
 

@@ -55,7 +55,7 @@ from subminimal.frames import (
     random_poset,
     truth_sets,
 )
-from subminimal.syntax import And, Box, Neg, Var, parse, variables
+from subminimal.syntax import And, Box, Neg, Var, _walk, parse, variables
 from syntax_helpers import random_formula
 
 CHAIN = Poset.from_pairs(2, [(0, 1)])
@@ -783,7 +783,7 @@ def test_algebra_eval_matches_the_recursive_walk():
     assert set(kinds) == {"ok", "assignment misses variable", "not a propositional"}
 
 
-def _one_by_one(a, mu, formulas):
+def _one_by_one(a, mu, formulas, order):
     """The Sigma values as the filtrations took them before they shared
     one walk: one recursive evaluation per member."""
     return [reference.algebra_eval(a, mu, f) for f in formulas]
@@ -811,7 +811,7 @@ def test_sigma_values_keep_the_answers_and_errors_of_one_walk_per_member(monkeyp
     def outcomes():
         return [
             [
-                _result(algebra._algebra_values, a, mu, sigma),
+                _result(algebra._algebra_values, a, mu, sigma, _walk(sigma)),
                 _result(general_algebraic_filtration, a, mu, sigma, carrier),
                 _result(sublattice_filtration, a, mu, sigma),
                 _result(least_filtration_correspondence, a, mu, sigma),

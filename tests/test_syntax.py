@@ -1,6 +1,7 @@
 """Parser, printer, and formula utilities."""
 
 import copy
+import gc
 import os
 import pathlib
 import pickle
@@ -42,6 +43,7 @@ from subminimal.syntax import (
     subformulas,
     variables,
 )
+from subminimal import syntax
 from subminimal.algebra import algebra_eval, upset_algebra
 from subminimal.frames import NFrame, NModel, Poset, _imp_mask, enumerate_ntables, eval_formula
 from subminimal.frames import formula_evaluator, truth_sets
@@ -183,7 +185,7 @@ def test_parse_shares_one_var_per_name():
     assert f.left.left is f.right.left and f.left.right is f.right.right.sub
     assert f == Imp(And(Var("p"), Var("q")), Or(Var("p"), Neg(Var("q"))))
     assert pickle.loads(pickle.dumps(f)) == f and show(f) == "p & q -> p | ~q"
-    assert parse("p").name == "p" and parse("p") is not parse("p")
+    assert parse("p").name == "p" and parse("p") is parse("p") is Var("p")
 
 
 def _walk_order(f, seen=None, out=None):
@@ -293,7 +295,70 @@ def test_round_trip_is_identity_on_hand_formulas():
 
 
 # ---------------------------------------------------------------------------
-# the cached hash
+# one object per formula, and its hash
+
+
+def test_equal_formulas_are_one_object_however_built():
+    rng = random.Random(30)
+    for i in range(1000):
+        language = "modal" if i % 2 else "prop"
+        f = random_formula(rng, ("p", "q", "r"), rng.randrange(6), language)
+        g = parse(show(f), language)
+        assert g is f and subformulas(g) == subformulas(f)
+        assert len(subformulas(f)) == len(subformula_closure(f))
+    assert parse("p <-> q") is And(Imp(Var("p"), Var("q")), Imp(Var("q"), Var("p")))
+    assert parse("~p", "modal") is Imp(Var("p"), Bot()) and Top() is Top() is not Bot()
+
+
+def test_a_parse_lists_a_recurring_node_once():
+    f = parse("(p & q | r) -> (p & q | r) & ~(p & q)")
+    assert f.left is f.right.left and f.left.left is f.right.right.sub
+    assert f._code[0] == subformulas(f)[:-1]
+    assert [show(g) for g in subformulas(f)] == [
+        "p", "q", "p & q", "r", "p & q | r", "~(p & q)", "(p & q | r) & ~(p & q)", show(f),
+    ]
+    assert len(compiled(f)[1]) == 3 * 8
+
+
+def test_the_node_table_keeps_no_dead_node():
+    # reference counting alone takes a node's entry out, with the
+    # collector off; the names are the test's own, so every node is new
+    rng = random.Random(32)
+    names = ("leak_a", "leak_b", "leak_c")
+    texts = [show(random_formula(rng, names, 4, ("prop", "modal")[i % 2])) for i in range(1000)]
+    before, grown = len(syntax._NODES), 0
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for i, text in enumerate(texts):
+            f = parse(text, ("prop", "modal")[i % 2])
+            compiled(f, ("prop", "modal")[i % 2])
+            subformula_closure(f)
+            grown = max(grown, len(syntax._NODES) - before)
+            del f
+        assert len(syntax._NODES) == before and grown > 5
+    finally:
+        if enabled:
+            gc.enable()
+    assert not any(key[0] is Var and key[1] in names for key in syntax._NODES)
+
+
+def test_copies_and_pickles_are_the_node():
+    f = parse("~(p & q) -> ~~r | p")
+    assert copy.copy(f) is f and copy.deepcopy(f) is f and copy.deepcopy([f, f.left])[1] is f.left
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(f, protocol)) is f
+    assert pickle.loads(pickle.dumps((f, Var("fresh_name")))) == (f, Var("fresh_name"))
+
+
+def test_separately_built_deep_formulas_are_one_object():
+    # == and a dict lookup between them cost one step, so a truth walk
+    # over both is linear
+    f, g = _chain("left-and"), _chain("left-and")
+    assert f is g
+    m = NModel(NFrame(Poset.from_pairs(1, []), (0, 1)), {"p": 1, "q": 1})
+    truth = truth_sets(m, [f, g])
+    assert len(truth) == DEEP + 2 and truth[g] == 1
 
 
 def test_hash_is_the_dataclass_value_on_every_node():
@@ -388,14 +453,16 @@ def test_compilers_fail_as_the_postfix_compilers_did():
 
 
 def test_code_slot_stays_out_of_eq_repr_copies_and_pickles():
+    # a copy is the node, code and all; a pickle holds the operands
+    # alone and loads as the node
     text = "~(p & q) -> T | r"
-    kept, fresh = parse(text), parse(text)
+    kept = parse(text)
     compiled(kept)
     assert kept._code is not None
-    assert kept == fresh and repr(kept) == repr(fresh)
+    assert kept == parse(text) and "_code" not in repr(kept)
+    assert kept.__reduce__() == (Imp, (kept.left, kept.right))
     for clone in (copy.copy(kept), copy.deepcopy(kept), pickle.loads(pickle.dumps(kept))):
-        assert clone == kept
-        assert getattr(clone, "_code", None) is None
+        assert clone is kept
         assert compiled(clone) == compiled(kept)
 
 
@@ -406,8 +473,7 @@ def test_kept_order_holds_no_cycle_and_stays_out_of_copies_and_pickles():
         order = subformulas(h)
         assert order[-1] is h and all(k is not h for k in h._code[0]) and h._code[0] == order[:-1]
         for clone in (copy.copy(h), copy.deepcopy(h), pickle.loads(pickle.dumps(h))):
-            assert clone == h and getattr(clone, "_code", None) is None
-            assert [show(k) for k in subformulas(clone)] == [show(k) for k in order]
+            assert clone is h and subformulas(clone) == order
 
 
 def _python(code: str, seed: int, stdin: bytes = b"") -> bytes:
@@ -439,6 +505,27 @@ def test_pickled_formula_hashes_afresh_under_another_seed():
         stdin=dumped,
     )
     assert found.split() == [b"True"] * 3
+
+
+def test_an_open_sigma_is_named_the_same_under_every_hash_seed():
+    # ~~p and ~p -> ~~p both miss ~p; the least by show is named, where
+    # a member picked in Sigma's order changed with the hash seed
+    code = (
+        "from subminimal.algebra import least_filtration_correspondence, upset_algebra\n"
+        "from subminimal.filtration import close_sigma, greatest_filtration\n"
+        "from subminimal.frames import NFrame, NModel, Poset\n"
+        "from subminimal.syntax import parse\n"
+        "m = NModel(NFrame(Poset.from_pairs(1, []), (0, 1)), {'p': 1})\n"
+        "sigma = frozenset(close_sigma([parse('~p -> ~~p')]) - {parse('~p')})\n"
+        "for call in (lambda: greatest_filtration(m, sigma),\n"
+        "             lambda: least_filtration_correspondence(upset_algebra(m.frame), {'p': 1}, sigma)):\n"
+        "    try:\n"
+        "        call()\n"
+        "    except ValueError as exc:\n"
+        "        print(exc)\n"
+    )
+    found = {_python(code, seed) for seed in range(8)}
+    assert found == {b"sigma is not subformula-closed: ~p -> ~~p needs ~p\n" * 2}
 
 
 def test_syntax_checks_name_what_is_wrong():
@@ -502,7 +589,7 @@ def _proof_checks(f, g, distributed):
 @pytest.mark.parametrize("name", ["left-and", "right-and", "neg-imp"])
 def test_propositional_walks_take_any_depth(name):
     f, g = _chain(name), _chain(name)
-    assert f is not g and f == g and hash(f) == hash(g) and not f != g
+    assert f is g and hash(f) == hash(g) and not f != g
     assert f != _chain(name, Var("r"))
     assert depth(f) == DEEP and variables(f) == ("p", "q")
     assert len(subformula_closure(f)) == DEEP + 2
@@ -537,8 +624,8 @@ def test_propositional_walks_take_any_depth(name):
 
 
 def test_eq_skips_an_operand_both_sides_share():
-    # <-> shares its operands, so this unfolds to 2^40 nodes; the
-    # dataclass == never entered an operand that is the same object
+    # <-> shares its operands, so this unfolds to 2^40 nodes; == is
+    # identity and never enters an operand
     text = "p"
     for _ in range(40):
         text = f"({text}) <-> q"
@@ -560,7 +647,7 @@ def test_box_over_a_conjunction_takes_any_depth():
 
 def test_modal_walks_take_any_depth():
     f, g = _chain("box-bbox"), _chain("box-bbox")
-    assert f is not g and f == g and hash(f) == hash(g) and not f != g
+    assert f is g and hash(f) == hash(g) and not f != g
     assert depth(f) == DEEP and variables(f) == ("p",) and len(subformula_closure(f)) == DEEP + 1
     assert show(f) == "[][n]" * (DEEP // 2) + "p"
     assert is_instance_of(Imp(Box(Imp(f, g)), Imp(Box(f), Box(g))), NS4_AXIOMS["K"])
