@@ -27,7 +27,8 @@ its dual frame's table, so dual_frame, duality_check and every
 least_filtration_correspondence on it share one. Building the dual
 checks the negation at every hat, so the round trip of duality_check
 is that check plus the reduct's lattice half, with no second algebra
-built. The upset
+built; on a top frame it is that check alone, with no isomorphism
+searched. The upset
 algebras and admissible algebras of one poset share their tables and
 reduct: the poset's cones keep them per element list
 (kernels.pure._kept), for the life of the process up to
@@ -431,7 +432,20 @@ def duality_check(x: TopFrame | NAlgebra) -> bool:
     """Round-trip a top frame or an algebra through the duality.
 
     For a frame: the dual of its admissible algebra must be isomorphic
-    to it. For an algebra: the hat map must be an isomorphism onto the
+    to it. Building that dual (dual_frame) is the whole check, and no
+    isomorphism is searched for (topframe_isomorphic). The prime
+    filters of the algebra A of nonempty upsets of a finite topped
+    poset are exactly F_w = {X : w in X}, one per world w. A filter of
+    A is the up-set of its least member X, and X is the join of the
+    cones of its worlds, each a member of A; a prime filter holds one
+    of those cones, which is then X. The improper filter, everything,
+    is F_top. So w -> F_w is an order isomorphism onto the dual poset,
+    and it sends each X to hat(X) = {F_w : w in X}. Building the dual
+    checks N(hat X) = hat(N X) at every element X of A, so once it
+    returns, the isomorphism carries the frame's table to the dual's;
+    a table it does not carry raises RuntimeError there.
+
+    For an algebra: the hat map must be an isomorphism onto the
     admissible algebra of its dual frame. That is two checks, each made
     once per algebra, both on the hats and dual poset its reduct keeps:
 
@@ -454,7 +468,8 @@ def duality_check(x: TopFrame | NAlgebra) -> bool:
     least_filtration_correspondence, so it is a nonempty upset.
     """
     if isinstance(x, TopFrame):
-        return topframe_isomorphic(x, dual_frame(admissible_algebra(x)))
+        dual_frame(admissible_algebra(x))
+        return True
     x._duality  # the kept dual, whose construction checks the negation
     return x._reduct.round_trip
 

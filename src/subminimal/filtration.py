@@ -16,8 +16,8 @@ evaluates it as frames.truth_sets does, each shared subformula once,
 over Sigma's walk (syntax._walk: the one a closure from close_sigma
 keeps, so its read builds none, else syntax._postorder's), keying
 the truth sets by node id rather than by formula, derives the
-signatures, the projection and the classes, and keeps that read in the
-model's _reads under the Sigma object. The functions taking a Sigma
+signatures, the projection and the classes, and keeps that read on the
+model, one read per model: the last. The functions taking a Sigma
 copy it only when it is no frozenset (syntax._frozen), so the walk and
 the object stay. The next call on the same model with the same Sigma
 object takes the read from there, and so
@@ -29,16 +29,17 @@ own projection: the kept read when the filtration projects by its pi
 onto its classes; otherwise its class members are the transpose of its
 projection, "onto" is refused before Sigma is read, and the read is
 _Read.projected from the kept one, which serves that one call and is
-never kept. A read is keyed by the object, not by its value, because
-the (b) witness follows that object's iteration order; it is taken
-only while the model's valuation equals the one it was read under, and
-read again otherwise. A read that fails is not kept: the theorem check
-then goes formula by formula through frames.formula_evaluator, so its
-errors come in show order. A world's signature is an int whose bit i
-says whether the i-th member of Sigma holds there: worlds agree on
-Sigma exactly when their signatures are equal, and in the greatest
-order class c lies below class d exactly when the signature of c is a
-subset of that of d. The signatures are the transpose of the truth
+never kept. A kept read serves only the Sigma object it was read from,
+not an equal one, because the (b) witness follows that object's
+iteration order; it is taken only while the model's valuation equals
+the one it was read under, and read again otherwise. One slot is
+enough: the calls on a model come in runs on one Sigma. A read that
+fails is not kept: the theorem check then goes formula by formula
+through frames.formula_evaluator, so its errors come in show order.
+A world's signature is an int whose bit i says whether the i-th
+member of Sigma holds there: worlds agree on Sigma exactly when their
+signatures are equal, and in the greatest order class c lies below
+class d exactly when the signature of c is a subset of that of d. The signatures are the transpose of the truth
 sets, and the class members that of the projection
 (kernels.pure._transpose); the greatest order is
 kernels.pure._inclusion_cones of the class signatures; and
@@ -122,14 +123,13 @@ class FiltrationResult:
         return self.quotient.frame.n
 
 
-_READS_KEPT = 8
 _ORDERS_KEPT = 64
 
 
 @dataclass(eq=False)
 class _Read:
     """Sigma read on one model under a projection, as _partition keeps
-    it in NModel._reads or _Read.projected makes it for one call.
+    it in the model's one slot or _Read.projected makes it for one call.
 
     nodes is Sigma's walk (syntax._walk): the walk a closure from
     close_sigma keeps, else the one syntax._postorder builds. truth holds
@@ -213,11 +213,10 @@ class _Read:
 
 
 def _fresh_read(m: NModel, sigma: Collection[Formula]) -> _Read | None:
-    """The read of this Sigma object kept on the model, unless the
-    model's valuation is no longer the one it was read under. A kept
-    read holds its Sigma, so no other object has that id meanwhile."""
-    read = m._reads.get(id(sigma))
-    if read is None or read.valuation != m.valuation:
+    """The read kept on the model when it is of this Sigma object and
+    the model's valuation is still the one it was read under."""
+    read = vars(m).get("_read")
+    if read is None or read.sigma is not sigma or read.valuation != m.valuation:
         return None
     return read
 
@@ -237,9 +236,9 @@ def _partition(m: NModel, sigma: Collection[Formula], require_closed: bool = Fal
     projection of worlds to classes by Sigma-agreement.
 
     Classes are numbered by their least member so the construction is
-    reproducible. The read is kept in m._reads under the Sigma object
-    and given again while that object is the one read and the valuation
-    equals the one it was read under (_fresh_read). With
+    reproducible. The read is kept on the model, in place of the one
+    kept before, and given again while the Sigma object is the one read
+    and the valuation equals the one it was read under (_fresh_read). With
     require_closed, Sigma must be subformula-closed, which is checked
     before Sigma is read and once per read.
     """
@@ -260,14 +259,7 @@ def _partition(m: NModel, sigma: Collection[Formula], require_closed: bool = Fal
         names = sorted({f.name for f in nodes if f.__class__ is Var})
         qval = {name: _push_mask(m.valuation[name], pi) for name in names}
         read = _Read(sigma, dict(m.valuation), truth, order, sig, pi, list(classes.values()), qval, nodes=nodes)
-        # the read holds its Sigma, so the id key stays that object's; a
-        # caller passing a new Sigma object per call fills at most
-        # _READS_KEPT reads
-        reads = m._reads
-        reads.pop(id(sigma), None)
-        if len(reads) >= _READS_KEPT:
-            del reads[next(iter(reads))]
-        reads[id(sigma)] = read
+        vars(m)["_read"] = read
     read.closed |= require_closed
     return read
 

@@ -404,11 +404,11 @@ def check_nframe(p: Poset, ntable: Sequence[int]) -> tuple[int, int] | None:
 class NModel:
     """An N-frame with a valuation of variables by upsets.
 
-    ``_reads`` keeps what the filtration functions read of a Sigma on
-    this model (filtration._partition), so the calls on one model read
-    each Sigma once; it stays out of ==, hash and repr, and out of
-    pickles and copies, since it is keyed by the ids of objects that
-    only this model's process and its Sigmas keep alive.
+    ``_read``, set on first use, keeps what the filtration functions
+    last read of a Sigma on this model (filtration._partition), so the
+    calls on one model with one Sigma read it once; it is no field, so
+    it stays out of ==, hash and repr, and out of pickles and copies,
+    since it is keyed by node ids that only this process keeps alive.
     """
 
     frame: NFrame
@@ -419,10 +419,6 @@ class NModel:
         for name, mask in self.valuation.items():
             if mask not in upsets:
                 raise ValueError(f"valuation of {name} is not an upset")
-
-    @functools.cached_property
-    def _reads(self) -> dict:
-        return {}
 
     def __reduce__(self) -> tuple:
         return NModel, (self.frame, self.valuation)

@@ -30,16 +30,18 @@ the operands and loads through the constructor, as the node. The table
 takes no lock: two threads building the same new formula at once may
 make two objects of it, so build formulas from one thread.
 
-Every other walk is a loop over ``subformulas``, the subformulas of a
-formula, children first, left operand first, each node once, built on
-one explicit stack (_postorder) and keyed by id, so a formula of any
-depth prints, compiles and evaluates. A parse keeps the order it built
-its nodes in, which is that order, and so skips that walk
-(tests/test_syntax.py checks that the two agree). A subformula closure
-from filtration.close_sigma (_Closure) keeps the walk of the formulas
-it closes, taken from their kept orders, and every walk of that Sigma
-(_walk) reads it instead of building one. repr and pickle are the
-standard library's and still recurse.
+Every other walk but show's is a loop over ``subformulas``, the
+subformulas of a formula, children first, left operand first, each
+node once, built on one explicit stack (_postorder) on first use and
+kept on the node, so a formula of any depth compiles and evaluates. A
+subformula closure from filtration.close_sigma (_Closure) keeps the
+walk of the formulas it closes, taken from their kept orders, and
+every walk of that Sigma (_walk) reads it instead of building one.
+show is the one walk that visits a shared node once per occurrence,
+because its text appears once per occurrence: one left-to-right pass
+over an explicit stack, so a formula of any depth prints in time
+linear in its text. repr and pickle are the standard library's and
+still recurse.
 
 The slot ``_code`` keeps the subformula order without the node itself
 (no reference cycle), the sorted variable names and the prop and modal
@@ -276,46 +278,38 @@ _SIGN = {Top: "T", Bot: "F", Neg: "~", Box: "[]", BBox: "[n]", And: " & ", Or: "
 
 
 def show(formula: Formula) -> str:
-    """Render a formula in the surface syntax with minimal parentheses.
-    A node's text is a string while short, else a rope (a tuple of
-    texts) joined once at the end, so any depth prints in linear time."""
-    text: dict[int, object] = {}
-    for f in subformulas(formula):
+    """Render a formula in the surface syntax with minimal parentheses,
+    in one left-to-right pass over an explicit stack of texts and
+    operands. An operand rides in a 1-tuple, so that no operand, a str
+    among them, is taken for text: anything not a formula raises."""
+    out: list[str] = []
+    stack: list = [(formula,)]
+    while stack:
+        item = stack.pop()
+        if item.__class__ is str:
+            out.append(item)
+            continue
+        f = item[0]
         kind = f.__class__
         if kind is Var:
-            t = f.name
+            out.append(f.name)
         elif kind in _BINARY:
-            a, b, level = text[id(f.left)], text[id(f.right)], _PREC[kind]
+            level = _PREC[kind]
             # an operand in parentheses when it binds looser than its place,
             # or as loose where that is strict: left of ->, right of & and |
-            if _PREC.get(f.left.__class__, 0) < level + (kind is Imp):
-                a = _join("(", a, ")")
-            if _PREC.get(f.right.__class__, 0) < level + (kind is not Imp):
-                b = _join("(", b, ")")
-            t = _join(a, _SIGN[kind], b)
+            a = _PREC.get(f.left.__class__, 0) < level + (kind is Imp)
+            b = _PREC.get(f.right.__class__, 0) < level + (kind is not Imp)
+            out.append("(" * a)
+            stack += (")" * b, (f.right,), ")" * a + _SIGN[kind] + "(" * b, (f.left,))
         elif kind in _UNARY:
-            t = text[id(f.sub)]
-            t = _join(_SIGN[kind], _join("(", t, ")") if _PREC.get(f.sub.__class__, 0) < 3 else t)
+            p = _PREC.get(f.sub.__class__, 0) < 3
+            out.append(_SIGN[kind] + "(" * p)
+            stack += (")" * p, (f.sub,))
         elif kind is Top or kind is Bot:
-            t = _SIGN[kind]
+            out.append(_SIGN[kind])
         else:
             raise TypeError(f"not a formula: {f!r}")
-        text[id(f)] = t
-    pieces, ropes = [], [text[id(formula)]]
-    while ropes:
-        t = ropes.pop()
-        if t.__class__ is tuple:
-            ropes += t[::-1]
-        else:
-            pieces.append(t)
-    return "".join(pieces)
-
-
-def _join(a: object, b: object, c: object = "") -> object:
-    """The texts as one string while that is short, else as a rope."""
-    if a.__class__ is b.__class__ is c.__class__ is str and len(a) + len(b) + len(c) <= 256:
-        return a + b + c
-    return (a, b, c)
+    return "".join(out)
 
 
 # --------------------------------------------------------------------------
@@ -333,19 +327,17 @@ _INFIX["<->"] = (0, 0, lambda left, right: And(Imp(left, right), Imp(right, left
 
 class _Parser:
     """Precedence climbing over the tokens, kept reversed behind an
-    empty end marker so that the next token is tokens[-1]. ``made``
-    lists the nodes as built, each after its operands, left before
-    right; a node built again is listed again, so each object at its
-    first place gives the order of the result's subformulas."""
+    empty end marker so that the next token is tokens[-1]. It builds
+    the nodes and keeps nothing of them: the result's walk is built by
+    subformulas when first asked for."""
 
-    __slots__ = ("text", "tokens", "count", "modal", "made")
+    __slots__ = ("text", "tokens", "count", "modal")
 
     def __init__(self, text: str, tokens: list[str], modal: bool):
         self.text, self.count, self.modal = text, len(tokens), modal
         tokens.append("")
         tokens.reverse()
         self.tokens = tokens
-        self.made: list[Formula] = []
 
     def fail(self, message: str, taken: bool = False) -> ParseError:
         """The error at the next token, or at the one just taken."""
@@ -353,15 +345,13 @@ class _Parser:
 
     def expr(self, floor: int) -> Formula:
         left = self.unary()
-        tokens, made = self.tokens, self.made
+        tokens = self.tokens
         while True:
             op = _INFIX.get(tokens[-1])
             if op is None or op[0] < floor:
                 return left
             tokens.pop()
             left = op[2](left, self.expr(op[1]))
-            # a desugared <->, no class, builds its two implications first
-            made += (left,) if left.__class__ is op[2] else (left.left, left.right, left)
 
     def unary(self) -> Formula:
         tok = self.tokens.pop()
@@ -371,22 +361,18 @@ class _Parser:
                 raise self.fail("expected closing parenthesis", True)
             return inner
         if "a" <= tok < "{":  # an atom: "{" follows "z"
-            node = Var(tok)
-        elif tok == "~":
+            return Var(tok)
+        if tok == "~":
             sub = self.unary()
-            node = Imp(sub, Bot()) if self.modal else Neg(sub)
-        elif tok == "T":
-            node = Top()
-        elif tok == "F" or tok == "[]" or tok == "[n]":
+            return Imp(sub, Bot()) if self.modal else Neg(sub)
+        if tok == "T":
+            return Top()
+        if tok == "F" or tok == "[]" or tok == "[n]":
             if not self.modal:
                 what = "falsum" if tok == "F" else "modal operator"
                 raise self.fail(f"{what} outside the modal language", True)
-            node = Bot() if tok == "F" else (Box if tok == "[]" else BBox)(self.unary())
-        else:
-            raise self.fail("expected a formula", True)
-        # a modal ~ builds its falsum first
-        self.made += (node.right, node) if node.__class__ is Imp else (node,)
-        return node
+            return Bot() if tok == "F" else (Box if tok == "[]" else BBox)(self.unary())
+        raise self.fail("expected a formula", True)
 
 
 def _error(text: str, index: int, message: str) -> ParseError:
@@ -410,11 +396,6 @@ def parse(text: str, language: str = "prop") -> Formula:
     formula = parser.expr(0)
     if parser.tokens[-1]:
         raise parser.fail("trailing input")
-    # the result is built last, so the nodes before it, each object at
-    # its first place, are its subformulas' order
-    if getattr(formula, "_code", None) is None:
-        order = tuple({id(f): f for f in parser.made}.values())
-        _setattr(formula, "_code", (order[:-1], None, None, None))
     return formula
 
 
@@ -561,20 +542,19 @@ def compile_prop(formula: Formula, var_order: Sequence[str]) -> tuple[int, ...]:
     Variables are numbered by their position in var_order; a variable
     outside it, or a modal node, raises ValueError.
     """
-    return _compile(formula, {name: i for i, name in enumerate(var_order)}, False, False)
+    return _compile(formula, {name: i for i, name in enumerate(var_order)}, False)
 
 
 def compile_modal(formula: Formula, var_order: Sequence[str]) -> tuple[int, ...]:
     """Compile a modal formula to value-numbered kernel code."""
-    return _compile(formula, {name: i for i, name in enumerate(var_order)}, True, False)
+    return _compile(formula, {name: i for i, name in enumerate(var_order)}, True)
 
 
 def compiled(formula: Formula, language: str = "prop") -> tuple[tuple[str, ...], tuple[int, ...]]:
     """The sorted variable names of a formula and its kernel code over
     them, as compile_prop or compile_modal (``language`` "prop" or
-    "modal") gives it, with the same errors; kept on the node, see the
-    module docstring. One loop numbers the variables as it meets them;
-    the Var instructions are renumbered in sorted order after it."""
+    "modal") gives it, with the same errors: one compilation over
+    variables(formula), kept on the node, see the module docstring."""
     if language not in ("prop", "modal"):
         raise ValueError(f"unknown language: {language!r}")
     modal = language == "modal"
@@ -582,17 +562,9 @@ def compiled(formula: Formula, language: str = "prop") -> tuple[tuple[str, ...],
     if kept is not None and kept[2 + modal] is not None:
         return kept[1], kept[2 + modal]
     # a node with code gets here only in the language it fails to compile in
-    index: dict[str, int] = {}
-    code = _compile(formula, index, modal, True)
-    order = formula._code[0]  # kept by _compile's subformulas
-    names = tuple(sorted(index))
-    if tuple(index) != names:
-        rank = {index[name]: i for i, name in enumerate(names)}
-        code = list(code)
-        for i in range(0, len(code), 3):
-            if code[i] == OP_VAR:
-                code[i + 1] = rank[code[i + 1]]
-        code = tuple(code)
+    names = variables(formula)
+    code = _compile(formula, {name: i for i, name in enumerate(names)}, modal)
+    order = formula._code[0]  # kept by variables' subformulas
     if _SPECIFIC.isdisjoint(code[::3]):
         kept = order, names, code, code
     else:
@@ -619,26 +591,25 @@ _OPS.update({Top: OP_TOP, Bot: OP_BOT})
 _OPCODES = {m: {k: op for k, op in _OPS.items() if (k, m) not in _REFUSED} for m in (False, True)}
 
 
-def _compile(formula: Formula, index: dict[str, int], modal: bool, grow: bool) -> tuple[int, ...]:
+def _compile(formula: Formula, index: dict[str, int], modal: bool) -> tuple[int, ...]:
     """Value-numbered code of the formula: one instruction per
     subformula, in the order of subformulas, so a node's slot is its
     position there; distinct nodes are distinct formulas, so no two
-    instructions are equal. Variables are numbered by
-    ``index``; with ``grow`` a name met first is added to it, else it
-    raises ValueError. A failure raises the error of the first failing
-    node in entry order, as a compiler checking nodes before their
-    operands meets it."""
+    instructions are equal. Variables are numbered by ``index``; a name
+    outside it raises ValueError. A failure raises the error of the
+    first failing node in entry order, as a compiler checking nodes
+    before their operands meets it."""
     slots: dict[int, int] = {}
     code: list[int] = []
     opcodes = _OPCODES[modal]
     order = subformulas(formula)
     for f in order:
         kind = f.__class__
-        if kind is Var and (grow or f.name in index):
-            code += (OP_VAR, index.setdefault(f.name, len(index)), 0)
+        if kind is Var and f.name in index:
+            code += (OP_VAR, index[f.name], 0)
         elif kind not in opcodes:
             for bad in _first(order, lambda g: g.__class__ not in opcodes and not (
-                    g.__class__ is Var and (grow or g.name in index)))[id(formula)]:
+                    g.__class__ is Var and g.name in index))[id(formula)]:
                 if bad.__class__ is Var:
                     raise ValueError(f"variable not in the compilation order: {bad.name}")
                 if bad.__class__ not in _KINDS:

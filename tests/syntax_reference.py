@@ -1,10 +1,12 @@
-"""The parser the package replaced, as it was.
+"""The parser the package replaced, as it was, and a plain printer.
 
 The differential test in test_syntax.py parses the same strings with
 the package's parse and with this one and demands the same tree or the
 same error, message and position. This is the plain version: a
 tokenizer that matches one token at a time behind a whitespace match,
-and a recursive descent with one method per precedence level.
+and a recursive descent with one method per precedence level. show is
+the minimal-parenthesis printer written as plain recursion, which the
+package's one-pass show must match.
 """
 
 from __future__ import annotations
@@ -130,3 +132,34 @@ def parse(text: str, language: str = "prop") -> Formula:
     if parser.peek() != "end":
         raise parser.fail("trailing input")
     return formula
+
+
+# binding power of each connective, the loosest 0; atoms and constants bind tightest
+_LEVEL = {Imp: 0, Or: 1, And: 2, Neg: 3, Box: 3, BBox: 3}
+_INFIX = {Imp: " -> ", Or: " | ", And: " & "}
+_PREFIX = {Neg: "~", Box: "[]", BBox: "[n]"}
+
+
+def show(formula: Formula) -> str:
+    """The surface text of a formula with minimal parentheses: & and |
+    group to the left and -> to the right, so an operand is bracketed
+    when it binds looser than its parent, or as loose on the side that
+    its parent does not group to."""
+    kind = type(formula)
+    if kind is Var:
+        return formula.name
+    if kind is Top:
+        return "T"
+    if kind is Bot:
+        return "F"
+    if kind in _PREFIX:
+        return _PREFIX[kind] + _operand(formula.sub, 3)
+    level = _LEVEL[kind]
+    left, right = (level + 1, level) if kind is Imp else (level, level + 1)
+    return _operand(formula.left, left) + _INFIX[kind] + _operand(formula.right, right)
+
+
+def _operand(formula: Formula, floor: int) -> str:
+    """The formula's text, in parentheses when it binds looser than floor."""
+    text = show(formula)
+    return f"({text})" if _LEVEL.get(type(formula), 4) < floor else text

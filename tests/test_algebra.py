@@ -706,6 +706,28 @@ def test_duality_matches_the_reference():
     assert seen[True] and seen[False] and seen["RuntimeError"] and seen["ValueError"]
 
 
+def test_every_admissible_valued_top_frame_round_trips_as_the_reference():
+    # duality_check on a top frame builds the dual and searches no
+    # isomorphism; on every table with admissible values, lawful or
+    # not, over every topped poset of 1-3 worlds, it answers as the
+    # reference's isomorphism search does, value or error
+    seen = collections.Counter()
+    for n in (1, 2, 3):
+        for p in enumerate_posets(n):
+            if p.top() is None:
+                continue
+            admissible = [u for u in p.upsets() if u]
+            for values in itertools.product(admissible, repeat=len(admissible)):
+                table = [-1] * (1 << n)
+                for u, v in zip(admissible, values):
+                    table[u] = v
+                tf = TopFrame(p, tuple(table))
+                got = _result(duality_check, tf)
+                assert got == _result(reference.duality_check, tf), tf
+                seen[got[0] if got[0] != "ok" else got[1]] += 1
+    assert seen == {True: 147, "RuntimeError": 792}
+
+
 def test_signatures_order_the_greatest_filtration_of_the_dual():
     # the lemmas duality_check and least_filtration_correspondence rest
     # on: every dual value at an admissible set is admissible, so on the

@@ -541,19 +541,28 @@ def test_the_kept_read_is_outside_equality_hash_and_repr():
     twin = NModel(m.frame, m.valuation)
     seen = (m == twin, m == m, hash(m), repr(m))
     greatest_filtration(m, close_sigma([parse("~p")]))
-    assert m._reads
+    assert "_read" in vars(m)
     assert (m == twin, m == m, hash(m), repr(m)) == seen
     assert [f.name for f in dataclasses.fields(NModel)] == ["frame", "valuation"]
 
 
 def test_a_model_keeps_a_bounded_number_of_reads():
+    # one read is kept, the last one
     m = fork_model()
     sigma = close_sigma([parse("~p")])
     want = _key(greatest_filtration(m, sigma))
-    # a list is made a new frozenset on every call, so each call reads anew
-    for _ in range(3 * filtration._READS_KEPT):
+    last = vars(m)["_read"]
+    assert last.sigma is sigma
+    # a list is made a new frozenset on every call, so each call reads
+    # anew and its read takes the place of the one before
+    for _ in range(3):
         assert _key(greatest_filtration(m, list(sigma))) == want
-    assert len(m._reads) == filtration._READS_KEPT
+        read = vars(m)["_read"]
+        assert read is not last and read.sigma == sigma and read.sigma is not sigma
+        last = read
+    assert set(vars(m)) == {"frame", "valuation", "_read"}
+    assert _key(greatest_filtration(m, sigma)) == want
+    assert vars(m)["_read"] is not last and vars(m)["_read"].sigma is sigma
 
 
 def test_one_source_read_per_model_and_sigma(monkeypatch):
@@ -761,15 +770,16 @@ def test_a_read_made_for_another_projection_is_never_kept():
     finer = FiltrationResult(finer.quotient, finer.pi, sigma)
     assert (g.pi, relabeled.pi, finer.pi) == ((0, 1, 0), (1, 0, 1), (0, 1, 2))
     assert check_conditions(m, g) is None
-    kept = list(m._reads.items())
-    orders = list(m._reads[id(sigma)].orders)
+    kept = vars(m)["_read"]
+    orders = list(kept.orders)
+    assert kept.sigma is sigma
     for r in (relabeled, finer):
         assert check_conditions(m, r) is None
         assert ref.check_conditions(m, r) is None
         with pytest.raises(ValueError, match="projection mismatch"):
             greatest_among(m, sigma, r)
-    assert [(key, id(read)) for key, read in m._reads.items()] == [(key, id(read)) for key, read in kept]
-    assert list(m._reads[id(sigma)].orders) == orders
+    assert vars(m)["_read"] is kept
+    assert list(kept.orders) == orders
 
 
 # --------------------------------------------------------------------------
@@ -944,12 +954,13 @@ def test_a_kept_walk_stays_out_of_pickles_and_copies():
 
 
 def test_a_model_pickles_and_copies_without_its_reads():
-    # the reads are keyed by the ids of Sigma objects and their nodes,
-    # which mean nothing in another model or process
+    # the read keys its truth sets by node ids and holds its Sigma
+    # object, which mean nothing in another model or process
     m = fork_model()
     sigma = close_sigma([parse("~p -> ~~p")])
     want = _key(greatest_filtration(m, sigma))
+    assert "_read" in vars(m)
     for other in (pickle.loads(pickle.dumps(m)), copy.copy(m), copy.deepcopy(m)):
-        assert "_reads" not in vars(other)
+        assert "_read" not in vars(other)
         assert (other.frame, dict(other.valuation)) == (m.frame, dict(m.valuation))
         assert _key(greatest_filtration(other, sigma)) == want

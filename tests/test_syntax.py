@@ -98,6 +98,27 @@ def test_precedence_strings_round_trip():
         assert parse(show(f)) == f
 
 
+def test_show_matches_the_recursive_printer():
+    rng = random.Random(39)
+    for i in range(1800):
+        language = "modal" if i % 2 else "prop"
+        f = random_formula(rng, ("p", "q", "r"), i % 9, language)
+        assert show(f) == syntax_reference.show(f), f
+
+
+def test_show_refuses_a_non_formula_at_the_root_and_in_every_operand():
+    # an operand that is no formula, a str among them, is never printed
+    # as text
+    p, q = Var("p"), Var("q")
+    for bad in ("p", "p & q", 3, None, (p,), b"q"):
+        places = [bad, And(bad, q), And(p, bad), Or(bad, q), Or(p, bad), Imp(bad, q), Imp(p, bad)]
+        places += [Neg(bad), Box(bad), BBox(bad), Imp(And(p, Neg(bad)), q), Or(q, Box(Imp(p, bad)))]
+        for f in places:
+            with pytest.raises(TypeError) as info:
+                show(f)
+            assert str(info.value) == f"not a formula: {bad!r}"
+
+
 def test_and_or_left_associative_imp_right():
     assert parse("p & q & r") == And(And(Var("p"), Var("q")), Var("r"))
     assert parse("p -> q -> r") == Imp(Var("p"), Imp(Var("q"), Var("r")))
@@ -313,7 +334,9 @@ def test_equal_formulas_are_one_object_however_built():
 def test_a_parse_lists_a_recurring_node_once():
     f = parse("(p & q | r) -> (p & q | r) & ~(p & q)")
     assert f.left is f.right.left and f.left.left is f.right.right.sub
-    assert f._code[0] == subformulas(f)[:-1]
+    # a parse keeps no order: the first subformulas call builds and keeps it
+    order = subformulas(f)
+    assert f._code[0] == order[:-1]
     assert [show(g) for g in subformulas(f)] == [
         "p", "q", "p & q", "r", "p & q | r", "~(p & q)", "(p & q | r) & ~(p & q)", show(f),
     ]
@@ -424,6 +447,45 @@ def test_compiled_keeps_no_error():
             compiled(g)
     with pytest.raises(ValueError, match="unknown language"):
         compiled(f, "Prop")
+
+
+def test_compiled_numbers_variables_in_name_order_wherever_they_occur():
+    # the variables occur out of name order; the code is pinned
+    cases = {
+        ("q -> p", "prop"): (("p", "q"), (0, 1, 0, 0, 0, 0, 4, 0, 1)),
+        ("q -> p", "modal"): (("p", "q"), (0, 1, 0, 0, 0, 0, 4, 0, 1)),
+        ("(r & p) -> ~q", "prop"): (
+            ("p", "q", "r"),
+            (0, 2, 0, 0, 0, 0, 2, 0, 1, 0, 1, 0, 5, 3, 0, 4, 2, 4),
+        ),
+        ("[]q -> [n](p & ~r)", "modal"): (
+            ("p", "q", "r"),
+            (0, 1, 0, 7, 0, 0, 0, 0, 0, 0, 2, 0, 6, 0, 0, 4, 3, 4, 2, 2, 5, 8, 6, 0, 4, 1, 7),
+        ),
+    }
+    for (text, language), want in cases.items():
+        f = parse(text, language)
+        for _ in range(2):
+            assert compiled(f, language) == want
+
+
+def test_compiled_refuses_what_is_no_formula():
+    p = Var("p")
+    cases = [
+        ("p", "prop", TypeError, "not a formula: 'p'"),
+        (3, "modal", TypeError, "not a formula: 3"),
+        (And("p", Var("q")), "prop", TypeError, "not a formula: 'p'"),
+        (Imp(Var("q"), 3), "modal", TypeError, "not a formula: 3"),
+        (Neg(None), "prop", TypeError, "not a formula: None"),
+        (Imp(Box(p), 3), "prop", ValueError, "box in a propositional compilation"),
+        (Imp(3, Box(p)), "prop", TypeError, "not a formula: 3"),
+        (And(Neg(p), (p,)), "modal", ValueError, "primitive negation in a modal compilation"),
+    ]
+    for f, language, kind, message in cases:
+        for _ in range(2):
+            with pytest.raises(kind) as info:
+                compiled(f, language)
+            assert str(info.value) == message
 
 
 def test_code_holds_one_instruction_per_distinct_subformula():
