@@ -503,27 +503,29 @@ def _algebra_values(
 ) -> list[int]:
     """algebra_eval of each formula in iteration order, from one loop
     over order, their walk (syntax._walk), whose memory keys each node
-    by id, as frames.truth_sets does. When a node fails, the first
-    formula holding a failing node raises at its first failing node in
-    entry order."""
-    value: dict[int, int] = {}
+    by node, as frames.truth_sets does. When a node fails, the formula
+    that raises is the one holding a failing node, or the least such by
+    show when there are several, so the error reads the same however
+    the formulas iterate; it raises at its first failing node in entry
+    order."""
+    value: dict[Formula, int] = {}
     tables = {And: a.meet, Or: a.join, Imp: a.imp}
     for g in order:
         kind = g.__class__
         if kind in tables:
-            value[id(g)] = tables[kind][value[id(g.left)]][value[id(g.right)]]
+            value[g] = tables[kind][value[g.left]][value[g.right]]
         elif kind is Neg:
-            value[id(g)] = a.neg[value[id(g.sub)]]
+            value[g] = a.neg[value[g.sub]]
         elif kind is Top or kind is Var and g.name in mu:
-            value[id(g)] = a.one if kind is Top else mu[g.name]
+            value[g] = a.one if kind is Top else mu[g.name]
         else:
             first = _first(order, lambda h: h.__class__ not in _PROP or h.__class__ is Var and h.name not in mu)
-            for f in formulas:
-                for bad in first[id(f)]:
-                    if bad.__class__ is Var:
-                        raise ValueError(f"assignment misses variable {bad.name}")
-                    raise ValueError(f"not a propositional formula: {show(bad)}")
-    return [value[id(f)] for f in formulas]
+            failing = [f for f in formulas if first[f]]
+            (bad,) = first[failing[0] if len(failing) == 1 else min(failing, key=show)]
+            if bad.__class__ is Var:
+                raise ValueError(f"assignment misses variable {bad.name}")
+            raise ValueError(f"not a propositional formula: {show(bad)}")
+    return [value[f] for f in formulas]
 
 
 @dataclass(frozen=True)
@@ -589,9 +591,10 @@ def _filtration_through(
         for y in elements:
             if a.meet[x][y] not in inside or a.join[x][y] not in inside:
                 raise ValueError("universe is not a sublattice")
-    for f, v in zip(sigma, _algebra_values(a, mu, sigma, walk)):
-        if v not in inside:
-            raise ValueError(f"universe misses the value of {show(f)}")
+    # the least member by show, so the error reads the same however Sigma iterates
+    missed = [show(f) for f, v in zip(sigma, _algebra_values(a, mu, sigma, walk)) if v not in inside]
+    if missed:
+        raise ValueError(f"universe misses the value of {min(missed)}")
     index = {x: i for i, x in enumerate(elements)}
     k = len(elements)
     least = elements[0]
@@ -677,7 +680,7 @@ def least_filtration_correspondence(
     m = NModel(tf.to_nframe(), {f.name: hats[mu[f.name]] for f in sigma if isinstance(f, Var)})
     # truth_sets' walk, which by (b) meets no undefined entry
     truth = _truths(m.frame.poset, m.frame.ntable, m.valuation, walk, {})
-    sig = _transpose([truth[id(f)] for f in sigma], tf.n)
+    sig = _transpose([truth[f] for f in sigma], tf.n)
     return _inclusion_cones(sig) == _inclusion_cones([f & carrier for f in filters])
 
 

@@ -14,8 +14,8 @@ of a quotient set, _Read.bound, is the greatest table, the ceiling of
 Sigma is read on a model once for all the functions here: _partition
 evaluates it as frames.truth_sets does, each shared subformula once,
 over Sigma's walk (syntax._walk: the one a closure from close_sigma
-keeps, so its read builds none, else syntax._postorder's), keying
-the truth sets by node id rather than by formula, derives the
+keeps, so its read builds none, else syntax._postorder's), keying the
+truth sets by node in the order of that walk, derives the
 signatures, the projection and the classes, and keeps that read on the
 model, one read per model: the last. The functions taking a Sigma
 copy it only when it is no frozenset (syntax._frozen), so the walk and
@@ -69,7 +69,7 @@ from subminimal.frames import (
     _Unevaluable,
     _orders_between,
     _push_mask,
-    _truth_by_id,
+    _truth_walk,
     _truths,
     countermodel_search,
     formula_evaluator,
@@ -107,7 +107,7 @@ def close_sigma(formulas: Iterable[Formula]) -> frozenset[Formula]:
         out |= subformula_closure(f)
         orders.append(subformulas(f))
     sigma = _Closure(out)
-    sigma.walk = orders[0] if len(orders) == 1 else tuple({id(g): g for o in orders for g in o}.values())
+    sigma.walk = orders[0] if len(orders) == 1 else tuple(dict.fromkeys(g for o in orders for g in o))
     return sigma
 
 
@@ -131,12 +131,13 @@ class _Read:
     """Sigma read on one model under a projection, as _partition keeps
     it in the model's one slot or _Read.projected makes it for one call.
 
-    nodes is Sigma's walk (syntax._walk): the walk a closure from
-    close_sigma keeps, else the one syntax._postorder builds. truth holds
-    the truth set of each of its nodes, keyed by node id rather than by
-    formula; Sigma's members are among the nodes. sig[w] has bit i set
-    when order[i], the i-th member of tuple(sigma), holds at w; pi sends
-    each world to its class and members[c] holds the worlds of class c.
+    truth holds the truth set of each node of Sigma's walk
+    (syntax._walk: the walk a closure from close_sigma keeps, else the
+    one syntax._postorder builds), keyed by node in the order of that
+    walk, so its keys are the walk; Sigma's members are among them.
+    sig[w] has bit i set when order[i], the i-th member of tuple(sigma),
+    holds at w; pi sends each world to its class and members[c] holds
+    the worlds of class c.
     qval values each variable occurring in Sigma, by name order, with
     the projection of its source value under pi.
     The read keeps, as they are first asked for and for as long as it
@@ -153,22 +154,20 @@ class _Read:
       a model of up to 3 worlds (at most 19).
 
     neg_args, what (d) reads, is kept likewise. filtration_theorem_check
-    walks the quotient over the nodes.
+    walks the quotient over the keys of truth.
     """
 
     sigma: Collection[Formula]
     valuation: dict[str, int]
-    truth: dict[int, int]
+    truth: dict[Formula, int]
     order: tuple[Formula, ...]
     sig: list[int]
     pi: tuple[int, ...]
     members: list[int]
     qval: dict[str, int]
-    closed: bool = False
     bounds: dict[int, int] = field(default_factory=dict)
     frame: NFrame | None = None
     orders: dict[tuple[int, ...], tuple] = field(default_factory=dict)
-    nodes: Sequence[Formula] = ()
 
     def projected(self, m: NModel, pi: tuple[int, ...], members: list[int]) -> "_Read":
         """This Sigma read under another projection pi onto classes with
@@ -209,7 +208,7 @@ class _Read:
         the projection under pi of the truth set of g and the truth set
         of ~g, which is the source negation of the truth set of g."""
         truth, pi = self.truth, self.pi
-        return [(f, _push_mask(truth[id(f.sub)], pi), truth[id(f)]) for f in self.order if isinstance(f, Neg)]
+        return [(f, _push_mask(truth[f.sub], pi), truth[f]) for f in self.order if isinstance(f, Neg)]
 
 
 def _fresh_read(m: NModel, sigma: Collection[Formula]) -> _Read | None:
@@ -240,27 +239,27 @@ def _partition(m: NModel, sigma: Collection[Formula], require_closed: bool = Fal
     kept before, and given again while the Sigma object is the one read
     and the valuation equals the one it was read under (_fresh_read). With
     require_closed, Sigma must be subformula-closed, which is checked
-    before Sigma is read and once per read.
+    before Sigma is read, over its walk, and on a kept read over the
+    read's.
     """
     read = _fresh_read(m, sigma)
-    nodes = _walk(sigma) if read is None else read.nodes
-    if require_closed and (read is None or not read.closed):
-        _require_closed(sigma, nodes)
+    walk = _walk(sigma) if read is None else read.truth
+    if require_closed:
+        _require_closed(sigma, walk)
     if read is None:
-        truth = _truth_by_id(m, sigma, nodes)
+        truth = _truth_walk(m, sigma, walk)
         order = tuple(sigma)
-        sig = _transpose([truth[id(f)] for f in order], m.frame.n)
+        sig = _transpose([truth[f] for f in order], m.frame.n)
         # worlds run upwards, so classes enter in the order of their least member
         classes: dict[int, int] = {}
         for w, s in enumerate(sig):
             classes[s] = classes.get(s, 0) | 1 << w
         index = {s: c for c, s in enumerate(classes)}
         pi = tuple(index[s] for s in sig)
-        names = sorted({f.name for f in nodes if f.__class__ is Var})
+        names = sorted({f.name for f in truth if f.__class__ is Var})
         qval = {name: _push_mask(m.valuation[name], pi) for name in names}
-        read = _Read(sigma, dict(m.valuation), truth, order, sig, pi, list(classes.values()), qval, nodes=nodes)
+        read = _Read(sigma, dict(m.valuation), truth, order, sig, pi, list(classes.values()), qval)
         vars(m)["_read"] = read
-    read.closed |= require_closed
     return read
 
 
@@ -413,23 +412,21 @@ def filtration_theorem_check(m: NModel, r: FiltrationResult) -> tuple[Formula, i
     raises eval_formula's error when its turn comes in that order.
     Under a shared read (_shared_read) the class members and source
     truth sets are the read's, and the quotient is walked over the
-    read's nodes.
+    keys of the read's truth sets, Sigma's walk.
     """
     read = _shared_read(m, r)
     members = _transpose([1 << c for c in r.pi], r.classes()) if read is None else read.members
     try:
-        truth = (read or _partition(m, r.sigma)).truth
-        source = lambda f: truth[id(f)]
+        source = (read or _partition(m, r.sigma)).truth.__getitem__
     except (TypeError, ValueError):
         # evaluated formula by formula, the errors come in show order
         source = formula_evaluator(m)
     target = formula_evaluator(r.quotient)
     if read is not None:
         q = r.quotient
-        # the quotient walked over the read's nodes at once, if it can be
+        # the quotient walked over Sigma's walk at once, if it can be
         try:
-            qtruth = _truths(q.frame.poset, q.frame.ntable, q.valuation, read.nodes, {})
-            target = lambda f: qtruth[id(f)]
+            target = _truths(q.frame.poset, q.frame.ntable, q.valuation, read.truth, {}).__getitem__
         except _Unevaluable:
             pass
     # collecting every failure first spares the show order when none occurs

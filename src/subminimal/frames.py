@@ -408,7 +408,7 @@ class NModel:
     last read of a Sigma on this model (filtration._partition), so the
     calls on one model with one Sigma read it once; it is no field, so
     it stays out of ==, hash and repr, and out of pickles and copies,
-    since it is keyed by node ids that only this process keeps alive.
+    since it serves only the Sigma object it was read from.
     """
 
     frame: NFrame
@@ -430,23 +430,23 @@ class _Unevaluable(Exception):
 
 def truth_sets(m: NModel, formulas: Collection[Formula]) -> dict[Formula, int]:
     """Truth sets, as masks, of the formulas and of all their
-    subformulas, keyed by formula.
+    subformulas, keyed by formula in the order of their walk
+    (syntax._walk), children first.
 
     One bottom-up walk evaluates each subformula once, with the frame's
-    tables read directly. When some formula cannot be evaluated, the
-    error is decided over all the formulas, in this order: the least
-    variable the model does not value; else the compile_prop error of
-    the first formula holding a modal node; else an undefined negation
-    entry. For one formula these are the errors of compiling it and
-    running the kernel.
+    tables read directly, and its memo is the dict returned. When some
+    formula cannot be evaluated, the error is decided over all the
+    formulas, in this order: the least variable the model does not
+    value; else the compile_prop error of the first formula holding a
+    modal node; else an undefined negation entry. For one formula these
+    are the errors of compiling it and running the kernel.
     """
-    order = _walk(formulas)
-    return dict(zip(order, map(_truth_by_id(m, formulas, order).__getitem__, map(id, order))))
+    return _truth_walk(m, formulas, _walk(formulas))
 
 
-def _truth_by_id(m: NModel, formulas: Collection[Formula], order: Sequence[Formula]) -> dict[int, int]:
-    """truth_sets of the formulas keyed by node id, over order, their
-    walk (syntax._walk), with truth_sets' errors."""
+def _truth_walk(m: NModel, formulas: Collection[Formula], order: Sequence[Formula]) -> dict[Formula, int]:
+    """truth_sets of the formulas over order, their walk (syntax._walk),
+    with truth_sets' errors."""
     try:
         return _truths(m.frame.poset, m.frame.ntable, m.valuation, order, {})
     except _Unevaluable:
@@ -457,19 +457,17 @@ def formula_evaluator(m: NModel) -> Callable[[Formula], int]:
     """eval_formula on one model, with a memory: every subformula it
     evaluates is kept, so a node shared by several formulas is
     evaluated once over all the calls."""
-    truth: dict[int, int] = {}
-    met: list = []  # the orders walked, so that the ids truth holds stay theirs
+    truth: dict[Formula, int] = {}
     p, ntable, valuation = m.frame.poset, m.frame.ntable, m.valuation
 
     def evaluate(f: Formula) -> int:
-        if id(f) not in truth:
+        if f not in truth:
             order = _postorder((f,), truth) if truth else subformulas(f)
-            met.append(order)
             try:
                 _truths(p, ntable, valuation, order, truth)
             except _Unevaluable:
                 raise _truth_error(m, (f,), subformulas(f)) from None
-        return truth[id(f)]
+        return truth[f]
 
     return evaluate
 
@@ -477,23 +475,21 @@ def formula_evaluator(m: NModel) -> Callable[[Formula], int]:
 def eval_formula(m: NModel, f: Formula) -> int:
     """Truth set of a propositional formula in the model, as a mask.
 
-    The truth_sets walk read at the root, with its errors; it keys
-    nodes by identity, so a formula evaluated once is never hashed.
+    The truth_sets walk read at the root, with its errors.
     """
     return formula_evaluator(m)(f)
 
 
 def _truths(
     p: Poset, ntable: Sequence[int], valuation: Mapping[str, int], order: Iterable[Formula], truth: dict
-) -> dict[int, int]:
+) -> dict[Formula, int]:
     """truth, with the truth set on the poset of each node of order,
-    children first (see syntax.subformulas), keyed by id: negation
+    children first (see syntax.subformulas), keyed by node: negation
     read off the table and variables off the valuation given (a
     model's own, or the lift's, see modal.translation_preservation).
-    Raises _Unevaluable at the first node those cannot evaluate. The
-    caller keeps the nodes alive while truth lives, so their ids stay
-    theirs. A subformula is one node however often it occurs
-    (syntax), so it is evaluated once."""
+    Raises _Unevaluable at the first node those cannot evaluate. A
+    subformula is one node however often it occurs (syntax), so it is
+    evaluated once."""
     n, up, full = p.n, p.up, (1 << p.n) - 1
     for f in order:
         kind = f.__class__
@@ -501,23 +497,23 @@ def _truths(
             v = valuation.get(f.name)
         elif kind is Imp:
             # _imp_mask inlined: calling it made truth_sets about 1.15x slower
-            gap = truth[id(f.left)] & ~truth[id(f.right)]
+            gap = truth[f.left] & ~truth[f.right]
             v = full
             for w in range(n if gap else 0):
                 if up[w] & gap:
                     v ^= 1 << w
         elif kind is Neg:
-            v = ntable[truth[id(f.sub)]]
+            v = ntable[truth[f.sub]]
             v = None if v < 0 else v
         elif kind is And:
-            v = truth[id(f.left)] & truth[id(f.right)]
+            v = truth[f.left] & truth[f.right]
         elif kind is Or:
-            v = truth[id(f.left)] | truth[id(f.right)]
+            v = truth[f.left] | truth[f.right]
         else:
             v = full if kind is Top else None
         if v is None:
             raise _Unevaluable
-        truth[id(f)] = v
+        truth[f] = v
     return truth
 
 
@@ -531,7 +527,7 @@ def _truth_error(m: NModel, formulas: Collection[Formula], order: Sequence[Formu
         return ValueError(f"model does not value variable {min(missing)}")
     first = _first(order, lambda g: g.__class__ not in _PROP)
     for f in formulas:
-        if first[id(f)]:
+        if first[f]:
             try:
                 compile_prop(f, tuple(m.valuation))
             except (TypeError, ValueError) as exc:
@@ -557,7 +553,7 @@ def _refutation_at(
     refuting, and its least failing world, read off the truth walk."""
     valuation = _valuation_from_index(idx, names, fr.poset.upsets())
     # the search met no undefined entry up to idx, so neither does this
-    truth = _truths(fr.poset, fr.ntable, valuation, subformulas(f), {})[id(f)]
+    truth = _truths(fr.poset, fr.ntable, valuation, subformulas(f), {})[f]
     fail = ((1 << fr.n) - 1) & ~truth
     return valuation, (fail & -fail).bit_length() - 1
 

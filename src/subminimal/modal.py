@@ -274,7 +274,7 @@ def translation_preservation(m: NModel, f: Formula) -> int | None:
             raise ValueError(f"truth set of {name} out of range")
         boxed[name] = _imp_mask(p.up, full, mask)
     nstar = kernels.lift_table(p.n, p.up, p.upsets(), m.frame.ntable)
-    diff = prop ^ _truths(p, nstar, boxed, subformulas(f), {})[id(f)]
+    diff = prop ^ _truths(p, nstar, boxed, subformulas(f), {})[f]
     if diff == 0:
         return None
     return (diff & -diff).bit_length() - 1
@@ -392,22 +392,22 @@ _RULES = set(_AXIOM_RULES) | {"taut", "MP", "Nec", "box-conj", "premise"}
 def _box_conj_norm(f: Formula) -> Formula:
     """f with each box distributed over conjunction, children first."""
     ops = {And: And, Or: Or, Imp: Imp, BBox: BBox, Box: _box_over, None: lambda g: g}
-    return _fold(subformulas(f), ops, {})[id(f)]
+    return _fold(subformulas(f), ops, {})[f]
 
 
 def _box_over(f: Formula) -> Formula:
     """[]f distributed, for a distributed f: each conjunct boxed."""
-    boxed: dict[int, Formula] = {}
+    boxed: dict[Formula, Formula] = {}
     spine = [f] if f.__class__ is And else []
     while spine:
         g = spine[-1]
-        below = [c for c in (g.left, g.right) if c.__class__ is And and id(c) not in boxed]
+        below = [c for c in (g.left, g.right) if c.__class__ is And and c not in boxed]
         if below:
             spine += below
         else:
             spine.pop()
-            boxed[id(g)] = And(*[boxed.get(id(c)) or Box(c) for c in (g.left, g.right)])
-    return boxed.get(id(f)) or Box(f)
+            boxed[g] = And(*[boxed.get(c) or Box(c) for c in (g.left, g.right)])
+    return boxed.get(f) or Box(f)
 
 
 def _is_taut_instance(f: Formula) -> bool:
@@ -416,11 +416,11 @@ def _is_taut_instance(f: Formula) -> bool:
     is its truth in row r, where atom i is bit i of r."""
     order = subformulas(f)
     atoms: dict[Formula, int] = {}
-    outer = {id(f)}
+    outer = {f}
     for g in reversed(order):
-        if id(g) in outer and isinstance(g, (And, Or, Imp)):
-            outer.update((id(g.left), id(g.right)))
-        elif id(g) in outer and isinstance(g, (Box, BBox, Var)):
+        if g in outer and isinstance(g, (And, Or, Imp)):
+            outer.update((g.left, g.right))
+        elif g in outer and isinstance(g, (Box, BBox, Var)):
             atoms.setdefault(g, len(atoms))
     if len(atoms) > 16:
         raise ValueError("too many distinct atoms to truth-table")
@@ -433,7 +433,7 @@ def _is_taut_instance(f: Formula) -> bool:
         return full // ((1 << 2 * run) - 1) * ((1 << run) - 1 << run)
 
     ops = {And: int.__and__, Or: int.__or__, Imp: lambda x, y: full & ~x | y, None: atom}
-    return _fold([g for g in order if id(g) in outer], ops, {})[id(f)] == full
+    return _fold([g for g in order if g in outer], ops, {})[f] == full
 
 
 def check_proof(proof: HilbertProof) -> tuple[int, str] | None:

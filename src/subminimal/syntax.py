@@ -19,16 +19,19 @@ parenthesis, one per prefix operator and per right-nested -> or <->
 There is one object per distinct formula (hash-consing): each node
 class builds its nodes, from their fields in order and not by keyword
 (Var("p"), And(a, b)), through one __new__, which looks the node up in
-_NODES by its class and name, or its class and the ids of its
-operands, and returns the live node if there is one. The table holds
-weak references, so a node's entry goes when reference counting frees
-the node, and a new node takes its hash at construction, the value the
-plain dataclass hash gives, so sets and dicts of formulas iterate as
-they would with it. So == is identity and a lookup costs one hash;
-copy.copy and copy.deepcopy return the node itself, and a pickle holds
-the operands and loads through the constructor, as the node. The table
-takes no lock: two threads building the same new formula at once may
-make two objects of it, so build formulas from one thread.
+_NODES by its class and its fields and returns the live node if there
+is one. The table holds weak references, so a node's entry goes when
+reference counting frees the node. So == is identity, and a node
+hashes by identity too (object.__hash__), in C, and every memo over
+formulas keys by the node itself. A set or dict of formulas therefore
+iterates in an order that follows where the nodes live in memory,
+which can change from run to run: whatever is shown or named from such
+a set is chosen by show (the least member) or by a walk, not by that
+order. copy.copy and copy.deepcopy return the node itself, and a
+pickle holds the operands and loads through the constructor, as the
+node. The table takes no lock: two threads building the same new
+formula at once may make two objects of it, so build formulas from one
+thread.
 
 Every other walk but show's is a loop over ``subformulas``, the
 subformulas of a formula, children first, left operand first, each
@@ -92,8 +95,7 @@ class _Ref(weakref.ref):
     __slots__ = ("key",)
 
 
-# every live node under its key: its class and name, or its class and
-# the ids of its operands, which it keeps alive while it lives
+# every live node under its key, its class and its fields
 _NODES: dict[tuple, _Ref] = {}
 
 
@@ -105,26 +107,21 @@ def _drop(ref: _Ref) -> None:
 
 
 class Formula:
-    """Base class for all formula nodes; holds the hash and code slots."""
+    """Base class for all formula nodes; holds the code slot."""
 
-    __slots__ = ("_hash", "_code", "__weakref__")
+    __slots__ = ("_code", "__weakref__")
 
     def __new__(cls, *fields: object) -> Formula:
-        key = (cls, *fields) if cls is Var else (cls, *map(id, fields))
+        key = (cls, *fields)
         ref = _NODES.get(key)
         node = None if ref is None else ref()
         if node is None:
             node = object.__new__(cls)
-            # the dataclass hash value, so sets and dicts iterate as with it
-            _setattr(node, "_hash", hash(fields))
             for name, value in zip(cls.__match_args__, fields):
                 _setattr(node, name, value)
             ref = _NODES[key] = _Ref(node, _drop)
             ref.key = key
         return node
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __copy__(self) -> Formula:
         return self
@@ -141,7 +138,7 @@ class Formula:
 
 def _node(cls):
     """A frozen slotted dataclass whose nodes Formula.__new__ interns,
-    with Formula's hash and identity for ==."""
+    with identity for == and hash."""
     return dataclass(frozen=True, slots=True, init=False, eq=False)(cls)
 
 
@@ -212,18 +209,18 @@ def _children(formula: Formula) -> tuple[Formula, ...]:
 _LEAVE = object()
 
 
-def _postorder(formulas: Iterable[Formula], seen: Collection[int] = ()) -> list[Formula]:
-    """The nodes of the formulas in turn whose ids seen lacks, in the
-    order of subformulas; anything not a formula is a leaf."""
+def _postorder(formulas: Iterable[Formula], seen: Collection[Formula] = ()) -> list[Formula]:
+    """The nodes of the formulas in turn that seen lacks, in the order
+    of subformulas; anything not a formula is a leaf."""
     order: list[Formula] = []
-    entered: set[int] = set()
+    entered: set[Formula] = set()
     stack = list(formulas)[::-1]
     while stack:
         f = stack.pop()
         if f is _LEAVE:
             order.append(stack.pop())
-        elif (i := id(f)) not in entered and i not in seen:
-            entered.add(i)
+        elif f not in entered and f not in seen:
+            entered.add(f)
             kind = f.__class__
             if kind in _BINARY:
                 stack += (f, _LEAVE, f.right, f.left)
@@ -238,37 +235,39 @@ def subformulas(formula: Formula) -> tuple[Formula, ...]:
     """The distinct subformula objects of a formula, children first,
     left operand first, the formula last (see the module docstring)."""
     kept = getattr(formula, "_code", None)
-    if kept is not None:
+    if kept.__class__ is tuple:
         return kept[0] + (formula,)
+    if formula.__class__ not in _KINDS:
+        # anything else, a node class among them, is a leaf
+        return (formula,)
     order = tuple(_postorder((formula,)))
-    if formula.__class__ in _KINDS:
-        _setattr(formula, "_code", (order[:-1], None, None, None))
+    _setattr(formula, "_code", (order[:-1], None, None, None))
     return order
 
 
-def _first(order: Iterable[Formula], failing: Callable[[Formula], bool]) -> dict[int, tuple[Formula, ...]]:
-    """For each node of order, a walk, keyed by id: (node,) for its
+def _first(order: Iterable[Formula], failing: Callable[[Formula], bool]) -> dict[Formula, tuple[Formula, ...]]:
+    """For each node of order, a walk, keyed by node: (node,) for its
     first node in entry order that failing holds for, else (); a node's
     first is itself, else its left operand's, else its right operand's."""
-    first: dict[int, tuple[Formula, ...]] = {}
+    first: dict[Formula, tuple[Formula, ...]] = {}
     for f in order:
-        below = (first[id(c)] for c in _children(f))
-        first[id(f)] = (f,) if failing(f) else next(filter(None, below), ())
+        below = (first[c] for c in _children(f))
+        first[f] = (f,) if failing(f) else next(filter(None, below), ())
     return first
 
 
 def _fold(order: Iterable[Formula], ops: dict, value: dict) -> dict:
-    """value, with each node of order keyed by id: ops[kind] of the
+    """value, with each node of order keyed by node: ops[kind] of the
     values of a connective's operands, of the node itself for any other
     kind, and ops[None] of the node for a kind that ops lacks."""
     for f in order:
         op = ops.get(f.__class__)
         if op is None:
-            value[id(f)] = ops[None](f)
+            value[f] = ops[None](f)
         elif f.__class__ in _BINARY:
-            value[id(f)] = op(value[id(f.left)], value[id(f.right)])
+            value[f] = op(value[f.left], value[f.right])
         else:
-            value[id(f)] = op(value[id(f.sub)]) if f.__class__ in _UNARY else op(f)
+            value[f] = op(value[f.sub]) if f.__class__ in _UNARY else op(f)
     return value
 
 
@@ -453,10 +452,10 @@ def variables(formula: Formula) -> tuple[str, ...]:
 
 def depth(formula: Formula) -> int:
     """Connective nesting depth; atoms and constants have depth 0."""
-    d: dict[int, int] = {}
+    d: dict[Formula, int] = {}
     for f in subformulas(formula):
-        d[id(f)] = max([d[id(c)] + 1 for c in _children(f)], default=0)
-    return d[id(formula)]
+        d[f] = max([d[c] + 1 for c in _children(f)], default=0)
+    return d[formula]
 
 
 def is_instance_of(formula: Formula, scheme: Formula) -> bool:
@@ -466,16 +465,16 @@ def is_instance_of(formula: Formula, scheme: Formula) -> bool:
     formulas at all of them."""
     if scheme.__class__ is not formula.__class__ and scheme.__class__ is not Var:
         return False
-    at, env = {id(scheme): formula}, {}
+    at, env = {scheme: formula}, {}
     for s in reversed(subformulas(scheme)):
-        f = at[id(s)]
+        f = at[s]
         if s.__class__ is Var:
             if env.setdefault(s.name, f) is not f:
                 return False
         elif s.__class__ is not f.__class__:
             return False
         for c, g in zip(_children(s), _children(f)):
-            if at.setdefault(id(c), g) is not g:
+            if at.setdefault(c, g) is not g:
                 return False
     return True
 
@@ -489,11 +488,11 @@ def godel_translate(formula: Formula) -> Formula:
     order = subformulas(formula)
 
     def fail(f: Formula) -> None:
-        for bad in _first(order, lambda g: g.__class__ not in _PROP)[id(formula)]:
+        for bad in _first(order, lambda g: g.__class__ not in _PROP)[formula]:
             raise ValueError(f"not a propositional formula: {show(bad)}")
 
     ops = {Var: Box, Top: lambda f: Top(), And: And, Or: Or, Imp: lambda a, b: Box(Imp(a, b)), Neg: BBox}
-    return _fold(order, {**ops, None: fail}, {})[id(formula)]
+    return _fold(order, {**ops, None: fail}, {})[formula]
 
 
 # --------------------------------------------------------------------------
@@ -559,7 +558,7 @@ def compiled(formula: Formula, language: str = "prop") -> tuple[tuple[str, ...],
         raise ValueError(f"unknown language: {language!r}")
     modal = language == "modal"
     kept = getattr(formula, "_code", None)
-    if kept is not None and kept[2 + modal] is not None:
+    if kept.__class__ is tuple and kept[2 + modal] is not None:
         return kept[1], kept[2 + modal]
     # a node with code gets here only in the language it fails to compile in
     names = variables(formula)
@@ -599,7 +598,7 @@ def _compile(formula: Formula, index: dict[str, int], modal: bool) -> tuple[int,
     outside it raises ValueError. A failure raises the error of the
     first failing node in entry order, as a compiler checking nodes
     before their operands meets it."""
-    slots: dict[int, int] = {}
+    slots: dict[Formula, int] = {}
     code: list[int] = []
     opcodes = _OPCODES[modal]
     order = subformulas(formula)
@@ -609,16 +608,16 @@ def _compile(formula: Formula, index: dict[str, int], modal: bool) -> tuple[int,
             code += (OP_VAR, index[f.name], 0)
         elif kind not in opcodes:
             for bad in _first(order, lambda g: g.__class__ not in opcodes and not (
-                    g.__class__ is Var and g.name in index))[id(formula)]:
+                    g.__class__ is Var and g.name in index))[formula]:
                 if bad.__class__ is Var:
                     raise ValueError(f"variable not in the compilation order: {bad.name}")
                 if bad.__class__ not in _KINDS:
                     raise TypeError(f"not a formula: {bad!r}")
                 raise ValueError(_REFUSED[bad.__class__, modal])
         elif kind in _BINARY:
-            code += (opcodes[kind], slots[id(f.left)], slots[id(f.right)])
+            code += (opcodes[kind], slots[f.left], slots[f.right])
         else:
-            code += (opcodes[kind], slots[id(f.sub)], 0) if kind in _UNARY else (opcodes[kind], 0, 0)
-        slots[id(f)] = len(slots)
+            code += (opcodes[kind], slots[f.sub], 0) if kind in _UNARY else (opcodes[kind], 0, 0)
+        slots[f] = len(slots)
     return tuple(code)
 

@@ -55,7 +55,7 @@ from subminimal.frames import (
     random_poset,
     truth_sets,
 )
-from subminimal.syntax import And, Box, Neg, Var, _walk, parse, variables
+from subminimal.syntax import And, Box, Neg, Var, _walk, parse, show, variables
 from syntax_helpers import random_formula
 
 CHAIN = Poset.from_pairs(2, [(0, 1)])
@@ -807,8 +807,10 @@ def test_algebra_eval_matches_the_recursive_walk():
 
 def _one_by_one(a, mu, formulas, order):
     """The Sigma values as the filtrations took them before they shared
-    one walk: one recursive evaluation per member."""
-    return [reference.algebra_eval(a, mu, f) for f in formulas]
+    one walk: one recursive evaluation per member, the members taken in
+    show order, so the least failing one by show raises."""
+    values = {f: reference.algebra_eval(a, mu, f) for f in sorted(formulas, key=show)}
+    return [values[f] for f in formulas]
 
 
 def test_sigma_values_keep_the_answers_and_errors_of_one_walk_per_member(monkeypatch):
@@ -857,6 +859,24 @@ def test_sigma_values_keep_the_answers_and_errors_of_one_walk_per_member(monkeyp
             kinds[kind if kind == "ok" else [e for e in errors if value.startswith(e)][0]] += 1
     assert set(kinds) == {"ok", *errors}
     assert min(kinds.values()) >= 100
+
+
+def test_sigma_errors_name_the_least_failing_member_by_show():
+    # several members fail; whatever order Sigma iterates in, the error
+    # names the least of them by show, and for a missing variable its
+    # first failing node in entry order
+    a = algebra_corpus(2)[3]
+    texts = ["s -> p", "q", "r & s", "~s"]
+    for shift in range(len(texts)):
+        formulas = [parse(t) for t in texts[shift:] + texts[:shift]]
+        with pytest.raises(ValueError, match="^universe misses the value of p$"):
+            general_algebraic_filtration(a, {"p": 0, "q": 0, "r": 0, "s": 0}, close_sigma(formulas), [1])
+        with pytest.raises(ValueError, match="^universe misses the value of q$"):
+            general_algebraic_filtration(a, {"p": 1, "q": 0, "r": 0, "s": 0}, frozenset(formulas), [1])
+        with pytest.raises(ValueError, match="^assignment misses variable p$"):
+            sublattice_filtration(a, {"q": 1}, close_sigma(formulas))
+        with pytest.raises(ValueError, match="^assignment misses variable r$"):
+            sublattice_filtration(a, {"q": 1}, frozenset(formulas))
 
 
 # --------------------------------------------------------------------------

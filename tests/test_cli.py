@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 import subminimal
 from subminimal import cli, frames
 from subminimal.algebra import (
+    algebra_corpus,
     algebra_from_dict,
     algebra_to_dict,
     nalgebra_isomorphic,
@@ -863,6 +864,40 @@ def test_filtrate_missing_variable_error_is_the_same_under_every_hash_seed(tmp_p
     code, out = results.pop()
     assert code == 2
     assert json.loads(out) == {"status": "error", "error": "model does not value variable q"}
+
+
+def _stdout_under_seeds(argv, seeds):
+    """The (exit code, stdout) pairs of the CLI run under each hash seed."""
+    results = set()
+    for seed in seeds:
+        env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=SRC)
+        proc = subprocess.run([sys.executable, "-m", "subminimal.cli", *argv], capture_output=True, text=True, env=env)
+        results.add((proc.returncode, proc.stdout))
+    return results
+
+
+def test_algebra_filtrate_missing_variable_error_is_the_same_under_every_hash_seed(tmp_path):
+    # three members of Sigma miss a variable; the least by show is named
+    algebra = write(tmp_path, "a.json", algebra_to_dict(algebra_corpus(2)[3]))
+    argv = ["algebra", "filtrate", "--algebra", algebra, "--assign", '{"p": 1}', "--sigma", "q & r; s"]
+    ((code, out),) = _stdout_under_seeds(argv, range(8))
+    assert code == 2
+    assert json.loads(out) == {"status": "error", "error": "assignment misses variable q"}
+
+
+def test_outputs_read_off_a_set_of_formulas_are_the_same_under_every_hash_seed(tmp_path):
+    # a formula hashes by identity, so a set of formulas iterates in an
+    # order that can change from run to run: no output may follow it
+    model = write(tmp_path, "m.json", dict(FORK_MODEL_JSON, valuation={"p": 2, "q": 4}))
+    algebra = write(tmp_path, "a.json", CHAIN_ALGEBRA)
+    runs = [
+        (["filtrate", "--model", model, "--sigma", "~p -> ~~q; ~(p & ~q) | q; p -> q"], 0),
+        (["countermodel", "(p -> q) -> (~q -> ~p)", "--logic", "n"], 1),
+        (["algebra", "filtrate", "--algebra", algebra, "--assign", '{"p": 1, "q": 2}', "--sigma", "p & q; ~p; q -> ~p"], 0),
+    ]
+    for argv, want in runs:
+        ((code, out),) = _stdout_under_seeds(argv, range(4))
+        assert code == want and json.loads(out)["status"] in ("ok", "refuted")
 
 
 # ---------------------------------------------------------------------------

@@ -569,13 +569,13 @@ def test_one_source_read_per_model_and_sigma(monkeypatch):
     # a frozen counter: one filtrate-style item per (model, Sigma) pair
     # reads Sigma on its model once, however many calls share the read
     reads = []
-    real = filtration._truth_by_id
+    real = filtration._truth_walk
 
     def counting(m, formulas, order):
         reads.append((m, formulas))
         return real(m, formulas, order)
 
-    monkeypatch.setattr(filtration, "_truth_by_id", counting)
+    monkeypatch.setattr(filtration, "_truth_walk", counting)
     fork = fork_model()
     chain = model_from_dict(
         {"worlds": 3, "leq": [[0, 1], [1, 2]], "N": {"0": 7, "4": 6, "6": 4, "7": 0}, "valuation": {"p": 6, "q": 4}}
@@ -601,7 +601,7 @@ def test_orders_are_decided_once_per_read_and_order(monkeypatch):
     # and Sigma is still read once per pair of model and Sigma
     reads = []
     decided = []
-    real_truth, real_order = filtration._truth_by_id, filtration._order_witness
+    real_truth, real_order = filtration._truth_walk, filtration._order_witness
 
     def counting_truth(m, formulas, order):
         reads.append((m, formulas))
@@ -611,7 +611,7 @@ def test_orders_are_decided_once_per_read_and_order(monkeypatch):
         decided.append(tuple(up))
         return real_order(source_up, pi, members, sig, order, up)
 
-    monkeypatch.setattr(filtration, "_truth_by_id", counting_truth)
+    monkeypatch.setattr(filtration, "_truth_walk", counting_truth)
     monkeypatch.setattr(filtration, "_order_witness", counting_order)
     fork = fork_model()
     chain = model_from_dict(

@@ -27,6 +27,7 @@ from subminimal import frames, kernels
 from subminimal.kernels import pure
 from subminimal.algebra import TopFrame, topframe_from_dict
 from subminimal.antichain import positive_morphism
+from subminimal.filtration import close_sigma
 from subminimal.frames import (
     DEFAULT_MAX_WORLDS,
     LOGICS,
@@ -78,6 +79,7 @@ from subminimal.syntax import (
     parse,
     show,
     subformula_closure,
+    subformulas,
 )
 from syntax_helpers import random_formula
 
@@ -395,9 +397,23 @@ def test_truth_sets_error_is_the_least_over_all_formulas():
         truth_sets(m, [parse("p"), parse("[]p", "modal"), parse("[n]p", "modal")])
 
 
+def test_truth_sets_keys_are_the_walk_in_order():
+    # the dict the walk fills is the one returned: its keys come children
+    # first, the formulas in turn, each node once, as for a closure its
+    # kept walk
+    rng = random.Random(40)
+    m = NModel(SEPARATING, {"p": 2, "q": 3, "r": 0})
+    for _ in range(300):
+        formulas = [random_formula(rng, ("p", "q", "r"), rng.randint(0, 4)) for _ in range(rng.randint(1, 3))]
+        walk = list(dict.fromkeys(g for f in formulas for g in subformulas(f)))
+        assert list(truth_sets(m, formulas)) == walk
+        sigma = close_sigma(formulas)
+        assert list(truth_sets(m, sigma)) == list(sigma.walk) == walk
+
+
 def test_formula_evaluator_matches_eval_formula_over_many_calls():
-    # each formula is a temporary: were the memory to drop it, a later
-    # formula could take its id and read its value
+    # each formula is a temporary, which the memory, keyed by node, keeps
+    # alive, so a later formula never takes its place
     rng = random.Random(37)
     for _ in range(100):
         m = _holey_model(rng)

@@ -9,7 +9,9 @@ filtration). A private name that a module defines at its top level (a
 ``_name`` function, class or assignment) must be read outside its own
 definition, in the package or the tests, as a name or an attribute. So
 code deleted without the imports only it read, or a helper or constant
-that a simplification left unused, fails here.
+that a simplification left unused, fails here. And no module reads the
+builtin ``id``: a formula hashes by identity, so a memo over formulas
+keys by the node itself.
 """
 
 import ast
@@ -106,3 +108,14 @@ def test_every_private_definition_is_read_elsewhere():
             if not here and name not in attributes and (module, name) not in imported:
                 unread.append(f"{module}: {name}")
     assert unread == []
+
+
+def test_no_module_reads_the_builtin_id():
+    # an id-keyed memo would have to keep its nodes alive beside it
+    reads = [
+        f"{_module(path)}:{node.lineno}"
+        for path in SRC.rglob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Name) and node.id == "id"
+    ]
+    assert reads == []

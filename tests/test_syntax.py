@@ -384,12 +384,38 @@ def test_separately_built_deep_formulas_are_one_object():
     assert len(truth) == DEEP + 2 and truth[g] == 1
 
 
-def test_hash_is_the_dataclass_value_on_every_node():
+def test_hash_is_identity_on_every_node():
     rng = random.Random(2)
     for i in range(2000):
-        f = random_formula(rng, ("p", "q", "r"), 4, "modal" if i % 2 else "prop")
+        language = "modal" if i % 2 else "prop"
+        f = random_formula(rng, ("p", "q", "r"), 4, language)
         for g in subformula_closure(f):
-            assert hash(g) == hash(tuple(getattr(g, a) for a in g.__match_args__))
+            assert hash(g) == object.__hash__(g)
+        # built again, separately, the formula is the same object
+        again = parse(show(f), language)
+        assert again is f and hash(again) == hash(f)
+
+
+def test_an_unhashable_operand_is_refused_at_construction():
+    p, q = Var("p"), Var("q")
+    with pytest.raises(TypeError) as info:
+        And([], p)
+    assert str(info.value) == "unhashable type: 'list'"
+    # an operand that is no formula but hashes still builds, and interns
+    assert And("p", q).left == "p" and And("p", q) is And("p", q)
+    assert Imp(p, 3).right == 3 and Imp(p, 3) is Imp(p, 3)
+
+
+def test_a_node_class_is_no_formula():
+    # the class of a node is a leaf, as 'p' is: the walks give it back
+    # alone and the compiler and the translation refuse it
+    for bad in (And, Var, "p"):
+        assert subformulas(bad) == (bad,)
+        assert variables(bad) == () and depth(bad) == 0
+        for fn in (compiled, godel_translate):
+            with pytest.raises(TypeError) as info:
+                fn(bad)
+            assert str(info.value) == f"not a formula: {bad!r}"
 
 
 def test_hash_cache_stays_out_of_eq_repr_and_copies():
