@@ -77,7 +77,7 @@ from subminimal.syntax import (
     Var,
     _PROP,
     _first,
-    _frozen,
+    _ordered,
     _require_closed,
     _walk,
     show,
@@ -501,13 +501,11 @@ def algebra_eval(a: NAlgebra, mu: Mapping[str, int], f: Formula) -> int:
 def _algebra_values(
     a: NAlgebra, mu: Mapping[str, int], formulas: Collection[Formula], order: Sequence[Formula]
 ) -> list[int]:
-    """algebra_eval of each formula in iteration order, from one loop
-    over order, their walk (syntax._walk), whose memory keys each node
-    by node, as frames.truth_sets does. When a node fails, the formula
-    that raises is the one holding a failing node, or the least such by
-    show when there are several, so the error reads the same however
-    the formulas iterate; it raises at its first failing node in entry
-    order."""
+    """algebra_eval of each formula in turn, from one loop over order,
+    their walk (syntax._walk), whose memory keys each node by node, as
+    frames.truth_sets does. When a node fails, the formula that raises
+    is the first holding a failing node; it raises at its first failing
+    node in entry order."""
     value: dict[Formula, int] = {}
     tables = {And: a.meet, Or: a.join, Imp: a.imp}
     for g in order:
@@ -520,8 +518,7 @@ def _algebra_values(
             value[g] = a.one if kind is Top else mu[g.name]
         else:
             first = _first(order, lambda h: h.__class__ not in _PROP or h.__class__ is Var and h.name not in mu)
-            failing = [f for f in formulas if first[f]]
-            (bad,) = first[failing[0] if len(failing) == 1 else min(failing, key=show)]
+            (bad,) = first[next(f for f in formulas if first[f])]
             if bad.__class__ is Var:
                 raise ValueError(f"assignment misses variable {bad.name}")
             raise ValueError(f"not a propositional formula: {show(bad)}")
@@ -571,14 +568,15 @@ def general_algebraic_filtration(
     universe element s has meet(x, s) <= s <= y and so qualifies.
     Tables where no universe element qualifies raise ValueError.
     """
-    sigma = _frozen(sigma)
+    sigma = _ordered(sigma)
     return _filtration_through(a, mu, sigma, _walk(sigma), carrier)
 
 
 def _filtration_through(
-    a: NAlgebra, mu: Mapping[str, int], sigma: frozenset[Formula], walk: Sequence[Formula], carrier: Iterable[int]
+    a: NAlgebra, mu: Mapping[str, int], sigma: tuple[Formula, ...], walk: Sequence[Formula], carrier: Iterable[int]
 ) -> AlgebraicFiltration:
-    """general_algebraic_filtration over walk, Sigma's walk (syntax._walk)."""
+    """general_algebraic_filtration over walk, Sigma's walk (syntax._walk),
+    Sigma in its one order (syntax._ordered), which its errors follow."""
     elements = sorted(set(carrier))
     if not elements:
         raise ValueError("empty universe")
@@ -591,10 +589,9 @@ def _filtration_through(
         for y in elements:
             if a.meet[x][y] not in inside or a.join[x][y] not in inside:
                 raise ValueError("universe is not a sublattice")
-    # the least member by show, so the error reads the same however Sigma iterates
-    missed = [show(f) for f, v in zip(sigma, _algebra_values(a, mu, sigma, walk)) if v not in inside]
-    if missed:
-        raise ValueError(f"universe misses the value of {min(missed)}")
+    for f, v in zip(sigma, _algebra_values(a, mu, sigma, walk)):
+        if v not in inside:
+            raise ValueError(f"universe misses the value of {show(f)}")
     index = {x: i for i, x in enumerate(elements)}
     k = len(elements)
     least = elements[0]
@@ -639,7 +636,7 @@ def sublattice_filtration(
     This is the least universe any filtration can use, so the result
     embeds into every general_algebraic_filtration over the same data.
     """
-    sigma = _frozen(sigma)
+    sigma = _ordered(sigma)
     walk = _walk(sigma)
     return _filtration_through(a, mu, sigma, walk, _lattice_closure(a, _algebra_values(a, mu, sigma, walk)))
 
@@ -671,7 +668,7 @@ def least_filtration_correspondence(
     their closure, the dual, the check that Sigma is subformula-closed,
     after which its Var members are all the variables it holds.
     """
-    sigma = _frozen(sigma)
+    sigma = _ordered(sigma)
     walk = _walk(sigma)
     carrier = sum(1 << x for x in _lattice_closure(a, _algebra_values(a, mu, sigma, walk)))
     tf = a._duality

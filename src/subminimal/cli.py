@@ -97,7 +97,7 @@ def _load_json(path: str) -> Any:
         return json.load(fh)
 
 
-def _parse_sigma(text: str) -> frozenset[Formula]:
+def _parse_sigma(text: str) -> tuple[Formula, ...]:
     parts = [chunk.strip() for chunk in text.split(";")]
     formulas = [parse(chunk) for chunk in parts if chunk]
     if not formulas:

@@ -11,31 +11,32 @@ through the same Sigma (greatest_among proves it). The class-wise bound
 of a quotient set, _Read.bound, is the greatest table, the ceiling of
 (c) and the range of enumerated tables, which go flat to NFrame.
 
+Sigma is a tuple in one order: every function here taking a Sigma
+puts it in that order once, at entry (syntax._ordered), and so does
+FiltrationResult, so every witness and error follows it. A closure
+from close_sigma is that order already and its own walk.
+
 Sigma is read on a model once for all the functions here: _partition
 evaluates it as frames.truth_sets does, each shared subformula once,
-over Sigma's walk (syntax._walk: the one a closure from close_sigma
-keeps, so its read builds none, else syntax._postorder's), keying the
-truth sets by node in the order of that walk, derives the
-signatures, the projection and the classes, and keeps that read on the
-model, one read per model: the last. The functions taking a Sigma
-copy it only when it is no frozenset (syntax._frozen), so the walk and
-the object stay. The next call on the same model with the same Sigma
-object takes the read from there, and so
-do the class-wise bounds, each computed once, the greatest quotient
-frame, built once per read, and the verdict of conditions (a) and (b)
-per quotient order, which is all they depend on (_Read states the
-bounds). check_conditions reads every filtration through a read of its
-own projection: the kept read when the filtration projects by its pi
-onto its classes; otherwise its class members are the transpose of its
-projection, "onto" is refused before Sigma is read, and the read is
-_Read.projected from the kept one, which serves that one call and is
-never kept. A kept read serves only the Sigma object it was read from,
-not an equal one, because the (b) witness follows that object's
-iteration order; it is taken only while the model's valuation equals
-the one it was read under, and read again otherwise. One slot is
-enough: the calls on a model come in runs on one Sigma. A read that
-fails is not kept: the theorem check then goes formula by formula
-through frames.formula_evaluator, so its errors come in show order.
+over Sigma's walk (syntax._walk: Sigma itself when it comes from
+close_sigma, else syntax._postorder's), keying the truth sets by node
+in the order of that walk, derives the signatures, the projection and
+the classes, and keeps that read on the model, one read per model: the
+last. The next call on the same model with an equal Sigma takes the
+read from there, and so do the class-wise bounds, each computed once,
+the greatest quotient frame, built once per read, and the verdict of
+conditions (a) and (b) per quotient order, which is all they depend
+on (_Read states the bounds). check_conditions reads every filtration
+through a read of its own projection: the kept read when the
+filtration projects by its pi onto its classes; otherwise its class
+members are the transpose of its projection, "onto" is refused before
+Sigma is read, and the read is _Read.projected from the kept one,
+which serves that one call and is never kept. A kept read serves any equal Sigma, which is in the same
+order; it is taken only while the model's valuation equals the one it
+was read under, and read again otherwise. One slot is enough: the
+calls on a model come in runs on one Sigma. A read that fails is not
+kept: the theorem check then goes formula by formula through
+frames.formula_evaluator, so its errors come in Sigma's order.
 A world's signature is an int whose bit i says whether the i-th
 member of Sigma holds there: worlds agree on Sigma exactly when their
 signatures are equal, and in the greatest order class c lies below
@@ -58,7 +59,7 @@ import itertools
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Collection, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from subminimal.frames import (
     DEFAULT_MAX_WORLDS,
@@ -80,15 +81,13 @@ from subminimal.syntax import (
     Logic,
     Neg,
     Var,
-    _Closure,
-    _frozen,
+    _Closed,
+    _ordered,
     _require_closed,
     _walk,
     chain_axioms,
     compiled,
     is_instance_of,
-    show,
-    subformula_closure,
     subformulas,
 )
 
@@ -97,27 +96,24 @@ class ResourceLimitError(RuntimeError):
     """A completeness claim would need a search beyond the allowed bound."""
 
 
-def close_sigma(formulas: Iterable[Formula]) -> frozenset[Formula]:
-    """Subformula closure of a set of formulas, a syntax._Closure that
-    keeps their walk: the kept subformulas order of each in turn, each
-    subformula once."""
-    out: set[Formula] = set()
-    orders = []
-    for f in formulas:
-        out |= subformula_closure(f)
-        orders.append(subformulas(f))
-    sigma = _Closure(out)
-    sigma.walk = orders[0] if len(orders) == 1 else tuple(dict.fromkeys(g for o in orders for g in o))
-    return sigma
+def close_sigma(formulas: Iterable[Formula]) -> tuple[Formula, ...]:
+    """Subformula closure of the formulas, a syntax._Closed: the kept
+    subformulas order of each in turn, each subformula once, so its own
+    walk."""
+    return _Closed(dict.fromkeys(g for f in formulas for g in subformulas(f)))
 
 
 @dataclass(frozen=True)
 class FiltrationResult:
-    """A quotient model with its projection and the set it was built from."""
+    """A quotient model with its projection and the Sigma it was built
+    from, in its one order (syntax._ordered), even when built by hand."""
 
     quotient: NModel
     pi: tuple[int, ...]
-    sigma: frozenset[Formula]
+    sigma: tuple[Formula, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "sigma", _ordered(self.sigma))
 
     def classes(self) -> int:
         return self.quotient.frame.n
@@ -132,12 +128,11 @@ class _Read:
     it in the model's one slot or _Read.projected makes it for one call.
 
     truth holds the truth set of each node of Sigma's walk
-    (syntax._walk: the walk a closure from close_sigma keeps, else the
-    one syntax._postorder builds), keyed by node in the order of that
+    (syntax._walk: Sigma itself when it comes from close_sigma, else the
+    walk syntax._postorder builds), keyed by node in the order of that
     walk, so its keys are the walk; Sigma's members are among them.
-    sig[w] has bit i set when order[i], the i-th member of tuple(sigma),
-    holds at w; pi sends each world to its class and members[c] holds
-    the worlds of class c.
+    sig[w] has bit i set when sigma[i] holds at w; pi sends each world
+    to its class and members[c] holds the worlds of class c.
     qval values each variable occurring in Sigma, by name order, with
     the projection of its source value under pi.
     The read keeps, as they are first asked for and for as long as it
@@ -157,10 +152,9 @@ class _Read:
     walks the quotient over the keys of truth.
     """
 
-    sigma: Collection[Formula]
+    sigma: tuple[Formula, ...]
     valuation: dict[str, int]
     truth: dict[Formula, int]
-    order: tuple[Formula, ...]
     sig: list[int]
     pi: tuple[int, ...]
     members: list[int]
@@ -173,10 +167,10 @@ class _Read:
         """This Sigma read under another projection pi onto classes with
         members members, for check_conditions on a filtration that does
         not project by this read's pi: it shares the truth sets, the
-        signatures and Sigma's order, and computes its own valuation,
+        signatures and Sigma, and computes its own valuation,
         bounds, order checks and neg_args. It is never kept."""
         qval = {name: _push_mask(m.valuation[name], pi) for name in self.qval}
-        return _Read(self.sigma, self.valuation, self.truth, self.order, self.sig, pi, members, qval)
+        return _Read(self.sigma, self.valuation, self.truth, self.sig, pi, members, qval)
 
     def bound(self, m: NModel, x: int) -> int:
         """The projection under pi of the source negation of the
@@ -195,7 +189,7 @@ class _Read:
         up = qposet.up
         checks = self.orders.get(up)
         if checks is None:
-            hit = _order_witness(m.frame.poset.up, self.pi, self.members, self.sig, self.order, up)
+            hit = _order_witness(m.frame.poset.up, self.pi, self.members, self.sig, self.sigma, up)
             bounds = () if hit else tuple((x, self.bound(m, x)) for x in qposet.upsets())
             if len(self.orders) >= _ORDERS_KEPT:
                 del self.orders[next(iter(self.orders))]
@@ -208,14 +202,14 @@ class _Read:
         the projection under pi of the truth set of g and the truth set
         of ~g, which is the source negation of the truth set of g."""
         truth, pi = self.truth, self.pi
-        return [(f, _push_mask(truth[f.sub], pi), truth[f]) for f in self.order if isinstance(f, Neg)]
+        return [(f, _push_mask(truth[f.sub], pi), truth[f]) for f in self.sigma if isinstance(f, Neg)]
 
 
-def _fresh_read(m: NModel, sigma: Collection[Formula]) -> _Read | None:
-    """The read kept on the model when it is of this Sigma object and
-    the model's valuation is still the one it was read under."""
+def _fresh_read(m: NModel, sigma: tuple[Formula, ...]) -> _Read | None:
+    """The read kept on the model when it is of an equal Sigma and the
+    model's valuation is still the one it was read under."""
     read = vars(m).get("_read")
-    if read is None or read.sigma is not sigma or read.valuation != m.valuation:
+    if read is None or read.sigma != sigma or read.valuation != m.valuation:
         return None
     return read
 
@@ -230,14 +224,14 @@ def _shared_read(m: NModel, r: FiltrationResult) -> _Read | None:
     return read
 
 
-def _partition(m: NModel, sigma: Collection[Formula], require_closed: bool = False) -> _Read:
+def _partition(m: NModel, sigma: tuple[Formula, ...], require_closed: bool = False) -> _Read:
     """Sigma read on the model: its truth sets, the signatures and the
     projection of worlds to classes by Sigma-agreement.
 
     Classes are numbered by their least member so the construction is
     reproducible. The read is kept on the model, in place of the one
-    kept before, and given again while the Sigma object is the one read
-    and the valuation equals the one it was read under (_fresh_read). With
+    kept before, and given again while Sigma equals the one read and
+    the valuation equals the one it was read under (_fresh_read). With
     require_closed, Sigma must be subformula-closed, which is checked
     before Sigma is read, over its walk, and on a kept read over the
     read's.
@@ -248,8 +242,7 @@ def _partition(m: NModel, sigma: Collection[Formula], require_closed: bool = Fal
         _require_closed(sigma, walk)
     if read is None:
         truth = _truth_walk(m, sigma, walk)
-        order = tuple(sigma)
-        sig = _transpose([truth[f] for f in order], m.frame.n)
+        sig = _transpose([truth[f] for f in sigma], m.frame.n)
         # worlds run upwards, so classes enter in the order of their least member
         classes: dict[int, int] = {}
         for w, s in enumerate(sig):
@@ -258,7 +251,7 @@ def _partition(m: NModel, sigma: Collection[Formula], require_closed: bool = Fal
         pi = tuple(index[s] for s in sig)
         names = sorted({f.name for f in truth if f.__class__ is Var})
         qval = {name: _push_mask(m.valuation[name], pi) for name in names}
-        read = _Read(sigma, dict(m.valuation), truth, order, sig, pi, list(classes.values()), qval)
+        read = _Read(sigma, dict(m.valuation), truth, sig, pi, list(classes.values()), qval)
         vars(m)["_read"] = read
     return read
 
@@ -283,8 +276,8 @@ def _order_witness(
     quotient order with cones up, (a) first, as check_conditions
     returns them; None when both hold. Only the order, the source
     cones, the projection and the signatures are read; the (b) witness
-    names the first formula of order, Sigma's iteration order, that
-    holds at w and fails at v."""
+    names the first formula of order, Sigma, that holds at w and fails
+    at v."""
     # the worlds whose class lies above each class in the quotient order
     above = [_preimage(u, members) for u in up]
     for w, cone in enumerate(source_up):
@@ -312,13 +305,13 @@ def greatest_filtration(m: NModel, sigma: Iterable[Formula]) -> FiltrationResult
     read and shared; each call returns a new model with its own copy
     of the valuation.
     """
-    sigma = _frozen(sigma)
+    sigma = _ordered(sigma)
     read = _greatest_read(m, sigma)
     # a copy: a caller may change the quotient's valuation in place
     return FiltrationResult(NModel(read.frame, dict(read.qval)), read.pi, sigma)
 
 
-def _greatest_read(m: NModel, sigma: frozenset[Formula]) -> _Read:
+def _greatest_read(m: NModel, sigma: tuple[Formula, ...]) -> _Read:
     """The read of Sigma on the model, Sigma checked closed, holding the
     greatest quotient frame."""
     read = _partition(m, sigma, require_closed=True)
@@ -355,13 +348,15 @@ def check_conditions(m: NModel, r: FiltrationResult) -> tuple[str, tuple] | None
     formula-by-formula reference; greatest_among is what refuses such a
     projection.
 
-    Every filtration is checked through a _Read of its own projection:
-    (a), (b) and the bounds (c) reads come from its order_checks, (d)
-    from its neg_args and the valuation from its qval. When r projects
-    by the pi of a fresh read of its Sigma object onto that read's
-    classes (_shared_read), that is the kept read; otherwise the class
-    members are the transpose of pi, "onto" is refused before Sigma is
-    read, and the read is the kept one projected by pi (_Read.projected).
+    The (b) and (d) witnesses name the first formula in Sigma's order
+    that fails. Every filtration is checked through a _Read of its own
+    projection: (a), (b) and the bounds (c) reads come from its
+    order_checks, (d) from its neg_args and the valuation from its
+    qval. When r projects by the pi of a fresh read of its Sigma onto
+    that read's classes (_shared_read), that is the kept read;
+    otherwise the class members are the transpose of pi, "onto" is
+    refused before Sigma is read, and the read is the kept one
+    projected by pi (_Read.projected).
     """
     qframe = r.quotient.frame
     read = _shared_read(m, r)
@@ -382,17 +377,10 @@ def check_conditions(m: NModel, r: FiltrationResult) -> tuple[str, tuple] | None
         if extra:
             return ("c", (x, (extra & -extra).bit_length() - 1))
     members = read.members
-    missed = []
     for f, x, source in read.neg_args:
         lost = source & ~_preimage(ntable[x], members)
         if lost:
-            missed.append((f, lost))
-    if missed:
-        # every negation was checked and none can raise (the read holds
-        # both truth sets), so the first failure in show order is the
-        # least failure by show
-        f, lost = min(missed, key=lambda hit: show(hit[0]))
-        return ("d", ((lost & -lost).bit_length() - 1, f))
+            return ("d", ((lost & -lost).bit_length() - 1, f))
     qval = read.qval
     valuation = r.quotient.valuation
     if valuation != qval:
@@ -408,8 +396,9 @@ def filtration_theorem_check(m: NModel, r: FiltrationResult) -> tuple[Formula, i
 
     Expects r to satisfy check_conditions; returns None on agreement,
     else the first (formula, world) where membership differs, formulas
-    in show order. A formula the model or the quotient cannot evaluate
-    raises eval_formula's error when its turn comes in that order.
+    in Sigma's order. A formula the model or the quotient cannot
+    evaluate raises eval_formula's error when its turn comes in that
+    order.
     Under a shared read (_shared_read) the class members and source
     truth sets are the read's, and the quotient is walked over the
     keys of the read's truth sets, Sigma's walk.
@@ -419,7 +408,7 @@ def filtration_theorem_check(m: NModel, r: FiltrationResult) -> tuple[Formula, i
     try:
         source = (read or _partition(m, r.sigma)).truth.__getitem__
     except (TypeError, ValueError):
-        # evaluated formula by formula, the errors come in show order
+        # evaluated formula by formula, the errors come in Sigma's order
         source = formula_evaluator(m)
     target = formula_evaluator(r.quotient)
     if read is not None:
@@ -429,28 +418,11 @@ def filtration_theorem_check(m: NModel, r: FiltrationResult) -> tuple[Formula, i
             target = _truths(q.frame.poset, q.frame.ntable, q.valuation, read.truth, {}).__getitem__
         except _Unevaluable:
             pass
-    # collecting every failure first spares the show order when none occurs
-    failures: dict[Formula, tuple[Formula, int] | ValueError] = {}
     for f in r.sigma:
-        try:
-            diff = source(f) ^ _preimage(target(f), members)
-        except ValueError as exc:
-            failures[f] = exc
-            continue
+        diff = source(f) ^ _preimage(target(f), members)
         if diff:
-            failures[f] = (f, (diff & -diff).bit_length() - 1)
-    if not failures:
-        return None
-    # each kept error's traceback holds this frame, so neither the dict
-    # nor the error raised may stay in it: that would be a cycle
-    first = failures[min(failures, key=show)]
-    failures.clear()
-    if not isinstance(first, ValueError):
-        return first
-    try:
-        raise first
-    finally:
-        del first
+            return (f, (diff & -diff).bit_length() - 1)
+    return None
 
 
 def greatest_among(m: NModel, sigma: Iterable[Formula], other: FiltrationResult) -> bool:
@@ -465,17 +437,17 @@ def greatest_among(m: NModel, sigma: Iterable[Formula], other: FiltrationResult)
     Each greatest upset X is then an upset of the other order, and
     there (c) bounds the other N(X) by _Read.bound, the greatest
     table. A non-filtration, or a candidate
-    through another Sigma or projection, raises ValueError.
+    through another Sigma, as a set, or projection, raises ValueError.
     """
     bad = check_conditions(m, other)
     if bad is not None:
         raise ValueError(f"not a filtration: condition ({bad[0]}) fails at {bad[1]}")
-    sigma = _frozen(sigma)
-    # check_conditions has read other.sigma; an equal Sigma has its classes
+    sigma = _ordered(sigma)
+    # check_conditions has read other.sigma; the same set has its classes
     read = _partition(m, other.sigma, require_closed=sigma is other.sigma)
     if sigma is not other.sigma:
         _require_closed(sigma, _walk(sigma))
-    if sigma == other.sigma and other.pi == read.pi:
+    if other.pi == read.pi and (sigma == other.sigma or set(sigma) == set(other.sigma)):
         return True
     raise ValueError("projection mismatch: same model and sigma expected")
 
@@ -499,7 +471,7 @@ def enumerate_filtrations(m: NModel, sigma: Iterable[Formula]) -> list[Filtratio
     bound elsewhere. Exponential by nature: meant for models of a
     handful of worlds.
     """
-    sigma = _frozen(sigma)
+    sigma = _ordered(sigma)
     read = _greatest_read(m, sigma)
     pi = read.pi
     k = len(read.members)

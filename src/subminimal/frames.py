@@ -85,6 +85,7 @@ from subminimal.syntax import (
     Var,
     _PROP,
     _first,
+    _ordered,
     _postorder,
     _walk,
     compile_prop,
@@ -408,7 +409,7 @@ class NModel:
     last read of a Sigma on this model (filtration._partition), so the
     calls on one model with one Sigma read it once; it is no field, so
     it stays out of ==, hash and repr, and out of pickles and copies,
-    since it serves only the Sigma object it was read from.
+    since it keys its truth sets by the nodes of this process.
     """
 
     frame: NFrame
@@ -431,16 +432,19 @@ class _Unevaluable(Exception):
 def truth_sets(m: NModel, formulas: Collection[Formula]) -> dict[Formula, int]:
     """Truth sets, as masks, of the formulas and of all their
     subformulas, keyed by formula in the order of their walk
-    (syntax._walk), children first.
+    (syntax._walk), children first, the formulas in their one order
+    (syntax._ordered): a set's is fixed, whatever order it iterates in.
 
     One bottom-up walk evaluates each subformula once, with the frame's
     tables read directly, and its memo is the dict returned. When some
     formula cannot be evaluated, the error is decided over all the
     formulas, in this order: the least variable the model does not
-    value; else the compile_prop error of the first formula holding a
-    modal node; else an undefined negation entry. For one formula these
-    are the errors of compiling it and running the kernel.
+    value; else the compile_prop error of the first formula, in their
+    order, holding a modal node; else an undefined negation entry. For
+    one formula these are the errors of compiling it and running the
+    kernel.
     """
+    formulas = _ordered(formulas)
     return _truth_walk(m, formulas, _walk(formulas))
 
 

@@ -25,26 +25,26 @@ reference counting frees the node. So == is identity, and a node
 hashes by identity too (object.__hash__), in C, and every memo over
 formulas keys by the node itself. A set or dict of formulas therefore
 iterates in an order that follows where the nodes live in memory,
-which can change from run to run: whatever is shown or named from such
-a set is chosen by show (the least member) or by a walk, not by that
-order. copy.copy and copy.deepcopy return the node itself, and a
-pickle holds the operands and loads through the constructor, as the
-node. The table takes no lock: two threads building the same new
-formula at once may make two objects of it, so build formulas from one
-thread.
+which can change from run to run, so nothing shown or named follows
+it: a Sigma is put in one order once, at entry (_ordered), and every
+answer, witness and error over it follows that order. copy.copy and
+copy.deepcopy return the node itself, and a pickle holds the operands
+and loads through the constructor, as the node. The table takes no
+lock: two threads building the same new formula at once may make two
+objects of it, so build formulas from one thread.
 
 Every other walk but show's is a loop over ``subformulas``, the
 subformulas of a formula, children first, left operand first, each
 node once, built on one explicit stack (_postorder) on first use and
 kept on the node, so a formula of any depth compiles and evaluates. A
-subformula closure from filtration.close_sigma (_Closure) keeps the
-walk of the formulas it closes, taken from their kept orders, and
-every walk of that Sigma (_walk) reads it instead of building one.
-show is the one walk that visits a shared node once per occurrence,
-because its text appears once per occurrence: one left-to-right pass
-over an explicit stack, so a formula of any depth prints in time
-linear in its text. repr and pickle are the standard library's and
-still recurse.
+subformula closure from filtration.close_sigma is a _Closed: the walk
+of the formulas it closes, taken from their kept orders, so that
+Sigma is its own walk (_walk) and none is built for it. show is the
+one walk that visits a shared node once per occurrence, because its
+text appears once per occurrence: one left-to-right pass over an
+explicit stack, so a formula of any depth prints in time linear in
+its text. repr and pickle are the standard library's and still
+recurse.
 
 The slot ``_code`` keeps the subformula order without the node itself
 (no reference cycle), the sorted variable names and the prop and modal
@@ -402,46 +402,50 @@ def parse(text: str, language: str = "prop") -> Formula:
 # structural helpers
 
 
-def subformula_closure(formula: Formula) -> frozenset[Formula]:
-    """All subformulas of the formula, itself included."""
-    return frozenset(subformulas(formula))
+class _Closed(tuple):
+    """A subformula-closed tuple of distinct formulas, each after its
+    operands: its own walk (_walk). close_sigma builds one, and
+    _ordered one from a closed set. The property is structural, so it
+    pickles and copies as itself."""
+
+    __slots__ = ()
 
 
-class _Closure(frozenset):
-    """A subformula-closed set that keeps ``walk``: the nodes of the
-    formulas it was closed from, each object once, children first, the
-    subformulas orders of those formulas in turn. Its members are among
-    them, so a walk of the set reads it (_walk). It iterates as the
-    plain frozenset of the same construction, and pickles and copies as
-    a plain frozenset, leaving the walk behind."""
-
-    __slots__ = ("walk",)
-
-    def __reduce__(self) -> tuple:
-        return frozenset, (tuple(self),)
-
-
-def _walk(formulas: Iterable[Formula]) -> Sequence[Formula]:
-    """The nodes of the formulas, each object once, children first: a
-    closure's kept walk, else _postorder's."""
-    return formulas.walk if formulas.__class__ is _Closure else _postorder(formulas)
-
-
-def _frozen(formulas: Iterable[Formula]) -> frozenset[Formula]:
-    """The formulas as a frozenset: one already, such as a closure with
-    its walk, is not copied."""
-    return formulas if isinstance(formulas, frozenset) else frozenset(formulas)
+def _ordered(formulas: Iterable[Formula]) -> tuple[Formula, ...]:
+    """Sigma in its one order, each formula once: a _Closed as it is; a
+    set or frozenset, whose iteration order follows where its nodes
+    live, as the walk of its maximal members (those that are no
+    member's operand) taken by show, a _Closed when that walk holds only
+    members, else the members in walk order; any other collection in
+    the order given. show reads the maximal members alone, so a set
+    costs one walk."""
+    if formulas.__class__ is _Closed:
+        return formulas
+    if not isinstance(formulas, (set, frozenset)):
+        return tuple(dict.fromkeys(formulas))
+    operands = {c for f in formulas for c in _children(f)}
+    top = [f for f in formulas if f not in operands]
+    if len(top) > 1:
+        top.sort(key=show)
+    walk = _postorder(top)
+    return _Closed(walk) if len(walk) == len(formulas) else tuple(f for f in walk if f in formulas)
 
 
-def _require_closed(sigma: frozenset[Formula], walk: Sequence[Formula]) -> None:
-    """Raise unless sigma is subformula-closed, that is, holds every
-    node of walk, _walk(sigma). The error names the least member by
-    show that misses a direct subformula, and the first it misses, so
-    it reads the same under every hash seed."""
-    if all(map(sigma.__contains__, walk)):
+def _walk(sigma: Sequence[Formula]) -> Sequence[Formula]:
+    """The nodes of Sigma, each object once, children first: Sigma
+    itself when it is a _Closed, else _postorder's walk of it."""
+    return sigma if sigma.__class__ is _Closed else _postorder(sigma)
+
+
+def _require_closed(sigma: Sequence[Formula], walk: Collection[Formula]) -> None:
+    """Raise unless sigma, distinct formulas, is subformula-closed, that
+    is, holds every node of walk, _walk(sigma), so has as many. The
+    error names the first member in sigma's order that misses a direct
+    subformula, and the first it misses."""
+    if len(walk) == len(sigma):
         return
-    f = min((f for f in sigma if not all(map(sigma.__contains__, _children(f)))), key=show)
-    sub = next(c for c in _children(f) if c not in sigma)
+    members = set(sigma)
+    f, sub = next((f, c) for f in sigma for c in _children(f) if c not in members)
     raise ValueError(f"sigma is not subformula-closed: {show(f)} needs {show(sub)}")
 
 

@@ -4,9 +4,11 @@ The differential tests in test_filtration.py run the package's
 filtration functions against these and demand the same filtrations,
 the same witnesses and the same errors. Here every formula of Sigma is
 compiled and evaluated on its own through the kernel, worlds are
-grouped by a tuple signature in show order, and the order is tested
-formula by formula. greatest_among is the brute-force domination check
-that rebuilds the greatest filtration and compares orders and tables.
+grouped by a tuple signature, and the order is tested formula by
+formula. Sigma is taken in the order given, each formula once, and
+every witness and error follows that order. greatest_among is the
+brute-force domination check that rebuilds the greatest filtration and
+compares orders and tables.
 """
 
 import itertools
@@ -27,7 +29,7 @@ from subminimal.syntax import (
     Neg,
     compile_prop,
     show,
-    subformula_closure,
+    subformulas,
     variables,
 )
 
@@ -56,16 +58,17 @@ def _members(pi, k: int) -> list[int]:
     return out
 
 
-def _require_closed(sigma: frozenset[Formula]) -> None:
+def _require_closed(sigma: tuple[Formula, ...]) -> None:
+    members = set(sigma)
     for f in sigma:
-        for sub in subformula_closure(f):
-            if sub not in sigma:
+        for sub in subformulas(f):
+            if sub not in members:
                 raise ValueError(
                     f"sigma is not subformula-closed: {show(f)} needs {show(sub)}"
                 )
 
 
-def _partition(m: NModel, sigma: frozenset[Formula]) -> tuple[tuple[int, ...], list[int], dict[Formula, int]]:
+def _partition(m: NModel, sigma: tuple[Formula, ...]) -> tuple[tuple[int, ...], list[int], dict[Formula, int]]:
     """Project worlds to class indices by Sigma-agreement.
 
     Returns (pi, class masks, source truth sets). Classes are numbered
@@ -74,11 +77,10 @@ def _partition(m: NModel, sigma: frozenset[Formula]) -> tuple[tuple[int, ...], l
     truth = {f: eval_formula(m, f) for f in sigma}
     n = m.frame.n
     sigs: dict[tuple[int, ...], int] = {}
-    order = sorted(sigma, key=show)
     members: list[int] = []
     pi = [0] * n
     for w in range(n):
-        sig = tuple((truth[f] >> w) & 1 for f in order)
+        sig = tuple((truth[f] >> w) & 1 for f in sigma)
         if sig not in sigs:
             sigs[sig] = len(members)
             members.append(0)
@@ -99,7 +101,7 @@ def greatest_filtration(m: NModel, sigma: Iterable[Formula]) -> FiltrationResult
     negation of its preimage. The valuation keeps exactly the
     variables occurring in Sigma.
     """
-    sigma = frozenset(sigma)
+    sigma = tuple(dict.fromkeys(sigma))
     _require_closed(sigma)
     pi, members, truth = _partition(m, sigma)
     k = len(members)
@@ -160,7 +162,7 @@ def check_conditions(m: NModel, r: FiltrationResult) -> tuple[str, tuple] | None
         extra = r.quotient.frame.ntable[x] & ~bound
         if extra:
             return ("c", (x, (extra & -extra).bit_length() - 1))
-    for f in sorted(sigma, key=show):
+    for f in sigma:
         if not isinstance(f, Neg):
             continue
         value = truth[f.sub]
@@ -184,7 +186,7 @@ def filtration_theorem_check(m: NModel, r: FiltrationResult) -> tuple[Formula, i
     Expects r to satisfy check_conditions; returns None on agreement,
     else the first (formula, world) where membership differs.
     """
-    for f in sorted(r.sigma, key=show):
+    for f in r.sigma:
         source = eval_formula(m, f)
         target = eval_formula(r.quotient, f)
         for w in range(m.frame.n):
@@ -227,7 +229,7 @@ def enumerate_filtrations(m: NModel, sigma: Iterable[Formula]) -> list[Filtratio
     bound elsewhere. Exponential by nature: meant for models of a
     handful of worlds.
     """
-    sigma = frozenset(sigma)
+    sigma = tuple(dict.fromkeys(sigma))
     _require_closed(sigma)
     g = greatest_filtration(m, sigma)
     pi = g.pi

@@ -2,7 +2,12 @@
 
 from typing import Mapping, Sequence
 
-from subminimal.syntax import And, BBox, Bot, Box, Formula, Imp, Neg, Or, Top, Var, _BINARY, _UNARY
+from subminimal.syntax import And, BBox, Bot, Box, Formula, Imp, Neg, Or, Top, Var, _BINARY, _UNARY, subformulas
+
+
+def subformula_closure(formula: Formula) -> frozenset[Formula]:
+    """All subformulas of the formula, itself included."""
+    return frozenset(subformulas(formula))
 
 
 def substitute(formula: Formula, mapping: Mapping[str, Formula]) -> Formula:

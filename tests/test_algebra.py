@@ -55,7 +55,7 @@ from subminimal.frames import (
     random_poset,
     truth_sets,
 )
-from subminimal.syntax import And, Box, Neg, Var, _walk, parse, show, variables
+from subminimal.syntax import And, Box, Neg, Var, _ordered, _walk, parse, variables
 from syntax_helpers import random_formula
 
 CHAIN = Poset.from_pairs(2, [(0, 1)])
@@ -808,9 +808,8 @@ def test_algebra_eval_matches_the_recursive_walk():
 def _one_by_one(a, mu, formulas, order):
     """The Sigma values as the filtrations took them before they shared
     one walk: one recursive evaluation per member, the members taken in
-    show order, so the least failing one by show raises."""
-    values = {f: reference.algebra_eval(a, mu, f) for f in sorted(formulas, key=show)}
-    return [values[f] for f in formulas]
+    Sigma's order, so the first failing one raises."""
+    return [reference.algebra_eval(a, mu, f) for f in formulas]
 
 
 def test_sigma_values_keep_the_answers_and_errors_of_one_walk_per_member(monkeypatch):
@@ -835,7 +834,7 @@ def test_sigma_values_keep_the_answers_and_errors_of_one_walk_per_member(monkeyp
     def outcomes():
         return [
             [
-                _result(algebra._algebra_values, a, mu, sigma, _walk(sigma)),
+                _result(algebra._algebra_values, a, mu, _ordered(sigma), _walk(_ordered(sigma))),
                 _result(general_algebraic_filtration, a, mu, sigma, carrier),
                 _result(sublattice_filtration, a, mu, sigma),
                 _result(least_filtration_correspondence, a, mu, sigma),
@@ -861,19 +860,21 @@ def test_sigma_values_keep_the_answers_and_errors_of_one_walk_per_member(monkeyp
     assert min(kinds.values()) >= 100
 
 
-def test_sigma_errors_name_the_least_failing_member_by_show():
-    # several members fail; whatever order Sigma iterates in, the error
-    # names the least of them by show, and for a missing variable its
-    # first failing node in entry order
+def test_sigma_errors_name_the_first_failing_member_in_sigma_order():
+    # several members fail; the error names the first of them in Sigma's
+    # order, and for a missing variable its first failing node in entry
+    # order. A closure is in the order of its formulas' walks; a set is
+    # put in the walk of its maximal members, taken by show, whatever
+    # order it iterates in: here q, r & s, s -> p, ~s
     a = algebra_corpus(2)[3]
     texts = ["s -> p", "q", "r & s", "~s"]
-    for shift in range(len(texts)):
+    for shift, value, variable in zip(range(len(texts)), "sqrs", "srrs"):
         formulas = [parse(t) for t in texts[shift:] + texts[:shift]]
-        with pytest.raises(ValueError, match="^universe misses the value of p$"):
+        with pytest.raises(ValueError, match=f"^universe misses the value of {value}$"):
             general_algebraic_filtration(a, {"p": 0, "q": 0, "r": 0, "s": 0}, close_sigma(formulas), [1])
         with pytest.raises(ValueError, match="^universe misses the value of q$"):
             general_algebraic_filtration(a, {"p": 1, "q": 0, "r": 0, "s": 0}, frozenset(formulas), [1])
-        with pytest.raises(ValueError, match="^assignment misses variable p$"):
+        with pytest.raises(ValueError, match=f"^assignment misses variable {variable}$"):
             sublattice_filtration(a, {"q": 1}, close_sigma(formulas))
         with pytest.raises(ValueError, match="^assignment misses variable r$"):
             sublattice_filtration(a, {"q": 1}, frozenset(formulas))

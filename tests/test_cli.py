@@ -877,12 +877,21 @@ def _stdout_under_seeds(argv, seeds):
 
 
 def test_algebra_filtrate_missing_variable_error_is_the_same_under_every_hash_seed(tmp_path):
-    # three members of Sigma miss a variable; the least by show is named
+    # three members of Sigma miss a variable; the first in the order written is named
     algebra = write(tmp_path, "a.json", algebra_to_dict(algebra_corpus(2)[3]))
     argv = ["algebra", "filtrate", "--algebra", algebra, "--assign", '{"p": 1}', "--sigma", "q & r; s"]
     ((code, out),) = _stdout_under_seeds(argv, range(8))
     assert code == 2
     assert json.loads(out) == {"status": "error", "error": "assignment misses variable q"}
+
+
+def test_algebra_filtrate_names_the_first_member_missing_a_variable_as_written(tmp_path):
+    # s is written first, so it is named, though q comes before it by show
+    algebra = write(tmp_path, "a.json", algebra_to_dict(algebra_corpus(2)[3]))
+    argv = ["algebra", "filtrate", "--algebra", algebra, "--assign", '{"p": 1}', "--sigma", "s; q & r"]
+    ((code, out),) = _stdout_under_seeds(argv, range(4))
+    assert code == 2
+    assert json.loads(out) == {"status": "error", "error": "assignment misses variable s"}
 
 
 def test_outputs_read_off_a_set_of_formulas_are_the_same_under_every_hash_seed(tmp_path):

@@ -4,13 +4,18 @@ import collections
 import copy
 import dataclasses
 import itertools
+import os
+import pathlib
 import pickle
 import random
+import subprocess
+import sys
 
 import pytest
 
 import filtration_reference as ref
 from conftest import outcome
+import subminimal
 from subminimal import filtration, frames, syntax
 from subminimal.algebra import algebra_corpus, least_filtration_correspondence, sublattice_filtration
 from subminimal.filtration import (
@@ -45,7 +50,7 @@ from subminimal.syntax import (
     AXIOM_N,
     And,
     parse,
-    subformula_closure,
+    show,
     variables,
 )
 from syntax_helpers import random_formula, substitute
@@ -71,11 +76,15 @@ def random_model(rng, max_worlds=5, names=("p", "q")):
 
 
 def test_close_sigma_is_a_closure():
+    # a tuple that is its own walk: the subformulas of each formula in
+    # turn, children first, each once
     sigma = close_sigma([parse("~p")])
-    assert sigma == frozenset({parse("~p"), parse("p")})
+    assert sigma == (parse("p"), parse("~p"))
     bigger = close_sigma([parse("p & q -> ~p")])
     assert close_sigma(bigger) == bigger
     assert parse("p & q") in bigger
+    both = close_sigma([parse("~p"), parse("p & q -> ~p")])
+    assert both == (parse("p"), parse("~p"), parse("q"), parse("p & q"), parse("p & q -> ~p"))
 
 
 def test_greatest_filtration_of_the_fork():
@@ -191,6 +200,16 @@ def test_greatest_among_rejects_non_filtrations():
     )
     with pytest.raises(ValueError, match="not a filtration"):
         greatest_among(m, sigma, bad)
+
+
+def test_greatest_among_takes_sigma_as_a_set():
+    # Sigma in another order is the same Sigma, with the same classes,
+    # so the greatest filtration still dominates
+    m = fork_model()
+    both = close_sigma([parse("~p"), parse("p & p")])
+    for given, built in ((frozenset(both), both), (both, frozenset(both)), (both[::-1], both)):
+        r = greatest_filtration(m, built)
+        assert r.sigma != syntax._ordered(given) and greatest_among(m, given, r)
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +352,7 @@ def test_differential_witnesses_on_corrupted_quotients():
     rng = random.Random(45)
     errors = fails = 0
     # quotients where some formula meets an undefined entry, yet the check
-    # returns an earlier disagreement in show order
+    # returns an earlier disagreement in Sigma's order
     fails_before_error = 0
     for _ in range(1500):
         m = random_model(rng, max_worlds=4)
@@ -341,7 +360,9 @@ def test_differential_witnesses_on_corrupted_quotients():
         g = greatest_filtration(m, sigma)
         if g.classes() < 2:
             continue
-        bad = _corrupted(rng, g)
+        # Sigma in show order: in walk order a child's disagreement comes
+        # before its parent's undefined entry, so no error would be reached
+        bad = dataclasses.replace(_corrupted(rng, g), sigma=tuple(sorted(sigma, key=show)))
         kind, value = _same_checks(m, bad)
         if kind != "ok":
             errors += 1
@@ -476,17 +497,19 @@ def _comparable(out):
 def _three_ways(name, m, *args, warm=None):
     """The outcome of the named function on the shared (warm) model, or
     the one given, which must equal it on a fresh copy of the model and
-    in the reference."""
+    in the reference. The reference takes Sigma in the order given, so
+    a set goes to it in the package's order."""
     warm = _comparable(warm or outcome(getattr(filtration, name), m, *args))
     cold = NModel(m.frame, dict(m.valuation))
     assert _comparable(outcome(getattr(filtration, name), cold, *args)) == warm
-    assert _comparable(outcome(getattr(ref, name), m, *args)) == warm
+    ordered = [syntax._ordered(a) if isinstance(a, frozenset) else a for a in args]
+    assert _comparable(outcome(getattr(ref, name), m, *ordered)) == warm
     return warm
 
 
 def test_warm_and_cold_reads_agree_with_the_reference():
     rng = random.Random(47)
-    # Sigma as given, as an equal but distinct frozenset, and as a list
+    # Sigma as given, as a frozenset of its members, and as a list
     forms = (lambda s: s, lambda s: frozenset(list(s)), list)
     enumerated = checked = 0
     kinds = set()
@@ -506,7 +529,7 @@ def test_warm_and_cold_reads_agree_with_the_reference():
         # a Sigma the model cannot evaluate: the reads fail and are not kept
         unread = FiltrationResult(g.quotient, g.pi, close_sigma([And(next(iter(sigma)), parse("r"))]))
         # a projection finer than Sigma-agreement, checked against Sigma
-        finer = greatest_filtration(m, sigma | {parse("p"), parse("q")})
+        finer = greatest_filtration(m, frozenset(sigma) | {parse("p"), parse("q")})
         finer = FiltrationResult(finer.quotient, finer.pi, g.sigma)
         candidates = every + [_corrupted(rng, g)] * (g.classes() >= 2) + [unread, finer]
         for r in candidates:
@@ -547,22 +570,29 @@ def test_the_kept_read_is_outside_equality_hash_and_repr():
 
 
 def test_a_model_keeps_a_bounded_number_of_reads():
-    # one read is kept, the last one
+    # one read is kept, the last one, and it serves every equal Sigma
     m = fork_model()
     sigma = close_sigma([parse("~p")])
     want = _key(greatest_filtration(m, sigma))
-    last = vars(m)["_read"]
-    assert last.sigma is sigma
-    # a list is made a new frozenset on every call, so each call reads
-    # anew and its read takes the place of the one before
+    kept = vars(m)["_read"]
+    assert kept.sigma is sigma
+    # a list is made a new tuple on every call, equal to Sigma, so each
+    # call takes the kept read
     for _ in range(3):
         assert _key(greatest_filtration(m, list(sigma))) == want
-        read = vars(m)["_read"]
-        assert read is not last and read.sigma == sigma and read.sigma is not sigma
-        last = read
+        assert vars(m)["_read"] is kept
+    # the same set in another order is another Sigma: its signature bits
+    # follow that order, so it is read anew and its read takes the place
+    # of the one before
+    both = close_sigma([parse("~p"), parse("p & p")])
+    greatest_filtration(m, both)
+    last = vars(m)["_read"]
+    assert last is not kept and last.sigma is both
+    greatest_filtration(m, frozenset(both))
+    assert vars(m)["_read"] is not last and vars(m)["_read"].sigma == (parse("p"), parse("p & p"), parse("~p"))
     assert set(vars(m)) == {"frame", "valuation", "_read"}
     assert _key(greatest_filtration(m, sigma)) == want
-    assert vars(m)["_read"] is not last and vars(m)["_read"].sigma is sigma
+    assert vars(m)["_read"].sigma is sigma
 
 
 def test_one_source_read_per_model_and_sigma(monkeypatch):
@@ -766,7 +796,7 @@ def test_a_read_made_for_another_projection_is_never_kept():
     g = greatest_filtration(m, sigma)
     (relabeled,) = _relabeled(g)
     # p -> ~~p fails at world 0, which sees world 1, and holds at world 2
-    finer = greatest_filtration(m, sigma | close_sigma([parse("p -> ~~p")]))
+    finer = greatest_filtration(m, close_sigma([*sigma, parse("p -> ~~p")]))
     finer = FiltrationResult(finer.quotient, finer.pi, sigma)
     assert (g.pi, relabeled.pi, finer.pi) == ((0, 1, 0), (1, 0, 1), (0, 1, 2))
     assert check_conditions(m, g) is None
@@ -783,7 +813,7 @@ def test_a_read_made_for_another_projection_is_never_kept():
 
 
 # --------------------------------------------------------------------------
-# the walk close_sigma keeps against a plain frozenset of the same Sigma
+# a closure from close_sigma, its own walk, against a set of its members
 
 
 def _sigma_formulas(rng):
@@ -795,14 +825,6 @@ def _sigma_formulas(rng):
     out += [[random_formula(rng, ("p", "q"), 3)] for _ in range(30)]
     out += [[random_formula(rng, ("p", "q"), 3) for _ in range(3)] for _ in range(15)]
     return out
-
-
-def _as_before(formulas):
-    """close_sigma as it was built before it kept a walk."""
-    out = set()
-    for f in formulas:
-        out |= subformula_closure(f)
-    return frozenset(out)
 
 
 def _candidates(rng, m, sigma):
@@ -827,22 +849,25 @@ def _answers(m, sigma, candidates):
     return _key(g), every, checks
 
 
-def test_a_kept_walk_moves_no_answer_witness_or_error():
+def test_a_set_sigma_answers_as_its_ordered_tuple():
+    # a set of Sigma's members is put in one order at entry, the walk of
+    # its maximal members taken by show, and then answers, witness for
+    # witness and on a model of its own, as that tuple does; a set of one
+    # formula's closure is put in that formula's walk, close_sigma's order
     rng = random.Random(49)
     kinds = collections.Counter()
     corpus = algebra_corpus(2)
     for formulas in _sigma_formulas(rng):
         sigma = close_sigma(formulas)
         plain = frozenset(sigma)
-        before = _as_before(formulas)
-        assert type(sigma) is not frozenset and type(plain) is type(before) is frozenset
-        # the same members, the same objects, in the same order
-        assert [id(f) for f in sigma] == [id(f) for f in plain] == [id(f) for f in before]
+        ordered = syntax._ordered(plain)
+        assert type(ordered) is type(sigma) and len(ordered) == len(sigma) and set(ordered) == plain
+        assert ordered == sigma or len(formulas) > 1
         for _ in range(6):
             m = random_model(rng, max_worlds=3)
             twin = NModel(m.frame, dict(m.valuation))
-            candidates = _candidates(random.Random(rng.random()), m, sigma)
-            got = _answers(m, sigma, candidates)
+            candidates = _candidates(random.Random(rng.random()), m, ordered)
+            got = _answers(m, ordered, candidates)
             assert got == _answers(twin, plain, candidates)
             for (_, hit), _, _ in got[2]:
                 kinds[None if hit is None else hit[0]] += 1
@@ -850,25 +875,25 @@ def test_a_kept_walk_moves_no_answer_witness_or_error():
             a = rng.choice(corpus)
             mu = {"p": rng.randrange(a.size), "q": rng.randrange(a.size)}
             for fn in (least_filtration_correspondence, sublattice_filtration):
-                assert outcome(fn, a, mu, sigma) == outcome(fn, a, mu, plain)
+                assert outcome(fn, a, mu, ordered) == outcome(fn, a, mu, plain)
     assert set(kinds) == {None, "onto", "a", "b", "c", "d", "v"}
 
 
 def test_a_kept_walk_raises_the_errors_of_a_plain_sigma():
     m = fork_model()  # values p alone
-    open_sigma = frozenset(close_sigma([parse("~p -> ~~p")]) - {parse("~p")})
+    open_sigma = frozenset(close_sigma([parse("~p -> ~~p")])) - {parse("~p")}
     cases = [
         (open_sigma, "sigma is not subformula-closed: "),
         (close_sigma([parse("~p | q")]), "model does not value variable q"),
         (close_sigma([parse("[]p -> p", "modal")]), "box in a propositional compilation"),
     ]
     for sigma, message in cases:
-        want = outcome(ref.greatest_filtration, m, sigma)
+        want = outcome(ref.greatest_filtration, m, syntax._ordered(sigma))
         assert want[0] == "ValueError" and want[1].startswith(message)
         if sigma is open_sigma:
-            # the least member by show that misses a subformula, where
-            # the reference names the first in Sigma's order
-            want = ("ValueError", message + "~p -> ~~p needs ~p")
+            # p, ~~p, ~p -> ~~p: the first member in that order that
+            # misses a subformula, and the operand it misses
+            want = ("ValueError", message + "~~p needs ~p")
         for s in (sigma, frozenset(sigma)):
             for fn in (greatest_filtration, enumerate_filtrations):
                 assert outcome(fn, m, s) == want
@@ -898,7 +923,8 @@ def test_a_kept_walk_is_read_without_walking_sigma_again(monkeypatch):
     assert filtration_theorem_check(m, r) is None
     assert all(greatest_among(m, sigma, f) for f in enumerate_filtrations(m, sigma))
     assert walked == []
-    # a plain frozenset is walked once per read
+    # a plain frozenset is walked once, when it is put in order, and is
+    # then its own walk
     plain = frozenset(sigma)
     assert filtration_theorem_check(m, greatest_filtration(m, plain)) is None
     assert len(walked) == 1
@@ -938,18 +964,20 @@ def test_sigma_errors_and_names_cost_one_walk(monkeypatch):
         for s in sigmas(flat):
             walked.clear()
             assert outcome(fn, a, {"p": 1}, s) == expected
-            # a plain frozenset is walked once, a closure's kept walk read
+            # a plain frozenset is walked once, to be ordered; a closure is its own walk
             assert walked == ([len(s)] if type(s) is frozenset else [])
 
 
-def test_a_kept_walk_stays_out_of_pickles_and_copies():
+def test_a_closed_sigma_pickles_and_copies_as_itself():
+    # being closed and its own walk is structural, so a copy is too and
+    # is taken as it is
     sigma = close_sigma([parse("~p -> ~~p"), parse("p & ~T")])
     r = greatest_filtration(fork_model(), sigma)
     for other in (pickle.loads(pickle.dumps(sigma)), copy.copy(sigma), copy.deepcopy(sigma)):
-        assert type(other) is frozenset and other == sigma
+        assert type(other) is type(sigma) and other == sigma and syntax._ordered(other) is other
     for other in (pickle.loads(pickle.dumps(r)), copy.deepcopy(r)):
-        assert type(other.sigma) is frozenset and _key(other) == _key(r)
-    # a shallow copy shares its fields, so the Sigma object and its read
+        assert type(other.sigma) is type(sigma) and _key(other) == _key(r)
+    # a shallow copy shares its fields, so the Sigma object
     assert copy.copy(r).sigma is sigma
 
 
@@ -964,3 +992,57 @@ def test_a_model_pickles_and_copies_without_its_reads():
         assert "_read" not in vars(other)
         assert (other.frame, dict(other.valuation)) == (m.frame, dict(m.valuation))
         assert _key(greatest_filtration(other, sigma)) == want
+
+
+# ---------------------------------------------------------------------------
+# one order for a set Sigma, whatever order it iterates in
+
+# k objects are allocated before the package is imported and again before
+# the formulas are built, so the nodes live elsewhere in each run and a
+# set of them iterates in another order
+_DRIFT = """
+import sys
+junk = [[] for _ in range(int(sys.argv[1]))]
+from subminimal.filtration import FiltrationResult, check_conditions, close_sigma
+from subminimal.frames import NFrame, NModel, Poset, truth_sets
+from subminimal.syntax import parse, show
+more = [[] for _ in range(int(sys.argv[1]))]
+point = NFrame(Poset.from_pairs(1, []), (1, 0))
+# a 2-world chain with p and q true at the top world, both worlds in one class
+chain = NModel(NFrame(Poset.from_pairs(2, [(0, 1)]), (3, -1, 1, 0)), {"p": 2, "q": 2})
+one = NModel(point, {"p": 1, "q": 1})
+kind, (w, v, f) = check_conditions(chain, FiltrationResult(one, (0, 0), frozenset(close_sigma([parse("p"), parse("q")]))))
+print(kind, w, v, show(f))
+# ~p and ~q hold at the one world and the quotient negates nothing
+both = NModel(NFrame(Poset.from_pairs(1, []), (1, 1)), {"p": 1, "q": 1})
+empty = NModel(NFrame(Poset.from_pairs(1, []), (0, 0)), {"p": 1, "q": 1})
+kind, (w, f) = check_conditions(both, FiltrationResult(empty, (0,), frozenset(close_sigma([parse("~q"), parse("~p")]))))
+print(kind, w, show(f))
+try:
+    truth_sets(NModel(point, dict.fromkeys("pqrs", 1)), frozenset(parse(t, "modal") for t in ("[]p", "[n]q", "[]r", "[n]s")))
+except ValueError as exc:
+    print(exc)
+sigma = frozenset(close_sigma([parse("~p -> ~~q"), parse("q & ~p")]))
+print(*map(show, truth_sets(NModel(point, {"p": 1, "q": 0}), sigma)), sep="; ")
+"""
+
+
+def test_a_set_sigma_answers_the_same_under_every_allocation_history_and_hash_seed():
+    src = str(pathlib.Path(subminimal.__file__).resolve().parents[1])
+    found = set()
+    for k in (0, 1, 7, 50, 300, 2000):
+        for seed in range(4):
+            env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+            argv = [sys.executable, "-c", _DRIFT, str(k)]
+            found.add(subprocess.run(argv, capture_output=True, text=True, env=env, check=True).stdout)
+    # the (b) witness names Sigma's first member and the (d) witness its
+    # first negation, ~p, its maximal members being ~p and ~q; the set
+    # of four modal formulas is in show order, so []p is compiled first;
+    # a set of a closure is the walk of its maximal members, q & ~p
+    # before ~p -> ~~q
+    assert found == {
+        "b 1 0 p\n"
+        "d 0 ~p\n"
+        "box in a propositional compilation\n"
+        "q; p; ~p; q & ~p; ~q; ~~q; ~p -> ~~q\n"
+    }

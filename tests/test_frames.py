@@ -78,10 +78,9 @@ from subminimal.syntax import (
     compiled,
     parse,
     show,
-    subformula_closure,
     subformulas,
 )
-from syntax_helpers import random_formula
+from syntax_helpers import random_formula, subformula_closure
 
 CHAIN2 = Poset(2, (3, 2))
 LAWFUL2 = ntable_from_upset_map(CHAIN2, {0: 2, 2: 3, 3: 2})
@@ -399,8 +398,9 @@ def test_truth_sets_error_is_the_least_over_all_formulas():
 
 def test_truth_sets_keys_are_the_walk_in_order():
     # the dict the walk fills is the one returned: its keys come children
-    # first, the formulas in turn, each node once, as for a closure its
-    # kept walk
+    # first, the formulas in turn, each node once, as a closure from
+    # close_sigma holds them; a set of one formula's closure is put in
+    # that formula's walk
     rng = random.Random(40)
     m = NModel(SEPARATING, {"p": 2, "q": 3, "r": 0})
     for _ in range(300):
@@ -408,7 +408,9 @@ def test_truth_sets_keys_are_the_walk_in_order():
         walk = list(dict.fromkeys(g for f in formulas for g in subformulas(f)))
         assert list(truth_sets(m, formulas)) == walk
         sigma = close_sigma(formulas)
-        assert list(truth_sets(m, sigma)) == list(sigma.walk) == walk
+        assert list(truth_sets(m, sigma)) == list(sigma) == walk
+        if len(formulas) == 1:
+            assert list(truth_sets(m, frozenset(sigma))) == walk
 
 
 def test_formula_evaluator_matches_eval_formula_over_many_calls():

@@ -11,7 +11,9 @@ definition, in the package or the tests, as a name or an attribute. So
 code deleted without the imports only it read, or a helper or constant
 that a simplification left unused, fails here. And no module reads the
 builtin ``id``: a formula hashes by identity, so a memo over formulas
-keys by the node itself.
+keys by the node itself. Nor does any call but in syntax._ordered take
+a ``key=`` that reads ``show``: a Sigma is put in one order once, at
+entry, and nothing is then chosen as the least by its text.
 """
 
 import ast
@@ -117,5 +119,28 @@ def test_no_module_reads_the_builtin_id():
         for path in SRC.rglob("*.py")
         for node in ast.walk(ast.parse(path.read_text()))
         if isinstance(node, ast.Name) and node.id == "id"
+    ]
+    assert reads == []
+
+
+def _key_reads_of_show(path: pathlib.Path):
+    """(top-level definition, line) of each call in the module whose
+    key= argument reads the name show."""
+    for top in ast.parse(path.read_text()).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                for kw in node.keywords:
+                    if kw.arg == "key" and "show" in _loads(kw.value, ast.Name, "id"):
+                        yield getattr(top, "name", None), node.lineno
+
+
+def test_only_the_sigma_order_takes_a_least_by_show():
+    # the one place a set's members are chosen by their text is the rule
+    # that orders the maximal members of a set Sigma
+    reads = [
+        f"{path.name}:{line}"
+        for path in SRC.rglob("*.py")
+        for name, line in _key_reads_of_show(path)
+        if (_module(path), name) != ("subminimal.syntax", "_ordered")
     ]
     assert reads == []

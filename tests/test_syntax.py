@@ -39,12 +39,12 @@ from subminimal.syntax import (
     is_instance_of,
     parse,
     show,
-    subformula_closure,
     subformulas,
     variables,
 )
 from subminimal import syntax
 from subminimal.algebra import algebra_eval, upset_algebra
+from subminimal.filtration import check_conditions, close_sigma, greatest_filtration
 from subminimal.frames import NFrame, NModel, Poset, _imp_mask, enumerate_ntables, eval_formula
 from subminimal.frames import formula_evaluator, truth_sets
 from subminimal.modal import (
@@ -55,7 +55,7 @@ from subminimal.modal import (
     check_proof,
     translation_preservation,
 )
-from syntax_helpers import random_formula, substitute
+from syntax_helpers import random_formula, subformula_closure, substitute
 
 
 def test_atoms_and_constants():
@@ -577,18 +577,18 @@ def test_pickled_formula_hashes_afresh_under_another_seed():
     text = "~(p & q) -> ~r | p"
     dumped = _python(
         "import pickle, sys\n"
-        "from subminimal.syntax import parse, subformula_closure\n"
+        "from subminimal.syntax import parse, subformulas\n"
         f"f = parse({text!r})\n"
-        "subformula_closure(f)\n"
+        "subformulas(f)\n"
         "sys.stdout.buffer.write(pickle.dumps(f))\n",
         seed=1,
     )
     found = _python(
         "import pickle, sys\n"
-        "from subminimal.syntax import parse, subformula_closure\n"
+        "from subminimal.syntax import parse, subformulas\n"
         "g = pickle.loads(sys.stdin.buffer.read())\n"
         f"f = parse({text!r})\n"
-        "print(g == f, g in {f}, subformula_closure(g) == subformula_closure(f))\n",
+        "print(g == f, g in {f}, subformulas(g) == subformulas(f))\n",
         seed=2,
         stdin=dumped,
     )
@@ -596,15 +596,17 @@ def test_pickled_formula_hashes_afresh_under_another_seed():
 
 
 def test_an_open_sigma_is_named_the_same_under_every_hash_seed():
-    # ~~p and ~p -> ~~p both miss ~p; the least by show is named, where
-    # a member picked in Sigma's order changed with the hash seed
+    # ~~p and ~p -> ~~p both miss ~p; the set is put in the walk of its
+    # maximal members, p and ~p -> ~~p, and the first open member in
+    # that order is named, where the set's own order changed with the
+    # hash seed
     code = (
         "from subminimal.algebra import least_filtration_correspondence, upset_algebra\n"
         "from subminimal.filtration import close_sigma, greatest_filtration\n"
         "from subminimal.frames import NFrame, NModel, Poset\n"
         "from subminimal.syntax import parse\n"
         "m = NModel(NFrame(Poset.from_pairs(1, []), (0, 1)), {'p': 1})\n"
-        "sigma = frozenset(close_sigma([parse('~p -> ~~p')]) - {parse('~p')})\n"
+        "sigma = frozenset(close_sigma([parse('~p -> ~~p')])) - {parse('~p')}\n"
         "for call in (lambda: greatest_filtration(m, sigma),\n"
         "             lambda: least_filtration_correspondence(upset_algebra(m.frame), {'p': 1}, sigma)):\n"
         "    try:\n"
@@ -613,7 +615,7 @@ def test_an_open_sigma_is_named_the_same_under_every_hash_seed():
         "        print(exc)\n"
     )
     found = {_python(code, seed) for seed in range(8)}
-    assert found == {b"sigma is not subformula-closed: ~p -> ~~p needs ~p\n" * 2}
+    assert found == {b"sigma is not subformula-closed: ~~p needs ~p\n" * 2}
 
 
 def test_syntax_checks_name_what_is_wrong():
@@ -731,6 +733,40 @@ def test_box_over_a_conjunction_takes_any_depth():
     assert check_proof(HilbertProof("ns4", lines)) is None
     lines = (ProofLine(f, "premise"), ProofLine(And(q, p), "box-conj", (0,)))
     assert check_proof(HilbertProof("ns4", lines)) == (1, "not equal modulo distributing the box over conjunction")
+
+
+def _counting_show(monkeypatch):
+    """The formulas syntax.show is called on from here on."""
+    shown = []
+    real = syntax.show
+    monkeypatch.setattr(syntax, "show", lambda f: shown.append(f) or real(f))
+    return shown
+
+
+def test_a_set_sigma_is_ordered_by_show_of_its_maximal_members_alone(monkeypatch):
+    # a closed set with one maximal member is put in that member's walk,
+    # close_sigma's order, without show; with several, show reads each
+    # maximal member once and they come in its order
+    shown = _counting_show(monkeypatch)
+    f, g = parse("~(p -> ~p) | ~~p"), parse("q & ~p")
+    assert syntax._ordered(frozenset(close_sigma([f]))) == close_sigma([f]) == subformulas(f)
+    assert shown == []
+    assert syntax._ordered(set(close_sigma([f, g]))) == close_sigma([g, f])
+    assert len(shown) == 2 and set(shown) == {f, g}
+
+
+def test_a_deep_closure_given_as_a_set_goes_through_the_greatest_filtration(monkeypatch):
+    # one maximal member, so the set is ordered in one walk and show is
+    # never called: the cost stays linear in the depth
+    f = Var("p")
+    for i in range(20_000):
+        f = CHAINS["neg-imp"](i, f)
+    poset = Poset.from_pairs(2, [(0, 1)])
+    table = next(t for t in enumerate_ntables(poset) if len({v for v in t if v >= 0}) == 3)
+    m = NModel(NFrame(poset, table), {"p": 2, "q": 3})
+    shown = _counting_show(monkeypatch)
+    r = greatest_filtration(m, frozenset(close_sigma([f])))
+    assert shown == [] and r.sigma == subformulas(f) and check_conditions(m, r) is None
 
 
 def test_modal_walks_take_any_depth():
