@@ -80,24 +80,35 @@ def order_onto(target: Poset, source: Poset) -> list[int] | None:
 
 
 def verify_order_onto(target: Poset, source: Poset, f: Sequence[int]) -> bool:
+    """Whether the list f is an onto order-preserving map source ->
+    target: each cone's image lies inside the cone of its world's value."""
     if len(f) != source.n or any(not 0 <= c < target.n for c in f):
         return False
-    image = set(f)
-    if len(image) != target.n:
+    if len(set(f)) != target.n:
         return False
-    for u in range(source.n):
-        for v in range(source.n):
-            if source.le(u, v) and not target.le(f[u], f[v]):
-                return False
-    return True
+    full = (1 << source.n) - 1
+    return all(_image(up, f, full) & ~target.up[c] == 0 for up, c in zip(source.up, f))
+
+
+def _image(cone: int, f: Sequence[int] | Mapping[int, int], dom: int) -> int:
+    """The mask of f's values on the worlds of cone & dom."""
+    out = 0
+    m = cone & dom
+    while m:
+        out |= 1 << f[(m & -m).bit_length() - 1]
+        m &= m - 1
+    return out
 
 
 def positive_morphism(target: Poset, source: Poset) -> dict[int, int] | None:
     """A partial order-preserving map with downward-closed domain
     that is onto and can always move up: whenever some target world
     sits above an image, a preimage above the mapped world exists
-    inside the domain. Returns the witness found first in domain-mask
-    then assignment order, or None."""
+    inside the domain. Returns the kernel's witness: on the first
+    downward-closed domain in ascending mask order that carries a
+    morphism, the least one in world-index order. None when there is
+    none, as for an empty target, since a positive morphism has a
+    nonempty domain."""
     found = kernels.search_positive_morphism(target.n, target.up, source.n, source.up)
     if found is None:
         return None
@@ -111,27 +122,20 @@ def positive_morphism(target: Poset, source: Poset) -> dict[int, int] | None:
 def verify_positive_morphism(
     target: Poset, source: Poset, f: Mapping[int, int]
 ) -> bool:
-    dom = set(f)
-    if not dom or any(not 0 <= w < source.n for w in dom):
+    """Whether f is a positive morphism: onto, on a nonempty
+    downward-closed domain D, and taking each cone up(w) & D onto the
+    cone of f(w); the inclusion is forth, the converse is back."""
+    if not f or any(not 0 <= w < source.n for w in f):
         return False
     if any(not 0 <= c < target.n for c in f.values()):
         return False
     if set(f.values()) != set(range(target.n)):
         return False
-    for w in dom:
-        for u in range(source.n):
-            if source.le(u, w) and u not in dom:
-                return False
-        for u in dom:
-            if source.le(w, u) and not target.le(f[w], f[u]):
-                return False
-        for v in range(target.n):
-            if target.le(f[w], v):
-                if not any(
-                    source.le(w, u) and f[u] == v for u in dom
-                ):
-                    return False
-    return True
+    dom = sum(1 << w for w in f)
+    return all(
+        source.down[w] & ~dom == 0 and _image(source.up[w], f, dom) == target.up[c]
+        for w, c in f.items()
+    )
 
 
 def extend_positive(

@@ -1,8 +1,8 @@
 """The hot evaluation and search loops, in plain Python.
 
 Every ``subminimal.kernels.<name>`` is the function of the same name
-here. Worlds, sets and tables are passed as plain ints and lists or tuples
-so that the callers stay free of frame objects.
+here. Worlds, sets and tables are plain ints, lists and tuples, so the
+callers stay free of frame objects.
 
 Conventions:
 
@@ -20,38 +20,20 @@ it at one position; both read a poset's cone lists through _kept. One
 loop, _trace_table, builds every table whose value at X is the set of
 worlds w whose family holds X & R(w): the lift, the translation gap's
 lift at the upsets, and, imported from here, the trace tables of
-frames, the tests' from_neighbourhood and the dual frames of
-algebra. Two mask
-helpers sit beside it, imported from here as well: _transpose, the one
-bit transpose of a mask list, and _inclusion_cones, the one inclusion
-order of a mask list.
+frames, the tests' from_neighbourhood and the dual frames of algebra.
+Two mask helpers sit beside it, imported from here as well: _transpose,
+the one bit transpose of a mask list, and _inclusion_cones, the one
+inclusion order of a mask list.
 
-The refutation search evaluates many valuations at once, bit-sliced: a
-truth set is one int per world with one bit per search position. The
-prop search takes a sequence of tables on one poset, all frames of a
-poset class, say, and numbers its positions frame-major, frame *
-len(upsets)**nvars + valuation; a block packs as many whole frames as
-fit in _BLOCK bits. The frames share the poset's cones and valuations,
-so only the negation lookup tells them apart: it reads, for each truth
-set, column masks that mark the positions whose frame puts a world in
-N of that set (see _first_refutation).
+The refutation searches evaluate many (frame, valuation) positions at
+once, bit-sliced: a truth set is one int per world with one bit per
+position. The frames of one search share a poset, so only the negation
+lookup tells them apart, through column masks (see _first_refutation).
 
-A search's block layout and the truth sets of its variables that vary
-inside a block depend only on _BLOCK, the values, the variable count
-and the world count. _layout keeps the last 64 of them in a module
-memo keyed by those four, so a search that repeats a layout, such as
-one NS4 axiom check after another on 3-world frames, does not rebuild
-them. An entry holds at most _BLOCK values, so it stays under about
-0.16 MiB even at 20 worlds and takes a few KiB up to 5 (see _layout).
-
-The formula kernels read each world's cone as a list of worlds, and
-the positive-morphism search derives its set-up from one poset at a
-time: the target's allowed values, the source's strict cones and
-visiting order, and the source's candidate domains for each spare
-world count. _kept keeps each in the instance dict of the cones it
-came from when they have one, as the cones of a Poset or an NS4Frame
-do, so the entries live exactly as long as the poset and need no bound
-of their own; plain tuples and lists build them per call.
+_layout keeps the last 64 block layouts (see there). What a kernel
+derives from one poset alone, the formula kernels' cone lists and the
+positive-morphism search's set-up, _kept keeps with the poset's cones,
+so it lives as long as the poset.
 
 No closure here names itself: the recursive searches are module-level
 functions that take their state as arguments. A closure that calls
@@ -326,15 +308,9 @@ def _first_refutation(code, nvars, n, up, tables, values, modal, error):
     set is the same wherever it occurs, and so is the set of positions
     whose lookups meet a hole in it.
 
-    The layout, and the truth sets of the variables that run inside a
-    block, depend on neither the frames nor the code, so they come from
-    _layout, which keeps the last 64 of them keyed by (_BLOCK, values as
-    a tuple, nvars, n): callers pass tuples, lists and ranges. Its
-    entries are bounded in size (see there). A block of several frames
-    repeats one frame's truth sets. The cone lists come through _kept:
-    once per frames._Cones, the cones of a Poset or an NS4Frame, so the
-    searches of one frame share them; per call for plain tuples and
-    lists.
+    The layout and the truth sets of the variables inside a block come
+    from _layout, keyed by values as a tuple (callers pass tuples,
+    lists and ranges); a block of several frames repeats one frame's.
 
     When ``tables`` has a ``columns`` attribute, a dict, the column
     masks built for it are kept there, keyed by block layout, so a
@@ -706,12 +682,31 @@ def search_positive_morphism(nt, t_up, ns, s_up):
     g(w) needs a search. Each step keeps a morphism with the fixed
     prefix and rules out every smaller value at its world.
 
-    The allowed values depend on the target alone, the strict cones
-    and the visiting order on the source alone, and the domains on the
-    source and ns - nt alone, so all three are kept with a poset's
-    cones (see _kept).
+    Two refusals come first, read from each poset's kept profile
+    (_profile); say f on D is a morphism. (1) Depth: a target world c
+    on a chain c = c1 < ... < ch is f(w) for some w in D, f being onto;
+    back gives u >= w in D with f(u) = c2, so u > w, and so on up: w
+    starts a chain of h source worlds. One such w per c is an
+    injection, so at each h at least as many source as target worlds
+    start a chain of h worlds (h = 1: ns >= nt). (2) Signature: at ns
+    == nt, D is the source and f a bijection with f(up(w)) = up(f(w)),
+    and back gives w <= u iff f(w) <= f(u): an order isomorphism, which
+    keeps each world's cone and down-set sizes. Refusing only pairs
+    with no morphism keeps every answer and first witness. An empty
+    target has none, as a domain is nonempty.
+
+    The set-up depends on one poset alone (the domains also on ns -
+    nt), so _kept keeps it with that poset's cones.
     """
-    if ns < nt:
+    if nt == 0:
+        return None
+    t_depth, t_sig = _kept(t_up, _profile, nt)
+    s_depth, s_sig = _kept(s_up, _profile, ns)
+    if (
+        len(s_depth) < len(t_depth)
+        or any(map(int.__lt__, s_depth, t_depth))
+        or ns == nt and s_sig != t_sig
+    ):
         return None
     full_t = (1 << nt) - 1
     allowed = _kept(t_up, _allowed, nt)
@@ -764,6 +759,28 @@ def _strict(s_up, ns):
     size."""
     above = [s_up[w] & ~(1 << w) for w in range(ns)]
     return above, sorted(range(ns), key=lambda w: s_up[w].bit_count())
+
+
+def _profile(up, n):
+    """The depth profile, entry h the count of worlds that start a chain
+    of h + 1 worlds, and the sorted (cone size, down-set size) pairs,
+    each one int c * (n + 1) + d (both are at most n): a tuple per
+    world cost 0.5 MiB of companions peak RSS. Worlds above w have
+    smaller cones, so their heights come first."""
+    above, by_cone = _kept(up, _strict, n)
+    height = [0] * n
+    down = [1] * n
+    for w in by_cone:
+        h = 0
+        m = above[w]
+        while m:
+            v = (m & -m).bit_length() - 1
+            m &= m - 1
+            down[v] += 1
+            h = max(h, height[v])
+        height[w] = h + 1
+    depth = tuple(sum(x > h for x in height) for h in range(max(height, default=0)))
+    return depth, tuple(sorted(c.bit_count() * (n + 1) + d for c, d in zip(up, down)))
 
 
 def _domains(s_up, ns, spare):

@@ -343,8 +343,11 @@ def search_positive_morphism(nt, t_up, t_down, ns, s_up, s_down):
     Domains run over downward-closed source sets in ascending mask
     order; within a domain the assignment search mirrors
     search_order_onto, with the back condition verified on completion.
-    Returns (domain mask, map list with -1 outside the domain).
+    Returns (domain mask, map list with -1 outside the domain); None
+    for an empty target, as a positive morphism has a nonempty domain.
     """
+    if nt == 0:
+        return None
     full_t = (1 << nt) - 1
     upsize = [t_up[c].bit_count() for c in range(nt)]
     for dom in range(1 << ns):

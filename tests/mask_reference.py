@@ -11,14 +11,16 @@ module: the upsets and the down sets of ``Poset``, the hats of
 the cones of the dual frame, of the greatest filtration and the
 pairwise order check of the filtration correspondence; and the order
 loop of ``enumerate_preorders`` (the one of ``enumerate_filtrations``
-stays in filtration_reference.py).
+stays in filtration_reference.py); and the two witness checks of
+``antichain``, ``verify_order_onto`` and ``verify_positive_morphism``,
+which test_antichain.py runs against the mask versions.
 """
 
 from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-from subminimal.frames import _transitive
+from subminimal.frames import Poset, _transitive
 from subminimal.syntax import Formula
 
 
@@ -119,3 +121,40 @@ def enumerate_preorders(n: int) -> list[tuple[int, ...]]:
             out.append(tuple(rel))
     return out
 
+
+def verify_order_onto(target: Poset, source: Poset, f: Sequence[int]) -> bool:
+    """Onto order-preserving map check, pair by pair through Poset.le."""
+    if len(f) != source.n or any(not 0 <= c < target.n for c in f):
+        return False
+    image = set(f)
+    if len(image) != target.n:
+        return False
+    for u in range(source.n):
+        for v in range(source.n):
+            if source.le(u, v) and not target.le(f[u], f[v]):
+                return False
+    return True
+
+
+def verify_positive_morphism(target: Poset, source: Poset, f: Mapping[int, int]) -> bool:
+    """Positive morphism check, world by world through Poset.le: the
+    domain downward closed, forth, and back."""
+    dom = set(f)
+    if not dom or any(not 0 <= w < source.n for w in dom):
+        return False
+    if any(not 0 <= c < target.n for c in f.values()):
+        return False
+    if set(f.values()) != set(range(target.n)):
+        return False
+    for w in dom:
+        for u in range(source.n):
+            if source.le(u, w) and u not in dom:
+                return False
+        for u in dom:
+            if source.le(w, u) and not target.le(f[w], f[u]):
+                return False
+        for v in range(target.n):
+            if target.le(f[w], v):
+                if not any(source.le(w, u) and f[u] == v for u in dom):
+                    return False
+    return True

@@ -171,28 +171,87 @@ def test_positive_morphisms_extend_to_onto_maps():
 
 
 def test_kept_search_set_up_keeps_every_witness():
-    # positive_morphism keeps the search's set-up with each poset's
-    # cones; on fresh lists the kernel builds it per call, and every
-    # pair, asked twice, must give the witness of the fresh call
+    # positive_morphism keeps the search's set-up, the profiles included,
+    # with each poset's cones; on fresh lists the kernel builds it per
+    # call, and every pair, asked twice, must give the witness of the
+    # fresh call: the small grid, the empty poset on either side, and
+    # seeded pairs on 6 worlds (no 6-world poset is kept process-wide,
+    # so each is built once here and asked twice)
+    import random
+
     from subminimal import kernels
-    from subminimal.frames import enumerate_posets_unlabeled
+    from subminimal.frames import enumerate_posets_unlabeled, random_poset
 
     all_posets = [p for k in range(1, 6) for p in enumerate_posets_unlabeled(k)]
     topped = [p for p in all_posets if p.top() is not None]
+    empty = Poset(0, ())
+    pairs = [(tgt, src) for tgt in topped + [empty] for src in all_posets + [empty]]
+    rng = random.Random(173)
+    six = [random_poset(rng, 6) for _ in range(40)]
+    pairs += [(tgt, src) for tgt in six[:20] + topped[::5] for src in six[20:]]
     hits = 0
     for _ in range(2):
-        for tgt in topped:
-            for src in all_posets:
-                found = kernels.search_positive_morphism(tgt.n, list(tgt.up), src.n, list(src.up))
-                want = None
-                if found is not None:
-                    dom, flat = found
-                    want = {w: flat[w] for w in range(src.n) if (dom >> w) & 1}
-                    hits += 1
-                assert positive_morphism(tgt, src) == want, (tgt, src)
+        for tgt, src in pairs:
+            found = kernels.search_positive_morphism(tgt.n, list(tgt.up), src.n, list(src.up))
+            want = None
+            if found is not None:
+                dom, flat = found
+                want = {w: flat[w] for w in range(src.n) if (dom >> w) & 1}
+                hits += 1
+            assert positive_morphism(tgt, src) == want, (tgt, src)
     assert len(topped) * len(all_posets) == 25 * 87
-    assert 0 < hits < 2 * 25 * 87
-    assert all(vars(p.up) for p in all_posets)
+    assert hits == 2 * 376
+    assert all(vars(p.up) for p in all_posets + six + [empty])
+
+
+def _corrupted_maps(rng, tgt, src, f):
+    """Maps near the positive morphism f: a key or a value out of
+    range, a value dropped from the image, each domain world removed
+    (below another one, that leaves no downward-closed domain), each
+    missing world added at each value, and single values moved, which
+    breaks forth or back or neither."""
+    first = min(f)
+    out = [{**f, src.n: 0}, {**f, -1: 0}, {**f, first: tgt.n}, {**f, first: -1}]
+    out.append(dict.fromkeys(f, f[first]))
+    out += [{v: c for v, c in f.items() if v != w} for w in f]
+    out += [{**f, u: c} for u in range(src.n) if u not in f for c in range(tgt.n)]
+    out += [{**f, w: rng.randrange(tgt.n)} for w in rng.choices(sorted(f), k=6)]
+    return out
+
+
+def test_the_mask_verifiers_give_the_verdicts_of_the_pairwise_loops():
+    # verify_order_onto and verify_positive_morphism read cone and
+    # down-set masks; the pairwise loops they replaced, kept in
+    # mask_reference, must give the same verdict on every map: the
+    # witnesses of the small grid, their onto extensions, random maps
+    # and the corruptions of each witness
+    import random
+
+    import mask_reference
+    from subminimal.frames import enumerate_posets_unlabeled
+
+    rng = random.Random(311)
+    posets = [p for k in range(1, 5) for p in enumerate_posets_unlabeled(k)]
+    verdicts = {"onto": [0, 0], "positive": [0, 0]}
+    for tgt in posets:
+        for src in posets:
+            maps = [[rng.randrange(tgt.n) for _ in range(src.n)] for _ in range(4)]
+            maps.append([rng.randrange(tgt.n + 1) for _ in range(src.n + rng.randint(-1, 1))])
+            partials = [{w: c for w, c in enumerate(f) if rng.random() < 0.7} for f in maps[:4]]
+            pm = positive_morphism(tgt, src)
+            if pm is not None:
+                partials += [pm, *_corrupted_maps(rng, tgt, src, pm)]
+                if tgt.top() is not None:
+                    maps.append(extend_positive(tgt, src, pm))
+            for f in maps:
+                got = verify_order_onto(tgt, src, f)
+                assert got is mask_reference.verify_order_onto(tgt, src, f), (tgt, src, f)
+                verdicts["onto"][got] += 1
+            for f in partials:
+                got = verify_positive_morphism(tgt, src, f)
+                assert got is mask_reference.verify_positive_morphism(tgt, src, f), (tgt, src, f)
+                verdicts["positive"][got] += 1
+    assert verdicts == {"onto": [2689, 256], "positive": [3486, 679]}
 
 
 def test_variant_names():

@@ -186,6 +186,12 @@ CASES = {
     "ns4_refuting_valuation": _ns4_refuting_valuation,
     "ns4_eval": _ns4_eval,
     "positive_morphism": lambda: (positive_morphism, (CHAIN2, build_delta(1).poset)),
+    # both 9-world posets are fresh, so the call builds both profiles;
+    # the chain's depth dominates, and its signature refuses the pair
+    "positive_morphism_refused": lambda: (
+        positive_morphism,
+        (build_delta(1).poset, Poset.from_pairs(9, [(w, w + 1) for w in range(8)])),
+    ),
     "extend_positive": lambda: (extend_positive, (CHAIN2, diamond(), {0: 0, 1: 1, 2: 1, 3: 1})),
     "order_onto": lambda: (order_onto, (Poset.from_pairs(3, [(0, 1), (0, 2)]), diamond())),
     "check_proof": _check_proof,

@@ -25,6 +25,7 @@ from subminimal.antichain import (
 from subminimal.frames import (
     NModel,
     Poset,
+    enumerate_posets_unlabeled,
     enumerate_upsets,
     eval_formula,
     random_nframe,
@@ -353,6 +354,93 @@ def test_search_positive_morphism_existence(impl):
             dom, flat = got
             mapping = {w: flat[w] for w in range(s.n) if (dom >> w) & 1}
             assert verify_positive_morphism(t, s, mapping)
+
+
+def _thinned_relabeling(rng, t):
+    """The order pairs of a relabeled copy of t, each kept with
+    probability 0.9: a source onto which t often has a morphism."""
+    perm = list(range(t.n))
+    rng.shuffle(perm)
+    return [(perm[u], perm[v]) for u in range(t.n) for v in range(t.n)
+            if u != v and (t.up[u] >> v) & 1 and rng.random() < 0.9]
+
+
+def _small_morphism_pairs():
+    """Every (topped target, source) pair of the unlabeled posets of 1
+    to 5 worlds, 25 x 87 in all, in enumeration order."""
+    posets = [p for k in range(1, 6) for p in enumerate_posets_unlabeled(k)]
+    return [(t, s) for t in posets if t.top() is not None for s in posets]
+
+
+def test_positive_morphism_refusals_keep_the_unpruned_witness():
+    # the depth and signature refusals answer before any domain is
+    # tried; the unpruned search of kernel_reference must give the same
+    # answer and first witness on every small pair, with the empty
+    # poset on either side, and on seeded pairs with a 6-world source,
+    # on kept cones and on plain lists alike
+    rng = random.Random(4242)
+    empty = Poset(0, ())
+    pairs = _small_morphism_pairs()
+    pairs += [(t, empty) for t, _ in pairs[::87]]
+    pairs += [(empty, s) for s in (empty, *(s for _, s in pairs[:87]))]
+    for _ in range(2000):
+        t = random_poset(rng, rng.randint(1, 6))
+        if rng.random() < 0.5:
+            s = Poset.from_pairs(6, _thinned_relabeling(rng, t))
+        else:
+            s = random_poset(rng, 6)
+        pairs.append((t, s))
+    outcomes = collections.Counter()
+    for t, s in pairs:
+        want = ref.search_positive_morphism(t.n, t.up, t.down, s.n, s.up, s.down)
+        assert pure.search_positive_morphism(t.n, t.up, s.n, s.up) == want, (t, s)
+        assert pure.search_positive_morphism(t.n, list(t.up), s.n, list(s.up)) == want, (t, s)
+        outcomes[_morphism_outcome(t, s, want)] += 1
+    assert len(pairs) == 25 * 87 + 25 + 88 + 2000
+    assert outcomes == {"empty": 88, "depth": 1856, "signature": 245, "branched": 380, "found": 1719}
+
+
+def _morphism_outcome(t, s, found):
+    """How the search ends on a pair: empty target, refused by depth or
+    by signature, branched without a morphism, or found one."""
+    if found is not None:
+        return "found"
+    if not t.n:
+        return "empty"
+    t_depth, t_sig = pure._profile(t.up, t.n)
+    s_depth, s_sig = pure._profile(s.up, s.n)
+    if len(s_depth) < len(t_depth) or any(a < b for a, b in zip(s_depth, t_depth)):
+        return "depth"
+    return "signature" if s.n == t.n and s_sig != t_sig else "branched"
+
+
+def test_the_refusals_leave_457_small_pairs_to_the_branching_search(monkeypatch):
+    # a spy on _positive_from marks each pair whose search tries a
+    # domain; without the refusals 1,744 of the 25 x 87 pairs did, with
+    # the size check alone, so a change that drops a refusal fails here
+    reached = set()
+    branch = pure._positive_from
+
+    def spy(*args):
+        reached.add(i)
+        return branch(*args)
+
+    monkeypatch.setattr(pure, "_positive_from", spy)
+    found = 0
+    for i, (t, s) in enumerate(_small_morphism_pairs()):
+        found += pure.search_positive_morphism(t.n, t.up, s.n, s.up) is not None
+    assert (len(reached), found) == (457, 345)
+
+
+def test_an_empty_target_has_no_positive_morphism():
+    # a positive morphism has a nonempty domain, and none maps onto the
+    # empty poset; the kernel, the wrapper and the verifier agree
+    empty = Poset(0, ())
+    for s in (empty, Poset(1, (1,)), build_delta(0).poset):
+        assert pure.search_positive_morphism(0, empty.up, s.n, s.up) is None
+        assert ref.search_positive_morphism(0, empty.up, empty.down, s.n, s.up, s.down) is None
+        assert positive_morphism(empty, s) is None
+        assert not verify_positive_morphism(empty, s, {})
 
 
 def _both(f, names, language="prop"):
@@ -694,13 +782,9 @@ def test_companion_kernels_match_the_plain_loops():
 
         t = random_poset(rng, rng.randint(0, 5))
         if rng.random() < 0.4:
-            # a thinned relabeling of the target on at most two more
-            # worlds, so that same-size domains, where an onto map is a
-            # bijection, often carry a morphism
-            perm = list(range(t.n))
-            rng.shuffle(perm)
-            pairs = [(perm[u], perm[v]) for u in range(t.n) for v in range(t.n)
-                     if u != v and (t.up[u] >> v) & 1 and rng.random() < 0.9]
+            # on at most two more worlds, so that same-size domains,
+            # where an onto map is a bijection, often carry a morphism
+            pairs = _thinned_relabeling(rng, t)
             s = Poset.from_pairs(t.n + rng.randint(0, 2), pairs)
         else:
             s = random_poset(rng, rng.randint(0, 6))
