@@ -14,20 +14,28 @@ only for inputs that already use minimal parentheses and no <->.
 The parser reads the tokens of one regex findall by precedence
 climbing. It alone recurses on formula structure: two frames per
 parenthesis, one per prefix operator and per right-nested -> or <->
-(& and | chains are read in a loop).
+(& and | chains are read in a loop). It lists each node as it builds
+it, operands first, left first, which is the order of subformulas with
+repeats, so a parse hands its walk over: the list without repeats is
+kept on the root, unless the root already keeps code, and the first
+walk of a parsed formula costs nothing.
 
-There is one object per distinct formula (hash-consing): each node
-class builds its nodes, from their fields in order and not by keyword
-(Var("p"), And(a, b)), through one __new__, which looks the node up in
-_NODES by its class and its fields and returns the live node if there
-is one. The table holds weak references, so a node's entry goes when
-reference counting frees the node. So == is identity, and a node
-hashes by identity too (object.__hash__), in C, and every memo over
-formulas keys by the node itself. A set or dict of formulas therefore
-iterates in an order that follows where the nodes live in memory,
-which can change from run to run, so nothing shown or named follows
-it: a Sigma is put in one order once, at entry (_ordered), and every
-answer, witness and error over it follows that order. copy.copy and
+There is one object per distinct formula (hash-consing, Filliatre and
+Conchon 2006): each node class builds its nodes through the
+constructor of its shape (_nullary, _unary for Var and the prefix
+operators, _binary), which takes exactly the class's fields, in order
+and not by keyword (Top(), Var("p"), Neg(a), And(a, b)), so any other
+call raises TypeError. It looks the node up in _NODES by its class and
+its fields and returns the live node if there is one, else fills a new
+node through the class's own member descriptors, bound once per class.
+The table holds weak references, so a node's entry goes when reference
+counting frees the node. So == is identity, and a node hashes by
+identity too (object.__hash__), in C, and every memo over formulas
+keys by the node itself. A set or dict of formulas therefore iterates
+in an order that follows where the nodes live in memory, which can
+change from run to run, so nothing shown or named follows it: a Sigma
+is put in one order once, at entry (_ordered), and every answer,
+witness and error over it follows that order. copy.copy and
 copy.deepcopy return the node itself, and a pickle holds the operands
 and loads through the constructor, as the node. The table takes no
 lock: two threads building the same new formula at once may make two
@@ -35,16 +43,16 @@ objects of it, so build formulas from one thread.
 
 Every other walk but show's is a loop over ``subformulas``, the
 subformulas of a formula, children first, left operand first, each
-node once, built on one explicit stack (_postorder) on first use and
-kept on the node, so a formula of any depth compiles and evaluates. A
-subformula closure from filtration.close_sigma is a _Closed: the walk
-of the formulas it closes, taken from their kept orders, so that
-Sigma is its own walk (_walk) and none is built for it. show is the
-one walk that visits a shared node once per occurrence, because its
-text appears once per occurrence: one left-to-right pass over an
-explicit stack, so a formula of any depth prints in time linear in
-its text. repr and pickle are the standard library's and still
-recurse.
+node once, handed over by the parse or built on one explicit stack
+(_postorder) on first use, and kept on the node, so a formula of any
+depth compiles and evaluates. A subformula closure from
+filtration.close_sigma is a _Closed: the walk of the formulas it
+closes, taken from their kept orders, so that Sigma is its own walk
+(_walk) and none is built for it. show is the one walk that visits a
+shared node once per occurrence, because its text appears once per
+occurrence: one left-to-right pass over an explicit stack, so a
+formula of any depth prints in time linear in its text. repr and
+pickle are the standard library's and still recurse.
 
 The slot ``_code`` keeps the subformula order without the node itself
 (no reference cycle), the sorted variable names and the prop and modal
@@ -85,7 +93,7 @@ class ParseError(ValueError):
         self.position = position
 
 
-# bypasses the frozen dataclass __setattr__ to fill the slots
+# bypasses the frozen dataclass __setattr__ to fill the code slot
 _setattr = object.__setattr__
 
 
@@ -106,22 +114,66 @@ def _drop(ref: _Ref) -> None:
         del _NODES[ref.key]
 
 
-class Formula:
-    """Base class for all formula nodes; holds the code slot."""
+# the constructors of the three node shapes, by the number of fields:
+# each gives the live node of the class and fields if there is one,
+# else a new node filled through the class's own member descriptors,
+# their __set__ bound once per class (a lookup per call cost more than
+# the string-keyed object.__setattr__)
 
-    __slots__ = ("_code", "__weakref__")
 
-    def __new__(cls, *fields: object) -> Formula:
-        key = (cls, *fields)
+def _nullary(cls: type) -> Callable:
+    def __new__(cls, /):
+        key = (cls,)
         ref = _NODES.get(key)
         node = None if ref is None else ref()
         if node is None:
             node = object.__new__(cls)
-            for name, value in zip(cls.__match_args__, fields):
-                _setattr(node, name, value)
             ref = _NODES[key] = _Ref(node, _drop)
             ref.key = key
         return node
+
+    return __new__
+
+
+def _unary(cls: type) -> Callable:
+    fill = getattr(cls, cls.__match_args__[0]).__set__
+
+    def __new__(cls, field, /):
+        key = (cls, field)
+        ref = _NODES.get(key)
+        node = None if ref is None else ref()
+        if node is None:
+            node = object.__new__(cls)
+            fill(node, field)
+            ref = _NODES[key] = _Ref(node, _drop)
+            ref.key = key
+        return node
+
+    return __new__
+
+
+def _binary(cls: type) -> Callable:
+    fill_left, fill_right = cls.left.__set__, cls.right.__set__
+
+    def __new__(cls, left, right, /):
+        key = (cls, left, right)
+        ref = _NODES.get(key)
+        node = None if ref is None else ref()
+        if node is None:
+            node = object.__new__(cls)
+            fill_left(node, left)
+            fill_right(node, right)
+            ref = _NODES[key] = _Ref(node, _drop)
+            ref.key = key
+        return node
+
+    return __new__
+
+
+class Formula:
+    """Base class for all formula nodes; holds the code slot."""
+
+    __slots__ = ("_code", "__weakref__")
 
     def __copy__(self) -> Formula:
         return self
@@ -136,56 +188,65 @@ class Formula:
         return show(self)
 
 
-def _node(cls):
-    """A frozen slotted dataclass whose nodes Formula.__new__ interns,
-    with identity for == and hash."""
-    return dataclass(frozen=True, slots=True, init=False, eq=False)(cls)
+def _node(shape: Callable) -> Callable:
+    """A frozen slotted dataclass whose nodes the constructor of its
+    shape interns, with identity for == and hash."""
+
+    def make(cls: type) -> type:
+        cls = dataclass(frozen=True, slots=True, init=False, eq=False)(cls)
+        new = shape(cls)
+        # a wrong call's TypeError names the class
+        new.__qualname__ = f"{cls.__name__}.__new__"
+        cls.__new__ = staticmethod(new)
+        return cls
+
+    return make
 
 
-@_node
+@_node(_unary)
 class Var(Formula):
     name: str
 
 
-@_node
+@_node(_nullary)
 class Top(Formula):
     pass
 
 
-@_node
+@_node(_nullary)
 class Bot(Formula):
     pass
 
 
-@_node
+@_node(_binary)
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@_node
+@_node(_binary)
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@_node
+@_node(_binary)
 class Imp(Formula):
     left: Formula
     right: Formula
 
 
-@_node
+@_node(_unary)
 class Neg(Formula):
     sub: Formula
 
 
-@_node
+@_node(_unary)
 class Box(Formula):
     sub: Formula
 
 
-@_node
+@_node(_unary)
 class BBox(Formula):
     sub: Formula
 
@@ -319,24 +380,25 @@ def show(formula: Formula) -> str:
 _TOKEN_RE = re.compile(r"(<->|->|\[n\]|\[\]|T\b|F\b|[a-z][a-zA-Z0-9_]*|[&|~()])|\w+|\S")
 
 # infix operator: its binding power, the floor of its right operand
-# (its own power for the right-associative <-> and ->), its node
-_INFIX = {"->": (1, 1, Imp), "|": (2, 3, Or), "&": (3, 4, And)}
-_INFIX["<->"] = (0, 0, lambda left, right: And(Imp(left, right), Imp(right, left)))
+# (its own power for the right-associative <-> and ->), its node (None
+# for <->, which the parser expands)
+_INFIX = {"<->": (0, 0, None), "->": (1, 1, Imp), "|": (2, 3, Or), "&": (3, 4, And)}
 
 
 class _Parser:
     """Precedence climbing over the tokens, kept reversed behind an
-    empty end marker so that the next token is tokens[-1]. It builds
-    the nodes and keeps nothing of them: the result's walk is built by
-    subformulas when first asked for."""
+    empty end marker so that the next token is tokens[-1]. Each node is
+    listed in made as it is built, operands first, left first, so made
+    holds the result's walk with repeats (see parse)."""
 
-    __slots__ = ("text", "tokens", "count", "modal")
+    __slots__ = ("text", "tokens", "count", "modal", "made")
 
     def __init__(self, text: str, tokens: list[str], modal: bool):
         self.text, self.count, self.modal = text, len(tokens), modal
         tokens.append("")
         tokens.reverse()
         self.tokens = tokens
+        self.made: list[Formula] = []
 
     def fail(self, message: str, taken: bool = False) -> ParseError:
         """The error at the next token, or at the one just taken."""
@@ -344,13 +406,19 @@ class _Parser:
 
     def expr(self, floor: int) -> Formula:
         left = self.unary()
-        tokens = self.tokens
+        tokens, made = self.tokens, self.made
         while True:
             op = _INFIX.get(tokens[-1])
             if op is None or op[0] < floor:
                 return left
             tokens.pop()
-            left = op[2](left, self.expr(op[1]))
+            right = self.expr(op[1])
+            if op[2] is None:
+                made += (Imp(left, right), Imp(right, left))
+                left = And(made[-2], made[-1])
+            else:
+                left = op[2](left, right)
+            made.append(left)
 
     def unary(self) -> Formula:
         tok = self.tokens.pop()
@@ -359,19 +427,26 @@ class _Parser:
             if self.tokens.pop() != ")":
                 raise self.fail("expected closing parenthesis", True)
             return inner
+        made = self.made
         if "a" <= tok < "{":  # an atom: "{" follows "z"
-            return Var(tok)
-        if tok == "~":
+            made.append(Var(tok))
+        elif tok == "~":
             sub = self.unary()
-            return Imp(sub, Bot()) if self.modal else Neg(sub)
-        if tok == "T":
-            return Top()
-        if tok == "F" or tok == "[]" or tok == "[n]":
+            if self.modal:
+                made.append(Bot())
+                made.append(Imp(sub, made[-1]))
+            else:
+                made.append(Neg(sub))
+        elif tok == "T":
+            made.append(Top())
+        elif tok == "F" or tok == "[]" or tok == "[n]":
             if not self.modal:
                 what = "falsum" if tok == "F" else "modal operator"
                 raise self.fail(f"{what} outside the modal language", True)
-            return Bot() if tok == "F" else (Box if tok == "[]" else BBox)(self.unary())
-        raise self.fail("expected a formula", True)
+            made.append(Bot() if tok == "F" else (Box if tok == "[]" else BBox)(self.unary()))
+        else:
+            raise self.fail("expected a formula", True)
+        return made[-1]
 
 
 def _error(text: str, index: int, message: str) -> ParseError:
@@ -385,6 +460,8 @@ def parse(text: str, language: str = "prop") -> Formula:
 
     ``language`` is "prop" or "modal". Biconditionals are expanded into
     conjoined implications; in the modal language ~x becomes x -> F.
+    The result keeps the walk the parse listed, the order subformulas
+    gives, unless it already keeps code.
     """
     if language not in ("prop", "modal"):
         raise ValueError(f"unknown language: {language!r}")
@@ -395,6 +472,11 @@ def parse(text: str, language: str = "prop") -> Formula:
     formula = parser.expr(0)
     if parser.tokens[-1]:
         raise parser.fail("trailing input")
+    if getattr(formula, "_code", None).__class__ is not tuple:
+        # made ends with the root, and no node precedes itself
+        made = parser.made
+        made.pop()
+        _setattr(formula, "_code", (tuple(dict.fromkeys(made)), None, None, None))
     return formula
 
 

@@ -159,6 +159,8 @@ CASES = {
     "truth_sets": _on_a_fresh_model(truth_sets),
     "eval_formula": lambda: (eval_formula, (fork_model(), FORMULA)),
     "formula_evaluator": lambda: (lambda m: formula_evaluator(m)(FORMULA), (fork_model(),)),
+    # the parser lists the nodes it builds and hands their walk over
+    "parse": lambda: (parse, ("~[]p <-> (q -> ~p)", "modal")),
     "close_sigma": lambda: (close_sigma, ([FORMULA],)),
     "close_sigma_of_several": lambda: (close_sigma, ([FORMULA, parse("~p -> q")],)),
     "greatest_filtration": _on_a_fresh_model(greatest_filtration),

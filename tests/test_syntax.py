@@ -334,13 +334,64 @@ def test_equal_formulas_are_one_object_however_built():
 def test_a_parse_lists_a_recurring_node_once():
     f = parse("(p & q | r) -> (p & q | r) & ~(p & q)")
     assert f.left is f.right.left and f.left.left is f.right.right.sub
-    # a parse keeps no order: the first subformulas call builds and keeps it
+    # the parse keeps its walk on the root, and subformulas gives it back
     order = subformulas(f)
     assert f._code[0] == order[:-1]
     assert [show(g) for g in subformulas(f)] == [
         "p", "q", "p & q", "r", "p & q | r", "~(p & q)", "(p & q | r) & ~(p & q)", show(f),
     ]
     assert len(compiled(f)[1]) == 3 * 8
+
+
+def test_a_parse_hands_over_the_walk_postorder_builds():
+    # the names are the test's own and each formula is dropped before
+    # the next, so a root holding a variable is new: its kept order is
+    # the one its parse listed, and the parse walks nothing itself
+    rng = random.Random(43)
+    names = ("walk_a", "walk_b", "walk_c")
+    walks = []
+    spy = lambda formulas, seen=(): walks.append(formulas) or postorder(formulas, seen)
+    postorder, syntax._postorder = syntax._postorder, spy
+    try:
+        for i in range(2400):
+            language = ("prop", "modal")[i % 2]
+            a, b = (show(random_formula(rng, names, rng.randrange(7), language)) for _ in range(2))
+            # repeated subtrees, some -> read as <->, some modal [n] as ~
+            text = (a, f"({a}) & ({b}) -> ({a})", f"({b}) | ({a}) -> ({a}) & ({b})")[i % 3]
+            text = text.replace(" -> ", " <-> ", rng.randrange(3))
+            if language == "modal":
+                text = text.replace("[n]", "~", rng.randrange(3))
+            f = parse(text, language)
+            assert not walks
+            kept = f._code
+            assert kept[1:] == (None, None, None) or "walk_" not in text
+            assert kept[0] + (f,) == tuple(postorder((f,))) == subformulas(f)
+            # a root that has code keeps that very tuple
+            compiled(f, language)
+            kept = f._code
+            assert parse(text, language) is f and f._code is kept
+            del f
+    finally:
+        syntax._postorder = postorder
+
+
+def test_a_node_takes_exactly_its_fields():
+    # too few or too many fields, or fields by keyword, build no node
+    p = Var("p")
+    before = len(syntax._NODES)
+    for kind in (Top, Bot, Var, Neg, Box, BBox, And, Or, Imp):
+        fields = ("p",) if kind is Var else (p,) * len(kind.__match_args__)
+        assert kind(*fields) is kind(*fields) and show(kind(*fields))
+        for wrong in (fields[:-1], fields + (p,))[not fields:]:
+            with pytest.raises(TypeError, match="positional argument"):
+                kind(*wrong)
+        if fields:
+            with pytest.raises(TypeError, match="keyword argument"):
+                kind(**dict(zip(kind.__match_args__, fields)))
+    assert len(syntax._NODES) == before
+    with pytest.raises(TypeError) as info:
+        And(p)
+    assert "missing 1 required positional argument: 'right'" in str(info.value)
 
 
 def test_the_node_table_keeps_no_dead_node():
