@@ -12,8 +12,9 @@ Two algebras share a reduct only when they hold the very same table
 objects: set_reduct builds the tables of an upset lattice once and
 algebra._set_algebra hands them, with their reduct, to every algebra
 of those upsets. Any other algebra builds a reduct of its own on first
-use. An error is never kept: a dual past the world cap raises on
-every use.
+use. An error is never kept: a dual poset that fails the order checks
+raises on every use. The dual poset has no world cap; the dual frame's
+table, which covers all subsets of its worlds, does (algebra._dual).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Sequence
 
-from subminimal.frames import Poset, _JSON_MAX_WORLDS, _imp_mask
+from subminimal.frames import Poset, _imp_mask
 from subminimal.kernels.pure import _inclusion_cones, _transpose
 
 
@@ -70,12 +71,6 @@ class Reduct:
     def down(self) -> list[int]:
         """D[y], the mask of the x below y."""
         return self._scan[1]
-
-    @cached_property
-    def order(self) -> Poset:
-        """The element order as a poset; ValueError unless the order is
-        a partial order, raised again on the next use."""
-        return Poset(self.size, self.up)
 
     @cached_property
     def laws(self) -> bool:
@@ -177,15 +172,9 @@ class Reduct:
     @cached_property
     def dual(self) -> Poset:
         """The prime filters ordered by inclusion, the poset of the dual
-        frame. Its table covers all 2**k subsets of its k worlds, so a
-        dual past the world cap of the frame readers raises ValueError:
-        no reader could take it back."""
-        k = len(self.filters)
-        if k > _JSON_MAX_WORLDS:
-            raise ValueError(
-                f"the dual would have {k} worlds, more than the cap of {_JSON_MAX_WORLDS}"
-            )
-        return Poset(k, _inclusion_cones(self.filters))
+        frame. A poset needs no table, so it has no world cap; the dual
+        frame's does (algebra._dual)."""
+        return Poset(len(self.filters), _inclusion_cones(self.filters))
 
     @cached_property
     def round_trip(self) -> bool:

@@ -15,8 +15,10 @@ the prime filters O(size^3), so algebras of a few dozen elements are
 cheap. The dual frame has one world per prime filter and, like every
 frame here, a negation table over all subsets of its worlds, so that
 part doubles with each prime filter; a chain of s elements has s. A
-dual of more than 20 worlds, the world cap of the frame readers,
-raises ValueError.
+dual frame of more than 20 worlds, the world cap of the frame readers,
+raises ValueError. The isomorphisms of two algebras are read off their
+dual posets, which need no table and have no cap
+(nalgebra_isomorphisms).
 
 Every algebra is its Heyting reduct (meet, join, imp and one;
 _heyting.Reduct) plus its negation. The reduct finds, once and on first
@@ -52,15 +54,17 @@ from subminimal.frames import (
     NFrame,
     NModel,
     Poset,
+    _canonical_form,
     _check_table,
     _frame_stream,
+    _JSON_MAX_WORLDS,
     _int,
     _ints,
     _locality_witness,
+    _push_mask,
     _subfamilies,
     _table_array,
     _trace_tables,
-    _transports,
     _truths,
     poset_from_dict,
     poset_isomorphisms,
@@ -380,10 +384,13 @@ def _dual(a: NAlgebra) -> TopFrame:
     agrees with u on the cone of i, that is, when up[i] & u is in the
     family {up[i] & hats[x] : neg[x] in filter i}; the table is the
     trace table of those families on the nonempty upsets
-    (kernels.pure._trace_table). The dual poset raises ValueError past
-    the world cap (_heyting.Reduct.dual).
+    (kernels.pure._trace_table). The table covers all 2**k subsets of
+    the k worlds, so a dual past the world cap of the frame readers
+    raises ValueError before it is built: no reader could take it back.
     """
     r = a._reduct
+    if len(r.filters) > _JSON_MAX_WORLDS:
+        raise ValueError(f"the dual would have {len(r.filters)} worlds, more than the cap of {_JSON_MAX_WORLDS}")
     p = r.dual
     hats, neg = r.hats, a.neg
     cuts = [
@@ -401,22 +408,37 @@ def _dual(a: NAlgebra) -> TopFrame:
 
 def nalgebra_isomorphisms(a: NAlgebra, b: NAlgebra) -> Iterator[tuple[int, ...]]:
     """All isomorphisms between two N-algebras (see check_nalgebra), as
-    assignment tuples in ascending order: the order isomorphisms of
-    their element orders (poset_isomorphisms, on the orders the
-    algebras' reducts keep) that commute with neg.
+    assignment tuples in ascending order: the isomorphisms of their
+    dual posets (poset_isomorphisms), read through the hats, that
+    commute with neg. Tables that fail the lattice and residuation laws
+    (_heyting.Reduct.laws) raise ValueError.
 
-    An isomorphism preserves meet, so it is an order isomorphism.
-    Conversely an order isomorphism f of two lattices preserves what
-    the order alone defines: meet and join are the greatest lower and
-    least upper bound, the top is the greatest element, and y -> z is
-    the greatest x with x & y <= z (residuation). So f preserves every
-    operation but neg, which is checked. The reduction needs lattices,
-    so both algebras must pass check_nalgebra; tables whose element
-    order is not a partial order raise ValueError.
+    An isomorphism preserves meet, so it is an order isomorphism;
+    conversely an order isomorphism of two lattices preserves meet,
+    join, the top and the arrow, which the order alone defines (y -> z
+    is the greatest x with x & y <= z). So the isomorphisms are the
+    order isomorphisms that commute with neg.
+
+    Duality. Under the laws each algebra is a finite Heyting algebra,
+    so distributive. Its prime filters are the up-sets of its
+    join-irreducibles j and the whole carrier, the dual's greatest
+    world, and x lies in the up-set of j iff j <= x. So hat(x) is the
+    set of the j below x with the greatest world, and by Birkhoff's
+    theorem the hats are exactly the nonempty upsets of the dual, with
+    x <= y iff hat(x) lies in hat(y). An isomorphism phi of the dual
+    posets keeps nonempty upsets and inclusion, so
+    f(x) = hat_b^-1(phi(hat_a(x))) is an order isomorphism of the
+    lattices. Conversely an order isomorphism f maps join-irreducibles
+    onto join-irreducibles, so F -> f(F) is an isomorphism phi of the
+    dual posets, and phi gives back f. So phi -> f is a bijection onto
+    the order isomorphisms, and no search runs over elements.
     """
-    for f in poset_isomorphisms(a._reduct.order, b._reduct.order):
-        if all(b.neg[f[x]] == f[a.neg[x]] for x in range(a.size)):
-            yield f
+    ra, rb = a._reduct, b._reduct
+    if not (ra.laws and rb.laws):
+        raise ValueError("the tables fail the lattice and residuation laws of check_nalgebra")
+    back = {h: y for y, h in enumerate(rb.hats)}
+    maps = (tuple(back[_push_mask(h, phi)] for h in ra.hats) for phi in poset_isomorphisms(ra.dual, rb.dual))
+    yield from sorted(f for f in maps if all(b.neg[f[x]] == f[a.neg[x]] for x in range(a.size)))
 
 
 def nalgebra_isomorphic(a: NAlgebra, b: NAlgebra) -> bool:
@@ -424,8 +446,9 @@ def nalgebra_isomorphic(a: NAlgebra, b: NAlgebra) -> bool:
 
 
 def topframe_isomorphic(s: TopFrame, t: TopFrame) -> bool:
-    """Poset isomorphism transporting the admissible negation table."""
-    return _transports(s.poset, t.poset, s.admissible(), s.ntable, t.ntable)
+    """Poset isomorphism transporting the admissible negation table:
+    equal canonical forms (frames._carried)."""
+    return _canonical_form(s, s.admissible()) == _canonical_form(t, t.admissible())
 
 
 def duality_check(x: TopFrame | NAlgebra) -> bool:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from subminimal import kernels
-from subminimal.frames import NFrame, NModel, Poset, ntable_from_upset_map, truth_sets
+from subminimal.frames import NFrame, NModel, Poset, _push_mask, ntable_from_upset_map, truth_sets
 from subminimal.syntax import Imp, Neg, Var
 
 
@@ -86,18 +86,7 @@ def verify_order_onto(target: Poset, source: Poset, f: Sequence[int]) -> bool:
         return False
     if len(set(f)) != target.n:
         return False
-    full = (1 << source.n) - 1
-    return all(_image(up, f, full) & ~target.up[c] == 0 for up, c in zip(source.up, f))
-
-
-def _image(cone: int, f: Sequence[int] | Mapping[int, int], dom: int) -> int:
-    """The mask of f's values on the worlds of cone & dom."""
-    out = 0
-    m = cone & dom
-    while m:
-        out |= 1 << f[(m & -m).bit_length() - 1]
-        m &= m - 1
-    return out
+    return all(_push_mask(up, f) & ~target.up[c] == 0 for up, c in zip(source.up, f))
 
 
 def positive_morphism(target: Poset, source: Poset) -> dict[int, int] | None:
@@ -133,7 +122,7 @@ def verify_positive_morphism(
         return False
     dom = sum(1 << w for w in f)
     return all(
-        source.down[w] & ~dom == 0 and _image(source.up[w], f, dom) == target.up[c]
+        source.down[w] & ~dom == 0 and _push_mask(source.up[w] & dom, f) == target.up[c]
         for w, c in f.items()
     )
 

@@ -29,17 +29,18 @@ call raises TypeError. It looks the node up in _NODES by its class and
 its fields and returns the live node if there is one, else fills a new
 node through the class's own member descriptors, bound once per class.
 The table holds weak references, so a node's entry goes when reference
-counting frees the node. So == is identity, and a node hashes by
-identity too (object.__hash__), in C, and every memo over formulas
-keys by the node itself. A set or dict of formulas therefore iterates
-in an order that follows where the nodes live in memory, which can
-change from run to run, so nothing shown or named follows it: a Sigma
-is put in one order once, at entry (_ordered), and every answer,
-witness and error over it follows that order. copy.copy and
-copy.deepcopy return the node itself, and a pickle holds the operands
-and loads through the constructor, as the node. The table takes no
-lock: two threads building the same new formula at once may make two
-objects of it, so build formulas from one thread.
+counting frees the node; the one Top and the one Bot are kept alive
+(_TOP, _BOT), and the parser reads them. So == is identity, and a
+node hashes by identity too (object.__hash__), in C, and every memo
+over formulas keys by the node itself. A set or dict of formulas
+therefore iterates in an order that follows where the nodes live in
+memory, which can change from run to run, so nothing shown or named
+follows it: a Sigma is put in one order once, at entry (_ordered), and
+every answer, witness and error over it follows that order. copy.copy
+and copy.deepcopy return the node itself, and a pickle holds the
+operands and loads through the constructor, as the node. The table
+takes no lock: two threads building the same new formula at once may
+make two objects of it, so build formulas from one thread.
 
 Every other walk but show's is a loop over ``subformulas``, the
 subformulas of a formula, children first, left operand first, each
@@ -216,6 +217,13 @@ class Top(Formula):
 @_node(_nullary)
 class Bot(Formula):
     pass
+
+
+# the one Top and the one Bot, kept for the life of the process: a
+# nullary node would otherwise die with each formula that holds it and
+# be built again by the next parse
+_TOP = Top()
+_BOT = Bot()
 
 
 @_node(_binary)
@@ -433,17 +441,17 @@ class _Parser:
         elif tok == "~":
             sub = self.unary()
             if self.modal:
-                made.append(Bot())
-                made.append(Imp(sub, made[-1]))
+                made.append(_BOT)
+                made.append(Imp(sub, _BOT))
             else:
                 made.append(Neg(sub))
         elif tok == "T":
-            made.append(Top())
+            made.append(_TOP)
         elif tok == "F" or tok == "[]" or tok == "[n]":
             if not self.modal:
                 what = "falsum" if tok == "F" else "modal operator"
                 raise self.fail(f"{what} outside the modal language", True)
-            made.append(Bot() if tok == "F" else (Box if tok == "[]" else BBox)(self.unary()))
+            made.append(_BOT if tok == "F" else (Box if tok == "[]" else BBox)(self.unary()))
         else:
             raise self.fail("expected a formula", True)
         return made[-1]

@@ -13,7 +13,6 @@ import pytest
 import algebra_reference as reference
 from frame_helpers import element_hat
 from subminimal import algebra
-from subminimal._heyting import set_reduct
 from subminimal.algebra import (
     AlgebraicFiltration,
     NAlgebra,
@@ -498,6 +497,63 @@ def test_nalgebra_isomorphisms_refuse_an_element_order_that_is_no_partial_order(
         for a, b in ((bad, bad), (bad, ALG), (ALG, bad)):
             with pytest.raises(ValueError):
                 list(nalgebra_isomorphisms(a, b))
+
+
+def test_nalgebra_isomorphisms_refuse_tables_that_fail_the_laws():
+    # M3, the diamond with three atoms, is a lattice whose element order
+    # is a partial order, but it is not distributive, so no arrow
+    # residuates its meet and the law test fails: the isomorphisms are
+    # read off dual posets, which only lawful tables have
+    rng = range(5)
+    meet = tuple(tuple(x if x == y or y == 4 else y if x == 4 else 0 for y in rng) for x in rng)
+    join = tuple(tuple(x if x == y or y == 0 else y if x == 0 else 4 for y in rng) for x in rng)
+    imp = tuple(tuple(4 if meet[x][y] == x else y for y in rng) for x in rng)
+    m3 = NAlgebra(5, meet, join, imp, (4,) * 5, 4)
+    assert check_nalgebra(m3) == ("residuation", (1, 2, 0))
+    for a, b in ((m3, m3), (m3, ALG), (ALG, m3)):
+        with pytest.raises(ValueError, match="fail the lattice and residuation laws"):
+            list(nalgebra_isomorphisms(a, b))
+
+
+def test_nalgebra_isomorphisms_of_the_16_element_boolean_algebra():
+    # four atoms, so 24 lattice automorphisms; complement is fixed by
+    # every one of them, and the search runs on a 5-world dual
+    antichain = Poset(4, (1, 2, 4, 8))
+    a = upset_algebra(NFrame(antichain, tuple(15 & ~x for x in range(16))))
+    assert a.size == 16 and len(prime_filters(a)) == 5
+    found = list(nalgebra_isomorphisms(a, a))
+    assert len(found) == 24 and found == sorted(found) and found[0] == tuple(range(16))
+    for f in found:
+        assert f[a.one] == a.one
+        for x in range(16):
+            assert a.neg[f[x]] == f[a.neg[x]]
+            for y in range(16):
+                assert all(t[f[x]][f[y]] == f[t[x][y]] for t in (a.meet, a.join, a.imp))
+
+
+def _chain_algebra(size):
+    """The chain 0 < 1 < ... < size-1 as an N-algebra whose negation
+    takes the least element to the top and every other to the least."""
+    rng = range(size)
+    meet = tuple(tuple(min(x, y) for y in rng) for x in rng)
+    join = tuple(tuple(max(x, y) for y in rng) for x in rng)
+    imp = tuple(tuple(size - 1 if x <= y else y for y in rng) for x in rng)
+    neg = (size - 1,) + (0,) * (size - 1)
+    return NAlgebra(size, meet, join, imp, neg, size - 1)
+
+
+def test_nalgebra_isomorphisms_of_chains_past_the_dual_frame_cap():
+    # a 24-element chain has 24 prime filters: its dual frame is past
+    # the world cap, but its dual poset has no table and no cap
+    a = _chain_algebra(24)
+    assert check_nalgebra(a) is None and len(prime_filters(a)) == 24
+    with pytest.raises(ValueError, match="^the dual would have 24 worlds, more than the cap of 20$"):
+        dual_frame(a)
+    assert list(nalgebra_isomorphisms(a, a)) == [tuple(range(24))]
+    perm = list(range(24))
+    random.Random(57).shuffle(perm)
+    assert list(nalgebra_isomorphisms(a, _relabeled(a, perm))) == [tuple(perm)]
+    assert list(nalgebra_isomorphisms(a, _chain_algebra(23))) == []
 
 
 def test_topframe_isomorphic_distinguishes():
@@ -1042,14 +1098,3 @@ def test_shared_algebras_compare_copy_and_pickle_as_plain_ones():
         filters = prime_filters(a)
         filters.append(-1)
         assert prime_filters(a) == want[3]
-
-
-def test_the_reducts_order_takes_the_down_sets_of_its_scan():
-    # eight elements are past the posets kept for the process, so the
-    # order is built here, from the scan's cones; its down sets are the
-    # scan's
-    antichain = Poset(3, (1, 2, 4))
-    _, r = set_reduct(antichain.up, antichain.upsets())
-    order = r.order
-    assert order.down == tuple(r.down)
-    assert order == Poset(r.size, r.up) and order.down == Poset(r.size, r.up).down

@@ -25,7 +25,7 @@ from frame_helpers import (
 )
 from subminimal import frames, kernels
 from subminimal.kernels import pure
-from subminimal.algebra import TopFrame, topframe_from_dict
+from subminimal.algebra import TopFrame, topframe_from_dict, topframe_isomorphic
 from subminimal.antichain import positive_morphism
 from subminimal.filtration import close_sigma
 from subminimal.frames import (
@@ -514,18 +514,40 @@ def test_search_timeout_says_how_far_it_got(monkeypatch):
         countermodel_search(LOGICS["n"], AXIOM_N, 4, deadline=4)
 
 
+def _brute_isomorphisms(p, q):
+    """Every order isomorphism p -> q, ascending, by trying all n!
+    bijections."""
+    if p.n != q.n:
+        return []
+    return [
+        f
+        for f in itertools.permutations(range(p.n))
+        if all(p.le(u, v) == q.le(f[u], f[v]) for u in range(p.n) for v in range(p.n))
+    ]
+
+
+def _carries(f, domain, a, b):
+    """Whether the world map f carries table a on the domain onto b."""
+    return all(b[frames._push_mask(u, f)] == frames._push_mask(a[u], f) for u in domain)
+
+
 def _uncached_tables(size, key):
     """N's tables of one poset class, built afresh: every lawful table on
-    the class's least labeling that no automorphism carries to a smaller
-    value tuple over the ascending upsets."""
+    the class's least labeling that no automorphism, found by brute
+    force, carries to a smaller value tuple over the ascending upsets."""
     p = _poset_from_mask(size, key)
     upsets = p.upsets()
-    images = [
-        {u: frames._push_mask(u, g) for u in upsets}
-        for g in poset_isomorphisms(p, p)
-        if g != tuple(range(size))
-    ]
-    return [t for t in enumerate_ntables(p) if frames._least_in_orbit(upsets, t, images)]
+    automorphisms = _brute_isomorphisms(p, p)
+
+    def least(t):
+        values = [t[u] for u in upsets]
+        for g in automorphisms:
+            moved = {frames._push_mask(u, g): frames._push_mask(t[u], g) for u in upsets}
+            if [moved[u] for u in upsets] < values:
+                return False
+        return True
+
+    return [t for t in enumerate_ntables(p) if least(t)]
 
 
 def _uncached_stream(n):
@@ -952,6 +974,150 @@ def test_canonical_key_is_the_least_relabeled_mask():
     for _ in range(40):
         p = random_poset(rng, 7)
         assert canonical_poset_key(p) == min(_relabeled_masks(p)), p
+
+
+def _grown_posets(n):
+    """Every poset _poset_classes keys on its way to n worlds: a fresh
+    maximal world above each downset of each smaller class."""
+    out = []
+    for size in range(2, n + 1):
+        new = 1 << (size - 1)
+        for _, base in _poset_classes(size - 1):
+            for dmask in enumerate_upsets(Poset(base.n, base.down)):
+                up = [cone | new if (dmask >> w) & 1 else cone for w, cone in enumerate(base.up)]
+                out.append(Poset(size, up + [new]))
+    return out
+
+
+def test_canonical_key_is_the_least_relabeled_mask_on_every_grown_poset():
+    # the row bound against the min over all n! relabelings: on all 938
+    # posets the classes up to 6 worlds key, and on random 7- and
+    # 8-world posets
+    grown = _grown_posets(6)
+    assert len(grown) == 938
+    for p in grown:
+        assert canonical_poset_key(p) == min(_relabeled_masks(p)), p
+    rng = random.Random(44)
+    for n in (7, 7, 7, 8, 8):
+        p = random_poset(rng, n)
+        assert canonical_poset_key(p) == min(_relabeled_masks(p)), p
+
+
+def test_least_labelings_are_the_brute_force_isomorphisms_onto_the_key():
+    # on the decoded key they are the automorphisms; on the first grown
+    # representative they are its isomorphisms onto the decoded key
+    for n in range(1, 6):
+        for key, rep in _poset_classes(n):
+            least = _poset_from_mask(n, key)
+            got_key, labelings = frames._least_labelings(least)
+            assert got_key == key
+            assert list(labelings) == _brute_isomorphisms(least, least), least
+            assert labelings[0] == tuple(range(n))
+            assert frames._least_labelings(rep) == (key, tuple(_brute_isomorphisms(rep, least))), rep
+
+
+def _chain(n, rng):
+    """An n-chain under a random labeling."""
+    order = list(range(n))
+    rng.shuffle(order)
+    return Poset.from_pairs(n, list(zip(order, order[1:])))
+
+
+def test_the_key_search_enters_an_n_chain_n_plus_one_times(monkeypatch):
+    # the row bound cuts every candidate but the highest free world at
+    # each label; without it the 16-chain made millions of entries
+    entries = 0
+    search = frames._least_placement
+
+    def counted(*args):
+        nonlocal entries
+        entries += 1
+        return search(*args)
+
+    monkeypatch.setattr(frames, "_least_placement", counted)
+    rng = random.Random(45)
+    for n in (1, 2, 3, 8, 16, 20):
+        entries = 0
+        p = _chain(n, rng)
+        assert canonical_poset_key(p) == sum(1 << _pair_bit(i, j, n) for i in range(n) for j in range(i + 1, n))
+        assert entries <= n + 1, (n, entries)
+
+
+def _relabeled_frame(rng, p, ntable, domain):
+    """A random relabeling of p with the table carried along."""
+    perm = list(range(p.n))
+    rng.shuffle(perm)
+    q = _shuffled_by(p, perm)
+    table = [-1] * len(ntable)
+    for u in domain:
+        table[frames._push_mask(u, perm)] = frames._push_mask(ntable[u], perm)
+    return q, tuple(table)
+
+
+def test_isomorphism_tests_agree_with_brute_force_up_to_six_worlds():
+    # relabeled and random pairs: the isomorphisms in order, and whether
+    # some isomorphism carries the N-frame or top-frame table
+    rng = random.Random(46)
+    verdicts = collections.Counter()
+    for _ in range(120):
+        n = rng.randint(1, 6)
+        p = random_poset(rng, n)
+        a = random_ntable(rng, p)
+        if rng.random() < 0.6:
+            q, b = _relabeled_frame(rng, p, a, p.upsets())
+            if rng.random() < 0.3:
+                b = random_ntable(rng, q)
+        else:
+            q = random_poset(rng, n)
+            b = random_ntable(rng, q)
+        brute = _brute_isomorphisms(p, q)
+        assert list(poset_isomorphisms(p, q)) == brute, (p, q)
+        want = any(_carries(f, p.upsets(), a, b) for f in brute)
+        assert nframe_isomorphic(NFrame(p, a), NFrame(q, b)) == want, (p, q, a, b)
+        verdicts["nframe", want] += 1
+        # the same posets with a top world added, and the tables cut to
+        # the nonempty upsets that hold it
+        tp, tq = _with_top(p), _with_top(q)
+        sa = _top_table(rng, tp)
+        if want and rng.random() < 0.7:
+            f = brute[0] + (n,)
+            tb = [-1] * len(sa)
+            for u in tp.upsets()[1:]:
+                tb[frames._push_mask(u, f)] = frames._push_mask(sa[u], f)
+            tb = tuple(tb)
+        else:
+            tb = _top_table(rng, tq)
+        s, t = TopFrame(tp, sa), TopFrame(tq, tb)
+        top_brute = _brute_isomorphisms(tp, tq)
+        top_want = any(_carries(f, s.admissible(), sa, tb) for f in top_brute)
+        assert topframe_isomorphic(s, t) == top_want, (tp, tq, sa, tb)
+        verdicts["top", top_want] += 1
+    assert min(verdicts.values()) >= 15, verdicts
+
+
+def _shuffled_by(p, perm):
+    """p with world w renamed perm[w]."""
+    up = [0] * p.n
+    for w in range(p.n):
+        up[perm[w]] = frames._push_mask(p.up[w], perm)
+    return Poset(p.n, up)
+
+
+def _with_top(p):
+    """p with a greatest world n added."""
+    top = 1 << p.n
+    return Poset(p.n + 1, [cone | top for cone in p.up] + [top])
+
+
+def _top_table(rng, p):
+    """A random lawful top-frame table on a topped poset: a trace table
+    over the nonempty upsets whose values hold the top world."""
+    t = p.top()
+    admissible = p.upsets()[1:]
+    while True:
+        (table,) = frames._trace_tables(p.up, admissible, frames._coin_flips(rng))
+        if (table[1 << t] >> t) & 1:
+            return table
 
 
 def test_poset_isomorphisms_come_in_lexicographic_order():

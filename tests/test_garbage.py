@@ -20,6 +20,8 @@ from subminimal.algebra import (
     enumerate_topframes,
     least_filtration_correspondence,
     nalgebra_isomorphic,
+    nalgebra_isomorphisms,
+    topframe_isomorphic,
     upset_algebra,
 )
 from subminimal.antichain import build_delta, extend_positive, order_onto, positive_morphism
@@ -41,6 +43,7 @@ from subminimal.frames import (
     eval_formula,
     formula_evaluator,
     model_from_dict,
+    nframe_isomorphic,
     ntable_from_upset_map,
     poset_isomorphisms,
     truth_sets,
@@ -85,6 +88,13 @@ def chain_frame():
 
 def diamond():
     return Poset.from_pairs(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
+
+
+def diamond_frame():
+    # every proper upset negated to the top world: the swap of the two
+    # middle worlds, twins, carries the table onto itself
+    p = diamond()
+    return NFrame(p, ntable_from_upset_map(p, {u: 8 if u != 15 else 0 for u in p.upsets()}))
 
 
 def _on_a_fresh_model(fn):
@@ -202,6 +212,15 @@ CASES = {
     "nalgebra_isomorphic": lambda: (
         nalgebra_isomorphic,
         (upset_algebra(chain_frame()), upset_algebra(chain_frame())),
+    ),
+    "nalgebra_isomorphisms": lambda: (
+        lambda a, b: list(nalgebra_isomorphisms(a, b)),
+        (upset_algebra(diamond_frame()), upset_algebra(diamond_frame())),
+    ),
+    "nframe_isomorphic": lambda: (nframe_isomorphic, (diamond_frame(), diamond_frame())),
+    "topframe_isomorphic": lambda: (
+        topframe_isomorphic,
+        (enumerate_topframes(diamond())[-1], enumerate_topframes(diamond())[-1]),
     ),
 }
 
