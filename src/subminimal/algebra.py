@@ -54,12 +54,12 @@ from subminimal.frames import (
     NFrame,
     NModel,
     Poset,
-    _canonical_form,
     _check_table,
     _frame_stream,
     _JSON_MAX_WORLDS,
     _int,
     _ints,
+    _isomorphic,
     _locality_witness,
     _push_mask,
     _subfamilies,
@@ -446,9 +446,9 @@ def nalgebra_isomorphic(a: NAlgebra, b: NAlgebra) -> bool:
 
 
 def topframe_isomorphic(s: TopFrame, t: TopFrame) -> bool:
-    """Poset isomorphism transporting the admissible negation table:
-    equal canonical forms (frames._carried)."""
-    return _canonical_form(s, s.admissible()) == _canonical_form(t, t.admissible())
+    """Poset isomorphism transporting the admissible negation table
+    (frames._isomorphic)."""
+    return _isomorphic(s, s.admissible(), t, t.admissible())
 
 
 def duality_check(x: TopFrame | NAlgebra) -> bool:

@@ -569,6 +569,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ParseError, ValueError, OSError, ResourceLimitError, SearchTimeout) as exc:
         payload, code = {"status": "error", "error": str(exc)}, 2
     except RecursionError:
+        # JSON nested past the standard decoder's limit: the decoder
+        # recurses, while the formula parser and walks are loops
         payload, code = {"status": "error", "error": "input nested too deeply"}, 2
     try:
         print(json.dumps(payload, sort_keys=True, indent=2 if args.pretty else None))

@@ -25,10 +25,8 @@ all n! relabelings, and the placements it ties at the key, with
 swapped twins put back, are the least labelings: the isomorphisms onto
 the key's poset (proofs in ``canonical_poset_key``). They give a
 class's automorphisms, every isomorphism between two posets
-(``poset_isomorphisms``), and the canonical form of a poset with a
-table, its key with the least table its least labelings carry
-(``_carried``), which decides frame and top-frame isomorphism; the
-algebra isomorphisms are read off the dual posets
+(``poset_isomorphisms``), and frame and top-frame isomorphism
+(``_isomorphic``); the algebra isomorphisms are read off the dual posets
 (algebra.nalgebra_isomorphisms). The 938 keys the classes up to 6
 worlds need take about 0.03 s on a 2-vCPU host, against about 1.8 s
 for the min over every relabeling.
@@ -1037,13 +1035,14 @@ def poset_isomorphisms(p: Poset, q: Poset) -> Iterator[tuple[int, ...]]:
 
 def _relabelings(
     domain: Sequence[int], masks: Iterable[int], labelings: Iterable[Sequence[int]]
-) -> list[tuple[list[int], dict[int, int]]]:
-    """Each labeling as (sources, image): image maps each of the masks,
-    which hold the domain sets, to its image under the labeling, and
-    sources lists the domain sets by ascending image. Built once for
-    all the tables that _carried reads on one poset."""
-    images = [{x: _push_mask(x, lab) for x in masks} for lab in labelings]
-    return [(sorted(domain, key=image.__getitem__), image) for image in images]
+) -> Iterator[tuple[list[int], dict[int, int]]]:
+    """Each labeling in turn, built as read, as (sources, image): image
+    maps each of the masks, which hold the domain sets, to its image
+    under the labeling, and sources lists the domain sets by ascending
+    image."""
+    for lab in labelings:
+        image = {x: _push_mask(x, lab) for x in masks}
+        yield sorted(domain, key=image.__getitem__), image
 
 
 def _carried(
@@ -1054,22 +1053,20 @@ def _carried(
     table it carries, lab X -> lab N(X), over the ascending images of
     the domain sets.
 
-    The canonical form of a poset with a table on its upsets, or on its
-    nonempty upsets, is its key with the least tuple carried by its
-    least labelings. The least labelings of p are the isomorphisms
-    lam: p -> P, P the least labeling of the class (see
-    canonical_poset_key); they are g . lam0 for one of them, lam0, and
-    g running over the automorphisms of P. Isomorphisms keep upsets and
-    nonempty upsets, so every lam maps the domain sets onto P's, and the
-    tuples are tables on P read in one order; the tuple carried by
-    g . lam0 is g applied to the one carried by lam0, so the carried
-    tuples form one orbit of P's automorphisms. Two frames of one key
-    are isomorphic iff their orbits are one, that is iff their least
-    carried tuples are equal. An isomorphism f carrying a onto b makes
-    the tuple of a carried by mu . f that of b carried by mu, so the
-    orbits meet, and orbits that meet are equal. Conversely, if lam
-    carries a to the tuple mu carries b to, then mu^-1 . lam is an
-    isomorphism carrying a onto b.
+    Let p hold a table on its upsets, or on its nonempty upsets. Its
+    least labelings are the isomorphisms lam: p -> P, P the least
+    labeling of the class (see canonical_poset_key): g . lam0 for one of
+    them, lam0, and g running over the automorphisms of P. Isomorphisms
+    keep upsets and nonempty upsets, so every lam maps the domain sets
+    onto P's, and the tuples are tables on P read in one order; the
+    tuple carried by g . lam0 is g applied to the one carried by lam0,
+    so the carried tuples form one orbit of P's automorphisms. Two
+    frames a and b of one key are isomorphic iff their orbits are one,
+    that is iff one tuple carried for a is among those carried for b.
+    An isomorphism f carrying a onto b makes the tuple of a carried by
+    mu . f that of b carried by mu, so the orbits meet, and orbits that
+    meet are equal. Conversely, if lam carries a to the tuple mu
+    carries b to, then mu^-1 . lam is an isomorphism carrying a onto b.
 
     On P itself the least labelings are its automorphisms, the identity
     first, so a table is least in its orbit exactly when no carried
@@ -1079,21 +1076,28 @@ def _carried(
         yield tuple(map(image.__getitem__, map(ntable.__getitem__, sources)))
 
 
-def _canonical_form(fr: "NFrame | TopFrame", domain: Sequence[int]) -> tuple:
-    """The world count, key and least carried tuple (see _carried) of a
-    frame or top frame whose table is on the domain sets, its upsets or
-    nonempty upsets: equal forms mean isomorphic frames."""
-    key, labelings = _least_labelings(fr.poset)
-    masks = {*domain, *(fr.ntable[u] for u in domain)}
-    return fr.n, key, min(_carried(fr.ntable, _relabelings(domain, masks, labelings)))
+def _isomorphic(
+    a: "NFrame | TopFrame", a_domain: Sequence[int], b: "NFrame | TopFrame", b_domain: Sequence[int]
+) -> bool:
+    """Whether two frames or top frames, each table on its domain sets,
+    are isomorphic: their posets share a key and the tuple a's first
+    least labeling carries is among those b's carry (see _carried),
+    built up to the first equal one. Two frames of one key in different
+    orbits read every labeling of b: 0.4 s on 7-world antichains."""
+    key, labelings = _least_labelings(a.poset)
+    b_key, b_labelings = _least_labelings(b.poset)
+    if (a.n, key) != (b.n, b_key):
+        return False
+    masks = {*a_domain, *(a.ntable[u] for u in a_domain)}
+    first = next(_carried(a.ntable, _relabelings(a_domain, masks, labelings[:1])))
+    masks = {*b_domain, *(b.ntable[u] for u in b_domain)}
+    return first in _carried(b.ntable, _relabelings(b_domain, masks, b_labelings))
 
 
 def nframe_isomorphic(a: NFrame, b: NFrame) -> bool:
-    """Poset isomorphism that also transports the negation table: equal
-    canonical forms (_carried). Each form reads every least labeling,
-    so the cost grows with the automorphism group: about 0.9 s on the
-    7-world antichain, whose 5,040 automorphisms are all twin swaps."""
-    return _canonical_form(a, a.poset.upsets()) == _canonical_form(b, b.poset.upsets())
+    """Poset isomorphism that also transports the negation table
+    (_isomorphic)."""
+    return _isomorphic(a, a.poset.upsets(), b, b.poset.upsets())
 
 
 @functools.cache
@@ -1176,7 +1180,7 @@ def _class_tables(size: int, key: int, logic: Logic) -> tuple[Poset, Sequence[tu
         p = _poset_from_mask(size, key)
         upsets = p.upsets()
         # lawful tables take upsets to upsets
-        automorphisms = _relabelings(upsets, upsets, _least_labelings(p)[1])
+        automorphisms = list(_relabelings(upsets, upsets, _least_labelings(p)[1]))
         kept_tables = []
         for t in enumerate_ntables(p):
             carried = _carried(t, automorphisms)

@@ -7,18 +7,19 @@ sugar for x -> F, so parsed modal formulas never contain a Neg node.
 
 Operator precedence, loosest first: <-> (desugared while parsing),
 -> (right associative), |, &, then the prefix operators. The printer
-emits the minimal parenthesisation, so parse(show(f)) == f for every
-formula within the parser's nesting limit, while show(parse(s)) == s
-only for inputs that already use minimal parentheses and no <->.
+emits the minimal parenthesisation, so parse(show(f), language) is f
+for every formula of the language, while show(parse(s)) == s only for
+inputs that already use minimal parentheses and no <->.
 
 The parser reads the tokens of one regex findall by precedence
-climbing. It alone recurses on formula structure: two frames per
-parenthesis, one per prefix operator and per right-nested -> or <->
-(& and | chains are read in a loop). It lists each node as it builds
-it, operands first, left first, which is the order of subformulas with
-repeats, so a parse hands its walk over: the list without repeats is
-kept on the root, unless the root already keeps code, and the first
-walk of a parsed formula costs nothing.
+climbing (Dijkstra's shunting yard, Pratt's binding powers) in one
+loop over one explicit stack: each pending infix operator, prefix
+operator and open parenthesis is an entry, so text of any depth
+parses. It lists each node as it builds it, operands first, left
+first, which is the order of subformulas with repeats, so a parse
+hands its walk over: the list without repeats is kept on the root,
+unless the root already keeps code, and the first walk of a parsed
+formula costs nothing.
 
 There is one object per distinct formula (hash-consing, Filliatre and
 Conchon 2006): each node class builds its nodes through the
@@ -391,70 +392,16 @@ _TOKEN_RE = re.compile(r"(<->|->|\[n\]|\[\]|T\b|F\b|[a-z][a-zA-Z0-9_]*|[&|~()])|
 # (its own power for the right-associative <-> and ->), its node (None
 # for <->, which the parser expands)
 _INFIX = {"<->": (0, 0, None), "->": (1, 1, Imp), "|": (2, 3, Or), "&": (3, 4, And)}
-
-
-class _Parser:
-    """Precedence climbing over the tokens, kept reversed behind an
-    empty end marker so that the next token is tokens[-1]. Each node is
-    listed in made as it is built, operands first, left first, so made
-    holds the result's walk with repeats (see parse)."""
-
-    __slots__ = ("text", "tokens", "count", "modal", "made")
-
-    def __init__(self, text: str, tokens: list[str], modal: bool):
-        self.text, self.count, self.modal = text, len(tokens), modal
-        tokens.append("")
-        tokens.reverse()
-        self.tokens = tokens
-        self.made: list[Formula] = []
-
-    def fail(self, message: str, taken: bool = False) -> ParseError:
-        """The error at the next token, or at the one just taken."""
-        return _error(self.text, self.count + 1 - len(self.tokens) - taken, message)
-
-    def expr(self, floor: int) -> Formula:
-        left = self.unary()
-        tokens, made = self.tokens, self.made
-        while True:
-            op = _INFIX.get(tokens[-1])
-            if op is None or op[0] < floor:
-                return left
-            tokens.pop()
-            right = self.expr(op[1])
-            if op[2] is None:
-                made += (Imp(left, right), Imp(right, left))
-                left = And(made[-2], made[-1])
-            else:
-                left = op[2](left, right)
-            made.append(left)
-
-    def unary(self) -> Formula:
-        tok = self.tokens.pop()
-        if tok == "(":
-            inner = self.expr(0)
-            if self.tokens.pop() != ")":
-                raise self.fail("expected closing parenthesis", True)
-            return inner
-        made = self.made
-        if "a" <= tok < "{":  # an atom: "{" follows "z"
-            made.append(Var(tok))
-        elif tok == "~":
-            sub = self.unary()
-            if self.modal:
-                made.append(_BOT)
-                made.append(Imp(sub, _BOT))
-            else:
-                made.append(Neg(sub))
-        elif tok == "T":
-            made.append(_TOP)
-        elif tok == "F" or tok == "[]" or tok == "[n]":
-            if not self.modal:
-                what = "falsum" if tok == "F" else "modal operator"
-                raise self.fail(f"{what} outside the modal language", True)
-            made.append(_BOT if tok == "F" else (Box if tok == "[]" else BBox)(self.unary()))
-        else:
-            raise self.fail("expected a formula", True)
-        return made[-1]
+# any other token after an operand: a power below every infix one, and
+# the floor of an open parenthesis and of the stack's bottom
+_OTHER = (-1, None, None)
+# the entries a token pushes where an operand is due, by language: an
+# open parenthesis, and prefix operators, whose floor is above every
+# power and whose node is None for the modal ~ (x -> F)
+_PREFIX = {
+    "prop": {"(": _OTHER, "~": (4, None, Neg)},
+    "modal": {"(": _OTHER, "~": (4, None, None), "[]": (4, None, Box), "[n]": (4, None, BBox)},
+}
 
 
 def _error(text: str, index: int, message: str) -> ParseError:
@@ -470,22 +417,72 @@ def parse(text: str, language: str = "prop") -> Formula:
     conjoined implications; in the modal language ~x becomes x -> F.
     The result keeps the walk the parse listed, the order subformulas
     gives, unless it already keeps code.
+
+    Precedence climbing in one loop over the tokens and one stack of
+    (floor, left, node) entries: an infix operator waiting for its
+    right operand, a prefix operator (no left), an open parenthesis and
+    the bottom. After each operand f, the next token's power pops every
+    entry whose floor exceeds it, each building its node over f; an
+    infix operator then pushes, a ")" closes its parenthesis, and the
+    end closes the bottom. So the parse takes text of any depth.
     """
     if language not in ("prop", "modal"):
         raise ValueError(f"unknown language: {language!r}")
     tokens = _TOKEN_RE.findall(text)
     if "" in tokens:
         raise _error(text, tokens.index(""), "unexpected character")
-    parser = _Parser(text, tokens, language == "modal")
-    formula = parser.expr(0)
-    if parser.tokens[-1]:
-        raise parser.fail("trailing input")
-    if getattr(formula, "_code", None).__class__ is not tuple:
+    tokens.append("")  # the end
+    prefix, modal = _PREFIX[language], language == "modal"
+    stack = [_OTHER]
+    made: list[Formula] = []  # each node as it is built: the walk with repeats
+    f = None  # the operand just read, None where one is due
+    for i, tok in enumerate(tokens):
+        if f is None:
+            if "a" <= tok < "{":  # an atom: "{" follows "z"
+                f = Var(tok)
+            elif tok in prefix:
+                stack.append(prefix[tok])
+                continue
+            elif tok == "T":
+                f = _TOP
+            elif tok == "F" and modal:
+                f = _BOT
+            elif tok == "F" or tok == "[]" or tok == "[n]":
+                what = "falsum" if tok == "F" else "modal operator"
+                raise _error(text, i, f"{what} outside the modal language")
+            else:
+                raise _error(text, i, "expected a formula")
+            made.append(f)
+            continue
+        power, floor, node = _INFIX.get(tok, _OTHER)
+        while stack[-1][0] > power:
+            _, left, op = stack.pop()
+            if left is None and op is None:
+                made.append(_BOT)
+                f = Imp(f, _BOT)
+            elif left is None:
+                f = op(f)
+            elif op is None:
+                made += (Imp(left, f), Imp(f, left))
+                f = And(made[-2], made[-1])
+            else:
+                f = op(left, f)
+            made.append(f)
+        if power >= 0:
+            stack.append((floor, f, node))
+            f = None
+        elif len(stack) == 1:
+            if tok:
+                raise _error(text, i, "trailing input")
+        elif tok != ")":
+            raise _error(text, i, "expected closing parenthesis")
+        else:
+            stack.pop()
+    if getattr(f, "_code", None).__class__ is not tuple:
         # made ends with the root, and no node precedes itself
-        made = parser.made
         made.pop()
-        _setattr(formula, "_code", (tuple(dict.fromkeys(made)), None, None, None))
-    return formula
+        _setattr(f, "_code", (tuple(dict.fromkeys(made)), None, None, None))
+    return f
 
 
 # --------------------------------------------------------------------------

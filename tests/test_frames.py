@@ -1095,6 +1095,19 @@ def test_isomorphism_tests_agree_with_brute_force_up_to_six_worlds():
     assert min(verdicts.values()) >= 15, verdicts
 
 
+def test_isomorphic_frames_with_many_automorphisms_read_one_labeling_each(monkeypatch):
+    # two 7-world antichains built apart, 5,040 automorphisms, all twin
+    # swaps: a's first least labeling carries a tuple b's first carries
+    # too, so each frame's 128 upsets are pushed through one labeling
+    a, b = (NFrame(Poset(7, [1 << w for w in range(7)]), tuple(range(128))) for _ in range(2))
+    assert a.poset is not b.poset
+    pushed = []
+    push = frames._push_mask
+    monkeypatch.setattr(frames, "_push_mask", lambda mask, f: pushed.append(mask) or push(mask, f))
+    assert nframe_isomorphic(a, b)
+    assert len(pushed) == 2 * 128
+
+
 def _shuffled_by(p, perm):
     """p with world w renamed perm[w]."""
     up = [0] * p.n

@@ -155,6 +155,12 @@ def test_parse_error_positions():
         parse("(p -> q")
     with pytest.raises(ParseError):
         parse("p -> $")
+    # at any depth: the reference parser recurses, so these are pinned here
+    text = "(" * DEEP + "p"
+    with pytest.raises(ParseError, match=rf"expected closing parenthesis \(at position {len(text)}\)"):
+        parse(text)
+    with pytest.raises(ParseError, match=rf"trailing input \(at position {DEEP + 2}\)"):
+        parse("~" * DEEP + "p q")
 
 
 # the token alphabet, spaces of several kinds and near misses: word
@@ -735,8 +741,9 @@ def test_propositional_walks_take_any_depth(name):
     assert depth(f) == DEEP and variables(f) == ("p", "q")
     assert len(subformula_closure(f)) == DEEP + 2
     text = show(f)
+    assert parse(text) is f
     if name == "left-and":
-        assert text == " & ".join(["p"] + ["q"] * DEEP) and parse(text) == g
+        assert text == " & ".join(["p"] + ["q"] * DEEP)
     else:
         k = DEEP - 1 if name == "right-and" else DEEP // 2
         assert text == ("q & (" if name == "right-and" else "~(q -> ") * k + ("q & p" if name == "right-and" else "p") + ")" * k
@@ -824,7 +831,7 @@ def test_modal_walks_take_any_depth():
     f, g = _chain("box-bbox"), _chain("box-bbox")
     assert f is g and hash(f) == hash(g) and not f != g
     assert depth(f) == DEEP and variables(f) == ("p",) and len(subformula_closure(f)) == DEEP + 1
-    assert show(f) == "[][n]" * (DEEP // 2) + "p"
+    assert show(f) == "[][n]" * (DEEP // 2) + "p" and parse(show(f), "modal") is f
     assert is_instance_of(Imp(Box(Imp(f, g)), Imp(Box(f), Box(g))), NS4_AXIOMS["K"])
     with pytest.raises(ValueError, match=r"not a propositional formula: \[\]\[n\]"):
         godel_translate(f)
@@ -837,3 +844,16 @@ def test_modal_walks_take_any_depth():
     with pytest.raises(ValueError, match="box in a propositional compilation"):
         eval_formula(m, f)
     assert _proof_checks(f, g, Box(g)) is None
+
+
+def test_parse_takes_any_depth():
+    # one loop over one stack, so no nesting meets the recursion limit
+    p = Var("p")
+    assert parse("(" * DEEP + "p" + ")" * DEEP) is p
+    f = parse("p -> " * DEEP + "q")
+    assert depth(f) == DEEP and f.left is p and f.right.right.left is p
+    # <-> shares its operands: show would print 2^DEEP copies
+    f = parse("p <-> " * DEEP + "q")
+    assert depth(f) == 2 * DEEP and f.left.right is f.right.left and f.left.left is p
+    f = parse("~" * DEEP + "p", "modal")
+    assert depth(f) == DEEP and f.right is f.left.right is Bot() and parse(show(f), "modal") is f
