@@ -213,8 +213,9 @@ def theta_refutation_check(d: DeltaPoset, v: str) -> bool:
     raise ValueError("the refutation pattern is defined for base and nef")
 
 
-# comparison_matrix took 3.3 s at 4, 17.6 s at 5 and 151.7 s at 6 on a
-# 2-vCPU shared host; order_onto(delta(5), delta(6)) alone takes about 34 s
+# comparison_matrix took 1.5 s at 4, 15.6 s at 5 and 105 s at 6 (the cap
+# lifted), and order_onto(delta(5), delta(6)) alone 24.6 s: single runs,
+# one process each, on a 2-vCPU shared host
 ANTICHAIN_MAX_N = 5
 
 

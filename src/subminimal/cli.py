@@ -113,6 +113,12 @@ def _assert_refutes(m: NModel, f: Formula, world: int) -> None:
         raise RuntimeError("witness does not refute the formula")
 
 
+def _assert_breaks_locality(ntable: Sequence[int], x: int, y: int) -> None:
+    """Re-check a locality witness before it leaves the process."""
+    if ntable[x] & y == ntable[x & y] & y:
+        raise RuntimeError("witness does not break the locality law")
+
+
 def _verdict_payload(v: Verdict) -> dict:
     out: dict[str, Any] = {
         "status": v.status,
@@ -165,8 +171,7 @@ def _cmd_check_frame(args: argparse.Namespace) -> tuple[dict, int]:
     witness = check_nframe(fr.poset, fr.ntable)
     if witness is not None:
         x, y = witness
-        if fr.ntable[x] & y == fr.ntable[x & y] & y:
-            raise RuntimeError("witness does not break the locality law")
+        _assert_breaks_locality(fr.ntable, x, y)
         return {"status": "violation", "witness": {"x": x, "y": y}}, 1
     classes = {name: frame_class(fr, logic) for name, logic in LOGICS.items()}
     return {"status": "ok", "worlds": fr.n, "classes": classes}, 0
@@ -223,6 +228,7 @@ def _cmd_algebra_check(args: argparse.Namespace) -> tuple[dict, int]:
     pair = check_topframe(source)
     if pair is not None:
         x, y = pair
+        _assert_breaks_locality(source.ntable, x, y)
         return {"status": "violation", "witness": {"x": x, "y": y}}, 1
     return {"status": "ok", "worlds": source.n, "top": source.top}, 0
 

@@ -35,8 +35,10 @@ which serves that one call and is never kept. A kept read serves any equal Sigma
 order; it is taken only while the model's valuation equals the one it
 was read under, and read again otherwise. One slot is enough: the
 calls on a model come in runs on one Sigma. A read that fails is not
-kept: the theorem check then goes formula by formula through
-frames.formula_evaluator, so its errors come in Sigma's order.
+kept. The theorem check walks the quotient once over Sigma's walk; a
+side that cannot be walked, a failed read among them, goes formula by
+formula through frames.eval_formula, so its errors come in Sigma's
+order.
 A world's signature is an int whose bit i says whether the i-th
 member of Sigma holds there: worlds agree on Sigma exactly when their
 signatures are equal, and in the greatest order class c lies below
@@ -58,7 +60,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Iterable, Sequence
 
 from subminimal.frames import (
@@ -73,7 +75,7 @@ from subminimal.frames import (
     _truth_walk,
     _truths,
     countermodel_search,
-    formula_evaluator,
+    eval_formula,
 )
 from subminimal.kernels.pure import _inclusion_cones, _transpose
 from subminimal.syntax import (
@@ -119,9 +121,6 @@ class FiltrationResult:
         return self.quotient.frame.n
 
 
-_ORDERS_KEPT = 64
-
-
 @dataclass(eq=False)
 class _Read:
     """Sigma read on one model under a projection, as _partition keeps
@@ -144,9 +143,9 @@ class _Read:
     - orders, for each quotient order, keyed by its cones: the verdict
       of conditions (a) and (b) under pi and the bounds (c) reads on
       its upsets (order_checks). They depend on the order alone, so the
-      filtrations on one order share them. The last _ORDERS_KEPT orders
-      are kept, which holds every order enumerate_filtrations walks on
-      a model of up to 3 worlds (at most 19).
+      filtrations on one order share them. One entry is kept per order
+      checked, far fewer than the filtrations enumerate_filtrations
+      holds on those orders.
 
     neg_args, what (d) reads, is kept likewise. filtration_theorem_check
     walks the quotient over the keys of truth.
@@ -183,16 +182,14 @@ class _Read:
     def order_checks(self, m: NModel, qposet: Poset) -> tuple[tuple[str, tuple] | None, tuple]:
         """_order_witness under pi for the quotient order qposet and,
         when it is None, the pairs (X, bound) for the upsets X of that
-        order, ascending, that (c) reads; decided once per order while
-        the order stays among the kept. Once (a) holds, the preimage of
-        a quotient upset is a source upset, so no bound raises."""
+        order, ascending, that (c) reads; decided once per order. Once
+        (a) holds, the preimage of a quotient upset is a source upset,
+        so no bound raises."""
         up = qposet.up
         checks = self.orders.get(up)
         if checks is None:
             hit = _order_witness(m.frame.poset.up, self.pi, self.members, self.sig, self.sigma, up)
             bounds = () if hit else tuple((x, self.bound(m, x)) for x in qposet.upsets())
-            if len(self.orders) >= _ORDERS_KEPT:
-                del self.orders[next(iter(self.orders))]
             checks = self.orders[up] = hit, bounds
         return checks
 
@@ -399,25 +396,25 @@ def filtration_theorem_check(m: NModel, r: FiltrationResult) -> tuple[Formula, i
     in Sigma's order. A formula the model or the quotient cannot
     evaluate raises eval_formula's error when its turn comes in that
     order.
-    Under a shared read (_shared_read) the class members and source
-    truth sets are the read's, and the quotient is walked over the
-    keys of the read's truth sets, Sigma's walk.
+    The class members are the shared read's (_shared_read) when there
+    is one, and the source truth sets that read's or _partition's. The
+    quotient is walked once (frames._truths) over Sigma's walk, the
+    keys of those truth sets. Only a side that cannot be walked goes
+    formula by formula through eval_formula, so its errors come in
+    Sigma's order.
     """
     read = _shared_read(m, r)
     members = _transpose([1 << c for c in r.pi], r.classes()) if read is None else read.members
     try:
-        source = (read or _partition(m, r.sigma)).truth.__getitem__
+        walk = (read or _partition(m, r.sigma)).truth
+        source = walk.__getitem__
     except (TypeError, ValueError):
-        # evaluated formula by formula, the errors come in Sigma's order
-        source = formula_evaluator(m)
-    target = formula_evaluator(r.quotient)
-    if read is not None:
-        q = r.quotient
-        # the quotient walked over Sigma's walk at once, if it can be
-        try:
-            target = _truths(q.frame.poset, q.frame.ntable, q.valuation, read.truth, {}).__getitem__
-        except _Unevaluable:
-            pass
+        walk, source = _walk(r.sigma), partial(eval_formula, m)
+    q = r.quotient
+    try:
+        target = _truths(q.frame.poset, q.frame.ntable, q.valuation, walk, {}).__getitem__
+    except _Unevaluable:
+        target = partial(eval_formula, q)
     for f in r.sigma:
         diff = source(f) ^ _preimage(target(f), members)
         if diff:

@@ -93,7 +93,6 @@ from subminimal.syntax import (
     _PROP,
     _first,
     _ordered,
-    _postorder,
     _walk,
     compile_prop,
     compiled,
@@ -464,31 +463,13 @@ def _truth_walk(m: NModel, formulas: Collection[Formula], order: Sequence[Formul
         raise _truth_error(m, formulas, order) from None
 
 
-def formula_evaluator(m: NModel) -> Callable[[Formula], int]:
-    """eval_formula on one model, with a memory: every subformula it
-    evaluates is kept, so a node shared by several formulas is
-    evaluated once over all the calls."""
-    truth: dict[Formula, int] = {}
-    p, ntable, valuation = m.frame.poset, m.frame.ntable, m.valuation
-
-    def evaluate(f: Formula) -> int:
-        if f not in truth:
-            order = _postorder((f,), truth) if truth else subformulas(f)
-            try:
-                _truths(p, ntable, valuation, order, truth)
-            except _Unevaluable:
-                raise _truth_error(m, (f,), subformulas(f)) from None
-        return truth[f]
-
-    return evaluate
-
-
 def eval_formula(m: NModel, f: Formula) -> int:
     """Truth set of a propositional formula in the model, as a mask.
 
-    The truth_sets walk read at the root, with its errors.
+    The truth walk over the formula's subformulas read at its root,
+    with truth_sets' errors for that one formula.
     """
-    return formula_evaluator(m)(f)
+    return _truth_walk(m, (f,), subformulas(f))[f]
 
 
 def _truths(
@@ -500,7 +481,9 @@ def _truths(
     model's own, or the lift's, see modal.translation_preservation).
     Raises _Unevaluable at the first node those cannot evaluate. A
     subformula is one node however often it occurs (syntax), so it is
-    evaluated once."""
+    evaluated once. This is the one walk by which a model evaluates
+    formulas: truth_sets, eval_formula and the filtration theorem
+    check all go through it."""
     n, up, full = p.n, p.up, (1 << p.n) - 1
     for f in order:
         kind = f.__class__
@@ -672,8 +655,8 @@ def enumerate_posets(n: int) -> Iterator[Poset]:
     """All labeled posets on n worlds, ascending by pair mask.
 
     They are the relabelings of the classes of
-    ``enumerate_posets_unlabeled``, n! per class: 4,231 posets at n = 5
-    and 130,023 at n = 6.
+    ``enumerate_posets_unlabeled``, n!/|Aut| distinct ones per class,
+    Aut its automorphisms: 4,231 posets at n = 5 and 130,023 at n = 6.
     """
     masks = {m for _, rep in _poset_classes(n) for m in _relabeled_masks(rep)}
     for mask in sorted(masks):

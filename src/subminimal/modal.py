@@ -511,11 +511,8 @@ def proof_from_list(items: Sequence[Mapping], system: str) -> HilbertProof:
             raise ValueError(f"proof line {i} must be an object")
         if not isinstance(item["formula"], str):
             raise ValueError(f"formula of proof line {i} must be a string")
-        lines.append(
-            ProofLine(
-                parse(item["formula"], "modal"),
-                str(item["rule"]),
-                _ints(item.get("refs", []), "refs"),
-            )
-        )
+        formula = parse(item["formula"], "modal")
+        if not isinstance(item["rule"], str):
+            raise ValueError(f"rule of proof line {i} must be a string")
+        lines.append(ProofLine(formula, item["rule"], _ints(item.get("refs", []), "refs")))
     return HilbertProof(system, tuple(lines))

@@ -330,6 +330,40 @@ def test_algebra_check_topframe(capsys, tmp_path):
     assert out == {"status": "ok", "worlds": 3, "top": 2}
 
 
+# a top frame on the chain 0 < 1 < 2: with N({1, 2}) = {2} locality
+# fails at x = {0, 1, 2}, y = {1, 2}; with N({1, 2}) = {1, 2} it holds
+TOP_CHAIN = {"worlds": 3, "leq": [[0, 1], [1, 2]], "N": {"4": 4, "6": 4, "7": 7}}
+LAWFUL_TOP_CHAIN = dict(TOP_CHAIN, N={"4": 4, "6": 6, "7": 7})
+
+
+def test_algebra_check_topframe_violation(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(TOP_CHAIN)))
+    code, out = run(capsys, ["algebra", "check", "-"])
+    assert code == 1
+    assert out == {"status": "violation", "witness": {"x": 7, "y": 6}}
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(LAWFUL_TOP_CHAIN)))
+    code, out = run(capsys, ["algebra", "check", "-"])
+    assert code == 0
+    assert out == {"status": "ok", "worlds": 3, "top": 2}
+
+
+@pytest.mark.parametrize(
+    "argv, payload, checker, pair",
+    [
+        (["check-frame", "-"], SEPARATING_JSON, "check_nframe", (3, 2)),
+        (["algebra", "check", "-"], LAWFUL_TOP_CHAIN, "check_topframe", (7, 6)),
+    ],
+    ids=["check-frame", "algebra-check-topframe"],
+)
+def test_a_locality_witness_is_rechecked_before_it_is_printed(capsys, monkeypatch, argv, payload, checker, pair):
+    # a checker that names a pair on a lawful frame is caught, not printed
+    monkeypatch.setattr(cli, checker, lambda *_: pair)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(payload)))
+    with pytest.raises(RuntimeError, match="witness does not break the locality law"):
+        main(argv)
+    assert capsys.readouterr().out == ""
+
+
 def test_algebra_filtrate(capsys, tmp_path):
     path = write(tmp_path, "alg.json", algebra_to_dict(upset_algebra(SEPARATING)))
     code, out = run(
@@ -606,8 +640,23 @@ def test_malformed_json_shape_exits_2(capsys, monkeypatch, argv, text):
             '{"lines": []}',
             "proof JSON must be a list of lines",
         ),
+        (
+            ["ns4", "check-proof", "-", "--system", "ns4"],
+            '[{"formula": "p", "rule": 5}]',
+            "rule of proof line 0 must be a string",
+        ),
+        (
+            ["ns4", "check-proof", "-", "--system", "ns4"],
+            '[{"formula": "p -> p", "rule": "taut"}, {"formula": "p", "rule": ["x"]}]',
+            "rule of proof line 1 must be a string",
+        ),
     ],
-    ids=["algebra-filtrate-assign-list", "ns4-check-proof-object"],
+    ids=[
+        "algebra-filtrate-assign-list",
+        "ns4-check-proof-object",
+        "ns4-check-proof-rule-int",
+        "ns4-check-proof-rule-list",
+    ],
 )
 def test_input_checks_exit_2_with_their_message(capsys, monkeypatch, argv, text, error):
     monkeypatch.setattr(sys, "stdin", io.StringIO(text))

@@ -909,8 +909,7 @@ def _count_walks(monkeypatch):
         walked.append(len(order))
         return order
 
-    for module in (syntax, frames):
-        monkeypatch.setattr(module, "_postorder", counting)
+    monkeypatch.setattr(syntax, "_postorder", counting)
     return walked
 
 

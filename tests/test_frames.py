@@ -50,7 +50,6 @@ from subminimal.frames import (
     enumerate_posets_unlabeled,
     enumerate_upsets,
     eval_formula,
-    formula_evaluator,
     frame_class,
     frame_from_dict,
     frame_to_dict,
@@ -413,16 +412,15 @@ def test_truth_sets_keys_are_the_walk_in_order():
             assert list(truth_sets(m, frozenset(sigma))) == walk
 
 
-def test_formula_evaluator_matches_eval_formula_over_many_calls():
-    # each formula is a temporary, which the memory, keyed by node, keeps
-    # alive, so a later formula never takes its place
+def test_eval_formula_matches_truth_sets_on_holey_models():
+    # eval_formula is the truth walk read at the root: the same value,
+    # and the same error, as truth_sets of the formula alone
     rng = random.Random(37)
     for _ in range(100):
         m = _holey_model(rng)
-        evaluate = formula_evaluator(m)
         for _ in range(30):
-            text = show(random_formula(rng, ("p", "q", "r"), rng.randint(0, 3)))
-            assert outcome(evaluate, parse(text)) == outcome(eval_formula, m, parse(text))
+            f = parse(show(random_formula(rng, ("p", "q", "r"), rng.randint(0, 3))))
+            assert outcome(eval_formula, m, f) == outcome(lambda: truth_sets(m, [f])[f])
 
 
 def test_separating_frame_classes():

@@ -41,7 +41,6 @@ from subminimal.frames import (
     canonical_poset_key,
     countermodel_search,
     eval_formula,
-    formula_evaluator,
     model_from_dict,
     nframe_isomorphic,
     ntable_from_upset_map,
@@ -168,7 +167,6 @@ def _check_proof():
 CASES = {
     "truth_sets": _on_a_fresh_model(truth_sets),
     "eval_formula": lambda: (eval_formula, (fork_model(), FORMULA)),
-    "formula_evaluator": lambda: (lambda m: formula_evaluator(m)(FORMULA), (fork_model(),)),
     # the parser lists the nodes it builds and hands their walk over
     "parse": lambda: (parse, ("~[]p <-> (q -> ~p)", "modal")),
     "close_sigma": lambda: (close_sigma, ([FORMULA],)),

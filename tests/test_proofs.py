@@ -164,6 +164,20 @@ def test_box_conj_rewrite_rule():
     )
 
 
+@pytest.mark.parametrize(
+    "second, reason",
+    [
+        (ProofLine(M("q -> q"), "taut", (0,)), "tautology lines take no references"),
+        (ProofLine(M("[]p & []q"), "box-conj", (0, 0)), "rewriting takes one reference"),
+        (ProofLine(M("[]p"), "premise", (0,)), "premise lines take no references"),
+    ],
+    ids=["taut", "box-conj", "premise"],
+)
+def test_rules_refuse_the_wrong_number_of_references(second, reason):
+    proof = HilbertProof("ns4", (ProofLine(M("[](p & q)"), "premise"), second))
+    assert check_proof(proof) == (1, reason)
+
+
 def test_modus_ponens_checks_the_implication():
     proof = HilbertProof(
         "ns4",

@@ -46,7 +46,7 @@ from subminimal import syntax
 from subminimal.algebra import algebra_eval, upset_algebra
 from subminimal.filtration import check_conditions, close_sigma, greatest_filtration
 from subminimal.frames import NFrame, NModel, Poset, _imp_mask, enumerate_ntables, eval_formula
-from subminimal.frames import formula_evaluator, truth_sets
+from subminimal.frames import truth_sets
 from subminimal.modal import (
     AXIOM_BBOX_CONTRA,
     NS4_AXIOMS,
@@ -760,7 +760,7 @@ def test_propositional_walks_take_any_depth(name):
     table = next(t for t in enumerate_ntables(poset) if len({v for v in t if v >= 0}) == 3)
     m = NModel(NFrame(poset, table), {"p": 2, "q": 3})
     want = _value(name, 2, 3, int.__and__, lambda u, v: _imp_mask(poset.up, u, v), table.__getitem__)
-    assert eval_formula(m, f) == want == formula_evaluator(m)(g) == truth_sets(m, [f])[g]
+    assert eval_formula(m, f) == want == eval_formula(m, g) == truth_sets(m, [f])[g]
     assert translation_preservation(m, f) is None
     a = upset_algebra(m.frame)
     want = _value(name, 1, 2, lambda x, y: a.meet[x][y], lambda x, y: a.imp[x][y], a.neg.__getitem__)
