@@ -23,7 +23,7 @@ from functools import cached_property
 from typing import Sequence
 
 from subminimal.frames import Poset, _imp_mask
-from subminimal.kernels.pure import _inclusion_cones, _transpose
+from subminimal.kernels import _inclusion_cones, _transpose
 
 
 class Reduct:

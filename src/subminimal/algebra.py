@@ -33,7 +33,7 @@ built; on a top frame it is that check alone, with no isomorphism
 searched. The upset
 algebras and admissible algebras of one poset share their tables and
 reduct: the poset's cones keep them per element list
-(kernels.pure._kept), for the life of the process up to
+(kernels._kept), for the life of the process up to
 DEFAULT_MAX_WORLDS worlds and as long as the poset past that. The
 reducts of every poset up to 4 worlds, upsets and nonempty upsets,
 fully used, hold about 1.2 MiB (330 of them, tracemalloc); a duality
@@ -70,7 +70,7 @@ from subminimal.frames import (
     poset_isomorphisms,
     poset_to_dict,
 )
-from subminimal.kernels.pure import _inclusion_cones, _kept, _trace_table, _transpose
+from subminimal.kernels import _inclusion_cones, _kept, _trace_table, _transpose
 from subminimal.syntax import (
     And,
     Formula,
@@ -231,7 +231,7 @@ def _set_algebra(p: Poset, elements: Sequence[int], ntable: Sequence[int]) -> NA
     three and hold the full set and every table value.
 
     The tables and their reduct depend on p and the elements alone, so
-    p's cones keep them (kernels.pure._kept), keyed by the element
+    p's cones keep them (kernels._kept), keyed by the element
     list, and every algebra of those upsets holds the same table
     objects and the same reduct: only its neg column is built here,
     each table value checked to be an element. _check_shape would find
@@ -317,7 +317,7 @@ def check_topframe(tf: TopFrame) -> tuple[int, int] | None:
     for u in admissible:
         if tf.ntable[u] not in adm:
             raise ValueError(f"negation value at {u} is not admissible")
-    return _locality_witness(tf.n, admissible, tf.ntable)
+    return _locality_witness(admissible, tf.ntable)
 
 
 def enumerate_topframes(p: Poset) -> list[TopFrame]:
@@ -384,7 +384,7 @@ def _dual(a: NAlgebra) -> TopFrame:
     agrees with u on the cone of i, that is, when up[i] & u is in the
     family {up[i] & hats[x] : neg[x] in filter i}; the table is the
     trace table of those families on the nonempty upsets
-    (kernels.pure._trace_table). The table covers all 2**k subsets of
+    (kernels._trace_table). The table covers all 2**k subsets of
     the k worlds, so a dual past the world cap of the frame readers
     raises ValueError before it is built: no reader could take it back.
     """

@@ -44,8 +44,8 @@ member of Sigma holds there: worlds agree on Sigma exactly when their
 signatures are equal, and in the greatest order class c lies below
 class d exactly when the signature of c is a subset of that of d. The signatures are the transpose of the truth
 sets, and the class members that of the projection
-(kernels.pure._transpose); the greatest order is
-kernels.pure._inclusion_cones of the class signatures; and
+(kernels._transpose); the greatest order is
+kernels._inclusion_cones of the class signatures; and
 enumerate_filtrations takes its orders, from the projected order up
 to the greatest, from frames._orders_between.
 
@@ -77,7 +77,7 @@ from subminimal.frames import (
     countermodel_search,
     eval_formula,
 )
-from subminimal.kernels.pure import _inclusion_cones, _transpose
+from subminimal.kernels import _inclusion_cones, _transpose
 from subminimal.syntax import (
     Formula,
     Logic,

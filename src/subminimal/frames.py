@@ -52,7 +52,7 @@ Posets of at most DEFAULT_MAX_WORLDS worlds are kept as well, one
 object per (n, cones), for the life of the process: all 243 labeled
 posets up to 4 worlds fit in that memo (1 + 1 + 3 + 19 + 219). A kept
 poset holds its down sets (the transpose of its cones,
-kernels.pure._transpose) and its upsets, so every frame, model and top
+kernels._transpose) and its upsets, so every frame, model and top
 frame built again on it reads them instead of recomputing them, and
 its cones hold the set-up the positive-morphism kernel derives from
 them (``_Cones``).
@@ -79,7 +79,7 @@ from dataclasses import dataclass
 from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 from subminimal import kernels
-from subminimal.kernels.pure import _kept, _trace_table, _transpose
+from subminimal.kernels import _kept, _trace_table, _transpose
 from subminimal.syntax import (
     And,
     Formula,
@@ -191,7 +191,7 @@ class _Cones(tuple):
     what is derived from the cones alone, such as the formula kernels'
     cone lists, the set-up of kernels.search_positive_morphism and the
     upset algebras' reducts (algebra._set_algebra), for the life of the
-    poset (see kernels.pure._kept)."""
+    poset (see kernels._kept)."""
 
 
 # the posets of at most DEFAULT_MAX_WORLDS worlds, one per (n, cones)
@@ -377,12 +377,10 @@ def ntable_from_upset_map(p: Poset, mapping: Mapping[int, int]) -> tuple[int, ..
     return table
 
 
-def _locality_witness(
-    n: int, domain: Sequence[int], ntable: Sequence[int]
-) -> tuple[int, int] | None:
+def _locality_witness(domain: Sequence[int], ntable: Sequence[int]) -> tuple[int, int] | None:
     """First pair (X, Y) of domain sets, in domain order, with
     N(X) & Y != N(X & Y) & Y; the domain must be closed under meets."""
-    packed = kernels.locality_violation(n, list(domain), list(ntable))
+    packed = kernels.locality_violation(domain, ntable)
     if packed < 0:
         return None
     return domain[packed // len(domain)], domain[packed % len(domain)]
@@ -404,7 +402,7 @@ def check_nframe(p: Poset, ntable: Sequence[int]) -> tuple[int, int] | None:
             raise ValueError(f"negation table misses upset {u}")
         if value not in upset_set:
             raise ValueError(f"negation value at {u} is not an upset")
-    return _locality_witness(p.n, upsets, ntable)
+    return _locality_witness(upsets, ntable)
 
 
 @dataclass(frozen=True, eq=False)
@@ -681,7 +679,7 @@ def _trace_tables(
     to ``choose``, which yields the families to try, and the rest of
     the cluster takes the same family. N(X) is the set of worlds whose
     family holds X's cut to their cone: each finished choice is one
-    kernels.pure._trace_table call, the loop the lift and the dual
+    kernels._trace_table call, the loop the lift and the dual
     frame build their tables with too.
 
     With every subset as the domain, the tables are exactly the lawful
@@ -767,38 +765,6 @@ def enumerate_ntables(p: Poset) -> list[tuple[int, ...]]:
     order, into the families already fixed above it.
     """
     return sorted(_trace_tables(p.up, p.upsets(), _subfamilies))
-
-
-def random_poset(rng, n: int) -> Poset:
-    """A labeled poset drawn by thinning a random linear order."""
-    perm = list(range(n))
-    rng.shuffle(perm)
-    pairs = []
-    for a in range(n):
-        for b in range(a + 1, n):
-            if rng.random() < 0.4:
-                pairs.append((perm[a], perm[b]))
-    return Poset.from_pairs(n, pairs)
-
-
-def _coin_flips(rng) -> Callable[[list[int]], list[frozenset[int]]]:
-    """A family chooser for _trace_tables that keeps each allowed set on
-    a fair coin, flipped in the order the sets are allowed."""
-
-    def choose(allowed: list[int]) -> list[frozenset[int]]:
-        return [frozenset(z for z in allowed if rng.random() < 0.5)]
-
-    return choose
-
-
-def random_ntable(rng, p: Poset) -> tuple[int, ...]:
-    """A lawful negation table drawn uniformly over trace families."""
-    return _trace_tables(p.up, p.upsets(), _coin_flips(rng))[0]
-
-
-def random_nframe(rng, n: int) -> NFrame:
-    p = random_poset(rng, n)
-    return NFrame(p, random_ntable(rng, p))
 
 
 # --------------------------------------------------------------------------
@@ -966,7 +932,7 @@ def _least_placement(
 
 def _least_labelings(p: Poset) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """The canonical key and every least labeling of p, ascending, kept
-    with p's cones (kernels.pure._kept), so the isomorphism tests on a
+    with p's cones (kernels._kept), so the isomorphism tests on a
     poset search it once."""
     return _kept(p.up, _labelings)
 

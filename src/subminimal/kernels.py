@@ -1,8 +1,10 @@
 """The hot evaluation and search loops, in plain Python.
 
-Every ``subminimal.kernels.<name>`` is the function of the same name
-here. Worlds, sets and tables are plain ints, lists and tuples, so the
-callers stay free of frame objects.
+Callers reach a kernel as ``kernels.<name>`` at call time, and no
+kernel calls another by name, so a wrapper bound over a name (a tracer)
+sees every call, with the kernel's inner calls in its span. BACKEND
+names the one implementation. Worlds, sets and tables are plain ints,
+lists and tuples, so the callers stay free of frame objects.
 
 Conventions:
 
@@ -11,29 +13,27 @@ Conventions:
 * ``ntable`` is a flat list of length 2**n mapping a set's mask to the
   mask of its negation value; strict N-frames store -1 at non-upset
   indices, NS4 and orderless tables are total;
-* formulas arrive as value-numbered code, one instruction per distinct
-  subformula, see kernels.ops.
+* formulas arrive as value-numbered code from syntax.compile_prop and
+  compile_modal: (opcode, a, b) triples, one per distinct subformula,
+  after those of its operands. Instruction i puts its truth set in
+  slot i; the code's value is its last slot. OP_VAR's a is the
+  variable's index; a connective's a (and b) are its operands' slots,
+  left then right; other fields are 0.
 
-One slot machine, _run, runs formula code: the refutation searches
-call it once per block of positions, and eval_prop and eval_modal call
-it at one position; both read a poset's cone lists through _kept. One
-loop, _trace_table, builds every table whose value at X is the set of
-worlds w whose family holds X & R(w): the lift, the translation gap's
-lift at the upsets, and, imported from here, the trace tables of
-frames, the tests' from_neighbourhood and the dual frames of algebra.
-Two mask helpers sit beside it, imported from here as well: _transpose,
-the one bit transpose of a mask list, and _inclusion_cones, the one
-inclusion order of a mask list.
+One slot machine, _run, runs formula code, per block of positions in
+the refutation searches and at one position in eval_prop and
+eval_modal. One loop, _trace_table, builds every trace table; the
+package imports it from here, with the one bit transpose, _transpose,
+and the one inclusion order, _inclusion_cones, of a mask list.
 
 The refutation searches evaluate many (frame, valuation) positions at
 once, bit-sliced: a truth set is one int per world with one bit per
 position. The frames of one search share a poset, so only the negation
 lookup tells them apart, through column masks (see _first_refutation).
 
-_layout keeps the last 64 block layouts (see there). What a kernel
-derives from one poset alone, the formula kernels' cone lists and the
-positive-morphism search's set-up, _kept keeps with the poset's cones,
-so it lives as long as the poset.
+What a kernel derives from one poset alone, the formula kernels' cone
+lists and the positive-morphism search's set-up, _kept keeps with the
+poset's cones, so it lives as long as the poset.
 
 No closure here names itself: the recursive searches are module-level
 functions that take their state as arguments. A closure that calls
@@ -43,17 +43,17 @@ the cyclic garbage collector instead of freeing it on return.
 
 import functools
 
-from subminimal.kernels.ops import (
-    OP_AND,
-    OP_BBOX,
-    OP_BOT,
-    OP_BOX,
-    OP_IMP,
-    OP_NEG,
-    OP_OR,
-    OP_TOP,
-    OP_VAR,
-)
+BACKEND = "pure"
+
+OP_VAR = 0
+OP_TOP = 1
+OP_AND = 2
+OP_OR = 3
+OP_IMP = 4
+OP_NEG = 5
+OP_BOT = 6
+OP_BOX = 7
+OP_BBOX = 8
 
 
 def eval_prop(code, n, up, ntable, val):
@@ -233,9 +233,9 @@ def _cones(up, n):
 
 
 def _run(code, atoms, top, bot, cones, ones, n, columns, modal, error):
-    """The one slot machine: run value-numbered code (kernels.ops) over
-    a block of positions, each instruction once, its truth set put in
-    the next slot. A truth set is one int per world, bit i set when the
+    """The one slot machine: run value-numbered code over a block of
+    positions, each instruction once, its truth set put in the next
+    slot. A truth set is one int per world, bit i set when the
     world is in the set at the block's i-th position; ``ones`` marks
     the positions, ``atoms`` holds the variables' truth sets, ``top``
     and ``bot`` the constants'. The Heyting arrow is box(~a | b), as w's
@@ -302,8 +302,8 @@ def _first_refutation(code, nvars, n, up, tables, values, modal, error):
     holds a refutation or an error, at its lowest position, so the
     result is that of evaluating one valuation of one frame at a time,
     frame by frame. The code must be well-formed value-numbered code
-    (kernels.ops) over the variables below max(nvars, 1); with no
-    variables, variable 0 is the empty set. A subformula shared by
+    over the variables below max(nvars, 1); with no variables, variable
+    0 is the empty set. A subformula shared by
     several parents has one instruction, run once per block: its truth
     set is the same wherever it occurs, and so is the set of positions
     whose lookups meet a hole in it.
@@ -419,7 +419,7 @@ def find_refuting_valuation_modal(code, nvars, n, up, ntable):
     )
 
 
-def locality_violation(n, upsets, ntable):
+def locality_violation(upsets, ntable):
     """First (i, j) with N(X_i) & X_j != N(X_i & X_j) & X_j, packed as
     i * len(upsets) + j; -1 when the locality law holds throughout."""
     nu = len(upsets)

@@ -12,7 +12,7 @@ Tables are dense tuples of length 2^n, so everything here is for
 desk-scale frames. The k-premise replacement rule and the k-ary
 intersection law are one condition on a table, and every arity k >= 1
 gives the answer of k = 1 (the proofs are in
-``kernels.pure._guard_sets``). So ``en_check`` and ``rn_validity``
+``kernels._guard_sets``). So ``en_check`` and ``rn_validity``
 answer k = 0 without a scan and every other arity from one scan at
 k = 1, kept on the frame.
 
@@ -36,7 +36,6 @@ from subminimal.frames import (
     _antitone,
     _check_preorder,
     _check_table,
-    _coin_flips,
     _cones_from_pairs,
     _imp_mask,
     _ints,
@@ -73,7 +72,7 @@ class NS4Frame:
 
     ``rel`` is kept as a frames._Cones, so the kernel calls on one
     frame, such as the five axiom searches of ``ns4 valid``, build its
-    cone lists once (kernels.pure._kept). It compares, hashes and
+    cone lists once (kernels._kept). It compares, hashes and
     prints as the plain tuple, and a frame pickles and copies through
     its constructor with ``rel`` as a plain tuple, so no kept entry
     goes with it."""
@@ -198,21 +197,6 @@ def enumerate_ns4_frames(n: int) -> list[NS4Frame]:
     ]
 
 
-def random_preorder(rng, n: int) -> tuple[int, ...]:
-    pairs = [(w, v) for w in range(n) for v in range(n) if v != w and rng.random() < 0.35]
-    return tuple(_cones_from_pairs(n, pairs))
-
-
-def random_ns4_frame(rng, n: int) -> NS4Frame:
-    """Random lawful frame: a random preorder, then trace families
-    chosen by fair coins (see frames._trace_tables), one coin per
-    allowed set. The subsets go in descending order, the order in which
-    seeded draws have always flipped their coins."""
-    rel = random_preorder(rng, n)
-    subsets = range((1 << n) - 1, -1, -1)
-    return NS4Frame(n, rel, _trace_tables(rel, subsets, _coin_flips(rng))[0])
-
-
 # --------------------------------------------------------------------------
 # the lift and the translation
 
@@ -230,7 +214,7 @@ def lift_nstar(fr: NFrame) -> NS4Frame:
     the antichain Poset(2, [1, 2]) the lift of (1, 1, 2, 2) is
     (1, 1, 3, 3). The lift is the trace table of the cuts of N over all
     subsets, built by the loop every trace-family table shares
-    (kernels.pure._trace_table).
+    (kernels._trace_table).
     """
     p = fr.poset
     lifted = kernels.lift_table(p.n, p.up, p.upsets(), fr.ntable)
@@ -251,7 +235,7 @@ def translation_preservation(m: NModel, f: Formula) -> int | None:
       for an upset V(p) that is V(p) itself;
     * T(a -> b) = [](Ta -> Tb) with the pointwise arrow, and box(~A | B)
       is the Heyting arrow of A and B for any masks (see
-      kernels.pure._run);
+      kernels._run);
     * T(~a) = [n]Ta holds on N*(Ta);
     * T(a & b) and T(a | b) are pointwise, and T keeps the constant T.
 
@@ -283,7 +267,7 @@ def translation_preservation(m: NModel, f: Formula) -> int | None:
 def translation_gap_search(fr: NFrame, depth: int) -> tuple[int, int] | None:
     """Search all value pairs reachable by formulas up to the given
     connective depth for a disagreement between the frame's semantics
-    and the lifted one (see kernels.pure.translation_gap).
+    and the lifted one (see kernels.translation_gap).
 
     None certifies agreement for all formulas of that depth over all
     valuations at once. At depth 0 that is trivial; at every depth >= 1
@@ -306,7 +290,7 @@ class ModalNFrame:
     """Just worlds and a total table; no order, no intrinsic laws.
 
     ``_law`` keeps whether the intersection law holds at k = 1, the
-    answer of every k >= 1 and of the rule (kernels.pure._guard_sets);
+    answer of every k >= 1 and of the rule (kernels._guard_sets);
     it stays out of ==, hash and repr.
     """
 
@@ -326,7 +310,7 @@ def en_check(fr: ModalNFrame, k: int) -> bool:
     values and intersecting the output with them is invisible. k = 0
     reads the empty intersection as all worlds, where the law cannot
     fail; every k >= 1 has the answer of k = 1 (the proof is in
-    kernels.pure._guard_sets), which the frame scans for once and
+    kernels._guard_sets), which the frame scans for once and
     keeps."""
     return _law_at(fr, k)
 
@@ -344,12 +328,6 @@ def _law_at(fr: ModalNFrame, k: int) -> bool:
     if k < 0:
         raise ValueError("arity must be nonnegative")
     return k == 0 or fr._law
-
-
-def random_modal_ntable(rng, n: int) -> ModalNFrame:
-    return ModalNFrame(
-        n, tuple(rng.randrange(1 << n) for _ in range(1 << n))
-    )
 
 
 def cos4_check_frame(fr: NS4Frame) -> bool:

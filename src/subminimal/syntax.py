@@ -62,7 +62,7 @@ kernel code, each filled on the first compilation that succeeds in its
 language. It is no field: it stays out of repr and pickles.
 
 Kernel code has one instruction per subformula, in the order of
-subformulas (kernels.ops), so a subformula that occurs twice is
+subformulas (see kernels), so a subformula that occurs twice is
 evaluated once and no node is hashed.
 """
 
@@ -73,7 +73,7 @@ import weakref
 from dataclasses import dataclass
 from typing import Callable, Collection, Iterable, Sequence
 
-from subminimal.kernels.ops import (
+from subminimal.kernels import (
     OP_AND,
     OP_BBOX,
     OP_BOT,
@@ -552,17 +552,15 @@ def depth(formula: Formula) -> int:
 def is_instance_of(formula: Formula, scheme: Formula) -> bool:
     """Whether the formula arises from the scheme by substituting for
     the scheme's variables: matched parents first, a scheme node met
-    at several places, a variable by its name, must meet equal
-    formulas at all of them."""
+    at several places must meet equal formulas at all of them. Formulas
+    are interned, so a variable name is one scheme node, which ``at``
+    gives one formula: a variable needs no check of its own."""
     if scheme.__class__ is not formula.__class__ and scheme.__class__ is not Var:
         return False
-    at, env = {scheme: formula}, {}
+    at = {scheme: formula}
     for s in reversed(subformulas(scheme)):
         f = at[s]
-        if s.__class__ is Var:
-            if env.setdefault(s.name, f) is not f:
-                return False
-        elif s.__class__ is not f.__class__:
+        if s.__class__ is not Var and s.__class__ is not f.__class__:
             return False
         for c, g in zip(_children(s), _children(f)):
             if at.setdefault(c, g) is not g:
@@ -627,7 +625,7 @@ def chain_axioms(logic: Logic) -> tuple[Formula, ...]:
 
 def compile_prop(formula: Formula, var_order: Sequence[str]) -> tuple[int, ...]:
     """Compile a propositional formula to value-numbered kernel code
-    (see kernels.ops).
+    (see kernels).
 
     Variables are numbered by their position in var_order; a variable
     outside it, or a modal node, raises ValueError.

@@ -3,22 +3,56 @@
 Each is a short composition of the package's own functions: validity
 on a frame through the refutation search, the N-frames of a poset from
 its lawful tables, poset isomorphism as the existence of one order
-isomorphism, the hat of one algebra element among prime filters, and a
+isomorphism, the hat of one algebra element among prime filters, a
 frame's per-world neighbourhood families and back, the way back
-through kernels.pure._trace_table.
+through kernels._trace_table, and the seeded random posets, tables and
+N-frames, the tables drawn through frames._trace_tables.
 """
 
-from typing import Sequence
+from typing import Callable, Sequence
 
 from subminimal.frames import (
     NFrame,
     Poset,
+    _trace_tables,
     enumerate_ntables,
     poset_isomorphisms,
     refuting_valuation,
 )
-from subminimal.kernels.pure import _trace_table
+from subminimal.kernels import _trace_table
 from subminimal.syntax import Formula
+
+
+def random_poset(rng, n: int) -> Poset:
+    """A labeled poset drawn by thinning a random linear order."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    pairs = []
+    for a in range(n):
+        for b in range(a + 1, n):
+            if rng.random() < 0.4:
+                pairs.append((perm[a], perm[b]))
+    return Poset.from_pairs(n, pairs)
+
+
+def coin_flips(rng) -> Callable[[list[int]], list[frozenset[int]]]:
+    """A family chooser for _trace_tables that keeps each allowed set on
+    a fair coin, flipped in the order the sets are allowed."""
+
+    def choose(allowed: list[int]) -> list[frozenset[int]]:
+        return [frozenset(z for z in allowed if rng.random() < 0.5)]
+
+    return choose
+
+
+def random_ntable(rng, p: Poset) -> tuple[int, ...]:
+    """A lawful negation table drawn uniformly over trace families."""
+    return _trace_tables(p.up, p.upsets(), coin_flips(rng))[0]
+
+
+def random_nframe(rng, n: int) -> NFrame:
+    p = random_poset(rng, n)
+    return NFrame(p, random_ntable(rng, p))
 
 
 def element_hat(filters: Sequence[int], x: int) -> int:

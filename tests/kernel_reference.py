@@ -1,7 +1,7 @@
 """The kernels the package replaced with faster algorithms, as they were.
 
 The differential fuzz in test_kernels.py runs each rewritten kernel in
-``subminimal.kernels.pure`` against its counterpart here and demands
+``subminimal.kernels`` against its counterpart here and demands
 the same value, the same exception and the same first witness. These
 are the plain loops: one valuation, one pair, one domain at a time.
 The eval kernels here are the one-valuation stack machine the package
@@ -15,7 +15,7 @@ compilers the package ran before it gave each distinct subformula one
 instruction. So a subformula is evaluated here once per occurrence.
 """
 
-from subminimal.kernels.ops import (
+from subminimal.kernels import (
     OP_AND,
     OP_BBOX,
     OP_BOT,

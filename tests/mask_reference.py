@@ -1,7 +1,7 @@
 """The mask loops the package replaced with one helper each, as they were.
 
 The differential tests in test_frames.py and test_modal.py run
-``kernels.pure._transpose``, ``kernels.pure._inclusion_cones``,
+``kernels._transpose``, ``kernels._inclusion_cones``,
 ``frames._orders_between``, ``Poset.down``, ``enumerate_preorders`` and
 ``frames.enumerate_upsets`` against these copies and demand the same
 lists in the same order. Each copy is the loop as it stood in its

@@ -1,17 +1,19 @@
 """The NS4 frame generators the package replaced with trace tables, as
 they were.
 
-test_modal.py runs ``random_ns4_frame`` and ``enumerate_ns4_frames`` of
-``subminimal.modal`` against these and demands the same frames in the
-same order and, for the random draws, the same generator state after
-them. These are the direct loops: one cluster trace at a time, and
-every total table filtered through the NS4 frame conditions.
+test_modal.py runs ``random_ns4_frame`` of modal_helpers.py and
+``enumerate_ns4_frames`` of ``subminimal.modal`` against these and
+demands the same frames in the same order and, for the random draws,
+the same generator state after them. These are the direct loops: one
+cluster trace at a time, and every total table filtered through the
+NS4 frame conditions.
 """
 
 import itertools
 
+from modal_helpers import random_preorder
 from subminimal import kernels
-from subminimal.modal import NS4Frame, enumerate_preorders, random_preorder
+from subminimal.modal import NS4Frame, enumerate_preorders
 
 
 def enumerate_ns4_frames(n: int) -> list[NS4Frame]:

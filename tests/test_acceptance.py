@@ -10,7 +10,8 @@ import time
 
 import kernel_reference as ref
 from conftest import load_fixture, proof_mutations
-from frame_helpers import element_hat
+from frame_helpers import element_hat, random_nframe
+from modal_helpers import random_modal_ntable, random_ns4_frame
 
 from subminimal.algebra import (
     algebra_corpus,
@@ -48,7 +49,6 @@ from subminimal.frames import (
     frame_class,
     nframe_isomorphic,
     ntable_from_upset_map,
-    random_nframe,
 )
 from subminimal.modal import (
     ModalNFrame,
@@ -58,8 +58,6 @@ from subminimal.modal import (
     enumerate_ns4_frames,
     ns4_frame_validates,
     proof_from_list,
-    random_modal_ntable,
-    random_ns4_frame,
     rn_validity,
     translation_gap_search,
     translation_preservation,

@@ -11,7 +11,7 @@ import weakref
 import pytest
 
 import algebra_reference as reference
-from frame_helpers import element_hat
+from frame_helpers import element_hat, random_nframe, random_ntable, random_poset
 from subminimal import algebra
 from subminimal.algebra import (
     AlgebraicFiltration,
@@ -49,9 +49,6 @@ from subminimal.frames import (
     enumerate_ntables,
     enumerate_posets,
     ntable_from_upset_map,
-    random_nframe,
-    random_ntable,
-    random_poset,
     truth_sets,
 )
 from subminimal.syntax import And, Box, Neg, Var, _ordered, _walk, parse, variables

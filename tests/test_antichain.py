@@ -180,7 +180,8 @@ def test_kept_search_set_up_keeps_every_witness():
     import random
 
     from subminimal import kernels
-    from subminimal.frames import enumerate_posets_unlabeled, random_poset
+    from frame_helpers import random_poset
+    from subminimal.frames import enumerate_posets_unlabeled
 
     all_posets = [p for k in range(1, 6) for p in enumerate_posets_unlabeled(k)]
     topped = [p for p in all_posets if p.top() is not None]

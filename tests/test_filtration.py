@@ -15,6 +15,7 @@ import pytest
 
 import filtration_reference as ref
 from conftest import outcome
+from frame_helpers import random_nframe
 import subminimal
 from subminimal import filtration, frames, syntax
 from subminimal.algebra import algebra_corpus, least_filtration_correspondence, sublattice_filtration
@@ -42,7 +43,6 @@ from subminimal.frames import (
     model_from_dict,
     nframe_isomorphic,
     ntable_from_upset_map,
-    random_nframe,
     truth_sets,
 )
 from subminimal.syntax import (

@@ -17,14 +17,17 @@ from conftest import outcome
 from filtration_reference import _members as reference_members
 from filtration_reference import eval_formula as reference_eval
 from frame_helpers import (
+    coin_flips,
     enumerate_nframes,
     frame_validates,
     from_neighbourhood,
     poset_isomorphic,
+    random_nframe,
+    random_ntable,
+    random_poset,
     to_neighbourhood,
 )
 from subminimal import frames, kernels
-from subminimal.kernels import pure
 from subminimal.algebra import TopFrame, topframe_from_dict, topframe_isomorphic
 from subminimal.antichain import positive_morphism
 from subminimal.filtration import close_sigma
@@ -60,9 +63,6 @@ from subminimal.frames import (
     poset_from_dict,
     poset_isomorphisms,
     poset_to_dict,
-    random_nframe,
-    random_ntable,
-    random_poset,
     refuting_valuation,
     truth_sets,
 )
@@ -762,12 +762,12 @@ def test_rooted_search_keeps_the_walked_witness():
     assert {key for n, key in classes if n == 4} == {7, 23, 55, 311}
 
 
-@pytest.mark.parametrize("block, count", [(pure._BLOCK, 300), (64, 100)], ids=["wide", "narrow"])
+@pytest.mark.parametrize("block, count", [(kernels._BLOCK, 300), (64, 100)], ids=["wide", "narrow"])
 def test_batched_search_keeps_the_frame_by_frame_witness(monkeypatch, block, count):
     # the reference: one kernel call per frame of the stream, in order,
     # each frame's result shared by the four logics; narrow blocks split
     # each class into blocks of a few frames, or of part of one
-    monkeypatch.setattr(pure, "_BLOCK", block)
+    monkeypatch.setattr(kernels, "_BLOCK", block)
     rng = random.Random(37)
     past_first = 0
     for _ in range(count):
@@ -792,14 +792,14 @@ def test_column_masks_outlive_their_block_only_when_kept(monkeypatch):
     # class under a one-variable formula valid in N, so the search walks
     # every block: a plain tuple of tables keeps at most one _Columns
     # alive at a time, and a _ClassTables keeps one per block
-    monkeypatch.setattr(pure, "_BLOCK", 64)
+    monkeypatch.setattr(kernels, "_BLOCK", 64)
     refs = []
     most = 0
 
     def alive():
         return sum(ref() is not None for ref in refs)
 
-    class Counted(pure._Columns):
+    class Counted(kernels._Columns):
         def __init__(self, *args):
             super().__init__(*args)
             refs.append(weakref.ref(self))
@@ -809,17 +809,17 @@ def test_column_masks_outlive_their_block_only_when_kept(monkeypatch):
             most = max(most, alive())
             return super().__missing__(x)
 
-    monkeypatch.setattr(pure, "_Columns", Counted)
+    monkeypatch.setattr(kernels, "_Columns", Counted)
     key = next(key for key, rep in _poset_classes(4) if _rooted(4, rep.up))
     p, tables = _class_tables(4, key, LOGICS["n"])
     _, code = compiled(parse("~(p & p) -> ~p"))
     fpb = 64 // len(p.upsets())
     blocks = -(-len(tables) // fpb)
     assert fpb > 1 and blocks > 10
-    assert pure.find_refuting_valuation_prop(code, 1, 4, p.up, tuple(tables), p.upsets()) == -1
+    assert kernels.find_refuting_valuation_prop(code, 1, 4, p.up, tuple(tables), p.upsets()) == -1
     assert most == 1 and alive() == 0
     kept = _ClassTables(tables)
-    assert pure.find_refuting_valuation_prop(code, 1, 4, p.up, kept, p.upsets()) == -1
+    assert kernels.find_refuting_valuation_prop(code, 1, 4, p.up, kept, p.upsets()) == -1
     assert list(kept.columns) == [(len(p.upsets()), fpb)]
     assert len(kept.columns[len(p.upsets()), fpb]) == alive() == blocks
 
@@ -1126,7 +1126,7 @@ def _top_table(rng, p):
     t = p.top()
     admissible = p.upsets()[1:]
     while True:
-        (table,) = frames._trace_tables(p.up, admissible, frames._coin_flips(rng))
+        (table,) = frames._trace_tables(p.up, admissible, coin_flips(rng))
         if (table[1 << t] >> t) & 1:
             return table
 
@@ -1197,13 +1197,13 @@ def test_transpose_matches_the_loops_it_replaced():
     for width in range(13):
         for _ in range(30):
             rows = [rng.getrandbits(width) for _ in range(rng.randrange(14))]
-            got = pure._transpose(rows, width)
+            got = kernels._transpose(rows, width)
             assert got == mask_reference.down_sets(width, rows)
             assert got == mask_reference.hats(width, rows)
             order = [object() for _ in rows]
             assert got == mask_reference.signatures(dict(zip(order, rows)), order, width)
             pi = [rng.randrange(width) for _ in range(rng.randrange(14))] if width else []
-            assert pure._transpose([1 << c for c in pi], width) == reference_members(pi, width)
+            assert kernels._transpose([1 << c for c in pi], width) == reference_members(pi, width)
     for n in range(5):
         for p in enumerate_posets(n):
             assert list(p.down) == mask_reference.down_sets(n, p.up)
@@ -1228,7 +1228,7 @@ def test_inclusion_cones_match_the_loops_they_replaced():
         masks = [rng.getrandbits(width) for _ in range(rng.randrange(9))]
         if masks and rng.random() < 0.3:
             masks.insert(rng.randrange(len(masks)), rng.choice(masks))
-        cones = pure._inclusion_cones(masks)
+        cones = kernels._inclusion_cones(masks)
         assert cones == mask_reference.dual_cones(masks) == mask_reference.greatest_cones(masks)
         # a shift and a common bit keep every inclusion; random traces
         # mostly break one
@@ -1237,7 +1237,7 @@ def test_inclusion_cones_match_the_loops_they_replaced():
         else:
             other = [rng.getrandbits(width) for _ in masks]
         agree = mask_reference.orders_agree(masks, other)
-        assert (cones == pure._inclusion_cones(other)) == agree
+        assert (cones == kernels._inclusion_cones(other)) == agree
         seen[agree] += 1
         seen["duplicate"] += len(set(masks)) < len(masks)
     assert seen[True] > 100 and seen[False] > 100 and seen["duplicate"] > 100

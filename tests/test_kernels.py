@@ -6,8 +6,11 @@ kernel_reference.py, and demands the same value, the same exception
 and the same first witness.
 """
 
+import ast
 import collections
+import inspect
 import itertools
+import pathlib
 import random
 import time
 
@@ -15,6 +18,8 @@ import pytest
 
 import kernel_reference as ref
 import subminimal
+from frame_helpers import random_nframe, random_ntable, random_poset
+from modal_helpers import random_ns4_frame, random_preorder
 from subminimal import frames, kernels
 from subminimal.antichain import (
     build_delta,
@@ -28,14 +33,9 @@ from subminimal.frames import (
     enumerate_posets_unlabeled,
     enumerate_upsets,
     eval_formula,
-    random_nframe,
-    random_ntable,
-    random_poset,
     refuting_valuation,
 )
-from subminimal.kernels import pure
-from subminimal.kernels.ops import OP_AND, OP_BBOX, OP_BOX, OP_IMP, OP_NEG, OP_OR
-from subminimal.modal import random_ns4_frame, random_preorder
+from subminimal.kernels import OP_AND, OP_BBOX, OP_BOX, OP_IMP, OP_NEG, OP_OR
 from subminimal.syntax import (
     AXIOM_COPC,
     And,
@@ -56,7 +56,7 @@ from syntax_helpers import random_formula, substitute
 
 # one implementation; the ids keep the [pure] suffix the kernel tests
 # have always carried, so their history stays comparable
-PURE = pytest.mark.parametrize("impl", [pure], ids=["pure"])
+PURE = pytest.mark.parametrize("impl", [kernels], ids=["pure"])
 CHAIN2 = Poset(2, (3, 2))
 CHAIN2_UPSETS = (0, 2, 3)
 LAWFUL2 = (2, -1, 3, 2)
@@ -64,7 +64,22 @@ LAWFUL2 = (2, -1, 3, 2)
 
 def test_backend_constant_is_pure():
     assert subminimal.BACKEND == kernels.BACKEND == "pure"
-    assert kernels.find_refuting_valuation_prop is pure.find_refuting_valuation_prop
+
+
+def test_the_traced_kernel_names_are_kernel_functions():
+    # perfbench/tracer.py binds a wrapper over each name of its KERNELS
+    # tuple; read without importing the tracer, so a renamed kernel
+    # fails here and not only in a traced benchmark run
+    tracer = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    (names,) = [
+        ast.literal_eval(node.value)
+        for node in ast.parse(tracer.read_text()).body
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["KERNELS"]
+    ]
+    assert names
+    for name in names:
+        fn = getattr(kernels, name, None)
+        assert inspect.isfunction(fn) and fn.__module__ == kernels.__name__, name
 
 
 @PURE
@@ -176,7 +191,7 @@ def test_eval_kernels_match_the_one_valuation_machine():
         if rng.random() < 0.2 and (modal or min(table) >= 0):
             modal = not modal
         kernel, want = (
-            (pure.eval_modal, ref.eval_modal) if modal else (pure.eval_prop, ref.eval_prop)
+            (kernels.eval_modal, ref.eval_modal) if modal else (kernels.eval_prop, ref.eval_prop)
         )
         got = kernel(code, n, up, table, val)
         assert got == want(postfix, n, up, table, val), (code, n, up, table, val)
@@ -189,7 +204,7 @@ def test_eval_kernels_differ_from_the_reference_only_off_contract():
     # world mask, the one machine reports the hole
     bbox_and_q, postfix = _both(parse("[n]p & q", "modal"), ["p", "q"], "modal")
     assert ref.eval_modal(postfix, 2, CHAIN2.up, LAWFUL2, [1, 2]) == 2
-    assert pure.eval_modal(bbox_and_q, 2, CHAIN2.up, LAWFUL2, [1, 2]) == -1
+    assert kernels.eval_modal(bbox_and_q, 2, CHAIN2.up, LAWFUL2, [1, 2]) == -1
     # hand-made code past a hole: the reference stops at the hole, the
     # one machine runs on to the wrong opcode, or to an operand slot no
     # instruction has filled, where the stack machine ran dry; ~p fills
@@ -197,11 +212,11 @@ def test_eval_kernels_differ_from_the_reference_only_off_contract():
     neg_p, postfix_neg_p = _both(parse("~p"), ["p"])
     wrong = neg_p + (OP_BBOX, 1, 0)
     assert ref.eval_prop(postfix_neg_p + (OP_BBOX, 0), 2, CHAIN2.up, LAWFUL2, [1]) == -1
-    assert pure.eval_prop(wrong, 2, CHAIN2.up, LAWFUL2, [1]) == -2
+    assert kernels.eval_prop(wrong, 2, CHAIN2.up, LAWFUL2, [1]) == -2
     underflow = neg_p + (OP_AND, 1, 2)
     assert ref.eval_prop(postfix_neg_p + (OP_AND, 0), 2, CHAIN2.up, LAWFUL2, [1]) == -1
     with pytest.raises(IndexError):
-        pure.eval_prop(underflow, 2, CHAIN2.up, LAWFUL2, [1])
+        kernels.eval_prop(underflow, 2, CHAIN2.up, LAWFUL2, [1])
 
 
 @PURE
@@ -238,8 +253,8 @@ def test_refuting_valuation_prop_stops_at_once_on_a_huge_space():
     # index order can return the refutation at index 0
     code = compile_prop(parse("p"), ["p"])
     t0 = time.perf_counter()
-    assert pure.find_refuting_valuation_prop(code, 70, 1, (1,), ((1, 1),), (0, 1)) == 0
-    assert pure.find_refuting_valuation_modal(code, 70, 1, (1,), (1, 1)) == 0
+    assert kernels.find_refuting_valuation_prop(code, 70, 1, (1,), ((1, 1),), (0, 1)) == 0
+    assert kernels.find_refuting_valuation_modal(code, 70, 1, (1,), (1, 1)) == 0
     assert time.perf_counter() - t0 < 1.0
 
 
@@ -248,21 +263,21 @@ def test_refuting_valuation_prop_raises_only_at_a_hole_before_the_refutation():
     code = compile_prop(parse("~p"), ["p"])
     ups = (0, 1)
     # index 0 refutes (N(0) = 0), index 1 reaches the hole: no error
-    assert pure.find_refuting_valuation_prop(code, 1, 1, (1,), ((0, -1),), ups) == 0
+    assert kernels.find_refuting_valuation_prop(code, 1, 1, (1,), ((0, -1),), ups) == 0
     # index 0 reaches the hole before index 1 refutes
     with pytest.raises(ValueError, match="evaluation left the negation table domain"):
-        pure.find_refuting_valuation_prop(code, 1, 1, (1,), ((-1, 0),), ups)
+        kernels.find_refuting_valuation_prop(code, 1, 1, (1,), ((-1, 0),), ups)
     # every one-world table over "~p" and "q | ~p" (index 2q + p): a hole
     # after the refutation in the same block must not raise
     code2 = compile_prop(parse("q | ~p"), ["q", "p"])
-    assert pure.find_refuting_valuation_prop(code2, 2, 1, (1,), ((0, -1),), ups) == 0
-    assert pure.find_refuting_valuation_prop(code2, 2, 1, (1,), ((1, 0),), ups) == 1
+    assert kernels.find_refuting_valuation_prop(code2, 2, 1, (1,), ((0, -1),), ups) == 0
+    assert kernels.find_refuting_valuation_prop(code2, 2, 1, (1,), ((1, 0),), ups) == 1
     for ntable in itertools.product((-1, 0, 1), repeat=2):
         for text, vs in (("~p", ["p"]), ("q | ~p", ["q", "p"])):
             c, postfix = _both(parse(text), vs)
             args = (c, len(vs), 1, (1,), ntable, ups)
             want = _capture(ref.find_refuting_valuation_prop, postfix, *args[1:])
-            assert _capture(pure.find_refuting_valuation_prop, *_one_table(args)) == want
+            assert _capture(kernels.find_refuting_valuation_prop, *_one_table(args)) == want
 
 
 @PURE
@@ -275,11 +290,11 @@ def test_refuting_valuation_modal_opcode_error(impl):
 @PURE
 def test_locality_violation_packed_witness(impl):
     # lawful table on the 2-chain
-    assert impl.locality_violation(2, CHAIN2_UPSETS, LAWFUL2) == -1
+    assert impl.locality_violation(CHAIN2_UPSETS, LAWFUL2) == -1
     # N(W)&{1} = 2 but N(W & {1})&{1} = N({1})&{1} = 0: fails at
     # upset index 2 (the full set) against index 1 (the top cone)
     bad = (0, -1, 0, 3)
-    assert impl.locality_violation(2, CHAIN2_UPSETS, bad) == 2 * 3 + 1
+    assert impl.locality_violation(CHAIN2_UPSETS, bad) == 2 * 3 + 1
 
 
 @PURE
@@ -393,8 +408,8 @@ def test_positive_morphism_refusals_keep_the_unpruned_witness():
     outcomes = collections.Counter()
     for t, s in pairs:
         want = ref.search_positive_morphism(t.n, t.up, t.down, s.n, s.up, s.down)
-        assert pure.search_positive_morphism(t.n, t.up, s.n, s.up) == want, (t, s)
-        assert pure.search_positive_morphism(t.n, list(t.up), s.n, list(s.up)) == want, (t, s)
+        assert kernels.search_positive_morphism(t.n, t.up, s.n, s.up) == want, (t, s)
+        assert kernels.search_positive_morphism(t.n, list(t.up), s.n, list(s.up)) == want, (t, s)
         outcomes[_morphism_outcome(t, s, want)] += 1
     assert len(pairs) == 25 * 87 + 25 + 88 + 2000
     assert outcomes == {"empty": 88, "depth": 1856, "signature": 245, "branched": 380, "found": 1719}
@@ -407,8 +422,8 @@ def _morphism_outcome(t, s, found):
         return "found"
     if not t.n:
         return "empty"
-    t_depth, t_sig = pure._profile(t.up, t.n)
-    s_depth, s_sig = pure._profile(s.up, s.n)
+    t_depth, t_sig = kernels._profile(t.up, t.n)
+    s_depth, s_sig = kernels._profile(s.up, s.n)
     if len(s_depth) < len(t_depth) or any(a < b for a, b in zip(s_depth, t_depth)):
         return "depth"
     return "signature" if s.n == t.n and s_sig != t_sig else "branched"
@@ -419,16 +434,16 @@ def test_the_refusals_leave_457_small_pairs_to_the_branching_search(monkeypatch)
     # domain; without the refusals 1,744 of the 25 x 87 pairs did, with
     # the size check alone, so a change that drops a refusal fails here
     reached = set()
-    branch = pure._positive_from
+    branch = kernels._positive_from
 
     def spy(*args):
         reached.add(i)
         return branch(*args)
 
-    monkeypatch.setattr(pure, "_positive_from", spy)
+    monkeypatch.setattr(kernels, "_positive_from", spy)
     found = 0
     for i, (t, s) in enumerate(_small_morphism_pairs()):
-        found += pure.search_positive_morphism(t.n, t.up, s.n, s.up) is not None
+        found += kernels.search_positive_morphism(t.n, t.up, s.n, s.up) is not None
     assert (len(reached), found) == (457, 345)
 
 
@@ -437,7 +452,7 @@ def test_an_empty_target_has_no_positive_morphism():
     # empty poset; the kernel, the wrapper and the verifier agree
     empty = Poset(0, ())
     for s in (empty, Poset(1, (1,)), build_delta(0).poset):
-        assert pure.search_positive_morphism(0, empty.up, s.n, s.up) is None
+        assert kernels.search_positive_morphism(0, empty.up, s.n, s.up) is None
         assert ref.search_positive_morphism(0, empty.up, empty.down, s.n, s.up, s.down) is None
         assert positive_morphism(empty, s) is None
         assert not verify_positive_morphism(empty, s, {})
@@ -516,11 +531,11 @@ def _table_by_table(code, nvars, n, up, tables, ups):
     return ("ok", -1)
 
 
-@pytest.mark.parametrize("block", [pure._BLOCK, 16, 4], ids=["wide", "mid", "narrow"])
+@pytest.mark.parametrize("block", [kernels._BLOCK, 16, 4], ids=["wide", "mid", "narrow"])
 def test_batched_refutation_search_matches_the_plain_loop(monkeypatch, block):
     # narrow blocks split a batch of tables into several blocks, and a
     # frame's valuations into several blocks
-    monkeypatch.setattr(pure, "_BLOCK", block)
+    monkeypatch.setattr(kernels, "_BLOCK", block)
     rng = random.Random(4343 + block)
     names = ("p", "q", "r")
     outcomes = set()
@@ -540,21 +555,21 @@ def test_batched_refutation_search_matches_the_plain_loop(monkeypatch, block):
         pool += [random_ntable(rng, p) for _ in range(12)]
         tables = tuple(rng.choice(pool) for _ in range(rng.randint(0, 20)))
         want = _table_by_table(postfix, nvars, n, p.up, tables, ups)
-        assert _capture(pure.find_refuting_valuation_prop, code, nvars, n, p.up, tables, ups) == want
+        assert _capture(kernels.find_refuting_valuation_prop, code, nvars, n, p.up, tables, ups) == want
         # tables that keep their column masks give the same twice over
         kept = frames._ClassTables(tables)
         for _ in range(2):
-            assert _capture(pure.find_refuting_valuation_prop, code, nvars, n, p.up, kept, ups) == want
+            assert _capture(kernels.find_refuting_valuation_prop, code, nvars, n, p.up, kept, ups) == want
         outcomes.add((want[0], want[0] == "ok" and want[1] >= len(ups) ** nvars))
     # refutations past the first table, valid batches and errors all occur
     assert outcomes >= {("ok", True), ("ok", False), ("err", False)}
 
 
-@pytest.mark.parametrize("block", [pure._BLOCK, 4], ids=["wide", "narrow"])
+@pytest.mark.parametrize("block", [kernels._BLOCK, 4], ids=["wide", "narrow"])
 def test_refuting_valuation_search_matches_the_plain_loop(monkeypatch, block):
     # narrow blocks make the spaces below span many blocks, so the fuzz
     # also crosses block boundaries and fixed high variables
-    monkeypatch.setattr(pure, "_BLOCK", block)
+    monkeypatch.setattr(kernels, "_BLOCK", block)
     rng = random.Random(4242 + block)
     names = ("p", "q", "r")
     checked = 0
@@ -579,22 +594,22 @@ def test_refuting_valuation_search_matches_the_plain_loop(monkeypatch, block):
         for table in _tables(rng, p, ups):
             args = (code[0], nvars, n, p.up, table, ups)
             a = _capture(ref.find_refuting_valuation_prop, code[1], *args[1:])
-            b = _capture(pure.find_refuting_valuation_prop, *_one_table(args))
+            b = _capture(kernels.find_refuting_valuation_prop, *_one_table(args))
             assert a == b, (n, args, a, b)
             checked += 1
         total = [rng.randrange(1 << n) for _ in range(1 << n)]
         holed = [-1 if rng.random() < 0.2 else v for v in total]
-        lifted = pure.lift_table(n, p.up, ups, random_ntable(rng, p))
+        lifted = kernels.lift_table(n, p.up, ups, random_ntable(rng, p))
         for table in (total, lifted):
             args = (mcode[0], mvars, n, p.up, table)
             a = _capture(ref.find_refuting_valuation_modal, mcode[1], *args[1:])
-            b = _capture(pure.find_refuting_valuation_modal, *args)
+            b = _capture(kernels.find_refuting_valuation_modal, *args)
             assert a == b, (n, args, a, b)
             checked += 1
         if -1 in holed:
             # modal tables are total; a hole is refused before any search
             with pytest.raises(ValueError, match="must cover every subset"):
-                pure.find_refuting_valuation_modal(mcode[0], mvars, n, p.up, holed)
+                kernels.find_refuting_valuation_modal(mcode[0], mvars, n, p.up, holed)
     assert checked >= 1000
 
 
@@ -603,7 +618,7 @@ def test_layout_memo_keeps_the_results_of_the_plain_loops(monkeypatch):
     # over, so each width meets layouts the others left; with the values
     # as a tuple, a list and, on discrete posets, whose upsets are all
     # subsets, a range
-    blocks = (pure._BLOCK, 16, 4) * 2
+    blocks = (kernels._BLOCK, 16, 4) * 2
     rng = random.Random(4545)
     names = ("p", "q", "r")
     outcomes = set()
@@ -628,22 +643,22 @@ def test_layout_memo_keeps_the_results_of_the_plain_loops(monkeypatch):
         pool = _tables(rng, p, ups) + [random_ntable(rng, p) for _ in range(6)]
         tables = tuple(rng.choice(pool) for _ in range(rng.randint(1, 8)))
         want = _table_by_table(postfix, nvars, n, p.up, tables, ups)
-        mtable = pure.lift_table(n, p.up, ups, random_ntable(rng, p))
+        mtable = kernels.lift_table(n, p.up, ups, random_ntable(rng, p))
         mwant = _capture(ref.find_refuting_valuation_modal, mpostfix, mvars, n, p.up, mtable)
-        pure._layout.cache_clear()
+        kernels._layout.cache_clear()
         for block in blocks:
-            monkeypatch.setattr(pure, "_BLOCK", block)
+            monkeypatch.setattr(kernels, "_BLOCK", block)
             for values in forms:
-                got = _capture(pure.find_refuting_valuation_prop, code, nvars, n, p.up, tables, values)
+                got = _capture(kernels.find_refuting_valuation_prop, code, nvars, n, p.up, tables, values)
                 assert got == want, (block, n, nvars, values, tables)
-            got = _capture(pure.find_refuting_valuation_modal, mcode, mvars, n, p.up, mtable)
+            got = _capture(kernels.find_refuting_valuation_modal, mcode, mvars, n, p.up, mtable)
             assert got == mwant, (block, n, mvars, mtable)
         outcomes |= {want[0], mwant[0], want[0] == "ok" and want[1] >= len(ups) ** nvars}
     # errors, and refutations past the first table, occur
     assert outcomes == {"ok", "err", True, False}
 
 
-@pytest.mark.parametrize("block", [pure._BLOCK, 16, 4], ids=["wide", "mid", "narrow"])
+@pytest.mark.parametrize("block", [kernels._BLOCK, 16, 4], ids=["wide", "mid", "narrow"])
 def test_shared_subformulas_give_the_results_of_the_postfix_machine(monkeypatch, block):
     # one random compound substituted for two of the variables, often
     # in both sides of a <->, so the value-numbered code runs it once
@@ -651,7 +666,7 @@ def test_shared_subformulas_give_the_results_of_the_postfix_machine(monkeypatch,
     # or error of both searches and the values of both eval kernels are
     # the postfix machine's, on lawful and holed prop tables, lawful NS4
     # tables and any total ones
-    monkeypatch.setattr(pure, "_BLOCK", block)
+    monkeypatch.setattr(kernels, "_BLOCK", block)
     rng = random.Random(4747 + block)
     names = ("p", "q", "r")
     shared = 0
@@ -678,9 +693,9 @@ def test_shared_subformulas_give_the_results_of_the_postfix_machine(monkeypatch,
             lawful, holed, _ = _tables(rng, p, ups)
             tables = tuple(rng.choice((lawful, holed)) for _ in range(rng.randint(1, 6)))
             want = _table_by_table(postfix, len(vs), n, p.up, tables, ups)
-            got = _capture(pure.find_refuting_valuation_prop, code, len(vs), n, p.up, tables, ups)
+            got = _capture(kernels.find_refuting_valuation_prop, code, len(vs), n, p.up, tables, ups)
             for table in (lawful, holed):
-                assert pure.eval_prop(code, n, p.up, table, val) == ref.eval_prop(
+                assert kernels.eval_prop(code, n, p.up, table, val) == ref.eval_prop(
                     postfix, n, p.up, table, val
                 ), (f, table, val)
         else:
@@ -691,8 +706,8 @@ def test_shared_subformulas_give_the_results_of_the_postfix_machine(monkeypatch,
                 up = random_preorder(rng, n)
                 table = [rng.randrange(1 << n) for _ in range(1 << n)]
             want = _capture(ref.find_refuting_valuation_modal, postfix, len(vs), n, up, table)
-            got = _capture(pure.find_refuting_valuation_modal, code, len(vs), n, up, table)
-            assert pure.eval_modal(code, n, up, table, val) == ref.eval_modal(
+            got = _capture(kernels.find_refuting_valuation_modal, code, len(vs), n, up, table)
+            assert kernels.eval_modal(code, n, up, table, val) == ref.eval_modal(
                 postfix, n, up, table, val
             ), (f, up, table, val)
         assert got == want, (f, n, want)
@@ -707,29 +722,29 @@ def test_shared_subformulas_give_the_results_of_the_postfix_machine(monkeypatch,
 
 
 def test_layout_memo_stays_within_its_bound():
-    pure._layout.cache_clear()
+    kernels._layout.cache_clear()
     code = compile_prop(parse("p"), ["p"])
-    bound = pure._layout.cache_info().maxsize
+    bound = kernels._layout.cache_info().maxsize
 
     def search(k):
         # k values make k distinct layouts
-        assert pure.find_refuting_valuation_prop(code, 1, 1, (1,), ((1, 1),), (1,) * k) == -1
+        assert kernels.find_refuting_valuation_prop(code, 1, 1, (1,), ((1, 1),), (1,) * k) == -1
 
     for k in range(1, 2 * bound + 1):
         search(k)
-        assert pure._layout.cache_info().currsize == min(k, bound)
+        assert kernels._layout.cache_info().currsize == min(k, bound)
     # the last bound layouts are kept, the ones before are gone
-    hits = pure._layout.cache_info().hits
+    hits = kernels._layout.cache_info().hits
     for k in range(bound + 1, 2 * bound + 1):
         search(k)
-    assert pure._layout.cache_info().hits == hits + bound
+    assert kernels._layout.cache_info().hits == hits + bound
     search(bound)
-    assert pure._layout.cache_info().hits == hits + bound
-    assert pure._layout.cache_info().currsize == bound
+    assert kernels._layout.cache_info().hits == hits + bound
+    assert kernels._layout.cache_info().currsize == bound
     # more values than a block holds leave nothing to keep
-    pure._layout.cache_clear()
-    search(pure._BLOCK + 1)
-    assert pure._layout.cache_info().currsize == 0
+    kernels._layout.cache_clear()
+    search(kernels._BLOCK + 1)
+    assert kernels._layout.cache_info().currsize == 0
 
 
 def test_companion_kernels_match_the_plain_loops():
@@ -743,7 +758,7 @@ def test_companion_kernels_match_the_plain_loops():
         for table in _tables(rng, p, ups):
             args = (n, p.up, ups, table)
             a = _capture(ref.lift_table, *args)
-            assert a == _capture(pure.lift_table, *args), (args, a)
+            assert a == _capture(kernels.lift_table, *args), (args, a)
             checked["lift"] += 1
         # a lawful table, holes, values off the upsets, upset values
         # that are rarely local, and the lift of the odd table kept on
@@ -761,7 +776,7 @@ def test_companion_kernels_match_the_plain_loops():
         for depth in range(4):
             # the exact first gap witness, not only whether one exists
             a = _capture(ref.translation_gap, n, p.up, table, nstar, ups, depth)
-            assert a == _capture(pure.translation_gap, n, p.up, table, ups, depth), (table, depth, a)
+            assert a == _capture(kernels.translation_gap, n, p.up, table, ups, depth), (table, depth, a)
             got.append(a)
         gaps[_gap_outcome(got)] += 1
         checked["gap"] += 1
@@ -774,10 +789,10 @@ def test_companion_kernels_match_the_plain_loops():
             total[rng.randrange(size)] = -1
         if rng.random() < 0.4:
             q = random_poset(rng, m)
-            total = pure.lift_table(m, q.up, enumerate_upsets(q), random_ntable(rng, q))
+            total = kernels.lift_table(m, q.up, enumerate_upsets(q), random_ntable(rng, q))
         for law in ("en", "rn"):
             a = _capture(getattr(ref, law + "_holds"), m, total, k)
-            assert a == _capture(getattr(pure, law + "_holds"), m, total, k), (law, m, total, k, a)
+            assert a == _capture(getattr(kernels, law + "_holds"), m, total, k), (law, m, total, k, a)
             checked[law] += 1
 
         t = random_poset(rng, rng.randint(0, 5))
@@ -790,7 +805,7 @@ def test_companion_kernels_match_the_plain_loops():
             s = random_poset(rng, rng.randint(0, 6))
         args = (t.n, t.up, t.down, s.n, s.up, s.down)
         a = _capture(ref.search_positive_morphism, *args)
-        assert a == _capture(pure.search_positive_morphism, t.n, t.up, s.n, s.up), (args, a)
+        assert a == _capture(kernels.search_positive_morphism, t.n, t.up, s.n, s.up), (args, a)
         checked["morphism"] += 1
     assert min(checked.values()) >= 1000, checked
     assert min(gaps.values()) >= 20, gaps
@@ -815,7 +830,7 @@ def test_translation_gap_matches_the_pass_over_the_whole_lift():
         for depth in range(4):
             args = (p.n, p.up, table, p.upsets(), depth)
             a = _capture(ref.translation_gap_lifted, *args)
-            assert a == _capture(pure.translation_gap, *args), (p, table, depth, a)
+            assert a == _capture(kernels.translation_gap, *args), (p, table, depth, a)
             got.append(a)
         gaps[_gap_outcome(got)] += 1
     assert min(gaps[k] for k in ("none", "witness", "hole", "escape")) >= 20, gaps
@@ -861,7 +876,7 @@ def test_kernel_micro_cases_keep_their_frozen_results():
     dtable = [-1] * 16
     for u in dups:
         dtable[u] = 15 if u == 15 else 8
-    assert {kernels.locality_violation(4, dups, dtable) for _ in range(2000)} == {32}
+    assert {kernels.locality_violation(dups, dtable) for _ in range(2000)} == {32}
 
 
 def test_positive_morphism_wrapper_round_trip():

@@ -10,9 +10,9 @@ import pytest
 
 import mask_reference
 import ns4_reference
-from modal_helpers import modal_nframe_to_dict, ns4_to_dict
+from frame_helpers import random_nframe, random_poset
+from modal_helpers import modal_nframe_to_dict, ns4_to_dict, random_modal_ntable, random_ns4_frame
 from subminimal import kernels
-from subminimal.kernels import pure
 from subminimal.frames import (
     NFrame,
     NModel,
@@ -24,8 +24,6 @@ from subminimal.frames import (
     enumerate_posets,
     eval_formula,
     ntable_from_upset_map,
-    random_nframe,
-    random_poset,
 )
 from subminimal.modal import (
     AXIOM_BBOX_CONTRA,
@@ -47,8 +45,6 @@ from subminimal.modal import (
     ns4_frame_validates,
     ns4_from_dict,
     ns4_refuting_valuation,
-    random_modal_ntable,
-    random_ns4_frame,
     rn_validity,
     translation_gap_search,
     translation_preservation,
@@ -72,13 +68,13 @@ def test_ns4_frame_requires_a_preorder():
 
 def test_the_axiom_searches_of_a_frame_build_its_cone_lists_once(monkeypatch):
     built = []
-    build = pure._cones
+    build = kernels._cones
 
     def cones(up, n):
         built.append(tuple(up))
         return build(up, n)
 
-    monkeypatch.setattr(pure, "_cones", cones)
+    monkeypatch.setattr(kernels, "_cones", cones)
     # the 3-chain, N(X) the worlds whose cone lies inside X
     fr = NS4Frame(3, (7, 6, 4), (0, 0, 0, 0, 4, 4, 6, 7))
     assert all(ns4_frame_validates(fr, ax) for ax in NS4_AXIOMS.values())
